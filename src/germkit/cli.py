@@ -181,7 +181,7 @@ def compute_d(
             for w in wordlist:
                 germ = word_germ(target.space, target.generators, w, e)
                 click.echo(
-                    f"{target.label}\t{w}\t{json.dumps(serialize.germ_to_data(germ))}"
+                    f"{target.name}\t{w}\t{json.dumps(serialize.germ_to_data(germ))}"
                 )
     except (serialize.SpecFormatError, SuiteError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -246,7 +246,7 @@ def blowup_cmd(
             space, _ = build_blowup_target(target)
             same = space.classify() is target.space.classify()
             click.echo(
-                f"{target.label}\torbit={len(space.orbit)}\tdepth={space.depth}\t"
+                f"{target.name}\torbit={len(space.orbit)}\tdepth={space.depth}\t"
                 f"classification={space.classify().value}\tpreserved={same}"
             )
             if not same:
@@ -350,11 +350,11 @@ def orbit_search(
             e = root_embedding(target.space)
             found = positive_ray_orbit_search(space, stab, e, n, min(ball, space.depth))
             if found is None:
-                click.echo(f"{target.label}\texhausted (ball {min(ball, space.depth)})")
+                click.echo(f"{target.name}\texhausted (ball {min(ball, space.depth)})")
             else:
                 image = alpha_apply(space, stab, found, space.midpoint())
                 click.echo(
-                    f"{target.label}\t{found}\tover {format_rational(image.point.coord)}"
+                    f"{target.name}\t{found}\tover {format_rational(image.point.coord)}"
                 )
     except (serialize.SpecFormatError, SuiteError, BlowupError, RationalFormatError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -433,7 +433,7 @@ def emit_plot(
                 for w in reduced_words(sorted(target.generators), ball):
                     germ = word_germ(target.space, target.generators, w, e)
                     click.echo(
-                        f"{target.label}\t{w}\t{len(w)}\t"
+                        f"{target.name}\t{w}\t{len(w)}\t"
                         f"{format_rational(germ.slope)}\t{format_rational(germ.offset)}"
                     )
         else:
@@ -445,7 +445,7 @@ def emit_plot(
                 )
                 for point, w in rows:
                     click.echo(
-                        f"{target.label}\t{w}\t{point.branch}\t{format_rational(point.coord)}"
+                        f"{target.name}\t{w}\t{point.branch}\t{format_rational(point.coord)}"
                     )
     except (serialize.SpecFormatError, SuiteError, BlowupError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -40,7 +40,8 @@ from .plmap import PLMap
 
 @dataclass(frozen=True)
 class Bundle:
-    """A bundled action, optionally with blow-up data."""
+    """An action to run suites against, optionally with blow-up data: a
+    bundled example, or user files under the name ``"file"``."""
 
     name: str
     space: LeafSpace
@@ -49,6 +50,10 @@ class Bundle:
     stabilizer: StabilizerData | None = None
     depth: int = 0
     ball: int = 0
+
+    @property
+    def has_blowup(self) -> bool:
+        return self.marked is not None and self.stabilizer is not None
 
 
 def _e1() -> Bundle:

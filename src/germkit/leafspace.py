@@ -259,14 +259,6 @@ class Embedding:
             return False
         return self.point_at(space, p.coord) == p
 
-    def chain_departures(self, space: LeafSpace) -> tuple[Fraction, ...]:
-        deps = []
-        for name in space.chain_to_root(self.branch):
-            dep = space.departure(name)
-            if dep is not None:
-                deps.append(dep)
-        return tuple(deps)
-
 
 def root_embedding(space: LeafSpace) -> Embedding:
     """The distinguished chart: the root branch's line."""

@@ -163,14 +163,6 @@ class PLMap:
         pts = [(y, x) for x, y in zip(self.breakpoints, self.values)]
         return PLMap.make(pts, 1 / self.left_slope, 1 / self.right_slope)
 
-    def __pow__(self, n: int) -> "PLMap":
-        if n < 0:
-            return (~self) ** (-n)
-        result = PLMap.identity()
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- structure ---------------------------------------------------------
 
     def tail(self) -> AffineTail:

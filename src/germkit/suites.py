@@ -1,41 +1,49 @@
 """Property suites and deterministic reports.
 
-Each suite turns one verified claim into an executable check over random
-cases or exhaustive word balls.  A suite returns a :class:`Report`; reports
-serialize to canonical JSON that is byte-identical across runs with the same
-configuration and seed (wall-clock timings are carried on the object but
-excluded from the canonical form).  Every counterexample payload contains
-enough serialized state for :func:`replay` to reproduce the failure in
-isolation.
+Each suite checks one claim and is one :class:`Suite` record.
+``cases(config)`` yields ``(count, case)`` pairs: random cases from the
+seed, sampled homeomorphisms of each target, or exhaustive word balls;
+``count`` is what the case adds to the report's case total.
+``check(case)`` is the suite's one predicate: ``None``, or a JSON
+counterexample payload.  ``decode(config, payload)`` rebuilds the smallest
+case that still contains the counterexample.  :func:`run_suite` stops at
+the first payload, and :func:`replay` is ``check(decode(config, payload))
+is not None``: a counterexample replays through the predicate that flagged
+it.  A suite may also carry a :class:`Fault`, a broken bundled example its
+check must catch; one that slips through fails the report with a payload
+that replays by running the fault case again.
+
+Canonical report JSON is byte-identical across runs with the same
+configuration and seed; wall-clock timings stay on the object, outside it.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import serialize
 from .action import (
     Homeo,
     Word,
     apply_homeo,
+    extend_space_for_action,
     induced_germ,
     invert_homeo,
     moved_point_witness,
     overlap_ray,
     reduced_words,
     word_germ,
-    word_homeo,
+    word_homeo,  # unused here; perfbench/check_gate.py reads suites.word_homeo
 )
 from .blowup import (
     BlownPoint,
     BlowupSpace,
     StabilizerData,
     alpha_apply,
-    blown_induced_germ,
     injectivity_certificate,
     positive_ray_orbit_search,
     stabilizer_check,
@@ -71,20 +79,7 @@ class SuiteConfig:
     auto_extend: int = 0
 
     def to_data(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cases": self.cases,
-            "word_ball": self.word_ball,
-            "stabilizer_ball": self.stabilizer_ball,
-            "max_word_length": self.max_word_length,
-            "plain_samples": self.plain_samples,
-            "interval_samples": self.interval_samples,
-            "examples": list(self.examples),
-            "leafspace_path": self.leafspace_path,
-            "action_path": self.action_path,
-            "blowup_path": self.blowup_path,
-            "auto_extend": self.auto_extend,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -115,32 +110,47 @@ class Report:
         return json.dumps(self.to_data(include_timings=False), indent=2) + "\n"
 
 
+Case = tuple
+Payload = dict
+
+
+@dataclass(frozen=True)
+class Fault:
+    """A broken bundled example whose case the suite's check must flag.
+
+    ``case`` builds the case from the bundle; ``caught`` decides whether
+    the payload the check returned is the expected catch.
+    """
+
+    example: str
+    expected: str
+    case: Callable[[Bundle, SuiteConfig], Case]
+    caught: Callable[[Payload], bool] = lambda payload: True
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One claim, its case stream, its check and its payload decoder."""
+
+    claim: str
+    cases: Callable[[SuiteConfig], Iterator[tuple[int, Case]]]
+    check: Callable[[Case], Payload | None]
+    decode: Callable[[SuiteConfig, Payload], Case]
+    fault: Fault | None = None
+
+    def fault_check(self, config: SuiteConfig) -> Payload | None:
+        """``None`` when the check catches the bundled fault as expected."""
+        found = self.check(self.fault.case(bundle(self.fault.example), config))
+        if found is not None and self.fault.caught(found):
+            return None
+        return {"target": self.fault.example, "expected": self.fault.expected, "got": found}
+
+
 # ---------------------------------------------------------------------------
 # Targets: bundled examples or user files
 
 
-@dataclass(frozen=True)
-class Target:
-    label: str
-    space: LeafSpace
-    generators: dict[str, Homeo]
-    marked: Point | None = None
-    stabilizer: StabilizerData | None = None
-    depth: int = 0
-    ball: int = 0
-
-    @property
-    def has_blowup(self) -> bool:
-        return self.marked is not None and self.stabilizer is not None
-
-
-def _target_from_bundle(b: Bundle) -> Target:
-    return Target(
-        b.name, b.space, b.generators, b.marked, b.stabilizer, b.depth, b.ball
-    )
-
-
-def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Target]:
+def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bundle]:
     """The actions a suite runs against: user files when given, else bundles."""
     if config.leafspace_path or config.action_path:
         if not (config.leafspace_path and config.action_path):
@@ -150,19 +160,17 @@ def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Targ
         with open(config.action_path) as fh:
             generators = serialize.parse_action(fh.read())
         if config.auto_extend:
-            from .action import extend_space_for_action
-
             space = extend_space_for_action(space, generators, config.auto_extend)
         marked = stab = None
         depth = ball = 0
         if config.blowup_path:
             with open(config.blowup_path) as fh:
                 marked, stab, depth, ball = serialize.parse_blowup_spec(fh.read())
-        target = Target("file", space, generators, marked, stab, depth, ball)
+        target = Bundle("file", space, generators, marked, stab, depth, ball)
         if need_blowup and not target.has_blowup:
             raise SuiteError("this suite needs a blow-up spec file")
         return [target]
-    targets = [_target_from_bundle(bundle(name)) for name in config.examples]
+    targets = [bundle(name) for name in config.examples]
     if need_blowup:
         targets = [t for t in targets if t.has_blowup]
         if not targets:
@@ -170,92 +178,55 @@ def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Targ
     return targets
 
 
-def _load_target_payload(payload: dict, config: SuiteConfig) -> Target:
-    label = payload["target"]
-    if label == "file":
-        return resolve_targets(config)[0]
-    return _target_from_bundle(bundle(label))
+def _payload_target(config: SuiteConfig, payload: Payload) -> Bundle:
+    name = payload["target"]
+    return resolve_targets(config)[0] if name == "file" else bundle(name)
 
 
 # ---------------------------------------------------------------------------
 # Germ-level suites
 
 
-def _suite_germ_group(config: SuiteConfig) -> Report:
+def _germ_group_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     gen = CaseGen(config.seed)
     maps = [gen.plmap() for _ in range(max(3, config.cases))]
-    counterexample = None
-    checked = 0
     for i in range(len(maps) - 2):
-        f, g, h = maps[i], maps[i + 1], maps[i + 2]
-        gf, gg, gh = Germ.of(f), Germ.of(g), Germ.of(h)
-        ok = (
-            (gf * gg) * gh == gf * (gg * gh)
-            and gf * Germ.identity() == gf
-            and Germ.identity() * gf == gf
-            and gf * ~gf == Germ.identity()
-            and ~gf * gf == Germ.identity()
-            and Germ.of(f * g) == gf * gg
-        )
-        checked += 1
-        if not ok:
-            counterexample = {
-                "case": i,
-                "maps": [serialize.plmap_to_data(m) for m in (f, g, h)],
-            }
-            break
-    return Report(
-        "germ-group-axioms",
-        "tail germs form a group under composition of representatives",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        yield 1, (i, *maps[i : i + 3])
 
 
-def _replay_germ_group(config: SuiteConfig, payload: dict) -> bool:
-    f, g, h = (serialize.plmap_from_data(d) for d in payload["maps"])
+def _germ_group_check(case: Case) -> Payload | None:
+    i, f, g, h = case
     gf, gg, gh = Germ.of(f), Germ.of(g), Germ.of(h)
-    return not (
+    if (
         (gf * gg) * gh == gf * (gg * gh)
+        and gf * Germ.identity() == gf
+        and Germ.identity() * gf == gf
         and gf * ~gf == Germ.identity()
+        and ~gf * gf == Germ.identity()
         and Germ.of(f * g) == gf * gg
-    )
+    ):
+        return None
+    return {"case": i, "maps": [serialize.plmap_to_data(m) for m in (f, g, h)]}
 
 
-def _suite_germ_quotient(config: SuiteConfig) -> Report:
+def _quotient_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     gen = CaseGen(config.seed)
-    counterexample = None
-    checked = 0
     for i in range(config.cases):
         f, g = gen.plmap(), gen.plmap()
-        cut_f = gen.fraction()
-        cut_g = gen.fraction()
-        f2 = gen.mutate_below(f, cut_f)
-        g2 = gen.mutate_below(g, cut_g)
-        checked += 1
-        expected = Germ.of(f * g)
-        if Germ.of(f2) * Germ.of(g2) != expected or Germ.of(f2 * g2) != expected:
-            counterexample = {
-                "case": i,
-                "maps": [serialize.plmap_to_data(m) for m in (f, g, f2, g2)],
-            }
-            break
-    return Report(
-        "germ-quotient",
-        "the product germ ignores changes to representatives below any cutoff",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        cut_f, cut_g = gen.fraction(), gen.fraction()
+        yield 1, (i, f, g, gen.mutate_below(f, cut_f), gen.mutate_below(g, cut_g))
 
 
-def _replay_germ_quotient(config: SuiteConfig, payload: dict) -> bool:
-    f, g, f2, g2 = (serialize.plmap_from_data(d) for d in payload["maps"])
+def _quotient_check(case: Case) -> Payload | None:
+    i, f, g, f2, g2 = case
     expected = Germ.of(f * g)
-    return Germ.of(f2) * Germ.of(g2) != expected
+    if Germ.of(f2) * Germ.of(g2) == expected and Germ.of(f2 * g2) == expected:
+        return None
+    return {"case": i, "maps": [serialize.plmap_to_data(m) for m in (f, g, f2, g2)]}
+
+
+def _maps_case(config: SuiteConfig, payload: Payload) -> Case:
+    return (payload["case"], *(serialize.plmap_from_data(d) for d in payload["maps"]))
 
 
 def _cone_oracle(u: Germ) -> bool:
@@ -265,52 +236,38 @@ def _cone_oracle(u: Germ) -> bool:
     return f(base + 1) > base + 1 and f(base + 1000) > base + 1000
 
 
-def _suite_order_laws(config: SuiteConfig) -> Report:
+def _order_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     gen = CaseGen(config.seed)
-    counterexample = None
-    checked = 0
     for i in range(config.cases):
-        u, v, w = gen.germ(), gen.germ(), gen.germ()
-        checked += 1
-        signs = {compare(u, v), compare(v, u)}
-        trichotomy = (
-            (compare(u, v) is OrderSign.EQ) == (u == v)
-            and (signs in ({OrderSign.EQ}, {OrderSign.LT, OrderSign.GT}))
-        )
-        le = lambda a, b: compare(a, b) in (OrderSign.LT, OrderSign.EQ)
-        lo, mid, hi = sorted((u, v, w), key=lambda g: (g.slope, g.offset))
-        transitivity = not (le(lo, mid) and le(mid, hi)) or le(lo, hi)
-        invariance = compare(u, v) == compare(w * u, w * v)
-        cone = (compare(u, Germ.identity()) is OrderSign.GT) == _cone_oracle(u)
-        if not (trichotomy and transitivity and invariance and cone):
-            counterexample = {
-                "case": i,
-                "germs": [serialize.germ_to_data(x) for x in (u, v, w)],
-            }
-            break
-    return Report(
-        "order-laws",
-        "eventual dominance is a total, transitive, left-invariant order on germs",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        yield 1, (i, gen.germ(), gen.germ(), gen.germ())
 
 
-def _replay_order_laws(config: SuiteConfig, payload: dict) -> bool:
-    u, v, w = (serialize.germ_from_data(d) for d in payload["germs"])
-    return not (
-        compare(u, v) == compare(w * u, w * v)
-        and (compare(u, Germ.identity()) is OrderSign.GT) == _cone_oracle(u)
+def _order_check(case: Case) -> Payload | None:
+    i, u, v, w = case
+    signs = {compare(u, v), compare(v, u)}
+    trichotomy = (
+        (compare(u, v) is OrderSign.EQ) == (u == v)
+        and (signs in ({OrderSign.EQ}, {OrderSign.LT, OrderSign.GT}))
     )
+    le = lambda a, b: compare(a, b) in (OrderSign.LT, OrderSign.EQ)
+    lo, mid, hi = sorted((u, v, w), key=lambda g: (g.slope, g.offset))
+    transitivity = not (le(lo, mid) and le(mid, hi)) or le(lo, hi)
+    invariance = compare(u, v) == compare(w * u, w * v)
+    cone = (compare(u, Germ.identity()) is OrderSign.GT) == _cone_oracle(u)
+    if trichotomy and transitivity and invariance and cone:
+        return None
+    return {"case": i, "germs": [serialize.germ_to_data(x) for x in (u, v, w)]}
+
+
+def _order_decode(config: SuiteConfig, payload: Payload) -> Case:
+    return (payload["case"], *(serialize.germ_from_data(d) for d in payload["germs"]))
 
 
 # ---------------------------------------------------------------------------
 # Action-level suites
 
 
-def _sample_homeos(target: Target, gen: CaseGen, count: int) -> list[tuple[str, Homeo]]:
+def _sample_homeos(target: Bundle, gen: CaseGen, count: int) -> list[tuple[str, Homeo]]:
     """Generator homeos plus seeded random ones on the target's space."""
     out: list[tuple[str, Homeo]] = []
     for name in sorted(target.generators):
@@ -321,21 +278,32 @@ def _sample_homeos(target: Target, gen: CaseGen, count: int) -> list[tuple[str, 
     return out
 
 
-def _homeo_payload(target: Target, label: str, h: Homeo) -> dict:
+def _homeo_payload(target: Bundle, label: str, h: Homeo) -> Payload:
     return {
-        "target": target.label,
+        "target": target.name,
         "homeo": label,
         "branch_map": dict(h.branch_map),
         "branch_pl": {b: serialize.plmap_to_data(pl) for b, pl in h.branch_pl.items()},
     }
 
 
-def _homeo_from_payload(payload: dict) -> Homeo:
-    return Homeo(
-        payload["branch_map"],
-        {b: serialize.plmap_from_data(d) for b, d in payload["branch_pl"].items()},
-        name=payload.get("homeo", ""),
-    )
+def _homeo_decode(config: SuiteConfig, payload: Payload) -> tuple[Bundle, str, Homeo]:
+    label = payload["homeo"]
+    pls = {b: serialize.plmap_from_data(d) for b, d in payload["branch_pl"].items()}
+    return _payload_target(config, payload), label, Homeo(payload["branch_map"], pls, name=label)
+
+
+def _embedded_homeo_cases(config: SuiteConfig, count: int) -> Iterator[tuple[int, Case]]:
+    """``(target, root embedding, label, homeo)`` for each sampled homeo."""
+    for target in resolve_targets(config):
+        e = root_embedding(target.space)
+        for label, h in _sample_homeos(target, CaseGen(config.seed), count):
+            yield 1, (target, e, label, h)
+
+
+def _embedded_homeo_decode(config: SuiteConfig, payload: Payload) -> Case:
+    target, label, h = _homeo_decode(config, payload)
+    return target, root_embedding(target.space), label, h
 
 
 def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
@@ -355,100 +323,52 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
     return True
 
 
-def _suite_overlap(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
+def _overlap_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     for target in resolve_targets(config):
-        gen = CaseGen(config.seed)
-        for label, h in _sample_homeos(target, gen, max(8, config.cases // 10)):
-            checked += 1
-            if not _overlap_sound(target.space, h):
-                counterexample = _homeo_payload(target, label, h)
-                break
-        if counterexample:
-            break
-    if counterexample is None and not config.leafspace_path:
+        for label, h in _sample_homeos(target, CaseGen(config.seed), max(8, config.cases // 10)):
+            yield 1, ("homeo", target, label, h)
+    if not config.leafspace_path:
         # line swaps: the finite-threshold case on fresh random spaces
         gen = CaseGen(config.seed)
         for i in range(max(4, config.cases // 25)):
-            space, swap, departure = gen.swap_pair()
-            checked += 1
-            e = root_embedding(space)
-            if not (
-                _overlap_sound(space, swap)
-                and overlap_ray(space, swap, e) == departure
-                and induced_germ(space, swap, e).is_identity()
-            ):
-                counterexample = {"target": "swap", "index": i}
-                break
-    return Report(
-        "overlap-rays",
-        "beyond a least threshold the image of the upper ray lies back on the line",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+            yield 1, ("swap", i, *gen.swap_pair())
 
 
-def _replay_overlap(config: SuiteConfig, payload: dict) -> bool:
-    if payload.get("target") == "swap":
-        gen = CaseGen(config.seed)
-        for _ in range(payload["index"]):
-            gen.swap_pair()
-        space, swap, departure = gen.swap_pair()
-        return not (
-            _overlap_sound(space, swap)
-            and overlap_ray(space, swap, root_embedding(space)) == departure
-        )
-    target = _load_target_payload(payload, config)
-    h = _homeo_from_payload(payload)
-    return not _overlap_sound(target.space, h)
+def _overlap_check(case: Case) -> Payload | None:
+    if case[0] == "homeo":
+        _, target, label, h = case
+        return None if _overlap_sound(target.space, h) else _homeo_payload(target, label, h)
+    _, i, space, swap, departure = case
+    e = root_embedding(space)
+    if (
+        _overlap_sound(space, swap)
+        and overlap_ray(space, swap, e) == departure
+        and induced_germ(space, swap, e).is_identity()
+    ):
+        return None
+    return {"target": "swap", "index": i}
 
 
-def _suite_threshold_independence(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
-    per_target = max(1, config.cases // 2)
-    for target in resolve_targets(config):
-        gen = CaseGen(config.seed)
-        e = root_embedding(target.space)
-        for label, h in _sample_homeos(target, gen, per_target):
-            checked += 1
-            t = overlap_ray(target.space, h, e)
-            base = Fraction(0) if t is None else t
-            low = induced_germ(target.space, h, e, threshold=base)
-            high = induced_germ(target.space, h, e, threshold=base + 10)
-            default = induced_germ(target.space, h, e)
-            if not (low == high == default):
-                counterexample = _homeo_payload(target, label, h)
-                break
-        if counterexample:
-            break
-    return Report(
-        "d-threshold-independence",
-        "the induced germ is the same whatever admissible threshold computes it",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+def _overlap_decode(config: SuiteConfig, payload: Payload) -> Case:
+    if payload["target"] != "swap":
+        return ("homeo", *_homeo_decode(config, payload))
+    gen = CaseGen(config.seed)
+    for _ in range(payload["index"]):
+        gen.swap_pair()
+    return ("swap", payload["index"], *gen.swap_pair())
 
 
-def _replay_threshold_independence(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
-    h = _homeo_from_payload(payload)
-    e = root_embedding(target.space)
+def _threshold_check(case: Case) -> Payload | None:
+    target, e, label, h = case
     t = overlap_ray(target.space, h, e)
     base = Fraction(0) if t is None else t
-    return induced_germ(target.space, h, e, threshold=base) != induced_germ(
-        target.space, h, e, threshold=base + 10
-    )
+    low = induced_germ(target.space, h, e, threshold=base)
+    high = induced_germ(target.space, h, e, threshold=base + 10)
+    default = induced_germ(target.space, h, e)
+    return None if low == high == default else _homeo_payload(target, label, h)
 
 
-def _suite_homomorphism(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
+def _homomorphism_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     targets = resolve_targets(config)
     per_target = max(1, config.cases // max(1, len(targets)))
     for target in targets:
@@ -460,99 +380,52 @@ def _suite_homomorphism(config: SuiteConfig) -> Report:
         for i in range(per_target):
             w1 = gen.word(names, config.max_word_length)
             w2 = gen.word(names, config.max_word_length)
-            checked += 1
-            product = word_germ(target.space, target.generators, w1 * w2, e)
-            split = word_germ(target.space, target.generators, w1, e) * word_germ(
-                target.space, target.generators, w2, e
-            )
-            inverse_ok = word_germ(target.space, target.generators, ~w1, e) == ~word_germ(
-                target.space, target.generators, w1, e
-            )
-            if product != split or not inverse_ok:
-                counterexample = {
-                    "target": target.label,
-                    "case": i,
-                    "words": [str(w1), str(w2)],
-                }
-                break
-        if counterexample:
-            break
-    return Report(
-        "d-homomorphism",
-        "the induced germ of a concatenated word is the product of the parts' germs",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+            yield 1, (target, e, i, w1, w2)
 
 
-def _replay_homomorphism(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
-    e = root_embedding(target.space)
+def _homomorphism_check(case: Case) -> Payload | None:
+    target, e, i, w1, w2 = case
+    space, gens = target.space, target.generators
+    product = word_germ(space, gens, w1 * w2, e)
+    split = word_germ(space, gens, w1, e) * word_germ(space, gens, w2, e)
+    inverse_ok = word_germ(space, gens, ~w1, e) == ~word_germ(space, gens, w1, e)
+    if product == split and inverse_ok:
+        return None
+    return {"target": target.name, "case": i, "words": [str(w1), str(w2)]}
+
+
+def _homomorphism_decode(config: SuiteConfig, payload: Payload) -> Case:
+    target = _payload_target(config, payload)
     w1, w2 = (Word.parse(t) for t in payload["words"])
-    product = word_germ(target.space, target.generators, w1 * w2, e)
-    split = word_germ(target.space, target.generators, w1, e) * word_germ(
-        target.space, target.generators, w2, e
-    )
-    return product != split
+    return target, root_embedding(target.space), payload["case"], w1, w2
 
 
 _WITNESS_CUTS = (Fraction(0), Fraction(10**3), Fraction(10**6))
 
 
-def _suite_nontriviality(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
-    for target in resolve_targets(config):
-        gen = CaseGen(config.seed)
-        e = root_embedding(target.space)
-        for label, h in _sample_homeos(target, gen, max(8, config.cases // 10)):
-            checked += 1
-            witnesses = [moved_point_witness(target.space, h, e, n) for n in _WITNESS_CUTS]
-            if all(w is not None for w in witnesses):
-                if induced_germ(target.space, h, e).is_identity():
-                    counterexample = _homeo_payload(target, label, h)
-                    break
-            for n, m in zip(_WITNESS_CUTS, witnesses):
-                if m is not None and not (
-                    m > n
-                    and apply_homeo(target.space, h, e.point_at(target.space, m))
-                    != e.point_at(target.space, m)
-                ):
-                    counterexample = _homeo_payload(target, label, h)
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return Report(
-        "d-nontriviality",
-        "moving arbitrarily high line points forces a nontrivial induced germ",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
-
-
-def _replay_nontriviality(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
-    h = _homeo_from_payload(payload)
-    e = root_embedding(target.space)
+def _nontriviality_check(case: Case) -> Payload | None:
+    target, e, label, h = case
     witnesses = [moved_point_witness(target.space, h, e, n) for n in _WITNESS_CUTS]
-    return all(w is not None for w in witnesses) and induced_germ(
-        target.space, h, e
-    ).is_identity()
+    if all(w is not None for w in witnesses):
+        if induced_germ(target.space, h, e).is_identity():
+            return _homeo_payload(target, label, h)
+    for n, m in zip(_WITNESS_CUTS, witnesses):
+        if m is not None and not (
+            m > n
+            and apply_homeo(target.space, h, e.point_at(target.space, m))
+            != e.point_at(target.space, m)
+        ):
+            return _homeo_payload(target, label, h)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Blow-up suites
 
 
-def build_blowup_target(target: Target) -> tuple[BlowupSpace, StabilizerData]:
+def build_blowup_target(target: Bundle) -> tuple[BlowupSpace, StabilizerData]:
     if not target.has_blowup:
-        raise SuiteError(f"target {target.label!r} carries no blow-up data")
+        raise SuiteError(f"target {target.name!r} carries no blow-up data")
     space = BlowupSpace(target.space, target.generators, target.marked, target.depth)
     return space, target.stabilizer
 
@@ -622,297 +495,285 @@ def _interval_samples(space: BlowupSpace, ball: int, want: int) -> list[BlownPoi
     return out
 
 
-def _blown_point_payload(q: BlownPoint) -> dict:
-    return {
-        "point": serialize.point_to_data(q.point),
-        "height": None if q.height is None else format_rational(q.height),
-    }
-
-
-def _blown_point_from_payload(data: dict) -> BlownPoint:
-    height = data.get("height")
-    return BlownPoint(
-        serialize.point_from_data(data["point"]),
-        None if height is None else parse_rational(height),
-    )
-
-
 def _action_law_samples(space: BlowupSpace, config: SuiteConfig) -> list[BlownPoint]:
     return _plain_samples(space, config.word_ball, config.plain_samples) + _interval_samples(
         space, config.word_ball, config.interval_samples
     )
 
 
-def _suite_action_law(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
-    targets = resolve_targets(config, need_blowup=True)
-    for target in targets:
-        space, stab = build_blowup_target(target)
+def _action_law_case(target: Bundle, config: SuiteConfig, plain: bool = True) -> Case:
+    space, stab = build_blowup_target(target)
+    if plain:
         samples = _action_law_samples(space, config)
-        checked += len(samples)
-        violation = validate_alpha_action(space, stab, samples, config.word_ball)
-        if violation is not None:
-            counterexample = {
-                "target": target.label,
-                "outer": str(violation.outer),
-                "inner": str(violation.inner),
-                "sample": _blown_point_payload(violation.sample),
-            }
-            break
-    fault_caught = True
-    if counterexample is None and not config.leafspace_path:
-        faulty = _target_from_bundle(bundle("e3-coset-fault"))
-        space, stab = build_blowup_target(faulty)
+    else:
         samples = _interval_samples(space, config.word_ball, config.interval_samples)
-        fault_caught = validate_alpha_action(space, stab, samples, config.word_ball) is not None
-        if not fault_caught:
-            counterexample = {
-                "target": faulty.label,
-                "expected": "an action-law violation from the corrupted coset table",
-            }
-    return Report(
-        "alpha-action-law",
-        "the twisted action is an action: composite words act as composed maps",
-        counterexample is None and fault_caught,
-        checked,
-        counterexample,
-        config,
-    )
+    return target, space, stab, samples, config.word_ball
 
 
-def _replay_action_law(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
-    space, stab = build_blowup_target(target)
-    outer, inner = Word.parse(payload["outer"]), Word.parse(payload["inner"])
-    q = _blown_point_from_payload(payload["sample"])
-    stepwise = alpha_apply(space, stab, outer, alpha_apply(space, stab, inner, q))
-    combined = alpha_apply(space, stab, outer * inner, q)
-    return combined != stepwise
-
-
-def _suite_stabilizer(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
+def _action_law_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     for target in resolve_targets(config, need_blowup=True):
-        space, stab = build_blowup_target(target)
-        ball = min(config.stabilizer_ball, target.ball or config.stabilizer_ball)
-        checked += 1
-        fixing = stabilizer_check(space, stab, ball)
-        if fixing is not None:
-            counterexample = {"target": target.label, "fixing_word": str(fixing)}
-            break
-        problem = stab.validate_phi(config.stabilizer_ball)
-        if problem is not None:
-            counterexample = {"target": target.label, "problem": problem}
-            break
-    fault_caught = True
-    if counterexample is None and not config.leafspace_path:
-        faulty = _target_from_bundle(bundle("e3-phi-fault"))
-        space, stab = build_blowup_target(faulty)
-        fixing = stabilizer_check(space, stab, min(config.stabilizer_ball, faulty.ball))
-        fault_caught = fixing is not None and str(fixing) == "k"
-        if not fault_caught:
-            counterexample = {
-                "target": faulty.label,
-                "expected": "fixing word 'k' from the height-fixing realization",
-                "got": None if fixing is None else str(fixing),
-            }
-    return Report(
-        "trivial-stabilizer",
-        "no nontrivial ball word fixes the marked interval midpoint",
-        counterexample is None and fault_caught,
-        checked,
-        counterexample,
-        config,
-    )
+        case = _action_law_case(target, config)
+        yield len(case[3]), case
 
 
-def _replay_stabilizer(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
+def _action_law_check(case: Case) -> Payload | None:
+    target, space, stab, samples, ball = case
+    violation = validate_alpha_action(space, stab, samples, ball)
+    if violation is None:
+        return None
+    q = violation.sample
+    return {
+        "target": target.name,
+        "outer": str(violation.outer),
+        "inner": str(violation.inner),
+        "sample": {
+            "point": serialize.point_to_data(q.point),
+            "height": None if q.height is None else format_rational(q.height),
+        },
+    }
+
+
+def _action_law_decode(config: SuiteConfig, payload: Payload) -> Case:
+    target = _payload_target(config, payload)
     space, stab = build_blowup_target(target)
-    if "fixing_word" not in payload:
-        return stab.validate_phi(config.stabilizer_ball) is not None
-    w = Word.parse(payload["fixing_word"])
-    half = Fraction(1, 2)
-    midpoint = space.midpoint()
-    return alpha_apply(space, stab, w, midpoint) == midpoint
+    sample = payload["sample"]
+    point, height = serialize.point_from_data(sample["point"]), sample["height"]
+    q = BlownPoint(point, None if height is None else parse_rational(height))
+    ball = len(Word.parse(payload["outer"])) + len(Word.parse(payload["inner"]))
+    return target, space, stab, [q], ball
 
 
-def _suite_orbit_limit(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
+def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
+    space, stab = build_blowup_target(target)
+    ball = min(config.stabilizer_ball, target.ball or config.stabilizer_ball)
+    return target, space, stab, ball, config.stabilizer_ball
+
+
+def _stabilizer_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     for target in resolve_targets(config, need_blowup=True):
-        space, stab = build_blowup_target(target)
-        e = root_embedding(target.space)
-        ball = min(target.ball or config.word_ball, space.depth)
-        cuts = [Fraction(-10**6), Fraction(0), Fraction(5)]
-        for n in cuts:
-            checked += 1
-            found = positive_ray_orbit_search(space, stab, e, n, ball)
-            if found is None:
-                continue  # exhaustion is a permitted outcome, not a refutation
-            image = alpha_apply(space, stab, found, space.midpoint())
-            if not (e.contains(target.space, image.point) and image.point.coord > n):
-                counterexample = {
-                    "target": target.label,
-                    "cut": format_rational(n),
-                    "word": str(found),
-                }
-                break
-        if counterexample:
-            break
-    return Report(
-        "orbit-limit",
-        "an orbit word found over a requested upper ray really lands there",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        yield 1, _stabilizer_case(target, config)
 
 
-def _replay_orbit_limit(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
+def _stabilizer_check(case: Case) -> Payload | None:
+    target, space, stab, ball, phi_ball = case
+    fixing = stabilizer_check(space, stab, ball)
+    if fixing is not None:
+        return {"target": target.name, "fixing_word": str(fixing)}
+    problem = stab.validate_phi(phi_ball)
+    return None if problem is None else {"target": target.name, "problem": problem}
+
+
+def _stabilizer_decode(config: SuiteConfig, payload: Payload) -> Case:
+    target, space, stab, _, phi_ball = _stabilizer_case(_payload_target(config, payload), config)
+    ball = len(Word.parse(payload["fixing_word"])) if "fixing_word" in payload else 0
+    return target, space, stab, ball, phi_ball
+
+
+_ORBIT_CUTS = (Fraction(-10**6), Fraction(0), Fraction(5))
+
+
+def _orbit_limit_base(target: Bundle, config: SuiteConfig) -> Case:
+    """An orbit-limit case without its cut."""
     space, stab = build_blowup_target(target)
-    e = root_embedding(target.space)
-    n = parse_rational(payload["cut"])
-    image = alpha_apply(space, stab, Word.parse(payload["word"]), space.midpoint())
-    return not (e.contains(target.space, image.point) and image.point.coord > n)
+    ball = min(target.ball or config.word_ball, space.depth)
+    return target, space, stab, root_embedding(target.space), ball
 
 
-def _suite_injectivity(config: SuiteConfig) -> Report:
-    counterexample = None
-    checked = 0
+def _orbit_limit_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     for target in resolve_targets(config, need_blowup=True):
-        space, stab = build_blowup_target(target)
-        e = root_embedding(target.space)
-        ball = config.stabilizer_ball
-        checked += sum(1 for w in reduced_words(sorted(space.generators), ball) if len(w))
-        failing = injectivity_certificate(space, stab, e, ball)
-        if failing is not None:
-            counterexample = {"target": target.label, "word": str(failing)}
-            break
-    return Report(
-        "injectivity-certificate",
-        "every nontrivial ball word keeps a nontrivial germ through the blown chart",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        base = _orbit_limit_base(target, config)
+        for n in _ORBIT_CUTS:
+            yield 1, (*base, n)
 
 
-def _replay_injectivity(config: SuiteConfig, payload: dict) -> bool:
-    target = _load_target_payload(payload, config)
+def _orbit_limit_check(case: Case) -> Payload | None:
+    target, space, stab, e, ball, n = case
+    found = positive_ray_orbit_search(space, stab, e, n, ball)
+    if found is None:
+        return None  # exhaustion is a permitted outcome, not a refutation
+    image = alpha_apply(space, stab, found, space.midpoint())
+    if e.contains(target.space, image.point) and image.point.coord > n:
+        return None
+    return {"target": target.name, "cut": format_rational(n), "word": str(found)}
+
+
+def _orbit_limit_decode(config: SuiteConfig, payload: Payload) -> Case:
+    base = _orbit_limit_base(_payload_target(config, payload), config)
+    return (*base, parse_rational(payload["cut"]))
+
+
+def _injectivity_case(target: Bundle, ball: int) -> Case:
     space, stab = build_blowup_target(target)
-    e = root_embedding(target.space)
-    return blown_induced_germ(space, stab, Word.parse(payload["word"]), e).is_identity()
+    return target, space, stab, root_embedding(target.space), ball
+
+
+def _injectivity_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
+    for target in resolve_targets(config, need_blowup=True):
+        case = _injectivity_case(target, config.stabilizer_ball)
+        words = reduced_words(sorted(target.generators), config.stabilizer_ball)
+        yield sum(1 for w in words if len(w)), case
+
+
+def _injectivity_check(case: Case) -> Payload | None:
+    target, space, stab, e, ball = case
+    failing = injectivity_certificate(space, stab, e, ball)
+    return None if failing is None else {"target": target.name, "word": str(failing)}
+
+
+def _injectivity_decode(config: SuiteConfig, payload: Payload) -> Case:
+    return _injectivity_case(_payload_target(config, payload), len(Word.parse(payload["word"])))
 
 
 # ---------------------------------------------------------------------------
 # Structural suite
 
 
-def _suite_structural(config: SuiteConfig) -> Report:
+def _structural_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     gen = CaseGen(config.seed)
-    counterexample = None
-    checked = 0
-    count = min(config.cases, 100)
-    for i in range(count):
+    for i in range(min(config.cases, 100)):
         space = gen.leafspace()
-        marked = space.canonical(gen.interior_point(space))
-        blown = BlowupSpace(space, {}, marked, depth=2)
-        checked += 1
-        if blown.classify() is not space.classify():
-            counterexample = {
-                "case": i,
-                "kind": "classification",
-                "leafspace": serialize.leafspace_to_data(space),
-            }
-            break
-        text = serialize.emit_leafspace(space)
-        if serialize.emit_leafspace(serialize.parse_leafspace(text)) != text:
-            counterexample = {
-                "case": i,
-                "kind": "roundtrip",
-                "leafspace": serialize.leafspace_to_data(space),
-            }
-            break
-    if counterexample is None:
-        for name in config.examples:
-            b = bundle(name)
-            text = serialize.emit_action(b.generators)
-            if serialize.emit_action(serialize.parse_action(text)) != text:
-                counterexample = {"kind": "roundtrip", "target": name}
-                break
-            if b.marked is not None:
-                text = serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball)
-                parsed = serialize.parse_blowup_spec(text)
-                if serialize.emit_blowup_spec(*parsed) != text:
-                    counterexample = {"kind": "roundtrip-blowup", "target": name}
-                    break
-    if counterexample is None:
-        small = replace(config, cases=25)
-        first = _suite_germ_group(small).canonical_json()
-        second = _suite_germ_group(small).canonical_json()
-        if first != second:
-            counterexample = {"kind": "determinism"}
-    return Report(
-        "structural",
-        "blow-up preserves classification; files round-trip; reports are reproducible",
-        counterexample is None,
-        checked,
-        counterexample,
-        config,
-    )
+        yield 1, ("random", i, space, space.canonical(gen.interior_point(space)))
+    for name in config.examples:
+        yield 0, ("bundle", name)
+    yield 0, ("determinism", replace(config, cases=25))
 
 
-def _replay_structural(config: SuiteConfig, payload: dict) -> bool:
-    if payload.get("kind") == "classification":
-        space = serialize.leafspace_from_data(payload["leafspace"])
-        gen = CaseGen(config.seed)
-        marked = space.canonical(gen.interior_point(space))
-        return BlowupSpace(space, {}, marked, depth=2).classify() is not space.classify()
+def _structural_check(case: Case) -> Payload | None:
+    kind = case[0]
+    if kind == "random":
+        _, i, space, marked = case
+        if BlowupSpace(space, {}, marked, depth=2).classify() is not space.classify():
+            failure = "classification"
+        else:
+            text = serialize.emit_leafspace(space)
+            if serialize.emit_leafspace(serialize.parse_leafspace(text)) == text:
+                return None
+            failure = "roundtrip"
+        leafspace, point = serialize.leafspace_to_data(space), serialize.point_to_data(marked)
+        return {"case": i, "kind": failure, "leafspace": leafspace, "marked": point}
+    if kind == "bundle":
+        b = bundle(case[1])
+        text = serialize.emit_action(b.generators)
+        if serialize.emit_action(serialize.parse_action(text)) != text:
+            return {"kind": "roundtrip", "target": b.name}
+        if b.marked is not None:
+            text = serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball)
+            parsed = serialize.parse_blowup_spec(text)
+            if serialize.emit_blowup_spec(*parsed) != text:
+                return {"kind": "roundtrip-blowup", "target": b.name}
+        return None
+    small = case[1]
+    first = _report("germ-group-axioms", small).canonical_json()
+    second = _report("germ-group-axioms", small).canonical_json()
+    return None if first == second else {"kind": "determinism"}
+
+
+def _structural_decode(config: SuiteConfig, payload: Payload) -> Case:
     if "leafspace" in payload:
-        text = serialize.emit_leafspace(serialize.leafspace_from_data(payload["leafspace"]))
-        return serialize.emit_leafspace(serialize.parse_leafspace(text)) != text
-    return False
+        space = serialize.leafspace_from_data(payload["leafspace"])
+        return "random", payload["case"], space, serialize.point_from_data(payload["marked"])
+    if payload["kind"] == "determinism":
+        return "determinism", replace(config, cases=25)
+    return "bundle", payload["target"]
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
 
-SUITES: dict[str, tuple[Callable[[SuiteConfig], Report], Callable[[SuiteConfig, dict], bool]]] = {
-    "germ-group-axioms": (_suite_germ_group, _replay_germ_group),
-    "germ-quotient": (_suite_germ_quotient, _replay_germ_quotient),
-    "order-laws": (_suite_order_laws, _replay_order_laws),
-    "overlap-rays": (_suite_overlap, _replay_overlap),
-    "d-threshold-independence": (_suite_threshold_independence, _replay_threshold_independence),
-    "d-homomorphism": (_suite_homomorphism, _replay_homomorphism),
-    "d-nontriviality": (_suite_nontriviality, _replay_nontriviality),
-    "alpha-action-law": (_suite_action_law, _replay_action_law),
-    "trivial-stabilizer": (_suite_stabilizer, _replay_stabilizer),
-    "orbit-limit": (_suite_orbit_limit, _replay_orbit_limit),
-    "injectivity-certificate": (_suite_injectivity, _replay_injectivity),
-    "structural": (_suite_structural, _replay_structural),
+SUITES: dict[str, Suite] = {
+    "germ-group-axioms": Suite(
+        "tail germs form a group under composition of representatives",
+        _germ_group_cases, _germ_group_check, _maps_case,
+    ),
+    "germ-quotient": Suite(
+        "the product germ ignores changes to representatives below any cutoff",
+        _quotient_cases, _quotient_check, _maps_case,
+    ),
+    "order-laws": Suite(
+        "eventual dominance is a total, transitive, left-invariant order on germs",
+        _order_cases, _order_check, _order_decode,
+    ),
+    "overlap-rays": Suite(
+        "beyond a least threshold the image of the upper ray lies back on the line",
+        _overlap_cases, _overlap_check, _overlap_decode,
+    ),
+    "d-threshold-independence": Suite(
+        "the induced germ is the same whatever admissible threshold computes it",
+        lambda config: _embedded_homeo_cases(config, max(1, config.cases // 2)),
+        _threshold_check, _embedded_homeo_decode,
+    ),
+    "d-homomorphism": Suite(
+        "the induced germ of a concatenated word is the product of the parts' germs",
+        _homomorphism_cases, _homomorphism_check, _homomorphism_decode,
+    ),
+    "d-nontriviality": Suite(
+        "moving arbitrarily high line points forces a nontrivial induced germ",
+        lambda config: _embedded_homeo_cases(config, max(8, config.cases // 10)),
+        _nontriviality_check, _embedded_homeo_decode,
+    ),
+    "alpha-action-law": Suite(
+        "the twisted action is an action: composite words act as composed maps",
+        _action_law_cases, _action_law_check, _action_law_decode,
+        Fault(
+            "e3-coset-fault", "an action-law violation from the corrupted coset table",
+            lambda target, config: _action_law_case(target, config, plain=False),
+        ),
+    ),
+    "trivial-stabilizer": Suite(
+        "no nontrivial ball word fixes the marked interval midpoint",
+        _stabilizer_cases, _stabilizer_check, _stabilizer_decode,
+        Fault(
+            "e3-phi-fault", "fixing word 'k' from the height-fixing realization",
+            _stabilizer_case, lambda payload: payload.get("fixing_word") == "k",
+        ),
+    ),
+    "orbit-limit": Suite(
+        "an orbit word found over a requested upper ray really lands there",
+        _orbit_limit_cases, _orbit_limit_check, _orbit_limit_decode,
+    ),
+    "injectivity-certificate": Suite(
+        "every nontrivial ball word keeps a nontrivial germ through the blown chart",
+        _injectivity_cases, _injectivity_check, _injectivity_decode,
+    ),
+    "structural": Suite(
+        "blow-up preserves classification; files round-trip; reports are reproducible",
+        _structural_cases, _structural_check, _structural_decode,
+    ),
 }
 
 
-def run_suite(name: str, config: SuiteConfig) -> Report:
+def _suite(name: str) -> Suite:
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
-    runner, _ = SUITES[name]
+    return SUITES[name]
+
+
+def _report(name: str, config: SuiteConfig) -> Report:
+    """Check every case until the first counterexample, then the bundled fault."""
+    suite = _suite(name)
+    checked = 0
+    counterexample = None
+    for count, case in suite.cases(config):
+        checked += count
+        counterexample = suite.check(case)
+        if counterexample is not None:
+            break
+    if counterexample is None and suite.fault is not None and not config.leafspace_path:
+        counterexample = suite.fault_check(config)
+    return Report(name, suite.claim, counterexample is None, checked, counterexample, config)
+
+
+def run_suite(name: str, config: SuiteConfig) -> Report:
     started = time.perf_counter()
-    report = runner(config)
+    report = _report(name, config)
     report.elapsed = time.perf_counter() - started
     return report
 
 
 def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
     """Re-run a single failing case; True means it still fails."""
-    if name not in SUITES:
-        raise SuiteError(f"unknown suite {name!r}")
-    _, replayer = SUITES[name]
-    return replayer(config, counterexample)
+    suite = _suite(name)
+    if "expected" in counterexample:
+        return suite.fault_check(config) is not None
+    return suite.check(suite.decode(config, counterexample)) is not None

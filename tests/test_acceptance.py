@@ -157,7 +157,7 @@ def test_criterion_7_action_law():
     started = time.perf_counter()
     config = SuiteConfig(seed=107, word_ball=4, plain_samples=100, interval_samples=20)
     for label in ("e1", "e3"):
-        target = next(t for t in resolve_targets(config, need_blowup=True) if t.label == label)
+        target = next(t for t in resolve_targets(config, need_blowup=True) if t.name == label)
         space, stab = build_blowup_target(target)
         samples = _action_law_samples(space, config)
         assert sum(1 for q in samples if not q.is_interval()) >= 100

@@ -1,5 +1,6 @@
 """Determinism, replayability and suite-runner behaviour."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -87,8 +88,27 @@ class TestCounterexamples:
         assert report.counterexample["fixing_word"] == "k"
         assert replay("trivial-stabilizer", cfg, report.counterexample)
 
+    # sha256 of each canonical report below; a change means the report bytes changed
+    REPORT_SHA256 = {
+        "alpha-action-law": "b662ea9aff94c6c1513ba4cacf3779734d94135a695c275dc9e65a515c16d1db",
+        "d-homomorphism": "e8cea554b87fc6b2f35908c0f8e2de9863e9c627252682e9f9215654b0920e83",
+        "d-nontriviality": "1a41133d0f889b0bd8d7145ba74e50eee9b6ba23f9dfb3f102b2a797df0812fc",
+        "d-threshold-independence": "b9224c4e2bedfc8343080f150eab84750110c3428e7cf56242552cd405641c4a",
+        "germ-group-axioms": "428734c80257d23abf25643b4f92666cae97b6d6db0daf6e21a2ddcf53a9289c",
+        "germ-quotient": "32abd3271fa3d575015152c0da37da87e2dc32b00420759a6e2dde0b1f466568",
+        "injectivity-certificate": "af65a74cef652c025758074d041cd1f1248f4c79ac4a843c95ad3cd860fa69ec",
+        "orbit-limit": "3d41900a0609b38517c0e2265a0ea68843d1a21dcdba689e37a0f035843d3b2f",
+        "order-laws": "d9d6db4ffb31921b5cd034689e12b86cea6a165c2938a145f1e1857689c91580",
+        "overlap-rays": "ec2a665e29024557bc0d594fbf187f71975c9a68fc4a0ccfc844d8bc18680865",
+        "structural": "dc38e29a90b70a56bd4f4030bc119b2a1184c41ddaa339d820e4bd2c44db88ca",
+        "trivial-stabilizer": "7753cc707a3365e58c538d10337049653f194268bf56693954604e7d1ddf8c58",
+    }
+
     def test_every_suite_passes_on_bundles(self):
         cfg = SuiteConfig(seed=0, cases=40, plain_samples=12, interval_samples=6)
+        assert sorted(SUITES) == sorted(self.REPORT_SHA256)
         for name in sorted(SUITES):
             report = run_suite(name, cfg)
             assert report.passed, (name, report.counterexample)
+            digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+            assert digest == self.REPORT_SHA256[name], name
