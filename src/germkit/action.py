@@ -342,12 +342,7 @@ def word_homeo(
 # Overlap rays and induced germs
 
 
-def _ray_events(
-    space: LeafSpace,
-    h: Homeo,
-    e: Embedding,
-    extra: Iterable[Fraction] = (),
-) -> list[Fraction]:
+def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
     """Coordinates where the embedded-ray picture of ``h`` can change.
 
     Between consecutive events the owning branch of ``e(x)``, the owning
@@ -359,31 +354,26 @@ def _ray_events(
         for name in space.branches
         if (dep := space.departure(name)) is not None
     }
-    marks = set(departures) | set(extra)
-    events: set[Fraction] = set(marks)
+    events: set[Fraction] = set(departures)
     for branch in space.chain_to_root(e.branch):
         if branch not in h.branch_pl:
             raise ActionError(f"homeomorphism undefined on branch {branch!r}")
         pl = h.branch_pl[branch]
         events.update(pl.breakpoints)
         inv = ~pl
-        events.update(inv(m) for m in marks)
+        events.update(inv(m) for m in departures)
     return sorted(events)
 
 
-def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
-    """Least ``t`` with ``h(e(x))`` on the embedded line for every ``x > t``.
-
-    Returns ``FULL_LINE`` (``None``) when the whole line maps into itself.
-    The image predicate is constant between events, so scanning events and
-    interval midpoints decides the threshold exactly.
-    """
+def _overlap_threshold(
+    space: LeafSpace, h: Homeo, e: Embedding, events: list[Fraction]
+) -> Fraction | None:
+    """:func:`overlap_ray` decided on the already scanned ``events`` of ``h``."""
 
     def on_line(x: Fraction) -> bool:
         image = apply_homeo(space, h, e.point_at(space, x))
         return e.contains(space, image)
 
-    events = _ray_events(space, h, e)
     if not events:
         if not on_line(Fraction(0)):
             raise ActionError("image ray never returns to the embedded line")
@@ -409,6 +399,16 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
     return worst
 
 
+def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
+    """Least ``t`` with ``h(e(x))`` on the embedded line for every ``x > t``.
+
+    Returns ``FULL_LINE`` (``None``) when the whole line maps into itself.
+    The image predicate is constant between events, so scanning events and
+    interval midpoints decides the threshold exactly.
+    """
+    return _overlap_threshold(space, h, e, _ray_events(space, h, e))
+
+
 def induced_germ(
     space: LeafSpace,
     h: Homeo,
@@ -422,7 +422,8 @@ def induced_germ(
     determine it exactly.  The result does not depend on the threshold,
     which is what makes the assignment well defined.
     """
-    t0 = overlap_ray(space, h, e)
+    events = _ray_events(space, h, e)
+    t0 = _overlap_threshold(space, h, e, events)
     if threshold is None:
         base = t0 if t0 is not None else Fraction(0)
     else:
@@ -431,7 +432,6 @@ def induced_germ(
             raise ActionError(
                 f"threshold {base} lies below the overlap ray {t0}"
             )
-    events = _ray_events(space, h, e)
     start = max([base, *events]) if events else base
     samples = []
     for x in (start + 1, start + 2):

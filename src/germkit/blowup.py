@@ -24,8 +24,8 @@ from .action import (
     Homeo,
     Word,
     apply_homeo,
+    induced_germ,
     invert_homeo,
-    overlap_ray,
     reduced_words,
     word_homeo,
     _ray_events,
@@ -415,11 +415,9 @@ def positive_ray_orbit_search(
 # Germs through the blown-up chart
 
 
-def _line_insertions(space: BlowupSpace, e: Embedding) -> list[Fraction]:
-    """Coordinates of blown orbit points on the embedded line, sorted."""
-    return sorted(
-        p.coord for p in space.orbit if e.contains(space.base, p)
-    )
+def _line_insertions(space: BlowupSpace, e: Embedding) -> int:
+    """Number of blown orbit points on the embedded line."""
+    return sum(1 for p in space.orbit if e.contains(space.base, p))
 
 
 def blown_induced_germ(
@@ -427,37 +425,16 @@ def blown_induced_germ(
     stab: StabilizerData,
     w: Word,
     e: Embedding,
-    threshold: Fraction | None = None,
 ) -> Germ:
     """Induced germ of ``alpha_w`` in the chart of the blown-up line.
 
-    The embedded line is re-parameterized by inserting a unit of length at
-    each blown point on it; beyond every insertion and every event of the
-    underlying map the re-indexed coordinate map is a single affine piece,
-    so two samples read it off exactly.
+    The blown chart inserts a unit of length at each blown point on the
+    line, so above the last insertion it is the base chart translated by
+    the number ``s`` of insertions, and the blown germ is the base induced
+    germ conjugated by that translation: ``Germ(1, s) * d(w) * Germ(1, s)^-1``.
     """
-    h = space.word_homeo(w)
-    insertions = _line_insertions(space, e)
-    t0 = overlap_ray(space.base, h, e)
-    if threshold is None:
-        base = t0 if t0 is not None else Fraction(0)
-    else:
-        base = _frac(threshold)
-        if t0 is not None and base < t0:
-            raise ActionError(f"threshold {base} lies below the overlap ray {t0}")
-    events = _ray_events(space.base, h, e, extra=insertions)
-    start = max([base, *events]) if events else base
-    shift = Fraction(len(insertions))
-
-    samples = []
-    for x in (start + 1, start + 2):
-        image = apply_homeo(space.base, h, e.point_at(space.base, x))
-        if not e.contains(space.base, image):
-            raise ActionError("sample point above the overlap ray left the line")
-        samples.append((x + shift, image.coord + shift))
-    (x1, y1), (x2, y2) = samples
-    slope = (y2 - y1) / (x2 - x1)
-    return Germ(slope, y1 - slope * x1)
+    shift = Germ(1, _line_insertions(space, e))
+    return shift * induced_germ(space.base, space.word_homeo(w), e) * ~shift
 
 
 def injectivity_certificate(
@@ -465,7 +442,6 @@ def injectivity_certificate(
     stab: StabilizerData,
     e: Embedding,
     ball: int,
-    probe_offsets: Sequence[int] = (1, 1000),
 ) -> Word | None:
     """Certify that no nontrivial ball word has trivial blown germ.
 
@@ -474,23 +450,21 @@ def injectivity_certificate(
     sampled coordinates.  Returns the first failing word or ``None``.
     """
     names = sorted(space.generators)
-    insertions = _line_insertions(space, e)
-    shift = Fraction(len(insertions))
+    shift = Germ(1, _line_insertions(space, e))
     for w in reduced_words(names, ball):
         if w.is_identity():
             continue
         germ = blown_induced_germ(space, stab, w, e)
         if germ.is_identity():
             return w
-        # The probes live in the base chart, whose tail differs from the
-        # blown one by the inserted length, so bound the diagonal crossing
-        # with the base germ.
-        base_germ = Germ(germ.slope, germ.offset - shift * (1 - germ.slope))
+        # The probes live in the base chart, so bound the diagonal crossing
+        # with the germ conjugated back into it, above every base event.
+        base_germ = ~shift * germ * shift
         h = space.word_homeo(w)
-        events = _ray_events(space.base, h, e, extra=insertions)
+        events = _ray_events(space.base, h, e)
         start = max(events) if events else Fraction(0)
         start = max(start, eventual_comparison_bound(base_germ))
-        for offset in probe_offsets:
+        for offset in (1, 1000):
             x = start + offset
             if apply_homeo(space.base, h, e.point_at(space.base, x)) == e.point_at(space.base, x):
                 return w
