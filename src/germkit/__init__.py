@@ -45,10 +45,9 @@ from .leafspace import (
     Side,
     root_embedding,
 )
-from .plmap import AffineTail, InvalidMapError, PLMap, agree_on_ray, normalize
+from .plmap import InvalidMapError, PLMap, agree_on_ray, normalize
 
 __all__ = [
-    "AffineTail",
     "BlownPoint",
     "BlowupSpace",
     "Classification",

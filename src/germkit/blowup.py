@@ -47,6 +47,14 @@ class CosetError(BlowupError):
     """A coset representative or twist word is not where it should be."""
 
 
+class StabilizerGeneratorError(BlowupError):
+    """Declared stabilizer generator ``index`` is not a letter of its own."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 # ---------------------------------------------------------------------------
 # Stabilizer data
 
@@ -58,10 +66,13 @@ class StabilizerData:
     ``k_generators`` generate the stabilizer as words over the action's
     generators; ``phi`` maps each stabilizer generator (keyed by its text
     form) to a PL map fixing ``[0, 1]`` pointwise outside and ``0``/``1``
-    inside.  ``coset_rep`` picks the fixed representative of each coset; the
-    default strips stabilizer generators off the tail of the word, which is
-    a valid choice whenever the generators are free letters (or powers of
-    them).  An explicit ``coset_table`` overrides individual words.
+    inside.  Each generator must be a single letter, no two on the same
+    generator name: such letters are a free basis of the subgroup they
+    generate, for which greedy factorization is exact and stripping them off
+    a word's tail gives a canonical coset representative.  Any other
+    generator raises :class:`StabilizerGeneratorError`.  ``coset_rep`` picks
+    the fixed representative of each coset by that tail stripping; an
+    explicit ``coset_table`` overrides individual words.
     """
 
     k_generators: tuple[Word, ...]
@@ -74,9 +85,18 @@ class StabilizerData:
         self.coset_table = dict(self.coset_table)
         self._phi_cache: dict[tuple[tuple[str, int], ...], PLMap] = {}
         self._rep_cache: dict[tuple[tuple[str, int], ...], Word] = {}
-        for gen in self.k_generators:
-            if gen.is_identity():
-                raise BlowupError("stabilizer generator must be nontrivial")
+        letters: set[str] = set()
+        for i, gen in enumerate(self.k_generators):
+            if len(gen.letters) != 1:
+                raise StabilizerGeneratorError(
+                    i, f"stabilizer generator {str(gen)!r} must be a single letter"
+                )
+            name = gen.letters[0][0]
+            if name in letters:
+                raise StabilizerGeneratorError(
+                    i, f"stabilizer generator {str(gen)!r} repeats the letter {name!r}"
+                )
+            letters.add(name)
             if str(gen) not in self.phi:
                 raise BlowupError(f"phi is missing stabilizer generator {str(gen)!r}")
 

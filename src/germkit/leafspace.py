@@ -131,9 +131,6 @@ class LeafSpace:
 
     # -- structure ---------------------------------------------------------
 
-    def children(self, branch: str) -> tuple[str, ...]:
-        return self._children[branch]
-
     def parent(self, branch: str) -> str | None:
         return self.branches[branch].parent
 

@@ -41,15 +41,6 @@ def _frac(x: RationalLike) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AffineTail:
-    """The affine germ ``x -> slope*x + offset`` valid on ``[start, +oo)``."""
-
-    slope: Fraction
-    offset: Fraction
-    start: Fraction
-
-
-@dataclass(frozen=True)
 class PLMap:
     """Increasing piecewise-linear bijection of the line.
 
@@ -164,11 +155,6 @@ class PLMap:
         return PLMap.make(pts, 1 / self.left_slope, 1 / self.right_slope)
 
     # -- structure ---------------------------------------------------------
-
-    def tail(self) -> AffineTail:
-        """Affine tail ``(slope, offset, start)``; any start works for affine maps."""
-        start = self.breakpoints[-1] if self.breakpoints else Fraction(0)
-        return AffineTail(self.right_slope, self.tail_offset, start)
 
     def is_identity(self) -> bool:
         return not self.breakpoints and self.right_slope == 1 and self.tail_offset == 0

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .action import Homeo, Word
-from .blowup import StabilizerData
+from .blowup import BlowupError, StabilizerData, StabilizerGeneratorError
 from .germ import Germ
 from .leafspace import LeafSpace, Point, Side
 from .plmap import PLMap, InvalidMapError
@@ -350,10 +350,10 @@ def blowup_spec_from_data(data: Any, path: str = "$") -> tuple[Point, Stabilizer
         raise SpecFormatError("depth must be a nonnegative integer", f"{path}.depth")
     if not isinstance(ball, int) or isinstance(ball, bool) or ball < 0:
         raise SpecFormatError("ball must be a nonnegative integer", f"{path}.ball")
-    from .blowup import BlowupError
-
     try:
         stab = StabilizerData(k_generators, phi, coset_table)
+    except StabilizerGeneratorError as exc:
+        raise SpecFormatError(str(exc), f"{path}.K_generators[{exc.index}]") from None
     except BlowupError as exc:
         raise SpecFormatError(str(exc), f"{path}.phi") from None
     return marked, stab, depth, ball

@@ -38,6 +38,7 @@ from .action import (
     reduced_words,
     word_germ,
     word_homeo,  # unused here; perfbench/check_gate.py reads suites.word_homeo
+    _ray_events,
 )
 from .blowup import (
     BlownPoint,
@@ -317,8 +318,13 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
     if not all(on_line(base + d) for d in (Fraction(1, 3), 1, 17)):
         return False
     if t is not None:
-        probes = [t, t - Fraction(1, 1000), t - Fraction(1, 2), t - 1]
-        if all(on_line(x) for x in probes):
+        # The image predicate is constant on the gap between t and the ray
+        # event below it, so t and that gap's midpoint decide minimality
+        # exactly; a fixed offset below t could land past the gap and let
+        # a late threshold through.
+        below = [ev for ev in _ray_events(space, h, e) if ev < t]
+        gap_mid = (max(below) + t) / 2 if below else t - 1
+        if on_line(t) and on_line(gap_mid):
             return False  # the threshold was not minimal
     return True
 

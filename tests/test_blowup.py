@@ -10,6 +10,7 @@ from germkit.blowup import (
     CosetError,
     OrbitEscapeError,
     StabilizerData,
+    StabilizerGeneratorError,
     alpha_apply,
     blown_induced_germ,
     injectivity_certificate,
@@ -168,6 +169,18 @@ class TestCosets:
         stab = b.stabilizer
         assert stab.stabilizer_factorization(Word.parse("k k k")) == (("k", 1),) * 3
         assert stab.stabilizer_factorization(Word.parse("f")) is None
+
+    @pytest.mark.parametrize(
+        "generators, index",
+        [(("k^2",), 0), (("k", "k f k^-1"), 1), (("k", "k^-1"), 1), (("1",), 0)],
+    )
+    def test_generators_must_be_distinct_letters(self, generators, index):
+        # powers and longer words break greedy factorization and tail stripping
+        phi = bundle("e3").stabilizer.phi["k"]
+        words = tuple(Word.parse(g) for g in generators)
+        with pytest.raises(StabilizerGeneratorError) as info:
+            StabilizerData(words, {str(w): phi for w in words})
+        assert info.value.index == index
 
     def test_foreign_twist_rejected(self):
         b = bundle("e3")

@@ -78,6 +78,25 @@ class TestInputErrors:
         assert result.exit_code == 2
 
 
+    def test_non_letter_stabilizer_generator(self, runner, tmp_path):
+        assert runner.invoke(main, ["examples", "export", str(tmp_path), "--name", "e3"]).exit_code == 0
+        spec = tmp_path / "e3.blowup.json"
+        data = json.loads(spec.read_text())
+        data["K_generators"] = ["k", "k f k^-1"]
+        spec.write_text(json.dumps(data))
+        result = runner.invoke(
+            main,
+            [
+                "suite", "trivial-stabilizer",
+                "--leafspace", str(tmp_path / "e3.leafspace.json"),
+                "--action", str(tmp_path / "e3.action.json"),
+                "--blowup", str(spec),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "$.K_generators[1]" in result.output
+
+
 class TestPlumbing:
     def test_order_compare_direct(self, runner):
         result = runner.invoke(

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from germkit.germ import Germ
 from germkit.plmap import InvalidMapError, PLMap, agree_on_ray, check, normalize
 
 # Identity left of 0, slope 2 right of 0.
@@ -107,24 +108,27 @@ class TestNormalize:
         assert check(STEP) is None
 
 
+def tail_start(f):
+    """Where the affine tail ``Germ.of(f)`` starts to hold."""
+    return f.breakpoints[-1] if f.breakpoints else F(0)
+
+
 class TestAffineTail:
     def test_step(self):
-        tail = STEP.tail()
-        assert (tail.slope, tail.offset, tail.start) == (2, 0, 0)
+        assert Germ.of(STEP) == Germ(2, 0) and tail_start(STEP) == 0
 
     def test_translation(self):
-        tail = SHIFT.tail()
-        assert (tail.slope, tail.offset) == (1, 1)
+        assert Germ.of(SHIFT) == Germ(1, 1)
 
     def test_composition(self):
-        tail = (STEP * SHIFT).tail()
-        assert (tail.slope, tail.offset, tail.start) == (2, 2, -1)
+        f = STEP * SHIFT
+        assert Germ.of(f) == Germ(2, 2) and tail_start(f) == -1
 
     def test_tail_matches_evaluation(self):
         f = STEP * SHIFT
-        tail = f.tail()
+        tail = Germ.of(f)
         for d in (0, 1, F(7, 2), 100):
-            x = tail.start + d
+            x = tail_start(f) + d
             assert f(x) == tail.slope * x + tail.offset
 
 
@@ -186,6 +190,6 @@ def test_normalize_idempotent(f):
 
 @given(plmaps(), st.integers(min_value=0, max_value=50))
 def test_tail_sound(f, d):
-    tail = f.tail()
-    x = tail.start + d
+    tail = Germ.of(f)
+    x = tail_start(f) + d
     assert f(x) == tail.slope * x + tail.offset

@@ -67,6 +67,23 @@ def patched(owner, attr, make):
     return lambda m: m.setattr(owner, attr, make(getattr(owner, attr)))
 
 
+def exported(name, tmp_path):
+    """``SuiteConfig`` file-path fields for ``bundle(name)`` written to files."""
+    b = examples.bundle(name)
+    texts = {
+        "leafspace": serialize.emit_leafspace(b.space),
+        "action": serialize.emit_action(b.generators),
+    }
+    if b.has_blowup:
+        texts["blowup"] = serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball)
+    paths = {}
+    for kind, text in texts.items():
+        path = tmp_path / f"{name}.{kind}.json"
+        path.write_text(text)
+        paths[f"{kind}_path"] = str(path)
+    return paths
+
+
 def non_idempotent(original):
     """An emitter whose every call pads its text with one more space."""
     pad = itertools.count()
@@ -111,10 +128,17 @@ def late_overlap(delay):
 
 
 def test_overlap_threshold_not_minimal(replays):
-    # the minimality probes reach one unit below the threshold
     config = replace(SMALL, examples=("e2",))
     payload = replays("overlap-rays", config, late_overlap(2))
     assert payload["target"] == "e2" and payload["homeo"] == "s"
+
+
+@pytest.mark.parametrize("delay", [1, F(1, 2000)])
+def test_overlap_file_threshold_late(replays, tmp_path, delay):
+    # file targets skip the swap cases, so only minimality can catch these
+    config = replace(SMALL, **exported("e2", tmp_path))
+    payload = replays("overlap-rays", config, late_overlap(delay))
+    assert payload["target"] == "file"
 
 
 def test_overlap_swap_threshold_off_by_one(replays):
@@ -205,18 +229,7 @@ def test_orbit_limit_search_returns_wrong_word(replays):
 
 
 def test_file_target_replays(replays, tmp_path):
-    b = examples.bundle("e1")
-    texts = {
-        "leafspace": serialize.emit_leafspace(b.space),
-        "action": serialize.emit_action(b.generators),
-        "blowup": serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball),
-    }
-    paths = {}
-    for kind, text in texts.items():
-        path = tmp_path / f"e1.{kind}.json"
-        path.write_text(text)
-        paths[f"{kind}_path"] = str(path)
-    payload = replays("orbit-limit", replace(SMALL, **paths), wrong_search)
+    payload = replays("orbit-limit", replace(SMALL, **exported("e1", tmp_path)), wrong_search)
     assert payload == {"target": "file", "cut": "0", "word": "u^-1"}
 
 

@@ -1,0 +1,54 @@
+"""The benchmark's span tracer finds every name it wraps and undoes its patches.
+
+``perfbench/tracer.py`` wraps germkit functions and methods by name, so
+renaming one of them must fail here, not only in the benchmark.
+"""
+
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from germkit.suites import SuiteConfig, run_suite
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def germkit_bindings() -> dict:
+    """Every name bound in a germkit module or in a class it defines."""
+    bindings = {("Fraction", "__new__"): Fraction.__dict__["__new__"]}
+    for name, module in list(sys.modules.items()):
+        if name != "germkit" and not name.startswith("germkit."):
+            continue
+        for key, value in vars(module).items():
+            bindings[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, raw in vars(value).items():
+                    bindings[(name, key, attr)] = raw
+    return bindings
+
+
+def test_tracer_wraps_live_names_and_restores_them():
+    tracer = load_tracer().Tracer()
+    import germkit.cli  # noqa: F401  (installing imports it; bind it before the snapshot)
+
+    before = germkit_bindings()
+    with tracer.installed():
+        assert germkit_bindings() != before
+        report = run_suite(
+            "injectivity-certificate", SuiteConfig(examples=("e1",), stabilizer_ball=2)
+        )
+    tracer.flush()
+    assert report.passed
+    assert tracer.calls["blowup.blown_induced_germ"] > 0
+    assert tracer.calls["action.induced_germ"] > 0
+    after = germkit_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
