@@ -190,8 +190,8 @@ def _payload_target(config: SuiteConfig, payload: Payload) -> Bundle:
 
 def _germ_group_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     gen = CaseGen(config.seed)
-    maps = [gen.plmap() for _ in range(max(3, config.cases))]
-    for i in range(len(maps) - 2):
+    maps = [gen.plmap() for _ in range(config.cases + 2)]
+    for i in range(config.cases):
         yield 1, (i, *maps[i : i + 3])
 
 
@@ -376,14 +376,14 @@ def _threshold_check(case: Case) -> Payload | None:
 
 def _homomorphism_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
     targets = resolve_targets(config)
-    per_target = max(1, config.cases // max(1, len(targets)))
-    for target in targets:
+    for j, target in enumerate(targets):
         if not target.generators:
             continue
         gen = CaseGen(config.seed)
         e = root_embedding(target.space)
         names = sorted(target.generators)
-        for i in range(per_target):
+        share, extra = divmod(config.cases, len(targets))
+        for i in range(share + (j < extra)):
             w1 = gen.word(names, config.max_word_length)
             w2 = gen.word(names, config.max_word_length)
             yield 1, (target, e, i, w1, w2)

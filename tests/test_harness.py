@@ -91,10 +91,10 @@ class TestCounterexamples:
     # sha256 of each canonical report below; a change means the report bytes changed
     REPORT_SHA256 = {
         "alpha-action-law": "b662ea9aff94c6c1513ba4cacf3779734d94135a695c275dc9e65a515c16d1db",
-        "d-homomorphism": "e8cea554b87fc6b2f35908c0f8e2de9863e9c627252682e9f9215654b0920e83",
+        "d-homomorphism": "9cc214d128cc4af4069aed51de74253a5971b517566cb1c09254d11af71fec67",
         "d-nontriviality": "1a41133d0f889b0bd8d7145ba74e50eee9b6ba23f9dfb3f102b2a797df0812fc",
         "d-threshold-independence": "b9224c4e2bedfc8343080f150eab84750110c3428e7cf56242552cd405641c4a",
-        "germ-group-axioms": "428734c80257d23abf25643b4f92666cae97b6d6db0daf6e21a2ddcf53a9289c",
+        "germ-group-axioms": "882bde673e47044e9c5b7c7495a2fa391e42b9630d58831d644784b3a0e1bbc9",
         "germ-quotient": "32abd3271fa3d575015152c0da37da87e2dc32b00420759a6e2dde0b1f466568",
         "injectivity-certificate": "af65a74cef652c025758074d041cd1f1248f4c79ac4a843c95ad3cd860fa69ec",
         "orbit-limit": "3d41900a0609b38517c0e2265a0ea68843d1a21dcdba689e37a0f035843d3b2f",
