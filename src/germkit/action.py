@@ -374,28 +374,18 @@ def _overlap_threshold(
         image = apply_homeo(space, h, e.point_at(space, x))
         return e.contains(space, image)
 
-    if not events:
-        if not on_line(Fraction(0)):
-            raise ActionError("image ray never returns to the embedded line")
-        return FULL_LINE
-    top = events[-1] + 1
-    if not on_line(top):
+    if not on_line(events[-1] + 1 if events else Fraction(0)):
         raise ActionError("image ray never returns to the embedded line")
-    worst: Fraction | None = None
-
-    def fail(bound: Fraction) -> None:
-        nonlocal worst
-        worst = bound if worst is None else max(worst, bound)
-
-    if not on_line(events[0] - 1):
-        fail(events[0])
+    # Each failure found scanning upward bounds the threshold by at least
+    # as much as the one before, so the last failure is the threshold.
+    worst = FULL_LINE
+    if events and not on_line(events[0] - 1):
+        worst = events[0]
     for i, ev in enumerate(events):
         if not on_line(ev):
-            fail(ev)
-        if i + 1 < len(events):
-            mid = (ev + events[i + 1]) / 2
-            if not on_line(mid):
-                fail(events[i + 1])
+            worst = ev
+        if i + 1 < len(events) and not on_line((ev + events[i + 1]) / 2):
+            worst = events[i + 1]
     return worst
 
 
@@ -429,9 +419,7 @@ def induced_germ(
     else:
         base = _frac(threshold)
         if t0 is not None and base < t0:
-            raise ActionError(
-                f"threshold {base} lies below the overlap ray {t0}"
-            )
+            raise ActionError(f"threshold {base} lies below the overlap ray {t0}")
     start = max([base, *events]) if events else base
     samples = []
     for x in (start + 1, start + 2):

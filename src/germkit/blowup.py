@@ -66,12 +66,10 @@ class StabilizerData:
     ``k_generators`` generate the stabilizer as words over the action's
     generators; ``phi`` maps each stabilizer generator (keyed by its text
     form) to a PL map fixing ``[0, 1]`` pointwise outside and ``0``/``1``
-    inside.  Each generator must be a single letter, no two on the same
-    generator name: such letters are a free basis of the subgroup they
-    generate, for which greedy factorization is exact and stripping them off
-    a word's tail gives a canonical coset representative.  Any other
-    generator raises :class:`StabilizerGeneratorError`.  ``coset_rep`` picks
-    the fixed representative of each coset by that tail stripping; an
+    inside.  Each generator must be one letter, no two on one generator
+    name (else :class:`StabilizerGeneratorError`): such letters are a free
+    basis of K, so greedy factorization is exact, and ``coset_rep``, which
+    strips them off a word's tail, picks one representative per coset.  An
     explicit ``coset_table`` overrides individual words.
     """
 
@@ -85,18 +83,13 @@ class StabilizerData:
         self.coset_table = dict(self.coset_table)
         self._phi_cache: dict[tuple[tuple[str, int], ...], PLMap] = {}
         self._rep_cache: dict[tuple[tuple[str, int], ...], Word] = {}
-        letters: set[str] = set()
+        names: set[str] = set()
         for i, gen in enumerate(self.k_generators):
-            if len(gen.letters) != 1:
+            if len(gen.letters) != 1 or gen.letters[0][0] in names:
                 raise StabilizerGeneratorError(
-                    i, f"stabilizer generator {str(gen)!r} must be a single letter"
+                    i, f"stabilizer generator {str(gen)!r} is not a letter of its own"
                 )
-            name = gen.letters[0][0]
-            if name in letters:
-                raise StabilizerGeneratorError(
-                    i, f"stabilizer generator {str(gen)!r} repeats the letter {name!r}"
-                )
-            letters.add(name)
+            names.add(gen.letters[0][0])
             if str(gen) not in self.phi:
                 raise BlowupError(f"phi is missing stabilizer generator {str(gen)!r}")
 
