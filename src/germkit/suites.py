@@ -320,8 +320,7 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
     if t is not None:
         # The image predicate is constant on the gap between t and the ray
         # event below it, so t and that gap's midpoint decide minimality
-        # exactly; a fixed offset below t could land past the gap and let
-        # a late threshold through.
+        # exactly.
         below = [ev for ev in _ray_events(space, h, e) if ev < t]
         gap_mid = (max(below) + t) / 2 if below else t - 1
         if on_line(t) and on_line(gap_mid):
