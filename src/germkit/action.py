@@ -323,10 +323,21 @@ def word_homeo(
     generators: Mapping[str, Homeo],
     word: Word,
     validate: bool = True,
+    prefix: Homeo | None = None,
 ) -> Homeo:
-    """Compose a word of generators, outermost letter first."""
-    result = identity_homeo(space)
-    for name, exp in word.letters:
+    """Compose a word of generators, outermost letter first.
+
+    Without ``prefix`` the word is built from the identity, letter by
+    letter.  With ``prefix``, the homeo of ``word`` minus its last letter,
+    only that letter is composed onto it.
+    """
+    if prefix is None:
+        result, letters = identity_homeo(space), word.letters
+    elif word.letters:
+        result, letters = prefix, word.letters[-1:]
+    else:
+        raise ActionError("the empty word has no prefix")
+    for name, exp in letters:
         if name not in generators:
             raise UnknownGeneratorError(f"undeclared generator {name!r}")
         step = generators[name]

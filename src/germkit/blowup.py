@@ -262,9 +262,16 @@ class BlowupSpace:
     # -- helpers -------------------------------------------------------------
 
     def word_homeo(self, word: Word) -> Homeo:
+        """The cached homeo of ``word``.
+
+        A miss composes the last letter onto the cached homeo of the rest
+        of the word, fetched the same way; only the empty word is built
+        from the identity.
+        """
         cached = self._homeo_cache.get(word.letters)
         if cached is None:
-            cached = word_homeo(self.base, self.generators, word)
+            prefix = self.word_homeo(Word(word.letters[:-1])) if word.letters else None
+            cached = word_homeo(self.base, self.generators, word, prefix=prefix)
             self._homeo_cache[word.letters] = cached
         return cached
 

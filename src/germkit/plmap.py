@@ -33,11 +33,20 @@ class InvalidMapError(ValueError):
 
 
 def _frac(x: RationalLike) -> Fraction:
+    """Exact rational from a ``Fraction``, an ``int`` or a ``"p/q"`` string.
+
+    A ``Fraction`` is returned unchanged (the hot path); floats and every
+    other type raise, so no inexact value enters a map.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
     if isinstance(x, str):
         from .rationals import parse_rational
 
         return parse_rational(x)
-    return Fraction(x)
+    raise TypeError(f"expected a Fraction, int or str, got {x!r}")
 
 
 @dataclass(frozen=True)

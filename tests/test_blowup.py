@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit.action import Word
+from germkit.action import Word, reduced_words, validate_homeo, word_homeo
 from germkit.blowup import (
     BlownPoint,
     BlowupError,
@@ -68,6 +68,29 @@ class TestBuild:
         )
         with pytest.raises(OrbitEscapeError):
             BlowupSpace(L, {"v": swap}, Point("c0", F(-1)), depth=2)
+
+
+class TestWordHomeoCache:
+    @pytest.mark.parametrize("name", ["e1", "e3"])
+    def test_prefix_shared_cache_matches_from_scratch(self, name):
+        b, space = built(name)
+        for w in reduced_words(sorted(b.generators), 4):
+            cached = space.word_homeo(w)
+            assert cached == word_homeo(b.space, b.generators, w)
+            assert validate_homeo(b.space, cached) is None
+
+    def test_miss_with_uncached_prefixes(self):
+        b, space = built("e3")
+        w = Word.parse("f k^-1 f f")
+        assert space.word_homeo(w) == word_homeo(b.space, b.generators, w)
+        for n in range(len(w) + 1):
+            assert Word(w.letters[:n]).letters in space._homeo_cache
+        assert space.word_homeo(Word.parse("f k^-1")) is space.word_homeo(Word.parse("f k^-1"))
+
+    def test_prefix_of_the_empty_word_is_rejected(self):
+        b, space = built("e1")
+        with pytest.raises(ValueError, match="prefix"):
+            word_homeo(b.space, b.generators, Word(), prefix=space.word_homeo(Word()))
 
 
 class TestAlphaApply:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from germkit.germ import Germ
-from germkit.plmap import InvalidMapError, PLMap, agree_on_ray, check, normalize
+from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize
 
 # Identity left of 0, slope 2 right of 0.
 STEP = PLMap.make([(0, 0)], 1, 2)
@@ -14,6 +14,25 @@ DOUBLE = PLMap.affine(2, 0)
 
 def grid(lo=-6, hi=6):
     return [F(n, 3) for n in range(3 * lo, 3 * hi + 1)]
+
+
+class TestFrac:
+    def test_fraction_is_returned_unchanged(self):
+        q = F(2, 3)
+        assert _frac(q) is q
+
+    def test_int_and_string_convert(self):
+        assert _frac(3) == F(3) and type(_frac(3)) is F
+        assert _frac("-7/4") == F(-7, 4)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, None, [1]])
+    def test_inexact_or_foreign_values_raise(self, bad):
+        with pytest.raises(TypeError, match="got"):
+            _frac(bad)
+
+    def test_affine_rejects_a_float(self):
+        with pytest.raises(TypeError, match="0.1"):
+            PLMap.affine(0.1, 0)
 
 
 class TestEval:
