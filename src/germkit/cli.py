@@ -83,10 +83,12 @@ def _config(**kwargs) -> SuiteConfig:
     return SuiteConfig(examples=tuple(examples), **kwargs)
 
 
+_COUNT = click.IntRange(min=0)
+
 _seed_option = click.option(
     "--seed", type=int, default=0, envvar="GERMKIT_SEED", show_default=True
 )
-_cases_option = click.option("--cases", type=int, default=500, show_default=True)
+_cases_option = click.option("--cases", type=_COUNT, default=500, show_default=True)
 _report_option = click.option(
     "--report", "report_path", type=click.Path(dir_okay=False), default=None,
     help="Write canonical JSON reports here.",
@@ -193,7 +195,7 @@ def compute_d(
 @_with_target_options
 @_seed_option
 @_cases_option
-@click.option("--max-word-length", type=int, default=8, show_default=True)
+@click.option("--max-word-length", type=_COUNT, default=8, show_default=True)
 @_report_option
 def check_hom(
     leafspace_path: str | None,
@@ -260,9 +262,9 @@ def blowup_cmd(
 @main.command("check-action")
 @_with_target_options
 @_seed_option
-@click.option("--ball", type=int, default=4, show_default=True)
-@click.option("--plain-samples", type=int, default=100, show_default=True)
-@click.option("--interval-samples", type=int, default=20, show_default=True)
+@click.option("--ball", type=_COUNT, default=4, show_default=True)
+@click.option("--plain-samples", type=_COUNT, default=100, show_default=True)
+@click.option("--interval-samples", type=_COUNT, default=20, show_default=True)
 @_report_option
 def check_action(
     leafspace_path: str | None,
@@ -292,7 +294,7 @@ def check_action(
 @main.command("check-stabilizer")
 @_with_target_options
 @_seed_option
-@click.option("--ball", type=int, default=5, show_default=True)
+@click.option("--ball", type=_COUNT, default=5, show_default=True)
 @click.option("--certify/--no-certify", default=True, show_default=True,
               help="Also require nontrivial blown germs on the ball.")
 @_report_option
@@ -324,7 +326,7 @@ def check_stabilizer(
 @main.command("orbit-search")
 @_with_target_options
 @click.option("--n", "cut", default="0", show_default=True, help="Lower end of the target ray.")
-@click.option("--ball", type=int, default=8, show_default=True)
+@click.option("--ball", type=_COUNT, default=8, show_default=True)
 @_seed_option
 def orbit_search(
     leafspace_path: str | None,
@@ -364,9 +366,9 @@ def orbit_search(
 
 @main.command("fuzz")
 @click.option("--kind", type=click.Choice(["plmap", "word", "homeo", "leafspace"]), default="plmap", show_default=True)
-@click.option("--count", type=int, default=10, show_default=True)
-@click.option("--max-breakpoints", type=int, default=5, show_default=True)
-@click.option("--max-denominator", type=int, default=100, show_default=True)
+@click.option("--count", type=_COUNT, default=10, show_default=True)
+@click.option("--max-breakpoints", type=_COUNT, default=5, show_default=True)
+@click.option("--max-denominator", type=click.IntRange(min=1), default=100, show_default=True)
 @_seed_option
 def fuzz_cmd(kind: str, count: int, max_breakpoints: int, max_denominator: int, seed: int) -> None:
     """Emit a deterministic stream of valid random objects as JSON lines."""
@@ -406,7 +408,7 @@ def fuzz_cmd(kind: str, count: int, max_breakpoints: int, max_denominator: int, 
 @main.command("emit-plot")
 @_with_target_options
 @click.option("--what", type=click.Choice(["germ-tails", "orbit"]), default="germ-tails", show_default=True)
-@click.option("--ball", type=int, default=4, show_default=True)
+@click.option("--ball", type=_COUNT, default=4, show_default=True)
 @_seed_option
 def emit_plot(
     leafspace_path: str | None,
@@ -459,7 +461,7 @@ def emit_plot(
 @_seed_option
 @_cases_option
 @click.option(
-    "--auto-extend", type=int, default=0, show_default=True,
+    "--auto-extend", type=_COUNT, default=0, show_default=True,
     help="Create up to this many branches named by the action but missing "
          "from the leaf-space file (0 rejects incomplete actions).",
 )

@@ -96,6 +96,31 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "$.K_generators[1]" in result.output
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["check-germ-group", "--cases", "-1"], "--cases"),
+            (["order-compare", "--cases", "-1"], "--cases"),
+            (["check-hom", "--cases", "-1"], "--cases"),
+            (["check-hom", "--max-word-length", "-1"], "--max-word-length"),
+            (["check-action", "--ball", "-1"], "--ball"),
+            (["check-action", "--plain-samples", "-1"], "--plain-samples"),
+            (["check-action", "--interval-samples", "-1"], "--interval-samples"),
+            (["check-stabilizer", "--ball", "-2", "--no-certify"], "--ball"),
+            (["orbit-search", "--ball", "-1"], "--ball"),
+            (["emit-plot", "--what", "orbit", "--ball", "-1"], "--ball"),
+            (["fuzz", "--count", "-1"], "--count"),
+            (["fuzz", "--max-breakpoints", "-1"], "--max-breakpoints"),
+            (["fuzz", "--max-denominator", "0"], "--max-denominator"),
+            (["suite", "overlap-rays", "--cases", "-5", "--example", "e1"], "--cases"),
+            (["suite", "overlap-rays", "--auto-extend", "-1"], "--auto-extend"),
+        ],
+    )
+    def test_negative_count_is_input_error(self, runner, args, option):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert option in result.output
+
 
 class TestPlumbing:
     def test_order_compare_direct(self, runner):
