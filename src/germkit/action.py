@@ -181,12 +181,16 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     """Check that ``h`` defines an orientation-preserving homeomorphism.
 
     Returns ``None`` when valid, otherwise a message naming the first
-    violated condition: coverage, bijection, orientation (each chart map must
-    be an increasing canonical PL map), agreement of child and parent maps
-    above the departure, or the departure-image condition (the image charts
-    must share their lines from exactly the mapped departure on).
+    violated condition: coverage of exactly the declared branches,
+    bijection, orientation (each chart map must be an increasing canonical
+    PL map), agreement of child and parent maps above the departure, or the
+    departure-image condition (the image charts must share their lines from
+    exactly the mapped departure on).
     """
     names = set(space.branches)
+    undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
+    if undeclared:
+        return f"branch {sorted(undeclared)[0]!r} is not declared in the space"
     missing = names - set(h.branch_map)
     if missing:
         return f"branch_map does not cover branch {sorted(missing)[0]!r}"
@@ -322,7 +326,6 @@ def word_homeo(
     space: LeafSpace,
     generators: Mapping[str, Homeo],
     word: Word,
-    validate: bool = True,
     prefix: Homeo | None = None,
 ) -> Homeo:
     """Compose a word of generators, outermost letter first.
@@ -344,8 +347,7 @@ def word_homeo(
         if exp == -1:
             step = invert_homeo(space, step)
         result = compose_homeo(space, result, step)
-    if validate:
-        require_valid(space, result)
+    require_valid(space, result)
     return Homeo(result.branch_map, result.branch_pl, name=str(word))
 
 

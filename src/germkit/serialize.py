@@ -11,7 +11,7 @@ negated departures (the engine always assumes branching is below); the file
 coordinates are restored on output.
 
 Parse problems raise :class:`SpecFormatError` whose message carries a
-JSON-path-style location.
+JSON-path-style location, prefixed by the file name when one is known.
 """
 
 from __future__ import annotations
@@ -20,19 +20,21 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
-from .action import Homeo, Word
+from .action import ActionError, Homeo, Word
 from .blowup import BlowupError, StabilizerData, StabilizerGeneratorError
 from .germ import Germ
-from .leafspace import LeafSpace, Point, Side
+from .leafspace import LeafSpace, LeafSpaceError, Point, Side
 from .plmap import PLMap, InvalidMapError
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 
 class SpecFormatError(ValueError):
-    """A spec file does not match its schema; the message names the spot."""
+    """A spec file does not match its schema; the message names the spot,
+    and the file when ``file`` is given."""
 
-    def __init__(self, message: str, path: str = "$"):
-        super().__init__(f"{path}: {message}")
+    def __init__(self, message: str, path: str = "$", file: str | None = None):
+        super().__init__(f"{path}: {message}" if file is None else f"{file}: {path}: {message}")
+        self.message = message
         self.path = path
 
 
@@ -190,8 +192,6 @@ def leafspace_from_data(data: Any, path: str = "$") -> LeafSpace:
                 )
             dep = _rational(departure, f"{row_path}.departure")
             branches[name] = (parent, -dep if reflect else dep)
-    from .leafspace import LeafSpaceError
-
     try:
         return LeafSpace.build(side, branches)
     except LeafSpaceError as exc:
@@ -235,9 +235,11 @@ def germ_from_data(data: Any, path: str = "$") -> Germ:
     return Germ(slope, offset)
 
 
-def word_from_text(text: str, path: str = "$") -> Word:
-    from .action import ActionError
+def parse_germ(text: str) -> Germ:
+    return germ_from_data(_loads(text))
 
+
+def word_from_text(text: str, path: str = "$") -> Word:
     try:
         return Word.parse(text)
     except ActionError as exc:

@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 
 from . import serialize
 from .action import (
+    ActionError,
     Homeo,
     Word,
     apply_homeo,
@@ -36,6 +37,7 @@ from .action import (
     moved_point_witness,
     overlap_ray,
     reduced_words,
+    validate_homeo,
     word_germ,
     word_homeo,  # unused here; perfbench/check_gate.py reads suites.word_homeo
     _ray_events,
@@ -151,23 +153,63 @@ class Suite:
 # Targets: bundled examples or user files
 
 
+def _load(file: str, parse: Callable[[str], object]):
+    with open(file) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except serialize.SpecFormatError as exc:
+        raise serialize.SpecFormatError(exc.message, exc.path, file) from None
+
+
+def _check_file_target(target: Bundle, config: SuiteConfig) -> None:
+    """Reject files that parse alone but do not fit together."""
+    for i, (name, h) in enumerate(target.generators.items()):
+        problem = validate_homeo(target.space, h)
+        if problem is not None:
+            raise serialize.SpecFormatError(
+                f"generator {name!r} is not a homeomorphism of the leaf space: {problem}",
+                f"$.generators[{i}]", config.action_path,
+            )
+    if target.marked is None:
+        return
+    if target.marked.branch not in target.space.branches:
+        raise serialize.SpecFormatError(
+            f"marked branch {target.marked.branch!r} is not declared in the leaf space",
+            "$.marked.branch", config.blowup_path,
+        )
+    for i, w in enumerate(target.stabilizer.k_generators):
+        if w.letters[0][0] not in target.generators:
+            raise serialize.SpecFormatError(
+                f"stabilizer generator {str(w)!r} is not a declared generator",
+                f"$.K_generators[{i}]", config.blowup_path,
+            )
+
+
 def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bundle]:
-    """The actions a suite runs against: user files when given, else bundles."""
+    """The actions a suite runs against: user files when given, else bundles.
+
+    File targets are checked once, after ``auto_extend``: every generator
+    must be a homeomorphism of the leaf space, the marked branch must be
+    declared and every stabilizer letter must be a generator.  A failure
+    raises :class:`serialize.SpecFormatError` naming the file and its JSON
+    path.
+    """
     if config.leafspace_path or config.action_path:
         if not (config.leafspace_path and config.action_path):
             raise SuiteError("file targets need both a leaf-space and an action file")
-        with open(config.leafspace_path) as fh:
-            space = serialize.parse_leafspace(fh.read())
-        with open(config.action_path) as fh:
-            generators = serialize.parse_action(fh.read())
-        if config.auto_extend:
+        space = _load(config.leafspace_path, serialize.parse_leafspace)
+        generators = _load(config.action_path, serialize.parse_action)
+        try:
             space = extend_space_for_action(space, generators, config.auto_extend)
+        except ActionError as exc:
+            raise serialize.SpecFormatError(str(exc), "$.generators", config.action_path) from None
         marked = stab = None
         depth = ball = 0
         if config.blowup_path:
-            with open(config.blowup_path) as fh:
-                marked, stab, depth, ball = serialize.parse_blowup_spec(fh.read())
+            marked, stab, depth, ball = _load(config.blowup_path, serialize.parse_blowup_spec)
         target = Bundle("file", space, generators, marked, stab, depth, ball)
+        _check_file_target(target, config)
         if need_blowup and not target.has_blowup:
             raise SuiteError("this suite needs a blow-up spec file")
         return [target]

@@ -92,6 +92,15 @@ class TestValidate:
         report = validate_homeo(L, h)
         assert report is not None and "bijection" in report
 
+    def test_undeclared_branch(self):
+        # e3's f maps branches e1's single line lacks
+        report = validate_homeo(bundle("e1").space, bundle("e3").generators["f"])
+        assert report is not None and "'b1' is not declared" in report
+        ident = PLMap.identity()
+        extra_chart = Homeo({"r": "r"}, {"r": ident, "x": ident})
+        report = validate_homeo(line(), extra_chart)
+        assert report is not None and "'x' is not declared" in report
+
 
 class TestApply:
     def test_translation_on_line(self):

@@ -1,10 +1,51 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from germkit.action import Homeo
 from germkit.cli import main
 from germkit import serialize
+from germkit.leafspace import LeafSpace, Side
+from germkit.plmap import PLMap
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+TARGET_COMMANDS = [
+    ["compute-d"],
+    ["check-hom", "--cases", "5"],
+    ["blowup"],
+    ["check-action", "--ball", "1"],
+    ["check-stabilizer", "--ball", "1"],
+    ["orbit-search", "--ball", "1"],
+    ["emit-plot", "--what", "germ-tails", "--ball", "1"],
+    ["emit-plot", "--what", "orbit"],
+    ["suite", "overlap-rays", "--cases", "5"],
+]
+
+
+# (leaf space, blow-up spec, JSON path the load check must name); every
+# case pairs its files with e3's action
+BAD_TARGETS = {
+    "e1-space-e3-action": ("e1", "e3", "$.generators[0]"),
+    "undeclared-marked-branch": ("e3", "nope", "$.marked.branch"),
+    "undeclared-stabilizer-letter": ("e3", "zz", "$.K_generators[0]"),
+}
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    """Exported bundles plus e3 specs that parse alone but do not fit e3."""
+    d = tmp_path_factory.mktemp("bad")
+    assert CliRunner().invoke(main, ["examples", "export", str(d)]).exit_code == 0
+    spec = json.loads((d / "e3.blowup.json").read_text())
+    nope = dict(spec, marked=dict(spec["marked"], branch="nope"))
+    (d / "nope.blowup.json").write_text(json.dumps(nope))
+    zz = dict(spec, K_generators=["zz"], phi={"zz": spec["phi"]["k"]})
+    (d / "zz.blowup.json").write_text(json.dumps(zz))
+    return d
 
 
 @pytest.fixture
@@ -95,6 +136,41 @@ class TestInputErrors:
         )
         assert result.exit_code == 2
         assert "$.K_generators[1]" in result.output
+
+    @pytest.mark.parametrize("case", sorted(BAD_TARGETS))
+    @pytest.mark.parametrize("command", TARGET_COMMANDS, ids=" ".join)
+    def test_bad_file_target(self, runner, bad_files, case, command):
+        space, spec, json_path = BAD_TARGETS[case]
+        result = runner.invoke(
+            main,
+            [
+                *command,
+                "--leafspace", str(bad_files / f"{space}.leafspace.json"),
+                "--action", str(bad_files / "e3.action.json"),
+                "--blowup", str(bad_files / f"{spec}.blowup.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert json_path in result.output
+        assert result.stdout == ""  # no TSV header or PASS line before the error
+
+    def test_auto_extend(self, runner, tmp_path):
+        space = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "b1": ("r", 0)})
+        ident = PLMap.identity()
+        swap = Homeo({"r": "r", "b1": "b3", "b3": "b1"}, {"r": ident, "b1": ident, "b3": ident}, name="s")
+        (tmp_path / "space.json").write_text(serialize.emit_leafspace(space))
+        (tmp_path / "action.json").write_text(serialize.emit_action({"s": swap}))
+        args = [
+            "suite", "overlap-rays", "--cases", "5",
+            "--leafspace", str(tmp_path / "space.json"),
+            "--action", str(tmp_path / "action.json"),
+        ]
+        rejected = runner.invoke(main, args)
+        assert rejected.exit_code == 2
+        assert "$.generators[0]" in rejected.output
+        extended = runner.invoke(main, [*args, "--auto-extend", "1"])
+        assert extended.exit_code == 0, extended.output
+        assert "PASS overlap-rays" in extended.output
 
     @pytest.mark.parametrize(
         "args, option",
@@ -211,3 +287,13 @@ class TestPlumbing:
         )
         assert result.exit_code == 0
         assert "not canonical" in result.output
+
+
+class TestReadme:
+    def test_command_list_matches_cli(self, runner):
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```sh", 1)[1].split("```", 1)[0]
+        named = sorted(set(re.findall(r"^germkit ([a-z-]+)", block, re.MULTILINE)))
+        assert named == sorted(main.commands)
+        for name in named:
+            assert runner.invoke(main, [name, "--help"]).exit_code == 0, name
