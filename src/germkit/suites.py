@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from . import serialize
 from .action import (
@@ -153,7 +153,10 @@ class Suite:
 # Targets: bundled examples or user files
 
 
-def _load(file: str, parse: Callable[[str], object]):
+T = TypeVar("T")
+
+
+def _load(file: str, parse: Callable[[str], T]) -> T:
     with open(file) as fh:
         text = fh.read()
     try:

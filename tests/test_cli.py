@@ -171,6 +171,17 @@ class TestInputErrors:
         extended = runner.invoke(main, [*args, "--auto-extend", "1"])
         assert extended.exit_code == 0, extended.output
         assert "PASS overlap-rays" in extended.output
+        # a 3-cycle through b3 and b4 needs two new branches
+        cycle = Homeo(
+            {"r": "r", "b1": "b3", "b3": "b4", "b4": "b1"},
+            {b: ident for b in ("r", "b1", "b3", "b4")},
+            name="s",
+        )
+        (tmp_path / "action.json").write_text(serialize.emit_action({"s": cycle}))
+        short = runner.invoke(main, [*args, "--auto-extend", "1"])
+        assert short.exit_code == 2
+        assert "action.json: $.generators: action needs more than 1 new branches" in short.output
+        assert runner.invoke(main, [*args, "--auto-extend", "2"]).exit_code == 0
 
     @pytest.mark.parametrize(
         "args, option",
