@@ -20,7 +20,7 @@ Homeos and words are immutable; everything here is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -143,12 +143,14 @@ class Homeo:
 
     ``branch_map`` and ``branch_pl`` may cover only part of a space (useful
     for probing rays of larger spaces); :func:`validate_homeo` insists on a
-    total bijection.
+    total bijection.  :func:`invert_homeo` caches the inverse on the
+    instance, and the inverse points back, so a homeo is inverted once.
     """
 
     branch_map: Mapping[str, str]
     branch_pl: Mapping[str, PLMap]
     name: str = ""
+    _inverse: "Homeo | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branch_map", dict(self.branch_map))
@@ -254,6 +256,9 @@ def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:
 
 
 def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
+    """The inverse of ``h``, built on the first call and cached on ``h``."""
+    if h._inverse is not None:
+        return h._inverse
     inverse_map = {target: source for source, target in h.branch_map.items()}
     branch_pl = {}
     for source, target in h.branch_map.items():
@@ -262,7 +267,21 @@ def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
             raise ActionError(f"homeomorphism has no chart map on branch {source!r}")
         branch_pl[target] = ~pl
     name = f"{h.name}^-1" if h.name else ""
-    return Homeo(inverse_map, branch_pl, name=name)
+    inverse = Homeo(inverse_map, branch_pl, name=name)
+    object.__setattr__(inverse, "_inverse", h)
+    object.__setattr__(h, "_inverse", inverse)
+    return inverse
+
+
+def letter_homeo(space: LeafSpace, generators: Mapping[str, Homeo], name: str, exp: int) -> Homeo:
+    """The homeo of the letter ``name^exp``; an inverse letter reuses the
+    generator's cached inverse, so :func:`invert_homeo` runs once per generator."""
+    if name not in generators:
+        raise UnknownGeneratorError(f"undeclared generator {name!r}")
+    step = generators[name]
+    if exp == 1:
+        return step
+    return step._inverse or invert_homeo(space, step)
 
 
 def extend_space_for_action(
@@ -341,12 +360,7 @@ def word_homeo(
     else:
         raise ActionError("the empty word has no prefix")
     for name, exp in letters:
-        if name not in generators:
-            raise UnknownGeneratorError(f"undeclared generator {name!r}")
-        step = generators[name]
-        if exp == -1:
-            step = invert_homeo(space, step)
-        result = compose_homeo(space, result, step)
+        result = compose_homeo(space, result, letter_homeo(space, generators, name, exp))
     require_valid(space, result)
     return Homeo(result.branch_map, result.branch_pl, name=str(word))
 
@@ -373,8 +387,7 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
             raise ActionError(f"homeomorphism undefined on branch {branch!r}")
         pl = h.branch_pl[branch]
         events.update(pl.breakpoints)
-        inv = ~pl
-        events.update(inv(m) for m in departures)
+        events.update(map(pl.preimage, departures))
     return sorted(events)
 
 
@@ -461,12 +474,7 @@ def word_germ(
     direct = induced_germ(space, composed, e)
     product = Germ.identity()
     for name, exp in word.letters:
-        if name not in generators:
-            raise UnknownGeneratorError(f"undeclared generator {name!r}")
-        step = generators[name]
-        if exp == -1:
-            step = invert_homeo(space, step)
-        product = product * induced_germ(space, step, e)
+        product = product * induced_germ(space, letter_homeo(space, generators, name, exp), e)
     if product != direct:
         raise ActionError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"

@@ -25,7 +25,7 @@ from .action import (
     Word,
     apply_homeo,
     induced_germ,
-    invert_homeo,
+    letter_homeo,
     reduced_words,
     word_homeo,
     _ray_events,
@@ -239,7 +239,7 @@ class BlowupSpace:
         for name in sorted(self.generators):
             h = self.generators[name]
             steps.append((h, Word(((name, 1),))))
-            steps.append((invert_homeo(self.base, h), Word(((name, -1),))))
+            steps.append((letter_homeo(self.base, self.generators, name, -1), Word(((name, -1),))))
         frontier = [(self.marked, Word())]
         self.orbit[self.marked] = Word()
         for _ in range(self.depth):

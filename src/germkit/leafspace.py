@@ -252,7 +252,7 @@ class Embedding:
 
     def contains(self, space: LeafSpace, p: Point) -> bool:
         """Whether canonical ``p`` lies on the embedded line."""
-        if p.branch not in set(space.chain_to_root(self.branch)):
+        if p.branch not in space.chain_to_root(self.branch):
             return False
         return self.point_at(space, p.coord) == p
 

@@ -14,16 +14,26 @@ is both cheap and meaningful.
 
 Composition is written multiplicatively, ``f * g == f after g``, and ``~f``
 is the inverse, following the usual convention for transformation groups.
+
+Evaluation runs on Python ints.  On its first evaluation a map builds an
+integer kernel, one flat tuple kept in a slot: first ``p, q`` for each
+breakpoint ``p/q``, then ``A, B, D`` for each piece (left tail, interior
+pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at ``x = n/d``.  A
+call finds its piece by integer cross-multiplication and builds one
+``Fraction``; :meth:`PLMap.preimage` inverts the same piece,
+``x = (D*n - B*d)/(A*d)`` at ``y = n/d``, without building ``~f``.  The
+``Fraction`` fields stay the canonical data: the kernel takes no part in
+``==``, ``hash`` or ``repr``, and every public value is a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 
 RationalLike = Fraction | int | str
 
@@ -43,13 +53,11 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     if isinstance(x, str):
-        from .rationals import parse_rational
-
         return parse_rational(x)
     raise TypeError(f"expected a Fraction, int or str, got {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLMap:
     """Increasing piecewise-linear bijection of the line.
 
@@ -63,6 +71,7 @@ class PLMap:
     left_slope: Fraction
     right_slope: Fraction
     tail_offset: Fraction
+    _kernel: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -127,19 +136,57 @@ class PLMap:
 
     # -- evaluation --------------------------------------------------------
 
+    def _build_kernel(self) -> tuple[int, ...]:
+        """Build, store and return the integer kernel (see the module docstring)."""
+        marks = [
+            (x.numerator, x.denominator, y.numerator, y.denominator)
+            for x, y in zip(self.breakpoints, self.values)
+        ]
+        # Each piece as its slope an/ad and one point p/q -> r/s of its line.
+        ls, rs, b = self.left_slope, self.right_slope, self.tail_offset
+        pieces = [(ls.numerator, ls.denominator, *marks[0])] if marks else []
+        for (p0, q0, r0, s0), (p1, q1, r1, s1) in zip(marks, marks[1:]):
+            an, ad = (r1 * s0 - r0 * s1) * q0 * q1, (p1 * q0 - p0 * q1) * s0 * s1
+            pieces.append((an, ad, p0, q0, r0, s0))
+        pieces.append((rs.numerator, rs.denominator, 0, 1, b.numerator, b.denominator))
+        kernel = [v for p, q, _, _ in marks for v in (p, q)]
+        for an, ad, p, q, r, s in pieces:
+            A, B, D = an * s * q, r * ad * q - an * s * p, ad * s * q
+            g = gcd(A, B, D)
+            kernel += (A // g, B // g, D // g)
+        kernel = tuple(kernel)
+        object.__setattr__(self, "_kernel", kernel)
+        return kernel
+
     def __call__(self, x: RationalLike) -> Fraction:
         x = _frac(x)
-        bps = self.breakpoints
-        if not bps:
-            return self.right_slope * x + self.tail_offset
-        if x >= bps[-1]:
-            return self.right_slope * x + self.tail_offset
-        if x <= bps[0]:
-            return self.values[0] + self.left_slope * (x - bps[0])
-        i = bisect_right(bps, x) - 1
-        x0, x1 = bps[i], bps[i + 1]
-        y0, y1 = self.values[i], self.values[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._build_kernel()
+        n, d = x.numerator, x.denominator
+        i, j = 0, 2 * len(self.breakpoints)
+        while i < j and n * kernel[i + 1] >= kernel[i] * d:
+            i += 2
+        j += 3 * (i >> 1)
+        return Fraction(kernel[j] * n + kernel[j + 1] * d, kernel[j + 2] * d)
+
+    def preimage(self, y: RationalLike) -> Fraction:
+        """``(~self)(y)``, read off the kernel without building the inverse."""
+        y = _frac(y)
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._build_kernel()
+        n, d = y.numerator, y.denominator
+        # Breakpoint p/q ends the piece A, B, D, whose value there is
+        # (A*p + B*q)/(D*q); step past it while y is at least that value.
+        end = 2 * len(self.breakpoints)
+        i, j = 0, end
+        while i < end:
+            p, q, A, B, D = kernel[i], kernel[i + 1], kernel[j], kernel[j + 1], kernel[j + 2]
+            if n * D * q < (A * p + B * q) * d:
+                break
+            i, j = i + 2, j + 3
+        return Fraction(kernel[j + 2] * n - kernel[j + 1] * d, kernel[j] * d)
 
     # -- group structure ---------------------------------------------------
 
@@ -147,8 +194,7 @@ class PLMap:
         """Composition ``self after other``."""
         if not isinstance(other, PLMap):
             return NotImplemented
-        inv = ~other
-        xs = sorted({*other.breakpoints, *(inv(b) for b in self.breakpoints)})
+        xs = sorted({*other.breakpoints, *map(other.preimage, self.breakpoints)})
         pts = [(x, self(other(x))) for x in xs]
         ls = self.left_slope * other.left_slope
         rs = self.right_slope * other.right_slope

@@ -33,7 +33,7 @@ from .action import (
     apply_homeo,
     extend_space_for_action,
     induced_germ,
-    invert_homeo,
+    letter_homeo,
     moved_point_witness,
     overlap_ray,
     reduced_words,
@@ -318,7 +318,7 @@ def _sample_homeos(target: Bundle, gen: CaseGen, count: int) -> list[tuple[str, 
     out: list[tuple[str, Homeo]] = []
     for name in sorted(target.generators):
         out.append((name, target.generators[name]))
-        out.append((f"{name}^-1", invert_homeo(target.space, target.generators[name])))
+        out.append((f"{name}^-1", letter_homeo(target.space, target.generators, name, -1)))
     while len(out) < count:
         out.append((f"random[{len(out)}]", gen.homeo(target.space)))
     return out

@@ -144,6 +144,24 @@ class TestApply:
             p = b.space.canonical(p)
             assert apply_homeo(b.space, kinv, apply_homeo(b.space, k, p)) == p
 
+    def test_inverse_is_built_once_and_points_back(self):
+        b = bundle("e3")
+        k = b.generators["k"]
+        kinv = invert_homeo(b.space, k)
+        assert invert_homeo(b.space, k) is kinv
+        assert invert_homeo(b.space, kinv) is k
+        assert kinv == invert_homeo(b.space, Homeo(k.branch_map, k.branch_pl))
+        assert "_inverse" not in repr(k)
+
+    def test_inverse_letters_share_the_generator_inverse(self):
+        b = bundle("e3")
+        f = b.generators["f"]
+        word_homeo(b.space, b.generators, Word.parse("f^-1 k f^-1"))
+        finv = f._inverse
+        assert finv is not None
+        word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space))
+        assert f._inverse is finv and invert_homeo(b.space, f) is finv
+
 
 class TestOverlapRay:
     def test_swap_into_child(self):

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -212,3 +213,84 @@ def test_tail_sound(f, d):
     tail = Germ.of(f)
     x = tail_start(f) + d
     assert f(x) == tail.slope * x + tail.offset
+
+
+# -- the integer kernel against the Fraction formulas ------------------------
+
+
+def oracle_eval(f, x):
+    """``f(x)`` by the ``Fraction`` formulas that evaluation used before the
+    integer kernel; kept here only as an independent oracle."""
+    x = F(x)
+    bps = f.breakpoints
+    if not bps or x >= bps[-1]:
+        return f.right_slope * x + f.tail_offset
+    if x <= bps[0]:
+        return f.values[0] + f.left_slope * (x - bps[0])
+    i = bisect_right(bps, x) - 1
+    x0, x1 = bps[i], bps[i + 1]
+    y0, y1 = f.values[i], f.values[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def oracle_compose(f, g):
+    """``f * g`` built as composition was before ``preimage``: through ``~g``
+    and with every value from :func:`oracle_eval`."""
+    inv = ~g
+    xs = sorted({*g.breakpoints, *(oracle_eval(inv, b) for b in f.breakpoints)})
+    pts = [(x, oracle_eval(f, oracle_eval(g, x))) for x in xs]
+    ls, rs = f.left_slope * g.left_slope, f.right_slope * g.right_slope
+    if not pts:
+        return PLMap.make((), ls, rs, offset=oracle_eval(f, oracle_eval(g, F(0))))
+    return PLMap.make(pts, ls, rs)
+
+
+def marks(f):
+    """Breakpoints and values of ``f``: where pieces meet on either side."""
+    return (*f.breakpoints, *f.values)
+
+
+@given(plmaps(), small_fractions)
+def test_eval_matches_fraction_oracle(f, x):
+    for t in (x, *marks(f)):
+        y = f(t)
+        assert type(y) is F and y == oracle_eval(f, t)
+    assert f.values == tuple(map(f, f.breakpoints))
+
+
+@given(plmaps(), small_fractions)
+def test_preimage_matches_inverse(f, y):
+    inv = ~f
+    for t in (y, *marks(f)):
+        x = f.preimage(t)
+        assert type(x) is F
+        assert x == inv(t) == oracle_eval(inv, t)
+        assert f(x) == t
+    assert f.breakpoints == tuple(map(f.preimage, f.values))
+
+
+@given(plmaps(), plmaps())
+def test_compose_matches_fraction_oracle(f, g):
+    assert f * g == oracle_compose(f, g)
+
+
+@given(plmaps(), small_fractions)
+def test_evaluated_map_equals_fresh_copy(f, x):
+    fresh = PLMap(f.breakpoints, f.values, f.left_slope, f.right_slope, f.tail_offset)
+    f(x), f.preimage(x)
+    assert f == fresh and fresh == f
+    assert hash(f) == hash(fresh)
+    assert repr(f) == repr(fresh)
+    assert {f: 1}[fresh] == 1
+
+
+def test_int_and_string_arguments():
+    assert STEP(3) == STEP("3") == STEP(F(3)) == 6 and type(STEP(3)) is F
+    assert STEP.preimage(6) == STEP.preimage("6") == 3 and type(STEP.preimage(6)) is F
+
+
+def test_rejected_raw_instance_builds_no_kernel():
+    bad = PLMap(breakpoints=(F(0), F(1)), values=(F(0), F(-1)),
+                left_slope=F(1), right_slope=F(1), tail_offset=F(-2))
+    assert check(bad) is not None
+    assert bad._kernel is None
