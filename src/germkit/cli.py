@@ -18,7 +18,7 @@ import click
 from . import serialize
 from .action import UnknownGeneratorError, Word, reduced_words, validate_homeo, word_germ
 from .blowup import BlowupError, alpha_apply, positive_ray_orbit_search
-from .examples import BUNDLED, STANDARD, bundle
+from .examples import BUNDLED, STANDARD, Bundle, bundle
 from .fuzz import CaseGen, FuzzBounds
 from .germ import compare
 from .leafspace import root_embedding
@@ -59,27 +59,22 @@ def _write_reports(reports: list[Report], path: str | None) -> None:
     Path(path).write_text(payload)
 
 
-def _warn_noncanonical(config: SuiteConfig) -> None:
-    pairs = [
-        (config.leafspace_path, "leafspace"),
-        (config.action_path, "action"),
-        (config.blowup_path, "blowup"),
-    ]
-    for path, kind in pairs:
-        if path is None:
-            continue
-        text = Path(path).read_text()
-        if not serialize.is_canonical(text, kind):
+def _targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bundle]:
+    """Resolve the targets once; note non-canonical files before any output."""
+    targets = resolve_targets(config, need_blowup)
+    for target in targets:
+        for path in target.noncanonical:
             click.echo(f"note: {path} is not canonical; re-serialization differs", err=True)
+    return targets
 
 
 def _run(names: list[str], config: SuiteConfig, report_path: str | None) -> None:
+    targets = _targets(config)
     reports = []
     for name in names:
-        report = run_suite(name, config)
+        report = run_suite(name, config, targets)
         _echo_report(report)
         reports.append(report)
-    _warn_noncanonical(config)
     _write_reports(reports, report_path)
     if not all(r.passed for r in reports):
         sys.exit(FAIL)
@@ -178,7 +173,7 @@ def order_compare(lhs: str | None, rhs: str | None, seed: int, cases: int, repor
 def compute_d(targets: dict, words: tuple[str, ...], seed: int) -> None:
     """Evaluate the induced germ of words (default: each generator)."""
     wordlist = [serialize.word_from_text(w, "--word") for w in words]
-    for target in resolve_targets(SuiteConfig(seed=seed, **targets)):
+    for target in _targets(SuiteConfig(seed=seed, **targets)):
         e = root_embedding(target.space)
         for w in wordlist or [Word(((n, 1),)) for n in sorted(target.generators)]:
             germ = word_germ(target.space, target.generators, w, e)
@@ -208,7 +203,7 @@ def check_hom(
 @_seed_option
 def blowup_cmd(targets: dict, seed: int) -> None:
     """Build the blow-up and describe the orbit and classification."""
-    for target in resolve_targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
+    for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
         space, _ = build_blowup_target(target)
         same = space.classify() is target.space.classify()
         click.echo(
@@ -271,7 +266,7 @@ def check_stabilizer(
 def orbit_search(targets: dict, cut: str, ball: int, seed: int) -> None:
     """Search the word ball for an orbit point over the ray (n, +oo)."""
     n = parse_rational(cut)
-    for target in resolve_targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
+    for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
         space, stab = build_blowup_target(target)
         e = root_embedding(target.space)
         found = positive_ray_orbit_search(space, stab, e, n, min(ball, space.depth))
@@ -329,7 +324,7 @@ def emit_plot(targets: dict, what: str, ball: int, seed: int) -> None:
 
     Default targets: e1 for germ tails, e1 and e3 for the orbit."""
     targets["examples"] = targets["examples"] or (("e1",) if what == "germ-tails" else ("e1", "e3"))
-    resolved = resolve_targets(SuiteConfig(seed=seed, **targets), need_blowup=what == "orbit")
+    resolved = _targets(SuiteConfig(seed=seed, **targets), need_blowup=what == "orbit")
     if what == "germ-tails":
         click.echo("target\tword\tlength\tslope\toffset")
         for target in resolved:

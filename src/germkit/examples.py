@@ -50,6 +50,7 @@ class Bundle:
     stabilizer: StabilizerData | None = None
     depth: int = 0
     ball: int = 0
+    noncanonical: tuple[str, ...] = ()
 
     @property
     def has_blowup(self) -> bool:

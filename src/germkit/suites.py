@@ -1,17 +1,17 @@
 """Property suites and deterministic reports.
 
 Each suite checks one claim and is one :class:`Suite` record.
-``cases(config)`` yields ``(count, case)`` pairs: random cases from the
-seed, sampled homeomorphisms of each target, or exhaustive word balls;
-``count`` is what the case adds to the report's case total.
-``check(case)`` is the suite's one predicate: ``None``, or a JSON
-counterexample payload.  ``decode(config, payload)`` rebuilds the smallest
-case that still contains the counterexample.  :func:`run_suite` stops at
-the first payload, and :func:`replay` is ``check(decode(config, payload))
-is not None``: a counterexample replays through the predicate that flagged
-it.  A suite may also carry a :class:`Fault`, a broken bundled example its
-check must catch; one that slips through fails the report with a payload
-that replays by running the fault case again.
+``cases(config, targets)`` yields ``(count, case)`` pairs: random cases,
+sampled homeomorphisms of each target, or exhaustive word balls; ``count``
+is what the case adds to the report's case total.  ``check(case)`` is the
+suite's one predicate: ``None``, or a JSON counterexample payload.
+``decode(config, targets, payload)`` rebuilds the smallest case that still
+contains the counterexample.  :func:`run_suite` stops at the first payload,
+and :func:`replay` is ``check(decode(...)) is not None``: a counterexample
+replays through the predicate that flagged it.  A suite may also carry a
+:class:`Fault`, a broken bundled example its check must catch; one that
+slips through fails the report with a payload that replays by running the
+fault case again.
 
 Canonical report JSON is byte-identical across runs with the same
 configuration and seed; wall-clock timings stay on the object, outside it.
@@ -114,6 +114,7 @@ class Report:
 
 
 Case = tuple
+Cases = Iterator[tuple[int, Case]]
 Payload = dict
 
 
@@ -136,9 +137,9 @@ class Suite:
     """One claim, its case stream, its check and its payload decoder."""
 
     claim: str
-    cases: Callable[[SuiteConfig], Iterator[tuple[int, Case]]]
+    cases: Callable[[SuiteConfig, list[Bundle]], Cases]
     check: Callable[[Case], Payload | None]
-    decode: Callable[[SuiteConfig, Payload], Case]
+    decode: Callable[[SuiteConfig, list[Bundle], Payload], Case]
     fault: Fault | None = None
 
     def fault_check(self, config: SuiteConfig) -> Payload | None:
@@ -156,84 +157,89 @@ class Suite:
 T = TypeVar("T")
 
 
-def _load(file: str, parse: Callable[[str], T]) -> T:
+def _load(file: str, parse: Callable[[str], T], emit: Callable[[T], str], noted: list[str]) -> T:
+    """Read and parse ``file`` once; note it in ``noted`` if it is not canonical."""
     with open(file) as fh:
         text = fh.read()
     try:
-        return parse(text)
+        parsed = parse(text)
     except serialize.SpecFormatError as exc:
         raise serialize.SpecFormatError(exc.message, exc.path, file) from None
+    if emit(parsed) != text:
+        noted.append(file)
+    return parsed
 
 
-def _check_file_target(target: Bundle, config: SuiteConfig) -> None:
-    """Reject files that parse alone but do not fit together."""
-    for i, (name, h) in enumerate(target.generators.items()):
-        problem = validate_homeo(target.space, h)
+def _file_target(config: SuiteConfig) -> Bundle:
+    """Load the user files once; reject files that parse alone but do not fit."""
+    noted: list[str] = []
+    space = _load(config.leafspace_path, serialize.parse_leafspace, serialize.emit_leafspace, noted)
+    generators = _load(config.action_path, serialize.parse_action, serialize.emit_action, noted)
+    try:
+        space = extend_space_for_action(space, generators, config.auto_extend)
+    except ActionError as exc:
+        raise serialize.SpecFormatError(str(exc), "$.generators", config.action_path) from None
+    for i, (name, h) in enumerate(generators.items()):
+        problem = validate_homeo(space, h)
         if problem is not None:
             raise serialize.SpecFormatError(
                 f"generator {name!r} is not a homeomorphism of the leaf space: {problem}",
                 f"$.generators[{i}]", config.action_path,
             )
-    if target.marked is None:
-        return
-    if target.marked.branch not in target.space.branches:
+    if not config.blowup_path:
+        return Bundle("file", space, generators, noncanonical=tuple(noted))
+    emit = lambda spec: serialize.emit_blowup_spec(*spec)
+    marked, stab, depth, ball = _load(config.blowup_path, serialize.parse_blowup_spec, emit, noted)
+    if marked.branch not in space.branches:
         raise serialize.SpecFormatError(
-            f"marked branch {target.marked.branch!r} is not declared in the leaf space",
+            f"marked branch {marked.branch!r} is not declared in the leaf space",
             "$.marked.branch", config.blowup_path,
         )
-    for i, w in enumerate(target.stabilizer.k_generators):
-        if w.letters[0][0] not in target.generators:
+    for i, w in enumerate(stab.k_generators):
+        if w.letters[0][0] not in generators:
             raise serialize.SpecFormatError(
                 f"stabilizer generator {str(w)!r} is not a declared generator",
                 f"$.K_generators[{i}]", config.blowup_path,
             )
+    return Bundle("file", space, generators, marked, stab, depth, ball, tuple(noted))
+
+
+def blowup_targets(targets: list[Bundle]) -> list[Bundle]:
+    """The targets that carry blow-up data; there must be one."""
+    blown = [t for t in targets if t.has_blowup]
+    if not blown:
+        raise SuiteError("no target with blow-up data (file targets need a blow-up spec file)")
+    return blown
 
 
 def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bundle]:
-    """The actions a suite runs against: user files when given, else bundles.
+    """The actions suites run against: user files when given, else bundles.
 
-    File targets are checked once, after ``auto_extend``: every generator
-    must be a homeomorphism of the leaf space, the marked branch must be
-    declared and every stabilizer letter must be a generator.  A failure
-    raises :class:`serialize.SpecFormatError` naming the file and its JSON
-    path.
+    Each file is read and parsed once and checked once, after
+    ``auto_extend``: every generator must be a homeomorphism of the leaf
+    space, the marked branch must be declared and every stabilizer letter
+    must be a generator.  A failure raises :class:`serialize.SpecFormatError`
+    naming the file and its JSON path.  The target's ``noncanonical`` lists
+    the files that would re-serialize differently.
     """
     if config.leafspace_path or config.action_path:
         if not (config.leafspace_path and config.action_path):
             raise SuiteError("file targets need both a leaf-space and an action file")
-        space = _load(config.leafspace_path, serialize.parse_leafspace)
-        generators = _load(config.action_path, serialize.parse_action)
-        try:
-            space = extend_space_for_action(space, generators, config.auto_extend)
-        except ActionError as exc:
-            raise serialize.SpecFormatError(str(exc), "$.generators", config.action_path) from None
-        marked = stab = None
-        depth = ball = 0
-        if config.blowup_path:
-            marked, stab, depth, ball = _load(config.blowup_path, serialize.parse_blowup_spec)
-        target = Bundle("file", space, generators, marked, stab, depth, ball)
-        _check_file_target(target, config)
-        if need_blowup and not target.has_blowup:
-            raise SuiteError("this suite needs a blow-up spec file")
-        return [target]
-    targets = [bundle(name) for name in config.examples]
-    if need_blowup:
-        targets = [t for t in targets if t.has_blowup]
-        if not targets:
-            raise SuiteError("no target with blow-up data")
-    return targets
+        targets = [_file_target(config)]
+    else:
+        targets = [bundle(name) for name in config.examples]
+    return blowup_targets(targets) if need_blowup else targets
 
 
-def _payload_target(config: SuiteConfig, payload: Payload) -> Bundle:
-    name = payload["target"]
-    return resolve_targets(config)[0] if name == "file" else bundle(name)
+def _payload_target(targets: list[Bundle], payload: Payload) -> Bundle:
+    return {t.name: t for t in targets}[payload["target"]]
 
 
 # ---------------------------------------------------------------------------
 # Germ-level suites
 
 
-def _germ_group_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
+def _germ_group_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     gen = CaseGen(config.seed)
     maps = [gen.plmap() for _ in range(config.cases + 2)]
     for i in range(config.cases):
@@ -255,7 +261,7 @@ def _germ_group_check(case: Case) -> Payload | None:
     return {"case": i, "maps": [serialize.plmap_to_data(m) for m in (f, g, h)]}
 
 
-def _quotient_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
+def _quotient_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     gen = CaseGen(config.seed)
     for i in range(config.cases):
         f, g = gen.plmap(), gen.plmap()
@@ -271,7 +277,7 @@ def _quotient_check(case: Case) -> Payload | None:
     return {"case": i, "maps": [serialize.plmap_to_data(m) for m in (f, g, f2, g2)]}
 
 
-def _maps_case(config: SuiteConfig, payload: Payload) -> Case:
+def _maps_case(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     return (payload["case"], *(serialize.plmap_from_data(d) for d in payload["maps"]))
 
 
@@ -282,7 +288,7 @@ def _cone_oracle(u: Germ) -> bool:
     return f(base + 1) > base + 1 and f(base + 1000) > base + 1000
 
 
-def _order_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
+def _order_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     gen = CaseGen(config.seed)
     for i in range(config.cases):
         yield 1, (i, gen.germ(), gen.germ(), gen.germ())
@@ -305,7 +311,7 @@ def _order_check(case: Case) -> Payload | None:
     return {"case": i, "germs": [serialize.germ_to_data(x) for x in (u, v, w)]}
 
 
-def _order_decode(config: SuiteConfig, payload: Payload) -> Case:
+def _order_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     return (payload["case"], *(serialize.germ_from_data(d) for d in payload["germs"]))
 
 
@@ -333,22 +339,22 @@ def _homeo_payload(target: Bundle, label: str, h: Homeo) -> Payload:
     }
 
 
-def _homeo_decode(config: SuiteConfig, payload: Payload) -> tuple[Bundle, str, Homeo]:
+def _homeo_decode(targets: list[Bundle], payload: Payload) -> tuple[Bundle, str, Homeo]:
     label = payload["homeo"]
     pls = {b: serialize.plmap_from_data(d) for b, d in payload["branch_pl"].items()}
-    return _payload_target(config, payload), label, Homeo(payload["branch_map"], pls, name=label)
+    return _payload_target(targets, payload), label, Homeo(payload["branch_map"], pls, name=label)
 
 
-def _embedded_homeo_cases(config: SuiteConfig, count: int) -> Iterator[tuple[int, Case]]:
+def _embedded_homeo_cases(config: SuiteConfig, targets: list[Bundle], count: int) -> Cases:
     """``(target, root embedding, label, homeo)`` for each sampled homeo."""
-    for target in resolve_targets(config):
+    for target in targets:
         e = root_embedding(target.space)
         for label, h in _sample_homeos(target, CaseGen(config.seed), count):
             yield 1, (target, e, label, h)
 
 
-def _embedded_homeo_decode(config: SuiteConfig, payload: Payload) -> Case:
-    target, label, h = _homeo_decode(config, payload)
+def _embedded_homeo_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    target, label, h = _homeo_decode(targets, payload)
     return target, root_embedding(target.space), label, h
 
 
@@ -373,8 +379,8 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
     return True
 
 
-def _overlap_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    for target in resolve_targets(config):
+def _overlap_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
+    for target in targets:
         for label, h in _sample_homeos(target, CaseGen(config.seed), max(8, config.cases // 10)):
             yield 1, ("homeo", target, label, h)
     if not config.leafspace_path:
@@ -399,9 +405,9 @@ def _overlap_check(case: Case) -> Payload | None:
     return {"target": "swap", "index": i}
 
 
-def _overlap_decode(config: SuiteConfig, payload: Payload) -> Case:
+def _overlap_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     if payload["target"] != "swap":
-        return ("homeo", *_homeo_decode(config, payload))
+        return ("homeo", *_homeo_decode(targets, payload))
     gen = CaseGen(config.seed)
     for _ in range(payload["index"]):
         gen.swap_pair()
@@ -418,8 +424,7 @@ def _threshold_check(case: Case) -> Payload | None:
     return None if low == high == default else _homeo_payload(target, label, h)
 
 
-def _homomorphism_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    targets = resolve_targets(config)
+def _homomorphism_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for j, target in enumerate(targets):
         if not target.generators:
             continue
@@ -444,8 +449,8 @@ def _homomorphism_check(case: Case) -> Payload | None:
     return {"target": target.name, "case": i, "words": [str(w1), str(w2)]}
 
 
-def _homomorphism_decode(config: SuiteConfig, payload: Payload) -> Case:
-    target = _payload_target(config, payload)
+def _homomorphism_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    target = _payload_target(targets, payload)
     w1, w2 = (Word.parse(t) for t in payload["words"])
     return target, root_embedding(target.space), payload["case"], w1, w2
 
@@ -560,8 +565,8 @@ def _action_law_case(target: Bundle, config: SuiteConfig, plain: bool = True) ->
     return target, space, stab, samples, config.word_ball
 
 
-def _action_law_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    for target in resolve_targets(config, need_blowup=True):
+def _action_law_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
+    for target in blowup_targets(targets):
         case = _action_law_case(target, config)
         yield len(case[3]), case
 
@@ -583,8 +588,8 @@ def _action_law_check(case: Case) -> Payload | None:
     }
 
 
-def _action_law_decode(config: SuiteConfig, payload: Payload) -> Case:
-    target = _payload_target(config, payload)
+def _action_law_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    target = _payload_target(targets, payload)
     space, stab = build_blowup_target(target)
     sample = payload["sample"]
     point, height = serialize.point_from_data(sample["point"]), sample["height"]
@@ -599,8 +604,8 @@ def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
     return target, space, stab, ball, config.stabilizer_ball
 
 
-def _stabilizer_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    for target in resolve_targets(config, need_blowup=True):
+def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
+    for target in blowup_targets(targets):
         yield 1, _stabilizer_case(target, config)
 
 
@@ -613,8 +618,8 @@ def _stabilizer_check(case: Case) -> Payload | None:
     return None if problem is None else {"target": target.name, "problem": problem}
 
 
-def _stabilizer_decode(config: SuiteConfig, payload: Payload) -> Case:
-    target, space, stab, _, phi_ball = _stabilizer_case(_payload_target(config, payload), config)
+def _stabilizer_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    target, space, stab, _, phi_ball = _stabilizer_case(_payload_target(targets, payload), config)
     ball = len(Word.parse(payload["fixing_word"])) if "fixing_word" in payload else 0
     return target, space, stab, ball, phi_ball
 
@@ -629,8 +634,8 @@ def _orbit_limit_base(target: Bundle, config: SuiteConfig) -> Case:
     return target, space, stab, root_embedding(target.space), ball
 
 
-def _orbit_limit_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    for target in resolve_targets(config, need_blowup=True):
+def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
+    for target in blowup_targets(targets):
         base = _orbit_limit_base(target, config)
         for n in _ORBIT_CUTS:
             yield 1, (*base, n)
@@ -647,8 +652,8 @@ def _orbit_limit_check(case: Case) -> Payload | None:
     return {"target": target.name, "cut": format_rational(n), "word": str(found)}
 
 
-def _orbit_limit_decode(config: SuiteConfig, payload: Payload) -> Case:
-    base = _orbit_limit_base(_payload_target(config, payload), config)
+def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    base = _orbit_limit_base(_payload_target(targets, payload), config)
     return (*base, parse_rational(payload["cut"]))
 
 
@@ -657,8 +662,8 @@ def _injectivity_case(target: Bundle, ball: int) -> Case:
     return target, space, stab, root_embedding(target.space), ball
 
 
-def _injectivity_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
-    for target in resolve_targets(config, need_blowup=True):
+def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
+    for target in blowup_targets(targets):
         case = _injectivity_case(target, config.stabilizer_ball)
         words = reduced_words(sorted(target.generators), config.stabilizer_ball)
         yield sum(1 for w in words if len(w)), case
@@ -670,15 +675,15 @@ def _injectivity_check(case: Case) -> Payload | None:
     return None if failing is None else {"target": target.name, "word": str(failing)}
 
 
-def _injectivity_decode(config: SuiteConfig, payload: Payload) -> Case:
-    return _injectivity_case(_payload_target(config, payload), len(Word.parse(payload["word"])))
+def _injectivity_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    return _injectivity_case(_payload_target(targets, payload), len(Word.parse(payload["word"])))
 
 
 # ---------------------------------------------------------------------------
 # Structural suite
 
 
-def _structural_cases(config: SuiteConfig) -> Iterator[tuple[int, Case]]:
+def _structural_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     gen = CaseGen(config.seed)
     for i in range(min(config.cases, 100)):
         space = gen.leafspace()
@@ -713,12 +718,12 @@ def _structural_check(case: Case) -> Payload | None:
                 return {"kind": "roundtrip-blowup", "target": b.name}
         return None
     small = case[1]
-    first = _report("germ-group-axioms", small).canonical_json()
-    second = _report("germ-group-axioms", small).canonical_json()
+    first = run_suite("germ-group-axioms", small, []).canonical_json()
+    second = run_suite("germ-group-axioms", small, []).canonical_json()
     return None if first == second else {"kind": "determinism"}
 
 
-def _structural_decode(config: SuiteConfig, payload: Payload) -> Case:
+def _structural_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     if "leafspace" in payload:
         space = serialize.leafspace_from_data(payload["leafspace"])
         return "random", payload["case"], space, serialize.point_from_data(payload["marked"])
@@ -750,7 +755,7 @@ SUITES: dict[str, Suite] = {
     ),
     "d-threshold-independence": Suite(
         "the induced germ is the same whatever admissible threshold computes it",
-        lambda config: _embedded_homeo_cases(config, max(1, config.cases // 2)),
+        lambda config, targets: _embedded_homeo_cases(config, targets, max(1, config.cases // 2)),
         _threshold_check, _embedded_homeo_decode,
     ),
     "d-homomorphism": Suite(
@@ -759,7 +764,7 @@ SUITES: dict[str, Suite] = {
     ),
     "d-nontriviality": Suite(
         "moving arbitrarily high line points forces a nontrivial induced germ",
-        lambda config: _embedded_homeo_cases(config, max(8, config.cases // 10)),
+        lambda config, targets: _embedded_homeo_cases(config, targets, max(8, config.cases // 10)),
         _nontriviality_check, _embedded_homeo_decode,
     ),
     "alpha-action-law": Suite(
@@ -799,26 +804,25 @@ def _suite(name: str) -> Suite:
     return SUITES[name]
 
 
-def _report(name: str, config: SuiteConfig) -> Report:
+def run_suite(name: str, config: SuiteConfig, targets: list[Bundle] | None = None) -> Report:
     """Check every case until the first counterexample, then the bundled fault."""
     suite = _suite(name)
+    started = time.perf_counter()
+    if targets is None:
+        targets = resolve_targets(config)
     checked = 0
     counterexample = None
-    for count, case in suite.cases(config):
+    for count, case in suite.cases(config, targets):
         checked += count
         counterexample = suite.check(case)
         if counterexample is not None:
             break
     if counterexample is None and suite.fault is not None and not config.leafspace_path:
         counterexample = suite.fault_check(config)
-    return Report(name, suite.claim, counterexample is None, checked, counterexample, config)
-
-
-def run_suite(name: str, config: SuiteConfig) -> Report:
-    started = time.perf_counter()
-    report = _report(name, config)
-    report.elapsed = time.perf_counter() - started
-    return report
+    elapsed = time.perf_counter() - started
+    return Report(
+        name, suite.claim, counterexample is None, checked, counterexample, config, elapsed
+    )
 
 
 def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
@@ -826,4 +830,4 @@ def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
     suite = _suite(name)
     if "expected" in counterexample:
         return suite.fault_check(config) is not None
-    return suite.check(suite.decode(config, counterexample)) is not None
+    return suite.check(suite.decode(config, resolve_targets(config), counterexample)) is not None
