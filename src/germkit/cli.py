@@ -95,7 +95,8 @@ _report_option = click.option(
 def _with_targets(*default_examples: str):
     """Add ``--leafspace/--action/--blowup/--example``.  The command gets
     ``targets``, the :class:`SuiteConfig` fields they set; ``examples`` is
-    ``default_examples`` when no ``--example`` is given."""
+    ``default_examples`` when no ``--example`` is given, and ``--example``
+    with a file option is an input error."""
 
     def decorate(fn):
         @click.option("--leafspace", "leafspace_path", type=click.Path(exists=True, dir_okay=False))
@@ -109,6 +110,8 @@ def _with_targets(*default_examples: str):
         )
         @functools.wraps(fn)
         def command(leafspace_path, action_path, blowup_path, example, **kwargs):
+            if example and (leafspace_path or action_path or blowup_path):
+                raise SuiteError("--example cannot be combined with file targets")
             targets = dict(
                 leafspace_path=leafspace_path,
                 action_path=action_path,

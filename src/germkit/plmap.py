@@ -240,6 +240,13 @@ def normalize(f: PLMap) -> PLMap:
     return g
 
 
+def reflect(f: PLMap) -> PLMap:
+    """``x -> -f(-x)``: ``f`` read in the reversed coordinate ``-x``."""
+    points = [(-x, -y) for x, y in zip(reversed(f.breakpoints), reversed(f.values))]
+    offset = None if points else -f.tail_offset
+    return PLMap.make(points, f.right_slope, f.left_slope, offset=offset)
+
+
 def check(f: PLMap) -> str | None:
     """Validate a raw instance; return a description of the first problem."""
     try:

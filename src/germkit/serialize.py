@@ -8,7 +8,9 @@ readable.  Parsing is tolerant of non-canonical rationals like ``"2/4"``;
 
 Spaces declared with ``"side": "positive"`` are stored internally with
 negated departures (the engine always assumes branching is below); the file
-coordinates are restored on output.
+coordinates are restored on output.  Actions and blow-up specs are parsed as
+written: the side is known only once a leaf space is paired with them, so
+:func:`germkit.suites.resolve_targets` reflects them.
 
 Parse problems raise :class:`SpecFormatError` whose message carries a
 JSON-path-style location, prefixed by the file name when one is known.

@@ -55,7 +55,8 @@ from .blowup import (
 from .examples import Bundle, bundle
 from .fuzz import CaseGen
 from .germ import Germ, OrderSign, compare, eventual_comparison_bound
-from .leafspace import LeafSpace, Point, root_embedding
+from .leafspace import LeafSpace, Point, Side, root_embedding
+from .plmap import reflect
 from .rationals import format_rational, parse_rational
 
 
@@ -175,6 +176,12 @@ def _file_target(config: SuiteConfig) -> Bundle:
     noted: list[str] = []
     space = _load(config.leafspace_path, serialize.parse_leafspace, serialize.emit_leafspace, noted)
     generators = _load(config.action_path, serialize.parse_action, serialize.emit_action, noted)
+    positive = space.side is Side.POSITIVE
+    if positive:  # file coordinates to internal ones, as for the departures
+        generators = {
+            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()}, name=name)
+            for name, h in generators.items()
+        }
     try:
         space = extend_space_for_action(space, generators, config.auto_extend)
     except ActionError as exc:
@@ -190,6 +197,8 @@ def _file_target(config: SuiteConfig) -> Bundle:
         return Bundle("file", space, generators, noncanonical=tuple(noted))
     emit = lambda spec: serialize.emit_blowup_spec(*spec)
     marked, stab, depth, ball = _load(config.blowup_path, serialize.parse_blowup_spec, emit, noted)
+    if positive:
+        marked = Point(marked.branch, -marked.coord)
     if marked.branch not in space.branches:
         raise serialize.SpecFormatError(
             f"marked branch {marked.branch!r} is not declared in the leaf space",
@@ -204,7 +213,7 @@ def _file_target(config: SuiteConfig) -> Bundle:
     return Bundle("file", space, generators, marked, stab, depth, ball, tuple(noted))
 
 
-def blowup_targets(targets: list[Bundle]) -> list[Bundle]:
+def _blowup_targets(targets: list[Bundle]) -> list[Bundle]:
     """The targets that carry blow-up data; there must be one."""
     blown = [t for t in targets if t.has_blowup]
     if not blown:
@@ -215,20 +224,22 @@ def blowup_targets(targets: list[Bundle]) -> list[Bundle]:
 def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bundle]:
     """The actions suites run against: user files when given, else bundles.
 
-    Each file is read and parsed once and checked once, after
-    ``auto_extend``: every generator must be a homeomorphism of the leaf
-    space, the marked branch must be declared and every stabilizer letter
-    must be a generator.  A failure raises :class:`serialize.SpecFormatError`
-    naming the file and its JSON path.  The target's ``noncanonical`` lists
-    the files that would re-serialize differently.
+    Each file is read and parsed once.  In a ``"side": "positive"`` space
+    every chart map ``f`` becomes ``x -> -f(-x)`` and the marked coordinate
+    is negated, as the departures are.  Then, after ``auto_extend``, every
+    generator must be a homeomorphism of the leaf space, the marked branch
+    must be declared and every stabilizer letter must be a generator.  A
+    failure raises :class:`serialize.SpecFormatError` naming the file and
+    its JSON path.  The target's ``noncanonical`` lists the files that
+    would re-serialize differently.  A blow-up spec needs both other files.
     """
-    if config.leafspace_path or config.action_path:
+    if config.leafspace_path or config.action_path or config.blowup_path:
         if not (config.leafspace_path and config.action_path):
             raise SuiteError("file targets need both a leaf-space and an action file")
         targets = [_file_target(config)]
     else:
         targets = [bundle(name) for name in config.examples]
-    return blowup_targets(targets) if need_blowup else targets
+    return _blowup_targets(targets) if need_blowup else targets
 
 
 def _payload_target(targets: list[Bundle], payload: Payload) -> Bundle:
@@ -566,7 +577,7 @@ def _action_law_case(target: Bundle, config: SuiteConfig, plain: bool = True) ->
 
 
 def _action_law_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    for target in blowup_targets(targets):
+    for target in _blowup_targets(targets):
         case = _action_law_case(target, config)
         yield len(case[3]), case
 
@@ -605,7 +616,7 @@ def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
 
 
 def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    for target in blowup_targets(targets):
+    for target in _blowup_targets(targets):
         yield 1, _stabilizer_case(target, config)
 
 
@@ -635,7 +646,7 @@ def _orbit_limit_base(target: Bundle, config: SuiteConfig) -> Case:
 
 
 def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    for target in blowup_targets(targets):
+    for target in _blowup_targets(targets):
         base = _orbit_limit_base(target, config)
         for n in _ORBIT_CUTS:
             yield 1, (*base, n)
@@ -663,7 +674,7 @@ def _injectivity_case(target: Bundle, ball: int) -> Case:
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    for target in blowup_targets(targets):
+    for target in _blowup_targets(targets):
         case = _injectivity_case(target, config.stabilizer_ball)
         words = reduced_words(sorted(target.generators), config.stabilizer_ball)
         yield sum(1 for w in words if len(w)), case

@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 from pathlib import Path
@@ -7,9 +8,11 @@ from click.testing import CliRunner
 
 from germkit.action import Homeo
 from germkit.cli import main
-from germkit import serialize
-from germkit.leafspace import LeafSpace, Side
-from germkit.plmap import PLMap
+from germkit import serialize, suites
+from germkit.examples import bundle
+from germkit.leafspace import LeafSpace, Point, Side
+from germkit.plmap import PLMap, reflect
+from germkit.suites import SuiteConfig, SuiteError, resolve_targets
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,6 +49,22 @@ def bad_files(tmp_path_factory):
     zz = dict(spec, K_generators=["zz"], phi={"zz": spec["phi"]["k"]})
     (d / "zz.blowup.json").write_text(json.dumps(zz))
     return d
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """Canonical files of every bundled example."""
+    d = tmp_path_factory.mktemp("exported")
+    assert CliRunner().invoke(main, ["examples", "export", str(d)]).exit_code == 0
+    return d
+
+
+def file_args(directory, name, blowup=True):
+    args = [
+        "--leafspace", str(directory / f"{name}.leafspace.json"),
+        "--action", str(directory / f"{name}.action.json"),
+    ]
+    return [*args, "--blowup", str(directory / f"{name}.blowup.json")] if blowup else args
 
 
 @pytest.fixture
@@ -183,6 +202,37 @@ class TestInputErrors:
         assert "action.json: $.generators: action needs more than 1 new branches" in short.output
         assert runner.invoke(main, [*args, "--auto-extend", "2"]).exit_code == 0
 
+    def test_bad_file_with_a_suite_that_ignores_targets(self, runner, exported, tmp_path):
+        space = tmp_path / "bad.json"
+        space.write_text('{"side": "sideways", "branches": []}')
+        result = runner.invoke(
+            main,
+            [
+                "suite", "order-laws", "--cases", "5",
+                "--leafspace", str(space), "--action", str(exported / "e3.action.json"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"{space}: $.side: unknown side 'sideways'" in result.output
+
+    def test_blowup_file_needs_both_other_files(self, runner, exported):
+        spec = str(exported / "e3-phi-fault.blowup.json")
+        result = runner.invoke(main, ["suite", "trivial-stabilizer", "--blowup", spec])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "file targets need both a leaf-space and an action file" in result.output
+        with pytest.raises(SuiteError, match="need both"):
+            resolve_targets(SuiteConfig(blowup_path=spec))
+
+    @pytest.mark.parametrize("kinds", [["blowup"], ["leafspace", "action", "blowup"]], ids=" ".join)
+    def test_example_with_file_targets(self, runner, exported, kinds):
+        files = [arg for k in kinds for arg in (f"--{k}", str(exported / f"e3-phi-fault.{k}.json"))]
+        result = runner.invoke(main, ["suite", "trivial-stabilizer", "--example", "e3", *files])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--example cannot be combined with file targets" in result.output
+
     @pytest.mark.parametrize(
         "args, option",
         [
@@ -308,3 +358,93 @@ class TestReadme:
         assert named == sorted(main.commands)
         for name in named:
             assert runner.invoke(main, [name, "--help"]).exit_code == 0, name
+
+
+class TestFileTargets:
+    @pytest.mark.parametrize(
+        "command",
+        [["compute-d"], ["blowup"], ["orbit-search", "--ball", "1"], ["emit-plot", "--ball", "1"]],
+        ids=" ".join,
+    )
+    def test_noncanonical_note_on_every_command(self, runner, tmp_path, command):
+        assert runner.invoke(main, ["examples", "export", str(tmp_path), "--name", "e1"]).exit_code == 0
+        action = tmp_path / "e1.action.json"
+        action.write_text(action.read_text().replace('"1"', '"2/2"'))
+        result = runner.invoke(main, [*command, *file_args(tmp_path, "e1")])
+        assert result.exit_code == 0, result.output
+        note = f"note: {action} is not canonical; re-serialization differs\n"
+        assert result.output.startswith(note)  # before any output
+        assert result.output.count("note:") == 1
+        assert "note:" not in result.stdout
+
+    @pytest.mark.parametrize("command", TARGET_COMMANDS, ids=" ".join)
+    def test_one_parse_per_file(self, runner, exported, monkeypatch, command):
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("parse_leafspace", "parse_action", "parse_blowup_spec"):
+            counted(serialize, name)
+        counted(suites, "validate_homeo")
+        result = runner.invoke(main, [*command, *file_args(exported, "e3")])
+        assert result.exit_code == 0, result.output
+        generators = len(bundle("e3").generators)
+        assert calls == {
+            "parse_leafspace": 1, "parse_action": 1, "parse_blowup_spec": 1,
+            "validate_homeo": generators,
+        }
+
+    def test_positive_side_in_file_coordinates(self, runner, tmp_path):
+        # r with b departing at 0 and c at 1 on the positive side, g = x -> 2x
+        # below 0 and the identity above it; the mirror is its x -> -x image
+        mirrors = {
+            "positive": ({"b": "0", "c": "1"}, PLMap.make([(0, 0)], 2, 1)),
+            "negative": ({"b": "0", "c": "-1"}, PLMap.make([(0, 0)], 1, 2)),
+        }
+        outputs = []
+        for side, (departures, g) in mirrors.items():
+            rows = [{"id": "r", "parent": None, "departure": None}]
+            rows += [{"id": b, "parent": "r", "departure": d} for b, d in departures.items()]
+            (tmp_path / f"{side}.leafspace.json").write_text(
+                json.dumps({"side": side, "branches": rows})
+            )
+            homeo = Homeo({b: b for b in "rbc"}, {b: g for b in "rbc"}, name="g")
+            (tmp_path / f"{side}.action.json").write_text(serialize.emit_action({"g": homeo}))
+            files = file_args(tmp_path, side, blowup=False)
+            result = runner.invoke(main, ["compute-d", *files])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout)
+            result = runner.invoke(main, ["suite", "overlap-rays", "--cases", "20", *files])
+            assert result.exit_code == 0, result.output
+            assert "PASS overlap-rays" in result.stdout
+        assert outputs == ['file\tg\t{"a": "2", "b": "0"}\n'] * 2
+
+    def test_positive_side_blowup_mirrors_e3(self, runner, exported, tmp_path):
+        e3 = bundle("e3")
+        branches = {name: (br.parent, br.departure) for name, br in e3.space.branches.items()}
+        space = LeafSpace.build(Side.POSITIVE, branches)  # the file negates the departures
+        mirrored = {
+            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()}, name=name)
+            for name, h in e3.generators.items()
+        }
+        marked = Point(e3.marked.branch, -e3.marked.coord)
+        (tmp_path / "pos.leafspace.json").write_text(serialize.emit_leafspace(space))
+        (tmp_path / "pos.action.json").write_text(serialize.emit_action(mirrored))
+        (tmp_path / "pos.blowup.json").write_text(
+            serialize.emit_blowup_spec(marked, e3.stabilizer, e3.depth, e3.ball)
+        )
+        for command in (["blowup"], ["compute-d", "--word", "f k^-1 f"], ["emit-plot", "--what", "orbit"]):
+            ours = runner.invoke(main, [*command, *file_args(tmp_path, "pos")])
+            theirs = runner.invoke(main, [*command, *file_args(exported, "e3")])
+            assert ours.exit_code == theirs.exit_code == 0, ours.output
+            # same orbit and germs; only the classification names the side
+            assert ours.output == theirs.output.replace("one_sided_negative", "one_sided_positive")
+        result = runner.invoke(main, ["check-stabilizer", "--ball", "3", *file_args(tmp_path, "pos")])
+        assert result.exit_code == 0, result.output

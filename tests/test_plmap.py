@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from germkit.germ import Germ
-from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize
+from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize, reflect
 
 # Identity left of 0, slope 2 right of 0.
 STEP = PLMap.make([(0, 0)], 1, 2)
@@ -200,6 +200,19 @@ def test_compose_pointwise(f, g, x):
 @given(plmaps(), small_fractions)
 def test_inverse_roundtrip(f, x):
     assert (~f)(f(x)) == x
+
+
+@given(plmaps(), small_fractions)
+def test_reflect_pointwise(f, x):
+    g = reflect(f)
+    assert g(x) == -f(-x)
+    assert check(g) is None
+    assert reflect(g) == f
+
+
+def test_reflect_swaps_the_tails():
+    assert reflect(STEP) == PLMap.make([(0, 0)], 2, 1)
+    assert reflect(SHIFT) == PLMap.affine(1, -1)
 
 
 @given(plmaps())
