@@ -24,6 +24,18 @@ call finds its piece by integer cross-multiplication and builds one
 ``x = (D*n - B*d)/(A*d)`` at ``y = n/d``, without building ``~f``.  The
 ``Fraction`` fields stay the canonical data: the kernel takes no part in
 ``==``, ``hash`` or ``repr``, and every public value is a ``Fraction``.
+
+Composition and canonicalization run on ints too.  ``f * g`` takes ``g``'s
+breakpoints and the preimages of ``f``'s breakpoints under ``g`` as reduced
+``(n, d)`` pairs, merges the two increasing lists by cross-multiplication,
+and evaluates ``f(g(x))`` at each point by walking both kernels' pieces
+forward once.  One canonicalizer, :func:`_canonical`, takes such integer
+points: it checks that tail slopes are positive and that breakpoints and
+values strictly increase, drops each point whose two slopes ``a/d`` and
+``a'/d'`` agree (``a*d' == a'*d``), and builds ``Fraction`` fields only for
+the points it keeps.  :meth:`PLMap.make` converts its input once and calls
+it; ``*`` calls it directly; ``normalize``, ``check``, ``reflect`` and ``~f``
+go through ``make``.
 """
 
 from __future__ import annotations
@@ -89,39 +101,11 @@ class PLMap:
         affine map); when breakpoints are present it is optional but must
         agree with ``values[-1] - right_slope * breakpoints[-1]``.
         """
-        pts = [(_frac(x), _frac(y)) for x, y in points]
-        ls, rs = _frac(left_slope), _frac(right_slope)
-        if ls <= 0 or rs <= 0:
-            raise InvalidMapError("tail slopes must be positive")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 >= x1:
-                raise InvalidMapError(f"breakpoints not strictly increasing at {format_rational(x1)}")
-            if y0 >= y1:
-                raise InvalidMapError(f"values not strictly increasing at {format_rational(x1)}")
-        if not pts:
-            if offset is None:
-                raise InvalidMapError("an affine map needs an explicit offset")
-            if ls != rs:
-                raise InvalidMapError("map without breakpoints must have equal tail slopes")
-            return cls((), (), ls, rs, _frac(offset))
-        tail = pts[-1][1] - rs * pts[-1][0]
-        if offset is not None and _frac(offset) != tail:
-            raise InvalidMapError(
-                f"offset {format_rational(_frac(offset))} inconsistent with tail "
-                f"{format_rational(tail)}"
-            )
-        # Drop breakpoints where incoming and outgoing slopes agree.  Slopes
-        # between original neighbours are unchanged by earlier removals, so a
-        # single pass suffices.
-        slopes = [ls]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            slopes.append((y1 - y0) / (x1 - x0))
-        slopes.append(rs)
-        kept = [pt for i, pt in enumerate(pts) if slopes[i] != slopes[i + 1]]
-        if not kept:
-            return cls((), (), ls, rs, tail)
-        xs, ys = zip(*kept)
-        return cls(tuple(xs), tuple(ys), ls, rs, ys[-1] - rs * xs[-1])
+        pts = []
+        for x, y in points:
+            x, y = _frac(x), _frac(y)
+            pts.append((x.numerator, x.denominator, y.numerator, y.denominator))
+        return _canonical(pts, _frac(left_slope), _frac(right_slope), offset)
 
     @classmethod
     def affine(cls, slope: RationalLike, offset: RationalLike) -> "PLMap":
@@ -191,16 +175,58 @@ class PLMap:
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "PLMap") -> "PLMap":
-        """Composition ``self after other``."""
+        """Composition ``self after other``, read off the two kernels."""
         if not isinstance(other, PLMap):
             return NotImplemented
-        xs = sorted({*other.breakpoints, *map(other.preimage, self.breakpoints)})
-        pts = [(x, self(other(x))) for x in xs]
+        f = self._kernel or self._build_kernel()
+        g = other._kernel or other._build_kernel()
         ls = self.left_slope * other.left_slope
         rs = self.right_slope * other.right_slope
-        if not pts:
-            return PLMap.make((), ls, rs, offset=self(other(Fraction(0))))
-        return PLMap.make(pts, ls, rs)
+        nf, ng = 2 * len(self.breakpoints), 2 * len(other.breakpoints)
+        if not nf + ng:  # two affine maps: self(other(0))
+            return _canonical([], ls, rs, Fraction(f[0] * g[1] + f[1] * g[2], f[2] * g[2]))
+        # Preimages of self's breakpoints under other, as in preimage() but
+        # walking other's pieces once, since the breakpoints increase.
+        pre = []
+        i, j = 0, ng
+        for k in range(0, nf, 2):
+            n, d = f[k], f[k + 1]
+            while i < ng:
+                p, q, A, B, D = g[i], g[i + 1], g[j], g[j + 1], g[j + 2]
+                if n * D * q < (A * p + B * q) * d:
+                    break
+                i, j = i + 2, j + 3
+            xn, xd = g[j + 2] * n - g[j + 1] * d, g[j] * d
+            c = gcd(xn, xd)
+            pre.append((xn // c, xd // c))
+        # Merge them with other's breakpoints; both lists increase and are
+        # reduced, so equal points are equal pairs.
+        xs = []
+        i = k = 0
+        while i < ng and k < len(pre):
+            p, q = g[i], g[i + 1]
+            n, d = pre[k]
+            if p * d < n * q:
+                xs.append((p, q))
+                i += 2
+            else:
+                xs.append((n, d))
+                k += 1
+                if p == n and q == d:
+                    i += 2
+        xs += zip(g[i:ng:2], g[i + 1 : ng : 2])
+        xs += pre[k:]
+        # self(other(x)) at each point, walking both kernels' pieces forward.
+        pts = []
+        i, j, k, m = 0, ng, 0, nf
+        for n, d in xs:
+            while i < ng and n * g[i + 1] >= g[i] * d:
+                i, j = i + 2, j + 3
+            un, ud = g[j] * n + g[j + 1] * d, g[j + 2] * d
+            while k < nf and un * f[k + 1] >= f[k] * ud:
+                k, m = k + 2, m + 3
+            pts.append((n, d, f[m] * un + f[m + 1] * ud, f[m + 2] * ud))
+        return _canonical(pts, ls, rs, None)
 
     def __invert__(self) -> "PLMap":
         if not self.breakpoints:
@@ -224,6 +250,66 @@ class PLMap:
             f"right={format_rational(self.right_slope)}, "
             f"offset={format_rational(self.tail_offset)})"
         )
+
+
+def _canonical(
+    pts: list[tuple[int, int, int, int]],
+    ls: Fraction,
+    rs: Fraction,
+    offset: RationalLike | None,
+) -> PLMap:
+    """The canonicalizer behind :meth:`PLMap.make` and ``*``.
+
+    Each point ``(xn, xd, yn, yd)`` is ``xn/xd -> yn/yd`` with positive,
+    not necessarily reduced, denominators.  Checks that the tail slopes are
+    positive and that breakpoints and values strictly increase, then drops
+    every point whose two neighbouring slopes agree; all by integer
+    cross-multiplication.  ``Fraction`` fields are built only for the
+    points kept, and for the tail offset.
+    """
+    if ls.numerator <= 0 or rs.numerator <= 0:
+        raise InvalidMapError("tail slopes must be positive")
+    if not pts:
+        if offset is None:
+            raise InvalidMapError("an affine map needs an explicit offset")
+        if ls != rs:
+            raise InvalidMapError("map without breakpoints must have equal tail slopes")
+        return PLMap((), (), ls, rs, _frac(offset))
+    # Each piece's slope as a pair a/d with d > 0, left to right; a point is
+    # kept when the slopes of the pieces on its two sides differ.  Slopes
+    # between original neighbours are unchanged by dropping points, so one
+    # pass suffices.
+    xs, ys = [], []
+    a0, d0 = ls.numerator, ls.denominator
+    xn0, xd0, yn0, yd0 = pts[0]
+    for xn1, xd1, yn1, yd1 in pts[1:]:
+        dx = xn1 * xd0 - xn0 * xd1
+        if dx <= 0:
+            raise InvalidMapError(
+                f"breakpoints not strictly increasing at {format_rational(Fraction(xn1, xd1))}"
+            )
+        dy = yn1 * yd0 - yn0 * yd1
+        if dy <= 0:
+            raise InvalidMapError(
+                f"values not strictly increasing at {format_rational(Fraction(xn1, xd1))}"
+            )
+        a1, d1 = dy * xd0 * xd1, dx * yd0 * yd1
+        if a0 * d1 != a1 * d0:
+            xs.append(Fraction(xn0, xd0))
+            ys.append(Fraction(yn0, yd0))
+        a0, d0 = a1, d1
+        xn0, xd0, yn0, yd0 = xn1, xd1, yn1, yd1
+    rn, rd = rs.numerator, rs.denominator
+    if a0 * rd != rn * d0:
+        xs.append(Fraction(xn0, xd0))
+        ys.append(Fraction(yn0, yd0))
+    tail = Fraction(yn0 * rd * xd0 - rn * xn0 * yd0, yd0 * rd * xd0)
+    if offset is not None and _frac(offset) != tail:
+        raise InvalidMapError(
+            f"offset {format_rational(_frac(offset))} inconsistent with tail "
+            f"{format_rational(tail)}"
+        )
+    return PLMap(tuple(xs), tuple(ys), ls, rs, tail)
 
 
 def normalize(f: PLMap) -> PLMap:

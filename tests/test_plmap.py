@@ -2,10 +2,11 @@ from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from germkit.germ import Germ
 from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize, reflect
+from germkit.rationals import format_rational
 
 # Identity left of 0, slope 2 right of 0.
 STEP = PLMap.make([(0, 0)], 1, 2)
@@ -169,21 +170,28 @@ class TestAgreeOnRay:
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 slopes = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+# Denominators up to 2**64, so that products in the integer routes exceed
+# machine words.
+large_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=2**64)
+large_slopes = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=2**64)
 
 
 @st.composite
-def plmaps(draw):
-    xs = sorted(draw(st.sets(small_fractions, min_size=0, max_size=5)))
-    left = draw(slopes)
-    right = draw(slopes)
+def plmaps(draw, coords=small_fractions, steps=slopes):
+    xs = sorted(draw(st.sets(coords, min_size=0, max_size=5)))
+    left = draw(steps)
+    right = draw(steps)
     if not xs:
-        return PLMap.make((), left, left, offset=draw(small_fractions))
-    y = draw(small_fractions)
+        return PLMap.make((), left, left, offset=draw(coords))
+    y = draw(coords)
     ys = [y]
     for _ in xs[1:]:
-        y = y + draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+        y = y + draw(steps)
         ys.append(y)
     return PLMap.make(zip(xs, ys), left, right)
+
+
+large_plmaps = plmaps(large_fractions, large_slopes)
 
 
 @given(plmaps(), small_fractions, small_fractions)
@@ -246,16 +254,51 @@ def oracle_eval(f, x):
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def oracle_make(points, left_slope, right_slope, offset=None):
+    """``PLMap.make`` as it was before the integer canonicalizer: checks and
+    merges pieces with ``Fraction`` slopes; kept here only as an oracle."""
+    pts = [(F(x), F(y)) for x, y in points]
+    ls, rs = F(left_slope), F(right_slope)
+    if ls <= 0 or rs <= 0:
+        raise InvalidMapError("tail slopes must be positive")
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 >= x1:
+            raise InvalidMapError(f"breakpoints not strictly increasing at {format_rational(x1)}")
+        if y0 >= y1:
+            raise InvalidMapError(f"values not strictly increasing at {format_rational(x1)}")
+    if not pts:
+        if offset is None:
+            raise InvalidMapError("an affine map needs an explicit offset")
+        if ls != rs:
+            raise InvalidMapError("map without breakpoints must have equal tail slopes")
+        return PLMap((), (), ls, rs, F(offset))
+    tail = pts[-1][1] - rs * pts[-1][0]
+    if offset is not None and F(offset) != tail:
+        raise InvalidMapError(
+            f"offset {format_rational(F(offset))} inconsistent with tail {format_rational(tail)}"
+        )
+    slopes = [ls]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        slopes.append((y1 - y0) / (x1 - x0))
+    slopes.append(rs)
+    kept = [pt for i, pt in enumerate(pts) if slopes[i] != slopes[i + 1]]
+    if not kept:
+        return PLMap((), (), ls, rs, tail)
+    xs, ys = zip(*kept)
+    return PLMap(tuple(xs), tuple(ys), ls, rs, ys[-1] - rs * xs[-1])
+
+
 def oracle_compose(f, g):
-    """``f * g`` built as composition was before ``preimage``: through ``~g``
-    and with every value from :func:`oracle_eval`."""
+    """``f * g`` built as composition was before the integer kernel: through
+    ``~g``, with every value from :func:`oracle_eval`, canonicalized by
+    :func:`oracle_make`."""
     inv = ~g
     xs = sorted({*g.breakpoints, *(oracle_eval(inv, b) for b in f.breakpoints)})
     pts = [(x, oracle_eval(f, oracle_eval(g, x))) for x in xs]
     ls, rs = f.left_slope * g.left_slope, f.right_slope * g.right_slope
     if not pts:
-        return PLMap.make((), ls, rs, offset=oracle_eval(f, oracle_eval(g, F(0))))
-    return PLMap.make(pts, ls, rs)
+        return oracle_make((), ls, rs, offset=oracle_eval(f, oracle_eval(g, F(0))))
+    return oracle_make(pts, ls, rs)
 
 
 def marks(f):
@@ -282,9 +325,93 @@ def test_preimage_matches_inverse(f, y):
     assert f.breakpoints == tuple(map(f.preimage, f.values))
 
 
+def fields(f):
+    return (*f.breakpoints, *f.values, f.left_slope, f.right_slope, f.tail_offset)
+
+
 @given(plmaps(), plmaps())
 def test_compose_matches_fraction_oracle(f, g):
     assert f * g == oracle_compose(f, g)
+
+
+@given(large_plmaps, large_plmaps)
+def test_compose_matches_fraction_oracle_large_denominators(f, g):
+    h = f * g
+    assert h == oracle_compose(f, g)
+    assert all(type(v) is F for v in fields(h))
+
+
+# -- the integer canonicalizer against the Fraction one -----------------------
+
+
+@st.composite
+def point_data(draw, coords=small_fractions, steps=slopes):
+    """Increasing points whose segment and tail slopes come from a palette of
+    at most three, so that collinear runs (dropped points) are common."""
+    palette = draw(st.lists(steps, min_size=1, max_size=3))
+    pick = st.sampled_from(palette)
+    x, y = draw(coords), draw(coords)
+    pts = [(x, y)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        dx = draw(steps)
+        x, y = x + dx, y + draw(pick) * dx
+        pts.append((x, y))
+    return pts, draw(pick), draw(pick)
+
+
+def outcome(build, *args, **kwargs):
+    """The map ``build`` returns, or the type and message of what it raises."""
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("points", [point_data(), point_data(large_fractions, large_slopes)],
+                         ids=["small", "large"])
+@given(st.data())
+def test_make_matches_fraction_oracle(points, data):
+    pts, ls, rs = data.draw(points)
+    f = PLMap.make(pts, ls, rs)
+    assert f == oracle_make(pts, ls, rs)
+    assert repr(f) == repr(oracle_make(pts, ls, rs))
+    assert all(type(v) is F for v in fields(f))
+    assert PLMap.make(pts, ls, rs, offset=f.tail_offset) == f
+
+
+def test_make_drops_a_collinear_run():
+    f = PLMap.make([(0, 0), (1, 2), (F(3, 2), 3), (2, 4), (3, 5)], 2, 1)
+    assert f == oracle_make([(0, 0), (1, 2), (F(3, 2), 3), (2, 4), (3, 5)], 2, 1)
+    assert f == PLMap.make([(2, 4)], 2, 1)
+
+
+loose_slopes = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@given(
+    st.lists(st.tuples(small_fractions, small_fractions), max_size=5),
+    loose_slopes,
+    loose_slopes,
+    st.none() | small_fractions,
+)
+def test_make_rejects_like_fraction_oracle(pts, ls, rs, offset):
+    """Unsorted, repeated or non-monotone points, non-positive slopes and
+    inconsistent offsets: the same exception type and message, or the same
+    map when the data happen to be valid."""
+    assert outcome(PLMap.make, pts, ls, rs, offset) == outcome(oracle_make, pts, ls, rs, offset)
+
+
+@given(point_data(), st.integers(min_value=1, max_value=6), st.booleans())
+def test_make_rejects_a_broken_order_like_fraction_oracle(data, at, values_only):
+    """One point moved back to its predecessor's breakpoint or value."""
+    pts, ls, rs = data
+    assume(len(pts) > 1)
+    at = 1 + at % (len(pts) - 1)
+    (x0, y0), (x1, y1) = pts[at - 1], pts[at]
+    pts[at] = (x1, y0) if values_only else (x0, y1)
+    expected = outcome(oracle_make, pts, ls, rs)
+    assert outcome(PLMap.make, pts, ls, rs) == expected
+    assert expected[0] is InvalidMapError
 
 
 @given(plmaps(), small_fractions)
