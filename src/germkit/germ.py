@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .plmap import PLMap
+from .plmap import PLMap, _frac
 from .rationals import format_rational
 
 
@@ -36,8 +36,8 @@ class Germ:
     offset: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "slope", _frac(self.slope))
+        object.__setattr__(self, "offset", _frac(self.offset))
         if self.slope <= 0:
             raise ValueError("germ slope must be positive")
 

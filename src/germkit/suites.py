@@ -699,8 +699,8 @@ def _structural_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for i in range(min(config.cases, 100)):
         space = gen.leafspace()
         yield 1, ("random", i, space, space.canonical(gen.interior_point(space)))
-    for name in config.examples:
-        yield 0, ("bundle", name)
+    for target in targets:
+        yield 0, ("bundle", target)
     yield 0, ("determinism", replace(config, cases=25))
 
 
@@ -718,7 +718,7 @@ def _structural_check(case: Case) -> Payload | None:
         leafspace, point = serialize.leafspace_to_data(space), serialize.point_to_data(marked)
         return {"case": i, "kind": failure, "leafspace": leafspace, "marked": point}
     if kind == "bundle":
-        b = bundle(case[1])
+        b = case[1]
         text = serialize.emit_action(b.generators)
         if serialize.emit_action(serialize.parse_action(text)) != text:
             return {"kind": "roundtrip", "target": b.name}
@@ -740,7 +740,7 @@ def _structural_decode(config: SuiteConfig, targets: list[Bundle], payload: Payl
         return "random", payload["case"], space, serialize.point_from_data(payload["marked"])
     if payload["kind"] == "determinism":
         return "determinism", replace(config, cases=25)
-    return "bundle", payload["target"]
+    return "bundle", _payload_target(targets, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -448,3 +448,41 @@ class TestFileTargets:
             assert ours.output == theirs.output.replace("one_sided_negative", "one_sided_positive")
         result = runner.invoke(main, ["check-stabilizer", "--ball", "3", *file_args(tmp_path, "pos")])
         assert result.exit_code == 0, result.output
+
+    def test_structural_round_trips_file_targets(self, exported, monkeypatch):
+        config = SuiteConfig(
+            cases=5,
+            leafspace_path=str(exported / "e3.leafspace.json"),
+            action_path=str(exported / "e3.action.json"),
+            blowup_path=str(exported / "e3.blowup.json"),
+        )
+        (target,) = resolve_targets(config)
+        emitted = []
+        for name in ("emit_action", "emit_blowup_spec"):
+            original = getattr(serialize, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                emitted.append((_name, args))
+                return _original(*args)
+
+            monkeypatch.setattr(serialize, name, wrapper)
+        report = suites.run_suite("structural", config, [target])
+        assert report.passed, report.counterexample
+        # emit, parse, emit again: the file bundle's action, then its blow-up spec
+        assert [name for name, _ in emitted] == ["emit_action"] * 2 + ["emit_blowup_spec"] * 2
+        assert emitted[0][1] == (target.generators,) and emitted[0][1][0] is target.generators
+        spec = (target.marked, target.stabilizer, target.depth, target.ball)
+        assert all(a is b for a, b in zip(emitted[2][1], spec, strict=True))
+
+    def test_structural_catches_a_file_spec_that_does_not_round_trip(self, exported, monkeypatch):
+        parse = serialize.parse_blowup_spec
+        monkeypatch.setattr(
+            serialize, "parse_blowup_spec",
+            lambda text: (lambda marked, stab, depth, ball: (marked, stab, depth + 1, ball))(*parse(text)),
+        )
+        config = SuiteConfig(cases=5, **{
+            f"{kind}_path": str(exported / f"e3.{kind}.json") for kind in ("leafspace", "action", "blowup")
+        })
+        report = suites.run_suite("structural", config)
+        assert report.counterexample == {"kind": "roundtrip-blowup", "target": "file"}
+        assert suites.replay("structural", config, report.counterexample)

@@ -131,3 +131,20 @@ def test_positive_cone_matches_eventual_comparison(u):
 def test_slope_must_be_positive():
     with pytest.raises(ValueError):
         Germ(0, 1)
+
+
+class TestFields:
+    def test_fractions_are_kept(self):
+        slope, offset = F(3, 2), F(-7, 5)
+        u = Germ(slope, offset)
+        assert u.slope is slope and u.offset is offset
+
+    def test_ints_convert(self):
+        u = Germ(1, 3)
+        assert type(u.slope) is F and type(u.offset) is F
+        assert u == Germ(F(1), F(3))
+
+    @pytest.mark.parametrize("slope, offset", [(0.5, 0), (1, 0.25)])
+    def test_floats_are_rejected(self, slope, offset):
+        with pytest.raises(TypeError, match="got"):
+            Germ(slope, offset)
