@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .germ import Germ
-from .leafspace import Embedding, LeafSpace, Point
+from .leafspace import Embedding, LeafSpace, Point, Side
 from .plmap import PLMap, _frac, agree_on_ray, check as check_plmap
 
 FULL_LINE = None  # overlap_ray result when the whole embedded line maps into itself
@@ -187,7 +187,9 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     bijection, orientation (each chart map must be an increasing canonical
     PL map), agreement of child and parent maps above the departure, or the
     departure-image condition (the image charts must share their lines from
-    exactly the mapped departure on).
+    exactly the mapped departure on).  For a ``"side": "positive"`` space,
+    stored reflected, the message speaks in file coordinates: maps disagree
+    below the departure, and coordinates are negated back.
     """
     names = set(space.branches)
     undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
@@ -206,6 +208,7 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
         problem = check_plmap(h.branch_pl[b])
         if problem is not None:
             return f"orientation: branch {b!r} chart map invalid ({problem})"
+    sign, shared = (-1, "below") if space.side is Side.POSITIVE else (1, "above")
     for child in sorted(names):
         par = space.parent(child)
         if par is None:
@@ -215,14 +218,15 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
         if not agree_on_ray(h.branch_pl[child], h.branch_pl[par], dep):
             return (
                 f"compatibility: chart maps of {child!r} and parent {par!r} "
-                f"disagree above the departure"
+                f"disagree {shared} the departure"
             )
         image_dep = h.branch_pl[par](dep)
         threshold = space.share_threshold(h.branch_map[child], h.branch_map[par])
         if threshold != image_dep:
             return (
                 f"departure: image branches {h.branch_map[child]!r}, "
-                f"{h.branch_map[par]!r} share from {threshold}, expected {image_dep}"
+                f"{h.branch_map[par]!r} share from {sign * threshold}, "
+                f"expected {sign * image_dep}"
             )
     return None
 

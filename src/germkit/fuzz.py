@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import Homeo, Word
+from .germ import Germ
 from .leafspace import LeafSpace, Point, Side
-from .plmap import PLMap
+from .plmap import PLMap, _canonical
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,12 @@ class CaseGen:
         return Fraction(num, den)
 
     def fraction_between(self, lo: Fraction, hi: Fraction) -> Fraction:
-        """A rational strictly between lo and hi."""
-        den = self.rng.randint(2, self.bounds.max_denominator)
-        span = hi - lo
-        step = self.rng.randint(1, 2 * den - 1)
-        return lo + span * Fraction(step, 2 * den)
+        """A rational strictly between lo and hi: ``lo + (hi - lo) * step/den``,
+        for an even ``den`` and ``0 < step < den``."""
+        den = 2 * self.rng.randint(2, self.bounds.max_denominator)
+        step = self.rng.randint(1, den - 1)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        return Fraction(a * d * den + (c * b - a * d) * step, b * d * den)
 
     # -- maps ----------------------------------------------------------------
 
@@ -64,20 +66,21 @@ class CaseGen:
         left = self.positive_slope()
         right = self.positive_slope()
         if count == 0:
-            return PLMap.make((), left, left, offset=self.fraction())
+            return _canonical([], left, left, self.fraction())
+        # Breakpoints x + k/D at distinct integers x, values y0 + m1/D + ...,
+        # as unreduced (n, d) int pairs over D and y0's denominator times D.
+        den = b.max_denominator
         xs = sorted(self.rng.sample(range(-b.max_magnitude, b.max_magnitude), count))
-        xs = [Fraction(x) + Fraction(self.rng.randint(0, b.max_denominator - 1), b.max_denominator) for x in xs]
-        xs = sorted(set(xs))
+        xs = [x * den + self.rng.randint(0, den - 1) for x in xs]
         y = self.fraction()
-        ys = [y]
-        for _ in range(len(xs) - 1):
-            y = y + Fraction(self.rng.randint(1, 4 * b.max_denominator), b.max_denominator)
-            ys.append(y)
-        return PLMap.make(zip(xs, ys), left, right)
+        yn, yd = y.numerator * den, y.denominator * den
+        pts = [(xs[0], den, yn, yd)]
+        for xn in xs[1:]:
+            yn += self.rng.randint(1, 4 * den) * y.denominator
+            pts.append((xn, den, yn, yd))
+        return _canonical(pts, left, right, None)
 
-    def germ(self):
-        from .germ import Germ
-
+    def germ(self) -> Germ:
         return Germ(self.positive_slope(), self.fraction())
 
     def mutate_below(self, f: PLMap, cutoff: Fraction) -> PLMap:

@@ -10,6 +10,14 @@ multiply by composition of representatives:
 and carry the left-invariant total order whose positive cone consists of the
 germs that are eventually above the diagonal: ``(a, b)`` is positive iff
 ``a > 1`` or (``a == 1`` and ``b > 0``).
+
+Arithmetic runs on Python ints.  ``*``, ``~`` and :meth:`Germ.is_positive`
+read the numerators and denominators of the two ``Fraction`` fields and
+compute on them; a product or inverse builds its two fields with one
+``Fraction(n, d)`` each and skips the checks of the public constructor,
+since products and inverses of positive slopes are positive.  The fields
+stay ``Fraction``s, so ``==``, ``hash`` and ``repr`` are unchanged, and
+:func:`compare` is still defined as "``~u * v`` is positive".
 """
 
 from __future__ import annotations
@@ -51,19 +59,30 @@ class Germ:
         return cls(Fraction(1), Fraction(0))
 
     def __mul__(self, other: "Germ") -> "Germ":
+        """``(p1/q1, r1/s1) * (p2/q2, r2/s2)``: the slope ``p1*p2 / (q1*q2)``
+        and the offset ``p1/q1 * r2/s2 + r1/s1``."""
         if not isinstance(other, Germ):
             return NotImplemented
-        return Germ(self.slope * other.slope, self.slope * other.offset + self.offset)
+        a1, b1, a2, b2 = self.slope, self.offset, other.slope, other.offset
+        p1, q1, r1, s1 = a1.numerator, a1.denominator, b1.numerator, b1.denominator
+        p2, q2, r2, s2 = a2.numerator, a2.denominator, b2.numerator, b2.denominator
+        return _germ(p1 * p2, q1 * q2, p1 * r2 * s1 + r1 * q1 * s2, q1 * s2 * s1)
 
     def __invert__(self) -> "Germ":
-        return Germ(1 / self.slope, -self.offset / self.slope)
+        """``~(p/q, r/s) == (q/p, -(r*q) / (s*p))``, with ``p > 0``."""
+        a, b = self.slope, self.offset
+        p, q = a.numerator, a.denominator
+        return _germ(q, p, -b.numerator * q, b.denominator * p)
 
     def is_identity(self) -> bool:
         return self.slope == 1 and self.offset == 0
 
     def is_positive(self) -> bool:
         """Membership in the positive cone (eventually above the diagonal)."""
-        return self.slope > 1 or (self.slope == 1 and self.offset > 0)
+        p, q = self.slope.numerator, self.slope.denominator
+        if p == q:  # slope 1, in lowest terms
+            return self.offset.numerator > 0
+        return p > q
 
     def representative(self) -> PLMap:
         """The affine map with this germ (the canonical representative)."""
@@ -71,6 +90,16 @@ class Germ:
 
     def __repr__(self) -> str:
         return f"Germ({format_rational(self.slope)}, {format_rational(self.offset)})"
+
+
+def _germ(sn: int, sd: int, on: int, od: int) -> Germ:
+    """The germ ``(sn/sd, on/od)``, for a positive slope and positive
+    denominators, without the checks of ``Germ(...)``."""
+    g = object.__new__(Germ)
+    fields = g.__dict__
+    fields["slope"] = Fraction(sn, sd)
+    fields["offset"] = Fraction(on, od)
+    return g
 
 
 def compare(u: Germ, v: Germ) -> OrderSign:

@@ -426,6 +426,39 @@ class TestFileTargets:
             assert "PASS overlap-rays" in result.stdout
         assert outputs == ['file\tg\t{"a": "2", "b": "0"}\n'] * 2
 
+    @pytest.mark.parametrize(
+        "departures, charts, message",
+        [
+            # c's chart is x -> 3x below 0 while r's is x -> 2x: in the file
+            # the lines share below c's departure 1, and there they differ
+            (
+                {"b": "0", "c": "1"},
+                {"r": PLMap.make([(0, 0)], 2, 1), "b": PLMap.make([(0, 0)], 2, 1),
+                 "c": PLMap.make([(0, 0)], 3, 1)},
+                "chart maps of 'c' and parent 'r' disagree below the departure",
+            ),
+            # x -> x + 1 moves b's departure 2 to 3, but b and r share from 2
+            (
+                {"b": "2"},
+                {"r": PLMap.affine(1, 1), "b": PLMap.affine(1, 1)},
+                "image branches 'b', 'r' share from 2, expected 3",
+            ),
+        ],
+        ids=["compatibility", "departure"],
+    )
+    def test_positive_side_errors_in_file_coordinates(
+        self, runner, tmp_path, departures, charts, message
+    ):
+        rows = [{"id": "r", "parent": None, "departure": None}]
+        rows += [{"id": b, "parent": "r", "departure": d} for b, d in departures.items()]
+        (tmp_path / "pos.leafspace.json").write_text(json.dumps({"side": "positive", "branches": rows}))
+        homeo = Homeo({b: b for b in charts}, charts, name="g")
+        (tmp_path / "pos.action.json").write_text(serialize.emit_action({"g": homeo}))
+        result = runner.invoke(main, ["compute-d", *file_args(tmp_path, "pos", blowup=False)])
+        assert result.exit_code == 2
+        assert "$.generators[0]" in result.output
+        assert message in result.output
+
     def test_positive_side_blowup_mirrors_e3(self, runner, exported, tmp_path):
         e3 = bundle("e3")
         branches = {name: (br.parent, br.departure) for name, br in e3.space.branches.items()}

@@ -1,0 +1,83 @@
+"""``CaseGen``'s integer map and rational generation against the ``Fraction``
+bodies it replaced: the same objects from the same draws, in the same order.
+
+Each oracle drives its own ``CaseGen`` on the same seed, so a draw added,
+dropped or moved shows as a different object or a different ``rng`` state.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from germkit.fuzz import CaseGen, FuzzBounds
+from germkit.plmap import PLMap
+
+
+def oracle_fraction_between(gen, lo, hi):
+    """``CaseGen.fraction_between`` by its ``Fraction`` formula; kept here
+    only as an independent oracle."""
+    den = gen.rng.randint(2, gen.bounds.max_denominator)
+    span = hi - lo
+    step = gen.rng.randint(1, 2 * den - 1)
+    return lo + span * F(step, 2 * den)
+
+
+def oracle_plmap(gen, max_breakpoints=None):
+    """``CaseGen.plmap`` as it was before it built integer points."""
+    b = gen.bounds
+    count = gen.rng.randint(0, b.max_breakpoints if max_breakpoints is None else max_breakpoints)
+    left = gen.positive_slope()
+    right = gen.positive_slope()
+    if count == 0:
+        return PLMap.make((), left, left, offset=gen.fraction())
+    xs = sorted(gen.rng.sample(range(-b.max_magnitude, b.max_magnitude), count))
+    xs = [F(x) + F(gen.rng.randint(0, b.max_denominator - 1), b.max_denominator) for x in xs]
+    xs = sorted(set(xs))
+    y = gen.fraction()
+    ys = [y]
+    for _ in range(len(xs) - 1):
+        y = y + F(gen.rng.randint(1, 4 * b.max_denominator), b.max_denominator)
+        ys.append(y)
+    return PLMap.make(zip(xs, ys), left, right)
+
+
+def oracle_mutate_below(gen, f, cutoff):
+    """``CaseGen.mutate_below`` through :func:`oracle_fraction_between`."""
+    width = F(gen.rng.randint(1, 8))
+    lo = cutoff - 2 * width
+    mid_x = oracle_fraction_between(gen, lo, cutoff)
+    mid_y = oracle_fraction_between(gen, lo, cutoff)
+    bump = PLMap.make([(lo, lo), (mid_x, mid_y), (cutoff, cutoff)], 1, 1)
+    return f * bump
+
+
+def same(got, want):
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("max_denominator", [2, 100])
+@pytest.mark.parametrize("max_breakpoints", range(6))
+def test_streams_match_fraction_oracles(max_breakpoints, max_denominator):
+    bounds = FuzzBounds(max_breakpoints=max_breakpoints, max_denominator=max_denominator)
+    for seed in range(50):
+        gen, oracle = CaseGen(seed, bounds), CaseGen(seed, bounds)
+        for _ in range(3):
+            f = gen.plmap()
+            assert same(f, oracle_plmap(oracle))
+            limit = gen.rng.randint(0, max_breakpoints)
+            assert limit == oracle.rng.randint(0, max_breakpoints)
+            assert same(gen.plmap(limit), oracle_plmap(oracle, limit))
+            cutoff = gen.fraction()
+            assert cutoff == oracle.fraction()
+            assert same(gen.mutate_below(f, cutoff), oracle_mutate_below(oracle, f, cutoff))
+            lo, hi = gen.fraction(), gen.fraction(lo=51, hi=60)  # lo <= 50 < 51 <= hi
+            assert (lo, hi) == (oracle.fraction(), oracle.fraction(lo=51, hi=60))
+            assert same(gen.fraction_between(lo, hi), oracle_fraction_between(oracle, lo, hi))
+        assert gen.rng.getstate() == oracle.rng.getstate(), seed
+
+
+def test_fraction_between_is_strictly_between():
+    gen = CaseGen(0, FuzzBounds(max_denominator=2))
+    for lo, hi in [(F(-3, 7), F(-1, 7)), (F(0), F(1, 10**20)), (F(-5), F(5, 3))]:
+        for _ in range(20):
+            assert lo < gen.fraction_between(lo, hi) < hi

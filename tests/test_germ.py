@@ -148,3 +148,78 @@ class TestFields:
     def test_floats_are_rejected(self, slope, offset):
         with pytest.raises(TypeError, match="got"):
             Germ(slope, offset)
+
+
+# -- integer arithmetic against the Fraction formulas ---------------------------
+
+
+def oracle_mul(u, v):
+    """``u * v`` by the ``Fraction`` formulas that ``Germ.__mul__`` used before
+    it ran on ints; kept here only as an independent oracle."""
+    return Germ(u.slope * v.slope, u.slope * v.offset + u.offset)
+
+
+def oracle_invert(u):
+    return Germ(1 / u.slope, -u.offset / u.slope)
+
+
+def oracle_is_positive(u):
+    return u.slope > 1 or (u.slope == 1 and u.offset > 0)
+
+
+def oracle_compare(u, v):
+    if u == v:
+        return OrderSign.EQ
+    return OrderSign.LT if oracle_is_positive(oracle_mul(oracle_invert(u), v)) else OrderSign.GT
+
+
+BIG = 2**64
+big_offsets = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+)
+wide_germs = st.one_of(
+    germs,
+    st.builds(Germ, st.builds(F, st.integers(1, BIG), st.integers(1, BIG)), big_offsets),
+    st.builds(Germ, st.just(F(1)), big_offsets),  # translations: the order reads the offset
+)
+# slope above, at and below 1, each with a negative, zero and positive offset
+EDGES = [Germ(a, b) for a in (2, 1, F(1, 2)) for b in (-5, 0, F(1, 3))]
+
+
+def same_germ(got, want):
+    """Equal values, ``Fraction`` fields and the same text."""
+    return got == want and type(got.slope) is type(got.offset) is F and repr(got) == repr(want)
+
+
+@given(wide_germs, wide_germs)
+def test_int_product_matches_fractions(u, v):
+    assert same_germ(u * v, oracle_mul(u, v))
+
+
+@given(wide_germs)
+def test_int_inverse_matches_fractions(u):
+    assert same_germ(~u, oracle_invert(u))
+
+
+@pytest.mark.parametrize("u", EDGES, ids=repr)
+def test_is_positive_matches_fractions_at_edges(u):
+    assert u.is_positive() == oracle_is_positive(u)
+
+
+@given(wide_germs)
+def test_is_positive_matches_fractions(u):
+    assert u.is_positive() == oracle_is_positive(u)
+
+
+@given(wide_germs, wide_germs)
+def test_compare_matches_fractions(u, v):
+    assert compare(u, v) is oracle_compare(u, v)
+
+
+@given(wide_germs, big_offsets)
+def test_compare_matches_fractions_at_equal_slopes(u, offset):
+    # ~u * v has slope 1 here, so the order is decided by the offset
+    v = Germ(u.slope, offset)
+    assert compare(u, v) is oracle_compare(u, v)

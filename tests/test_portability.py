@@ -1,0 +1,46 @@
+"""The package uses only ``Fraction``'s public API.
+
+``pyproject.toml`` allows Python 3.10+, and ``Fraction``'s private names
+differ between versions: 3.12 adds ``_from_coprime_ints`` and drops the
+``_normalize`` argument, for example.  The integer fast paths must go
+through ``numerator``, ``denominator`` and ``Fraction(n, d)`` instead.
+"""
+
+import io
+import tokenize
+from pathlib import Path
+
+import germkit
+
+PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+PACKAGE = Path(germkit.__file__).parent
+
+
+def private_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each code token naming a private ``Fraction`` member;
+    comments and strings are not code."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [(t.start[0], t.string) for t in tokens if t.type == tokenize.NAME and t.string in PRIVATE]
+
+
+def test_no_private_fraction_api():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
+        for path in modules
+        for line, name in private_uses(path.read_text())
+    ]
+    assert found == []
+
+
+def test_scanner_sees_attributes_and_keywords():
+    source = (
+        "x = Fraction(1, 2, _normalize=False)\n"
+        "y = Fraction._from_coprime_ints(1, 2)\n"
+        "z = q._numerator + q._denominator  # q._numerator\n"
+        "w = bounds.max_denominator, '_numerator'\n"
+    )
+    assert private_uses(source) == [
+        (1, "_normalize"), (2, "_from_coprime_ints"), (3, "_numerator"), (3, "_denominator"),
+    ]
