@@ -11,13 +11,19 @@ assignment independent of how the interval was reached.
 
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
+
+The action is implemented once, by :func:`alpha_apply_all`, which applies
+one word to a sequence of points: it fetches the word's homeo once and each
+orbit point's height map once per call.  :func:`alpha_apply` is its
+one-point case, and :func:`validate_alpha_action` applies each word to its
+whole sample list through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .action import (
     ActionError,
@@ -294,41 +300,62 @@ class BlowupSpace:
 # The twisted action
 
 
+def alpha_apply_all(
+    space: BlowupSpace,
+    stab: StabilizerData,
+    h: Word,
+    qs: Iterable[BlownPoint],
+) -> Iterator[BlownPoint]:
+    """Act by ``h`` on each blown point of ``qs``, yielding the images lazily.
+
+    Plain points move by the underlying action (landing on a blown interval
+    means the orbit was expanded too shallowly and raises).  Interval points
+    move interval-to-interval with the coset-twisted height map.
+
+    The homeo of ``h`` is fetched once, when the first image is asked for,
+    and the height map ``phi(twist(h, g))`` once per orbit point ``g(marked)``
+    met; neither outlives the generator.  Each image is computed only when it
+    is asked for, so a caller that stops early sees exactly the errors that
+    applying ``h`` to the points one at a time, up to there, would raise.
+    """
+    homeo = space.word_homeo(h)
+    base, orbit = space.base, space.orbit
+    height_maps: dict[Point, PLMap] = {}
+    for q in qs:
+        image = apply_homeo(base, homeo, q.point)
+        if q.height is None:
+            if image in orbit:
+                raise OrbitEscapeError(
+                    f"plain point {q.point!r} maps into a blown interval; "
+                    f"expand the orbit depth"
+                )
+            yield BlownPoint(image)
+            continue
+        if q.point not in orbit:
+            raise BlowupError(f"{q.point!r} is not a blown orbit point")
+        if image not in orbit:
+            raise OrbitEscapeError(
+                f"image of orbit point {q.point!r} under {str(h)!r} needs depth "
+                f"beyond {space.depth}"
+            )
+        height_map = height_maps.get(q.point)
+        if height_map is None:
+            height_map = stab.phi_word(stab.twist(h, orbit[q.point]))
+            height_maps[q.point] = height_map
+        new_height = height_map(q.height)
+        if not (0 <= new_height <= 1):
+            raise BlowupError("twist map left the unit interval")
+        yield BlownPoint(image, new_height)
+
+
 def alpha_apply(
     space: BlowupSpace,
     stab: StabilizerData,
     h: Word,
     q: BlownPoint,
 ) -> BlownPoint:
-    """Act by ``h`` on a blown point.
-
-    Plain points move by the underlying action (landing on a blown interval
-    means the orbit was expanded too shallowly and raises).  Interval points
-    move interval-to-interval with the coset-twisted height map.
-    """
-    homeo = space.word_homeo(h)
-    image = apply_homeo(space.base, homeo, q.point)
-    if not q.is_interval():
-        if image in space.orbit:
-            raise OrbitEscapeError(
-                f"plain point {q.point!r} maps into a blown interval; "
-                f"expand the orbit depth"
-            )
-        return BlownPoint(image)
-    if q.point not in space.orbit:
-        raise BlowupError(f"{q.point!r} is not a blown orbit point")
-    if image not in space.orbit:
-        raise OrbitEscapeError(
-            f"image of orbit point {q.point!r} under {str(h)!r} needs depth "
-            f"beyond {space.depth}"
-        )
-    g = space.orbit[q.point]
-    twist = stab.twist(h, g)
-    height_map = stab.phi_word(twist)
-    new_height = height_map(q.height)
-    if not (0 <= new_height <= 1):
-        raise BlowupError("twist map left the unit interval")
-    return BlownPoint(image, new_height)
+    """Act by ``h`` on one blown point; see :func:`alpha_apply_all`."""
+    return next(alpha_apply_all(space, stab, h, (q,)))
 
 
 @dataclass(frozen=True)
@@ -351,26 +378,33 @@ def validate_alpha_action(
     Runs over every pair of reduced words with combined length ``<= ball``
     (which includes the empty word, so identity is covered).  Returns the
     first violation or ``None``.
+
+    Each word acts on the whole sample list through one
+    :func:`alpha_apply_all` call.  The stepwise route applies ``outer`` to
+    ``inner``'s images and the combined route applies the product word's own
+    homeo and twists, so the two stay independent.  Both routes advance one
+    sample at a time, stepwise before combined, so the first violation and
+    the first error raised are those of checking the samples one by one.
     """
+    if not samples:  # then no word is applied, nor its homeo fetched
+        return None
     names = sorted(space.generators)
     words = reduced_words(names, ball)
     empty = Word()
-    for q in samples:
-        image = alpha_apply(space, stab, empty, q)
+    for q, image in zip(samples, alpha_apply_all(space, stab, empty, samples)):
         if image != q:
             return ActionLawViolation(empty, empty, q, image, q)
     for inner in words:
         budget = ball - len(inner)
         if budget < 0:
             continue
-        mids = [alpha_apply(space, stab, inner, q) for q in samples]
+        mids = list(alpha_apply_all(space, stab, inner, samples))
         for outer in words:
             if len(outer) > budget:
                 continue
-            product = outer * inner
-            for q, mid in zip(samples, mids):
-                stepwise = alpha_apply(space, stab, outer, mid)
-                combined = alpha_apply(space, stab, product, q)
+            stepwise_all = alpha_apply_all(space, stab, outer, mids)
+            combined_all = alpha_apply_all(space, stab, outer * inner, samples)
+            for q, stepwise, combined in zip(samples, stepwise_all, combined_all):
                 if combined != stepwise:
                     return ActionLawViolation(outer, inner, q, combined, stepwise)
     return None

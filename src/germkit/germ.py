@@ -15,7 +15,9 @@ Arithmetic runs on Python ints.  ``*``, ``~`` and :meth:`Germ.is_positive`
 read the numerators and denominators of the two ``Fraction`` fields and
 compute on them; a product or inverse builds its two fields with one
 ``Fraction(n, d)`` each and skips the checks of the public constructor,
-since products and inverses of positive slopes are positive.  The fields
+since products and inverses of positive slopes are positive.
+:meth:`Germ.of` keeps a map's ``Fraction`` tail fields and checks only the
+slope's sign, and :meth:`Germ.identity` builds its germ directly.  The fields
 stay ``Fraction``s, so ``==``, ``hash`` and ``repr`` are unchanged, and
 :func:`compare` is still defined as "``~u * v`` is positive".
 """
@@ -51,12 +53,21 @@ class Germ:
 
     @classmethod
     def of(cls, f: PLMap) -> "Germ":
-        """Germ of a canonical map: its affine tail."""
-        return cls(f.right_slope, f.tail_offset)
+        """Germ of a canonical map: its affine tail.
+
+        A map's ``Fraction`` fields are kept as they are; a raw map whose
+        slope is not positive raises as ``Germ(...)`` does.
+        """
+        slope, offset = f.right_slope, f.tail_offset
+        if type(slope) is not Fraction or type(offset) is not Fraction:
+            return cls(slope, offset)
+        if slope.numerator <= 0:
+            raise ValueError("germ slope must be positive")
+        return _fields(slope, offset)
 
     @classmethod
     def identity(cls) -> "Germ":
-        return cls(Fraction(1), Fraction(0))
+        return _fields(_ONE, _ZERO)
 
     def __mul__(self, other: "Germ") -> "Germ":
         """``(p1/q1, r1/s1) * (p2/q2, r2/s2)``: the slope ``p1*p2 / (q1*q2)``
@@ -92,14 +103,23 @@ class Germ:
         return f"Germ({format_rational(self.slope)}, {format_rational(self.offset)})"
 
 
+def _fields(slope: Fraction, offset: Fraction) -> Germ:
+    """The germ with these ``Fraction`` fields, for a positive slope, without
+    the checks of ``Germ(...)``."""
+    g = object.__new__(Germ)
+    fields = g.__dict__
+    fields["slope"] = slope
+    fields["offset"] = offset
+    return g
+
+
 def _germ(sn: int, sd: int, on: int, od: int) -> Germ:
     """The germ ``(sn/sd, on/od)``, for a positive slope and positive
     denominators, without the checks of ``Germ(...)``."""
-    g = object.__new__(Germ)
-    fields = g.__dict__
-    fields["slope"] = Fraction(sn, sd)
-    fields["offset"] = Fraction(on, od)
-    return g
+    return _fields(Fraction(sn, sd), Fraction(on, od))
+
+
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 def compare(u: Germ, v: Germ) -> OrderSign:

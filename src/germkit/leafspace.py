@@ -54,10 +54,18 @@ class Point:
 
     Distinct chart points may denote the same point of the space; use
     :meth:`LeafSpace.canonical` for the unique root-most representative.
+    The hash reads the coordinate's numerator and denominator, so it agrees
+    with ``==`` for ``int`` and ``Fraction`` coordinates without computing
+    ``Fraction``'s modular hash; points are only tested for membership in
+    sets and dicts, never iterated in an order that reaches a report.
     """
 
     branch: str
     coord: Fraction
+
+    def __hash__(self) -> int:
+        coord = self.coord
+        return hash((self.branch, coord.numerator, coord.denominator))
 
     def __repr__(self) -> str:
         return f"Point({self.branch!r}, {format_rational(self.coord)})"
@@ -179,15 +187,27 @@ class LeafSpace:
     # -- points ------------------------------------------------------------
 
     def canonical(self, p: Point) -> Point:
-        """Root-most representative: ascend while strictly above departures."""
+        """Root-most representative: ascend while strictly above departures.
+
+        The coordinate is compared with each departure by integer
+        cross-multiplication.  A point that is already canonical and has a
+        ``Fraction`` coordinate is returned as it is.
+        """
         if p.branch not in self.branches:
             raise LeafSpaceError(f"unknown branch {p.branch!r}")
-        branch, coord = p.branch, _frac(p.coord)
-        while True:
-            br = self.branches[branch]
-            if br.parent is None or coord <= br.departure:
-                return Point(branch, coord)
+        coord = _frac(p.coord)
+        n, d = coord.numerator, coord.denominator
+        branch = p.branch
+        br = self.branches[branch]
+        while br.parent is not None:
+            dep = br.departure
+            if n * dep.denominator <= dep.numerator * d:
+                break
             branch = br.parent
+            br = self.branches[branch]
+        if branch == p.branch and coord is p.coord:
+            return p
+        return Point(branch, coord)
 
     def non_separated(self, p: Point) -> frozenset[Point]:
         """All points sharing every neighbourhood with canonical ``p``.

@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from germkit import blowup
 from germkit.action import Word, reduced_words, validate_homeo, word_homeo
 from germkit.blowup import (
+    ActionLawViolation,
     BlownPoint,
     BlowupError,
     BlowupSpace,
@@ -169,6 +172,138 @@ class TestActionLaw:
             alpha_apply(space, b.stabilizer, violation.inner, violation.sample),
         )
         assert lhs != rhs
+
+
+def oracle_validate_alpha_action(space, stab, samples, ball):
+    """The action-law check as it ran before it applied each word to the
+    whole sample list: one ``alpha_apply`` per point, stepwise then combined.
+    Kept here only as the reference for the evaluation order."""
+    words = reduced_words(sorted(space.generators), ball)
+    empty = Word()
+    for q in samples:
+        image = alpha_apply(space, stab, empty, q)
+        if image != q:
+            return ActionLawViolation(empty, empty, q, image, q)
+    for inner in words:
+        budget = ball - len(inner)
+        if budget < 0:
+            continue
+        mids = [alpha_apply(space, stab, inner, q) for q in samples]
+        for outer in words:
+            if len(outer) > budget:
+                continue
+            product = outer * inner
+            for q, mid in zip(samples, mids):
+                stepwise = alpha_apply(space, stab, outer, mid)
+                combined = alpha_apply(space, stab, product, q)
+                if combined != stepwise:
+                    return ActionLawViolation(outer, inner, q, combined, stepwise)
+    return None
+
+
+def outcome(check, b, samples, ball, stab=None):
+    """What ``check`` gives on a fresh blow-up of ``b``: its result, or the
+    type and message of what it raised."""
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+    if stab is None:
+        stab = StabilizerData(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+    try:
+        return check(space, stab, samples, ball)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def law_samples(b, deep):
+    """The midpoint, interval points over the marked point and a depth-one
+    orbit point, a plain point, and with ``deep`` an interval two levels
+    above the expanded depth, from which words longer than 2 escape."""
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+    near = next(p for p, w in space.orbit.items() if len(w) == 1)
+    far = next(p for p, w in space.orbit.items() if len(w) == b.depth - 2)
+    samples = [
+        space.midpoint(),
+        BlownPoint(b.marked, F(1, 4)),
+        BlownPoint(near, F(2, 3)),
+        BlownPoint(Point(b.space.root, F(1, 2))),
+    ]
+    return samples + [BlownPoint(far, F(1, 3))] if deep else samples
+
+
+class TestActionLawOrder:
+    @pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+    @pytest.mark.parametrize("ball", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault", "e3-phi-fault"])
+    def test_matches_the_per_point_loop(self, name, ball, deep):
+        b = bundle(name)
+        samples = law_samples(b, deep)
+        want = outcome(oracle_validate_alpha_action, b, samples, ball)
+        assert outcome(validate_alpha_action, b, samples, ball) == want
+
+    def test_outcomes_cover_none_violations_and_errors(self):
+        kinds = {
+            type(outcome(oracle_validate_alpha_action, bundle(name), law_samples(bundle(name), deep), 4))
+            for name in ("e1", "e3-coset-fault")
+            for deep in (False, True)
+        }
+        assert kinds == {type(None), ActionLawViolation, tuple}
+
+    def test_violation_wins_over_a_later_samples_error_in_its_pair(self):
+        # e3-coset-fault first breaks the law at (outer f, inner k) on the
+        # midpoint.  In that same pair the second sample's stepwise image
+        # needs twist(f, "k f"), which this stabilizer puts outside K, so
+        # evaluating the pair's images before comparing the first would
+        # raise CosetError instead.
+        b = bundle("e3-coset-fault")
+
+        class Leaky(StabilizerData):
+            def twist(self, h, g):
+                if h == Word.parse("f") and g == Word.parse("k f"):
+                    return Word.parse("f")
+                return StabilizerData.twist(self, h, g)
+
+        stab = Leaky(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        samples = [space.midpoint(), BlownPoint(Point("b1", F(-1, 2)), F(1, 2))]
+        assert space.orbit[samples[1].point] == Word.parse("f")
+        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        assert isinstance(want, ActionLawViolation)
+        assert (want.outer, want.inner, want.sample) == (Word.parse("f"), Word.parse("k"), samples[0])
+        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+        with pytest.raises(CosetError):
+            validate_alpha_action(space, stab, samples[1:], 2)
+
+    def test_each_call_fetches_its_homeo_once_and_each_twist_once(self, monkeypatch):
+        b, space = built("e3")
+        samples = law_samples(b, deep=False)
+        calls: Counter = Counter()
+        twists: Counter = Counter()
+        fetches = 0
+        real_all = blowup.alpha_apply_all
+        real_homeo = BlowupSpace.word_homeo
+        real_twist = StabilizerData.twist
+
+        def counted_all(space, stab, h, qs):
+            calls[h.letters] += 1
+            return real_all(space, stab, h, qs)
+
+        def counted_homeo(self, word):
+            nonlocal fetches
+            fetches += 1
+            return real_homeo(self, word)
+
+        def counted_twist(self, h, g):
+            twists[h.letters, g.letters] += 1
+            return real_twist(self, h, g)
+
+        monkeypatch.setattr(blowup, "alpha_apply_all", counted_all)
+        monkeypatch.setattr(BlowupSpace, "word_homeo", counted_homeo)
+        monkeypatch.setattr(StabilizerData, "twist", counted_twist)
+        cached = len(space._homeo_cache)
+        assert validate_alpha_action(space, b.stabilizer, samples, ball=4) is None
+        # a miss fetches its prefix once more, through the same method
+        misses = len(space._homeo_cache) - cached
+        assert 0 < fetches <= sum(calls.values()) + misses
+        assert twists and all(n <= calls[h] for (h, _), n in twists.items())
 
 
 class TestCosets:

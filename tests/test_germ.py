@@ -29,6 +29,27 @@ class TestGermOf:
         assert Germ.of(f) == Germ.of(STEP)
 
 
+class TestDirectConstruction:
+    @pytest.mark.parametrize("f", [STEP, SHIFT, STEP * bump_below(-10), PLMap.identity()], ids=repr)
+    def test_of_keeps_the_tail_fields(self, f):
+        u = Germ.of(f)
+        assert u.slope is f.right_slope and u.offset is f.tail_offset
+        assert u == Germ(f.right_slope, f.tail_offset)
+        assert repr(u) == repr(Germ(f.right_slope, f.tail_offset))
+
+    @pytest.mark.parametrize("slope", [F(0), F(-2, 3)])
+    def test_of_rejects_a_raw_map_with_nonpositive_slope(self, slope):
+        raw = PLMap((), (), slope, slope, F(1))
+        with pytest.raises(ValueError, match="germ slope must be positive"):
+            Germ.of(raw)
+
+    def test_identity(self):
+        u = Germ.identity()
+        assert u == Germ(1, 0) and hash(u) == hash(Germ(1, 0))
+        assert type(u.slope) is type(u.offset) is F
+        assert repr(u) == "Germ(1, 0)" and u.is_identity()
+
+
 class TestProduct:
     def test_from_representatives(self):
         # compose representatives of (2,0) and (1,1), read off the tail

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from germkit.leafspace import (
     Classification,
@@ -10,6 +11,7 @@ from germkit.leafspace import (
     Side,
     root_embedding,
 )
+from germkit.plmap import _frac
 
 
 def one_child():
@@ -175,3 +177,93 @@ class TestEmbedding:
         assert L.share_threshold("b1", "r") == F(-1)
         assert L.share_threshold("b2", "b1") == F(0)
         assert L.share_threshold("r", "r") is None
+
+
+# -- integer canonicalization against the Fraction body -------------------------
+
+
+def oracle_canonical(space, p):
+    """``canonical`` as it compared ``Fraction``s before it cross-multiplied
+    ints; kept here only as an independent oracle."""
+    if p.branch not in space.branches:
+        raise LeafSpaceError(f"unknown branch {p.branch!r}")
+    branch, coord = p.branch, _frac(p.coord)
+    while True:
+        br = space.branches[branch]
+        if br.parent is None or coord <= br.departure:
+            return Point(branch, coord)
+        branch = br.parent
+
+
+def wide_chain(side):
+    # departures with large, unequal denominators, including a shared one
+    return LeafSpace.build(
+        side,
+        {
+            "r": (None, None),
+            "a": ("r", F(2**70 + 1, 3**40)),
+            "b": ("a", F(-7, 2**65)),
+            "c": ("a", F(-7, 2**65)),
+            "d": ("b", F(-5, 3)),
+        },
+    )
+
+
+SPACES = [wide_chain(Side.NEGATIVE), wide_chain("positive"), grandchild_chain()]
+nudges = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(1, 3), st.integers(1, 2**80)),  # just above
+    st.builds(F, st.integers(-3, -1), st.integers(1, 2**80)),  # just below
+)
+
+
+@st.composite
+def chart_points(draw):
+    """A space and a chart point on it: at a departure on the branch's way to
+    the root (exactly, just above or just below), or anywhere."""
+    space = draw(st.sampled_from(SPACES))
+    branch = draw(st.sampled_from(sorted(space.branches)))
+    marks = [space.departure(b) for b in space.chain_to_root(branch)[:-1]]
+    anywhere = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
+    if marks:
+        base = draw(st.one_of(st.sampled_from(marks), anywhere))
+    else:
+        base = draw(anywhere)
+    coord = base + draw(nudges)
+    if coord.denominator == 1 and draw(st.booleans()):
+        coord = int(coord)
+    return space, Point(branch, coord)
+
+
+class TestIntegerCanonical:
+    def test_int_and_fraction_points_hash_alike(self):
+        for b in ("r", "b1"):
+            assert Point(b, 1) == Point(b, F(1))
+            assert hash(Point(b, 1)) == hash(Point(b, F(1)))
+        assert {Point("r", -3): 0}[Point("r", F(-6, 2))] == 0
+
+    @given(chart_points())
+    def test_matches_the_fraction_body(self, case):
+        space, p = case
+        got = space.canonical(p)
+        want = oracle_canonical(space, p)
+        assert got == want and type(got.coord) is F
+        assert hash(got) == hash(want)
+
+    @given(chart_points())
+    def test_canonical_fraction_point_is_returned_as_is(self, case):
+        space, p = case
+        q = space.canonical(p)
+        assert space.canonical(q) is q
+
+    def test_exactly_at_and_just_above_a_departure(self):
+        L = wide_chain("positive")
+        dep = L.departure("d")
+        assert L.canonical(Point("d", dep)) == Point("d", dep)
+        above = dep + F(1, 2**90)
+        assert L.canonical(Point("d", above)) == Point("b", above)
+
+    @pytest.mark.parametrize("coord", [0.5, -2.0])
+    def test_float_coordinate_raises(self, coord):
+        with pytest.raises(TypeError, match="got"):
+            grandchild_chain().canonical(Point("b2", coord))
