@@ -215,8 +215,9 @@ def outcome(check, b, samples, ball, stab=None):
 
 def law_samples(b, deep):
     """The midpoint, interval points over the marked point and a depth-one
-    orbit point, a plain point, and with ``deep`` an interval two levels
-    above the expanded depth, from which words longer than 2 escape."""
+    orbit point, a plain point, and with ``deep`` an interval over an orbit
+    point two letters short of the expanded depth, from which words longer
+    than 2 escape."""
     space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
     near = next(p for p, w in space.orbit.items() if len(w) == 1)
     far = next(p for p, w in space.orbit.items() if len(w) == b.depth - 2)
