@@ -7,7 +7,9 @@ the interval over ``hg(marked)`` at height ``phi(x_{hgK}^-1 h x_{gK})(t)``,
 where ``K`` is the declared stabilizer of the marked point, ``phi`` realizes
 ``K`` on the unit interval, and ``x_{gK}`` is the fixed representative of the
 coset ``gK``.  The twist word always lies in ``K``, which is what makes the
-assignment independent of how the interval was reached.
+assignment independent of how the interval was reached.  ``K`` is free on
+letters of the action, so membership, factorization and the default coset
+representatives all read one table of ``K`` letters.
 
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
@@ -67,16 +69,18 @@ class StabilizerGeneratorError(BlowupError):
 
 @dataclass
 class StabilizerData:
-    """Declared stabilizer of the marked point, with its interval realization.
+    """Declared stabilizer ``K`` of the marked point, with its interval realization.
 
-    ``k_generators`` generate the stabilizer as words over the action's
-    generators; ``phi`` maps each stabilizer generator (keyed by its text
-    form) to a PL map fixing ``[0, 1]`` pointwise outside and ``0``/``1``
-    inside.  Each generator must be one letter, no two on one generator
-    name (else :class:`StabilizerGeneratorError`): such letters are a free
-    basis of K, so greedy factorization is exact, and ``coset_rep``, which
-    strips them off a word's tail, picks one representative per coset.  An
-    explicit ``coset_table`` overrides individual words.
+    Each of ``k_generators`` is one letter of the action (``"k"`` or
+    ``"k^-1"``), no two on one generator name, else
+    :class:`StabilizerGeneratorError`.  So ``K`` is the free factor on those
+    letters: a reduced word lies in ``K`` exactly when each of its letters
+    does, and its factorization is its letters.  ``phi`` maps each generator
+    (keyed by its text form) to a PL map fixing ``[0, 1]`` pointwise outside
+    and ``0``/``1`` inside.  The default representative of a coset ``gK``
+    is ``g`` with its trailing ``K`` letters stripped; ``coset_table`` maps
+    the text of a reduced word to the representative used for that word
+    alone, which must lie in the word's coset.
     """
 
     k_generators: tuple[Word, ...]
@@ -88,16 +92,19 @@ class StabilizerData:
         self.phi = dict(self.phi)
         self.coset_table = dict(self.coset_table)
         self._phi_cache: dict[tuple[tuple[str, int], ...], PLMap] = {}
-        self._rep_cache: dict[tuple[tuple[str, int], ...], Word] = {}
-        names: set[str] = set()
+        # each K letter and its inverse -> (phi key, exponent)
+        self._letters: dict[tuple[str, int], tuple[str, int]] = {}
         for i, gen in enumerate(self.k_generators):
-            if len(gen.letters) != 1 or gen.letters[0][0] in names:
+            if len(gen.letters) != 1 or gen.letters[0] in self._letters:
                 raise StabilizerGeneratorError(
                     i, f"stabilizer generator {str(gen)!r} is not a letter of its own"
                 )
-            names.add(gen.letters[0][0])
-            if str(gen) not in self.phi:
-                raise BlowupError(f"phi is missing stabilizer generator {str(gen)!r}")
+            key = str(gen)
+            if key not in self.phi:
+                raise BlowupError(f"phi is missing stabilizer generator {key!r}")
+            (name, exp), = gen.letters
+            self._letters[name, exp] = (key, 1)
+            self._letters[name, -exp] = (key, -1)
 
     # -- the unit-interval realization --------------------------------------
 
@@ -131,27 +138,15 @@ class StabilizerData:
     # -- membership and cosets ----------------------------------------------
 
     def stabilizer_factorization(self, word: Word) -> tuple[tuple[str, int], ...] | None:
-        """Greedy factorization of ``word`` as a product of stabilizer
-        generators; ``None`` when the word is visibly outside the subgroup."""
-        factors: list[tuple[str, int]] = []
-        remaining = tuple(word.letters)
-        while remaining:
-            for gen in self.k_generators:
-                glen = len(gen.letters)
-                if remaining[:glen] == gen.letters:
-                    factors.append((str(gen), 1))
-                    remaining = remaining[glen:]
-                    break
-                if remaining[:glen] == (~gen).letters:
-                    factors.append((str(gen), -1))
-                    remaining = remaining[glen:]
-                    break
-            else:
-                return None
-        return tuple(factors)
+        """``word`` as a product of stabilizer generators, one factor per
+        letter; ``None`` when a letter is not in ``K``."""
+        try:
+            return tuple(self._letters[letter] for letter in word.letters)
+        except KeyError:
+            return None
 
     def in_stabilizer(self, word: Word) -> bool:
-        return self.stabilizer_factorization(word) is not None
+        return all(letter in self._letters for letter in word.letters)
 
     def phi_word(self, word: Word) -> PLMap:
         cached = self._phi_cache.get(word.letters)
@@ -167,38 +162,26 @@ class StabilizerData:
         return result
 
     def coset_rep(self, word: Word) -> Word:
-        """Fixed representative of the coset of ``word``.
+        """Fixed representative of the coset ``word K``.
 
-        The trivial coset is represented by the empty word; otherwise the
-        explicit table wins, falling back to stripping stabilizer generators
-        off the tail.
+        The ``coset_table`` entry for ``word``'s text wins; otherwise
+        ``word`` with its trailing ``K`` letters stripped, so every word of
+        ``K`` is represented by the empty word.
         """
-        cached = self._rep_cache.get(word.letters)
-        if cached is not None:
-            return cached
-        override = self.coset_table.get(str(word))
-        if override is not None:
-            self._rep_cache[word.letters] = override
-            return override
-        rep = word
-        stripped = True
-        while stripped and rep.letters:
-            stripped = False
-            for gen in self.k_generators:
-                glen = len(gen.letters)
-                if glen == 0 or glen > len(rep.letters):
-                    continue
-                tail = rep.letters[-glen:]
-                if tail == gen.letters or tail == (~gen).letters:
-                    rep = Word(rep.letters[:-glen])
-                    stripped = True
-                    break
-        self._rep_cache[word.letters] = rep
-        return rep
+        if self.coset_table:
+            override = self.coset_table.get(str(word))
+            if override is not None:
+                return override
+        letters = word.letters
+        n = len(letters)
+        while n and letters[n - 1] in self._letters:
+            n -= 1
+        return word if n == len(letters) else Word(letters[:n])
 
     def twist(self, h: Word, g: Word) -> Word:
-        """The stabilizer element ``x_{hgK}^-1 h x_{gK}``."""
-        return ~self.coset_rep(h * g) * h * self.coset_rep(g)
+        """The stabilizer element ``x_{hgK}^-1 h x_{gK}``, built as one word."""
+        inverse = tuple((name, -exp) for name, exp in reversed(self.coset_rep(h * g).letters))
+        return Word(inverse + h.letters + self.coset_rep(g).letters)
 
 
 # ---------------------------------------------------------------------------
