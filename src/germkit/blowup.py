@@ -79,8 +79,10 @@ class StabilizerData:
     (keyed by its text form) to a PL map fixing ``[0, 1]`` pointwise outside
     and ``0``/``1`` inside.  The default representative of a coset ``gK``
     is ``g`` with its trailing ``K`` letters stripped; ``coset_table`` maps
-    the text of a reduced word to the representative used for that word
-    alone, which must lie in the word's coset.
+    the text of a reduced word, as ``str`` prints it, to the representative
+    used for that word alone, which must lie in the word's coset.  A key
+    written any other way never applies; spec files are checked for both
+    rules at load.
     """
 
     k_generators: tuple[Word, ...]
@@ -457,12 +459,7 @@ def _line_insertions(space: BlowupSpace, e: Embedding) -> int:
     return sum(1 for p in space.orbit if e.contains(space.base, p))
 
 
-def blown_induced_germ(
-    space: BlowupSpace,
-    stab: StabilizerData,
-    w: Word,
-    e: Embedding,
-) -> Germ:
+def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
     """Induced germ of ``alpha_w`` in the chart of the blown-up line.
 
     The blown chart inserts a unit of length at each blown point on the
@@ -474,12 +471,7 @@ def blown_induced_germ(
     return shift * induced_germ(space.base, space.word_homeo(w), e) * ~shift
 
 
-def injectivity_certificate(
-    space: BlowupSpace,
-    stab: StabilizerData,
-    e: Embedding,
-    ball: int,
-) -> Word | None:
+def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word | None:
     """Certify that no nontrivial ball word has trivial blown germ.
 
     For each word the blown germ must differ from the identity and, as a
@@ -491,7 +483,7 @@ def injectivity_certificate(
     for w in reduced_words(names, ball):
         if w.is_identity():
             continue
-        germ = blown_induced_germ(space, stab, w, e)
+        germ = blown_induced_germ(space, w, e)
         if germ.is_identity():
             return w
         # The probes live in the base chart, so bound the diagonal crossing

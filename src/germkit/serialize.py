@@ -4,7 +4,9 @@ All files are JSON with rationals as ``"p/q"`` strings.  Emission is
 canonical (fixed key order, two-space indent, trailing newline, rationals in
 lowest terms), so canonical files round-trip byte-for-byte and diffs stay
 readable.  Parsing is tolerant of non-canonical rationals like ``"2/4"``;
-:func:`is_canonical` tells whether a re-serialization would differ.
+:func:`is_canonical` tells whether a re-serialization would differ.  The
+one exception is a blow-up spec's ``coset_table`` word: it is matched by
+its text, so it must be written as the reduced word prints.
 
 Spaces declared with ``"side": "positive"`` are stored internally with
 negated departures (the engine always assumes branching is below); the file
@@ -345,6 +347,14 @@ def blowup_spec_from_data(data: Any, path: str = "$") -> tuple[Point, Stabilizer
             row_path = f"{path}.coset_table[{i}]"
             row = _mapping(raw, row_path)
             key = _string(_get(row, "word", row_path), f"{row_path}.word")
+            reduced = str(word_from_text(key, f"{row_path}.word"))
+            if key != reduced:
+                raise SpecFormatError(
+                    f"coset table word {key!r} is not written as the reduced word {reduced!r}",
+                    f"{row_path}.word",
+                )
+            if key in coset_table:
+                raise SpecFormatError(f"coset table word {key!r} is listed twice", f"{row_path}.word")
             coset_table[key] = word_from_text(
                 _string(_get(row, "rep", row_path), f"{row_path}.rep"), f"{row_path}.rep"
             )
@@ -360,6 +370,12 @@ def blowup_spec_from_data(data: Any, path: str = "$") -> tuple[Point, Stabilizer
         raise SpecFormatError(str(exc), f"{path}.K_generators[{exc.index}]") from None
     except BlowupError as exc:
         raise SpecFormatError(str(exc), f"{path}.phi") from None
+    for i, (key, rep) in enumerate(coset_table.items()):  # rows, as duplicates are rejected
+        if not stab.in_stabilizer(~Word.parse(key) * rep):
+            raise SpecFormatError(
+                f"coset table representative {str(rep)!r} is not in the coset of {key!r}",
+                f"{path}.coset_table[{i}].rep",
+            )
     return marked, stab, depth, ball
 
 

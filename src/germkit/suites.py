@@ -210,6 +210,14 @@ def _file_target(config: SuiteConfig) -> Bundle:
                 f"stabilizer generator {str(w)!r} is not a declared generator",
                 f"$.K_generators[{i}]", config.blowup_path,
             )
+    # a representative lies in its word's coset, so it has no other letters
+    for i, key in enumerate(stab.coset_table):
+        undeclared = [name for name, _ in Word.parse(key).letters if name not in generators]
+        if undeclared:
+            raise serialize.SpecFormatError(
+                f"coset table word {key!r} names undeclared generator {undeclared[0]!r}",
+                f"$.coset_table[{i}].word", config.blowup_path,
+            )
     return Bundle("file", space, generators, marked, stab, depth, ball, tuple(noted))
 
 
@@ -228,10 +236,11 @@ def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bund
     every chart map ``f`` becomes ``x -> -f(-x)`` and the marked coordinate
     is negated, as the departures are.  Then, after ``auto_extend``, every
     generator must be a homeomorphism of the leaf space, the marked branch
-    must be declared and every stabilizer letter must be a generator.  A
-    failure raises :class:`serialize.SpecFormatError` naming the file and
-    its JSON path.  The target's ``noncanonical`` lists the files that
-    would re-serialize differently.  A blow-up spec needs both other files.
+    must be declared and every letter of a stabilizer generator or of a
+    ``coset_table`` row must be a generator.  A failure raises
+    :class:`serialize.SpecFormatError` naming the file and its JSON path.
+    The target's ``noncanonical`` lists the files that would re-serialize
+    differently.  A blow-up spec needs both other files.
     """
     if config.leafspace_path or config.action_path or config.blowup_path:
         if not (config.leafspace_path and config.action_path):
@@ -669,8 +678,8 @@ def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Pay
 
 
 def _injectivity_case(target: Bundle, ball: int) -> Case:
-    space, stab = build_blowup_target(target)
-    return target, space, stab, root_embedding(target.space), ball
+    space, _ = build_blowup_target(target)
+    return target, space, root_embedding(target.space), ball
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -681,8 +690,8 @@ def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _injectivity_check(case: Case) -> Payload | None:
-    target, space, stab, e, ball = case
-    failing = injectivity_certificate(space, stab, e, ball)
+    target, space, e, ball = case
+    failing = injectivity_certificate(space, e, ball)
     return None if failing is None else {"target": target.name, "word": str(failing)}
 
 

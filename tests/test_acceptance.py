@@ -186,7 +186,7 @@ def test_criterion_9_injectivity_ball():
     words = [w for w in reduced_words(("f", "k"), 5) if not w.is_identity()]
     assert len(words) == 484
     for w in words:
-        assert not blown_induced_germ(space, b.stabilizer, w, e).is_identity(), str(w)
+        assert not blown_induced_germ(space, w, e).is_identity(), str(w)
     _done(9, "all 484 nontrivial words of length <= 5 have nontrivial blown germ", started, budget=60.0)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from germkit import blowup
-from germkit.action import Word, reduced_words, validate_homeo, word_homeo
+from germkit.action import Word, apply_homeo, reduced_words, validate_homeo, word_homeo
 from germkit.blowup import (
     ActionLawViolation,
     BlownPoint,
@@ -372,6 +372,92 @@ class TestCosets:
         assert (lhs == rhs) == same_phi
 
 
+def oracle_stabilizer_factorization(stab, word):
+    """Greedy factorization, trying each generator as a prefix at each step:
+    how ``StabilizerData`` factored words before it read them off its letter
+    table.  Kept here only as a reference."""
+    factors = []
+    remaining = tuple(word.letters)
+    while remaining:
+        for gen in stab.k_generators:
+            glen = len(gen.letters)
+            if remaining[:glen] == gen.letters:
+                factors.append((str(gen), 1))
+                remaining = remaining[glen:]
+                break
+            if remaining[:glen] == (~gen).letters:
+                factors.append((str(gen), -1))
+                remaining = remaining[glen:]
+                break
+        else:
+            return None
+    return tuple(factors)
+
+
+def oracle_coset_rep(stab, word):
+    """The table override, else generator tails stripped one at a time:
+    the old ``coset_rep`` without its cache.  Kept here only as a reference."""
+    override = stab.coset_table.get(str(word))
+    if override is not None:
+        return override
+    rep = word
+    stripped = True
+    while stripped and rep.letters:
+        stripped = False
+        for gen in stab.k_generators:
+            glen = len(gen.letters)
+            if glen == 0 or glen > len(rep.letters):
+                continue
+            tail = rep.letters[-glen:]
+            if tail == gen.letters or tail == (~gen).letters:
+                rep = Word(rep.letters[:-glen])
+                stripped = True
+                break
+    return rep
+
+
+def oracle_twist(stab, h, g):
+    """``x_{hgK}^-1 h x_{gK}`` through the ``Word`` operators."""
+    return ~oracle_coset_rep(stab, h * g) * h * oracle_coset_rep(stab, g)
+
+
+PHI = bundle("e3").stabilizer.phi["k"]
+# K = <k>, <k^-1> and <>, and <k> with e3-coset-fault's override
+LETTER_TABLES = {
+    "k": StabilizerData((Word.parse("k"),), {"k": PHI}),
+    "k^-1": StabilizerData((Word.parse("k^-1"),), {"k^-1": PHI}),
+    "trivial": StabilizerData((), {}),
+    "k-with-table": StabilizerData((Word.parse("k"),), {"k": PHI}, {"f": Word.parse("f k")}),
+}
+
+
+class TestLetterTable:
+    @pytest.mark.parametrize("name", sorted(LETTER_TABLES))
+    def test_factorization_membership_and_reps_match_the_oracles(self, name):
+        stab = LETTER_TABLES[name]
+        for w in reduced_words(("f", "k"), 6):
+            factors = oracle_stabilizer_factorization(stab, w)
+            assert stab.stabilizer_factorization(w) == factors, str(w)
+            assert stab.in_stabilizer(w) == (factors is not None), str(w)
+            assert stab.coset_rep(w) == oracle_coset_rep(stab, w), str(w)
+
+    @pytest.mark.parametrize("name", sorted(LETTER_TABLES))
+    def test_twist_matches_the_oracle(self, name):
+        stab = LETTER_TABLES[name]
+        words = reduced_words(("f", "k"), 3)
+        for h in words:
+            for g in words:
+                assert stab.twist(h, g) == oracle_twist(stab, h, g), (str(h), str(g))
+
+    def test_inverse_generator_keys_phi_with_flipped_exponents(self):
+        stab = LETTER_TABLES["k^-1"]
+        assert stab.stabilizer_factorization(Word.parse("k^-1 k^-1")) == (("k^-1", 1),) * 2
+        assert stab.stabilizer_factorization(Word.parse("k")) == (("k^-1", -1),)
+        assert stab.stabilizer_factorization(Word.parse("k^-1 f")) is None
+        assert stab.phi_word(Word.parse("k")) == ~PHI
+        assert stab.coset_rep(Word.parse("f k k")) == Word.parse("f")
+
+
 class TestStabilizerCheck:
     def test_free_example_has_trivial_ball_stabilizer(self):
         b, space = built("e3")
@@ -431,14 +517,14 @@ class TestBlownGerm:
     def test_translation_through_inserted_intervals(self):
         b, space = built("e1")
         e = root_embedding(b.space)
-        assert blown_induced_germ(space, b.stabilizer, Word.parse("u"), e) == Germ(1, 1)
-        assert blown_induced_germ(space, b.stabilizer, Word.parse("u^-1 u"), e) == Germ.identity()
+        assert blown_induced_germ(space, Word.parse("u"), e) == Germ(1, 1)
+        assert blown_induced_germ(space, Word.parse("u^-1 u"), e) == Germ.identity()
 
     def test_off_line_orbit_keeps_base_germ(self):
         b, space = built("e3")
         e = root_embedding(b.space)
-        assert blown_induced_germ(space, b.stabilizer, Word.parse("f"), e) == Germ(2, 0)
-        assert blown_induced_germ(space, b.stabilizer, Word.parse("k"), e) == Germ(3, 1)
+        assert blown_induced_germ(space, Word.parse("f"), e) == Germ(2, 0)
+        assert blown_induced_germ(space, Word.parse("k"), e) == Germ(3, 1)
 
     def test_dilation_germ_is_conjugated_by_insertions(self):
         # A dilation through on-line insertions picks up the inserted length.
@@ -448,23 +534,31 @@ class TestBlownGerm:
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
         double = Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)}, name="d")
         space = BlowupSpace(L, {"d": double}, Point("r", F(1)), depth=2)
-        stab = StabilizerData((), {})
         e = root_embedding(L)
         count = len(space.orbit)  # insertions on the line: 1/4, 1/2, 1, 2, 4
-        germ = blown_induced_germ(space, stab, Word.parse("d"), e)
+        germ = blown_induced_germ(space, Word.parse("d"), e)
         assert germ == Germ(2, count * (1 - 2))
+
+    def test_e3_germ_horizon(self):
+        # e3's shortest nontrivial word with trivial blown germ: the
+        # injectivity certificate holds on e3 up to ball 9 and names this
+        # word at ball 10
+        b, space = built("e3")
+        w = Word.parse("f f k f^-1 f^-1 k f k^-1 f^-1 k^-1")
+        assert blown_induced_germ(space, w, root_embedding(b.space)) == Germ.identity()
+        assert b.marked == Point("b1", F(-1))
+        assert apply_homeo(b.space, space.word_homeo(w), b.marked) == Point("b1", F(-29, 20))
 
     def test_certificates(self):
         for name in ("e1", "e3"):
             b, space = built(name)
             e = root_embedding(b.space)
-            assert injectivity_certificate(space, b.stabilizer, e, ball=4) is None
+            assert injectivity_certificate(space, e, ball=4) is None
 
     def test_certificate_catches_trivial_germ(self):
         # the branch swap has trivial germs, so the certificate must name a word
         bb = bundle("e2")
         space = BlowupSpace(bb.space, bb.generators, Point("b", F(-1)), depth=2)
-        stab = StabilizerData((), {})
         e = root_embedding(bb.space)
-        failing = injectivity_certificate(space, stab, e, ball=2)
+        failing = injectivity_certificate(space, e, ball=2)
         assert failing is not None and len(failing) >= 1

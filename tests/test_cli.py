@@ -1,8 +1,10 @@
 import collections
 import json
 import re
+import shlex
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -35,6 +37,21 @@ BAD_TARGETS = {
     "e1-space-e3-action": ("e1", "e3", "$.generators[0]"),
     "undeclared-marked-branch": ("e3", "nope", "$.marked.branch"),
     "undeclared-stabilizer-letter": ("e3", "zz", "$.K_generators[0]"),
+}
+
+
+# coset_table rows that replace e3-coset-fault's, each of which must be
+# rejected at load, with the JSON path the error must name
+BAD_COSET_TABLES = {
+    "power-sugar-word": ([{"word": "f^1", "rep": "f k"}], "$.coset_table[0].word"),
+    "unreduced-word": ([{"word": "f k k^-1", "rep": "f k"}], "$.coset_table[0].word"),
+    "duplicate-word": (
+        [{"word": "f", "rep": "f k"}, {"word": "f", "rep": "f"}], "$.coset_table[1].word"
+    ),
+    "undeclared-letter": (
+        [{"word": "f", "rep": "f k"}, {"word": "f zz", "rep": "f zz k"}], "$.coset_table[1].word"
+    ),
+    "rep-outside-coset": ([{"word": "f", "rep": "k"}], "$.coset_table[0].rep"),
 }
 
 
@@ -259,6 +276,32 @@ class TestInputErrors:
         assert option in result.output
 
 
+class TestCosetTableLoad:
+    @pytest.mark.parametrize("case", sorted(BAD_COSET_TABLES))
+    def test_bad_row_is_input_error(self, runner, exported, tmp_path, case):
+        rows, json_path = BAD_COSET_TABLES[case]
+        spec = json.loads((exported / "e3-coset-fault.blowup.json").read_text())
+        bad = tmp_path / "bad.blowup.json"
+        bad.write_text(json.dumps(dict(spec, coset_table=rows)))
+        args = [*file_args(exported, "e3-coset-fault", blowup=False), "--blowup", str(bad)]
+        result = runner.invoke(main, ["suite", "alpha-action-law", *args])
+        assert result.exit_code == 2, result.output
+        assert f"{bad}: {json_path}: " in result.output
+        assert result.stdout == ""
+
+    def test_bundled_fault_file_loads_and_is_caught(self, runner, exported):
+        args = file_args(exported, "e3-coset-fault")
+        result = runner.invoke(main, ["suite", "alpha-action-law", *args])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output.split("counterexample: ", 1)[1])
+        assert payload == {
+            "target": "file",
+            "outer": "f^-1 k^-1",
+            "inner": "f",
+            "sample": {"point": {"branch": "b1", "coord": "-2/5"}, "height": "1/2"},
+        }
+
+
 class TestPlumbing:
     def test_order_compare_direct(self, runner):
         result = runner.invoke(
@@ -358,6 +401,24 @@ class TestReadme:
         assert named == sorted(main.commands)
         for name in named:
             assert runner.invoke(main, [name, "--help"]).exit_code == 0, name
+
+    def test_command_lines_use_real_options(self):
+        # read against the click objects only: no command runs
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```sh", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        lines = [words for words in lines if words and words[0] == "germkit"]
+        assert lines
+        for words in lines:
+            if ">" in words:
+                words = words[: words.index(">")]
+            command, rest = main, words[1:]
+            while isinstance(command, click.Group) and rest:
+                assert rest[0] in command.commands, words
+                command, rest = command.commands[rest[0]], rest[1:]
+            options = {o for p in command.params for o in (*p.opts, *p.secondary_opts)}
+            for flag in (w.split("=", 1)[0] for w in rest if w.startswith("--")):
+                assert flag in options, (words, flag)
 
 
 class TestFileTargets:
