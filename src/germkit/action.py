@@ -238,11 +238,20 @@ def require_valid(space: LeafSpace, h: Homeo) -> None:
 
 
 def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
-    """Image of a canonical point, canonicalized."""
-    if p.branch not in h.branch_map or p.branch not in h.branch_pl:
-        raise ActionError(f"homeomorphism undefined on branch {p.branch!r}")
-    image = Point(h.branch_map[p.branch], h.branch_pl[p.branch](p.coord))
-    return space.canonical(image)
+    """Image of a canonical point, canonicalized.
+
+    Runs on ints: the chart map's integer entry takes ``p``'s reduced
+    coordinate pair, the space ascends past departures on the unreduced
+    image pair, and the image point is reduced by one ``gcd``.  No
+    ``Fraction`` is built; the image's ``.coord`` is built when read.  An
+    image branch the space does not declare raises
+    :class:`~germkit.leafspace.LeafSpaceError`.
+    """
+    branch = p.branch
+    if branch not in h.branch_map or branch not in h.branch_pl:
+        raise ActionError(f"homeomorphism undefined on branch {branch!r}")
+    n, d = h.branch_pl[branch]._eval(p._n, p._d)
+    return Point._of(space._ascend(h.branch_map[branch], n, d), n, d)
 
 
 def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:

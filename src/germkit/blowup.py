@@ -18,13 +18,18 @@ The action is implemented once, by :func:`alpha_apply_all`, which applies
 one word to a sequence of points: it fetches the word's homeo once and each
 orbit point's height map once per call.  :func:`alpha_apply` is its
 one-point case, and :func:`validate_alpha_action` applies each word to its
-whole sample list through it.
+whole sample list through it.  Base points and heights travel as reduced
+integer pairs: the homeo moves a point through
+:func:`~germkit.action.apply_homeo`, the height map through the
+``PLMap`` integer entry, and the images are compared on ints, so once the
+homeos and height maps are cached an application builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .action import (
@@ -40,7 +45,7 @@ from .action import (
 )
 from .germ import Germ, eventual_comparison_bound
 from .leafspace import Classification, Embedding, LeafSpace, LeafSpaceError, Point
-from .plmap import PLMap, _frac
+from .plmap import PLMap, RationalLike, _frac
 
 
 class BlowupError(ValueError):
@@ -53,6 +58,16 @@ class OrbitEscapeError(BlowupError):
 
 class CosetError(BlowupError):
     """A coset representative or twist word is not where it should be."""
+
+
+class CosetTableError(CosetError):
+    """The ``coset_table`` entry ``key`` is unusable: its ``part``, ``"word"``
+    or ``"rep"``, breaks a rule of :class:`StabilizerData`."""
+
+    def __init__(self, key: str, part: str, message: str):
+        super().__init__(message)
+        self.key = key
+        self.part = part
 
 
 class StabilizerGeneratorError(BlowupError):
@@ -81,8 +96,8 @@ class StabilizerData:
     is ``g`` with its trailing ``K`` letters stripped; ``coset_table`` maps
     the text of a reduced word, as ``str`` prints it, to the representative
     used for that word alone, which must lie in the word's coset.  A key
-    written any other way never applies; spec files are checked for both
-    rules at load.
+    written any other way, or a representative outside its key's coset,
+    raises :class:`CosetTableError` naming the key.
     """
 
     k_generators: tuple[Word, ...]
@@ -107,6 +122,21 @@ class StabilizerData:
             (name, exp), = gen.letters
             self._letters[name, exp] = (key, 1)
             self._letters[name, -exp] = (key, -1)
+        for key, rep in self.coset_table.items():
+            try:
+                word = Word.parse(key)
+            except ActionError as exc:
+                raise CosetTableError(key, "word", f"coset table word {key!r}: {exc}") from None
+            if str(word) != key:
+                raise CosetTableError(
+                    key, "word",
+                    f"coset table word {key!r} is not written as the reduced word {str(word)!r}",
+                )
+            if not self.in_stabilizer(~word * rep):
+                raise CosetTableError(
+                    key, "rep",
+                    f"coset table representative {str(rep)!r} is not in the coset of {key!r}",
+                )
 
     # -- the unit-interval realization --------------------------------------
 
@@ -190,19 +220,61 @@ class StabilizerData:
 # The blown-up space
 
 
-@dataclass(frozen=True)
 class BlownPoint:
     """A point of the blown-up space.
 
     Plain points keep ``height == None``; a point of the interval over an
-    orbit point stores its height in ``[0, 1]``.
+    orbit point has its height in ``[0, 1]``.  Like :class:`Point`, the
+    height is stored as its reduced numerator and denominator: ``.height``
+    is the ``Fraction`` given, or one built on the first read and kept, and
+    ``==`` compares the points and the integer heights.
+    :func:`alpha_apply_all` builds its images through :meth:`_of`, so it
+    builds no ``Fraction``.  ``point`` and ``height`` are read-only.
     """
 
-    point: Point
-    height: Fraction | None = None
+    __slots__ = ("_point", "_h", "_height")
+
+    def __init__(self, point: Point, height: RationalLike | None = None):
+        if height is not None:
+            height = _frac(height)
+            self._h = (height.numerator, height.denominator)
+        else:
+            self._h = None
+        self._point, self._height = point, height
+
+    @classmethod
+    def _of(cls, point: Point, n: int, d: int) -> "BlownPoint":
+        """The interval point over ``point`` at height ``n/d``, for any pair
+        with ``d > 0``, reduced by one ``gcd``."""
+        g = gcd(n, d)
+        q = object.__new__(cls)
+        q._point, q._h, q._height = point, (n // g, d // g), None
+        return q
+
+    @property
+    def point(self) -> Point:
+        return self._point
+
+    @property
+    def height(self) -> Fraction | None:
+        height = self._height
+        if height is None and self._h is not None:
+            height = self._height = Fraction(*self._h)
+        return height
 
     def is_interval(self) -> bool:
-        return self.height is not None
+        return self._h is not None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._h == other._h and self._point == other._point
+
+    def __hash__(self) -> int:
+        return hash((self._point, self.height))
+
+    def __repr__(self) -> str:
+        return f"BlownPoint(point={self._point!r}, height={self.height!r})"
 
 
 class BlowupSpace:
@@ -327,10 +399,10 @@ def alpha_apply_all(
         if height_map is None:
             height_map = stab.phi_word(stab.twist(h, orbit[q.point]))
             height_maps[q.point] = height_map
-        new_height = height_map(q.height)
-        if not (0 <= new_height <= 1):
+        n, d = height_map._eval(*q._h)
+        if not 0 <= n <= d:
             raise BlowupError("twist map left the unit interval")
-        yield BlownPoint(image, new_height)
+        yield BlownPoint._of(image, n, d)
 
 
 def alpha_apply(

@@ -12,6 +12,13 @@ Spaces declared as branching upward are stored reflected (departures
 negated) so that the rest of the package can always assume branching is
 below; the serializer restores file coordinates on output.
 
+A :class:`Point` holds its coordinate as a reduced numerator and
+denominator, and builds the ``Fraction`` only when ``.coord`` is read.
+Canonicalization, membership of an embedded line and the action's
+:func:`~germkit.action.apply_homeo` all run on those ints, through one
+routine that ascends past departures by integer cross-multiplication
+(:meth:`LeafSpace._ascend`).
+
 A :class:`LeafSpace` is frozen after :meth:`LeafSpace.build`; all queries are
 pure, so concurrent use is safe.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .plmap import RationalLike, _frac
@@ -48,27 +56,63 @@ class Branch:
     departure: Fraction | None
 
 
-@dataclass(frozen=True)
 class Point:
     """A chart point ``(branch, coordinate)``.
 
     Distinct chart points may denote the same point of the space; use
     :meth:`LeafSpace.canonical` for the unique root-most representative.
-    The hash reads the coordinate's numerator and denominator, so it agrees
-    with ``==`` for ``int`` and ``Fraction`` coordinates without computing
-    ``Fraction``'s modular hash; points are only tested for membership in
-    sets and dicts, never iterated in an order that reaches a report.
+
+    ``Point(branch, coord)`` takes a ``Fraction`` or an ``int`` (or a
+    ``"p/q"`` string) and stores the coordinate as its reduced numerator
+    and denominator.  ``.coord`` is always a ``Fraction``: the one given,
+    or one built on the first read and kept.  ``==`` and ``hash`` read the
+    ints, and the hash is that of ``(branch, numerator, denominator)``, so
+    ``Point(b, 1) == Point(b, Fraction(2, 2))`` with equal hashes.  The
+    action layer builds points straight from integer pairs through
+    :meth:`_of`, so a point it computes holds no ``Fraction`` until one is
+    read.  ``branch`` and ``coord`` are read-only.
     """
 
-    branch: str
-    coord: Fraction
+    __slots__ = ("_branch", "_n", "_d", "_coord")
+
+    def __init__(self, branch: str, coord: RationalLike):
+        if type(coord) is int:
+            self._n, self._d, self._coord = coord, 1, None
+        else:
+            coord = _frac(coord)
+            self._n, self._d, self._coord = coord.numerator, coord.denominator, coord
+        self._branch = branch
+
+    @classmethod
+    def _of(cls, branch: str, n: int, d: int) -> "Point":
+        """The point ``(branch, n/d)`` for any pair with ``d > 0``, reduced
+        by one ``gcd``; no ``Fraction`` is built."""
+        g = gcd(n, d)
+        p = object.__new__(cls)
+        p._branch, p._n, p._d, p._coord = branch, n // g, d // g, None
+        return p
+
+    @property
+    def branch(self) -> str:
+        return self._branch
+
+    @property
+    def coord(self) -> Fraction:
+        coord = self._coord
+        if coord is None:
+            coord = self._coord = Fraction(self._n, self._d)
+        return coord
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._n == other._n and self._d == other._d and self._branch == other._branch
 
     def __hash__(self) -> int:
-        coord = self.coord
-        return hash((self.branch, coord.numerator, coord.denominator))
+        return hash((self._branch, self._n, self._d))
 
     def __repr__(self) -> str:
-        return f"Point({self.branch!r}, {format_rational(self.coord)})"
+        return f"Point({self._branch!r}, {format_rational(self.coord)})"
 
 
 class LeafSpace:
@@ -86,6 +130,13 @@ class LeafSpace:
         for name, lst in kids.items():
             self._children[name] = tuple(sorted(lst))
         self._chains: dict[str, tuple[str, ...]] = {}
+        # each branch -> (parent, departure numerator, denominator), or None at the root
+        self._up: dict[str, tuple[str, int, int] | None] = {
+            name: None
+            if br.parent is None
+            else (br.parent, br.departure.numerator, br.departure.denominator)
+            for name, br in self.branches.items()
+        }
 
     @classmethod
     def build(
@@ -186,28 +237,34 @@ class LeafSpace:
 
     # -- points ------------------------------------------------------------
 
+    def _ascend(self, branch: str, n: int, d: int) -> str:
+        """The branch of the root-most representative of ``(branch, n/d)``.
+
+        Climbs while ``n/d``, with ``d > 0`` and not necessarily reduced,
+        lies strictly above the branch's departure, comparing by integer
+        cross-multiplication.  An undeclared branch raises
+        :class:`LeafSpaceError`.
+        """
+        try:
+            up = self._up[branch]
+        except KeyError:
+            raise LeafSpaceError(f"unknown branch {branch!r}") from None
+        while up is not None and n * up[2] > up[1] * d:
+            branch = up[0]
+            up = self._up[branch]
+        return branch
+
     def canonical(self, p: Point) -> Point:
         """Root-most representative: ascend while strictly above departures.
 
-        The coordinate is compared with each departure by integer
-        cross-multiplication.  A point that is already canonical and has a
-        ``Fraction`` coordinate is returned as it is.
+        Runs on the point's integer coordinate (see :meth:`_ascend`) and
+        builds no ``Fraction``.  A point that is already canonical is
+        returned as it is.
         """
-        if p.branch not in self.branches:
-            raise LeafSpaceError(f"unknown branch {p.branch!r}")
-        coord = _frac(p.coord)
-        n, d = coord.numerator, coord.denominator
-        branch = p.branch
-        br = self.branches[branch]
-        while br.parent is not None:
-            dep = br.departure
-            if n * dep.denominator <= dep.numerator * d:
-                break
-            branch = br.parent
-            br = self.branches[branch]
-        if branch == p.branch and coord is p.coord:
+        branch = self._ascend(p.branch, p._n, p._d)
+        if branch == p.branch:
             return p
-        return Point(branch, coord)
+        return Point._of(branch, p._n, p._d)
 
     def non_separated(self, p: Point) -> frozenset[Point]:
         """All points sharing every neighbourhood with canonical ``p``.
@@ -268,13 +325,17 @@ class Embedding:
     branch: str
 
     def point_at(self, space: LeafSpace, x: RationalLike) -> Point:
-        return space.canonical(Point(self.branch, _frac(x)))
+        return space.canonical(Point(self.branch, x))
 
     def contains(self, space: LeafSpace, p: Point) -> bool:
-        """Whether canonical ``p`` lies on the embedded line."""
-        if p.branch not in space.chain_to_root(self.branch):
-            return False
-        return self.point_at(space, p.coord) == p
+        """Whether canonical ``p`` lies on the embedded line.
+
+        It does when the line's point at ``p``'s coordinate is ``p``: when
+        ascending from this branch at that coordinate stops on ``p``'s
+        branch.  Decided on ``p``'s integer coordinate; no point and no
+        ``Fraction`` is built.
+        """
+        return space._ascend(self.branch, p._n, p._d) == p.branch
 
 
 def root_embedding(space: LeafSpace) -> Embedding:

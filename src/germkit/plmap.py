@@ -18,12 +18,17 @@ is the inverse, following the usual convention for transformation groups.
 Evaluation runs on Python ints.  On its first evaluation a map builds an
 integer kernel, one flat tuple kept in a slot: first ``p, q`` for each
 breakpoint ``p/q``, then ``A, B, D`` for each piece (left tail, interior
-pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at ``x = n/d``.  A
-call finds its piece by integer cross-multiplication and builds one
-``Fraction``; :meth:`PLMap.preimage` inverts the same piece,
-``x = (D*n - B*d)/(A*d)`` at ``y = n/d``, without building ``~f``.  The
-``Fraction`` fields stay the canonical data: the kernel takes no part in
-``==``, ``hash`` or ``repr``, and every public value is a ``Fraction``.
+pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at ``x = n/d``.
+
+The integer entry :meth:`PLMap._eval` takes ``(n, d)`` with ``d > 0``,
+finds the piece by integer cross-multiplication and returns the pair
+``(A*n + B*d, D*d)``, unreduced.  A call is that entry plus one
+``Fraction``.  The action layer calls the entry directly on reduced pairs
+and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`).
+:meth:`PLMap.preimage` inverts the same piece, ``x = (D*n - B*d)/(A*d)`` at
+``y = n/d``, without building ``~f``.  The ``Fraction`` fields stay the
+canonical data: the kernel takes no part in ``==``, ``hash`` or ``repr``,
+and every public value is a ``Fraction``.
 
 Composition and canonicalization run on ints too.  ``f * g`` takes ``g``'s
 breakpoints and the preimages of ``f``'s breakpoints under ``g`` as reduced
@@ -142,17 +147,22 @@ class PLMap:
         object.__setattr__(self, "_kernel", kernel)
         return kernel
 
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = _frac(x)
+    def _eval(self, n: int, d: int) -> tuple[int, int]:
+        """The integer entry: ``self(n/d)`` as a pair ``(n', d')`` with
+        ``d' > 0``, not necessarily reduced, for any ``n/d`` with ``d > 0``."""
         kernel = self._kernel
         if kernel is None:
             kernel = self._build_kernel()
-        n, d = x.numerator, x.denominator
         i, j = 0, 2 * len(self.breakpoints)
         while i < j and n * kernel[i + 1] >= kernel[i] * d:
             i += 2
         j += 3 * (i >> 1)
-        return Fraction(kernel[j] * n + kernel[j + 1] * d, kernel[j + 2] * d)
+        return kernel[j] * n + kernel[j + 1] * d, kernel[j + 2] * d
+
+    def __call__(self, x: RationalLike) -> Fraction:
+        x = _frac(x)
+        n, d = self._eval(x.numerator, x.denominator)
+        return Fraction(n, d)
 
     def preimage(self, y: RationalLike) -> Fraction:
         """``(~self)(y)``, read off the kernel without building the inverse."""

@@ -11,6 +11,7 @@ from germkit.blowup import (
     BlowupError,
     BlowupSpace,
     CosetError,
+    CosetTableError,
     OrbitEscapeError,
     StabilizerData,
     StabilizerGeneratorError,
@@ -456,6 +457,35 @@ class TestLetterTable:
         assert stab.stabilizer_factorization(Word.parse("k^-1 f")) is None
         assert stab.phi_word(Word.parse("k")) == ~PHI
         assert stab.coset_rep(Word.parse("f k k")) == Word.parse("f")
+
+
+class TestCosetTableRules:
+    """A ``coset_table`` entry is checked when ``StabilizerData`` is built."""
+
+    K = (Word.parse("k"),)
+
+    def stab(self, table):
+        return StabilizerData(self.K, {"k": PHI}, table)
+
+    @pytest.mark.parametrize("key", ["f^1", "f k k^-1", "f  k", "f^x", ""])
+    def test_key_not_the_text_of_a_reduced_word(self, key):
+        with pytest.raises(CosetTableError) as info:
+            self.stab({key: Word.parse("f")})
+        assert isinstance(info.value, CosetError)
+        assert (info.value.key, info.value.part) == (key, "word")
+        assert repr(key) in str(info.value)
+
+    # ("f", "k") was accepted before, and twist(f, 1) then returned k^-1 f
+    @pytest.mark.parametrize("key, rep", [("f", "k"), ("f", "1"), ("f k", "f k f"), ("1", "f")])
+    def test_rep_outside_the_keys_coset(self, key, rep):
+        with pytest.raises(CosetTableError, match="not in the coset") as info:
+            self.stab({key: Word.parse(rep)})
+        assert (info.value.key, info.value.part) == (key, "rep")
+
+    def test_rep_inside_the_coset_is_kept(self):
+        stab = self.stab({"f": Word.parse("f k^-1 k^-1"), "1": Word.parse("k"), "f k f": Word.parse("f k f")})
+        assert stab.coset_rep(Word.parse("f")) == Word.parse("f k^-2")
+        assert bundle("e3-coset-fault").stabilizer.coset_table == {"f": Word.parse("f k")}
 
 
 class TestStabilizerCheck:

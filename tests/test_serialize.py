@@ -132,6 +132,20 @@ class TestBlowupSchema:
         assert stab.coset_table == {"f": Word.parse("f k")}
         assert serialize.emit_blowup_spec(marked, stab, depth, ball) == text
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([{"word": "f", "rep": "f k"}, {"word": "f^-1", "rep": "k"}], r"coset_table\[1\]\.rep"),
+            ([{"word": "f", "rep": "f k"}, {"word": "k^-1 k f", "rep": "f"}], r"coset_table\[1\]\.word"),
+            ([{"word": "f^-1 f", "rep": "1"}, {"word": "f", "rep": "k"}], r"coset_table\[0\]\.word"),
+        ],
+    )
+    def test_coset_table_error_names_its_row(self, rows, where):
+        b = bundle("e3")
+        data = json.loads(serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball))
+        with pytest.raises(SpecFormatError, match=where):
+            serialize.blowup_spec_from_data(dict(data, coset_table=rows))
+
     def test_phi_missing_generator(self):
         with pytest.raises(SpecFormatError, match="phi"):
             serialize.parse_blowup_spec(
