@@ -143,23 +143,19 @@ class Homeo:
 
     ``branch_map`` and ``branch_pl`` may cover only part of a space (useful
     for probing rays of larger spaces); :func:`validate_homeo` insists on a
-    total bijection.  :func:`invert_homeo` caches the inverse on the
-    instance, and the inverse points back, so a homeo is inverted once.
+    total bijection.  Two homeos are equal when both maps are.  A homeo
+    carries no name: a generator's name is its key in the generators
+    mapping.  :func:`invert_homeo` caches the inverse on the instance, and
+    the inverse points back, so a homeo is inverted once.
     """
 
     branch_map: Mapping[str, str]
     branch_pl: Mapping[str, PLMap]
-    name: str = ""
     _inverse: "Homeo | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branch_map", dict(self.branch_map))
         object.__setattr__(self, "branch_pl", dict(self.branch_pl))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Homeo):
-            return NotImplemented
-        return self.branch_map == other.branch_map and self.branch_pl == other.branch_pl
 
     def __hash__(self) -> int:
         return hash(
@@ -172,11 +168,7 @@ class Homeo:
 
 def identity_homeo(space: LeafSpace) -> Homeo:
     ident = PLMap.identity()
-    return Homeo(
-        {b: b for b in space.branches},
-        {b: ident for b in space.branches},
-        name="1",
-    )
+    return Homeo({b: b for b in space.branches}, {b: ident for b in space.branches})
 
 
 def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
@@ -231,12 +223,6 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     return None
 
 
-def require_valid(space: LeafSpace, h: Homeo) -> None:
-    problem = validate_homeo(space, h)
-    if problem is not None:
-        raise ActionError(f"invalid homeomorphism {h.name or ''}: {problem}")
-
-
 def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
     """Image of a canonical point, canonicalized.
 
@@ -264,8 +250,7 @@ def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:
             raise ActionError(f"composition undefined on branch {b!r}")
         branch_map[b] = outer.branch_map[mid]
         branch_pl[b] = outer.branch_pl[mid] * inner.branch_pl[b]
-    name = f"{outer.name} {inner.name}".strip()
-    return Homeo(branch_map, branch_pl, name=name)
+    return Homeo(branch_map, branch_pl)
 
 
 def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
@@ -279,8 +264,7 @@ def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
         if pl is None:
             raise ActionError(f"homeomorphism has no chart map on branch {source!r}")
         branch_pl[target] = ~pl
-    name = f"{h.name}^-1" if h.name else ""
-    inverse = Homeo(inverse_map, branch_pl, name=name)
+    inverse = Homeo(inverse_map, branch_pl)
     object.__setattr__(inverse, "_inverse", h)
     object.__setattr__(h, "_inverse", inverse)
     return inverse
@@ -360,11 +344,13 @@ def word_homeo(
     word: Word,
     prefix: Homeo | None = None,
 ) -> Homeo:
-    """Compose a word of generators, outermost letter first.
+    """Compose a word of generators, outermost letter first, and validate it.
 
     Without ``prefix`` the word is built from the identity, letter by
-    letter.  With ``prefix``, the homeo of ``word`` minus its last letter,
-    only that letter is composed onto it.
+    letter, so even a one-letter word's homeo is a new object, equal to its
+    generator but not that generator.  With ``prefix``, the homeo of
+    ``word`` minus its last letter, only that letter is composed onto it.
+    An invalid composite raises :class:`ActionError` naming the word.
     """
     if prefix is None:
         result, letters = identity_homeo(space), word.letters
@@ -374,8 +360,10 @@ def word_homeo(
         raise ActionError("the empty word has no prefix")
     for name, exp in letters:
         result = compose_homeo(space, result, letter_homeo(space, generators, name, exp))
-    require_valid(space, result)
-    return Homeo(result.branch_map, result.branch_pl, name=str(word))
+    problem = validate_homeo(space, result)
+    if problem is not None:
+        raise ActionError(f"invalid homeomorphism {word}: {problem}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +392,15 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
     return sorted(events)
 
 
-def _overlap_threshold(
-    space: LeafSpace, h: Homeo, e: Embedding, events: list[Fraction]
-) -> Fraction | None:
-    """:func:`overlap_ray` decided on the already scanned ``events`` of ``h``."""
+def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
+    """Least ``t`` with ``h(e(x))`` on the embedded line for every ``x > t``.
+
+    Returns ``FULL_LINE`` (``None``) when the whole line maps into itself.
+    The image predicate is constant between events, so scanning events and
+    interval midpoints decides the threshold exactly: ``2 * len(events) + 1``
+    applications of ``h``.  The threshold is ``FULL_LINE`` or an event.
+    """
+    events = _ray_events(space, h, e)
 
     def on_line(x: Fraction) -> bool:
         image = apply_homeo(space, h, e.point_at(space, x))
@@ -428,16 +421,6 @@ def _overlap_threshold(
     return worst
 
 
-def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
-    """Least ``t`` with ``h(e(x))`` on the embedded line for every ``x > t``.
-
-    Returns ``FULL_LINE`` (``None``) when the whole line maps into itself.
-    The image predicate is constant between events, so scanning events and
-    interval midpoints decides the threshold exactly.
-    """
-    return _overlap_threshold(space, h, e, _ray_events(space, h, e))
-
-
 def induced_germ(
     space: LeafSpace,
     h: Homeo,
@@ -446,20 +429,24 @@ def induced_germ(
 ) -> Germ:
     """Germ at +infinity of the coordinate map ``x -> e^-1(h(e(x)))``.
 
-    The map is read off on a ray above ``threshold`` (defaulting to the
-    overlap ray); by then it is a single affine piece, so two sample points
-    determine it exactly.  The result does not depend on the threshold,
-    which is what makes the assignment well defined.
+    Above the last ray event the map is a single affine piece, and the
+    overlap ray (an event, or ``FULL_LINE``) lies at or below that event,
+    so the two sample points one and two above ``max(events)`` (above 0
+    when there are no events) determine the germ exactly; no overlap scan
+    runs.  An explicit ``threshold`` is checked against :func:`overlap_ray`
+    (one below it raises :class:`ActionError`) and then lifts the samples
+    above it when it lies above every event.  The result does not depend on
+    the threshold, which is what makes the assignment well defined.
     """
     events = _ray_events(space, h, e)
-    t0 = _overlap_threshold(space, h, e, events)
     if threshold is None:
-        base = t0 if t0 is not None else Fraction(0)
+        start = events[-1] if events else Fraction(0)
     else:
-        base = _frac(threshold)
-        if t0 is not None and base < t0:
-            raise ActionError(f"threshold {base} lies below the overlap ray {t0}")
-    start = max([base, *events]) if events else base
+        start = _frac(threshold)
+        t0 = overlap_ray(space, h, e)
+        if t0 is not None and start < t0:
+            raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
+        start = max([start, *events])
     samples = []
     for x in (start + 1, start + 2):
         image = apply_homeo(space, h, e.point_at(space, x))

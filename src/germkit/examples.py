@@ -59,7 +59,7 @@ class Bundle:
 
 def _e1() -> Bundle:
     space = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
-    shift = Homeo({"r": "r"}, {"r": PLMap.affine(1, 1)}, name="u")
+    shift = Homeo({"r": "r"}, {"r": PLMap.affine(1, 1)})
     stab = StabilizerData((), {})
     return Bundle(
         "e1",
@@ -77,7 +77,7 @@ def _e2() -> Bundle:
         Side.NEGATIVE, {"r": (None, None), "b": ("r", Fraction(0))}
     )
     ident = PLMap.identity()
-    swap = Homeo({"r": "b", "b": "r"}, {"r": ident, "b": ident}, name="s")
+    swap = Homeo({"r": "b", "b": "r"}, {"r": ident, "b": ident})
     return Bundle("e2", space, {"s": swap})
 
 
@@ -91,7 +91,6 @@ def _e3_parts() -> tuple[LeafSpace, dict[str, Homeo]]:
     f = Homeo(
         {"r": "r", "b1": "b1", "b2": "b2"},
         {"r": PLMap.affine(2, 0), "b1": f_branch, "b2": f_branch},
-        name="f",
     )
     # k: germ (3, 1) upstairs; on b1 it fixes -1 and nothing else below 0.
     k_root = PLMap.make([(0, 0), (1, 4)], 3, 3)
@@ -102,7 +101,6 @@ def _e3_parts() -> tuple[LeafSpace, dict[str, Homeo]]:
     k = Homeo(
         {"r": "r", "b1": "b1", "b2": "b2"},
         {"r": k_root, "b1": k_b1, "b2": k_b2},
-        name="k",
     )
     return space, {"f": f, "k": k}
 

@@ -164,7 +164,7 @@ class CaseGen:
             branch_map[f"w{i}"] = f"m{i}"
         space = LeafSpace.build(Side.NEGATIVE, branches)
         ident = PLMap.identity()
-        swap = Homeo(branch_map, {name: ident for name in branches}, name="swap")
+        swap = Homeo(branch_map, {name: ident for name in branches})
         return space, swap, d
 
     def homeo(self, space: LeafSpace) -> Homeo:

@@ -292,7 +292,7 @@ def action_from_data(data: Any, path: str = "$") -> dict[str, Homeo]:
             )
             for k, v in raw_pl.items()
         }
-        generators[name] = Homeo(branch_map, branch_pl, name=name)
+        generators[name] = Homeo(branch_map, branch_pl)
     return generators
 
 

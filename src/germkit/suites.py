@@ -179,7 +179,7 @@ def _file_target(config: SuiteConfig) -> Bundle:
     positive = space.side is Side.POSITIVE
     if positive:  # file coordinates to internal ones, as for the departures
         generators = {
-            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()}, name=name)
+            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()})
             for name, h in generators.items()
         }
     try:
@@ -362,7 +362,7 @@ def _homeo_payload(target: Bundle, label: str, h: Homeo) -> Payload:
 def _homeo_decode(targets: list[Bundle], payload: Payload) -> tuple[Bundle, str, Homeo]:
     label = payload["homeo"]
     pls = {b: serialize.plmap_from_data(d) for b, d in payload["branch_pl"].items()}
-    return _payload_target(targets, payload), label, Homeo(payload["branch_map"], pls, name=label)
+    return _payload_target(targets, payload), label, Homeo(payload["branch_map"], pls)
 
 
 def _embedded_homeo_cases(config: SuiteConfig, targets: list[Bundle], count: int) -> Cases:
@@ -462,8 +462,9 @@ def _homomorphism_check(case: Case) -> Payload | None:
     target, e, i, w1, w2 = case
     space, gens = target.space, target.generators
     product = word_germ(space, gens, w1 * w2, e)
-    split = word_germ(space, gens, w1, e) * word_germ(space, gens, w2, e)
-    inverse_ok = word_germ(space, gens, ~w1, e) == ~word_germ(space, gens, w1, e)
+    germ1 = word_germ(space, gens, w1, e)
+    split = germ1 * word_germ(space, gens, w2, e)
+    inverse_ok = word_germ(space, gens, ~w1, e) == ~germ1
     if product == split and inverse_ok:
         return None
     return {"target": target.name, "case": i, "words": [str(w1), str(w2)]}

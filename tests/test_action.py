@@ -42,13 +42,12 @@ def sibling_swap(L):
     return Homeo(
         {"r": "r", "b1": "b2", "b2": "b1"},
         {"r": ident, "b1": ident, "b2": ident},
-        name="swap",
     )
 
 
 def translation(L, amount=1):
     shift = PLMap.affine(1, amount)
-    return Homeo({b: b for b in L.branches}, {b: shift for b in L.branches}, name="t")
+    return Homeo({b: b for b in L.branches}, {b: shift for b in L.branches})
 
 
 class TestValidate:
@@ -264,7 +263,7 @@ class TestWordGerm:
         L = line()
         gens = {
             "t": translation(L),
-            "d": Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)}, name="d"),
+            "d": Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)}),
         }
         e = root_embedding(L)
         # t after d: x -> 2x + 1; letterwise (1,1)*(2,0) agrees
@@ -314,7 +313,7 @@ class TestMovedWitness:
         e = root_embedding(L)
         # moves only (-oo, 0): identity at and above 0
         pl = PLMap.make([(-1, -2), (0, 0)], 2, 1)
-        h = Homeo({"r": "r"}, {"r": pl}, name="low")
+        h = Homeo({"r": "r"}, {"r": pl})
         assert moved_point_witness(L, h, e, F(0)) is None
         assert induced_germ(L, h, e) == Germ.identity()
         m = moved_point_witness(L, h, e, F(-10))
@@ -386,7 +385,6 @@ class TestLazyExtension:
         swap = Homeo(
             {"r": "r", "c0": "c1", "c1": "c0"},
             {"r": ident, "c0": ident, "c1": ident},
-            name="v",
         )
         return L, {"v": swap}
 
@@ -416,7 +414,6 @@ class TestLazyExtension:
         comb = Homeo(
             {"r": "r", "c0": "c1", "c1": "c2", "c2": "c3"},
             {"r": shift, "c0": shift, "c1": shift, "c2": shift},
-            name="u",
         )
         with pytest.raises(ActionError, match="new branches"):
             extend_space_for_action(L, {"u": comb}, 2)

@@ -68,7 +68,6 @@ class TestBuild:
         swap = Homeo(
             {"r": "r", "c0": "c1", "c1": "c0"},
             {"r": ident, "c0": ident, "c1": ident},
-            name="v",
         )
         with pytest.raises(OrbitEscapeError):
             BlowupSpace(L, {"v": swap}, Point("c0", F(-1)), depth=2)
@@ -562,7 +561,7 @@ class TestBlownGerm:
         from germkit.leafspace import LeafSpace, Side
 
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
-        double = Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)}, name="d")
+        double = Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)})
         space = BlowupSpace(L, {"d": double}, Point("r", F(1)), depth=2)
         e = root_embedding(L)
         count = len(space.orbit)  # insertions on the line: 1/4, 1/2, 1, 2, 4

@@ -194,7 +194,7 @@ class TestInputErrors:
     def test_auto_extend(self, runner, tmp_path):
         space = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "b1": ("r", 0)})
         ident = PLMap.identity()
-        swap = Homeo({"r": "r", "b1": "b3", "b3": "b1"}, {"r": ident, "b1": ident, "b3": ident}, name="s")
+        swap = Homeo({"r": "r", "b1": "b3", "b3": "b1"}, {"r": ident, "b1": ident, "b3": ident})
         (tmp_path / "space.json").write_text(serialize.emit_leafspace(space))
         (tmp_path / "action.json").write_text(serialize.emit_action({"s": swap}))
         args = [
@@ -212,7 +212,6 @@ class TestInputErrors:
         cycle = Homeo(
             {"r": "r", "b1": "b3", "b3": "b4", "b4": "b1"},
             {b: ident for b in ("r", "b1", "b3", "b4")},
-            name="s",
         )
         (tmp_path / "action.json").write_text(serialize.emit_action({"s": cycle}))
         short = runner.invoke(main, [*args, "--auto-extend", "1"])
@@ -464,7 +463,7 @@ class TestFileTargets:
             (tmp_path / f"{side}.leafspace.json").write_text(
                 json.dumps({"side": side, "branches": rows})
             )
-            homeo = Homeo({b: b for b in "rbc"}, {b: g for b in "rbc"}, name="g")
+            homeo = Homeo({b: b for b in "rbc"}, {b: g for b in "rbc"})
             (tmp_path / f"{side}.action.json").write_text(serialize.emit_action({"g": homeo}))
             files = file_args(tmp_path, side, blowup=False)
             result = runner.invoke(main, ["compute-d", *files])
@@ -501,7 +500,7 @@ class TestFileTargets:
         rows = [{"id": "r", "parent": None, "departure": None}]
         rows += [{"id": b, "parent": "r", "departure": d} for b, d in departures.items()]
         (tmp_path / "pos.leafspace.json").write_text(json.dumps({"side": "positive", "branches": rows}))
-        homeo = Homeo({b: b for b in charts}, charts, name="g")
+        homeo = Homeo({b: b for b in charts}, charts)
         (tmp_path / "pos.action.json").write_text(serialize.emit_action({"g": homeo}))
         result = runner.invoke(main, ["compute-d", *file_args(tmp_path, "pos", blowup=False)])
         assert result.exit_code == 2
@@ -513,7 +512,7 @@ class TestFileTargets:
         branches = {name: (br.parent, br.departure) for name, br in e3.space.branches.items()}
         space = LeafSpace.build(Side.POSITIVE, branches)  # the file negates the departures
         mirrored = {
-            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()}, name=name)
+            name: Homeo(h.branch_map, {b: reflect(f) for b, f in h.branch_pl.items()})
             for name, h in e3.generators.items()
         }
         marked = Point(e3.marked.branch, -e3.marked.coord)

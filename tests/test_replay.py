@@ -235,7 +235,7 @@ def test_file_target_replays(replays, tmp_path):
 
 def test_injectivity_trivial_generator(replays):
     def frozen_e1(b):
-        return replace(b, generators={"u": Homeo({"r": "r"}, {"r": PLMap.identity()}, name="u")})
+        return replace(b, generators={"u": Homeo({"r": "r"}, {"r": PLMap.identity()})})
 
     payload = replays("injectivity-certificate", E1, set_bundle("e1", frozen_e1))
     assert payload == {"target": "e1", "word": "u"}
