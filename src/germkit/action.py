@@ -39,6 +39,10 @@ class UnknownGeneratorError(ActionError):
     """A word uses a generator name that was never declared."""
 
 
+class GermMismatchError(ActionError):
+    """A word's composite germ differs from the product of its letters' germs."""
+
+
 # ---------------------------------------------------------------------------
 # Words over named generators
 
@@ -468,7 +472,8 @@ def word_germ(
 
     Computes the germ of the composed homeomorphism and, independently, the
     product of the letters' germs; the two must agree (multiplicativity),
-    and the common value is returned.
+    and the common value is returned.  A disagreement raises
+    :class:`GermMismatchError`.
     """
     composed = word_homeo(space, generators, word)
     direct = induced_germ(space, composed, e)
@@ -476,7 +481,7 @@ def word_germ(
     for name, exp in word.letters:
         product = product * induced_germ(space, letter_homeo(space, generators, name, exp), e)
     if product != direct:
-        raise ActionError(
+        raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"
         )
     return direct

@@ -28,6 +28,7 @@ from typing import Callable, Iterator, TypeVar
 from . import serialize
 from .action import (
     ActionError,
+    GermMismatchError,
     Homeo,
     Word,
     apply_homeo,
@@ -204,12 +205,18 @@ def _file_target(config: SuiteConfig) -> Bundle:
             f"marked branch {marked.branch!r} is not declared in the leaf space",
             "$.marked.branch", config.blowup_path,
         )
+    point = space.canonical(marked)
     for i, w in enumerate(stab.k_generators):
-        if w.letters[0][0] not in generators:
-            raise serialize.SpecFormatError(
-                f"stabilizer generator {str(w)!r} is not a declared generator",
-                f"$.K_generators[{i}]", config.blowup_path,
-            )
+        name, exp = w.letters[0]
+        if name not in generators:
+            problem = "is not a declared generator"
+        elif apply_homeo(space, letter_homeo(space, generators, name, exp), point) != point:
+            problem = "moves the marked point"
+        else:
+            continue
+        raise serialize.SpecFormatError(
+            f"stabilizer generator {str(w)!r} {problem}", f"$.K_generators[{i}]", config.blowup_path
+        )
     # a representative lies in its word's coset, so it has no other letters
     for i, key in enumerate(stab.coset_table):
         undeclared = [name for name, _ in Word.parse(key).letters if name not in generators]
@@ -236,8 +243,9 @@ def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bund
     every chart map ``f`` becomes ``x -> -f(-x)`` and the marked coordinate
     is negated, as the departures are.  Then, after ``auto_extend``, every
     generator must be a homeomorphism of the leaf space, the marked branch
-    must be declared and every letter of a stabilizer generator or of a
-    ``coset_table`` row must be a generator.  A failure raises
+    must be declared, every letter of a stabilizer generator or of a
+    ``coset_table`` row must be a generator, and every stabilizer generator
+    must fix the marked point.  A failure raises
     :class:`serialize.SpecFormatError` naming the file and its JSON path.
     The target's ``noncanonical`` lists the files that would re-serialize
     differently.  A blow-up spec needs both other files.
@@ -459,15 +467,19 @@ def _homomorphism_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _homomorphism_check(case: Case) -> Payload | None:
+    """A case fails when the words' germs do not multiply, or when one
+    word's composite germ disagrees with its letters' product."""
     target, e, i, w1, w2 = case
     space, gens = target.space, target.generators
-    product = word_germ(space, gens, w1 * w2, e)
-    germ1 = word_germ(space, gens, w1, e)
-    split = germ1 * word_germ(space, gens, w2, e)
-    inverse_ok = word_germ(space, gens, ~w1, e) == ~germ1
-    if product == split and inverse_ok:
-        return None
-    return {"target": target.name, "case": i, "words": [str(w1), str(w2)]}
+    payload = {"target": target.name, "case": i, "words": [str(w1), str(w2)]}
+    try:
+        product = word_germ(space, gens, w1 * w2, e)
+        germ1 = word_germ(space, gens, w1, e)
+        split = germ1 * word_germ(space, gens, w2, e)
+        inverse_ok = word_germ(space, gens, ~w1, e) == ~germ1
+    except GermMismatchError:
+        return payload
+    return None if product == split and inverse_ok else payload
 
 
 def _homomorphism_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:

@@ -37,6 +37,7 @@ BAD_TARGETS = {
     "e1-space-e3-action": ("e1", "e3", "$.generators[0]"),
     "undeclared-marked-branch": ("e3", "nope", "$.marked.branch"),
     "undeclared-stabilizer-letter": ("e3", "zz", "$.K_generators[0]"),
+    "stabilizer-letter-moves-marked": ("e3", "moves", "$.K_generators[0]"),
     "coset-word-power-sugar": ("e3", "sugar", "$.coset_table[0].word"),
     "coset-word-unreduced": ("e3", "unreduced", "$.coset_table[0].word"),
     "coset-word-twice": ("e3", "twice", "$.coset_table[1].word"),
@@ -64,6 +65,8 @@ def bad_files(tmp_path_factory):
     (d / "nope.blowup.json").write_text(json.dumps(nope))
     zz = dict(spec, K_generators=["zz"], phi={"zz": spec["phi"]["k"]})
     (d / "zz.blowup.json").write_text(json.dumps(zz))
+    moves = dict(spec, K_generators=["f"], phi={"f": spec["phi"]["k"]})
+    (d / "moves.blowup.json").write_text(json.dumps(moves))
     for name, rows in BAD_COSET_TABLES.items():
         (d / f"{name}.blowup.json").write_text(json.dumps(dict(spec, coset_table=rows)))
     return d

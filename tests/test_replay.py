@@ -12,8 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit import examples, serialize, suites
-from germkit.action import Homeo, Word
+from germkit import action, examples, serialize, suites
+from germkit.action import Homeo, UnknownGeneratorError, Word
 from germkit.blowup import BlowupSpace
 from germkit.germ import Germ, OrderSign
 from germkit.leafspace import Classification
@@ -173,6 +173,36 @@ def test_homomorphism_word_germ_drops_a_letter(replays):
 
     payload = replays("d-homomorphism", E1, patched(suites, "word_germ", drop))
     assert payload["target"] == "e1" and len(payload["words"]) == 2
+
+
+def test_homomorphism_letterwise_mismatch(replays):
+    # skew only the germs of composed words: every word's composite germ
+    # then disagrees with its letters' product inside word_germ
+    composites = {}
+
+    def inject(m):
+        word_homeo, induced_germ = action.word_homeo, action.induced_germ
+
+        def recorded(*args, **kwargs):
+            h = word_homeo(*args, **kwargs)
+            composites[id(h)] = h
+            return h
+
+        def skewed(space, h, e, threshold=None):
+            g = induced_germ(space, h, e, threshold)
+            return g * Germ(2, 0) if composites.get(id(h)) is h else g
+
+        m.setattr(action, "word_homeo", recorded)
+        m.setattr(action, "induced_germ", skewed)
+
+    payload = replays("d-homomorphism", E1, inject)
+    assert payload["target"] == "e1" and len(payload["words"]) == 2
+
+
+def test_homomorphism_replay_keeps_unknown_generator_an_input_error():
+    payload = {"target": "e1", "case": 0, "words": ["zz", "u"]}
+    with pytest.raises(UnknownGeneratorError):
+        replay("d-homomorphism", E1, payload)
 
 
 def test_nontriviality_identity_germ(replays):
