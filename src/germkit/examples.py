@@ -22,14 +22,15 @@ Three small actions exercise every branch of the machinery:
     satisfy no relation of length at most five either.
 
 ``e3-phi-fault`` and ``e3-coset-fault`` are deliberately broken copies of
-``e3``: the first realizes the stabilizer with a map fixing height 1/2, the
-second overrides one coset representative inconsistently.  Both exist so the
+``e3`` that differ from it only in their name and stabilizer data: the
+first realizes the stabilizer with a map fixing height 1/2, the second
+overrides one coset representative inconsistently.  Both exist so the
 checkers have something to catch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .action import Homeo, Word
@@ -81,7 +82,12 @@ def _e2() -> Bundle:
     return Bundle("e2", space, {"s": swap})
 
 
-def _e3_parts() -> tuple[LeafSpace, dict[str, Homeo]]:
+def _phi_standard() -> PLMap:
+    # Fixes 0 and 1, pushes everything in between up: 1/2 goes to 3/4.
+    return PLMap.make([(0, 0), (Fraction(1, 2), Fraction(3, 4)), (1, 1)], 1, 1)
+
+
+def _e3() -> Bundle:
     space = LeafSpace.build(
         Side.NEGATIVE,
         {"r": (None, None), "b1": ("r", Fraction(0)), "b2": ("r", Fraction(0))},
@@ -102,21 +108,11 @@ def _e3_parts() -> tuple[LeafSpace, dict[str, Homeo]]:
         {"r": "r", "b1": "b1", "b2": "b2"},
         {"r": k_root, "b1": k_b1, "b2": k_b2},
     )
-    return space, {"f": f, "k": k}
-
-
-def _phi_standard() -> PLMap:
-    # Fixes 0 and 1, pushes everything in between up: 1/2 goes to 3/4.
-    return PLMap.make([(0, 0), (Fraction(1, 2), Fraction(3, 4)), (1, 1)], 1, 1)
-
-
-def _e3() -> Bundle:
-    space, generators = _e3_parts()
     stab = StabilizerData((Word.parse("k"),), {"k": _phi_standard()})
     return Bundle(
         "e3",
         space,
-        generators,
+        {"f": f, "k": k},
         marked=Point("b1", Fraction(-1)),
         stabilizer=stab,
         depth=6,
@@ -125,21 +121,11 @@ def _e3() -> Bundle:
 
 
 def _e3_phi_fault() -> Bundle:
-    space, generators = _e3_parts()
     stab = StabilizerData((Word.parse("k"),), {"k": PLMap.identity()})
-    return Bundle(
-        "e3-phi-fault",
-        space,
-        generators,
-        marked=Point("b1", Fraction(-1)),
-        stabilizer=stab,
-        depth=6,
-        ball=5,
-    )
+    return replace(_e3(), name="e3-phi-fault", stabilizer=stab)
 
 
 def _e3_coset_fault() -> Bundle:
-    space, generators = _e3_parts()
     # "f k" lies in the coset of "f", so this representative is legal but
     # disagrees with the default choice for every other word of the coset.
     stab = StabilizerData(
@@ -147,15 +133,7 @@ def _e3_coset_fault() -> Bundle:
         {"k": _phi_standard()},
         coset_table={"f": Word.parse("f k")},
     )
-    return Bundle(
-        "e3-coset-fault",
-        space,
-        generators,
-        marked=Point("b1", Fraction(-1)),
-        stabilizer=stab,
-        depth=6,
-        ball=5,
-    )
+    return replace(_e3(), name="e3-coset-fault", stabilizer=stab)
 
 
 _BUILDERS = {

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -240,3 +241,20 @@ def test_every_bundle_round_trips(name):
     if b.marked is not None:
         bs = serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball)
         assert serialize.is_canonical(bs, "blowup")
+
+
+def exported_texts(b):
+    """The three files ``germkit examples export`` writes for a bundle."""
+    return (
+        serialize.emit_leafspace(b.space),
+        serialize.emit_action(b.generators),
+        serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball),
+    )
+
+
+@pytest.mark.parametrize("name", ["e3-phi-fault", "e3-coset-fault"])
+def test_fault_bundle_is_e3_but_for_name_and_stabilizer(name):
+    e3 = bundle("e3")
+    restored = replace(bundle(name), name="e3", stabilizer=e3.stabilizer)
+    assert exported_texts(restored) == exported_texts(e3)
+    assert exported_texts(bundle(name))[2] != exported_texts(e3)[2]
