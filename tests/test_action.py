@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from germkit import action
 from germkit.action import (
     ActionError,
     FULL_LINE,
     Homeo,
     UnknownGeneratorError,
     Word,
+    _ray_events,
     apply_homeo,
     compose_homeo,
     identity_homeo,
@@ -21,8 +23,9 @@ from germkit.action import (
     word_homeo,
 )
 from germkit.examples import bundle
+from germkit.fuzz import CaseGen
 from germkit.germ import Germ
-from germkit.leafspace import LeafSpace, Point, Side, root_embedding
+from germkit.leafspace import Embedding, LeafSpace, Point, Side, root_embedding
 from germkit.plmap import PLMap
 
 
@@ -439,3 +442,151 @@ def test_word_homeo_matches_letter_application():
             g = invert_homeo(b.space, g)
         step = apply_homeo(b.space, g, step)
     assert apply_homeo(b.space, h, p) == step
+
+
+# ---------------------------------------------------------------------------
+# The default induced germ against the scanning one
+
+
+def oracle_induced_germ(space, h, e, threshold=None):
+    """The induced germ computed the long way, with the overlap scan always
+    run: samples above the larger of the scanned (or given) threshold and
+    every ray event."""
+
+    def on_line(x):
+        return e.contains(space, apply_homeo(space, h, e.point_at(space, x)))
+
+    events = _ray_events(space, h, e)
+    if not on_line(events[-1] + 1 if events else F(0)):
+        raise ActionError("image ray never returns to the embedded line")
+    t0 = FULL_LINE
+    if events and not on_line(events[0] - 1):
+        t0 = events[0]
+    for i, ev in enumerate(events):
+        if not on_line(ev):
+            t0 = ev
+        if i + 1 < len(events) and not on_line((ev + events[i + 1]) / 2):
+            t0 = events[i + 1]
+    if threshold is None:
+        base = t0 if t0 is not None else F(0)
+    else:
+        base = F(threshold)
+        if t0 is not None and base < t0:
+            raise ActionError(f"threshold {base} lies below the overlap ray {t0}")
+    start = max([base, *events]) if events else base
+    samples = []
+    for x in (start + 1, start + 2):
+        image = apply_homeo(space, h, e.point_at(space, x))
+        if not e.contains(space, image):
+            raise ActionError("sample point above the overlap ray left the line")
+        samples.append((x, image.coord))
+    (x1, y1), (x2, y2) = samples
+    slope = (y2 - y1) / (x2 - x1)
+    return Germ(slope, y1 - slope * x1)
+
+
+def outcome(germ_of, space, h, e, threshold):
+    try:
+        return germ_of(space, h, e, threshold)
+    except ActionError as exc:
+        return ("raised", str(exc))
+
+
+def assert_matches_oracle(space, h, e):
+    """Default, at the overlap ray, ten above it and one below it."""
+    t = overlap_ray(space, h, e)
+    base = F(0) if t is None else t
+    thresholds = [None, base, base + 10] + ([] if t is None else [t - 1])
+    for threshold in thresholds:
+        got = outcome(induced_germ, space, h, e, threshold)
+        assert got == outcome(oracle_induced_germ, space, h, e, threshold), (threshold, got)
+        assert isinstance(got, tuple) == (threshold == base - 1 and t is not None)
+
+
+def negative_events_line():
+    # slope 2 below -3, a translation by 1 above: the line maps into itself,
+    # and the only ray event lies below 0
+    L = line()
+    return L, Homeo({"r": "r"}, {"r": PLMap.make([(-3, -2)], 2, 1)})
+
+
+class TestInducedGermOracle:
+    def test_random_homeos_on_both_sides(self):
+        gen = CaseGen(31)
+        sides = set()
+        for _ in range(20):
+            space = gen.leafspace(4)
+            sides.add(space.side)
+            h = gen.homeo(space)
+            for g in (h, invert_homeo(space, h)):
+                for branch in sorted(space.branches):
+                    assert_matches_oracle(space, g, Embedding(branch))
+        assert sides == {Side.NEGATIVE, Side.POSITIVE}
+
+    def test_swaps_and_composites(self):
+        gen = CaseGen(32)
+        for _ in range(10):
+            space, swap, d = gen.swap_pair()
+            stretch = compose_homeo(space, gen.homeo(space), swap)
+            for g in (swap, stretch, invert_homeo(space, stretch)):
+                for branch in sorted(space.branches):
+                    assert_matches_oracle(space, g, Embedding(branch))
+
+    def test_events_all_negative(self):
+        L, h = negative_events_line()
+        e = root_embedding(L)
+        assert _ray_events(L, h, e) == [F(-3)]
+        assert overlap_ray(L, h, e) is FULL_LINE
+        assert induced_germ(L, h, e) == Germ(1, 1)
+        assert_matches_oracle(L, h, e)
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_bundle_words(self, name):
+        b = bundle(name)
+        for w in reduced_words(sorted(b.generators), 3):
+            h = word_homeo(b.space, b.generators, w)
+            for branch in sorted(b.space.branches):
+                assert_matches_oracle(b.space, h, Embedding(branch))
+
+
+class TestInducedGermCalls:
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"apply_homeo": 0, "overlap_ray": 0}
+        for attr in calls:
+            original = getattr(action, attr)
+
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(action, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("name, gen", [("e2", "s"), ("e3", "f"), ("e3", "k")])
+    def test_default_samples_twice_and_never_scans(self, monkeypatch, name, gen):
+        b = bundle(name)
+        calls = self.counted(monkeypatch)
+        induced_germ(b.space, b.generators[gen], root_embedding(b.space))
+        assert calls == {"apply_homeo": 2, "overlap_ray": 0}
+
+    def test_explicit_threshold_scans_once(self, monkeypatch):
+        b = bundle("e2")
+        calls = self.counted(monkeypatch)
+        induced_germ(b.space, b.generators["s"], root_embedding(b.space), threshold=F(5))
+        assert calls["overlap_ray"] == 1
+
+    def test_one_letter_word_is_a_new_homeo(self):
+        b = bundle("e3")
+        f = b.generators["f"]
+        h = word_homeo(b.space, b.generators, Word.parse("f"))
+        assert h == f and h is not f
+        finv = word_homeo(b.space, b.generators, Word.parse("f^-1"))
+        assert finv == invert_homeo(b.space, f) and finv is not f._inverse
+
+    def test_invalid_composite_names_the_word(self):
+        L = two_siblings()
+        ident = PLMap.identity()
+        fold = Homeo({"r": "r", "b1": "b1", "b2": "b1"}, {b: ident for b in L.branches})
+        with pytest.raises(ActionError, match="invalid homeomorphism x x: branch_map is not"):
+            word_homeo(L, {"x": fold}, Word.parse("x x"))

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from germkit.suites import SuiteConfig, run_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -49,6 +51,29 @@ def test_tracer_wraps_live_names_and_restores_them():
     assert report.passed
     assert tracer.calls["blowup.blown_induced_germ"] > 0
     assert tracer.calls["action.induced_germ"] > 0
+    after = germkit_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize(
+    "suite, spans",
+    [
+        ("d-threshold-independence", ("overlap_ray", "induced_germ")),
+        ("d-homomorphism", ("word_germ", "word_homeo", "induced_germ")),
+    ],
+)
+def test_tracer_counts_the_germ_route(suite, spans):
+    tracer = load_tracer().Tracer()
+    import germkit.cli  # noqa: F401
+
+    before = germkit_bindings()
+    with tracer.installed():
+        report = run_suite(suite, SuiteConfig(examples=("e1", "e3"), cases=4, max_word_length=3))
+    tracer.flush()
+    assert report.passed
+    for name in spans:
+        assert tracer.calls.get(f"action.{name}", 0) > 0, name
     after = germkit_bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
