@@ -186,6 +186,11 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     exactly the mapped departure on).  For a ``"side": "positive"`` space,
     stored reflected, the message speaks in file coordinates: maps disagree
     below the departure, and coordinates are negated back.
+
+    Every chart map passes :func:`~germkit.plmap.check` before any pair is
+    compared, since :func:`~germkit.plmap.agree_on_ray` reads canonical
+    kernels.  The checks run on ints: for a valid ``h`` whose chart maps
+    store ``Fraction`` fields, no ``Fraction`` and no ``PLMap`` is built.
     """
     names = set(space.branches)
     undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
@@ -216,13 +221,13 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
                 f"compatibility: chart maps of {child!r} and parent {par!r} "
                 f"disagree {shared} the departure"
             )
-        image_dep = h.branch_pl[par](dep)
+        n, d = h.branch_pl[par]._eval(dep.numerator, dep.denominator)
         threshold = space.share_threshold(h.branch_map[child], h.branch_map[par])
-        if threshold != image_dep:
+        if threshold.numerator * d != n * threshold.denominator:
             return (
                 f"departure: image branches {h.branch_map[child]!r}, "
                 f"{h.branch_map[par]!r} share from {sign * threshold}, "
-                f"expected {sign * image_dep}"
+                f"expected {sign * Fraction(n, d)}"
             )
     return None
 
@@ -404,7 +409,13 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
     interval midpoints decides the threshold exactly: ``2 * len(events) + 1``
     applications of ``h``.  The threshold is ``FULL_LINE`` or an event.
     """
-    events = _ray_events(space, h, e)
+    return _overlap_scan(space, h, e, _ray_events(space, h, e))
+
+
+def _overlap_scan(
+    space: LeafSpace, h: Homeo, e: Embedding, events: list[Fraction]
+) -> Fraction | None:
+    """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave."""
 
     def on_line(x: Fraction) -> bool:
         image = apply_homeo(space, h, e.point_at(space, x))
@@ -437,17 +448,18 @@ def induced_germ(
     overlap ray (an event, or ``FULL_LINE``) lies at or below that event,
     so the two sample points one and two above ``max(events)`` (above 0
     when there are no events) determine the germ exactly; no overlap scan
-    runs.  An explicit ``threshold`` is checked against :func:`overlap_ray`
-    (one below it raises :class:`ActionError`) and then lifts the samples
-    above it when it lies above every event.  The result does not depend on
-    the threshold, which is what makes the assignment well defined.
+    runs.  An explicit ``threshold`` is checked against the overlap ray,
+    scanned as in :func:`overlap_ray` on the events already computed (one
+    below it raises :class:`ActionError`), and then lifts the samples above
+    it when it lies above every event.  The result does not depend on the
+    threshold, which is what makes the assignment well defined.
     """
     events = _ray_events(space, h, e)
     if threshold is None:
         start = events[-1] if events else Fraction(0)
     else:
         start = _frac(threshold)
-        t0 = overlap_ray(space, h, e)
+        t0 = _overlap_scan(space, h, e, events)
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
         start = max([start, *events])

@@ -380,7 +380,7 @@ def alpha_apply_all(
     height_maps: dict[Point, PLMap] = {}
     for q in qs:
         image = apply_homeo(base, homeo, q.point)
-        if q.height is None:
+        if q._h is None:
             if image in orbit:
                 raise OrbitEscapeError(
                     f"plain point {q.point!r} maps into a blown interval; "

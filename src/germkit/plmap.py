@@ -74,6 +74,17 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected a Fraction, int or str, got {x!r}")
 
 
+def _int_points(
+    points: Iterable[tuple[RationalLike, RationalLike]],
+) -> list[tuple[int, int, int, int]]:
+    """Each pair ``(x, y)``, read with :func:`_frac`, as ``(xn, xd, yn, yd)``."""
+    pts = []
+    for x, y in points:
+        x, y = _frac(x), _frac(y)
+        pts.append((x.numerator, x.denominator, y.numerator, y.denominator))
+    return pts
+
+
 @dataclass(frozen=True, slots=True)
 class PLMap:
     """Increasing piecewise-linear bijection of the line.
@@ -106,11 +117,7 @@ class PLMap:
         affine map); when breakpoints are present it is optional but must
         agree with ``values[-1] - right_slope * breakpoints[-1]``.
         """
-        pts = []
-        for x, y in points:
-            x, y = _frac(x), _frac(y)
-            pts.append((x.numerator, x.denominator, y.numerator, y.denominator))
-        return _canonical(pts, _frac(left_slope), _frac(right_slope), offset)
+        return _canonical(_int_points(points), _frac(left_slope), _frac(right_slope), offset)
 
     @classmethod
     def affine(cls, slope: RationalLike, offset: RationalLike) -> "PLMap":
@@ -262,20 +269,24 @@ class PLMap:
         )
 
 
-def _canonical(
+def _scan(
     pts: list[tuple[int, int, int, int]],
     ls: Fraction,
     rs: Fraction,
-    offset: RationalLike | None,
-) -> PLMap:
-    """The canonicalizer behind :meth:`PLMap.make` and ``*``.
+    offset: object,
+) -> tuple[list[tuple[int, int, int, int]], tuple[int, int] | None]:
+    """The rules of canonical form, on integer points; shared by
+    :func:`_canonical` and :func:`check`.
 
     Each point ``(xn, xd, yn, yd)`` is ``xn/xd -> yn/yd`` with positive,
     not necessarily reduced, denominators.  Checks that the tail slopes are
-    positive and that breakpoints and values strictly increase, then drops
-    every point whose two neighbouring slopes agree; all by integer
-    cross-multiplication.  ``Fraction`` fields are built only for the
-    points kept, and for the tail offset.
+    positive; with no points, that ``offset`` is given and the tail slopes
+    are equal; otherwise that breakpoints and values strictly increase.  The
+    first rule broken raises :class:`InvalidMapError`.  Returns the points
+    to keep, those whose two neighbouring slopes differ, and the tail
+    offset read off the last point as an unreduced pair ``(n, d)`` with
+    ``d > 0`` (``None`` with no points).  All by integer cross-multiplication;
+    no ``Fraction`` is built unless a rule is broken.
     """
     if ls.numerator <= 0 or rs.numerator <= 0:
         raise InvalidMapError("tail slopes must be positive")
@@ -284,15 +295,17 @@ def _canonical(
             raise InvalidMapError("an affine map needs an explicit offset")
         if ls != rs:
             raise InvalidMapError("map without breakpoints must have equal tail slopes")
-        return PLMap((), (), ls, rs, _frac(offset))
+        return [], None
     # Each piece's slope as a pair a/d with d > 0, left to right; a point is
     # kept when the slopes of the pieces on its two sides differ.  Slopes
     # between original neighbours are unchanged by dropping points, so one
     # pass suffices.
-    xs, ys = [], []
+    kept = []
     a0, d0 = ls.numerator, ls.denominator
-    xn0, xd0, yn0, yd0 = pts[0]
-    for xn1, xd1, yn1, yd1 in pts[1:]:
+    p0 = pts[0]
+    xn0, xd0, yn0, yd0 = p0
+    for p1 in pts[1:]:
+        xn1, xd1, yn1, yd1 = p1
         dx = xn1 * xd0 - xn0 * xd1
         if dx <= 0:
             raise InvalidMapError(
@@ -305,20 +318,41 @@ def _canonical(
             )
         a1, d1 = dy * xd0 * xd1, dx * yd0 * yd1
         if a0 * d1 != a1 * d0:
-            xs.append(Fraction(xn0, xd0))
-            ys.append(Fraction(yn0, yd0))
+            kept.append(p0)
         a0, d0 = a1, d1
-        xn0, xd0, yn0, yd0 = xn1, xd1, yn1, yd1
+        p0, xn0, xd0, yn0, yd0 = p1, xn1, xd1, yn1, yd1
     rn, rd = rs.numerator, rs.denominator
     if a0 * rd != rn * d0:
-        xs.append(Fraction(xn0, xd0))
-        ys.append(Fraction(yn0, yd0))
-    tail = Fraction(yn0 * rd * xd0 - rn * xn0 * yd0, yd0 * rd * xd0)
+        kept.append(p0)
+    return kept, (yn0 * rd * xd0 - rn * xn0 * yd0, yd0 * rd * xd0)
+
+
+def _canonical(
+    pts: list[tuple[int, int, int, int]],
+    ls: Fraction,
+    rs: Fraction,
+    offset: RationalLike | None,
+) -> PLMap:
+    """The canonicalizer behind :meth:`PLMap.make` and ``*``.
+
+    Runs :func:`_scan` on the points (see there for their form and the
+    rules), checks a given ``offset`` against the tail, and builds
+    ``Fraction`` fields only for the points kept and for the tail offset.
+    """
+    kept, tail = _scan(pts, ls, rs, offset)
+    if tail is None:
+        return PLMap((), (), ls, rs, _frac(offset))
+    tn, td = tail
+    tail = Fraction(tn, td)
     if offset is not None and _frac(offset) != tail:
         raise InvalidMapError(
             f"offset {format_rational(_frac(offset))} inconsistent with tail "
             f"{format_rational(tail)}"
         )
+    xs, ys = [], []
+    for xn, xd, yn, yd in kept:
+        xs.append(Fraction(xn, xd))
+        ys.append(Fraction(yn, yd))
     return PLMap(tuple(xs), tuple(ys), ls, rs, tail)
 
 
@@ -344,33 +378,69 @@ def reflect(f: PLMap) -> PLMap:
 
 
 def check(f: PLMap) -> str | None:
-    """Validate a raw instance; return a description of the first problem."""
+    """Validate a raw instance; return a description of the first problem.
+
+    Runs the rules of :func:`_scan` on ``f``'s own numerators and
+    denominators and builds no map.  A map with breakpoints must then store
+    the tail offset its last point gives; every map must store exactly the
+    points the scan keeps, in tuples, and no field as a string, as
+    :meth:`PLMap.make` would store them.  Otherwise it is reported as not
+    canonical.  A field that is not a ``Fraction``, ``int`` or ``str``
+    raises ``TypeError`` when it is read, as in :meth:`PLMap.make`.  On a
+    canonical instance whose fields are ``Fraction``s no ``Fraction`` is
+    built.
+    """
+    bps, vals = f.breakpoints, f.values
+    pts = _int_points(zip(bps, vals))
+    offset = None if bps else f.tail_offset
     try:
-        g = normalize(f)
-    except (InvalidMapError, ZeroDivisionError) as exc:
+        kept, tail = _scan(pts, _frac(f.left_slope), _frac(f.right_slope), offset)
+    except InvalidMapError as exc:
         return str(exc)
-    if g != f:
+    # Compare as ``stored == Fraction(*tail)`` would, building no Fraction
+    # for a stored int or Fraction.
+    stored = f.tail_offset
+    if tail is None:
+        _frac(stored)  # a float raises TypeError here, as in make
+    elif isinstance(stored, (Fraction, int)):
+        if stored.numerator * tail[1] != tail[0] * stored.denominator:
+            return "stored tail offset inconsistent with breakpoint data"
+    elif stored != Fraction(*tail):
+        return "stored tail offset inconsistent with breakpoint data"
+    if (
+        not isinstance(bps, tuple)
+        or not isinstance(vals, tuple)
+        or not len(kept) == len(bps) == len(vals)
+        or any(isinstance(v, str) for v in (*bps, *vals, f.left_slope, f.right_slope, stored))
+    ):
         return "map is not in canonical form"
     return None
 
 
-def agree_on_ray(f: PLMap, g: PLMap, start: Fraction) -> bool:
+def _above(f: PLMap, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``f``'s kernel above ``n/d``: the breakpoint pairs strictly above it,
+    and the piece triples from the piece that holds just above it on.  The
+    piece is found by the walk of :meth:`PLMap._eval`."""
+    kernel = f._kernel or f._build_kernel()
+    end = 2 * len(f.breakpoints)
+    i = 0
+    while i < end and n * kernel[i + 1] >= kernel[i] * d:
+        i += 2
+    return kernel[i:end], kernel[end + 3 * (i >> 1) :]
+
+
+def agree_on_ray(f: PLMap, g: PLMap, start: RationalLike) -> bool:
     """Exact test for ``f == g`` on the open ray ``(start, +oo)``.
 
-    Both maps are affine between consecutive breakpoints, so agreement at
-    every breakpoint beyond ``start``, at one interior point of the first
-    piece, and of the right tails decides equality on the whole ray.
+    Precondition: ``f`` and ``g`` are canonical (:func:`check` returns
+    ``None`` on each); on other maps the answer can be wrong.  In canonical
+    form every breakpoint is a change of slope, so two maps agree on the
+    ray exactly when they have the same breakpoints above ``start`` and the
+    same pieces from the one just above ``start`` on.  Both are read off
+    the integer kernels, where a breakpoint is a reduced pair and a piece
+    the reduced triple ``(A, B, D)`` with ``D > 0``, each unique: two
+    int-tuple slices are compared, and no ``Fraction`` is built.
     """
     start = _frac(start)
-    marks = sorted({b for b in (*f.breakpoints, *g.breakpoints) if b > start})
-    if f.right_slope != g.right_slope:
-        return False
-    if not marks:
-        probe = start + 1
-        return f(probe) == g(probe)
-    if any(f(b) != g(b) for b in marks):
-        return False
-    probe = start + (marks[0] - start) / 2
-    if f(probe) != g(probe):
-        return False
-    return f(marks[-1] + 1) == g(marks[-1] + 1)
+    n, d = start.numerator, start.denominator
+    return _above(f, n, d) == _above(g, n, d)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, Point, Side, root_embedding
 from germkit.plmap import PLMap
+from test_plmap import oracle_agree_on_ray, oracle_check
 
 
 def line():
@@ -102,6 +104,122 @@ class TestValidate:
         extra_chart = Homeo({"r": "r"}, {"r": ident, "x": ident})
         report = validate_homeo(line(), extra_chart)
         assert report is not None and "'x' is not declared" in report
+
+
+def oracle_validate_homeo(space, h):
+    """``validate_homeo`` as it was before it ran on ints: ``check`` and
+    ``agree_on_ray`` are the ``Fraction``-era oracles, and the departure
+    image is a ``Fraction``; kept here only as an oracle."""
+    names = set(space.branches)
+    undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
+    if undeclared:
+        return f"branch {sorted(undeclared)[0]!r} is not declared in the space"
+    missing = names - set(h.branch_map)
+    if missing:
+        return f"branch_map does not cover branch {sorted(missing)[0]!r}"
+    missing = names - set(h.branch_pl)
+    if missing:
+        return f"branch_pl does not cover branch {sorted(missing)[0]!r}"
+    targets = [h.branch_map[b] for b in sorted(names)]
+    if set(targets) != names or len(set(targets)) != len(targets):
+        return "branch_map is not a bijection of the branches"
+    for b in sorted(names):
+        problem = oracle_check(h.branch_pl[b])
+        if problem is not None:
+            return f"orientation: branch {b!r} chart map invalid ({problem})"
+    sign, shared = (-1, "below") if space.side is Side.POSITIVE else (1, "above")
+    for child in sorted(names):
+        par = space.parent(child)
+        if par is None:
+            continue
+        dep = space.departure(child)
+        if not oracle_agree_on_ray(h.branch_pl[child], h.branch_pl[par], dep):
+            return (
+                f"compatibility: chart maps of {child!r} and parent {par!r} "
+                f"disagree {shared} the departure"
+            )
+        image_dep = h.branch_pl[par](dep)
+        threshold = space.share_threshold(h.branch_map[child], h.branch_map[par])
+        if threshold != image_dep:
+            return (
+                f"departure: image branches {h.branch_map[child]!r}, "
+                f"{h.branch_map[par]!r} share from {sign * threshold}, "
+                f"expected {sign * image_dep}"
+            )
+    return None
+
+
+def perturbed(space, h):
+    """``h`` and copies of it with one flaw each: one chart map changed above
+    or below a point at, above or below its departure, shifted, stored as
+    lists, with an extra collinear breakpoint or with a wrong tail; every
+    chart map shifted; two branch images swapped or made equal; or one
+    branch left out."""
+    yield h
+    shift = PLMap.affine(1, 1)
+    yield Homeo(h.branch_map, {b: shift * pl for b, pl in h.branch_pl.items()})
+    for b in sorted(space.branches):
+        pl = h.branch_pl[b]
+        dep = space.departure(b)
+        dep = F(0) if dep is None else dep
+        charts = [shift * pl]
+        for t in (dep - 1, dep, dep + F(1, 2)):
+            charts += [pl * PLMap.make([(t, t)], 1, 2), pl * PLMap.make([(t, t)], 2, 1)]
+        charts.append(replace(pl, breakpoints=list(pl.breakpoints), values=list(pl.values)))
+        x = (pl.breakpoints[-1] if pl.breakpoints else F(0)) + 1
+        charts.append(replace(pl, breakpoints=(*pl.breakpoints, x), values=(*pl.values, pl(x))))
+        charts.append(replace(pl, tail_offset=pl.tail_offset + 1))
+        for chart in charts:
+            yield Homeo(h.branch_map, {**h.branch_pl, b: chart})
+        yield Homeo({k: v for k, v in h.branch_map.items() if k != b}, h.branch_pl)
+    names = sorted(space.branches)
+    for a, c in zip(names, names[1:]):
+        swapped = dict(h.branch_map)
+        swapped[a], swapped[c] = swapped[c], swapped[a]
+        yield Homeo(swapped, h.branch_pl)
+        yield Homeo({**h.branch_map, a: h.branch_map[c]}, h.branch_pl)
+
+
+class TestValidateAgainstFractionBody:
+    def targets(self):
+        """e1-e3 with their words to length 2, and seeded random spaces of both
+        sides with random homeos and their inverses."""
+        for name in ("e1", "e2", "e3"):
+            b = bundle(name)
+            names = sorted(b.generators)
+            for w in reduced_words(names, 2):
+                yield b.space, word_homeo(b.space, b.generators, w)
+        gen = CaseGen(41)
+        for _ in range(12):
+            space = gen.leafspace(max_branches=4)
+            h = gen.homeo(space)
+            yield space, h
+            yield space, invert_homeo(space, h)
+
+    def test_messages_match(self):
+        seen = set()
+        for space, h in self.targets():
+            for candidate in perturbed(space, h):
+                got = validate_homeo(space, candidate)
+                assert got == oracle_validate_homeo(space, candidate)
+                if got is not None:
+                    got = "bijection" if "bijection" in got else got.split(" ")[0]
+                seen.add((space.side, got))
+        kinds = {None, "orientation:", "compatibility:", "departure:", "bijection", "branch_map"}
+        for side in Side:
+            assert {kind for s, kind in seen if s is side} == kinds
+
+    def test_invalid_chart_never_reaches_agree_on_ray(self, monkeypatch):
+        calls = []
+        original = action.agree_on_ray
+        monkeypatch.setattr(action, "agree_on_ray", lambda *a: calls.append(a) or original(*a))
+        b = bundle("e3")
+        f = b.generators["f"]
+        assert validate_homeo(b.space, f) is None and len(calls) == 2
+        bad = replace(f.branch_pl["b2"], tail_offset=f.branch_pl["b2"].tail_offset + 1)
+        report = validate_homeo(b.space, Homeo(f.branch_map, {**f.branch_pl, "b2": bad}))
+        assert report.startswith("orientation: branch 'b2'")
+        assert len(calls) == 2
 
 
 class TestApply:
@@ -552,7 +670,7 @@ class TestInducedGermOracle:
 class TestInducedGermCalls:
     @staticmethod
     def counted(monkeypatch):
-        calls = {"apply_homeo": 0, "overlap_ray": 0}
+        calls = {"apply_homeo": 0, "_overlap_scan": 0, "_ray_events": 0}
         for attr in calls:
             original = getattr(action, attr)
 
@@ -568,13 +686,14 @@ class TestInducedGermCalls:
         b = bundle(name)
         calls = self.counted(monkeypatch)
         induced_germ(b.space, b.generators[gen], root_embedding(b.space))
-        assert calls == {"apply_homeo": 2, "overlap_ray": 0}
+        assert calls == {"apply_homeo": 2, "_overlap_scan": 0, "_ray_events": 1}
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
         calls = self.counted(monkeypatch)
         induced_germ(b.space, b.generators["s"], root_embedding(b.space), threshold=F(5))
-        assert calls["overlap_ray"] == 1
+        assert calls["_overlap_scan"] == 1
+        assert calls["_ray_events"] == 1
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")

@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -256,7 +257,9 @@ def oracle_eval(f, x):
 
 def oracle_make(points, left_slope, right_slope, offset=None):
     """``PLMap.make`` as it was before the integer canonicalizer: checks and
-    merges pieces with ``Fraction`` slopes; kept here only as an oracle."""
+    merges pieces with ``Fraction`` slopes; kept here only as an oracle.
+    The offset is read with ``_frac``, as ``make`` reads it, so that a float
+    raises ``TypeError``."""
     pts = [(F(x), F(y)) for x, y in points]
     ls, rs = F(left_slope), F(right_slope)
     if ls <= 0 or rs <= 0:
@@ -271,11 +274,12 @@ def oracle_make(points, left_slope, right_slope, offset=None):
             raise InvalidMapError("an affine map needs an explicit offset")
         if ls != rs:
             raise InvalidMapError("map without breakpoints must have equal tail slopes")
-        return PLMap((), (), ls, rs, F(offset))
+        return PLMap((), (), ls, rs, _frac(offset))
     tail = pts[-1][1] - rs * pts[-1][0]
-    if offset is not None and F(offset) != tail:
+    if offset is not None and _frac(offset) != tail:
         raise InvalidMapError(
-            f"offset {format_rational(F(offset))} inconsistent with tail {format_rational(tail)}"
+            f"offset {format_rational(_frac(offset))} inconsistent with tail "
+            f"{format_rational(tail)}"
         )
     slopes = [ls]
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -434,3 +438,216 @@ def test_rejected_raw_instance_builds_no_kernel():
                 left_slope=F(1), right_slope=F(1), tail_offset=F(-2))
     assert check(bad) is not None
     assert bad._kernel is None
+
+
+# -- check and agree_on_ray on the integer kernel against the make route ------
+
+
+def oracle_normalize(f):
+    """``normalize`` as it was before the integer scan, with :func:`oracle_make`
+    behind ``make``'s conversions in place of ``make``, so that the rules it
+    applies are the ``Fraction`` ones; kept here only as an oracle."""
+
+    def make(points, left_slope, right_slope, offset=None):
+        pts = [(_frac(x), _frac(y)) for x, y in points]
+        return oracle_make(pts, _frac(left_slope), _frac(right_slope), offset)
+
+    if not f.breakpoints:
+        return make((), f.left_slope, f.right_slope, offset=f.tail_offset)
+    g = make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope)
+    if f.tail_offset != g.tail_offset:
+        raise InvalidMapError("stored tail offset inconsistent with breakpoint data")
+    return g
+
+
+def oracle_check(f):
+    """``check`` as it was before the integer scan: rebuild the map through
+    ``normalize`` (here :func:`oracle_normalize`) and compare the
+    dataclasses; kept here only as an oracle."""
+    try:
+        g = oracle_normalize(f)
+    except (InvalidMapError, ZeroDivisionError) as exc:
+        return str(exc)
+    if g != f:
+        return "map is not in canonical form"
+    return None
+
+
+def oracle_agree_on_ray(f, g, start):
+    """``agree_on_ray`` as it was before it compared kernels: evaluate both
+    maps at every breakpoint above ``start``, at one point of the first piece
+    and on the right tails; kept here only as an oracle."""
+    start = _frac(start)
+    marks = sorted({b for b in (*f.breakpoints, *g.breakpoints) if b > start})
+    if f.right_slope != g.right_slope:
+        return False
+    if not marks:
+        probe = start + 1
+        return f(probe) == g(probe)
+    if any(f(b) != g(b) for b in marks):
+        return False
+    probe = start + (marks[0] - start) / 2
+    if f(probe) != g(probe):
+        return False
+    return f(marks[-1] + 1) == g(marks[-1] + 1)
+
+
+def ray_starts(f, g, cut):
+    """The cut, every breakpoint of either map, and points just above and
+    just below each of them."""
+    for b in {cut, *f.breakpoints, *g.breakpoints}:
+        yield from (b, b + F(1, 7), b - F(1, 7), b - 1)
+
+
+@st.composite
+def ray_pairs(draw):
+    """A canonical map ``f``, a cut, and a canonical ``g`` equal to ``f``
+    above the cut (changed below it before or after ``f``), or changed on
+    both sides of it, or with one value of ``f`` moved, or drawn
+    independently."""
+    f = draw(plmaps())
+    cut = draw(small_fractions)
+    kind = draw(st.sampled_from(["before", "after", "both", "value", "other"]))
+    if kind == "before":
+        g = f * PLMap.make([(cut, cut)], draw(slopes), 1)
+    elif kind == "after":
+        g = PLMap.make([(f(cut), f(cut))], draw(slopes), 1) * f
+    elif kind == "both":
+        g = f * PLMap.make([(cut, cut)], 1, draw(slopes))
+    elif kind == "value" and len(f.breakpoints) > 2:
+        # Same breakpoints and tails; two pieces change.
+        at = draw(st.integers(min_value=1, max_value=len(f.breakpoints) - 2))
+        ys = list(f.values)
+        ys[at] = ys[at - 1] + (ys[at + 1] - ys[at - 1]) * draw(st.sampled_from([F(1, 3), F(2, 3)]))
+        g = PLMap.make(zip(f.breakpoints, ys), f.left_slope, f.right_slope)
+    else:
+        g = draw(plmaps())
+    return f, g, cut, kind
+
+
+@given(ray_pairs(), small_fractions)
+def test_agree_on_ray_matches_fraction_oracle(pair, extra):
+    f, g, cut, kind = pair
+    if kind in ("before", "after"):
+        assert agree_on_ray(f, g, cut) and agree_on_ray(g, f, cut)
+    for start in (*ray_starts(f, g, cut), extra):
+        expected = oracle_agree_on_ray(f, g, start)
+        assert agree_on_ray(f, g, start) is expected
+        assert agree_on_ray(g, f, start) is expected
+
+
+def test_agree_on_ray_at_a_breakpoint_reads_the_piece_above_it():
+    f = PLMap.make([(0, 0), (1, 2)], 1, 1)
+    g = PLMap.make([(1, 2)], 2, 1)  # f's middle piece continued down
+    assert agree_on_ray(f, g, 0) and not agree_on_ray(f, g, F(-1, 2))
+    shift = PLMap.affine(1, 1)  # f's right tail continued down
+    assert agree_on_ray(f, shift, 1) and not agree_on_ray(f, shift, F(1, 2))
+
+
+def as_int(v):
+    return int(v) if isinstance(v, F) and v.denominator == 1 else v
+
+
+FIELDS = ("breakpoints", "values", "left_slope", "right_slope", "tail_offset")
+FLAWS = ("none", "order", "slope", "tail", "affine", "length", "list", "int", "float", "str")
+
+
+@st.composite
+def raw_plmaps(draw):
+    """Raw instances, most of them malformed: from point data with collinear
+    runs (stored unmerged) or from a canonical map, with up to two flaws:
+    non-increasing data, a loose tail slope, a wrong or missing tail offset,
+    no breakpoints, a length mismatch, list containers, int fields, a float
+    field or a string field."""
+    pts, ls, rs = draw(point_data())
+    if draw(st.booleans()):
+        f = PLMap.make(pts, ls, rs)
+    else:
+        xs, ys = (tuple(c) for c in zip(*pts))
+        f = PLMap(xs, ys, ls, rs, ys[-1] - rs * xs[-1])
+    for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=2)):
+        bps, vals = list(f.breakpoints), list(f.values)
+        if flaw == "order" and len(bps) > 1:
+            at = draw(st.integers(min_value=1, max_value=len(bps) - 1))
+            if draw(st.booleans()):
+                bps[at] = bps[at - 1]
+            else:
+                vals[at] = vals[at - 1] - draw(st.sampled_from([0, 1]))
+            f = replace(f, breakpoints=tuple(bps), values=tuple(vals))
+        elif flaw == "slope":
+            side = draw(st.sampled_from(["left_slope", "right_slope"]))
+            f = replace(f, **{side: draw(loose_slopes)})
+        elif flaw == "tail":
+            f = replace(f, tail_offset=draw(st.none() | small_fractions))
+        elif flaw == "affine":
+            f = replace(f, breakpoints=(), values=draw(st.sampled_from([(), tuple(vals)])))
+        elif flaw == "length" and bps:
+            if draw(st.booleans()):
+                f = replace(f, values=tuple(vals[:-1]))
+            else:
+                f = replace(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
+        elif flaw == "list":
+            f = replace(f, breakpoints=bps, values=vals)
+        elif flaw == "int":
+            f = replace(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
+                    **{k: as_int(getattr(f, k)) for k in FIELDS[2:]})
+        elif flaw in ("float", "str"):
+            convert = float if flaw == "float" else format_rational
+            name = draw(st.sampled_from(FIELDS))
+            value = getattr(f, name)
+            if name in FIELDS[:2]:
+                if not value:
+                    continue
+                at = draw(st.integers(min_value=0, max_value=len(value) - 1))
+                value = (*value[:at], convert(value[at]), *value[at + 1:])
+            elif value is not None:
+                value = convert(value)
+            f = replace(f, **{name: value})
+    return f
+
+
+@given(raw_plmaps())
+def test_check_matches_fraction_oracle(f):
+    """The same message, ``None``, or the same exception type and message."""
+    assert outcome(check, f) == outcome(oracle_check, f)
+
+
+def test_check_covers_every_outcome_of_the_oracle():
+    """One hand-made instance per message of the oracle, and its TypeError."""
+    f = PLMap.make([(F(0), F(0)), (F(1), F(2))], 1, F(1, 2))  # tail offset 3/2
+    line = PLMap.affine(2, 1)
+    no_offset = "an affine map needs an explicit offset"
+    unequal = "map without breakpoints must have equal tail slopes"
+    stored = "stored tail offset inconsistent with breakpoint data"
+    noncanonical = "map is not in canonical form"
+    cases = [
+        (f, None),
+        (replace(f, breakpoints=(F(0), F(0))), "breakpoints not strictly increasing at 0"),
+        (replace(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
+        (replace(f, left_slope=F(0)), "tail slopes must be positive"),
+        (replace(f, values=()), no_offset),
+        (replace(f, breakpoints=(), values=(), tail_offset=None), no_offset),
+        (replace(f, breakpoints=(), values=()), unequal),
+        (replace(f, tail_offset=F(2)), stored),
+        (replace(f, tail_offset="3/2"), stored),
+        (replace(f, values=(F(0),)), stored),
+        (replace(f, right_slope=F(2), tail_offset=F(0)), noncanonical),  # collinear
+        (replace(f, values=(F(0),), tail_offset=F(0)), noncanonical),
+        (replace(f, breakpoints=[F(0), F(1)]), noncanonical),
+        (replace(f, left_slope="1"), noncanonical),
+        (replace(f, breakpoints=(0, 1), values=(0, 2), left_slope=1), None),
+        (replace(f, tail_offset=1.5), None),
+        (replace(line, left_slope=1), unequal),
+        (replace(line, values=(F(0),)), noncanonical),
+        (replace(line, tail_offset=1), None),
+    ]
+    for g, expected in cases:
+        assert check(g) == oracle_check(g) == expected, g
+    floats = [
+        replace(f, values=(F(0), 2.0)),
+        replace(f, right_slope=0.5),
+        replace(line, tail_offset=1.0),
+    ]
+    for g in floats:
+        assert outcome(check, g) == outcome(oracle_check, g)
+        assert outcome(check, g)[0] is TypeError

@@ -20,17 +20,20 @@ from germkit.action import (
     apply_homeo,
     invert_homeo,
     reduced_words,
+    validate_homeo,
+    word_homeo,
 )
 from germkit.blowup import (
     BlowupError,
     BlownPoint,
     OrbitEscapeError,
     alpha_apply_all,
+    validate_alpha_action,
 )
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
-from germkit.plmap import PLMap, _frac
+from germkit.plmap import PLMap, _frac, agree_on_ray, check
 from germkit.rationals import format_rational
 from germkit.suites import SuiteConfig, _action_law_samples, build_blowup_target
 
@@ -353,6 +356,20 @@ def fraction_count(monkeypatch):
     return count
 
 
+@pytest.fixture
+def map_count(monkeypatch):
+    """A counter on ``PLMap.__init__``: every map built, checked or not."""
+    init = PLMap.__init__
+    count = [0]
+
+    def counted_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PLMap, "__init__", counted_init)
+    return count
+
+
 class TestNoFractionOnTheIntegerRoute:
     def test_apply_homeo_builds_no_fraction(self, fraction_count):
         b = bundle("e3")
@@ -392,3 +409,48 @@ class TestNoFractionOnTheIntegerRoute:
         for w in words:
             list(alpha_apply_all(space, stab, w, samples))
         assert fraction_count[0] == before
+
+    def test_alpha_apply_all_on_mids_builds_no_fraction(self, fraction_count):
+        """The stepwise route of the law check acts on images the action
+        built, whose heights hold no ``Fraction``; reading none of them, a
+        warm law check builds none."""
+        b = bundle("e3")
+        space, stab = build_blowup_target(b)
+        config = SuiteConfig()
+        samples = _action_law_samples(space, config)
+        words = reduced_words(sorted(space.generators), 2)
+        mids = {w: list(alpha_apply_all(space, stab, w, samples)) for w in words}
+        for inner in words:  # fill the word and phi caches
+            for outer in words:
+                list(alpha_apply_all(space, stab, outer, mids[inner]))
+        assert any(q.is_interval() for q in mids[words[1]])
+        assert validate_alpha_action(space, stab, samples, 4) is None
+        before = fraction_count[0]
+        for inner in words:
+            for outer in words:
+                images = list(alpha_apply_all(space, stab, outer, mids[inner]))
+                assert len(images) == len(samples)
+        assert validate_alpha_action(space, stab, samples, 4) is None
+        assert fraction_count[0] == before
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_validate_homeo_builds_no_fraction_and_no_map(self, fraction_count, map_count, name):
+        b = bundle(name)
+        homeos = [
+            word_homeo(b.space, b.generators, w)
+            for w in reduced_words(sorted(b.generators), 3)
+        ]
+        before = fraction_count[0], map_count[0]
+        for h in homeos:
+            assert validate_homeo(b.space, h) is None
+        assert (fraction_count[0], map_count[0]) == before
+
+    def test_check_and_agree_on_ray_build_no_fraction_and_no_map(self, fraction_count, map_count):
+        f = PLMap.make([(0, 0), (1, 2), (3, 3)], F(1, 2), 3)
+        g = f * PLMap.make([(0, 0)], 2, 1)
+        at, below = F(0), F(-1, 3)
+        wrong = PLMap(f.breakpoints, f.values, f.left_slope, f.right_slope, F(1))
+        before = fraction_count[0], map_count[0]
+        assert check(f) is None and check(g) is None and check(wrong) is not None
+        assert agree_on_ray(f, g, at) and not agree_on_ray(f, g, below)
+        assert (fraction_count[0], map_count[0]) == before
