@@ -9,10 +9,10 @@ both, plus orientation).
 
 Fixing an embedded line ``e`` that reaches the upper end, every homeomorphism
 eventually carries the upper ray of ``e`` back onto ``e`` (all lines merge
-going up).  The coordinate map of that eventual identification is an
-increasing PL map of a ray; its germ at +infinity is the induced germ of the
-homeomorphism, and word-by-word this assignment is a homomorphism into the
-germ group.
+going up).  The coordinate map of that return, probed only by
+:func:`line_image`, is an increasing PL map of a ray; its germ at +infinity
+is the induced germ of the homeomorphism, and word-by-word this assignment
+is a homomorphism into the germ group.
 
 Homeos and words are immutable; everything here is pure.
 """
@@ -249,6 +249,15 @@ def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
     return Point._of(space._ascend(h.branch_map[branch], n, d), n, d)
 
 
+def line_image(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> tuple[int, int] | None:
+    """The return map ``e^-1(h(e(x)))`` at ``x``: the reduced pair of
+    ``h(e(x))`` when it lies on ``e``, else ``None``.  It runs on ints
+    through :func:`apply_homeo`, with its errors, and builds no ``Fraction``."""
+    n, d = x.numerator, x.denominator
+    image = apply_homeo(space, h, Point._of(space._ascend(e.branch, n, d), n, d))
+    return (image._n, image._d) if e.contains(space, image) else None
+
+
 def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:
     """``outer after inner`` on every branch both maps cover."""
     branch_map = {}
@@ -416,22 +425,17 @@ def _overlap_scan(
     space: LeafSpace, h: Homeo, e: Embedding, events: list[Fraction]
 ) -> Fraction | None:
     """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave."""
-
-    def on_line(x: Fraction) -> bool:
-        image = apply_homeo(space, h, e.point_at(space, x))
-        return e.contains(space, image)
-
-    if not on_line(events[-1] + 1 if events else Fraction(0)):
+    if line_image(space, h, e, events[-1] + 1 if events else Fraction(0)) is None:
         raise ActionError("image ray never returns to the embedded line")
     # Each failure found scanning upward bounds the threshold by at least
     # as much as the one before, so the last failure is the threshold.
     worst = FULL_LINE
-    if events and not on_line(events[0] - 1):
+    if events and line_image(space, h, e, events[0] - 1) is None:
         worst = events[0]
     for i, ev in enumerate(events):
-        if not on_line(ev):
+        if line_image(space, h, e, ev) is None:
             worst = ev
-        if i + 1 < len(events) and not on_line((ev + events[i + 1]) / 2):
+        if i + 1 < len(events) and line_image(space, h, e, (ev + events[i + 1]) / 2) is None:
             worst = events[i + 1]
     return worst
 
@@ -452,7 +456,8 @@ def induced_germ(
     scanned as in :func:`overlap_ray` on the events already computed (one
     below it raises :class:`ActionError`), and then lifts the samples above
     it when it lies above every event.  The result does not depend on the
-    threshold, which is what makes the assignment well defined.
+    threshold, which is what makes the assignment well defined.  Both
+    samples are :func:`line_image` probes, whose integer pairs give the germ.
     """
     events = _ray_events(space, h, e)
     if threshold is None:
@@ -463,15 +468,14 @@ def induced_germ(
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
         start = max([start, *events])
-    samples = []
-    for x in (start + 1, start + 2):
-        image = apply_homeo(space, h, e.point_at(space, x))
-        if not e.contains(space, image):
-            raise ActionError("sample point above the overlap ray left the line")
-        samples.append((x, image.coord))
-    (x1, y1), (x2, y2) = samples
-    slope = (y2 - y1) / (x2 - x1)
-    return Germ(slope, y1 - slope * x1)
+    x = start + 1
+    y1, y2 = line_image(space, h, e, x), line_image(space, h, e, x + 1)
+    if y1 is None or y2 is None:
+        raise ActionError("sample point above the overlap ray left the line")
+    # the samples lie one apart: the slope is y2 - y1, the offset y1 - slope * x
+    (n1, d1), (n2, d2), xn, xd = y1, y2, x.numerator, x.denominator
+    sn, sd = n2 * d1 - n1 * d2, d1 * d2
+    return Germ(Fraction(sn, sd), Fraction(n1 * sd * xd - sn * xn * d1, d1 * sd * xd))
 
 
 def word_germ(
@@ -512,10 +516,6 @@ def moved_point_witness(
     and two interior points per interval decides the question exactly.
     """
     n = _frac(n)
-
-    def moved(x: Fraction) -> bool:
-        return apply_homeo(space, h, e.point_at(space, x)) != e.point_at(space, x)
-
     events = [ev for ev in _ray_events(space, h, e) if ev > n]
     candidates: list[Fraction] = []
     cursor = n
@@ -525,6 +525,6 @@ def moved_point_witness(
         cursor = ev
     candidates.extend((cursor + 1, cursor + 2))
     for x in candidates:
-        if moved(x):
+        if line_image(space, h, e, x) != (x.numerator, x.denominator):
             return x
     return None

@@ -39,6 +39,7 @@ from .action import (
     apply_homeo,
     induced_germ,
     letter_homeo,
+    line_image,
     reduced_words,
     word_homeo,
     _ray_events,
@@ -565,8 +566,7 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
         events = _ray_events(space.base, h, e)
         start = max(events) if events else Fraction(0)
         start = max(start, eventual_comparison_bound(base_germ))
-        for offset in (1, 1000):
-            x = start + offset
-            if apply_homeo(space.base, h, e.point_at(space.base, x)) == e.point_at(space.base, x):
+        for x in (start + 1, start + 1000):
+            if line_image(space.base, h, e, x) == (x.numerator, x.denominator):
                 return w
     return None

@@ -35,6 +35,7 @@ from .action import (
     extend_space_for_action,
     induced_germ,
     letter_homeo,
+    line_image,
     moved_point_witness,
     overlap_ray,
     reduced_words,
@@ -260,7 +261,10 @@ def resolve_targets(config: SuiteConfig, need_blowup: bool = False) -> list[Bund
 
 
 def _payload_target(targets: list[Bundle], payload: Payload) -> Bundle:
-    return {t.name: t for t in targets}[payload["target"]]
+    by_name, name = {t.name: t for t in targets}, payload["target"]
+    if name not in by_name:
+        raise SuiteError(f"payload target {name!r} is not a resolved target {list(by_name)}")
+    return by_name[name]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +393,8 @@ def _embedded_homeo_decode(config: SuiteConfig, targets: list[Bundle], payload: 
 def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
     e = root_embedding(space)
     t = overlap_ray(space, h, e)
-
-    def on_line(x: Fraction) -> bool:
-        return e.contains(space, apply_homeo(space, h, e.point_at(space, x)))
-
     base = Fraction(0) if t is None else t
-    if not all(on_line(base + d) for d in (Fraction(1, 3), 1, 17)):
+    if any(line_image(space, h, e, base + d) is None for d in (Fraction(1, 3), 1, 17)):
         return False
     if t is not None:
         # The image predicate is constant on the gap between t and the ray
@@ -402,7 +402,7 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
         # exactly.
         below = [ev for ev in _ray_events(space, h, e) if ev < t]
         gap_mid = (max(below) + t) / 2 if below else t - 1
-        if on_line(t) and on_line(gap_mid):
+        if line_image(space, h, e, t) is not None and line_image(space, h, e, gap_mid) is not None:
             return False  # the threshold was not minimal
     return True
 
@@ -499,9 +499,7 @@ def _nontriviality_check(case: Case) -> Payload | None:
             return _homeo_payload(target, label, h)
     for n, m in zip(_WITNESS_CUTS, witnesses):
         if m is not None and not (
-            m > n
-            and apply_homeo(target.space, h, e.point_at(target.space, m))
-            != e.point_at(target.space, m)
+            m > n and line_image(target.space, h, e, m) != (m.numerator, m.denominator)
         ):
             return _homeo_payload(target, label, h)
     return None

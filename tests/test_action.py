@@ -16,6 +16,7 @@ from germkit.action import (
     identity_homeo,
     induced_germ,
     invert_homeo,
+    line_image,
     moved_point_witness,
     overlap_ray,
     reduced_words,
@@ -26,9 +27,10 @@ from germkit.action import (
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.germ import Germ
-from germkit.leafspace import Embedding, LeafSpace, Point, Side, root_embedding
+from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
 from test_plmap import oracle_agree_on_ray, oracle_check
+from test_points import fraction_count  # noqa: F401 (a fixture)
 
 
 def line():
@@ -670,7 +672,7 @@ class TestInducedGermOracle:
 class TestInducedGermCalls:
     @staticmethod
     def counted(monkeypatch):
-        calls = {"apply_homeo": 0, "_overlap_scan": 0, "_ray_events": 0}
+        calls = {"line_image": 0, "_overlap_scan": 0, "_ray_events": 0}
         for attr in calls:
             original = getattr(action, attr)
 
@@ -686,7 +688,7 @@ class TestInducedGermCalls:
         b = bundle(name)
         calls = self.counted(monkeypatch)
         induced_germ(b.space, b.generators[gen], root_embedding(b.space))
-        assert calls == {"apply_homeo": 2, "_overlap_scan": 0, "_ray_events": 1}
+        assert calls == {"line_image": 2, "_overlap_scan": 0, "_ray_events": 1}
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
@@ -709,3 +711,118 @@ class TestInducedGermCalls:
         fold = Homeo({"r": "r", "b1": "b1", "b2": "b1"}, {b: ident for b in L.branches})
         with pytest.raises(ActionError, match="invalid homeomorphism x x: branch_map is not"):
             word_homeo(L, {"x": fold}, Word.parse("x x"))
+
+
+# ---------------------------------------------------------------------------
+# The return-map probe against the point route
+
+
+def oracle_line_image(space, h, e, x):
+    """``line_image`` the way every probe used to run: canonicalize the line
+    point, apply ``h``, test membership and read ``.coord`` back."""
+    image = apply_homeo(space, h, e.point_at(space, x))
+    if not e.contains(space, image):
+        return None
+    return image.coord.numerator, image.coord.denominator
+
+
+def probe_points(space, h, e):
+    """Every ray event, every gap midpoint, one either side of each event,
+    and 10**6 (0 and +-1 when there are no events)."""
+    events = _ray_events(space, h, e) or [F(0)]
+    mids = [(a + b) / 2 for a, b in zip(events, events[1:])]
+    around = [ev + step for ev in events for step in (-1, 1)]
+    return sorted({*events, *mids, *around, F(10**6)})
+
+
+def probe_outcome(probe, space, h, e, x):
+    try:
+        return probe(space, h, e, x)
+    except (ActionError, LeafSpaceError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def assert_probes_match(space, h, e):
+    for x in probe_points(space, h, e):
+        got = probe_outcome(line_image, space, h, e, x)
+        assert got == probe_outcome(oracle_line_image, space, h, e, x), (e.branch, x, got)
+
+
+class TestLineImageOracle:
+    def test_random_homeos_on_both_sides(self):
+        gen = CaseGen(41)
+        sides = set()
+        for _ in range(20):
+            space = gen.leafspace(4)
+            sides.add(space.side)
+            h = gen.homeo(space)
+            for g in (h, invert_homeo(space, h)):
+                for branch in sorted(space.branches):
+                    assert_probes_match(space, g, Embedding(branch))
+        assert sides == {Side.NEGATIVE, Side.POSITIVE}
+
+    def test_swaps_composites_and_inverses(self):
+        gen = CaseGen(42)
+        off_line = 0
+        for _ in range(10):
+            space, swap, d = gen.swap_pair()
+            stretch = compose_homeo(space, gen.homeo(space), swap)
+            for g in (swap, stretch, invert_homeo(space, stretch)):
+                for branch in sorted(space.branches):
+                    e = Embedding(branch)
+                    assert_probes_match(space, g, e)
+                    off_line += sum(line_image(space, g, e, x) is None for x in probe_points(space, g, e))
+        assert off_line > 0  # the swaps carry some probes off their line
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_bundle_words(self, name):
+        b = bundle(name)
+        for w in reduced_words(sorted(b.generators), 2):
+            h = word_homeo(b.space, b.generators, w)
+            for branch in sorted(b.space.branches):
+                assert_probes_match(b.space, h, Embedding(branch))
+
+    def test_undefined_branches_raise_as_apply_homeo_does(self):
+        L = two_siblings()
+        ident = PLMap.identity()
+        partial = Homeo({"b1": "b1"}, {"b1": ident})
+        undeclared = Homeo({"r": "zz", "b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
+        cases = [(partial, "b1", F(-1)), (partial, "b1", F(1)), (undeclared, "b1", F(1))]
+        outcomes = []
+        for h, branch, x in cases:
+            got = probe_outcome(line_image, L, h, Embedding(branch), x)
+            assert got == probe_outcome(oracle_line_image, L, h, Embedding(branch), x)
+            outcomes.append(got)
+        assert outcomes[0] == (-1, 1)
+        assert outcomes[1] == ("raised", "ActionError", "homeomorphism undefined on branch 'r'")
+        assert outcomes[2][:2] == ("raised", "LeafSpaceError")
+
+    def test_pairs_are_reduced_and_fixed_points_read_as_x(self):
+        L = two_siblings()
+        e = Embedding("b1")
+        swap, shift = sibling_swap(L), translation(L, F(1, 2))
+        assert line_image(L, shift, e, F(3, 2)) == (2, 1)
+        assert line_image(L, shift, e, F(-7, 4)) == (-5, 4)
+        assert line_image(L, swap, e, F(-1)) is None  # b1's lower ray goes to b2
+        x = F(5, 3)
+        assert line_image(L, swap, e, x) == (x.numerator, x.denominator)
+
+
+class TestLineImageBuildsNoFraction:
+    def test_probes_on_bundle_words(self, fraction_count):
+        probes = []
+        for name in ("e2", "e3"):
+            b = bundle(name)
+            for w in reduced_words(sorted(b.generators), 2):
+                h = word_homeo(b.space, b.generators, w)
+                for branch in sorted(b.space.branches):
+                    e = Embedding(branch)
+                    probes += [(b.space, h, e, x) for x in probe_points(b.space, h, e)]
+        for probe in probes:  # build the kernels first
+            line_image(*probe)
+        before = fraction_count[0]
+        images = [line_image(*probe) for probe in probes]
+        assert fraction_count[0] == before
+        assert any(y is None for y in images) and any(y is not None for y in images)
+        F(1, 3)  # one construction shows the counter counts
+        assert fraction_count[0] == before + 1

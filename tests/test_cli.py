@@ -116,6 +116,14 @@ class TestCheckCommands:
         assert "PASS trivial-stabilizer" in result.output
         assert "PASS injectivity-certificate" in result.output
 
+    @pytest.mark.parametrize("ball, code", [(2, 1), (3, 0)])
+    def test_bundled_fault_runs_at_the_command_ball(self, runner, ball, code):
+        result = runner.invoke(main, ["check-action", "--example", "e1", "--ball", str(ball)])
+        assert result.exit_code == code
+        slipped = '{"target": "e3-coset-fault", "expected": "an action-law violation'
+        assert (slipped in result.output) == (code == 1)
+        assert ('"got": null}' in result.output) == (code == 1)
+
     def test_report_file_written(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(

@@ -1,9 +1,13 @@
-"""The package uses only ``Fraction``'s public API.
+"""Source-level guards, read from the package's tokens.
 
-``pyproject.toml`` allows Python 3.10+, and ``Fraction``'s private names
-differ between versions: 3.12 adds ``_from_coprime_ints`` and drops the
-``_normalize`` argument, for example.  The integer fast paths must go
-through ``numerator``, ``denominator`` and ``Fraction(n, d)`` instead.
+The package uses only ``Fraction``'s public API.  ``pyproject.toml`` allows
+Python 3.10+, and ``Fraction``'s private names differ between versions: 3.12
+adds ``_from_coprime_ints`` and drops the ``_normalize`` argument, for
+example.  The integer fast paths must go through ``numerator``,
+``denominator`` and ``Fraction(n, d)`` instead.
+
+Only ``leafspace.py`` names ``Embedding.point_at``: every probe of a homeo
+along an embedded line goes through ``action.line_image``.
 """
 
 import io
@@ -16,11 +20,11 @@ PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 PACKAGE = Path(germkit.__file__).parent
 
 
-def private_uses(source: str) -> list[tuple[int, str]]:
-    """``(line, name)`` for each code token naming a private ``Fraction`` member;
+def name_uses(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """``(line, name)`` for each code token that is one of ``names``;
     comments and strings are not code."""
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return [(t.start[0], t.string) for t in tokens if t.type == tokenize.NAME and t.string in PRIVATE]
+    return [(t.start[0], t.string) for t in tokens if t.type == tokenize.NAME and t.string in names]
 
 
 def test_no_private_fraction_api():
@@ -29,7 +33,7 @@ def test_no_private_fraction_api():
     found = [
         f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"
         for path in modules
-        for line, name in private_uses(path.read_text())
+        for line, name in name_uses(path.read_text(), PRIVATE)
     ]
     assert found == []
 
@@ -41,6 +45,18 @@ def test_scanner_sees_attributes_and_keywords():
         "z = q._numerator + q._denominator  # q._numerator\n"
         "w = bounds.max_denominator, '_numerator'\n"
     )
-    assert private_uses(source) == [
+    assert name_uses(source, PRIVATE) == [
         (1, "_normalize"), (2, "_from_coprime_ints"), (3, "_numerator"), (3, "_denominator"),
     ]
+
+
+def test_only_leafspace_names_point_at():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "leafspace.py")
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}"
+        for path in modules
+        for line, _ in name_uses(path.read_text(), {"point_at"})
+    ]
+    assert found == []
+

@@ -18,7 +18,7 @@ from germkit.blowup import BlowupSpace
 from germkit.germ import Germ, OrderSign
 from germkit.leafspace import Classification
 from germkit.plmap import PLMap
-from germkit.suites import SuiteConfig, replay, run_suite
+from germkit.suites import SuiteConfig, SuiteError, replay, run_suite
 
 SMALL = SuiteConfig(seed=0, cases=20, plain_samples=4, interval_samples=4, stabilizer_ball=3)
 E1 = replace(SMALL, examples=("e1",))
@@ -203,6 +203,12 @@ def test_homomorphism_replay_keeps_unknown_generator_an_input_error():
     payload = {"target": "e1", "case": 0, "words": ["zz", "u"]}
     with pytest.raises(UnknownGeneratorError):
         replay("d-homomorphism", E1, payload)
+
+
+def test_replay_names_a_payload_target_the_config_does_not_resolve():
+    payload = {"target": "e3", "case": 0, "words": ["f", "k"]}
+    with pytest.raises(SuiteError, match=r"payload target 'e3' is not a resolved target \['e1'\]"):
+        replay("d-homomorphism", SuiteConfig(examples=("e1",)), payload)
 
 
 def test_nontriviality_identity_germ(replays):
