@@ -17,9 +17,15 @@ need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
 The action is implemented once, by :func:`alpha_apply_all`, which applies
 one word to a sequence of points: it fetches the word's homeo once and each
 orbit point's height map once per call.  :func:`alpha_apply` is its
-one-point case, and :func:`validate_alpha_action` applies each word to its
-whole sample list through it.  Base points and heights travel as reduced
-integer pairs: the homeo moves a point through
+one-point case.  :func:`validate_alpha_action` checks the action law by
+walking the word ball as a suffix trie: each word's images of the samples
+are computed once and shared by every split of every word that ends in it,
+and only the current word's suffixes keep their images, at most
+``ball + 1`` lists.  On any mismatch or error it reruns the ordered
+pair-by-pair loop, whose first violation or first error it then reports;
+every image is a deterministic function of the word and the points, so
+this gives the ordered loop's answer.  Base points and heights travel as
+reduced integer pairs: the homeo moves a point through
 :func:`~germkit.action.apply_homeo`, the height map through the
 ``PLMap`` integer entry, and the images are compared on ints, so once the
 homeos and height maps are cached an application builds no ``Fraction``.
@@ -440,12 +446,96 @@ def validate_alpha_action(
     Each word acts on the whole sample list through one
     :func:`alpha_apply_all` call.  The stepwise route applies ``outer`` to
     ``inner``'s images and the combined route applies the product word's own
-    homeo and twists, so the two stay independent.  Both routes advance one
-    sample at a time, stepwise before combined, so the first violation and
-    the first error raised are those of checking the samples one by one.
+    homeo and twists, so the two stay independent.
+
+    The check first runs :func:`_law_holds`, which computes each word's
+    images once, checks every pair against them, and holds at most
+    ``ball + 1`` image lists at a time.  When that pass finds
+    no mismatch and nothing raises, the answer is ``None``.  Otherwise the
+    ordered loop :func:`_first_violation` runs from the start, so the first
+    violation and the first error raised are those of checking the samples
+    one by one, in the order of the word list.  This is exact because every
+    image is a deterministic function of the word and the points' values,
+    and the ordered loop computes only images that the pass has computed
+    and compares only pairs that the pass has compared: if none of them
+    raised or differed in the pass, none does in the loop.
     """
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
+    try:
+        if _law_holds(space, stab, samples, ball):
+            return None
+    except Exception:  # the ordered loop raises it again, or fails earlier
+        pass
+    return _first_violation(space, stab, samples, ball)
+
+
+def _agree(stepwise: Iterable[BlownPoint], combined: Iterable[BlownPoint]) -> bool:
+    return all(s == c for s, c in zip(stepwise, combined))
+
+
+def _law_holds(
+    space: BlowupSpace,
+    stab: StabilizerData,
+    samples: Sequence[BlownPoint],
+    ball: int,
+) -> bool:
+    """Whether every pair of :func:`validate_alpha_action` agrees, in one
+    walk of the word ball as a suffix trie.
+
+    Each step of the walk prepends one letter to a word, and each word
+    ``w``'s images ``alpha_apply_all(w, samples)`` are computed once.  The
+    walk is depth-first on an explicit stack of letter tuples; beside it
+    only the images of the current word's suffixes are kept, so at most
+    ``ball + 1`` image lists are alive at a time.  At ``w`` the walk
+    checks each split ``w = o·i`` (``o`` applied to ``i``'s images against
+    ``w``'s) and each ``o`` of length ``<= ball - len(w)`` whose last letter
+    cancels ``w``'s first (``o`` applied to ``w``'s images against fresh
+    images of the product ``o * w``).  Every pair of the ordered loop is one
+    of these, exactly once.  An error propagates to the caller.
+    """
+    names = sorted(space.generators)
+    words = {w.letters: w for w in reduced_words(names, ball)}
+    ending: dict[tuple[str, int], list[Word]] = {}  # outer words by last letter, shortest first
+    for w in words.values():
+        if w.letters:
+            ending.setdefault(w.letters[-1], []).append(w)
+    root = list(alpha_apply_all(space, stab, Word(), samples))
+    if root != list(samples):
+        return False
+    backwards = [(n, -1) for n in reversed(names)] + [(n, 1) for n in reversed(names)]
+    chain: list[list[BlownPoint]] = []  # chain[k]: images of the current word's suffix of length k
+    stack = [()] if ball >= 0 else []  # words still to walk, as letter tuples
+    while stack:
+        letters = stack.pop()
+        n = len(letters)
+        del chain[n:]
+        chain.append(list(alpha_apply_all(space, stab, words[letters], samples)) if n else root)
+        images = chain[n]
+        for k, mids in enumerate(chain):
+            if not _agree(alpha_apply_all(space, stab, words[letters[:n - k]], mids), images):
+                return False
+        cancel = (letters[0][0], -letters[0][1]) if n else None
+        for outer in ending.get(cancel, ()):
+            if len(outer) > ball - n:
+                break
+            stepwise = alpha_apply_all(space, stab, outer, images)
+            if not _agree(stepwise, alpha_apply_all(space, stab, outer * words[letters], samples)):
+                return False
+        if n < ball:
+            stack.extend((a,) + letters for a in backwards if a != cancel)
+    return True
+
+
+def _first_violation(
+    space: BlowupSpace,
+    stab: StabilizerData,
+    samples: Sequence[BlownPoint],
+    ball: int,
+) -> ActionLawViolation | None:
+    """The ordered loop of :func:`validate_alpha_action`: inner words in
+    list order, then outer words, each pair advancing one sample at a time,
+    stepwise before combined."""
     names = sorted(space.generators)
     words = reduced_words(names, ball)
     empty = Word()
@@ -527,9 +617,14 @@ def positive_ray_orbit_search(
 # Germs through the blown-up chart
 
 
-def _line_insertions(space: BlowupSpace, e: Embedding) -> int:
-    """Number of blown orbit points on the embedded line."""
-    return sum(1 for p in space.orbit if e.contains(space.base, p))
+def _insertion_shift(space: BlowupSpace, e: Embedding) -> Germ:
+    """The translation by the number of blown orbit points on the embedded line."""
+    return Germ(1, sum(1 for p in space.orbit if e.contains(space.base, p)))
+
+
+def _blown(shift: Germ, base_germ: Germ) -> Germ:
+    """``base_germ`` in the blown chart, whose insertions translate by ``shift``."""
+    return shift * base_germ * ~shift
 
 
 def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
@@ -540,8 +635,7 @@ def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
     the number ``s`` of insertions, and the blown germ is the base induced
     germ conjugated by that translation: ``Germ(1, s) * d(w) * Germ(1, s)^-1``.
     """
-    shift = Germ(1, _line_insertions(space, e))
-    return shift * induced_germ(space.base, space.word_homeo(w), e) * ~shift
+    return _blown(_insertion_shift(space, e), induced_germ(space.base, space.word_homeo(w), e))
 
 
 def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word | None:
@@ -549,20 +643,21 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
 
     For each word the blown germ must differ from the identity and, as a
     cross-check, the word must move plain line points at arbitrarily large
-    sampled coordinates.  Returns the first failing word or ``None``.
+    sampled coordinates.  Returns the first failing word or ``None``.  The
+    orbit is scanned for line insertions once, and each word's blown germ
+    is its base germ conjugated as in :func:`blown_induced_germ`.
     """
     names = sorted(space.generators)
-    shift = Germ(1, _line_insertions(space, e))
+    shift = _insertion_shift(space, e)
     for w in reduced_words(names, ball):
         if w.is_identity():
             continue
-        germ = blown_induced_germ(space, w, e)
-        if germ.is_identity():
+        h = space.word_homeo(w)
+        base_germ = induced_germ(space.base, h, e)
+        if _blown(shift, base_germ).is_identity():
             return w
         # The probes live in the base chart, so bound the diagonal crossing
-        # with the germ conjugated back into it, above every base event.
-        base_germ = ~shift * germ * shift
-        h = space.word_homeo(w)
+        # with the base germ, above every base event.
         events = _ray_events(space.base, h, e)
         start = max(events) if events else Fraction(0)
         start = max(start, eventual_comparison_bound(base_germ))

@@ -26,6 +26,7 @@ from germkit.examples import bundle
 from germkit.germ import Germ
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
+from germkit.suites import SuiteConfig, _action_law_case
 
 
 def built(name):
@@ -305,6 +306,131 @@ class TestActionLawOrder:
         misses = len(space._homeo_cache) - cached
         assert 0 < fetches <= sum(calls.values()) + misses
         assert twists and all(n <= calls[h] for (h, _), n in twists.items())
+
+
+def twist_raising_at(h_text, g_text):
+    """A stabilizer class whose twist raises ``CosetError`` for one ``(h, g)``."""
+    h_bad, g_bad = Word.parse(h_text), Word.parse(g_text)
+
+    class Raising(StabilizerData):
+        def twist(self, h, g):
+            if h == h_bad and g == g_bad:
+                raise CosetError(f"no twist for {h_text!r} at {g_text!r}")
+            return StabilizerData.twist(self, h, g)
+
+    return Raising
+
+
+def counted_alpha(monkeypatch):
+    """Count ``alpha_apply_all`` calls, and the images they yield, by word."""
+    calls: Counter = Counter()
+    images: Counter = Counter()
+    real_all = blowup.alpha_apply_all
+
+    def counted_all(space, stab, h, qs):
+        calls[h.letters] += 1
+        for image in real_all(space, stab, h, qs):
+            images[h.letters] += 1
+            yield image
+
+    monkeypatch.setattr(blowup, "alpha_apply_all", counted_all)
+    return calls, images
+
+
+class TestActionLawTriePass:
+    """``validate_alpha_action`` first walks the ball as a suffix trie and
+    falls back to the ordered loop on any mismatch or error; its result, or
+    what it raises, is always the per-point loop's."""
+
+    def test_pass_error_before_the_loops_violation(self):
+        # e3-coset-fault breaks the law first at (outer f, inner k) on the
+        # midpoint.  The pass applies the identity to the images of "f f"
+        # (the split 1 * "f f") before it reaches that pair, while the
+        # ordered loop does so only at inner "f f", after inner k.
+        b = bundle("e3-coset-fault")
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        samples = [space.midpoint()]
+        far = apply_homeo(b.space, space.word_homeo(Word.parse("f f")), b.marked)
+        stab = twist_raising_at("1", str(space.orbit[far]))(
+            b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table
+        )
+        with pytest.raises(CosetError):
+            blowup._law_holds(space, stab, samples, 2)
+        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        assert isinstance(want, ActionLawViolation)
+        assert (want.outer, want.inner) == (Word.parse("f"), Word.parse("k"))
+        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+
+    def test_pass_violation_before_the_loops_error(self):
+        # The ordered loop applies f^-1 to the midpoint at inner 1, before
+        # its violation at (f, k); the pass applies f^-1 over the marked
+        # point only in the subtree of f^-1, after the subtree of k.
+        b = bundle("e3-coset-fault")
+        stab = twist_raising_at("f^-1", "1")(
+            b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table
+        )
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        samples = [space.midpoint()]
+        assert blowup._law_holds(space, stab, samples, 2) is False
+        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        assert want == (CosetError, "no twist for 'f^-1' at '1'")
+        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+
+    @pytest.mark.parametrize("ball", [0, -1])
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault"])
+    def test_balls_of_the_identity(self, name, ball):
+        b = bundle(name)
+        samples = law_samples(b, deep=True)
+        want = outcome(oracle_validate_alpha_action, b, samples, ball)
+        assert want is None
+        assert outcome(validate_alpha_action, b, samples, ball) == want
+
+    @pytest.mark.parametrize("ball", [0, -1])
+    def test_identity_violation(self, ball):
+        # a twist of the empty word off the identity moves the midpoint
+        b = bundle("e3")
+
+        class Moving(StabilizerData):
+            def twist(self, h, g):
+                return Word.parse("k") if h.is_identity() else StabilizerData.twist(self, h, g)
+
+        stab = Moving(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+        samples = law_samples(b, deep=False)
+        want = outcome(oracle_validate_alpha_action, b, samples, ball, stab)
+        assert isinstance(want, ActionLawViolation)
+        assert (want.outer, want.inner, want.sample) == (Word(), Word(), samples[0])
+        assert outcome(validate_alpha_action, b, samples, ball, stab) == want
+
+    def test_ball_minus_one_applies_only_the_identity(self, monkeypatch):
+        b, space = built("e3")
+        calls, _ = counted_alpha(monkeypatch)
+        assert validate_alpha_action(space, b.stabilizer, law_samples(b, deep=False), -1) is None
+        assert calls == {(): 1}
+
+    def test_empty_samples_fetch_no_homeo(self, monkeypatch):
+        b, space = built("e3-coset-fault")
+        fetched = []
+        monkeypatch.setattr(BlowupSpace, "word_homeo", lambda self, word: fetched.append(word))
+        assert oracle_validate_alpha_action(space, b.stabilizer, [], 4) is None
+        assert validate_alpha_action(space, b.stabilizer, [], 4) is None
+        assert fetched == []
+
+    @pytest.mark.parametrize(
+        "name, loop_calls, pass_calls", [("e1", 92, 62), ("e3", 1892, 1162)]
+    )
+    def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
+        # the default suite samples: 100 plain points and 20 interval points
+        _, space, stab, samples, ball = _action_law_case(bundle(name), SuiteConfig())
+        assert (len(samples), ball) == (120, 4)
+        calls, images = counted_alpha(monkeypatch)
+        assert blowup._first_violation(space, stab, samples, ball) is None
+        assert sum(calls.values()) == loop_calls
+        assert sum(images.values()) == 120 * loop_calls
+        calls.clear()
+        images.clear()
+        assert validate_alpha_action(space, stab, samples, ball) is None
+        assert sum(calls.values()) == pass_calls <= 1200
+        assert sum(images.values()) == 120 * pass_calls
 
 
 class TestCosets:
@@ -591,3 +717,21 @@ class TestBlownGerm:
         e = root_embedding(bb.space)
         failing = injectivity_certificate(space, e, ball=2)
         assert failing is not None and len(failing) >= 1
+
+    def test_certificate_scans_the_orbit_once(self, monkeypatch):
+        # The line insertions are counted once per certificate; the other
+        # containment tests are the probes at plain points far up the line.
+        from germkit.leafspace import Embedding
+
+        b, space = built("e3")
+        on_orbit = 0
+        real_contains = Embedding.contains
+
+        def counted(self, base, p):
+            nonlocal on_orbit
+            on_orbit += p in space.orbit
+            return real_contains(self, base, p)
+
+        monkeypatch.setattr(Embedding, "contains", counted)
+        assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
+        assert on_orbit == len(space.orbit) == 407

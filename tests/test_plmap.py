@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from germkit.germ import Germ
 from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize, reflect
@@ -567,8 +567,9 @@ def raw_plmaps(draw):
         f = PLMap(xs, ys, ls, rs, ys[-1] - rs * xs[-1])
     for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=2)):
         bps, vals = list(f.breakpoints), list(f.values)
-        if flaw == "order" and len(bps) > 1:
-            at = draw(st.integers(min_value=1, max_value=len(bps) - 1))
+        if flaw == "order" and min(len(bps), len(vals)) > 1:
+            # after a "length" flaw the two lists differ in length
+            at = draw(st.integers(min_value=1, max_value=min(len(bps), len(vals)) - 1))
             if draw(st.booleans()):
                 bps[at] = bps[at - 1]
             else:
@@ -606,7 +607,13 @@ def raw_plmaps(draw):
     return f
 
 
+_KINKED = PLMap.make([(F(0), F(0)), (F(1), F(2)), (F(2), F(3))], 1, 2)
+
+
 @given(raw_plmaps())
+# a "length" flaw, then an "order" flaw on the shorter values or the longer breakpoints
+@example(replace(_KINKED, values=(F(0), F(-1))))
+@example(replace(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
 def test_check_matches_fraction_oracle(f):
     """The same message, ``None``, or the same exception type and message."""
     assert outcome(check, f) == outcome(oracle_check, f)

@@ -11,6 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from germkit import blowup
+from germkit.action import Word
+from germkit.blowup import BlowupSpace
+from germkit.examples import bundle
+from germkit.leafspace import root_embedding
 from germkit.suites import SuiteConfig, run_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -47,6 +52,10 @@ def test_tracer_wraps_live_names_and_restores_them():
         report = run_suite(
             "injectivity-certificate", SuiteConfig(examples=("e1",), stabilizer_ball=2)
         )
+        # the certificate conjugates base germs itself, so call the wrapped name
+        b = bundle("e1")
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        blowup.blown_induced_germ(space, Word.parse("u"), root_embedding(b.space))
     tracer.flush()
     assert report.passed
     assert tracer.calls["blowup.blown_induced_germ"] > 0
