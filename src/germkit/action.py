@@ -161,14 +161,6 @@ class Homeo:
         object.__setattr__(self, "branch_map", dict(self.branch_map))
         object.__setattr__(self, "branch_pl", dict(self.branch_pl))
 
-    def __hash__(self) -> int:
-        return hash(
-            (
-                tuple(sorted(self.branch_map.items())),
-                tuple(sorted(self.branch_pl.items())),
-            )
-        )
-
 
 def identity_homeo(space: LeafSpace) -> Homeo:
     ident = PLMap.identity()
@@ -258,7 +250,7 @@ def line_image(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> tuple[i
     return (image._n, image._d) if e.contains(space, image) else None
 
 
-def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:
+def compose_homeo(outer: Homeo, inner: Homeo) -> Homeo:
     """``outer after inner`` on every branch both maps cover."""
     branch_map = {}
     branch_pl = {}
@@ -271,7 +263,7 @@ def compose_homeo(space: LeafSpace, outer: Homeo, inner: Homeo) -> Homeo:
     return Homeo(branch_map, branch_pl)
 
 
-def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
+def invert_homeo(h: Homeo) -> Homeo:
     """The inverse of ``h``, built on the first call and cached on ``h``."""
     if h._inverse is not None:
         return h._inverse
@@ -288,7 +280,7 @@ def invert_homeo(space: LeafSpace, h: Homeo) -> Homeo:
     return inverse
 
 
-def letter_homeo(space: LeafSpace, generators: Mapping[str, Homeo], name: str, exp: int) -> Homeo:
+def letter_homeo(generators: Mapping[str, Homeo], name: str, exp: int) -> Homeo:
     """The homeo of the letter ``name^exp``; an inverse letter reuses the
     generator's cached inverse, so :func:`invert_homeo` runs once per generator."""
     if name not in generators:
@@ -296,7 +288,7 @@ def letter_homeo(space: LeafSpace, generators: Mapping[str, Homeo], name: str, e
     step = generators[name]
     if exp == 1:
         return step
-    return step._inverse or invert_homeo(space, step)
+    return step._inverse or invert_homeo(step)
 
 
 def extend_space_for_action(
@@ -377,7 +369,7 @@ def word_homeo(
     else:
         raise ActionError("the empty word has no prefix")
     for name, exp in letters:
-        result = compose_homeo(space, result, letter_homeo(space, generators, name, exp))
+        result = compose_homeo(result, letter_homeo(generators, name, exp))
     problem = validate_homeo(space, result)
     if problem is not None:
         raise ActionError(f"invalid homeomorphism {word}: {problem}")
@@ -495,7 +487,7 @@ def word_germ(
     direct = induced_germ(space, composed, e)
     product = Germ.identity()
     for name, exp in word.letters:
-        product = product * induced_germ(space, letter_homeo(space, generators, name, exp), e)
+        product = product * induced_germ(space, letter_homeo(generators, name, exp), e)
     if product != direct:
         raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"

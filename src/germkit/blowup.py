@@ -9,7 +9,9 @@ where ``K`` is the declared stabilizer of the marked point, ``phi`` realizes
 coset ``gK``.  The twist word always lies in ``K``, which is what makes the
 assignment independent of how the interval was reached.  ``K`` is free on
 letters of the action, so membership, factorization and the default coset
-representatives all read one table of ``K`` letters.
+representatives all read one table of ``K`` letters.  A :class:`BlowupSpace`
+carries this stabilizer data, so the action and its checks read all of it
+from the space.
 
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
@@ -285,7 +287,8 @@ class BlownPoint:
 
 
 class BlowupSpace:
-    """A leaf space with the depth-bounded orbit of a marked point blown up."""
+    """A leaf space with the depth-bounded orbit of a marked point blown up,
+    carrying the :class:`StabilizerData` that twists the action on it."""
 
     def __init__(
         self,
@@ -293,6 +296,7 @@ class BlowupSpace:
         generators: Mapping[str, Homeo],
         marked: Point,
         depth: int,
+        stabilizer: StabilizerData,
     ):
         if depth < 0:
             raise BlowupError("orbit depth must be nonnegative")
@@ -300,6 +304,7 @@ class BlowupSpace:
         self.generators = dict(generators)
         self.marked = base.canonical(marked)
         self.depth = depth
+        self.stabilizer = stabilizer
         self.orbit: dict[Point, Word] = {}
         self._homeo_cache: dict[tuple[tuple[str, int], ...], Homeo] = {}
         self._expand_orbit()
@@ -309,7 +314,7 @@ class BlowupSpace:
         for name in sorted(self.generators):
             h = self.generators[name]
             steps.append((h, Word(((name, 1),))))
-            steps.append((letter_homeo(self.base, self.generators, name, -1), Word(((name, -1),))))
+            steps.append((letter_homeo(self.generators, name, -1), Word(((name, -1),))))
         frontier = [(self.marked, Word())]
         self.orbit[self.marked] = Word()
         for _ in range(self.depth):
@@ -366,7 +371,6 @@ class BlowupSpace:
 
 def alpha_apply_all(
     space: BlowupSpace,
-    stab: StabilizerData,
     h: Word,
     qs: Iterable[BlownPoint],
 ) -> Iterator[BlownPoint]:
@@ -383,7 +387,7 @@ def alpha_apply_all(
     applying ``h`` to the points one at a time, up to there, would raise.
     """
     homeo = space.word_homeo(h)
-    base, orbit = space.base, space.orbit
+    base, orbit, stab = space.base, space.orbit, space.stabilizer
     height_maps: dict[Point, PLMap] = {}
     for q in qs:
         image = apply_homeo(base, homeo, q.point)
@@ -414,12 +418,11 @@ def alpha_apply_all(
 
 def alpha_apply(
     space: BlowupSpace,
-    stab: StabilizerData,
     h: Word,
     q: BlownPoint,
 ) -> BlownPoint:
     """Act by ``h`` on one blown point; see :func:`alpha_apply_all`."""
-    return next(alpha_apply_all(space, stab, h, (q,)))
+    return next(alpha_apply_all(space, h, (q,)))
 
 
 @dataclass(frozen=True)
@@ -433,7 +436,6 @@ class ActionLawViolation:
 
 def validate_alpha_action(
     space: BlowupSpace,
-    stab: StabilizerData,
     samples: Sequence[BlownPoint],
     ball: int,
 ) -> ActionLawViolation | None:
@@ -463,11 +465,11 @@ def validate_alpha_action(
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
     try:
-        if _law_holds(space, stab, samples, ball):
+        if _law_holds(space, samples, ball):
             return None
     except Exception:  # the ordered loop raises it again, or fails earlier
         pass
-    return _first_violation(space, stab, samples, ball)
+    return _first_violation(space, samples, ball)
 
 
 def _agree(stepwise: Iterable[BlownPoint], combined: Iterable[BlownPoint]) -> bool:
@@ -476,7 +478,6 @@ def _agree(stepwise: Iterable[BlownPoint], combined: Iterable[BlownPoint]) -> bo
 
 def _law_holds(
     space: BlowupSpace,
-    stab: StabilizerData,
     samples: Sequence[BlownPoint],
     ball: int,
 ) -> bool:
@@ -500,7 +501,7 @@ def _law_holds(
     for w in words.values():
         if w.letters:
             ending.setdefault(w.letters[-1], []).append(w)
-    root = list(alpha_apply_all(space, stab, Word(), samples))
+    root = list(alpha_apply_all(space, Word(), samples))
     if root != list(samples):
         return False
     backwards = [(n, -1) for n in reversed(names)] + [(n, 1) for n in reversed(names)]
@@ -510,17 +511,17 @@ def _law_holds(
         letters = stack.pop()
         n = len(letters)
         del chain[n:]
-        chain.append(list(alpha_apply_all(space, stab, words[letters], samples)) if n else root)
+        chain.append(list(alpha_apply_all(space, words[letters], samples)) if n else root)
         images = chain[n]
         for k, mids in enumerate(chain):
-            if not _agree(alpha_apply_all(space, stab, words[letters[:n - k]], mids), images):
+            if not _agree(alpha_apply_all(space, words[letters[:n - k]], mids), images):
                 return False
         cancel = (letters[0][0], -letters[0][1]) if n else None
         for outer in ending.get(cancel, ()):
             if len(outer) > ball - n:
                 break
-            stepwise = alpha_apply_all(space, stab, outer, images)
-            if not _agree(stepwise, alpha_apply_all(space, stab, outer * words[letters], samples)):
+            stepwise = alpha_apply_all(space, outer, images)
+            if not _agree(stepwise, alpha_apply_all(space, outer * words[letters], samples)):
                 return False
         if n < ball:
             stack.extend((a,) + letters for a in backwards if a != cancel)
@@ -529,7 +530,6 @@ def _law_holds(
 
 def _first_violation(
     space: BlowupSpace,
-    stab: StabilizerData,
     samples: Sequence[BlownPoint],
     ball: int,
 ) -> ActionLawViolation | None:
@@ -539,19 +539,19 @@ def _first_violation(
     names = sorted(space.generators)
     words = reduced_words(names, ball)
     empty = Word()
-    for q, image in zip(samples, alpha_apply_all(space, stab, empty, samples)):
+    for q, image in zip(samples, alpha_apply_all(space, empty, samples)):
         if image != q:
             return ActionLawViolation(empty, empty, q, image, q)
     for inner in words:
         budget = ball - len(inner)
         if budget < 0:
             continue
-        mids = list(alpha_apply_all(space, stab, inner, samples))
+        mids = list(alpha_apply_all(space, inner, samples))
         for outer in words:
             if len(outer) > budget:
                 continue
-            stepwise_all = alpha_apply_all(space, stab, outer, mids)
-            combined_all = alpha_apply_all(space, stab, outer * inner, samples)
+            stepwise_all = alpha_apply_all(space, outer, mids)
+            combined_all = alpha_apply_all(space, outer * inner, samples)
             for q, stepwise, combined in zip(samples, stepwise_all, combined_all):
                 if combined != stepwise:
                     return ActionLawViolation(outer, inner, q, combined, stepwise)
@@ -560,7 +560,6 @@ def _first_violation(
 
 def stabilizer_check(
     space: BlowupSpace,
-    stab: StabilizerData,
     ball: int,
 ) -> Word | None:
     """Search the word ball for a nontrivial word fixing the marked midpoint.
@@ -570,6 +569,7 @@ def stabilizer_check(
     move the marked point itself.  Returns the first fixing word, or ``None``
     when the midpoint's stabilizer is trivial at this scale.
     """
+    stab = space.stabilizer
     for gen in stab.k_generators:
         if apply_homeo(space.base, space.word_homeo(gen), space.marked) != space.marked:
             raise BlowupError(
@@ -591,7 +591,6 @@ def stabilizer_check(
 
 def positive_ray_orbit_search(
     space: BlowupSpace,
-    stab: StabilizerData,
     e: Embedding,
     n: Fraction,
     ball: int,
@@ -606,7 +605,7 @@ def positive_ray_orbit_search(
     n = _frac(n)
     midpoint = space.midpoint()
     for w in reduced_words(sorted(space.generators), ball):
-        image = alpha_apply(space, stab, w, midpoint)
+        image = alpha_apply(space, w, midpoint)
         base_point = image.point
         if e.contains(space.base, base_point) and base_point.coord > n:
             return w

@@ -55,7 +55,7 @@ def _echo_report(report: Report) -> None:
 def _write_reports(reports: list[Report], path: str | None) -> None:
     if path is None:
         return
-    payload = json.dumps([r.to_data(include_timings=False) for r in reports], indent=2) + "\n"
+    payload = json.dumps([r.to_data() for r in reports], indent=2) + "\n"
     Path(path).write_text(payload)
 
 
@@ -207,7 +207,7 @@ def check_hom(
 def blowup_cmd(targets: dict, seed: int) -> None:
     """Build the blow-up and describe the orbit and classification."""
     for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
-        space, _ = build_blowup_target(target)
+        space = build_blowup_target(target)
         same = space.classify() is target.space.classify()
         click.echo(
             f"{target.name}\torbit={len(space.orbit)}\tdepth={space.depth}\t"
@@ -270,13 +270,13 @@ def orbit_search(targets: dict, cut: str, ball: int, seed: int) -> None:
     """Search the word ball for an orbit point over the ray (n, +oo)."""
     n = parse_rational(cut)
     for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
-        space, stab = build_blowup_target(target)
+        space = build_blowup_target(target)
         e = root_embedding(target.space)
-        found = positive_ray_orbit_search(space, stab, e, n, min(ball, space.depth))
+        found = positive_ray_orbit_search(space, e, n, min(ball, space.depth))
         if found is None:
             click.echo(f"{target.name}\texhausted (ball {min(ball, space.depth)})")
         else:
-            image = alpha_apply(space, stab, found, space.midpoint())
+            image = alpha_apply(space, found, space.midpoint())
             click.echo(f"{target.name}\t{found}\tover {format_rational(image.point.coord)}")
 
 
@@ -341,7 +341,7 @@ def emit_plot(targets: dict, what: str, ball: int, seed: int) -> None:
     else:
         click.echo("target\tword\tbranch\tcoord")
         for target in resolved:
-            space, _ = build_blowup_target(target)
+            space = build_blowup_target(target)
             rows = sorted(space.orbit.items(), key=lambda kv: (len(kv[1]), str(kv[1])))
             for point, w in rows:
                 click.echo(f"{target.name}\t{w}\t{point.branch}\t{format_rational(point.coord)}")

@@ -19,12 +19,13 @@ from .leafspace import LeafSpace, Point, Side
 from .plmap import PLMap, _canonical
 
 
+MAX_MAGNITUDE = 50
+
+
 @dataclass(frozen=True)
 class FuzzBounds:
     max_breakpoints: int = 5
     max_denominator: int = 100
-    max_magnitude: int = 50
-    max_word_length: int = 8
 
 
 class CaseGen:
@@ -38,10 +39,9 @@ class CaseGen:
     # -- scalars -------------------------------------------------------------
 
     def fraction(self, lo: int | None = None, hi: int | None = None) -> Fraction:
-        b = self.bounds
-        lo = -b.max_magnitude if lo is None else lo
-        hi = b.max_magnitude if hi is None else hi
-        den = self.rng.randint(1, b.max_denominator)
+        lo = -MAX_MAGNITUDE if lo is None else lo
+        hi = MAX_MAGNITUDE if hi is None else hi
+        den = self.rng.randint(1, self.bounds.max_denominator)
         num = self.rng.randint(lo * den, hi * den)
         return Fraction(num, den)
 
@@ -70,7 +70,7 @@ class CaseGen:
         # Breakpoints x + k/D at distinct integers x, values y0 + m1/D + ...,
         # as unreduced (n, d) int pairs over D and y0's denominator times D.
         den = b.max_denominator
-        xs = sorted(self.rng.sample(range(-b.max_magnitude, b.max_magnitude), count))
+        xs = sorted(self.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
         xs = [x * den + self.rng.randint(0, den - 1) for x in xs]
         y = self.fraction()
         yn, yd = y.numerator * den, y.denominator * den
@@ -98,9 +98,8 @@ class CaseGen:
 
     # -- words ---------------------------------------------------------------
 
-    def word(self, names: list[str], max_length: int | None = None) -> Word:
-        limit = self.bounds.max_word_length if max_length is None else max_length
-        length = self.rng.randint(0, limit)
+    def word(self, names: list[str], max_length: int = 8) -> Word:
+        length = self.rng.randint(0, max_length)
         letters = []
         for _ in range(length):
             name = self.rng.choice(names)
@@ -140,7 +139,7 @@ class CaseGen:
         pts.append((fixed[-1], fixed[-1]))
         return PLMap.make(pts, left, right)
 
-    def swap_pair(self, max_mirrors: int = 3) -> tuple[LeafSpace, Homeo, Fraction]:
+    def swap_pair(self) -> tuple[LeafSpace, Homeo, Fraction]:
         """A space with a line swap of finite overlap threshold.
 
         The root line and a branch line departing at ``d`` carry mirrored
@@ -156,7 +155,7 @@ class CaseGen:
             "b": ("r", d),
         }
         branch_map = {"r": "b", "b": "r"}
-        for i in range(self.rng.randint(0, max_mirrors)):
+        for i in range(self.rng.randint(0, 3)):
             dep = d - 1 - abs(self.fraction(lo=0, hi=5))
             branches[f"m{i}"] = ("r", dep)
             branches[f"w{i}"] = ("b", dep)

@@ -254,9 +254,6 @@ class PLMap:
 
     # -- structure ---------------------------------------------------------
 
-    def is_identity(self) -> bool:
-        return not self.breakpoints and self.right_slope == 1 and self.tail_offset == 0
-
     def __repr__(self) -> str:
         pts = ", ".join(
             f"({format_rational(x)},{format_rational(y)})"

@@ -381,16 +381,19 @@ def parse_blowup_spec(text: str) -> tuple[Point, StabilizerData, int, int]:
 # ---------------------------------------------------------------------------
 
 
-_EMITTERS: dict[str, Callable[[str], str]] = {
-    "plmap": lambda text: emit_plmap(parse_plmap(text)),
-    "leafspace": lambda text: emit_leafspace(parse_leafspace(text)),
-    "action": lambda text: emit_action(parse_action(text)),
-    "blowup": lambda text: emit_blowup_spec(*parse_blowup_spec(text)),
+# Each file kind's parser and the emitter of what it returns, looked up by
+# name at call time, so a replaced parser or emitter is the one used.
+FILE_KINDS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    "plmap": (lambda text: parse_plmap(text), lambda f: emit_plmap(f)),
+    "leafspace": (lambda text: parse_leafspace(text), lambda space: emit_leafspace(space)),
+    "action": (lambda text: parse_action(text), lambda gens: emit_action(gens)),
+    "blowup": (lambda text: parse_blowup_spec(text), lambda spec: emit_blowup_spec(*spec)),
 }
 
 
 def is_canonical(text: str, kind: str) -> bool:
     """Whether re-serializing ``text`` reproduces it byte for byte."""
-    if kind not in _EMITTERS:
+    if kind not in FILE_KINDS:
         raise ValueError(f"unknown schema kind {kind!r}")
-    return _EMITTERS[kind](text) == text
+    parse, emit = FILE_KINDS[kind]
+    return emit(parse(text)) == text

@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator
 
 from . import serialize
 from .action import (
@@ -98,8 +98,8 @@ class Report:
     config: SuiteConfig
     elapsed: float = 0.0
 
-    def to_data(self, include_timings: bool = False) -> dict:
-        data = {
+    def to_data(self) -> dict:
+        return {
             "suite": self.suite,
             "claim": self.claim,
             "passed": self.passed,
@@ -107,13 +107,10 @@ class Report:
             "counterexample": self.counterexample,
             "config": self.config.to_data(),
         }
-        if include_timings:
-            data["elapsed_seconds"] = self.elapsed
-        return data
 
     def canonical_json(self) -> str:
         """Deterministic serialization: no timings, fixed key order."""
-        return json.dumps(self.to_data(include_timings=False), indent=2) + "\n"
+        return json.dumps(self.to_data(), indent=2) + "\n"
 
 
 Case = tuple
@@ -157,11 +154,10 @@ class Suite:
 # Targets: bundled examples or user files
 
 
-T = TypeVar("T")
-
-
-def _load(file: str, parse: Callable[[str], T], emit: Callable[[T], str], noted: list[str]) -> T:
-    """Read and parse ``file`` once; note it in ``noted`` if it is not canonical."""
+def _load(file: str, kind: str, noted: list[str]) -> Any:
+    """Read and parse ``file`` as a ``kind`` of :data:`serialize.FILE_KINDS`
+    once; note it in ``noted`` if it is not canonical."""
+    parse, emit = serialize.FILE_KINDS[kind]
     with open(file) as fh:
         text = fh.read()
     try:
@@ -176,8 +172,8 @@ def _load(file: str, parse: Callable[[str], T], emit: Callable[[T], str], noted:
 def _file_target(config: SuiteConfig) -> Bundle:
     """Load the user files once; reject files that parse alone but do not fit."""
     noted: list[str] = []
-    space = _load(config.leafspace_path, serialize.parse_leafspace, serialize.emit_leafspace, noted)
-    generators = _load(config.action_path, serialize.parse_action, serialize.emit_action, noted)
+    space = _load(config.leafspace_path, "leafspace", noted)
+    generators = _load(config.action_path, "action", noted)
     positive = space.side is Side.POSITIVE
     if positive:  # file coordinates to internal ones, as for the departures
         generators = {
@@ -197,8 +193,7 @@ def _file_target(config: SuiteConfig) -> Bundle:
             )
     if not config.blowup_path:
         return Bundle("file", space, generators, noncanonical=tuple(noted))
-    emit = lambda spec: serialize.emit_blowup_spec(*spec)
-    marked, stab, depth, ball = _load(config.blowup_path, serialize.parse_blowup_spec, emit, noted)
+    marked, stab, depth, ball = _load(config.blowup_path, "blowup", noted)
     if positive:
         marked = Point(marked.branch, -marked.coord)
     if marked.branch not in space.branches:
@@ -211,7 +206,7 @@ def _file_target(config: SuiteConfig) -> Bundle:
         name, exp = w.letters[0]
         if name not in generators:
             problem = "is not a declared generator"
-        elif apply_homeo(space, letter_homeo(space, generators, name, exp), point) != point:
+        elif apply_homeo(space, letter_homeo(generators, name, exp), point) != point:
             problem = "moves the marked point"
         else:
             continue
@@ -356,7 +351,7 @@ def _sample_homeos(target: Bundle, gen: CaseGen, count: int) -> list[tuple[str, 
     out: list[tuple[str, Homeo]] = []
     for name in sorted(target.generators):
         out.append((name, target.generators[name]))
-        out.append((f"{name}^-1", letter_homeo(target.space, target.generators, name, -1)))
+        out.append((f"{name}^-1", letter_homeo(target.generators, name, -1)))
     while len(out) < count:
         out.append((f"random[{len(out)}]", gen.homeo(target.space)))
     return out
@@ -509,11 +504,10 @@ def _nontriviality_check(case: Case) -> Payload | None:
 # Blow-up suites
 
 
-def build_blowup_target(target: Bundle) -> tuple[BlowupSpace, StabilizerData]:
+def build_blowup_target(target: Bundle) -> BlowupSpace:
     if not target.has_blowup:
         raise SuiteError(f"target {target.name!r} carries no blow-up data")
-    space = BlowupSpace(target.space, target.generators, target.marked, target.depth)
-    return space, target.stabilizer
+    return BlowupSpace(target.space, target.generators, target.marked, target.depth, target.stabilizer)
 
 
 def _plain_samples(space: BlowupSpace, ball: int, want: int) -> list[BlownPoint]:
@@ -588,23 +582,23 @@ def _action_law_samples(space: BlowupSpace, config: SuiteConfig) -> list[BlownPo
 
 
 def _action_law_case(target: Bundle, config: SuiteConfig, plain: bool = True) -> Case:
-    space, stab = build_blowup_target(target)
+    space = build_blowup_target(target)
     if plain:
         samples = _action_law_samples(space, config)
     else:
         samples = _interval_samples(space, config.word_ball, config.interval_samples)
-    return target, space, stab, samples, config.word_ball
+    return target, space, samples, config.word_ball
 
 
 def _action_law_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for target in _blowup_targets(targets):
         case = _action_law_case(target, config)
-        yield len(case[3]), case
+        yield len(case[2]), case
 
 
 def _action_law_check(case: Case) -> Payload | None:
-    target, space, stab, samples, ball = case
-    violation = validate_alpha_action(space, stab, samples, ball)
+    target, space, samples, ball = case
+    violation = validate_alpha_action(space, samples, ball)
     if violation is None:
         return None
     q = violation.sample
@@ -621,18 +615,18 @@ def _action_law_check(case: Case) -> Payload | None:
 
 def _action_law_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     target = _payload_target(targets, payload)
-    space, stab = build_blowup_target(target)
+    space = build_blowup_target(target)
     sample = payload["sample"]
     point, height = serialize.point_from_data(sample["point"]), sample["height"]
     q = BlownPoint(point, None if height is None else parse_rational(height))
     ball = len(Word.parse(payload["outer"])) + len(Word.parse(payload["inner"]))
-    return target, space, stab, [q], ball
+    return target, space, [q], ball
 
 
 def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
-    space, stab = build_blowup_target(target)
+    space = build_blowup_target(target)
     ball = min(config.stabilizer_ball, target.ball or config.stabilizer_ball)
-    return target, space, stab, ball, config.stabilizer_ball
+    return target, space, ball, config.stabilizer_ball
 
 
 def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -641,18 +635,18 @@ def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _stabilizer_check(case: Case) -> Payload | None:
-    target, space, stab, ball, phi_ball = case
-    fixing = stabilizer_check(space, stab, ball)
+    target, space, ball, phi_ball = case
+    fixing = stabilizer_check(space, ball)
     if fixing is not None:
         return {"target": target.name, "fixing_word": str(fixing)}
-    problem = stab.validate_phi(phi_ball)
+    problem = space.stabilizer.validate_phi(phi_ball)
     return None if problem is None else {"target": target.name, "problem": problem}
 
 
 def _stabilizer_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target, space, stab, _, phi_ball = _stabilizer_case(_payload_target(targets, payload), config)
+    target, space, _, phi_ball = _stabilizer_case(_payload_target(targets, payload), config)
     ball = len(Word.parse(payload["fixing_word"])) if "fixing_word" in payload else 0
-    return target, space, stab, ball, phi_ball
+    return target, space, ball, phi_ball
 
 
 _ORBIT_CUTS = (Fraction(-10**6), Fraction(0), Fraction(5))
@@ -660,9 +654,9 @@ _ORBIT_CUTS = (Fraction(-10**6), Fraction(0), Fraction(5))
 
 def _orbit_limit_base(target: Bundle, config: SuiteConfig) -> Case:
     """An orbit-limit case without its cut."""
-    space, stab = build_blowup_target(target)
+    space = build_blowup_target(target)
     ball = min(target.ball or config.word_ball, space.depth)
-    return target, space, stab, root_embedding(target.space), ball
+    return target, space, root_embedding(target.space), ball
 
 
 def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -673,11 +667,11 @@ def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _orbit_limit_check(case: Case) -> Payload | None:
-    target, space, stab, e, ball, n = case
-    found = positive_ray_orbit_search(space, stab, e, n, ball)
+    target, space, e, ball, n = case
+    found = positive_ray_orbit_search(space, e, n, ball)
     if found is None:
         return None  # exhaustion is a permitted outcome, not a refutation
-    image = alpha_apply(space, stab, found, space.midpoint())
+    image = alpha_apply(space, found, space.midpoint())
     if e.contains(target.space, image.point) and image.point.coord > n:
         return None
     return {"target": target.name, "cut": format_rational(n), "word": str(found)}
@@ -689,8 +683,7 @@ def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Pay
 
 
 def _injectivity_case(target: Bundle, ball: int) -> Case:
-    space, _ = build_blowup_target(target)
-    return target, space, root_embedding(target.space), ball
+    return target, build_blowup_target(target), root_embedding(target.space), ball
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -728,7 +721,7 @@ def _structural_check(case: Case) -> Payload | None:
     kind = case[0]
     if kind == "random":
         _, i, space, marked = case
-        if BlowupSpace(space, {}, marked, depth=2).classify() is not space.classify():
+        if BlowupSpace(space, {}, marked, 2, StabilizerData((), {})).classify() is not space.classify():
             failure = "classification"
         else:
             text = serialize.emit_leafspace(space)
@@ -857,8 +850,14 @@ def run_suite(name: str, config: SuiteConfig, targets: list[Bundle] | None = Non
 
 
 def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
-    """Re-run a single failing case; True means it still fails."""
+    """Re-run a single failing case; True means it still fails.  A payload
+    the suite cannot decode raises :class:`SuiteError`."""
     suite = _suite(name)
     if "expected" in counterexample:
         return suite.fault_check(config) is not None
-    return suite.check(suite.decode(config, resolve_targets(config), counterexample)) is not None
+    targets = resolve_targets(config)
+    try:
+        case = suite.decode(config, targets, counterexample)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise SuiteError(f"suite {name!r} cannot decode its counterexample: {exc!r}") from None
+    return suite.check(case) is not None

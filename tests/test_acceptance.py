@@ -22,7 +22,7 @@ from germkit import (
     word_germ,
 )
 from germkit import serialize
-from germkit.blowup import BlowupSpace, blown_induced_germ, stabilizer_check
+from germkit.blowup import BlowupSpace, StabilizerData, blown_induced_germ, stabilizer_check
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.suites import (
@@ -98,7 +98,7 @@ def test_criterion_4_threshold_independence():
         e = root_embedding(b.space)
         gen = CaseGen(104)
         homeos = list(b.generators.values())
-        homeos += [invert_homeo(b.space, h) for h in b.generators.values()]
+        homeos += [invert_homeo(h) for h in b.generators.values()]
         while len(homeos) < 200 + 2 * len(b.generators):
             homeos.append(gen.homeo(b.space))
         for h in homeos:
@@ -158,11 +158,11 @@ def test_criterion_7_action_law():
     config = SuiteConfig(seed=107, word_ball=4, plain_samples=100, interval_samples=20)
     for label in ("e1", "e3"):
         target = next(t for t in resolve_targets(config, need_blowup=True) if t.name == label)
-        space, stab = build_blowup_target(target)
+        space = build_blowup_target(target)
         samples = _action_law_samples(space, config)
         assert sum(1 for q in samples if not q.is_interval()) >= 100
         assert sum(1 for q in samples if q.is_interval()) >= 20
-        assert validate_alpha_action(space, stab, samples, ball=4) is None
+        assert validate_alpha_action(space, samples, ball=4) is None
     _done(7, "twisted action law over all word pairs of total length <= 4", started, budget=30.0)
 
 
@@ -170,18 +170,18 @@ def test_criterion_8_trivial_stabilizer():
     started = time.perf_counter()
     b = bundle("e3")
     assert b.stabilizer.phi["k"](F(1, 2)) == F(3, 4)
-    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
-    assert stabilizer_check(space, b.stabilizer, ball=5) is None
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
+    assert stabilizer_check(space, ball=5) is None
     faulty = bundle("e3-phi-fault")
-    fspace = BlowupSpace(faulty.space, faulty.generators, faulty.marked, faulty.depth)
-    assert stabilizer_check(fspace, faulty.stabilizer, ball=5) == Word.parse("k")
+    fspace = BlowupSpace(faulty.space, faulty.generators, faulty.marked, faulty.depth, faulty.stabilizer)
+    assert stabilizer_check(fspace, ball=5) == Word.parse("k")
     _done(8, "no word of length <= 5 fixes the midpoint; the faulty phi reports 'k'", started)
 
 
 def test_criterion_9_injectivity_ball():
     started = time.perf_counter()
     b = bundle("e3")
-    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
     e = root_embedding(b.space)
     words = [w for w in reduced_words(("f", "k"), 5) if not w.is_identity()]
     assert len(words) == 484
@@ -196,7 +196,7 @@ def test_criterion_10_structural():
     for _ in range(100):
         space = gen.leafspace()
         marked = space.canonical(gen.interior_point(space))
-        blown = BlowupSpace(space, {}, marked, depth=2)
+        blown = BlowupSpace(space, {}, marked, 2, StabilizerData((), {}))
         assert blown.classify() is space.classify()
         text = serialize.emit_leafspace(space)
         assert serialize.emit_leafspace(serialize.parse_leafspace(text)) == text

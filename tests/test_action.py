@@ -196,7 +196,7 @@ class TestValidateAgainstFractionBody:
             space = gen.leafspace(max_branches=4)
             h = gen.homeo(space)
             yield space, h
-            yield space, invert_homeo(space, h)
+            yield space, invert_homeo(h)
 
     def test_messages_match(self):
         seen = set()
@@ -250,7 +250,7 @@ class TestApply:
     def test_composition_soundness(self):
         b = bundle("e3")
         f, k = b.generators["f"], b.generators["k"]
-        fk = compose_homeo(b.space, f, k)
+        fk = compose_homeo(f, k)
         samples = [Point("b1", F(-3, 2)), Point("b2", F(-1)), Point("r", F(2))]
         for p in samples:
             p = b.space.canonical(p)
@@ -261,7 +261,7 @@ class TestApply:
     def test_inverse_soundness(self):
         b = bundle("e3")
         k = b.generators["k"]
-        kinv = invert_homeo(b.space, k)
+        kinv = invert_homeo(k)
         for p in (Point("b1", F(-7, 3)), Point("r", F(1, 2))):
             p = b.space.canonical(p)
             assert apply_homeo(b.space, kinv, apply_homeo(b.space, k, p)) == p
@@ -269,10 +269,10 @@ class TestApply:
     def test_inverse_is_built_once_and_points_back(self):
         b = bundle("e3")
         k = b.generators["k"]
-        kinv = invert_homeo(b.space, k)
-        assert invert_homeo(b.space, k) is kinv
-        assert invert_homeo(b.space, kinv) is k
-        assert kinv == invert_homeo(b.space, Homeo(k.branch_map, k.branch_pl))
+        kinv = invert_homeo(k)
+        assert invert_homeo(k) is kinv
+        assert invert_homeo(kinv) is k
+        assert kinv == invert_homeo(Homeo(k.branch_map, k.branch_pl))
         assert "_inverse" not in repr(k)
 
     def test_inverse_letters_share_the_generator_inverse(self):
@@ -282,7 +282,7 @@ class TestApply:
         finv = f._inverse
         assert finv is not None
         word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space))
-        assert f._inverse is finv and invert_homeo(b.space, f) is finv
+        assert f._inverse is finv and invert_homeo(f) is finv
 
 
 class TestOverlapRay:
@@ -486,7 +486,7 @@ class TestSwappedLines:
         for _ in range(15):
             space, swap, d = gen.swap_pair()
             vertical = gen.homeo(space)
-            composite = compose_homeo(space, vertical, swap)
+            composite = compose_homeo(vertical, swap)
             assert validate_homeo(space, composite) is None
             e = root_embedding(space)
             expected = induced_germ(space, vertical, e)
@@ -559,7 +559,7 @@ def test_word_homeo_matches_letter_application():
     for name, exp in reversed(w.letters):
         g = b.generators[name]
         if exp == -1:
-            g = invert_homeo(b.space, g)
+            g = invert_homeo(g)
         step = apply_homeo(b.space, g, step)
     assert apply_homeo(b.space, h, p) == step
 
@@ -638,7 +638,7 @@ class TestInducedGermOracle:
             space = gen.leafspace(4)
             sides.add(space.side)
             h = gen.homeo(space)
-            for g in (h, invert_homeo(space, h)):
+            for g in (h, invert_homeo(h)):
                 for branch in sorted(space.branches):
                     assert_matches_oracle(space, g, Embedding(branch))
         assert sides == {Side.NEGATIVE, Side.POSITIVE}
@@ -647,8 +647,8 @@ class TestInducedGermOracle:
         gen = CaseGen(32)
         for _ in range(10):
             space, swap, d = gen.swap_pair()
-            stretch = compose_homeo(space, gen.homeo(space), swap)
-            for g in (swap, stretch, invert_homeo(space, stretch)):
+            stretch = compose_homeo(gen.homeo(space), swap)
+            for g in (swap, stretch, invert_homeo(stretch)):
                 for branch in sorted(space.branches):
                     assert_matches_oracle(space, g, Embedding(branch))
 
@@ -703,7 +703,7 @@ class TestInducedGermCalls:
         h = word_homeo(b.space, b.generators, Word.parse("f"))
         assert h == f and h is not f
         finv = word_homeo(b.space, b.generators, Word.parse("f^-1"))
-        assert finv == invert_homeo(b.space, f) and finv is not f._inverse
+        assert finv == invert_homeo(f) and finv is not f._inverse
 
     def test_invalid_composite_names_the_word(self):
         L = two_siblings()
@@ -756,7 +756,7 @@ class TestLineImageOracle:
             space = gen.leafspace(4)
             sides.add(space.side)
             h = gen.homeo(space)
-            for g in (h, invert_homeo(space, h)):
+            for g in (h, invert_homeo(h)):
                 for branch in sorted(space.branches):
                     assert_probes_match(space, g, Embedding(branch))
         assert sides == {Side.NEGATIVE, Side.POSITIVE}
@@ -766,8 +766,8 @@ class TestLineImageOracle:
         off_line = 0
         for _ in range(10):
             space, swap, d = gen.swap_pair()
-            stretch = compose_homeo(space, gen.homeo(space), swap)
-            for g in (swap, stretch, invert_homeo(space, stretch)):
+            stretch = compose_homeo(gen.homeo(space), swap)
+            for g in (swap, stretch, invert_homeo(stretch)):
                 for branch in sorted(space.branches):
                     e = Embedding(branch)
                     assert_probes_match(space, g, e)

@@ -31,18 +31,18 @@ from germkit.suites import SuiteConfig, _action_law_case
 
 def built(name):
     b = bundle(name)
-    return b, BlowupSpace(b.space, b.generators, b.marked, b.depth)
+    return b, BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
 
 
 class TestBuild:
     def test_trivial_group_single_interval(self):
         b = bundle("e1")
-        space = BlowupSpace(b.space, {}, Point("r", F(0)), depth=3)
+        space = BlowupSpace(b.space, {}, Point("r", F(0)), 3, StabilizerData((), {}))
         assert set(space.orbit) == {Point("r", F(0))}
 
     def test_translation_orbit(self):
         b = bundle("e1")
-        space = BlowupSpace(b.space, b.generators, Point("r", F(0)), depth=3)
+        space = BlowupSpace(b.space, b.generators, Point("r", F(0)), 3, StabilizerData((), {}))
         assert {p.coord for p in space.orbit} == {F(n) for n in range(-3, 4)}
         assert space.orbit[Point("r", F(2))] == Word.parse("u u")
 
@@ -56,7 +56,7 @@ class TestBuild:
         for name in ("e1", "e2", "e3"):
             b = bundle(name)
             marked = b.marked or Point(b.space.root, F(-5))
-            space = BlowupSpace(b.space, b.generators, marked, depth=2)
+            space = BlowupSpace(b.space, b.generators, marked, 2, StabilizerData((), {}))
             assert space.classify() is b.space.classify()
 
     def test_windowed_action_escapes_without_extension(self):
@@ -71,7 +71,7 @@ class TestBuild:
             {"r": ident, "c0": ident, "c1": ident},
         )
         with pytest.raises(OrbitEscapeError):
-            BlowupSpace(L, {"v": swap}, Point("c0", F(-1)), depth=2)
+            BlowupSpace(L, {"v": swap}, Point("c0", F(-1)), 2, StabilizerData((), {}))
 
 
 class TestWordHomeoCache:
@@ -101,19 +101,19 @@ class TestAlphaApply:
     def test_trivial_stabilizer_preserves_height(self):
         b, space = built("e1")
         q = BlownPoint(Point("r", F(0)), F(1, 3))
-        image = alpha_apply(space, b.stabilizer, Word.parse("u u"), q)
+        image = alpha_apply(space, Word.parse("u u"), q)
         assert image == BlownPoint(Point("r", F(2)), F(1, 3))
 
     def test_stabilizer_twists_height(self):
         b, space = built("e3")
         mid = space.midpoint()
-        image = alpha_apply(space, b.stabilizer, Word.parse("k"), mid)
+        image = alpha_apply(space, Word.parse("k"), mid)
         assert image == BlownPoint(b.marked, F(3, 4))
 
     def test_plain_point_moves_by_underlying_action(self):
         b, space = built("e3")
         q = BlownPoint(Point("r", F(2)))
-        image = alpha_apply(space, b.stabilizer, Word.parse("f"), q)
+        image = alpha_apply(space, Word.parse("f"), q)
         assert image == BlownPoint(Point("r", F(4)))
 
     def test_interval_to_interval_monotone(self):
@@ -122,7 +122,7 @@ class TestAlphaApply:
         for text in ("f", "k", "f k", "k^-1 f"):
             w = Word.parse(text)
             images = [
-                alpha_apply(space, b.stabilizer, w, BlownPoint(b.marked, t)) for t in heights
+                alpha_apply(space, w, BlownPoint(b.marked, t)) for t in heights
             ]
             assert len({img.point for img in images}) == 1
             out = [img.height for img in images]
@@ -133,20 +133,20 @@ class TestAlphaApply:
         b, space = built("e1")
         deep = Word.parse("u^9")
         with pytest.raises(OrbitEscapeError):
-            alpha_apply(space, b.stabilizer, deep, space.midpoint())
+            alpha_apply(space, deep, space.midpoint())
 
     def test_plain_point_hitting_interval_escapes(self):
         b, space = built("e1")
         q = BlownPoint(Point("r", F(-9)))
         with pytest.raises(OrbitEscapeError):
-            alpha_apply(space, b.stabilizer, Word.parse("u"), q)
+            alpha_apply(space, Word.parse("u"), q)
 
 
 class TestActionLaw:
     def test_identity_word_fixes_samples(self):
         b, space = built("e3")
         for q in (space.midpoint(), BlownPoint(Point("r", F(5)))):
-            assert alpha_apply(space, b.stabilizer, Word(), q) == q
+            assert alpha_apply(space, Word(), q) == q
 
     def test_exhaustive_small_ball(self):
         b, space = built("e1")
@@ -155,48 +155,47 @@ class TestActionLaw:
             BlownPoint(Point("r", F(1)), F(2, 3)),
             BlownPoint(Point("r", F(1, 2))),
         ]
-        assert validate_alpha_action(space, b.stabilizer, samples, ball=4) is None
+        assert validate_alpha_action(space, samples, ball=4) is None
 
     def test_corrupted_coset_table_is_caught(self):
         b, space = built("e3-coset-fault")
         samples = [space.midpoint(), BlownPoint(b.marked, F(1, 4))]
-        violation = validate_alpha_action(space, b.stabilizer, samples, ball=2)
+        violation = validate_alpha_action(space, samples, ball=2)
         assert violation is not None
         # replay the reported case
         lhs = alpha_apply(
-            space, b.stabilizer, violation.outer * violation.inner, violation.sample
+            space, violation.outer * violation.inner, violation.sample
         )
         rhs = alpha_apply(
             space,
-            b.stabilizer,
             violation.outer,
-            alpha_apply(space, b.stabilizer, violation.inner, violation.sample),
+            alpha_apply(space, violation.inner, violation.sample),
         )
         assert lhs != rhs
 
 
-def oracle_validate_alpha_action(space, stab, samples, ball):
+def oracle_validate_alpha_action(space, samples, ball):
     """The action-law check as it ran before it applied each word to the
     whole sample list: one ``alpha_apply`` per point, stepwise then combined.
     Kept here only as the reference for the evaluation order."""
     words = reduced_words(sorted(space.generators), ball)
     empty = Word()
     for q in samples:
-        image = alpha_apply(space, stab, empty, q)
+        image = alpha_apply(space, empty, q)
         if image != q:
             return ActionLawViolation(empty, empty, q, image, q)
     for inner in words:
         budget = ball - len(inner)
         if budget < 0:
             continue
-        mids = [alpha_apply(space, stab, inner, q) for q in samples]
+        mids = [alpha_apply(space, inner, q) for q in samples]
         for outer in words:
             if len(outer) > budget:
                 continue
             product = outer * inner
             for q, mid in zip(samples, mids):
-                stepwise = alpha_apply(space, stab, outer, mid)
-                combined = alpha_apply(space, stab, product, q)
+                stepwise = alpha_apply(space, outer, mid)
+                combined = alpha_apply(space, product, q)
                 if combined != stepwise:
                     return ActionLawViolation(outer, inner, q, combined, stepwise)
     return None
@@ -205,11 +204,11 @@ def oracle_validate_alpha_action(space, stab, samples, ball):
 def outcome(check, b, samples, ball, stab=None):
     """What ``check`` gives on a fresh blow-up of ``b``: its result, or the
     type and message of what it raised."""
-    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
     if stab is None:
         stab = StabilizerData(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
     try:
-        return check(space, stab, samples, ball)
+        return check(space, samples, ball)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -219,7 +218,7 @@ def law_samples(b, deep):
     orbit point, a plain point, and with ``deep`` an interval over an orbit
     point two letters short of the expanded depth, from which words longer
     than 2 escape."""
-    space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+    space = BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
     near = next(p for p, w in space.orbit.items() if len(w) == 1)
     far = next(p for p, w in space.orbit.items() if len(w) == b.depth - 2)
     samples = [
@@ -264,7 +263,7 @@ class TestActionLawOrder:
                 return StabilizerData.twist(self, h, g)
 
         stab = Leaky(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint(), BlownPoint(Point("b1", F(-1, 2)), F(1, 2))]
         assert space.orbit[samples[1].point] == Word.parse("f")
         want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
@@ -272,7 +271,7 @@ class TestActionLawOrder:
         assert (want.outer, want.inner, want.sample) == (Word.parse("f"), Word.parse("k"), samples[0])
         assert outcome(validate_alpha_action, b, samples, 2, stab) == want
         with pytest.raises(CosetError):
-            validate_alpha_action(space, stab, samples[1:], 2)
+            validate_alpha_action(space, samples[1:], 2)
 
     def test_each_call_fetches_its_homeo_once_and_each_twist_once(self, monkeypatch):
         b, space = built("e3")
@@ -284,9 +283,9 @@ class TestActionLawOrder:
         real_homeo = BlowupSpace.word_homeo
         real_twist = StabilizerData.twist
 
-        def counted_all(space, stab, h, qs):
+        def counted_all(space, h, qs):
             calls[h.letters] += 1
-            return real_all(space, stab, h, qs)
+            return real_all(space, h, qs)
 
         def counted_homeo(self, word):
             nonlocal fetches
@@ -301,7 +300,7 @@ class TestActionLawOrder:
         monkeypatch.setattr(BlowupSpace, "word_homeo", counted_homeo)
         monkeypatch.setattr(StabilizerData, "twist", counted_twist)
         cached = len(space._homeo_cache)
-        assert validate_alpha_action(space, b.stabilizer, samples, ball=4) is None
+        assert validate_alpha_action(space, samples, ball=4) is None
         # a miss fetches its prefix once more, through the same method
         misses = len(space._homeo_cache) - cached
         assert 0 < fetches <= sum(calls.values()) + misses
@@ -327,9 +326,9 @@ def counted_alpha(monkeypatch):
     images: Counter = Counter()
     real_all = blowup.alpha_apply_all
 
-    def counted_all(space, stab, h, qs):
+    def counted_all(space, h, qs):
         calls[h.letters] += 1
-        for image in real_all(space, stab, h, qs):
+        for image in real_all(space, h, qs):
             images[h.letters] += 1
             yield image
 
@@ -347,15 +346,15 @@ class TestActionLawTriePass:
         # midpoint.  The pass applies the identity to the images of "f f"
         # (the split 1 * "f f") before it reaches that pair, while the
         # ordered loop does so only at inner "f f", after inner k.
-        b = bundle("e3-coset-fault")
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
-        samples = [space.midpoint()]
-        far = apply_homeo(b.space, space.word_homeo(Word.parse("f f")), b.marked)
-        stab = twist_raising_at("1", str(space.orbit[far]))(
+        b, plain = built("e3-coset-fault")
+        far = apply_homeo(b.space, plain.word_homeo(Word.parse("f f")), b.marked)
+        stab = twist_raising_at("1", str(plain.orbit[far]))(
             b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table
         )
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
+        samples = [space.midpoint()]
         with pytest.raises(CosetError):
-            blowup._law_holds(space, stab, samples, 2)
+            blowup._law_holds(space, samples, 2)
         want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner) == (Word.parse("f"), Word.parse("k"))
@@ -369,9 +368,9 @@ class TestActionLawTriePass:
         stab = twist_raising_at("f^-1", "1")(
             b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table
         )
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint()]
-        assert blowup._law_holds(space, stab, samples, 2) is False
+        assert blowup._law_holds(space, samples, 2) is False
         want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert want == (CosetError, "no twist for 'f^-1' at '1'")
         assert outcome(validate_alpha_action, b, samples, 2, stab) == want
@@ -404,15 +403,15 @@ class TestActionLawTriePass:
     def test_ball_minus_one_applies_only_the_identity(self, monkeypatch):
         b, space = built("e3")
         calls, _ = counted_alpha(monkeypatch)
-        assert validate_alpha_action(space, b.stabilizer, law_samples(b, deep=False), -1) is None
+        assert validate_alpha_action(space, law_samples(b, deep=False), -1) is None
         assert calls == {(): 1}
 
     def test_empty_samples_fetch_no_homeo(self, monkeypatch):
         b, space = built("e3-coset-fault")
         fetched = []
         monkeypatch.setattr(BlowupSpace, "word_homeo", lambda self, word: fetched.append(word))
-        assert oracle_validate_alpha_action(space, b.stabilizer, [], 4) is None
-        assert validate_alpha_action(space, b.stabilizer, [], 4) is None
+        assert oracle_validate_alpha_action(space, [], 4) is None
+        assert validate_alpha_action(space, [], 4) is None
         assert fetched == []
 
     @pytest.mark.parametrize(
@@ -420,15 +419,15 @@ class TestActionLawTriePass:
     )
     def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
         # the default suite samples: 100 plain points and 20 interval points
-        _, space, stab, samples, ball = _action_law_case(bundle(name), SuiteConfig())
+        _, space, samples, ball = _action_law_case(bundle(name), SuiteConfig())
         assert (len(samples), ball) == (120, 4)
         calls, images = counted_alpha(monkeypatch)
-        assert blowup._first_violation(space, stab, samples, ball) is None
+        assert blowup._first_violation(space, samples, ball) is None
         assert sum(calls.values()) == loop_calls
         assert sum(images.values()) == 120 * loop_calls
         calls.clear()
         images.clear()
-        assert validate_alpha_action(space, stab, samples, ball) is None
+        assert validate_alpha_action(space, samples, ball) is None
         assert sum(calls.values()) == pass_calls <= 1200
         assert sum(images.values()) == 120 * pass_calls
 
@@ -486,15 +485,16 @@ class TestCosets:
                 return rep * Word.parse("k")
 
         alt = Shifted(b.stabilizer.k_generators, b.stabilizer.phi)
-        samples = [space.midpoint(), BlownPoint(b.marked, F(1, 5))]
-        assert validate_alpha_action(space, alt, samples, ball=3) is None
+        alt_space = BlowupSpace(b.space, b.generators, b.marked, b.depth, alt)
+        samples = [alt_space.midpoint(), BlownPoint(b.marked, F(1, 5))]
+        assert validate_alpha_action(alt_space, samples, ball=3) is None
         w = Word.parse("f")
         twist_default = b.stabilizer.twist(w, Word())
         twist_alt = alt.twist(w, Word())
         assert alt.in_stabilizer(twist_alt)
         same_phi = b.stabilizer.phi_word(twist_default) == alt.phi_word(twist_alt)
-        lhs = alpha_apply(space, b.stabilizer, w, space.midpoint())
-        rhs = alpha_apply(space, alt, w, space.midpoint())
+        lhs = alpha_apply(space, w, space.midpoint())
+        rhs = alpha_apply(alt_space, w, alt_space.midpoint())
         assert (lhs == rhs) == same_phi
 
 
@@ -616,17 +616,18 @@ class TestCosetTableRules:
 class TestStabilizerCheck:
     def test_free_example_has_trivial_ball_stabilizer(self):
         b, space = built("e3")
-        assert stabilizer_check(space, b.stabilizer, ball=5) is None
+        assert stabilizer_check(space, ball=5) is None
 
     def test_phi_fault_reports_the_generator(self):
         b, space = built("e3-phi-fault")
-        assert stabilizer_check(space, b.stabilizer, ball=5) == Word.parse("k")
+        assert stabilizer_check(space, ball=5) == Word.parse("k")
 
     def test_misdeclared_stabilizer_rejected(self):
-        b, space = built("e3")
+        b = bundle("e3")
         wrong = StabilizerData((Word.parse("f"),), {"f": b.stabilizer.phi["k"]})
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, wrong)
         with pytest.raises(BlowupError):
-            stabilizer_check(space, wrong, ball=2)
+            stabilizer_check(space, ball=2)
 
     def test_phi_validation(self):
         b = bundle("e3")
@@ -643,29 +644,29 @@ class TestOrbitSearch:
     def test_translation_reaches_ray(self):
         b, space = built("e1")
         e = root_embedding(b.space)
-        found = positive_ray_orbit_search(space, b.stabilizer, e, F(5), ball=8)
+        found = positive_ray_orbit_search(space, e, F(5), ball=8)
         assert found == Word.parse("u^6")
 
     def test_already_over_the_ray(self):
         b, space = built("e1")
         e = root_embedding(b.space)
-        assert positive_ray_orbit_search(space, b.stabilizer, e, F(-1), ball=8) == Word()
+        assert positive_ray_orbit_search(space, e, F(-1), ball=8) == Word()
 
     def test_exhausted_ball(self):
         b, space = built("e1")
         e = root_embedding(b.space)
-        assert positive_ray_orbit_search(space, b.stabilizer, e, F(20), ball=4) is None
+        assert positive_ray_orbit_search(space, e, F(20), ball=4) is None
 
     def test_orbit_off_the_line_exhausts(self):
         b, space = built("e3")
         e = root_embedding(b.space)
-        assert positive_ray_orbit_search(space, b.stabilizer, e, F(0), ball=5) is None
+        assert positive_ray_orbit_search(space, e, F(0), ball=5) is None
 
     def test_ball_beyond_depth_rejected(self):
         b, space = built("e1")
         e = root_embedding(b.space)
         with pytest.raises(BlowupError):
-            positive_ray_orbit_search(space, b.stabilizer, e, F(0), ball=99)
+            positive_ray_orbit_search(space, e, F(0), ball=99)
 
 
 class TestBlownGerm:
@@ -688,7 +689,7 @@ class TestBlownGerm:
 
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
         double = Homeo({"r": "r"}, {"r": PLMap.affine(2, 0)})
-        space = BlowupSpace(L, {"d": double}, Point("r", F(1)), depth=2)
+        space = BlowupSpace(L, {"d": double}, Point("r", F(1)), 2, StabilizerData((), {}))
         e = root_embedding(L)
         count = len(space.orbit)  # insertions on the line: 1/4, 1/2, 1, 2, 4
         germ = blown_induced_germ(space, Word.parse("d"), e)
@@ -713,7 +714,7 @@ class TestBlownGerm:
     def test_certificate_catches_trivial_germ(self):
         # the branch swap has trivial germs, so the certificate must name a word
         bb = bundle("e2")
-        space = BlowupSpace(bb.space, bb.generators, Point("b", F(-1)), depth=2)
+        space = BlowupSpace(bb.space, bb.generators, Point("b", F(-1)), 2, StabilizerData((), {}))
         e = root_embedding(bb.space)
         failing = injectivity_certificate(space, e, ball=2)
         assert failing is not None and len(failing) >= 1

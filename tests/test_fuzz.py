@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit.fuzz import CaseGen, FuzzBounds
+from germkit.fuzz import MAX_MAGNITUDE, CaseGen, FuzzBounds
 from germkit.plmap import PLMap
 
 
@@ -30,7 +30,7 @@ def oracle_plmap(gen, max_breakpoints=None):
     right = gen.positive_slope()
     if count == 0:
         return PLMap.make((), left, left, offset=gen.fraction())
-    xs = sorted(gen.rng.sample(range(-b.max_magnitude, b.max_magnitude), count))
+    xs = sorted(gen.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
     xs = [F(x) + F(gen.rng.randint(0, b.max_denominator - 1), b.max_denominator) for x in xs]
     xs = sorted(set(xs))
     y = gen.fraction()

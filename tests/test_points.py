@@ -102,7 +102,7 @@ def oracle_contains(space, line, p):
     return oracle_canonical(space, OraclePoint(line, _frac(p.coord))) == p
 
 
-def oracle_alpha_apply(space, stab, h, q):
+def oracle_alpha_apply(space, h, q):
     """One image of the twisted action with ``Fraction`` heights, as
     ``alpha_apply_all`` computed it before heights were ints."""
     image = oracle_apply_homeo(space.base, space.word_homeo(h), q.point)
@@ -119,6 +119,7 @@ def oracle_alpha_apply(space, stab, h, q):
         raise OrbitEscapeError(
             f"image of orbit point {q.point!r} under {str(h)!r} needs depth beyond {space.depth}"
         )
+    stab = space.stabilizer
     new_height = stab.phi_word(stab.twist(h, orbit[q.point]))(q.height)
     if not (0 <= new_height <= 1):
         raise BlowupError("twist map left the unit interval")
@@ -173,7 +174,7 @@ def random_cases(seeds):
         gen = CaseGen(seed)
         space = gen.leafspace()
         homeos = [gen.homeo(space) for _ in range(2)]
-        homeos += [invert_homeo(space, h) for h in homeos]
+        homeos += [invert_homeo(h) for h in homeos]
         yield space, homeos, chart_points(space, gen)
         swap_space, swap, _ = gen.swap_pair()
         yield swap_space, [swap], chart_points(swap_space, gen)
@@ -183,7 +184,7 @@ def bundle_cases():
     for name in ("e1", "e2", "e3"):
         b = bundle(name)
         gens = list(b.generators.values())
-        homeos = gens + [invert_homeo(b.space, h) for h in gens]
+        homeos = gens + [invert_homeo(h) for h in gens]
         yield b.space, homeos, chart_points(b.space, CaseGen(0))
 
 
@@ -213,15 +214,15 @@ class TestAgainstTheFractionBodies:
     def test_twisted_action_on_the_law_samples(self):
         for name in ("e1", "e3", "e3-coset-fault", "e3-phi-fault"):
             b = bundle(name)
-            space, stab = build_blowup_target(b)
+            space = build_blowup_target(b)
             samples = _action_law_samples(space, SuiteConfig(plain_samples=8, interval_samples=12))
             samples += [BlownPoint(space.marked, 0), BlownPoint(space.marked, 1)]  # fixed ends
             assert any(q.is_interval() for q in samples) and not all(q.is_interval() for q in samples)
             for w in reduced_words(sorted(space.generators), 3):
                 for q in samples:
                     old = OracleBlownPoint(as_oracle(q.point), q.height)
-                    want = outcome(oracle_alpha_apply, space, stab, w, old)
-                    got = outcome(lambda: next(alpha_apply_all(space, stab, w, [q])))
+                    want = outcome(oracle_alpha_apply, space, w, old)
+                    got = outcome(lambda: next(alpha_apply_all(space, w, [q])))
                     if isinstance(want, tuple):
                         assert got == want
                     else:
@@ -375,7 +376,7 @@ class TestNoFractionOnTheIntegerRoute:
         b = bundle("e3")
         space, e = b.space, Embedding(b.space.root)
         homeos = list(b.generators.values())
-        homeos += [invert_homeo(space, h) for h in homeos]
+        homeos += [invert_homeo(h) for h in homeos]
         for h in homeos:  # build the kernels first
             apply_homeo(space, h, Point("b1", -1))
         before = fraction_count[0]
@@ -393,21 +394,21 @@ class TestNoFractionOnTheIntegerRoute:
 
     def test_alpha_apply_all_on_e3_law_samples_builds_no_fraction(self, fraction_count):
         b = bundle("e3")
-        space, stab = build_blowup_target(b)
+        space = build_blowup_target(b)
         config = SuiteConfig()
         samples = _action_law_samples(space, config)
         plain = [q for q in samples if not q.is_interval()]
         assert plain and len(plain) < len(samples)
         words = reduced_words(sorted(space.generators), config.word_ball)
         for w in words:  # fill the word and phi caches
-            list(alpha_apply_all(space, stab, w, samples))
+            list(alpha_apply_all(space, w, samples))
         before = fraction_count[0]
         for w in words:
-            images = list(alpha_apply_all(space, stab, w, plain))
+            images = list(alpha_apply_all(space, w, plain))
             assert len(images) == len(plain)
         assert fraction_count[0] == before
         for w in words:
-            list(alpha_apply_all(space, stab, w, samples))
+            list(alpha_apply_all(space, w, samples))
         assert fraction_count[0] == before
 
     def test_alpha_apply_all_on_mids_builds_no_fraction(self, fraction_count):
@@ -415,22 +416,22 @@ class TestNoFractionOnTheIntegerRoute:
         built, whose heights hold no ``Fraction``; reading none of them, a
         warm law check builds none."""
         b = bundle("e3")
-        space, stab = build_blowup_target(b)
+        space = build_blowup_target(b)
         config = SuiteConfig()
         samples = _action_law_samples(space, config)
         words = reduced_words(sorted(space.generators), 2)
-        mids = {w: list(alpha_apply_all(space, stab, w, samples)) for w in words}
+        mids = {w: list(alpha_apply_all(space, w, samples)) for w in words}
         for inner in words:  # fill the word and phi caches
             for outer in words:
-                list(alpha_apply_all(space, stab, outer, mids[inner]))
+                list(alpha_apply_all(space, outer, mids[inner]))
         assert any(q.is_interval() for q in mids[words[1]])
-        assert validate_alpha_action(space, stab, samples, 4) is None
+        assert validate_alpha_action(space, samples, 4) is None
         before = fraction_count[0]
         for inner in words:
             for outer in words:
-                images = list(alpha_apply_all(space, stab, outer, mids[inner]))
+                images = list(alpha_apply_all(space, outer, mids[inner]))
                 assert len(images) == len(samples)
-        assert validate_alpha_action(space, stab, samples, 4) is None
+        assert validate_alpha_action(space, samples, 4) is None
         assert fraction_count[0] == before
 
     @pytest.mark.parametrize("name", ["e1", "e2", "e3"])

@@ -7,6 +7,7 @@ undone.  Between them the cases emit every payload shape a suite can emit.
 """
 
 import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -209,6 +210,25 @@ def test_replay_names_a_payload_target_the_config_does_not_resolve():
     payload = {"target": "e3", "case": 0, "words": ["f", "k"]}
     with pytest.raises(SuiteError, match=r"payload target 'e3' is not a resolved target \['e1'\]"):
         replay("d-homomorphism", SuiteConfig(examples=("e1",)), payload)
+
+
+# suite -> (a payload its decode cannot read, the error it raised)
+MALFORMED = {
+    "alpha-action-law": ({"target": "e3"}, "KeyError('sample')"),
+    "orbit-limit": ({}, "KeyError('target')"),
+    "injectivity-certificate": (
+        {"target": "e3", "word": 5}, "AttributeError(\"'int' object has no attribute 'split'\")"
+    ),
+    "order-laws": ({"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_replay_rejects_a_malformed_payload(name):
+    payload, error = MALFORMED[name]
+    message = f"suite '{name}' cannot decode its counterexample: {error}"
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        replay(name, SuiteConfig(examples=("e3",)), payload)
 
 
 def test_nontriviality_identity_germ(replays):

@@ -54,7 +54,7 @@ def test_tracer_wraps_live_names_and_restores_them():
         )
         # the certificate conjugates base germs itself, so call the wrapped name
         b = bundle("e1")
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth)
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
         blowup.blown_induced_germ(space, Word.parse("u"), root_embedding(b.space))
     tracer.flush()
     assert report.passed
