@@ -356,18 +356,25 @@ def word_homeo(
 ) -> Homeo:
     """Compose a word of generators, outermost letter first, and validate it.
 
-    Without ``prefix`` the word is built from the identity, letter by
-    letter, so even a one-letter word's homeo is a new object, equal to its
-    generator but not that generator.  With ``prefix``, the homeo of
-    ``word`` minus its last letter, only that letter is composed onto it.
-    An invalid composite raises :class:`ActionError` naming the word.
+    Without ``prefix`` the word is built letter by letter from its first
+    letter's homeo, so a word of ``n`` letters costs ``n - 1``
+    compositions; only the empty word starts from the identity.  Even a
+    one-letter word's homeo is a new object, equal to its letter's homeo
+    but not that homeo.  Canonical forms are unique and composition is
+    associative, so the maps are those of the word built from the
+    identity.  With ``prefix``, the homeo of ``word`` minus its last
+    letter, only that letter is composed onto it.  An invalid composite
+    raises :class:`ActionError` naming the word.
     """
-    if prefix is None:
-        result, letters = identity_homeo(space), word.letters
-    elif word.letters:
+    if prefix is not None:
+        if not word.letters:
+            raise ActionError("the empty word has no prefix")
         result, letters = prefix, word.letters[-1:]
+    elif word.letters:
+        first = letter_homeo(generators, *word.letters[0])
+        result, letters = Homeo(first.branch_map, first.branch_pl), word.letters[1:]
     else:
-        raise ActionError("the empty word has no prefix")
+        result, letters = identity_homeo(space), ()
     for name, exp in letters:
         result = compose_homeo(result, letter_homeo(generators, name, exp))
     problem = validate_homeo(space, result)
@@ -475,6 +482,7 @@ def word_germ(
     generators: Mapping[str, Homeo],
     word: Word,
     e: Embedding,
+    letter_germs: dict[tuple[str, int], Germ],
 ) -> Germ:
     """Induced germ of a word, cross-checked letter by letter.
 
@@ -482,12 +490,25 @@ def word_germ(
     product of the letters' germs; the two must agree (multiplicativity),
     and the common value is returned.  A disagreement raises
     :class:`GermMismatchError`.
+
+    ``letter_germs`` is a table of letter germs shared by the calls on one
+    ``space``, ``generators`` and ``e``.  Each letter's germ is read from
+    it, or else computed by :func:`induced_germ`, in letter order, and
+    stored.  The composite germ is always computed from the composed homeo,
+    so the two routes stay independent.  A letter germ is a deterministic
+    function of the space, the letter's homeo and ``e``, so a hit is the
+    value a recomputation would give; a germ that raises ends the call
+    before it is stored, so the first error and its message are those of
+    recomputing every letter.
     """
     composed = word_homeo(space, generators, word)
     direct = induced_germ(space, composed, e)
     product = Germ.identity()
-    for name, exp in word.letters:
-        product = product * induced_germ(space, letter_homeo(generators, name, exp), e)
+    for letter in word.letters:
+        germ = letter_germs.get(letter)
+        if germ is None:
+            germ = letter_germs[letter] = induced_germ(space, letter_homeo(generators, *letter), e)
+        product = product * germ
     if product != direct:
         raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"

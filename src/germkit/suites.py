@@ -467,19 +467,23 @@ def _homomorphism_check(case: Case) -> Payload | None:
     target, e, i, w1, w2 = case
     space, gens = target.space, target.generators
     payload = {"target": target.name, "case": i, "words": [str(w1), str(w2)]}
+    # one letter-germ table per case, so a replayed case does the run's work
+    letter_germs: dict[tuple[str, int], Germ] = {}
     try:
-        product = word_germ(space, gens, w1 * w2, e)
-        germ1 = word_germ(space, gens, w1, e)
-        split = germ1 * word_germ(space, gens, w2, e)
-        inverse_ok = word_germ(space, gens, ~w1, e) == ~germ1
+        product = word_germ(space, gens, w1 * w2, e, letter_germs)
+        germ1 = word_germ(space, gens, w1, e, letter_germs)
+        split = germ1 * word_germ(space, gens, w2, e, letter_germs)
+        inverse_ok = word_germ(space, gens, ~w1, e, letter_germs) == ~germ1
     except GermMismatchError:
         return payload
     return None if product == split and inverse_ok else payload
 
 
 def _homomorphism_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target = _payload_target(targets, payload)
-    w1, w2 = (Word.parse(t) for t in payload["words"])
+    target, words = _payload_target(targets, payload), payload["words"]
+    if not isinstance(words, list) or len(words) != 2:
+        raise TypeError(f"words must be a list of two words, got {words!r}")
+    w1, w2 = map(Word.parse, words)
     return target, root_embedding(target.space), payload["case"], w1, w2
 
 
@@ -853,6 +857,10 @@ def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
     """Re-run a single failing case; True means it still fails.  A payload
     the suite cannot decode raises :class:`SuiteError`."""
     suite = _suite(name)
+    if not isinstance(counterexample, dict):
+        raise SuiteError(
+            f"suite {name!r} cannot decode its counterexample: {counterexample!r} is not a mapping"
+        )
     if "expected" in counterexample:
         return suite.fault_check(config) is not None
     targets = resolve_targets(config)

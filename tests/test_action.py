@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit import action
+from germkit import action, suites
 from germkit.action import (
     ActionError,
     FULL_LINE,
+    GermMismatchError,
     Homeo,
     UnknownGeneratorError,
     Word,
@@ -16,6 +17,7 @@ from germkit.action import (
     identity_homeo,
     induced_germ,
     invert_homeo,
+    letter_homeo,
     line_image,
     moved_point_witness,
     overlap_ray,
@@ -281,7 +283,7 @@ class TestApply:
         word_homeo(b.space, b.generators, Word.parse("f^-1 k f^-1"))
         finv = f._inverse
         assert finv is not None
-        word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space))
+        word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space), {})
         assert f._inverse is finv and invert_homeo(f) is finv
 
 
@@ -390,32 +392,32 @@ class TestWordGerm:
         }
         e = root_embedding(L)
         # t after d: x -> 2x + 1; letterwise (1,1)*(2,0) agrees
-        assert word_germ(L, gens, Word.parse("t d"), e) == Germ(2, 1)
+        assert word_germ(L, gens, Word.parse("t d"), e, {}) == Germ(2, 1)
         assert Germ(1, 1) * Germ(2, 0) == Germ(2, 1)
 
     def test_empty_word(self):
         b = bundle("e3")
         e = root_embedding(b.space)
-        assert word_germ(b.space, b.generators, Word(), e) == Germ.identity()
+        assert word_germ(b.space, b.generators, Word(), e, {}) == Germ.identity()
 
     def test_cancelling_word(self):
         b = bundle("e3")
         e = root_embedding(b.space)
-        assert word_germ(b.space, b.generators, Word.parse("k k^-1"), e) == Germ.identity()
+        assert word_germ(b.space, b.generators, Word.parse("k k^-1"), e, {}) == Germ.identity()
 
     def test_undeclared_generator(self):
         b = bundle("e1")
         e = root_embedding(b.space)
         with pytest.raises(UnknownGeneratorError):
-            word_germ(b.space, b.generators, Word.parse("zz"), e)
+            word_germ(b.space, b.generators, Word.parse("zz"), e, {})
 
     def test_inverse_word_inverts_germ(self):
         b = bundle("e3")
         e = root_embedding(b.space)
         for text in ("f", "k", "f k", "k f^-1 k"):
             w = Word.parse(text)
-            assert word_germ(b.space, b.generators, ~w, e) == ~word_germ(
-                b.space, b.generators, w, e
+            assert word_germ(b.space, b.generators, ~w, e, {}) == ~word_germ(
+                b.space, b.generators, w, e, {}
             )
 
 
@@ -672,7 +674,9 @@ class TestInducedGermOracle:
 class TestInducedGermCalls:
     @staticmethod
     def counted(monkeypatch):
-        calls = {"line_image": 0, "_overlap_scan": 0, "_ray_events": 0}
+        calls = dict.fromkeys(
+            ("line_image", "_overlap_scan", "_ray_events", "induced_germ", "compose_homeo"), 0
+        )
         for attr in calls:
             original = getattr(action, attr)
 
@@ -687,8 +691,11 @@ class TestInducedGermCalls:
     def test_default_samples_twice_and_never_scans(self, monkeypatch, name, gen):
         b = bundle(name)
         calls = self.counted(monkeypatch)
-        induced_germ(b.space, b.generators[gen], root_embedding(b.space))
-        assert calls == {"line_image": 2, "_overlap_scan": 0, "_ray_events": 1}
+        action.induced_germ(b.space, b.generators[gen], root_embedding(b.space))
+        assert calls == {
+            "line_image": 2, "_overlap_scan": 0, "_ray_events": 1,
+            "induced_germ": 1, "compose_homeo": 0,
+        }
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
@@ -696,6 +703,18 @@ class TestInducedGermCalls:
         induced_germ(b.space, b.generators["s"], root_embedding(b.space), threshold=F(5))
         assert calls["_overlap_scan"] == 1
         assert calls["_ray_events"] == 1
+
+    def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
+        # four word germs, one per word plus one per distinct letter, and
+        # each word composed from its first letter
+        b = bundle("e3")
+        w1, w2 = Word.parse("f k f k^-1"), Word.parse("k f^-1 f^-1")
+        words = [w1 * w2, w1, w2, ~w1]
+        letters = {letter for w in words for letter in w.letters}
+        calls = self.counted(monkeypatch)
+        assert suites._homomorphism_check((b, root_embedding(b.space), 0, w1, w2)) is None
+        assert calls["induced_germ"] == 4 + len(letters) == 8
+        assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")
@@ -711,6 +730,95 @@ class TestInducedGermCalls:
         fold = Homeo({"r": "r", "b1": "b1", "b2": "b1"}, {b: ident for b in L.branches})
         with pytest.raises(ActionError, match="invalid homeomorphism x x: branch_map is not"):
             word_homeo(L, {"x": fold}, Word.parse("x x"))
+
+
+# ---------------------------------------------------------------------------
+# Word homeos and germs against the letter-by-letter route
+
+
+def oracle_word_homeo(space, generators, word):
+    """``word_homeo`` composed from the identity, one letter at a time."""
+    result = identity_homeo(space)
+    for name, exp in word.letters:
+        result = compose_homeo(result, letter_homeo(generators, name, exp))
+    problem = validate_homeo(space, result)
+    if problem is not None:
+        raise ActionError(f"invalid homeomorphism {word}: {problem}")
+    return result
+
+
+def oracle_word_germ(space, generators, word, e):
+    """``word_germ`` with every letter's germ computed afresh."""
+    direct = action.induced_germ(space, oracle_word_homeo(space, generators, word), e)
+    product = Germ.identity()
+    for name, exp in word.letters:
+        product = product * action.induced_germ(space, letter_homeo(generators, name, exp), e)
+    if product != direct:
+        raise GermMismatchError(
+            f"germ of composition {direct!r} disagrees with letter product {product!r}"
+        )
+    return direct
+
+
+def oracle_words(b):
+    """Every reduced word of length at most 4, then 200 random ones."""
+    names, gen = sorted(b.generators), CaseGen(11)
+    return reduced_words(names, 4) + [gen.word(names, 8) for _ in range(200)]
+
+
+def first_failure(germ_of, words):
+    """Index, type and message of the first word whose germ raises."""
+    for i, w in enumerate(words):
+        try:
+            germ_of(w)
+        except ActionError as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+class TestWordRouteOracle:
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_words_match_the_oracle(self, name):
+        b = bundle(name)
+        e, table, words = root_embedding(b.space), {}, oracle_words(b)
+        for w in words:
+            assert word_homeo(b.space, b.generators, w) == oracle_word_homeo(
+                b.space, b.generators, w
+            )
+            assert word_germ(b.space, b.generators, w, e, table) == oracle_word_germ(
+                b.space, b.generators, w, e
+            )
+        assert set(table) == {letter for w in words for letter in w.letters}
+        for (letter_name, exp), germ in table.items():
+            h = letter_homeo(b.generators, letter_name, exp)
+            assert germ == induced_germ(b.space, h, e)
+
+    @pytest.mark.parametrize("text", ["zz", "f zz", "zz f", "f k zz^-1"])
+    def test_undeclared_letter_raises_as_the_oracle(self, text):
+        b = bundle("e3")
+        e, w = root_embedding(b.space), Word.parse(text)
+        with pytest.raises(UnknownGeneratorError) as oracle:
+            oracle_word_germ(b.space, b.generators, w, e)
+        with pytest.raises(UnknownGeneratorError, match=f"^{oracle.value}$"):
+            word_germ(b.space, b.generators, w, e, {})
+        with pytest.raises(UnknownGeneratorError, match=f"^{oracle.value}$"):
+            word_homeo(b.space, b.generators, w)
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_skewed_letter_germ_fails_on_the_oracle_word(self, monkeypatch, name):
+        b = bundle(name)
+        skewed = letter_homeo(b.generators, sorted(b.generators)[-1], -1)
+        real = action.induced_germ
+
+        def fault(space, h, e, threshold=None):
+            g = real(space, h, e, threshold)
+            return g * Germ(2, 0) if h is skewed else g
+
+        monkeypatch.setattr(action, "induced_germ", fault)
+        e, table, words = root_embedding(b.space), {}, oracle_words(b)
+        got = first_failure(lambda w: word_germ(b.space, b.generators, w, e, table), words)
+        want = first_failure(lambda w: oracle_word_germ(b.space, b.generators, w, e), words)
+        assert got == want and got[1] is GermMismatchError
 
 
 # ---------------------------------------------------------------------------

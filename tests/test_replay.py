@@ -170,7 +170,9 @@ def test_threshold_independence_default_threshold_differs(replays):
 
 def test_homomorphism_word_germ_drops_a_letter(replays):
     def drop(word_germ):
-        return lambda space, gens, w, e: word_germ(space, gens, Word(w.letters[1:]), e)
+        return lambda space, gens, w, e, letter_germs: word_germ(
+            space, gens, Word(w.letters[1:]), e, letter_germs
+        )
 
     payload = replays("d-homomorphism", E1, patched(suites, "word_germ", drop))
     assert payload["target"] == "e1" and len(payload["words"]) == 2
@@ -229,6 +231,34 @@ def test_replay_rejects_a_malformed_payload(name):
     message = f"suite '{name}' cannot decode its counterexample: {error}"
     with pytest.raises(SuiteError, match=re.escape(message)):
         replay(name, SuiteConfig(examples=("e3",)), payload)
+
+
+def not_two_words(words):
+    return f'TypeError("words must be a list of two words, got {words!r}")'
+
+
+# d-homomorphism payloads that are not a mapping, or whose words are not two
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"target": "e3", "case": 0, "words": ["f"]}, not_two_words(["f"])),
+        ({"target": "e3", "case": 0, "words": ["f", "k", "f"]}, not_two_words(["f", "k", "f"])),
+        ({"target": "e3", "case": 0, "words": "f k"}, not_two_words("f k")),
+        (5, "5 is not a mapping"),
+        (["f", "k"], "['f', 'k'] is not a mapping"),
+    ],
+    ids=["one-word", "three-words", "a-string", "an-int", "a-list"],
+)
+def test_replay_rejects_malformed_homomorphism_words(payload, error):
+    message = f"suite 'd-homomorphism' cannot decode its counterexample: {error}"
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        replay("d-homomorphism", SuiteConfig(examples=("e3",)), payload)
+
+
+def test_replay_keeps_a_bad_word_letter_an_action_error():
+    payload = {"target": "e3", "case": 0, "words": ["f", "f^x"]}
+    with pytest.raises(action.ActionError, match="bad word letter 'f\\^x'"):
+        replay("d-homomorphism", SuiteConfig(examples=("e3",)), payload)
 
 
 def test_nontriviality_identity_germ(replays):
