@@ -456,7 +456,8 @@ def induced_germ(
     below it raises :class:`ActionError`), and then lifts the samples above
     it when it lies above every event.  The result does not depend on the
     threshold, which is what makes the assignment well defined.  Both
-    samples are :func:`line_image` probes, whose integer pairs give the germ.
+    samples are :func:`line_image` probes, whose integer pairs give the germ
+    with no ``Fraction``.
     """
     events = _ray_events(space, h, e)
     if threshold is None:
@@ -474,7 +475,9 @@ def induced_germ(
     # the samples lie one apart: the slope is y2 - y1, the offset y1 - slope * x
     (n1, d1), (n2, d2), xn, xd = y1, y2, x.numerator, x.denominator
     sn, sd = n2 * d1 - n1 * d2, d1 * d2
-    return Germ(Fraction(sn, sd), Fraction(n1 * sd * xd - sn * xn * d1, d1 * sd * xd))
+    if sn <= 0:
+        raise ValueError("germ slope must be positive")
+    return Germ._of(sn, sd, n1 * sd * xd - sn * xn * d1, d1 * sd * xd)
 
 
 def word_germ(

@@ -131,6 +131,8 @@ class StabilizerData:
             (name, exp), = gen.letters
             self._letters[name, exp] = (key, 1)
             self._letters[name, -exp] = (key, -1)
+        # the table keyed by letters, so a lookup prints no word
+        self._coset_letters: dict[tuple[tuple[str, int], ...], Word] = {}
         for key, rep in self.coset_table.items():
             try:
                 word = Word.parse(key)
@@ -146,6 +148,7 @@ class StabilizerData:
                     key, "rep",
                     f"coset table representative {str(rep)!r} is not in the coset of {key!r}",
                 )
+            self._coset_letters[word.letters] = rep
 
     # -- the unit-interval realization --------------------------------------
 
@@ -205,12 +208,13 @@ class StabilizerData:
     def coset_rep(self, word: Word) -> Word:
         """Fixed representative of the coset ``word K``.
 
-        The ``coset_table`` entry for ``word``'s text wins; otherwise
+        The ``coset_table`` entry for ``word``'s text wins, looked up by
+        ``word``'s letters since each key is its word's text; otherwise
         ``word`` with its trailing ``K`` letters stripped, so every word of
         ``K`` is represented by the empty word.
         """
-        if self.coset_table:
-            override = self.coset_table.get(str(word))
+        if self._coset_letters:
+            override = self._coset_letters.get(word.letters)
             if override is not None:
                 return override
         letters = word.letters

@@ -11,24 +11,20 @@ and carry the left-invariant total order whose positive cone consists of the
 germs that are eventually above the diagonal: ``(a, b)`` is positive iff
 ``a > 1`` or (``a == 1`` and ``b > 0``).
 
-Arithmetic runs on Python ints.  ``*``, ``~`` and :meth:`Germ.is_positive`
-read the numerators and denominators of the two ``Fraction`` fields and
-compute on them; a product or inverse builds its two fields with one
-``Fraction(n, d)`` each and skips the checks of the public constructor,
-since products and inverses of positive slopes are positive.
-:meth:`Germ.of` keeps a map's ``Fraction`` tail fields and checks only the
-slope's sign, and :meth:`Germ.identity` builds its germ directly.  The fields
-stay ``Fraction``s, so ``==``, ``hash`` and ``repr`` are unchanged, and
-:func:`compare` is still defined as "``~u * v`` is positive".
+A germ holds its slope and offset as reduced int pairs, and ``*``, ``~``,
+``==``, ``hash``, :meth:`Germ.is_positive` and :func:`compare` run on them
+with no ``Fraction``.  ``.slope`` and ``.offset`` are read-only
+``Fraction``s: the ones given to ``Germ(...)``, or else built on the first
+read and kept.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .plmap import PLMap, _frac
+from .plmap import PLMap, RationalLike, _frac
 from .rationals import format_rational
 
 
@@ -38,61 +34,83 @@ class OrderSign(enum.Enum):
     GT = 1
 
 
-@dataclass(frozen=True)
 class Germ:
     """Eventual-agreement class of an increasing PL map, as its affine tail."""
 
-    slope: Fraction
-    offset: Fraction
+    __slots__ = ("_sn", "_sd", "_on", "_od", "_slope", "_offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", _frac(self.slope))
-        object.__setattr__(self, "offset", _frac(self.offset))
-        if self.slope <= 0:
+    def __init__(self, slope: RationalLike, offset: RationalLike):
+        slope, offset = _frac(slope), _frac(offset)
+        if slope.numerator <= 0:
             raise ValueError("germ slope must be positive")
+        self._sn, self._sd, self._slope = slope.numerator, slope.denominator, slope
+        self._on, self._od, self._offset = offset.numerator, offset.denominator, offset
+
+    @classmethod
+    def _of(cls, sn: int, sd: int, on: int, od: int) -> "Germ":
+        """The germ ``(sn/sd, on/od)``, reduced, for ``sn > 0`` and positive
+        denominators, without the checks of ``Germ(...)``."""
+        g, h = gcd(sn, sd), gcd(on, od)
+        u = object.__new__(cls)
+        u._sn, u._sd, u._on, u._od = sn // g, sd // g, on // h, od // h
+        u._slope = u._offset = None
+        return u
 
     @classmethod
     def of(cls, f: PLMap) -> "Germ":
-        """Germ of a canonical map: its affine tail.
-
-        A map's ``Fraction`` fields are kept as they are; a raw map whose
-        slope is not positive raises as ``Germ(...)`` does.
-        """
-        slope, offset = f.right_slope, f.tail_offset
-        if type(slope) is not Fraction or type(offset) is not Fraction:
-            return cls(slope, offset)
-        if slope.numerator <= 0:
-            raise ValueError("germ slope must be positive")
-        return _fields(slope, offset)
+        """Germ of a canonical map: its affine tail, keeping its ``Fraction``s."""
+        return cls(f.right_slope, f.tail_offset)
 
     @classmethod
     def identity(cls) -> "Germ":
-        return _fields(_ONE, _ZERO)
+        return cls._of(1, 1, 0, 1)
+
+    @property
+    def slope(self) -> Fraction:
+        slope = self._slope
+        if slope is None:
+            slope = self._slope = Fraction(self._sn, self._sd)
+        return slope
+
+    @property
+    def offset(self) -> Fraction:
+        offset = self._offset
+        if offset is None:
+            offset = self._offset = Fraction(self._on, self._od)
+        return offset
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._sn == other._sn and self._sd == other._sd
+            and self._on == other._on and self._od == other._od
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._sn, self._sd, self._on, self._od))
 
     def __mul__(self, other: "Germ") -> "Germ":
         """``(p1/q1, r1/s1) * (p2/q2, r2/s2)``: the slope ``p1*p2 / (q1*q2)``
         and the offset ``p1/q1 * r2/s2 + r1/s1``."""
         if not isinstance(other, Germ):
             return NotImplemented
-        a1, b1, a2, b2 = self.slope, self.offset, other.slope, other.offset
-        p1, q1, r1, s1 = a1.numerator, a1.denominator, b1.numerator, b1.denominator
-        p2, q2, r2, s2 = a2.numerator, a2.denominator, b2.numerator, b2.denominator
-        return _germ(p1 * p2, q1 * q2, p1 * r2 * s1 + r1 * q1 * s2, q1 * s2 * s1)
+        p1, q1, r1, s1 = self._sn, self._sd, self._on, self._od
+        p2, q2, r2, s2 = other._sn, other._sd, other._on, other._od
+        return Germ._of(p1 * p2, q1 * q2, p1 * r2 * s1 + r1 * q1 * s2, q1 * s2 * s1)
 
     def __invert__(self) -> "Germ":
         """``~(p/q, r/s) == (q/p, -(r*q) / (s*p))``, with ``p > 0``."""
-        a, b = self.slope, self.offset
-        p, q = a.numerator, a.denominator
-        return _germ(q, p, -b.numerator * q, b.denominator * p)
+        return Germ._of(self._sd, self._sn, -self._on * self._sd, self._od * self._sn)
 
     def is_identity(self) -> bool:
-        return self.slope == 1 and self.offset == 0
+        return self._sn == self._sd and self._on == 0
 
     def is_positive(self) -> bool:
         """Membership in the positive cone (eventually above the diagonal)."""
-        p, q = self.slope.numerator, self.slope.denominator
+        p, q = self._sn, self._sd
         if p == q:  # slope 1, in lowest terms
-            return self.offset.numerator > 0
+            return self._on > 0
         return p > q
 
     def representative(self) -> PLMap:
@@ -101,25 +119,6 @@ class Germ:
 
     def __repr__(self) -> str:
         return f"Germ({format_rational(self.slope)}, {format_rational(self.offset)})"
-
-
-def _fields(slope: Fraction, offset: Fraction) -> Germ:
-    """The germ with these ``Fraction`` fields, for a positive slope, without
-    the checks of ``Germ(...)``."""
-    g = object.__new__(Germ)
-    fields = g.__dict__
-    fields["slope"] = slope
-    fields["offset"] = offset
-    return g
-
-
-def _germ(sn: int, sd: int, on: int, od: int) -> Germ:
-    """The germ ``(sn/sd, on/od)``, for a positive slope and positive
-    denominators, without the checks of ``Germ(...)``."""
-    return _fields(Fraction(sn, sd), Fraction(on, od))
-
-
-_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 def compare(u: Germ, v: Germ) -> OrderSign:
@@ -132,6 +131,6 @@ def compare(u: Germ, v: Germ) -> OrderSign:
 def eventual_comparison_bound(u: Germ) -> Fraction:
     """A point beyond which a representative of ``u`` stays on one side of
     the diagonal: past this, ``f(x) - x`` has constant sign (or is zero)."""
-    if u.slope == 1:
+    if u._sn == u._sd:
         return Fraction(0)
-    return abs(u.offset / (1 - u.slope))
+    return Fraction(abs(u._on * u._sd), abs(u._od * (u._sd - u._sn)))

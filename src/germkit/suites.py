@@ -323,15 +323,16 @@ def _order_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 def _order_check(case: Case) -> Payload | None:
     i, u, v, w = case
-    signs = {compare(u, v), compare(v, u)}
+    forward = compare(u, v)
+    signs = {forward, compare(v, u)}
     trichotomy = (
-        (compare(u, v) is OrderSign.EQ) == (u == v)
+        (forward is OrderSign.EQ) == (u == v)
         and (signs in ({OrderSign.EQ}, {OrderSign.LT, OrderSign.GT}))
     )
     le = lambda a, b: compare(a, b) in (OrderSign.LT, OrderSign.EQ)
     lo, mid, hi = sorted((u, v, w), key=lambda g: (g.slope, g.offset))
     transitivity = not (le(lo, mid) and le(mid, hi)) or le(lo, hi)
-    invariance = compare(u, v) == compare(w * u, w * v)
+    invariance = forward == compare(w * u, w * v)
     cone = (compare(u, Germ.identity()) is OrderSign.GT) == _cone_oracle(u)
     if trichotomy and transitivity and invariance and cone:
         return None

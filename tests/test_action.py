@@ -32,7 +32,6 @@ from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
 from test_plmap import oracle_agree_on_ray, oracle_check
-from test_points import fraction_count  # noqa: F401 (a fixture)
 
 
 def line():

@@ -26,7 +26,7 @@ from germkit.examples import bundle
 from germkit.germ import Germ
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
-from germkit.suites import SuiteConfig, _action_law_case
+from germkit.suites import SuiteConfig, _action_law_case, _action_law_check
 
 
 def built(name):
@@ -611,6 +611,32 @@ class TestCosetTableRules:
         stab = self.stab({"f": Word.parse("f k^-1 k^-1"), "1": Word.parse("k"), "f k f": Word.parse("f k f")})
         assert stab.coset_rep(Word.parse("f")) == Word.parse("f k^-2")
         assert bundle("e3-coset-fault").stabilizer.coset_table == {"f": Word.parse("f k")}
+
+    def test_fault_check_prints_no_word_to_look_up_a_rep(self, monkeypatch):
+        """The table is read by letters, and the fault's payload is the one
+        the text-keyed lookup gives."""
+        target, config = bundle("e3-coset-fault"), SuiteConfig()
+        rep, text = StabilizerData.coset_rep, Word.__str__
+        inside, calls, printed = [False], [0], [0]
+
+        def counted_rep(self, word):
+            inside[0] = True
+            calls[0] += 1
+            try:
+                return rep(self, word)
+            finally:
+                inside[0] = False
+
+        def counted_str(self):
+            printed[0] += inside[0]
+            return text(self)
+
+        monkeypatch.setattr(StabilizerData, "coset_rep", counted_rep)
+        monkeypatch.setattr(Word, "__str__", counted_str)
+        payload = _action_law_check(_action_law_case(target, config, plain=False))
+        assert payload is not None and calls[0] > 1000 and printed[0] == 0
+        monkeypatch.setattr(StabilizerData, "coset_rep", oracle_coset_rep)
+        assert _action_law_check(_action_law_case(target, config, plain=False)) == payload
 
 
 class TestStabilizerCheck:

@@ -1,10 +1,15 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from germkit.action import Word, _ray_events, induced_germ, invert_homeo, line_image, word_homeo
+from germkit.examples import bundle
 from germkit.germ import Germ, OrderSign, compare, eventual_comparison_bound
+from germkit.leafspace import root_embedding
 from germkit.plmap import PLMap
+from germkit.rationals import format_rational
 
 STEP = PLMap.make([(0, 0)], 1, 2)
 SHIFT = PLMap.affine(1, 1)
@@ -174,24 +179,62 @@ class TestFields:
 # -- integer arithmetic against the Fraction formulas ---------------------------
 
 
+@dataclass(frozen=True)
+class OracleGerm:
+    """``Germ`` as it was before it held ints: a frozen dataclass of two
+    ``Fraction`` fields with the ``Fraction`` formulas.  Kept here only as an
+    independent oracle."""
+
+    slope: F
+    offset: F
+
+    def __post_init__(self):
+        if self.slope <= 0:
+            raise ValueError("germ slope must be positive")
+
+    def __mul__(self, other):
+        return OracleGerm(self.slope * other.slope, self.slope * other.offset + self.offset)
+
+    def __invert__(self):
+        return OracleGerm(1 / self.slope, -self.offset / self.slope)
+
+    def is_identity(self):
+        return self.slope == 1 and self.offset == 0
+
+    def is_positive(self):
+        return self.slope > 1 or (self.slope == 1 and self.offset > 0)
+
+    def __repr__(self):
+        return f"Germ({format_rational(self.slope)}, {format_rational(self.offset)})"
+
+
+def lift(u):
+    return OracleGerm(u.slope, u.offset)
+
+
+def oracle_order(u, v):
+    """:func:`compare` on oracle germs."""
+    if u == v:
+        return OrderSign.EQ
+    return OrderSign.LT if (~u * v).is_positive() else OrderSign.GT
+
+
 def oracle_mul(u, v):
-    """``u * v`` by the ``Fraction`` formulas that ``Germ.__mul__`` used before
-    it ran on ints; kept here only as an independent oracle."""
-    return Germ(u.slope * v.slope, u.slope * v.offset + u.offset)
+    o = lift(u) * lift(v)
+    return Germ(o.slope, o.offset)
 
 
 def oracle_invert(u):
-    return Germ(1 / u.slope, -u.offset / u.slope)
+    o = ~lift(u)
+    return Germ(o.slope, o.offset)
 
 
 def oracle_is_positive(u):
-    return u.slope > 1 or (u.slope == 1 and u.offset > 0)
+    return lift(u).is_positive()
 
 
 def oracle_compare(u, v):
-    if u == v:
-        return OrderSign.EQ
-    return OrderSign.LT if oracle_is_positive(oracle_mul(oracle_invert(u), v)) else OrderSign.GT
+    return oracle_order(lift(u), lift(v))
 
 
 BIG = 2**64
@@ -244,3 +287,98 @@ def test_compare_matches_fractions_at_equal_slopes(u, offset):
     # ~u * v has slope 1 here, so the order is decided by the offset
     v = Germ(u.slope, offset)
     assert compare(u, v) is oracle_compare(u, v)
+
+
+def routes(u, v):
+    """Germs built by each route (constructor, product, inverse and their
+    mixes) beside their oracle values."""
+    ou, ov = lift(u), lift(v)
+    return [
+        (u, ou), (v, ov), (u * v, ou * ov), (~u, ~ou), (~u * v, ~ou * ov),
+        (u * ~u, ou * ~ou), (u * v * ~v, ou * ov * ~ov), (Germ.identity(), OracleGerm(F(1), F(0))),
+    ]
+
+
+@given(st.one_of(germs, wide_germs), st.one_of(germs, wide_germs))
+def test_agrees_with_the_dataclass_germ(u, v):
+    pairs = routes(u, v)
+    for got, want in pairs:
+        assert repr(got) == repr(want)
+        assert (got.slope, got.offset) == (want.slope, want.offset)
+        assert got.is_identity() == want.is_identity()
+        assert got.is_positive() == want.is_positive()
+        bound = F(0) if want.slope == 1 else abs(want.offset / (1 - want.slope))
+        assert eventual_comparison_bound(got) == bound
+    for got1, want1 in pairs:
+        for got2, want2 in pairs:
+            assert (got1 == got2) == (want1 == want2)
+            if got1 == got2:
+                assert hash(got1) == hash(got2)
+            assert compare(got1, got2) is oracle_order(want1, want2)
+
+
+def test_equal_germs_from_every_route_hash_alike():
+    u = Germ(F(3, 2), F(-7, 5))
+    same = [u, u * Germ.identity(), ~~u, u * Germ(2, 1) * ~Germ(2, 1), Germ("6/4", "-14/10")]
+    assert len({hash(x) for x in same}) == 1 and len(set(same)) == 1
+    assert Germ(1, 0) == Germ.identity() and hash(Germ(1, 0)) == hash(Germ.identity())
+    assert (Germ(1, 0) == (1, 0)) is False
+
+
+@pytest.mark.parametrize("field", ["slope", "offset"])
+def test_fields_are_read_only(field):
+    for u in (Germ(2, 1), Germ(2, 1) * Germ(3, 0)):
+        with pytest.raises(AttributeError):
+            setattr(u, field, F(5))
+    with pytest.raises(AttributeError):
+        Germ(2, 1).extra = 0
+
+
+# -- counted Fraction construction (``fraction_count`` is in conftest.py) ---------
+
+
+class TestNoFraction:
+    def test_products_inverses_equality_and_compare_build_none(self, fraction_count):
+        u, v, w = Germ(F(3, 2), F(-7, 5)), Germ(1, F(1, 3)), Germ(F(2, 9), 4)
+        before = fraction_count[0]
+        x = u * ~v * w
+        for _ in range(3):
+            x = ~x * u * w
+            assert x == x * Germ.identity() and hash(x) == hash(~~x)
+            assert not x.is_identity() and (x * ~x).is_identity()
+            signs = {compare(x, u), compare(u, x), compare(x, v), compare(x, x)}
+            assert OrderSign.EQ in signs and len(signs) > 1
+            assert x.is_positive() != (~x).is_positive()
+        assert fraction_count[0] == before
+        assert type(x.slope) is F  # the first read builds the slope
+        assert fraction_count[0] == before + 1
+        assert x.slope is x.slope  # and later reads keep it
+        assert fraction_count[0] == before + 1
+        assert x == Germ(x.slope, x.offset)
+
+    def test_of_and_the_constructor_keep_their_fractions(self, fraction_count):
+        f = PLMap.make([(0, 0)], 1, F(5, 3))
+        slope, offset = F(3, 2), F(-7, 5)
+        before = fraction_count[0]
+        u, v = Germ.of(f), Germ(slope, offset)
+        assert u.slope is f.right_slope and u.offset is f.tail_offset
+        assert v.slope is slope and v.offset is offset
+        assert fraction_count[0] == before
+
+    def test_default_e3_induced_germ_builds_its_germ_from_ints(self, fraction_count):
+        b = bundle("e3")
+        space, e = b.space, root_embedding(b.space)
+        homeos = [word_homeo(space, b.generators, Word.parse("f k f^-1 k"))]
+        for h in b.generators.values():
+            homeos += [h, invert_homeo(h)]
+        for h in homeos:
+            # the probes alone, as induced_germ makes them
+            before = fraction_count[0]
+            events = _ray_events(space, h, e)
+            x = (events[-1] if events else F(0)) + 1
+            assert line_image(space, h, e, x) is not None and line_image(space, h, e, x + 1) is not None
+            probes = fraction_count[0] - before
+            before = fraction_count[0]
+            u = induced_germ(space, h, e)
+            assert fraction_count[0] - before == probes
+            assert u == induced_germ(space, h, e, threshold=x + 5)

@@ -339,22 +339,7 @@ class TestBlownPoint:
         assert q.is_interval() and not BlownPoint(Point("r", 0)).is_interval()
 
 
-# -- counted Fraction construction -----------------------------------------------
-
-
-@pytest.fixture
-def fraction_count(monkeypatch):
-    """A counter on ``Fraction.__new__``, installed as perfbench's tracer does."""
-    raw = F.__dict__["__new__"]
-    new = raw.__func__ if isinstance(raw, staticmethod) else raw
-    count = [0]
-
-    def counted_new(cls, *args, **kwargs):
-        count[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counted_new))
-    return count
+# -- counted Fraction construction (``fraction_count`` is in conftest.py) ---------
 
 
 @pytest.fixture
