@@ -10,8 +10,8 @@ coset ``gK``.  The twist word always lies in ``K``, which is what makes the
 assignment independent of how the interval was reached.  ``K`` is free on
 letters of the action, so membership, factorization and the default coset
 representatives all read one table of ``K`` letters.  A :class:`BlowupSpace`
-carries this stabilizer data, so the action and its checks read all of it
-from the space.
+carries this data, checked by :func:`check_stabilizer_fits`, so the action
+and its checks read all of it from the space.
 
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
@@ -80,7 +80,8 @@ class CosetTableError(CosetError):
 
 
 class StabilizerGeneratorError(BlowupError):
-    """Declared stabilizer generator ``index`` is not a letter of its own."""
+    """Declared stabilizer generator ``index`` is not a letter of its own,
+    not a declared generator, or moves the marked point."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
@@ -152,7 +153,7 @@ class StabilizerData:
 
     # -- the unit-interval realization --------------------------------------
 
-    def validate_phi(self, ball: int = 5) -> str | None:
+    def validate_phi(self, ball: int) -> str | None:
         """Check each phi image fixes 0 and 1 (identity outside the interval)
         and that no nontrivial stabilizer word of length <= ball fixes 1/2."""
         for name, pl in self.phi.items():
@@ -227,6 +228,30 @@ class StabilizerData:
         """The stabilizer element ``x_{hgK}^-1 h x_{gK}``, built as one word."""
         inverse = tuple((name, -exp) for name, exp in reversed(self.coset_rep(h * g).letters))
         return Word(inverse + h.letters + self.coset_rep(g).letters)
+
+
+def check_stabilizer_fits(
+    base: LeafSpace, generators: Mapping[str, Homeo], marked: Point, stabilizer: StabilizerData
+) -> None:
+    """Raise :class:`StabilizerGeneratorError` unless each ``K`` generator is
+    a declared generator fixing the canonical point ``marked``, and
+    :class:`CosetTableError` unless each ``coset_table`` word uses only
+    declared generators, as a representative in its word's coset then does."""
+    for i, w in enumerate(stabilizer.k_generators):
+        name, exp = w.letters[0]
+        if name not in generators:
+            problem = "is not a declared generator"
+        elif apply_homeo(base, letter_homeo(generators, name, exp), marked) != marked:
+            problem = "moves the marked point"
+        else:
+            continue
+        raise StabilizerGeneratorError(i, f"stabilizer generator {str(w)!r} {problem}")
+    for key in stabilizer.coset_table:
+        undeclared = [name for name, _ in Word.parse(key).letters if name not in generators]
+        if undeclared:
+            raise CosetTableError(
+                key, "word", f"coset table word {key!r} names undeclared generator {undeclared[0]!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +332,7 @@ class BlowupSpace:
         self.base = base
         self.generators = dict(generators)
         self.marked = base.canonical(marked)
+        check_stabilizer_fits(base, generators, self.marked, stabilizer)
         self.depth = depth
         self.stabilizer = stabilizer
         self.orbit: dict[Point, Word] = {}
@@ -568,17 +594,12 @@ def stabilizer_check(
 ) -> Word | None:
     """Search the word ball for a nontrivial word fixing the marked midpoint.
 
-    Mirrors the two cases of the construction: a word inside the declared
-    stabilizer must move height 1/2 through phi, and a word outside it must
-    move the marked point itself.  Returns the first fixing word, or ``None``
-    when the midpoint's stabilizer is trivial at this scale.
+    Mirrors the two cases of the construction: a word inside ``K``, whose
+    generators the space checked to fix the marked point, must move height
+    1/2 through phi, and one outside must move the marked point.  Returns
+    the first fixing word, or ``None`` when it finds none at this scale.
     """
     stab = space.stabilizer
-    for gen in stab.k_generators:
-        if apply_homeo(space.base, space.word_homeo(gen), space.marked) != space.marked:
-            raise BlowupError(
-                f"declared stabilizer generator {str(gen)!r} moves the marked point"
-            )
     half = Fraction(1, 2)
     for w in reduced_words(sorted(space.generators), ball):
         if w.is_identity():

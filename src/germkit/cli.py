@@ -29,7 +29,6 @@ from .suites import (
     SuiteConfig,
     SuiteError,
     SUITES,
-    build_blowup_target,
     resolve_targets,
     run_suite,
 )
@@ -83,9 +82,9 @@ def _run(names: list[str], config: SuiteConfig, report_path: str | None) -> None
 _COUNT = click.IntRange(min=0)
 
 _seed_option = click.option(
-    "--seed", type=int, default=0, envvar="GERMKIT_SEED", show_default=True
+    "--seed", type=int, default=SuiteConfig.seed, envvar="GERMKIT_SEED", show_default=True
 )
-_cases_option = click.option("--cases", type=_COUNT, default=500, show_default=True)
+_cases_option = click.option("--cases", type=_COUNT, default=SuiteConfig.cases, show_default=True)
 _report_option = click.option(
     "--report", "report_path", type=click.Path(dir_okay=False), default=None,
     help="Write canonical JSON reports here.",
@@ -187,7 +186,7 @@ def compute_d(targets: dict, words: tuple[str, ...], seed: int) -> None:
 @_with_targets(*STANDARD)
 @_seed_option
 @_cases_option
-@click.option("--max-word-length", type=_COUNT, default=8, show_default=True)
+@click.option("--max-word-length", type=_COUNT, default=SuiteConfig.max_word_length, show_default=True)
 @_report_option
 def check_hom(
     targets: dict, seed: int, cases: int, max_word_length: int, report_path: str | None
@@ -207,7 +206,7 @@ def check_hom(
 def blowup_cmd(targets: dict, seed: int) -> None:
     """Build the blow-up and describe the orbit and classification."""
     for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
-        space = build_blowup_target(target)
+        space = target.blowup
         same = space.classify() is target.space.classify()
         click.echo(
             f"{target.name}\torbit={len(space.orbit)}\tdepth={space.depth}\t"
@@ -220,9 +219,11 @@ def blowup_cmd(targets: dict, seed: int) -> None:
 @main.command("check-action")
 @_with_targets("e1", "e3")
 @_seed_option
-@click.option("--ball", type=_COUNT, default=4, show_default=True)
-@click.option("--plain-samples", type=_COUNT, default=100, show_default=True)
-@click.option("--interval-samples", type=_COUNT, default=20, show_default=True)
+@click.option("--ball", type=_COUNT, default=SuiteConfig.word_ball, show_default=True)
+@click.option("--plain-samples", type=_COUNT, default=SuiteConfig.plain_samples, show_default=True)
+@click.option(
+    "--interval-samples", type=_COUNT, default=SuiteConfig.interval_samples, show_default=True
+)
 @_report_option
 def check_action(
     targets: dict,
@@ -246,7 +247,7 @@ def check_action(
 @main.command("check-stabilizer")
 @_with_targets("e3")
 @_seed_option
-@click.option("--ball", type=_COUNT, default=5, show_default=True)
+@click.option("--ball", type=_COUNT, default=SuiteConfig.stabilizer_ball, show_default=True)
 @click.option("--certify/--no-certify", default=True, show_default=True,
               help="Also require nontrivial blown germs on the ball.")
 @_report_option
@@ -270,7 +271,7 @@ def orbit_search(targets: dict, cut: str, ball: int, seed: int) -> None:
     """Search the word ball for an orbit point over the ray (n, +oo)."""
     n = parse_rational(cut)
     for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
-        space = build_blowup_target(target)
+        space = target.blowup
         e = root_embedding(target.space)
         found = positive_ray_orbit_search(space, e, n, min(ball, space.depth))
         if found is None:
@@ -341,8 +342,7 @@ def emit_plot(targets: dict, what: str, ball: int, seed: int) -> None:
     else:
         click.echo("target\tword\tbranch\tcoord")
         for target in resolved:
-            space = build_blowup_target(target)
-            rows = sorted(space.orbit.items(), key=lambda kv: (len(kv[1]), str(kv[1])))
+            rows = sorted(target.blowup.orbit.items(), key=lambda kv: (len(kv[1]), str(kv[1])))
             for point, w in rows:
                 click.echo(f"{target.name}\t{w}\t{point.branch}\t{format_rational(point.coord)}")
 

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .action import Homeo, Word
-from .blowup import StabilizerData
+from .blowup import BlowupError, BlowupSpace, StabilizerData
 from .leafspace import LeafSpace, Point, Side
 from .plmap import PLMap
 
@@ -42,7 +43,8 @@ from .plmap import PLMap
 @dataclass(frozen=True)
 class Bundle:
     """An action to run suites against, optionally with blow-up data: a
-    bundled example, or user files under the name ``"file"``."""
+    bundled example, or user files under the name ``"file"``.  Its one
+    :attr:`blowup` space is built on first use and shared by every reader."""
 
     name: str
     space: LeafSpace
@@ -56,6 +58,12 @@ class Bundle:
     @property
     def has_blowup(self) -> bool:
         return self.marked is not None and self.stabilizer is not None
+
+    @cached_property
+    def blowup(self) -> BlowupSpace:
+        if not self.has_blowup:
+            raise BlowupError(f"target {self.name!r} carries no blow-up data")
+        return BlowupSpace(self.space, self.generators, self.marked, self.depth, self.stabilizer)
 
 
 def _e1() -> Bundle:

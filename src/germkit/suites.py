@@ -47,14 +47,17 @@ from .action import (
 from .blowup import (
     BlownPoint,
     BlowupSpace,
+    CosetTableError,
     StabilizerData,
+    StabilizerGeneratorError,
     alpha_apply,
+    check_stabilizer_fits,
     injectivity_certificate,
     positive_ray_orbit_search,
     stabilizer_check,
     validate_alpha_action,
 )
-from .examples import Bundle, bundle
+from .examples import STANDARD, Bundle, bundle
 from .fuzz import CaseGen
 from .germ import Germ, OrderSign, compare, eventual_comparison_bound
 from .leafspace import LeafSpace, Point, Side, root_embedding
@@ -78,7 +81,7 @@ class SuiteConfig:
     max_word_length: int = 8
     plain_samples: int = 100
     interval_samples: int = 20
-    examples: tuple[str, ...] = ("e1", "e2", "e3")
+    examples: tuple[str, ...] = STANDARD
     leafspace_path: str | None = None
     action_path: str | None = None
     blowup_path: str | None = None
@@ -201,26 +204,14 @@ def _file_target(config: SuiteConfig) -> Bundle:
             f"marked branch {marked.branch!r} is not declared in the leaf space",
             "$.marked.branch", config.blowup_path,
         )
-    point = space.canonical(marked)
-    for i, w in enumerate(stab.k_generators):
-        name, exp = w.letters[0]
-        if name not in generators:
-            problem = "is not a declared generator"
-        elif apply_homeo(space, letter_homeo(generators, name, exp), point) != point:
-            problem = "moves the marked point"
-        else:
-            continue
-        raise serialize.SpecFormatError(
-            f"stabilizer generator {str(w)!r} {problem}", f"$.K_generators[{i}]", config.blowup_path
-        )
-    # a representative lies in its word's coset, so it has no other letters
-    for i, key in enumerate(stab.coset_table):
-        undeclared = [name for name, _ in Word.parse(key).letters if name not in generators]
-        if undeclared:
-            raise serialize.SpecFormatError(
-                f"coset table word {key!r} names undeclared generator {undeclared[0]!r}",
-                f"$.coset_table[{i}].word", config.blowup_path,
-            )
+    try:
+        check_stabilizer_fits(space, generators, space.canonical(marked), stab)
+    except StabilizerGeneratorError as exc:
+        path = f"$.K_generators[{exc.index}]"
+        raise serialize.SpecFormatError(str(exc), path, config.blowup_path) from None
+    except CosetTableError as exc:
+        path = f"$.coset_table[{list(stab.coset_table).index(exc.key)}].word"
+        raise serialize.SpecFormatError(str(exc), path, config.blowup_path) from None
     return Bundle("file", space, generators, marked, stab, depth, ball, tuple(noted))
 
 
@@ -509,12 +500,6 @@ def _nontriviality_check(case: Case) -> Payload | None:
 # Blow-up suites
 
 
-def build_blowup_target(target: Bundle) -> BlowupSpace:
-    if not target.has_blowup:
-        raise SuiteError(f"target {target.name!r} carries no blow-up data")
-    return BlowupSpace(target.space, target.generators, target.marked, target.depth, target.stabilizer)
-
-
 def _plain_samples(space: BlowupSpace, ball: int, want: int) -> list[BlownPoint]:
     """Plain points that stay plain under every word of the ball.
 
@@ -587,23 +572,23 @@ def _action_law_samples(space: BlowupSpace, config: SuiteConfig) -> list[BlownPo
 
 
 def _action_law_case(target: Bundle, config: SuiteConfig, plain: bool = True) -> Case:
-    space = build_blowup_target(target)
+    space = target.blowup
     if plain:
         samples = _action_law_samples(space, config)
     else:
         samples = _interval_samples(space, config.word_ball, config.interval_samples)
-    return target, space, samples, config.word_ball
+    return target, samples, config.word_ball
 
 
 def _action_law_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for target in _blowup_targets(targets):
         case = _action_law_case(target, config)
-        yield len(case[2]), case
+        yield len(case[1]), case
 
 
 def _action_law_check(case: Case) -> Payload | None:
-    target, space, samples, ball = case
-    violation = validate_alpha_action(space, samples, ball)
+    target, samples, ball = case
+    violation = validate_alpha_action(target.blowup, samples, ball)
     if violation is None:
         return None
     q = violation.sample
@@ -619,19 +604,17 @@ def _action_law_check(case: Case) -> Payload | None:
 
 
 def _action_law_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target = _payload_target(targets, payload)
-    space = build_blowup_target(target)
+    target = _payload_target(_blowup_targets(targets), payload)
     sample = payload["sample"]
     point, height = serialize.point_from_data(sample["point"]), sample["height"]
     q = BlownPoint(point, None if height is None else parse_rational(height))
     ball = len(Word.parse(payload["outer"])) + len(Word.parse(payload["inner"]))
-    return target, space, [q], ball
+    return target, [q], ball
 
 
 def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
-    space = build_blowup_target(target)
     ball = min(config.stabilizer_ball, target.ball or config.stabilizer_ball)
-    return target, space, ball, config.stabilizer_ball
+    return target, ball, config.stabilizer_ball
 
 
 def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -640,40 +623,33 @@ def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _stabilizer_check(case: Case) -> Payload | None:
-    target, space, ball, phi_ball = case
-    fixing = stabilizer_check(space, ball)
+    target, ball, phi_ball = case
+    fixing = stabilizer_check(target.blowup, ball)
     if fixing is not None:
         return {"target": target.name, "fixing_word": str(fixing)}
-    problem = space.stabilizer.validate_phi(phi_ball)
+    problem = target.stabilizer.validate_phi(phi_ball)
     return None if problem is None else {"target": target.name, "problem": problem}
 
 
 def _stabilizer_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target, space, _, phi_ball = _stabilizer_case(_payload_target(targets, payload), config)
+    target = _payload_target(_blowup_targets(targets), payload)
     ball = len(Word.parse(payload["fixing_word"])) if "fixing_word" in payload else 0
-    return target, space, ball, phi_ball
+    return target, ball, config.stabilizer_ball
 
 
 _ORBIT_CUTS = (Fraction(-10**6), Fraction(0), Fraction(5))
 
 
-def _orbit_limit_base(target: Bundle, config: SuiteConfig) -> Case:
-    """An orbit-limit case without its cut."""
-    space = build_blowup_target(target)
-    ball = min(target.ball or config.word_ball, space.depth)
-    return target, space, root_embedding(target.space), ball
-
-
 def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for target in _blowup_targets(targets):
-        base = _orbit_limit_base(target, config)
         for n in _ORBIT_CUTS:
-            yield 1, (*base, n)
+            yield 1, (target, target.ball or config.word_ball, n)
 
 
 def _orbit_limit_check(case: Case) -> Payload | None:
-    target, space, e, ball, n = case
-    found = positive_ray_orbit_search(space, e, n, ball)
+    target, ball, n = case
+    space, e = target.blowup, root_embedding(target.space)
+    found = positive_ray_orbit_search(space, e, n, min(ball, space.depth))
     if found is None:
         return None  # exhaustion is a permitted outcome, not a refutation
     image = alpha_apply(space, found, space.midpoint())
@@ -683,29 +659,24 @@ def _orbit_limit_check(case: Case) -> Payload | None:
 
 
 def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    base = _orbit_limit_base(_payload_target(targets, payload), config)
-    return (*base, parse_rational(payload["cut"]))
-
-
-def _injectivity_case(target: Bundle, ball: int) -> Case:
-    return target, build_blowup_target(target), root_embedding(target.space), ball
+    target = _payload_target(_blowup_targets(targets), payload)
+    return target, target.ball or config.word_ball, parse_rational(payload["cut"])
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for target in _blowup_targets(targets):
-        case = _injectivity_case(target, config.stabilizer_ball)
         words = reduced_words(sorted(target.generators), config.stabilizer_ball)
-        yield sum(1 for w in words if len(w)), case
+        yield sum(1 for w in words if len(w)), (target, config.stabilizer_ball)
 
 
 def _injectivity_check(case: Case) -> Payload | None:
-    target, space, e, ball = case
-    failing = injectivity_certificate(space, e, ball)
+    target, ball = case
+    failing = injectivity_certificate(target.blowup, root_embedding(target.space), ball)
     return None if failing is None else {"target": target.name, "word": str(failing)}
 
 
 def _injectivity_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    return _injectivity_case(_payload_target(targets, payload), len(Word.parse(payload["word"])))
+    return _payload_target(_blowup_targets(targets), payload), len(Word.parse(payload["word"]))
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +834,8 @@ def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
             f"suite {name!r} cannot decode its counterexample: {counterexample!r} is not a mapping"
         )
     if "expected" in counterexample:
+        if suite.fault is None:
+            raise SuiteError(f"suite {name!r} has no bundled fault to replay")
         return suite.fault_check(config) is not None
     targets = resolve_targets(config)
     try:

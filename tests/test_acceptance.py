@@ -28,7 +28,6 @@ from germkit.fuzz import CaseGen
 from germkit.suites import (
     SuiteConfig,
     _action_law_samples,
-    build_blowup_target,
     resolve_targets,
     run_suite,
 )
@@ -158,7 +157,7 @@ def test_criterion_7_action_law():
     config = SuiteConfig(seed=107, word_ball=4, plain_samples=100, interval_samples=20)
     for label in ("e1", "e3"):
         target = next(t for t in resolve_targets(config, need_blowup=True) if t.name == label)
-        space = build_blowup_target(target)
+        space = target.blowup
         samples = _action_law_samples(space, config)
         assert sum(1 for q in samples if not q.is_interval()) >= 100
         assert sum(1 for q in samples if q.is_interval()) >= 20

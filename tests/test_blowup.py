@@ -419,7 +419,8 @@ class TestActionLawTriePass:
     )
     def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
         # the default suite samples: 100 plain points and 20 interval points
-        _, space, samples, ball = _action_law_case(bundle(name), SuiteConfig())
+        b, samples, ball = _action_law_case(bundle(name), SuiteConfig())
+        space = b.blowup
         assert (len(samples), ball) == (120, 4)
         calls, images = counted_alpha(monkeypatch)
         assert blowup._first_violation(space, samples, ball) is None
@@ -651,9 +652,8 @@ class TestStabilizerCheck:
     def test_misdeclared_stabilizer_rejected(self):
         b = bundle("e3")
         wrong = StabilizerData((Word.parse("f"),), {"f": b.stabilizer.phi["k"]})
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, wrong)
         with pytest.raises(BlowupError):
-            stabilizer_check(space, ball=2)
+            BlowupSpace(b.space, b.generators, b.marked, b.depth, wrong)
 
     def test_phi_validation(self):
         b = bundle("e3")

@@ -9,8 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from germkit.action import Homeo
+from germkit.blowup import BlowupSpace, CosetTableError, StabilizerGeneratorError
 from germkit.cli import main
-from germkit import serialize, suites
+from germkit import action, serialize, suites
 from germkit.examples import bundle
 from germkit.leafspace import LeafSpace, Point, Side
 from germkit.plmap import PLMap, reflect
@@ -124,6 +125,24 @@ class TestCheckCommands:
         assert (slipped in result.output) == (code == 1)
         assert ('"got": null}' in result.output) == (code == 1)
 
+    @pytest.mark.parametrize(
+        "args, spaces, compositions",
+        [(["check-stabilizer", "--example", "e3"], 2, 485), (["check-action"], 3, 652)],
+    )
+    def test_one_blowup_space_per_target(self, runner, monkeypatch, args, spaces, compositions):
+        # each target's space is shared by its suites; a bundled fault builds its own
+        calls = collections.Counter()
+        for owner, name in ((BlowupSpace, "_expand_orbit"), (action, "compose_homeo")):
+            original = getattr(owner, name)
+
+            def counted(*a, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*a)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert runner.invoke(main, args).exit_code == 0
+        assert calls == {"_expand_orbit": spaces, "compose_homeo": compositions}
+
     def test_report_file_written(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -201,6 +220,36 @@ class TestInputErrors:
         assert result.exit_code == 2, result.output
         assert json_path in result.output
         assert result.stdout == ""  # no TSV header or PASS line before the error
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("undeclared-stabilizer-letter", StabilizerGeneratorError),
+            ("stabilizer-letter-moves-marked", StabilizerGeneratorError),
+            ("coset-word-undeclared-letter", CosetTableError),
+        ],
+    )
+    def test_blowup_space_runs_the_load_check(self, runner, bad_files, case, error):
+        # the space rejects the parsed files with the message the load prints
+        space_name, spec, json_path = BAD_TARGETS[case]
+        space = serialize.parse_leafspace((bad_files / f"{space_name}.leafspace.json").read_text())
+        generators = serialize.parse_action((bad_files / "e3.action.json").read_text())
+        marked, stab, depth, _ = serialize.parse_blowup_spec(
+            (bad_files / f"{spec}.blowup.json").read_text()
+        )
+        with pytest.raises(error) as raised:
+            BlowupSpace(space, generators, marked, depth, stab)
+        result = runner.invoke(
+            main,
+            [
+                "blowup",
+                "--leafspace", str(bad_files / f"{space_name}.leafspace.json"),
+                "--action", str(bad_files / "e3.action.json"),
+                "--blowup", str(bad_files / f"{spec}.blowup.json"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.output.endswith(f"{json_path}: {raised.value}\n")
 
     def test_auto_extend(self, runner, tmp_path):
         space = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "b1": ("r", 0)})

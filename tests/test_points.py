@@ -35,7 +35,7 @@ from germkit.fuzz import CaseGen
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
 from germkit.plmap import PLMap, _frac, agree_on_ray, check
 from germkit.rationals import format_rational
-from germkit.suites import SuiteConfig, _action_law_samples, build_blowup_target
+from germkit.suites import SuiteConfig, _action_law_samples
 
 
 # -- the Fraction-era bodies --------------------------------------------------
@@ -214,7 +214,7 @@ class TestAgainstTheFractionBodies:
     def test_twisted_action_on_the_law_samples(self):
         for name in ("e1", "e3", "e3-coset-fault", "e3-phi-fault"):
             b = bundle(name)
-            space = build_blowup_target(b)
+            space = b.blowup
             samples = _action_law_samples(space, SuiteConfig(plain_samples=8, interval_samples=12))
             samples += [BlownPoint(space.marked, 0), BlownPoint(space.marked, 1)]  # fixed ends
             assert any(q.is_interval() for q in samples) and not all(q.is_interval() for q in samples)
@@ -379,7 +379,7 @@ class TestNoFractionOnTheIntegerRoute:
 
     def test_alpha_apply_all_on_e3_law_samples_builds_no_fraction(self, fraction_count):
         b = bundle("e3")
-        space = build_blowup_target(b)
+        space = b.blowup
         config = SuiteConfig()
         samples = _action_law_samples(space, config)
         plain = [q for q in samples if not q.is_interval()]
@@ -401,7 +401,7 @@ class TestNoFractionOnTheIntegerRoute:
         built, whose heights hold no ``Fraction``; reading none of them, a
         warm law check builds none."""
         b = bundle("e3")
-        space = build_blowup_target(b)
+        space = b.blowup
         config = SuiteConfig()
         samples = _action_law_samples(space, config)
         words = reduced_words(sorted(space.generators), 2)

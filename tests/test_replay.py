@@ -255,6 +255,37 @@ def test_replay_rejects_malformed_homomorphism_words(payload, error):
         replay("d-homomorphism", SuiteConfig(examples=("e3",)), payload)
 
 
+UNFAULTED = sorted(name for name, suite in suites.SUITES.items() if suite.fault is None)
+
+
+@pytest.mark.parametrize("name", UNFAULTED)
+def test_replay_rejects_a_fault_payload_on_a_suite_without_a_fault(name):
+    assert len(UNFAULTED) == 10
+    with pytest.raises(SuiteError, match=re.escape(f"suite '{name}' has no bundled fault to replay")):
+        replay(name, SuiteConfig(), {"expected": "x"})
+
+
+# blow-up suite -> a payload its decode reads on e3
+BLOWN_PAYLOADS = {
+    "alpha-action-law": {
+        "outer": "f", "inner": "", "sample": {"point": {"branch": "r", "coord": "1"}, "height": None},
+    },
+    "trivial-stabilizer": {"fixing_word": "f"},
+    "orbit-limit": {"cut": "0", "word": "f"},
+    "injectivity-certificate": {"word": "f"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOWN_PAYLOADS))
+def test_decode_rejects_a_payload_target_without_blowup_data(name):
+    config = SuiteConfig()
+    targets, decode = suites.resolve_targets(config), suites.SUITES[name].decode
+    assert decode(config, targets, {"target": "e3", **BLOWN_PAYLOADS[name]})[0].name == "e3"
+    message = "payload target 'e2' is not a resolved target ['e1', 'e3']"
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        decode(config, targets, {"target": "e2", **BLOWN_PAYLOADS[name]})
+
+
 def test_replay_keeps_a_bad_word_letter_an_action_error():
     payload = {"target": "e3", "case": 0, "words": ["f", "f^x"]}
     with pytest.raises(action.ActionError, match="bad word letter 'f\\^x'"):
