@@ -17,20 +17,25 @@ The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
 
 The action is implemented once, by :func:`alpha_apply_all`, which applies
-one word to a sequence of points: it fetches the word's homeo once and each
-orbit point's height map once per call.  :func:`alpha_apply` is its
-one-point case.  :func:`validate_alpha_action` checks the action law by
-walking the word ball as a suffix trie: each word's images of the samples
-are computed once and shared by every split of every word that ends in it,
-and only the current word's suffixes keep their images, at most
-``ball + 1`` lists.  On any mismatch or error it reruns the ordered
-pair-by-pair loop, whose first violation or first error it then reports;
-every image is a deterministic function of the word and the points, so
-this gives the ordered loop's answer.  Base points and heights travel as
-reduced integer pairs: the homeo moves a point through
-:func:`~germkit.action.apply_homeo`, the height map through the
-``PLMap`` integer entry, and the images are compared on ints, so once the
-homeos and height maps are cached an application builds no ``Fraction``.
+one word to a sequence of points: it fetches the word's homeo once per
+call, and the space keeps, beside that homeo, the word's move of each orbit
+point it has met (the image point and the height map), so a later interval
+point over that orbit point only evaluates the height map.
+:func:`alpha_apply` is its one-point case.
+
+:func:`validate_alpha_action` checks the action law by walking the word
+ball as a suffix trie: each word's images of the samples are computed once
+and shared by every split of every word that ends in it, and only the
+current word's suffixes keep their images, at most ``ball + 1`` lists.  On
+any mismatch or error it reruns the ordered pair-by-pair loop, whose first
+violation or first error it then reports; every image is a deterministic
+function of the word and the points, and a kept move is what computing it
+again would give, so this gives the ordered loop's answer.
+
+Base points and heights travel as reduced integer pairs: the homeo moves a
+point through :func:`~germkit.action.apply_homeo`, the height map through
+the ``PLMap`` integer entry, and the images are compared on ints, so once
+the homeos and moves are kept an application builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -317,7 +322,12 @@ class BlownPoint:
 
 class BlowupSpace:
     """A leaf space with the depth-bounded orbit of a marked point blown up,
-    carrying the :class:`StabilizerData` that twists the action on it."""
+    carrying the :class:`StabilizerData` that twists the action on it.
+
+    The space keeps one entry per word it has acted by: the word's homeo
+    (:meth:`word_homeo`) and the moves of the orbit points it has met
+    (:func:`alpha_apply_all`).  Both live as long as the space.
+    """
 
     def __init__(
         self,
@@ -336,7 +346,9 @@ class BlowupSpace:
         self.depth = depth
         self.stabilizer = stabilizer
         self.orbit: dict[Point, Word] = {}
-        self._homeo_cache: dict[tuple[tuple[str, int], ...], Homeo] = {}
+        # word letters -> (the word's homeo, its moves: orbit point ->
+        # (image point, height map)), opened together and kept together
+        self._word_cache: dict[tuple[tuple[str, int], ...], tuple[Homeo, dict[Point, tuple[Point, PLMap]]]] = {}
         self._expand_orbit()
 
     def _expand_orbit(self) -> None:
@@ -371,14 +383,14 @@ class BlowupSpace:
 
         A miss composes the last letter onto the cached homeo of the rest
         of the word, fetched the same way; only the empty word is built
-        from the identity.
+        from the identity.  It also opens the word's empty table of moves.
         """
-        cached = self._homeo_cache.get(word.letters)
-        if cached is None:
+        entry = self._word_cache.get(word.letters)
+        if entry is None:
             prefix = self.word_homeo(Word(word.letters[:-1])) if word.letters else None
-            cached = word_homeo(self.base, self.generators, word, prefix=prefix)
-            self._homeo_cache[word.letters] = cached
-        return cached
+            homeo = word_homeo(self.base, self.generators, word, prefix=prefix)
+            entry = self._word_cache[word.letters] = (homeo, {})
+        return entry[0]
 
     def classify(self) -> Classification:
         """Blowing up replaces points by intervals: ends and branching are
@@ -410,18 +422,23 @@ def alpha_apply_all(
     means the orbit was expanded too shallowly and raises).  Interval points
     move interval-to-interval with the coset-twisted height map.
 
-    The homeo of ``h`` is fetched once, when the first image is asked for,
-    and the height map ``phi(twist(h, g))`` once per orbit point ``g(marked)``
-    met; neither outlives the generator.  Each image is computed only when it
-    is asked for, so a caller that stops early sees exactly the errors that
+    The homeo of ``h`` is fetched once, when the first image is asked for.
+    The move of ``h`` on an orbit point ``g(marked)``, its image point and
+    the height map ``phi(twist(h, g))``, is computed the first time an
+    interval point over it is met, after the point and its image pass the
+    orbit checks, and the space keeps it beside ``h``'s homeo for its own
+    lifetime.  An interval point whose move is kept is carried by
+    evaluating the height map alone.  A move that raised is never kept, so
+    it raises again on every call.  Each image is computed only when it is
+    asked for, so a caller that stops early sees exactly the errors that
     applying ``h`` to the points one at a time, up to there, would raise.
     """
     homeo = space.word_homeo(h)
+    moves = space._word_cache[h.letters][1]
     base, orbit, stab = space.base, space.orbit, space.stabilizer
-    height_maps: dict[Point, PLMap] = {}
     for q in qs:
-        image = apply_homeo(base, homeo, q.point)
         if q._h is None:
+            image = apply_homeo(base, homeo, q.point)
             if image in orbit:
                 raise OrbitEscapeError(
                     f"plain point {q.point!r} maps into a blown interval; "
@@ -429,17 +446,18 @@ def alpha_apply_all(
                 )
             yield BlownPoint(image)
             continue
-        if q.point not in orbit:
-            raise BlowupError(f"{q.point!r} is not a blown orbit point")
-        if image not in orbit:
-            raise OrbitEscapeError(
-                f"image of orbit point {q.point!r} under {str(h)!r} needs depth "
-                f"beyond {space.depth}"
-            )
-        height_map = height_maps.get(q.point)
-        if height_map is None:
-            height_map = stab.phi_word(stab.twist(h, orbit[q.point]))
-            height_maps[q.point] = height_map
+        move = moves.get(q.point)
+        if move is None:
+            image = apply_homeo(base, homeo, q.point)
+            if q.point not in orbit:
+                raise BlowupError(f"{q.point!r} is not a blown orbit point")
+            if image not in orbit:
+                raise OrbitEscapeError(
+                    f"image of orbit point {q.point!r} under {str(h)!r} needs depth "
+                    f"beyond {space.depth}"
+                )
+            move = moves[q.point] = image, stab.phi_word(stab.twist(h, orbit[q.point]))
+        image, height_map = move
         n, d = height_map._eval(*q._h)
         if not 0 <= n <= d:
             raise BlowupError("twist map left the unit interval")
@@ -478,7 +496,8 @@ def validate_alpha_action(
     Each word acts on the whole sample list through one
     :func:`alpha_apply_all` call.  The stepwise route applies ``outer`` to
     ``inner``'s images and the combined route applies the product word's own
-    homeo and twists, so the two stay independent.
+    moves, built from its own homeo and twists, never from its factors'
+    moves, so the two stay independent.
 
     The check first runs :func:`_law_holds`, which computes each word's
     images once, checks every pair against them, and holds at most

@@ -16,6 +16,7 @@ from germkit.blowup import (
     StabilizerData,
     StabilizerGeneratorError,
     alpha_apply,
+    alpha_apply_all,
     blown_induced_germ,
     injectivity_certificate,
     positive_ray_orbit_search,
@@ -88,7 +89,7 @@ class TestWordHomeoCache:
         w = Word.parse("f k^-1 f f")
         assert space.word_homeo(w) == word_homeo(b.space, b.generators, w)
         for n in range(len(w) + 1):
-            assert Word(w.letters[:n]).letters in space._homeo_cache
+            assert Word(w.letters[:n]).letters in space._word_cache
         assert space.word_homeo(Word.parse("f k^-1")) is space.word_homeo(Word.parse("f k^-1"))
 
     def test_prefix_of_the_empty_word_is_rejected(self):
@@ -299,10 +300,10 @@ class TestActionLawOrder:
         monkeypatch.setattr(blowup, "alpha_apply_all", counted_all)
         monkeypatch.setattr(BlowupSpace, "word_homeo", counted_homeo)
         monkeypatch.setattr(StabilizerData, "twist", counted_twist)
-        cached = len(space._homeo_cache)
+        cached = len(space._word_cache)
         assert validate_alpha_action(space, samples, ball=4) is None
         # a miss fetches its prefix once more, through the same method
-        misses = len(space._homeo_cache) - cached
+        misses = len(space._word_cache) - cached
         assert 0 < fetches <= sum(calls.values()) + misses
         assert twists and all(n <= calls[h] for (h, _), n in twists.items())
 
@@ -431,6 +432,80 @@ class TestActionLawTriePass:
         assert validate_alpha_action(space, samples, ball) is None
         assert sum(calls.values()) == pass_calls <= 1200
         assert sum(images.values()) == 120 * pass_calls
+
+
+class TestStoredMoves:
+    """A space keeps each word's move of an orbit point (image point and
+    height map) beside the word's homeo; a warm call evaluates the kept
+    height map and must act, and fail, exactly as a cold one."""
+
+    def test_interval_point_off_the_orbit_raises_on_every_call(self):
+        b, space = built("e3")
+        w = Word.parse("f")
+        samples = law_samples(b, deep=False)
+        list(alpha_apply_all(space, w, [q for q in samples if q.is_interval()]))
+        off = BlownPoint(Point(b.space.root, F(1, 2)), F(1, 2))
+        assert off.point not in space.orbit
+        for _ in range(2):
+            with pytest.raises(BlowupError, match="is not a blown orbit point"):
+                alpha_apply(space, w, off)
+        assert off.point not in space._word_cache[w.letters][1]
+
+    def test_escaping_move_raises_on_every_call_and_is_never_kept(self):
+        b, space = built("e1")
+        w = Word.parse("u")
+        far = next(
+            p for p, g in space.orbit.items() if len(g) == b.depth and g.letters[0] == ("u", 1)
+        )
+        assert alpha_apply(space, w, space.midpoint()).point in space.orbit
+        moves = space._word_cache[w.letters][1]
+        assert list(moves) == [b.marked]
+        for height in (F(1, 2), F(1, 2), F(1, 3)):
+            with pytest.raises(OrbitEscapeError, match="needs depth"):
+                alpha_apply(space, w, BlownPoint(far, height))
+        assert list(moves) == [b.marked]
+
+    def test_a_kept_height_map_is_checked_at_every_height(self):
+        b = bundle("e3")
+        stab = StabilizerData(b.stabilizer.k_generators, {"k": PLMap.affine(1, F(1, 10))})
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
+        k = Word.parse("k")
+        assert alpha_apply(space, k, space.midpoint()) == BlownPoint(b.marked, F(3, 5))
+        for _ in range(2):
+            with pytest.raises(BlowupError, match="twist map left the unit interval"):
+                alpha_apply(space, k, BlownPoint(b.marked, 1))
+
+    def test_a_wrong_kept_move_breaks_the_law(self):
+        # The combined route reads the product word's own move, never its
+        # factors' moves, so a wrong move of f alone shows as a violation.
+        b, space = built("e3")
+        samples = law_samples(b, deep=False)
+        assert validate_alpha_action(space, samples, ball=4) is None
+        f = Word.parse("f")
+        moves = space._word_cache[f.letters][1]
+        image, height_map = moves[b.marked]
+        moves[b.marked] = image, b.stabilizer.phi["k"] * height_map
+        violation = validate_alpha_action(space, samples, ball=4)
+        assert violation is not None
+        assert f in (violation.outer, violation.inner)
+
+    def test_twist_calls_of_one_law_check(self, monkeypatch):
+        """On e3 at ball 4 with the suite's 120 samples, a fresh space
+        twists each (word, orbit point) pair once: 3,727 calls, against
+        10,458 when each call kept its height maps only for itself."""
+        b, samples, ball = _action_law_case(bundle("e3"), SuiteConfig())
+        twists: Counter = Counter()
+        real_twist = StabilizerData.twist
+
+        def counted_twist(self, h, g):
+            twists[h.letters, g.letters] += 1
+            return real_twist(self, h, g)
+
+        monkeypatch.setattr(StabilizerData, "twist", counted_twist)
+        assert validate_alpha_action(b.blowup, samples, ball) is None
+        assert sum(twists.values()) == len(twists) == 3727
+        assert validate_alpha_action(b.blowup, samples, ball) is None
+        assert sum(twists.values()) == 3727
 
 
 class TestCosets:

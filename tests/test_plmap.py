@@ -572,7 +572,7 @@ def raw_plmaps(draw):
             at = draw(st.integers(min_value=1, max_value=min(len(bps), len(vals)) - 1))
             if draw(st.booleans()):
                 bps[at] = bps[at - 1]
-            else:
+            elif not isinstance(vals[at - 1], str):  # after a "str" flaw
                 vals[at] = vals[at - 1] - draw(st.sampled_from([0, 1]))
             f = replace(f, breakpoints=tuple(bps), values=tuple(vals))
         elif flaw == "slope":
@@ -585,7 +585,7 @@ def raw_plmaps(draw):
         elif flaw == "length" and bps:
             if draw(st.booleans()):
                 f = replace(f, values=tuple(vals[:-1]))
-            else:
+            elif not isinstance(bps[-1], str):  # after a "str" flaw
                 f = replace(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
         elif flaw == "list":
             f = replace(f, breakpoints=bps, values=vals)
@@ -593,6 +593,8 @@ def raw_plmaps(draw):
             f = replace(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
                     **{k: as_int(getattr(f, k)) for k in FIELDS[2:]})
         elif flaw in ("float", "str"):
+            # a value that an earlier flaw made a string stays one:
+            # ``float("1/8")`` would fail in the strategy, not in ``check``
             convert = float if flaw == "float" else format_rational
             name = draw(st.sampled_from(FIELDS))
             value = getattr(f, name)
@@ -600,8 +602,10 @@ def raw_plmaps(draw):
                 if not value:
                     continue
                 at = draw(st.integers(min_value=0, max_value=len(value) - 1))
+                if isinstance(value[at], str):
+                    continue
                 value = (*value[:at], convert(value[at]), *value[at + 1:])
-            elif value is not None:
+            elif value is not None and not isinstance(value, str):
                 value = convert(value)
             f = replace(f, **{name: value})
     return f
@@ -614,6 +618,10 @@ _KINKED = PLMap.make([(F(0), F(0)), (F(1), F(2)), (F(2), F(3))], 1, 2)
 # a "length" flaw, then an "order" flaw on the shorter values or the longer breakpoints
 @example(replace(_KINKED, values=(F(0), F(-1))))
 @example(replace(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
+# a "str" flaw, then a "float" flaw that skips the string, on a scalar field
+# and on a breakpoint
+@example(replace(_KINKED, tail_offset="-1"))
+@example(replace(_KINKED, breakpoints=(F(0), "1", F(2))))
 def test_check_matches_fraction_oracle(f):
     """The same message, ``None``, or the same exception type and message."""
     assert outcome(check, f) == outcome(oracle_check, f)

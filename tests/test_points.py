@@ -133,6 +133,10 @@ def as_oracle(p):
     return OraclePoint(p.branch, p.coord)
 
 
+def as_oracle_blown(q):
+    return OracleBlownPoint(as_oracle(q.point), q.height)
+
+
 def new_point(p):
     return Point(p.branch, p.coord)
 
@@ -220,8 +224,7 @@ class TestAgainstTheFractionBodies:
             assert any(q.is_interval() for q in samples) and not all(q.is_interval() for q in samples)
             for w in reduced_words(sorted(space.generators), 3):
                 for q in samples:
-                    old = OracleBlownPoint(as_oracle(q.point), q.height)
-                    want = outcome(oracle_alpha_apply, space, w, old)
+                    want = outcome(oracle_alpha_apply, space, w, as_oracle_blown(q))
                     got = outcome(lambda: next(alpha_apply_all(space, w, [q])))
                     if isinstance(want, tuple):
                         assert got == want
@@ -229,6 +232,44 @@ class TestAgainstTheFractionBodies:
                         assert_same(got.point, want.point)
                         assert got.height == want.height
                         assert got.height is None or type(got.height) is F
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-law-check"])
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault"])
+    def test_kept_moves_act_as_the_oracle(self, name, warm):
+        """Whole sample lists through one call, on a fresh space and on one
+        whose moves a law check has kept: each image, and the first error
+        with everything yielded before it, is the oracle's."""
+        b = bundle(name)
+        space = b.blowup
+        config = SuiteConfig(plain_samples=8, interval_samples=12)
+        samples = _action_law_samples(space, config)
+        samples += [BlownPoint(space.marked, 0), BlownPoint(space.marked, 1)]
+        far = next(p for p, w in space.orbit.items() if len(w) == b.depth)
+        samples.append(BlownPoint(far, F(1, 3)))  # escapes under most words
+        if warm:
+            validate_alpha_action(space, samples[:-1], config.word_ball)
+            assert len(space._word_cache) > 1
+        errors = 0
+        for w in reduced_words(sorted(space.generators), 3):
+            want = []
+            for q in samples:
+                want.append(outcome(oracle_alpha_apply, space, w, as_oracle_blown(q)))
+                if isinstance(want[-1], tuple):
+                    errors += 1
+                    break
+            got = []
+            try:
+                got.extend(alpha_apply_all(space, w, samples))
+            except Exception as exc:
+                got.append((type(exc), str(exc)))
+            assert len(got) == len(want)
+            for g, o in zip(got, want):
+                if isinstance(o, tuple):
+                    assert g == o
+                else:
+                    assert_same(g.point, o.point)
+                    assert g.height == o.height
+        assert errors
 
 
 # -- the Point and BlownPoint contracts ----------------------------------------

@@ -7,7 +7,9 @@ example.  The integer fast paths must go through ``numerator``,
 ``denominator`` and ``Fraction(n, d)`` instead.
 
 Only ``leafspace.py`` names ``Embedding.point_at``: every probe of a homeo
-along an embedded line goes through ``action.line_image``.
+along an embedded line goes through ``action.line_image``.  Only
+``blowup.py`` names ``StabilizerData.twist``: a word's move of an orbit
+point is computed in one place, ``alpha_apply_all``, which keeps it.
 """
 
 import io
@@ -50,13 +52,21 @@ def test_scanner_sees_attributes_and_keywords():
     ]
 
 
-def test_only_leafspace_names_point_at():
-    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "leafspace.py")
+def uses_outside(owner: str, names: set[str]) -> list[str]:
+    """``path:line`` of each code use of ``names`` in a package module
+    other than ``owner``."""
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != owner)
     assert modules
-    found = [
+    return [
         f"{path.relative_to(PACKAGE.parent)}:{line}"
         for path in modules
-        for line, _ in name_uses(path.read_text(), {"point_at"})
+        for line, _ in name_uses(path.read_text(), names)
     ]
-    assert found == []
 
+
+def test_only_leafspace_names_point_at():
+    assert uses_outside("leafspace.py", {"point_at"}) == []
+
+
+def test_only_blowup_names_twist():
+    assert uses_outside("blowup.py", {"twist"}) == []
