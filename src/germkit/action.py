@@ -392,7 +392,8 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
 
     Between consecutive events the owning branch of ``e(x)``, the owning
     branch of the image, and the chart piece acting are all constant, and
-    the coordinate map is affine.
+    the coordinate map is affine.  Chart breakpoints are read off each
+    map's integer record, so no chart map builds its ``Fraction`` fields.
     """
     departures = {
         dep
@@ -404,7 +405,7 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
         if branch not in h.branch_pl:
             raise ActionError(f"homeomorphism undefined on branch {branch!r}")
         pl = h.branch_pl[branch]
-        events.update(pl.breakpoints)
+        events.update(Fraction(xn, xd) for xn, xd in pl._breaks())
         events.update(map(pl.preimage, departures))
     return sorted(events)
 

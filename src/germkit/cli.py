@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -22,7 +23,7 @@ from .examples import BUNDLED, STANDARD, Bundle, bundle
 from .fuzz import CaseGen, FuzzBounds
 from .germ import compare
 from .leafspace import root_embedding
-from .plmap import check as check_plmap
+from .plmap import InvalidMapError, check as check_plmap
 from .rationals import RationalFormatError, format_rational, parse_rational
 from .suites import (
     Report,
@@ -291,10 +292,17 @@ def fuzz_cmd(kind: str, count: int, max_breakpoints: int, max_denominator: int, 
     """Emit a deterministic stream of valid random objects as JSON lines."""
     bounds = FuzzBounds(max_breakpoints=max_breakpoints, max_denominator=max_denominator)
     gen = CaseGen(seed, bounds)
-    for _ in range(count):
+
+    def reject(draw: int, problem: str) -> NoReturn:
+        click.echo(f"error: fuzz draw {draw}: {problem}", err=True)
+        sys.exit(FAIL)
+
+    for draw in range(count):
         if kind == "plmap":
             f = gen.plmap()
-            assert check_plmap(f) is None
+            problem = check_plmap(f)
+            if problem is not None:
+                reject(draw, problem)
             click.echo(json.dumps(serialize.plmap_to_data(f)))
         elif kind == "word":
             w = gen.word(["f", "k"])
@@ -304,8 +312,13 @@ def fuzz_cmd(kind: str, count: int, max_breakpoints: int, max_denominator: int, 
             click.echo(json.dumps(serialize.leafspace_to_data(space)))
         else:
             space = bundle("e3").space
-            h = gen.homeo(space)
-            assert validate_homeo(space, h) is None
+            try:
+                h = gen.homeo(space)
+            except InvalidMapError as exc:
+                reject(draw, str(exc))
+            problem = validate_homeo(space, h)
+            if problem is not None:
+                reject(draw, problem)
             click.echo(
                 json.dumps(
                     {

@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .action import Homeo, Word
 from .germ import Germ
 from .leafspace import LeafSpace, Point, Side
-from .plmap import PLMap, _canonical
+from .plmap import PLMap, _canonical, _splice
 
 
 MAX_MAGNITUDE = 50
@@ -66,19 +67,24 @@ class CaseGen:
         left = self.positive_slope()
         right = self.positive_slope()
         if count == 0:
-            return _canonical([], left, left, self.fraction())
-        # Breakpoints x + k/D at distinct integers x, values y0 + m1/D + ...,
-        # as unreduced (n, d) int pairs over D and y0's denominator times D.
+            return PLMap.affine(left, self.fraction())
+        # Breakpoints x + k/D at distinct integers x, as reduced int pairs,
+        # and values y0 + m1/D + ..., as unreduced pairs over y0's
+        # denominator times D.
         den = b.max_denominator
         xs = sorted(self.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
         xs = [x * den + self.rng.randint(0, den - 1) for x in xs]
         y = self.fraction()
         yn, yd = y.numerator * den, y.denominator * den
-        pts = [(xs[0], den, yn, yd)]
-        for xn in xs[1:]:
-            yn += self.rng.randint(1, 4 * den) * y.denominator
-            pts.append((xn, den, yn, yd))
-        return _canonical(pts, left, right, None)
+        pts = []
+        for i, xn in enumerate(xs):
+            if i:
+                yn += self.rng.randint(1, 4 * den) * y.denominator
+            c = gcd(xn, den)
+            pts.append((xn // c, den // c, yn, yd))
+        return _canonical(
+            pts, left.numerator, left.denominator, right.numerator, right.denominator, None
+        )
 
     def germ(self) -> Germ:
         return Germ(self.positive_slope(), self.fraction())
@@ -190,15 +196,3 @@ class CaseGen:
                 lower = self._pl_fixing(anchors, self.positive_slope(), Fraction(1))
                 branch_pl[name] = _splice(lower, branch_pl[parent], dep)
         return Homeo({b: b for b in space.branches}, branch_pl)
-
-
-def _splice(lower: PLMap, upper: PLMap, at: Fraction) -> PLMap:
-    """The map equal to ``lower`` below ``at`` and ``upper`` above.
-
-    Both maps must agree at the splice coordinate.
-    """
-    assert lower(at) == upper(at), "splice point mismatch"
-    pts = [(x, lower(x)) for x in lower.breakpoints if x < at]
-    pts.append((at, lower(at)))
-    pts.extend((x, upper(x)) for x in upper.breakpoints if x > at)
-    return PLMap.make(pts, lower.left_slope, upper.right_slope)

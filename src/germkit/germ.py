@@ -15,7 +15,8 @@ A germ holds its slope and offset as reduced int pairs, and ``*``, ``~``,
 ``==``, ``hash``, :meth:`Germ.is_positive` and :func:`compare` run on them
 with no ``Fraction``.  ``.slope`` and ``.offset`` are read-only
 ``Fraction``s: the ones given to ``Germ(...)``, or else built on the first
-read and kept.
+read and kept.  :meth:`Germ.of` reads a map's tail off its integer record,
+so it builds none either.
 """
 
 from __future__ import annotations
@@ -58,8 +59,14 @@ class Germ:
 
     @classmethod
     def of(cls, f: PLMap) -> "Germ":
-        """Germ of a canonical map: its affine tail, keeping its ``Fraction``s."""
-        return cls(f.right_slope, f.tail_offset)
+        """Germ of a canonical map: its affine tail, read off the map's
+        integer record, so no ``Fraction`` is built.  A raw map with a
+        nonpositive right slope raises ``ValueError``, as ``Germ(...)``
+        does."""
+        sn, sd, on, od = f._tail()
+        if sn <= 0:
+            raise ValueError("germ slope must be positive")
+        return cls._of(sn, sd, on, od)
 
     @classmethod
     def identity(cls) -> "Germ":

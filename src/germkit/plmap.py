@@ -15,10 +15,26 @@ is both cheap and meaningful.
 Composition is written multiplicatively, ``f * g == f after g``, and ``~f``
 is the inverse, following the usual convention for transformation groups.
 
+A map holds its data as one integer record: a ``(xn, xd, yn, yd)`` tuple
+for each breakpoint ``xn/xd -> yn/yd``, and the pairs of the left slope,
+the right slope and the tail offset, every pair reduced with a positive
+denominator.  Every map that :meth:`PLMap.make`, ``*``, ``~``,
+:func:`reflect`, :func:`normalize`, :meth:`PLMap.affine` or
+:meth:`PLMap.identity` returns is built from such a record by
+:func:`_canonical` (or, for an affine map, directly), and its
+``Fraction`` fields ``breakpoints``, ``values``, ``left_slope``,
+``right_slope`` and ``tail_offset`` are built on the first read of any of
+them and then kept.  The bare constructor ``PLMap(...)`` keeps raw fields
+as given, unchecked; such a raw instance converts its fields to a record
+the first time an integer reader needs one.  ``==`` compares two records,
+or the five fields when either map is raw, and ``hash`` and ``repr`` read
+the fields, so both agree with the ``Fraction`` values.
+
 Evaluation runs on Python ints.  On its first evaluation a map builds an
-integer kernel, one flat tuple kept in a slot: first ``p, q`` for each
-breakpoint ``p/q``, then ``A, B, D`` for each piece (left tail, interior
-pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at ``x = n/d``.
+integer kernel from its record, one flat tuple kept in a slot: first
+``p, q`` for each breakpoint ``p/q``, then ``A, B, D`` for each piece (left
+tail, interior pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at
+``x = n/d``.
 
 The integer entry :meth:`PLMap._eval` takes ``(n, d)`` with ``d > 0``,
 finds the piece by integer cross-multiplication and returns the pair
@@ -26,26 +42,27 @@ finds the piece by integer cross-multiplication and returns the pair
 ``Fraction``.  The action layer calls the entry directly on reduced pairs
 and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`).
 :meth:`PLMap.preimage` inverts the same piece, ``x = (D*n - B*d)/(A*d)`` at
-``y = n/d``, without building ``~f``.  The ``Fraction`` fields stay the
-canonical data: the kernel takes no part in ``==``, ``hash`` or ``repr``,
-and every public value is a ``Fraction``.
+``y = n/d``, without building ``~f``.
 
-Composition and canonicalization run on ints too.  ``f * g`` takes ``g``'s
-breakpoints and the preimages of ``f``'s breakpoints under ``g`` as reduced
-``(n, d)`` pairs, merges the two increasing lists by cross-multiplication,
-and evaluates ``f(g(x))`` at each point by walking both kernels' pieces
-forward once.  One canonicalizer, :func:`_canonical`, takes such integer
-points: it checks that tail slopes are positive and that breakpoints and
-values strictly increase, drops each point whose two slopes ``a/d`` and
-``a'/d'`` agree (``a*d' == a'*d``), and builds ``Fraction`` fields only for
-the points it keeps.  :meth:`PLMap.make` converts its input once and calls
-it; ``*`` calls it directly; ``normalize``, ``check``, ``reflect`` and ``~f``
-go through ``make``.
+Composition and canonicalization run on ints too.  ``f * g`` multiplies the
+tail slopes as int pairs, takes ``g``'s breakpoints and the preimages of
+``f``'s breakpoints under ``g`` as reduced ``(n, d)`` pairs, merges the two
+increasing lists by cross-multiplication, and evaluates ``f(g(x))`` at each
+point by walking both kernels' pieces forward once.  One canonicalizer,
+:func:`_canonical`, takes such integer points: it checks that tail slopes
+are positive and that breakpoints and values strictly increase, drops each
+point whose two slopes ``a/d`` and ``a'/d'`` agree (``a*d' == a'*d``), and
+reduces the value of each point it keeps with one ``gcd``.  :meth:`make`
+converts its input once and calls it, also for :func:`normalize`; ``*``,
+``~``, :func:`reflect` and :func:`_splice` call it on records.
+:func:`check` and :func:`agree_on_ray` read the record or the kernel, and
+other modules read ints through ``_eval``, ``preimage``, ``_tail`` and
+``_breaks``, so no map built on this route builds a ``Fraction`` field
+unless one is read.  Only this module knows the record's layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
@@ -53,6 +70,7 @@ from typing import Iterable
 from .rationals import format_rational, parse_rational
 
 RationalLike = Fraction | int | str
+Record = tuple[tuple[tuple[int, int, int, int], ...], int, int, int, int, int, int]
 
 
 class InvalidMapError(ValueError):
@@ -85,21 +103,99 @@ def _int_points(
     return pts
 
 
-@dataclass(frozen=True, slots=True)
+def _field(name: str) -> property:
+    """A read-only ``Fraction`` field, built from the record on first read."""
+    slot = "_" + name
+
+    def read(self: "PLMap"):
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            self._build_fields()
+            return getattr(self, slot)
+
+    return property(read)
+
+
 class PLMap:
     """Increasing piecewise-linear bijection of the line.
 
     Instances built through :meth:`make`, :meth:`affine` or :meth:`identity`
-    are validated and canonical.  The bare constructor performs no checks;
-    :func:`check` reports what is wrong with a raw instance.
+    are validated and canonical, and hold the integer record of the module
+    docstring.  The bare constructor performs no checks and keeps its
+    fields as given; :func:`check` reports what is wrong with a raw
+    instance.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    left_slope: Fraction
-    right_slope: Fraction
-    tail_offset: Fraction
-    _kernel: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset",
+        "_raw", "_pairs", "_lsn", "_lsd", "_rsn", "_rsd", "_ton", "_tod", "_kernel",
+    )
+
+    def __init__(
+        self,
+        breakpoints: tuple[Fraction, ...],
+        values: tuple[Fraction, ...],
+        left_slope: Fraction,
+        right_slope: Fraction,
+        tail_offset: Fraction,
+    ):
+        self._breakpoints, self._values = breakpoints, values
+        self._left_slope, self._right_slope = left_slope, right_slope
+        self._tail_offset = tail_offset
+        self._raw = True
+        self._pairs = self._kernel = None
+
+    breakpoints = _field("breakpoints")
+    values = _field("values")
+    left_slope = _field("left_slope")
+    right_slope = _field("right_slope")
+    tail_offset = _field("tail_offset")
+
+    @classmethod
+    def _of(
+        cls,
+        pairs: tuple[tuple[int, int, int, int], ...],
+        lsn: int, lsd: int, rsn: int, rsd: int, ton: int, tod: int,
+    ) -> "PLMap":
+        """The map with this integer record, which must be reduced and
+        canonical; no check is made and no ``Fraction`` is built."""
+        f = object.__new__(cls)
+        f._raw, f._pairs, f._kernel = False, pairs, None
+        f._lsn, f._lsd, f._rsn, f._rsd, f._ton, f._tod = lsn, lsd, rsn, rsd, ton, tod
+        return f
+
+    def _build_fields(self) -> None:
+        """Build and keep the five ``Fraction`` fields from the record."""
+        self._breakpoints = tuple(Fraction(xn, xd) for xn, xd, _, _ in self._pairs)
+        self._values = tuple(Fraction(yn, yd) for _, _, yn, yd in self._pairs)
+        self._left_slope = Fraction(self._lsn, self._lsd)
+        self._right_slope = Fraction(self._rsn, self._rsd)
+        self._tail_offset = Fraction(self._ton, self._tod)
+
+    def _record(self) -> Record:
+        """The integer record ``(pairs, lsn, lsd, rsn, rsd, ton, tod)``.  A
+        raw instance converts its fields with :func:`_frac` on the first
+        call, unchecked, and keeps the result."""
+        if self._pairs is None:
+            ls, rs = _frac(self._left_slope), _frac(self._right_slope)
+            b = _frac(self._tail_offset)
+            self._lsn, self._lsd, self._rsn, self._rsd = (
+                ls.numerator, ls.denominator, rs.numerator, rs.denominator
+            )
+            self._ton, self._tod = b.numerator, b.denominator
+            self._pairs = tuple(_int_points(zip(self._breakpoints, self._values)))
+        return self._pairs, self._lsn, self._lsd, self._rsn, self._rsd, self._ton, self._tod
+
+    def _tail(self) -> tuple[int, int, int, int]:
+        """The right slope and the tail offset, ``(sn, sd, on, od)``, read
+        off the record as reduced int pairs."""
+        _, _, _, sn, sd, on, od = self._record()
+        return sn, sd, on, od
+
+    def _breaks(self) -> list[tuple[int, int]]:
+        """Each breakpoint as a reduced int pair ``(n, d)``, read off the record."""
+        return [(xn, xd) for xn, xd, _, _ in self._record()[0]]
 
     # -- construction ------------------------------------------------------
 
@@ -117,41 +213,42 @@ class PLMap:
         affine map); when breakpoints are present it is optional but must
         agree with ``values[-1] - right_slope * breakpoints[-1]``.
         """
-        return _canonical(_int_points(points), _frac(left_slope), _frac(right_slope), offset)
+        pts = _int_points(points)
+        ls, rs = _frac(left_slope), _frac(right_slope)
+        if offset is not None:
+            offset = _frac(offset)
+            offset = offset.numerator, offset.denominator
+        return _canonical(pts, ls.numerator, ls.denominator, rs.numerator, rs.denominator, offset)
 
     @classmethod
     def affine(cls, slope: RationalLike, offset: RationalLike) -> "PLMap":
         slope, offset = _frac(slope), _frac(offset)
-        if slope <= 0:
+        if slope.numerator <= 0:
             raise InvalidMapError("slope must be positive")
-        return cls((), (), slope, slope, offset)
+        n, d = slope.numerator, slope.denominator
+        return cls._of((), n, d, n, d, offset.numerator, offset.denominator)
 
     @classmethod
     def identity(cls) -> "PLMap":
-        return cls.affine(1, 0)
+        return cls._of((), 1, 1, 1, 1, 0, 1)
 
     # -- evaluation --------------------------------------------------------
 
     def _build_kernel(self) -> tuple[int, ...]:
         """Build, store and return the integer kernel (see the module docstring)."""
-        marks = [
-            (x.numerator, x.denominator, y.numerator, y.denominator)
-            for x, y in zip(self.breakpoints, self.values)
-        ]
+        marks, lsn, lsd, rsn, rsd, ton, tod = self._record()
         # Each piece as its slope an/ad and one point p/q -> r/s of its line.
-        ls, rs, b = self.left_slope, self.right_slope, self.tail_offset
-        pieces = [(ls.numerator, ls.denominator, *marks[0])] if marks else []
+        pieces = [(lsn, lsd, *marks[0])] if marks else []
         for (p0, q0, r0, s0), (p1, q1, r1, s1) in zip(marks, marks[1:]):
             an, ad = (r1 * s0 - r0 * s1) * q0 * q1, (p1 * q0 - p0 * q1) * s0 * s1
             pieces.append((an, ad, p0, q0, r0, s0))
-        pieces.append((rs.numerator, rs.denominator, 0, 1, b.numerator, b.denominator))
+        pieces.append((rsn, rsd, 0, 1, ton, tod))
         kernel = [v for p, q, _, _ in marks for v in (p, q)]
         for an, ad, p, q, r, s in pieces:
             A, B, D = an * s * q, r * ad * q - an * s * p, ad * s * q
             g = gcd(A, B, D)
             kernel += (A // g, B // g, D // g)
-        kernel = tuple(kernel)
-        object.__setattr__(self, "_kernel", kernel)
+        kernel = self._kernel = tuple(kernel)
         return kernel
 
     def _eval(self, n: int, d: int) -> tuple[int, int]:
@@ -160,7 +257,7 @@ class PLMap:
         kernel = self._kernel
         if kernel is None:
             kernel = self._build_kernel()
-        i, j = 0, 2 * len(self.breakpoints)
+        i, j = 0, 2 * len(self._pairs)
         while i < j and n * kernel[i + 1] >= kernel[i] * d:
             i += 2
         j += 3 * (i >> 1)
@@ -180,7 +277,7 @@ class PLMap:
         n, d = y.numerator, y.denominator
         # Breakpoint p/q ends the piece A, B, D, whose value there is
         # (A*p + B*q)/(D*q); step past it while y is at least that value.
-        end = 2 * len(self.breakpoints)
+        end = 2 * len(self._pairs)
         i, j = 0, end
         while i < end:
             p, q, A, B, D = kernel[i], kernel[i + 1], kernel[j], kernel[j + 1], kernel[j + 2]
@@ -197,11 +294,11 @@ class PLMap:
             return NotImplemented
         f = self._kernel or self._build_kernel()
         g = other._kernel or other._build_kernel()
-        ls = self.left_slope * other.left_slope
-        rs = self.right_slope * other.right_slope
-        nf, ng = 2 * len(self.breakpoints), 2 * len(other.breakpoints)
+        lsn, lsd = self._lsn * other._lsn, self._lsd * other._lsd
+        rsn, rsd = self._rsn * other._rsn, self._rsd * other._rsd
+        nf, ng = 2 * len(self._pairs), 2 * len(other._pairs)
         if not nf + ng:  # two affine maps: self(other(0))
-            return _canonical([], ls, rs, Fraction(f[0] * g[1] + f[1] * g[2], f[2] * g[2]))
+            return _canonical([], lsn, lsd, rsn, rsd, (f[0] * g[1] + f[1] * g[2], f[2] * g[2]))
         # Preimages of self's breakpoints under other, as in preimage() but
         # walking other's pieces once, since the breakpoints increase.
         pre = []
@@ -243,16 +340,31 @@ class PLMap:
             while k < nf and un * f[k + 1] >= f[k] * ud:
                 k, m = k + 2, m + 3
             pts.append((n, d, f[m] * un + f[m + 1] * ud, f[m + 2] * ud))
-        return _canonical(pts, ls, rs, None)
+        return _canonical(pts, lsn, lsd, rsn, rsd, None)
 
     def __invert__(self) -> "PLMap":
-        if not self.breakpoints:
-            a, b = self.right_slope, self.tail_offset
-            return PLMap.affine(1 / a, -b / a)
-        pts = [(y, x) for x, y in zip(self.breakpoints, self.values)]
-        return PLMap.make(pts, 1 / self.left_slope, 1 / self.right_slope)
+        pairs, lsn, lsd, rsn, rsd, ton, tod = self._record()
+        if lsn <= 0 or rsn <= 0:
+            raise InvalidMapError("tail slopes must be positive")
+        pts = [(yn, yd, xn, xd) for xn, xd, yn, yd in pairs]
+        offset = None if pts else (-ton * rsd, tod * rsn)
+        return _canonical(pts, lsd, lsn, rsd, rsn, offset)
 
     # -- structure ---------------------------------------------------------
+
+    def _fields(self) -> tuple:
+        return self.breakpoints, self.values, self.left_slope, self.right_slope, self.tail_offset
+
+    def __eq__(self, other: object) -> bool:
+        """Equal records, or equal fields when either map is raw."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._raw or other._raw:
+            return self._fields() == other._fields()
+        return self._record() == other._record()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         pts = ", ".join(
@@ -267,16 +379,16 @@ class PLMap:
 
 
 def _scan(
-    pts: list[tuple[int, int, int, int]],
-    ls: Fraction,
-    rs: Fraction,
+    pts: Iterable[tuple[int, int, int, int]],
+    lsn: int, lsd: int, rsn: int, rsd: int,
     offset: object,
 ) -> tuple[list[tuple[int, int, int, int]], tuple[int, int] | None]:
     """The rules of canonical form, on integer points; shared by
     :func:`_canonical` and :func:`check`.
 
-    Each point ``(xn, xd, yn, yd)`` is ``xn/xd -> yn/yd`` with positive,
-    not necessarily reduced, denominators.  Checks that the tail slopes are
+    Each point ``(xn, xd, yn, yd)`` is ``xn/xd -> yn/yd`` and the tail
+    slopes are ``lsn/lsd`` and ``rsn/rsd``, all with positive, not
+    necessarily reduced, denominators.  Checks that the tail slopes are
     positive; with no points, that ``offset`` is given and the tail slopes
     are equal; otherwise that breakpoints and values strictly increase.  The
     first rule broken raises :class:`InvalidMapError`.  Returns the points
@@ -285,12 +397,12 @@ def _scan(
     ``d > 0`` (``None`` with no points).  All by integer cross-multiplication;
     no ``Fraction`` is built unless a rule is broken.
     """
-    if ls.numerator <= 0 or rs.numerator <= 0:
+    if lsn <= 0 or rsn <= 0:
         raise InvalidMapError("tail slopes must be positive")
     if not pts:
         if offset is None:
             raise InvalidMapError("an affine map needs an explicit offset")
-        if ls != rs:
+        if lsn * rsd != rsn * lsd:
             raise InvalidMapError("map without breakpoints must have equal tail slopes")
         return [], None
     # Each piece's slope as a pair a/d with d > 0, left to right; a point is
@@ -298,7 +410,7 @@ def _scan(
     # between original neighbours are unchanged by dropping points, so one
     # pass suffices.
     kept = []
-    a0, d0 = ls.numerator, ls.denominator
+    a0, d0 = lsn, lsd
     p0 = pts[0]
     xn0, xd0, yn0, yd0 = p0
     for p1 in pts[1:]:
@@ -318,80 +430,116 @@ def _scan(
             kept.append(p0)
         a0, d0 = a1, d1
         p0, xn0, xd0, yn0, yd0 = p1, xn1, xd1, yn1, yd1
-    rn, rd = rs.numerator, rs.denominator
-    if a0 * rd != rn * d0:
+    if a0 * rsd != rsn * d0:
         kept.append(p0)
-    return kept, (yn0 * rd * xd0 - rn * xn0 * yd0, yd0 * rd * xd0)
+    return kept, (yn0 * rsd * xd0 - rsn * xn0 * yd0, yd0 * rsd * xd0)
 
 
 def _canonical(
     pts: list[tuple[int, int, int, int]],
-    ls: Fraction,
-    rs: Fraction,
-    offset: RationalLike | None,
+    lsn: int, lsd: int, rsn: int, rsd: int,
+    offset: tuple[int, int] | None,
 ) -> PLMap:
-    """The canonicalizer behind :meth:`PLMap.make` and ``*``.
+    """The canonicalizer behind :meth:`PLMap.make`, ``*``, ``~``,
+    :func:`reflect` and :func:`_splice`.
 
     Runs :func:`_scan` on the points (see there for their form and the
-    rules), checks a given ``offset`` against the tail, and builds
-    ``Fraction`` fields only for the points kept and for the tail offset.
+    rules); each point's breakpoint pair must be reduced.  Checks a given
+    ``offset`` pair against the tail, and returns the map whose record
+    holds the kept points, each value reduced with one ``gcd``, and the
+    reduced slopes and tail offset.  No ``Fraction`` is built unless a rule
+    is broken.
     """
-    kept, tail = _scan(pts, ls, rs, offset)
+    kept, tail = _scan(pts, lsn, lsd, rsn, rsd, offset)
     if tail is None:
-        return PLMap((), (), ls, rs, _frac(offset))
-    tn, td = tail
-    tail = Fraction(tn, td)
-    if offset is not None and _frac(offset) != tail:
-        raise InvalidMapError(
-            f"offset {format_rational(_frac(offset))} inconsistent with tail "
-            f"{format_rational(tail)}"
-        )
-    xs, ys = [], []
+        ton, tod = offset
+    else:
+        ton, tod = tail
+        if offset is not None and offset[0] * tod != ton * offset[1]:
+            raise InvalidMapError(
+                f"offset {format_rational(Fraction(*offset))} inconsistent with tail "
+                f"{format_rational(Fraction(ton, tod))}"
+            )
+    pairs = []
     for xn, xd, yn, yd in kept:
-        xs.append(Fraction(xn, xd))
-        ys.append(Fraction(yn, yd))
-    return PLMap(tuple(xs), tuple(ys), ls, rs, tail)
+        c = gcd(yn, yd)
+        pairs.append((xn, xd, yn // c, yd // c))
+    c, e, t = gcd(lsn, lsd), gcd(rsn, rsd), gcd(ton, tod)
+    return PLMap._of(tuple(pairs), lsn // c, lsd // c, rsn // e, rsd // e, ton // t, tod // t)
 
 
 def normalize(f: PLMap) -> PLMap:
     """Return the canonical form of a structurally well-formed map.
 
     Rejects non-monotone data and non-positive slopes; on canonical input
-    this is the identity, so it is idempotent.
+    this is the identity, so it is idempotent.  Reads ``f``'s fields, and
+    leaves those of the result unbuilt.
     """
     if not f.breakpoints:
         return PLMap.make((), f.left_slope, f.right_slope, offset=f.tail_offset)
     g = PLMap.make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope)
-    if f.tail_offset != g.tail_offset:
+    if f.tail_offset != Fraction(g._ton, g._tod):
         raise InvalidMapError("stored tail offset inconsistent with breakpoint data")
     return g
 
 
 def reflect(f: PLMap) -> PLMap:
     """``x -> -f(-x)``: ``f`` read in the reversed coordinate ``-x``."""
-    points = [(-x, -y) for x, y in zip(reversed(f.breakpoints), reversed(f.values))]
-    offset = None if points else -f.tail_offset
-    return PLMap.make(points, f.right_slope, f.left_slope, offset=offset)
+    pairs, lsn, lsd, rsn, rsd, ton, tod = f._record()
+    pts = [(-xn, xd, -yn, yd) for xn, xd, yn, yd in reversed(pairs)]
+    return _canonical(pts, rsn, rsd, lsn, lsd, None if pts else (-ton, tod))
+
+
+def _splice(lower: PLMap, upper: PLMap, at: Fraction) -> PLMap:
+    """The map equal to ``lower`` below ``at`` and ``upper`` above.
+
+    Both maps must agree at ``at``; otherwise this raises
+    :class:`InvalidMapError`.  The points are read off the two maps'
+    records, so neither builds its ``Fraction`` fields.
+    """
+    n, d = at.numerator, at.denominator
+    yn, yd = lower._eval(n, d)
+    un, ud = upper._eval(n, d)
+    if yn * ud != un * yd:
+        raise InvalidMapError(f"splice point mismatch at {at}")
+    below, lsn, lsd, _, _, _, _ = lower._record()
+    above, _, _, rsn, rsd, _, _ = upper._record()
+    pts = [p for p in below if p[0] * d < n * p[1]]
+    pts.append((n, d, yn, yd))
+    pts += (p for p in above if p[0] * d > n * p[1])
+    return _canonical(pts, lsn, lsd, rsn, rsd, None)
 
 
 def check(f: PLMap) -> str | None:
     """Validate a raw instance; return a description of the first problem.
 
-    Runs the rules of :func:`_scan` on ``f``'s own numerators and
-    denominators and builds no map.  A map with breakpoints must then store
-    the tail offset its last point gives; every map must store exactly the
-    points the scan keeps, in tuples, and no field as a string, as
+    Runs the rules of :func:`_scan` on ``f``'s integer record, or on a raw
+    instance's own numerators and denominators, and builds no map.  A map
+    with breakpoints must then store the tail offset its last point gives;
+    every map must store exactly the points the scan keeps, and a raw
+    instance must hold them in tuples and no field as a string, as
     :meth:`PLMap.make` would store them.  Otherwise it is reported as not
     canonical.  A field that is not a ``Fraction``, ``int`` or ``str``
-    raises ``TypeError`` when it is read, as in :meth:`PLMap.make`.  On a
-    canonical instance whose fields are ``Fraction``s no ``Fraction`` is
-    built.
+    raises ``TypeError`` when it is read, as in :meth:`PLMap.make`.  No
+    ``Fraction`` is built for a map with a record, nor for a canonical raw
+    instance whose fields are ``Fraction``s.
     """
+    inconsistent = "stored tail offset inconsistent with breakpoint data"
+    if not f._raw:
+        pts, lsn, lsd, rsn, rsd, ton, tod = f._record()
+        try:
+            kept, tail = _scan(pts, lsn, lsd, rsn, rsd, None if pts else (ton, tod))
+        except InvalidMapError as exc:
+            return str(exc)
+        if tail is not None and ton * tail[1] != tail[0] * tod:
+            return inconsistent
+        return None if len(kept) == len(pts) else "map is not in canonical form"
     bps, vals = f.breakpoints, f.values
     pts = _int_points(zip(bps, vals))
     offset = None if bps else f.tail_offset
+    ls, rs = _frac(f.left_slope), _frac(f.right_slope)
     try:
-        kept, tail = _scan(pts, _frac(f.left_slope), _frac(f.right_slope), offset)
+        kept, tail = _scan(pts, ls.numerator, ls.denominator, rs.numerator, rs.denominator, offset)
     except InvalidMapError as exc:
         return str(exc)
     # Compare as ``stored == Fraction(*tail)`` would, building no Fraction
@@ -401,9 +549,9 @@ def check(f: PLMap) -> str | None:
         _frac(stored)  # a float raises TypeError here, as in make
     elif isinstance(stored, (Fraction, int)):
         if stored.numerator * tail[1] != tail[0] * stored.denominator:
-            return "stored tail offset inconsistent with breakpoint data"
+            return inconsistent
     elif stored != Fraction(*tail):
-        return "stored tail offset inconsistent with breakpoint data"
+        return inconsistent
     if (
         not isinstance(bps, tuple)
         or not isinstance(vals, tuple)
@@ -419,7 +567,7 @@ def _above(f: PLMap, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     and the piece triples from the piece that holds just above it on.  The
     piece is found by the walk of :meth:`PLMap._eval`."""
     kernel = f._kernel or f._build_kernel()
-    end = 2 * len(f.breakpoints)
+    end = 2 * len(f._pairs)
     i = 0
     while i < end and n * kernel[i + 1] >= kernel[i] * d:
         i += 2

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +30,7 @@ from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
-from test_plmap import oracle_agree_on_ray, oracle_check
+from test_plmap import oracle_agree_on_ray, oracle_check, raw
 
 
 def line():
@@ -168,10 +167,10 @@ def perturbed(space, h):
         charts = [shift * pl]
         for t in (dep - 1, dep, dep + F(1, 2)):
             charts += [pl * PLMap.make([(t, t)], 1, 2), pl * PLMap.make([(t, t)], 2, 1)]
-        charts.append(replace(pl, breakpoints=list(pl.breakpoints), values=list(pl.values)))
+        charts.append(raw(pl, breakpoints=list(pl.breakpoints), values=list(pl.values)))
         x = (pl.breakpoints[-1] if pl.breakpoints else F(0)) + 1
-        charts.append(replace(pl, breakpoints=(*pl.breakpoints, x), values=(*pl.values, pl(x))))
-        charts.append(replace(pl, tail_offset=pl.tail_offset + 1))
+        charts.append(raw(pl, breakpoints=(*pl.breakpoints, x), values=(*pl.values, pl(x))))
+        charts.append(raw(pl, tail_offset=pl.tail_offset + 1))
         for chart in charts:
             yield Homeo(h.branch_map, {**h.branch_pl, b: chart})
         yield Homeo({k: v for k, v in h.branch_map.items() if k != b}, h.branch_pl)
@@ -219,7 +218,7 @@ class TestValidateAgainstFractionBody:
         b = bundle("e3")
         f = b.generators["f"]
         assert validate_homeo(b.space, f) is None and len(calls) == 2
-        bad = replace(f.branch_pl["b2"], tail_offset=f.branch_pl["b2"].tail_offset + 1)
+        bad = raw(f.branch_pl["b2"], tail_offset=f.branch_pl["b2"].tail_offset + 1)
         report = validate_homeo(b.space, Homeo(f.branch_map, {**f.branch_pl, "b2": bad}))
         assert report.startswith("orientation: branch 'b2'")
         assert len(calls) == 2
@@ -933,3 +932,21 @@ class TestLineImageBuildsNoFraction:
         assert any(y is None for y in images) and any(y is not None for y in images)
         F(1, 3)  # one construction shows the counter counts
         assert fraction_count[0] == before + 1
+
+
+class TestChartMapsStayOnInts:
+    def test_word_germs_and_overlap_rays_build_no_chart_field(self, monkeypatch):
+        """Word homeos, their validation, ray events, overlap rays and
+        induced germs read chart maps as ints: no chart map builds its
+        ``Fraction`` fields."""
+        bundles = [bundle(name) for name in ("e1", "e3")]
+        original = PLMap._build_fields
+        built = []
+        monkeypatch.setattr(PLMap, "_build_fields", lambda f: built.append(f) or original(f))
+        for b in bundles:
+            e = root_embedding(b.space)
+            letter_germs = {}
+            for w in reduced_words(sorted(b.generators), 3):
+                word_germ(b.space, b.generators, w, e, letter_germs)
+                overlap_ray(b.space, word_homeo(b.space, b.generators, w), e)
+        assert letter_germs and built == []

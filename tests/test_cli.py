@@ -1,18 +1,21 @@
 import collections
+import hashlib
 import json
 import re
 import shlex
+from fractions import Fraction as F
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from germkit.action import Homeo
+from germkit.action import Homeo, identity_homeo
 from germkit.blowup import BlowupSpace, CosetTableError, StabilizerGeneratorError
 from germkit.cli import main
 from germkit import action, serialize, suites
 from germkit.examples import bundle
+from germkit.fuzz import CaseGen
 from germkit.leafspace import LeafSpace, Point, Side
 from germkit.plmap import PLMap, reflect
 from germkit.suites import SuiteConfig, SuiteError, resolve_targets
@@ -364,6 +367,59 @@ class TestPlumbing:
         assert first.output == second.output
         for line in first.output.strip().splitlines():
             serialize.plmap_from_data(json.loads(line))
+
+    # sha256 of the stdout of ``germkit fuzz --kind K --count 20 --seed 7``,
+    # recorded while every map still stored its Fraction fields eagerly;
+    # serialization now reads fields that a map builds on first read.
+    FUZZ_SHA256 = {
+        "plmap": "f5d54c39dd9b2f6308fb93ff711905c9e4dd83f66b820bc06fbb72b0a3987afa",
+        "homeo": "bf08b05f62975147203011a98e3748eceab74e5c523f850a41c521b618635b1e",
+        "word": "c6b9a28272518f9c9fe4b14fa2bc1945b55c2c0975bf2b5e63d3a5b2099fe58c",
+        "leafspace": "71fba417fdab62887ce5a96b2582c1c0f0df30d9b5211a225cb72ac790d3f2c9",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_SHA256))
+    def test_fuzz_output_is_pinned(self, runner, kind):
+        result = runner.invoke(main, ["fuzz", "--kind", kind, "--count", "20", "--seed", "7"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.FUZZ_SHA256[kind]
+
+    # The tail of this map from its one point gives offset 0.
+    WRONG_TAIL = PLMap((F(0),), (F(0),), F(1), F(2), F(1))
+    WRONG_TAIL_MESSAGE = "stored tail offset inconsistent with breakpoint data"
+
+    def test_fuzz_rejects_a_map_draw_that_fails_check(self, runner, monkeypatch):
+        draws = iter([PLMap.make([(0, 0)], 1, 2), self.WRONG_TAIL, PLMap.identity()])
+        monkeypatch.setattr(CaseGen, "plmap", lambda gen: next(draws))
+        result = runner.invoke(main, ["fuzz", "--kind", "plmap", "--count", "3"])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: fuzz draw 1: {self.WRONG_TAIL_MESSAGE}\n"
+        assert len(result.stdout.splitlines()) == 1  # draw 0 only
+
+    def test_fuzz_rejects_a_homeo_draw_that_fails_validation(self, runner, monkeypatch):
+        def homeo(gen, space):
+            h = identity_homeo(space)
+            return Homeo(h.branch_map, {**h.branch_pl, "b2": self.WRONG_TAIL})
+
+        monkeypatch.setattr(CaseGen, "homeo", homeo)
+        result = runner.invoke(main, ["fuzz", "--kind", "homeo", "--count", "2"])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "error: fuzz draw 0: orientation: branch 'b2' chart map invalid "
+            f"({self.WRONG_TAIL_MESSAGE})\n"
+        )
+        assert result.stdout == ""
+
+    def test_fuzz_rejects_a_homeo_draw_that_splices_mismatched_maps(self, runner, monkeypatch):
+        """A child's chart below its departure that misses its parent's
+        value there: the splice raises, and the draw is named."""
+        maps = iter([PLMap.identity()])
+        monkeypatch.setattr(
+            CaseGen, "_pl_fixing", lambda gen, *args: next(maps, PLMap.affine(1, 1))
+        )
+        result = runner.invoke(main, ["fuzz", "--kind", "homeo", "--count", "2"])
+        assert result.exit_code == 1
+        assert re.fullmatch(r"error: fuzz draw 0: splice point mismatch at \S+\n", result.stderr)
 
     def test_seed_env_var(self, runner):
         with_flag = runner.invoke(main, ["fuzz", "--kind", "word", "--count", "3", "--seed", "9"])

@@ -36,11 +36,16 @@ class TestGermOf:
 
 class TestDirectConstruction:
     @pytest.mark.parametrize("f", [STEP, SHIFT, STEP * bump_below(-10), PLMap.identity()], ids=repr)
-    def test_of_keeps_the_tail_fields(self, f):
+    def test_of_keeps_the_tail_fields(self, f, fraction_count):
+        """The germ of ``f`` holds the values of ``f``'s tail fields: it
+        equals ``Germ(f.right_slope, f.tail_offset)`` with the same hash and
+        repr, and reading the tail off the record builds no ``Fraction``."""
+        before = fraction_count[0]
         u = Germ.of(f)
-        assert u.slope is f.right_slope and u.offset is f.tail_offset
-        assert u == Germ(f.right_slope, f.tail_offset)
-        assert repr(u) == repr(Germ(f.right_slope, f.tail_offset))
+        assert fraction_count[0] == before
+        v = Germ(f.right_slope, f.tail_offset)
+        assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+        assert u.slope == f.right_slope and u.offset == f.tail_offset
 
     @pytest.mark.parametrize("slope", [F(0), F(-2, 3)])
     def test_of_rejects_a_raw_map_with_nonpositive_slope(self, slope):
@@ -357,13 +362,16 @@ class TestNoFraction:
         assert x == Germ(x.slope, x.offset)
 
     def test_of_and_the_constructor_keep_their_fractions(self, fraction_count):
+        """``Germ(...)`` keeps the ``Fraction``s it is given; ``Germ.of``
+        builds none and equals the germ of the map's tail fields."""
         f = PLMap.make([(0, 0)], 1, F(5, 3))
         slope, offset = F(3, 2), F(-7, 5)
         before = fraction_count[0]
         u, v = Germ.of(f), Germ(slope, offset)
-        assert u.slope is f.right_slope and u.offset is f.tail_offset
         assert v.slope is slope and v.offset is offset
         assert fraction_count[0] == before
+        w = Germ(f.right_slope, f.tail_offset)
+        assert u == w and hash(u) == hash(w) and repr(u) == repr(w)
 
     def test_default_e3_induced_germ_builds_its_germ_from_ints(self, fraction_count):
         b = bundle("e3")

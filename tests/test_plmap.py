@@ -1,10 +1,12 @@
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from germkit.examples import bundle
+from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize, reflect
 from germkit.rationals import format_rational
@@ -13,6 +15,16 @@ from germkit.rationals import format_rational
 STEP = PLMap.make([(0, 0)], 1, 2)
 SHIFT = PLMap.affine(1, 1)
 DOUBLE = PLMap.affine(2, 0)
+
+
+FIELDS = ("breakpoints", "values", "left_slope", "right_slope", "tail_offset")
+
+
+def raw(f, **changes):
+    """The raw instance ``PLMap(...)`` with ``f``'s fields, those named in
+    ``changes`` replaced; the bare constructor keeps them as given."""
+    assert set(changes) <= set(FIELDS), changes
+    return PLMap(**{name: changes.get(name, getattr(f, name)) for name in FIELDS})
 
 
 def grid(lo=-6, hi=6):
@@ -122,6 +134,13 @@ class TestNormalize:
             PLMap.make([(0, 0)], -1, 2)
         with pytest.raises(InvalidMapError):
             PLMap.affine(0, 3)
+
+    def test_inverse_of_a_raw_map_runs_the_rules(self):
+        """``~`` canonicalizes a raw map's record, so a malformed tail raises."""
+        with pytest.raises(InvalidMapError, match="tail slopes must be positive"):
+            ~raw(STEP, left_slope=F(0))
+        with pytest.raises(InvalidMapError, match="must have equal tail slopes"):
+            ~raw(PLMap.affine(2, 1), left_slope=F(1))
 
     def test_check_flags_raw_garbage(self):
         bad = PLMap(breakpoints=(F(0), F(1)), values=(F(0), F(-1)),
@@ -548,7 +567,6 @@ def as_int(v):
     return int(v) if isinstance(v, F) and v.denominator == 1 else v
 
 
-FIELDS = ("breakpoints", "values", "left_slope", "right_slope", "tail_offset")
 FLAWS = ("none", "order", "slope", "tail", "affine", "length", "list", "int", "float", "str")
 
 
@@ -574,23 +592,23 @@ def raw_plmaps(draw):
                 bps[at] = bps[at - 1]
             elif not isinstance(vals[at - 1], str):  # after a "str" flaw
                 vals[at] = vals[at - 1] - draw(st.sampled_from([0, 1]))
-            f = replace(f, breakpoints=tuple(bps), values=tuple(vals))
+            f = raw(f, breakpoints=tuple(bps), values=tuple(vals))
         elif flaw == "slope":
             side = draw(st.sampled_from(["left_slope", "right_slope"]))
-            f = replace(f, **{side: draw(loose_slopes)})
+            f = raw(f, **{side: draw(loose_slopes)})
         elif flaw == "tail":
-            f = replace(f, tail_offset=draw(st.none() | small_fractions))
+            f = raw(f, tail_offset=draw(st.none() | small_fractions))
         elif flaw == "affine":
-            f = replace(f, breakpoints=(), values=draw(st.sampled_from([(), tuple(vals)])))
+            f = raw(f, breakpoints=(), values=draw(st.sampled_from([(), tuple(vals)])))
         elif flaw == "length" and bps:
             if draw(st.booleans()):
-                f = replace(f, values=tuple(vals[:-1]))
+                f = raw(f, values=tuple(vals[:-1]))
             elif not isinstance(bps[-1], str):  # after a "str" flaw
-                f = replace(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
+                f = raw(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
         elif flaw == "list":
-            f = replace(f, breakpoints=bps, values=vals)
+            f = raw(f, breakpoints=bps, values=vals)
         elif flaw == "int":
-            f = replace(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
+            f = raw(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
                     **{k: as_int(getattr(f, k)) for k in FIELDS[2:]})
         elif flaw in ("float", "str"):
             # a value that an earlier flaw made a string stays one:
@@ -607,7 +625,7 @@ def raw_plmaps(draw):
                 value = (*value[:at], convert(value[at]), *value[at + 1:])
             elif value is not None and not isinstance(value, str):
                 value = convert(value)
-            f = replace(f, **{name: value})
+            f = raw(f, **{name: value})
     return f
 
 
@@ -616,12 +634,12 @@ _KINKED = PLMap.make([(F(0), F(0)), (F(1), F(2)), (F(2), F(3))], 1, 2)
 
 @given(raw_plmaps())
 # a "length" flaw, then an "order" flaw on the shorter values or the longer breakpoints
-@example(replace(_KINKED, values=(F(0), F(-1))))
-@example(replace(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
+@example(raw(_KINKED, values=(F(0), F(-1))))
+@example(raw(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
 # a "str" flaw, then a "float" flaw that skips the string, on a scalar field
 # and on a breakpoint
-@example(replace(_KINKED, tail_offset="-1"))
-@example(replace(_KINKED, breakpoints=(F(0), "1", F(2))))
+@example(raw(_KINKED, tail_offset="-1"))
+@example(raw(_KINKED, breakpoints=(F(0), "1", F(2))))
 def test_check_matches_fraction_oracle(f):
     """The same message, ``None``, or the same exception type and message."""
     assert outcome(check, f) == outcome(oracle_check, f)
@@ -637,32 +655,146 @@ def test_check_covers_every_outcome_of_the_oracle():
     noncanonical = "map is not in canonical form"
     cases = [
         (f, None),
-        (replace(f, breakpoints=(F(0), F(0))), "breakpoints not strictly increasing at 0"),
-        (replace(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
-        (replace(f, left_slope=F(0)), "tail slopes must be positive"),
-        (replace(f, values=()), no_offset),
-        (replace(f, breakpoints=(), values=(), tail_offset=None), no_offset),
-        (replace(f, breakpoints=(), values=()), unequal),
-        (replace(f, tail_offset=F(2)), stored),
-        (replace(f, tail_offset="3/2"), stored),
-        (replace(f, values=(F(0),)), stored),
-        (replace(f, right_slope=F(2), tail_offset=F(0)), noncanonical),  # collinear
-        (replace(f, values=(F(0),), tail_offset=F(0)), noncanonical),
-        (replace(f, breakpoints=[F(0), F(1)]), noncanonical),
-        (replace(f, left_slope="1"), noncanonical),
-        (replace(f, breakpoints=(0, 1), values=(0, 2), left_slope=1), None),
-        (replace(f, tail_offset=1.5), None),
-        (replace(line, left_slope=1), unequal),
-        (replace(line, values=(F(0),)), noncanonical),
-        (replace(line, tail_offset=1), None),
+        (raw(f, breakpoints=(F(0), F(0))), "breakpoints not strictly increasing at 0"),
+        (raw(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
+        (raw(f, left_slope=F(0)), "tail slopes must be positive"),
+        (raw(f, values=()), no_offset),
+        (raw(f, breakpoints=(), values=(), tail_offset=None), no_offset),
+        (raw(f, breakpoints=(), values=()), unequal),
+        (raw(f, tail_offset=F(2)), stored),
+        (raw(f, tail_offset="3/2"), stored),
+        (raw(f, values=(F(0),)), stored),
+        (raw(f, right_slope=F(2), tail_offset=F(0)), noncanonical),  # collinear
+        (raw(f, values=(F(0),), tail_offset=F(0)), noncanonical),
+        (raw(f, breakpoints=[F(0), F(1)]), noncanonical),
+        (raw(f, left_slope="1"), noncanonical),
+        (raw(f, breakpoints=(0, 1), values=(0, 2), left_slope=1), None),
+        (raw(f, tail_offset=1.5), None),
+        (raw(line, left_slope=1), unequal),
+        (raw(line, values=(F(0),)), noncanonical),
+        (raw(line, tail_offset=1), None),
     ]
     for g, expected in cases:
         assert check(g) == oracle_check(g) == expected, g
     floats = [
-        replace(f, values=(F(0), 2.0)),
-        replace(f, right_slope=0.5),
-        replace(line, tail_offset=1.0),
+        raw(f, values=(F(0), 2.0)),
+        raw(f, right_slope=0.5),
+        raw(line, tail_offset=1.0),
     ]
     for g in floats:
         assert outcome(check, g) == outcome(oracle_check, g)
         assert outcome(check, g)[0] is TypeError
+
+
+# -- the integer record: every built map against its raw fields ---------------
+
+
+def record_built(maps):
+    """The maps that ``make``, ``*``, ``~``, :func:`reflect`,
+    :func:`normalize`, ``affine`` and ``identity`` build from ``maps``
+    (each one freshly built, so no field of it has been read)."""
+    built = [PLMap.identity(), PLMap.affine(F(3, 2), F(-1, 3))]
+    for f, g in zip(maps, maps[1:] + maps[:1]):
+        built += [f * g, ~f, reflect(f), normalize(f)]
+        built.append(PLMap.make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope,
+                                offset=f.tail_offset))
+        built.append(PLMap.affine(f.right_slope, f.tail_offset))
+    return built
+
+
+def assert_reduced(f):
+    pairs, lsn, lsd, rsn, rsd, ton, tod = f._record()
+    for n, d in [(lsn, lsd), (rsn, rsd), (ton, tod), *((p[:2]) for p in pairs),
+                 *((p[2:]) for p in pairs)]:
+        assert d > 0 and gcd(n, d) == 1, f
+
+
+def assert_record_contract(maps, fraction_count):
+    """Each map built from ``maps`` is ``==`` to the raw instance of its
+    ``Fraction`` fields, with its hash and repr; passes :func:`check`; keeps
+    a reduced record; composes as :func:`oracle_compose`; and ``*``,
+    ``Germ.of``, ``check`` and :func:`agree_on_ray` build no ``Fraction``
+    for it.  Its first field read builds the fields, once."""
+    built = record_built(list(maps))
+    pairs = list(zip(built, built[1:] + built[:1]))
+    start = F(-3, 2)
+    for f, g in pairs:
+        before = fraction_count[0]
+        h = f * g
+        assert Germ.of(h) == Germ.of(f) * Germ.of(g)
+        assert check(h) is None and check(f) is None
+        assert agree_on_ray(h, f * g, start) and agree_on_ray(f, f, start)
+        assert agree_on_ray(h, f, start) is agree_on_ray(f, h, start)
+        assert fraction_count[0] == before, (f, g)
+    for f in built:
+        assert_reduced(f)
+        before = fraction_count[0]
+        values = fields(f)
+        assert fraction_count[0] == before + len(values)
+        assert all(a is b for a, b in zip(fields(f), values, strict=True))
+        assert fraction_count[0] == before + len(values)
+    for f, g in pairs:
+        copy = raw(f)
+        assert f == copy and copy == f and not f != copy
+        assert hash(f) == hash(copy) and repr(f) == repr(copy)
+        assert f * g == oracle_compose(f, g)
+
+
+def e3_charts():
+    return [pl for h in bundle("e3").generators.values() for pl in h.branch_pl.values()]
+
+
+def casegen_draws():
+    gen = CaseGen(0)
+    return [gen.plmap() for _ in range(20)]
+
+
+@pytest.mark.parametrize("source", [e3_charts, casegen_draws], ids=lambda s: s.__name__)
+def test_built_maps_keep_the_record_contract(source, fraction_count):
+    assert_record_contract(source(), fraction_count)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(f=plmaps(), g=plmaps())
+def test_drawn_maps_keep_the_record_contract(f, g, fraction_count):
+    assert_record_contract([f, g], fraction_count)
+
+
+def record_of(f):
+    """The map whose record holds ``f``'s fields, unchecked, as
+    ``_canonical`` would store them were they canonical."""
+    ls, rs, b = map(F, (f.left_slope, f.right_slope, f.tail_offset))
+    pairs = tuple((F(x).numerator, F(x).denominator, F(y).numerator, F(y).denominator)
+                  for x, y in zip(f.breakpoints, f.values))
+    return PLMap._of(pairs, ls.numerator, ls.denominator, rs.numerator, rs.denominator,
+                     b.numerator, b.denominator)
+
+
+def test_check_reads_every_rule_off_a_record():
+    """A record that breaks one rule: ``check`` names it, as on the raw
+    instance with the same fields."""
+    f = PLMap.make([(F(0), F(0)), (F(1), F(2))], 1, F(1, 2))  # tail offset 3/2
+    cases = [
+        (raw(f, tail_offset=F(2)), "stored tail offset inconsistent with breakpoint data"),
+        (raw(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
+        (raw(f, breakpoints=(F(1), F(0))), "breakpoints not strictly increasing at 0"),
+        (raw(f, right_slope=F(2), tail_offset=F(0)), "map is not in canonical form"),
+        (raw(f, left_slope=F(-1)), "tail slopes must be positive"),
+        (raw(PLMap.affine(2, 1), left_slope=F(1)),
+         "map without breakpoints must have equal tail slopes"),
+    ]
+    for g, expected in cases:
+        assert check(record_of(g)) == check(g) == expected, g
+
+
+@given(raw_plmaps())
+@example(raw(_KINKED, tail_offset=F(-2)))
+def test_check_on_a_record_matches_the_raw_instance(f):
+    """``check`` on a map built from an unchecked record of ``f``'s fields
+    reports what it reports on ``f``, for every ``f`` whose fields are
+    rationals in tuples of equal length."""
+    scalars = (f.left_slope, f.right_slope, f.tail_offset)
+    assume(type(f.breakpoints) is type(f.values) is tuple)
+    assume(len(f.breakpoints) == len(f.values))
+    assume(all(isinstance(v, (F, int)) for v in (*f.breakpoints, *f.values, *scalars)))
+    assert check(record_of(f)) == check(f)

@@ -385,15 +385,21 @@ class TestBlownPoint:
 
 @pytest.fixture
 def map_count(monkeypatch):
-    """A counter on ``PLMap.__init__``: every map built, checked or not."""
-    init = PLMap.__init__
+    """A counter on ``PLMap.__init__`` and ``PLMap._of``: every map built,
+    raw or from an integer record, checked or not."""
+    init, of = PLMap.__init__, PLMap._of.__func__
     count = [0]
 
     def counted_init(self, *args, **kwargs):
         count[0] += 1
         init(self, *args, **kwargs)
 
+    def counted_of(cls, *args):
+        count[0] += 1
+        return of(cls, *args)
+
     monkeypatch.setattr(PLMap, "__init__", counted_init)
+    monkeypatch.setattr(PLMap, "_of", classmethod(counted_of))
     return count
 
 
@@ -481,3 +487,5 @@ class TestNoFractionOnTheIntegerRoute:
         assert check(f) is None and check(g) is None and check(wrong) is not None
         assert agree_on_ray(f, g, at) and not agree_on_ray(f, g, below)
         assert (fraction_count[0], map_count[0]) == before
+        ~f  # builds one map from a record, which shows the counter counts it
+        assert map_count[0] == before[1] + 1

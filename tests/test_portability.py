@@ -6,10 +6,14 @@ adds ``_from_coprime_ints`` and drops the ``_normalize`` argument, for
 example.  The integer fast paths must go through ``numerator``,
 ``denominator`` and ``Fraction(n, d)`` instead.
 
-Only ``leafspace.py`` names ``Embedding.point_at``: every probe of a homeo
-along an embedded line goes through ``action.line_image``.  Only
-``blowup.py`` names ``StabilizerData.twist``: a word's move of an orbit
-point is computed in one place, ``alpha_apply_all``, which keeps it.
+Only ``plmap.py`` names a map's integer kernel, the slots of its integer
+record and ``_record``, which returns the record's layout; other modules
+read ints through ``PLMap`` methods (``_eval``, ``preimage``, ``_tail``,
+``_breaks``) and splice maps with ``plmap._splice``.  Only ``leafspace.py`` names
+``Embedding.point_at``: every probe of a homeo along an embedded line goes
+through ``action.line_image``.  Only ``blowup.py`` names
+``StabilizerData.twist``: a word's move of an orbit point is computed in
+one place, ``alpha_apply_all``, which keeps it.
 """
 
 import io
@@ -17,6 +21,7 @@ import tokenize
 from pathlib import Path
 
 import germkit
+from germkit.plmap import PLMap
 
 PRIVATE = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
 PACKAGE = Path(germkit.__file__).parent
@@ -70,3 +75,20 @@ def test_only_leafspace_names_point_at():
 
 def test_only_blowup_names_twist():
     assert uses_outside("blowup.py", {"twist"}) == []
+
+
+PLMAP_INTERNALS = {
+    "_kernel", "_build_kernel", "_record",
+    "_pairs", "_lsn", "_lsd", "_rsn", "_rsd", "_ton", "_tod",
+}
+
+
+def test_only_plmap_names_the_kernel_and_the_record():
+    assert uses_outside("plmap.py", PLMAP_INTERNALS) == []
+
+
+def test_plmap_internals_are_its_record_and_kernel():
+    """The guarded names are exactly the kernel's and the record's slots
+    and the two methods that return them whole."""
+    fields = {"_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset", "_raw"}
+    assert PLMAP_INTERNALS == set(PLMap.__slots__) - fields | {"_build_kernel", "_record"}
