@@ -14,7 +14,10 @@ going up).  The coordinate map of that return, probed only by
 is the induced germ of the homeomorphism, and word-by-word this assignment
 is a homomorphism into the germ group.
 
-Homeos and words are immutable; everything here is pure.
+Homeos and words are immutable.  A homeo keeps its inverse and, per space
+and embedding, its ray data (ray events, overlap ray, default induced germ);
+a kept value is what recomputing gives and nothing that raises is kept, so
+everything here acts as pure.
 """
 
 from __future__ import annotations
@@ -150,12 +153,14 @@ class Homeo:
     total bijection.  Two homeos are equal when both maps are.  A homeo
     carries no name: a generator's name is its key in the generators
     mapping.  :func:`invert_homeo` caches the inverse on the instance, and
-    the inverse points back, so a homeo is inverted once.
+    the inverse points back, so a homeo is inverted once.  ``_rays`` keeps
+    the ray data of each ``(space, embedding)`` (see :func:`_kept`).
     """
 
     branch_map: Mapping[str, str]
     branch_pl: Mapping[str, PLMap]
     _inverse: "Homeo | None" = field(default=None, init=False, repr=False, compare=False)
+    _rays: "tuple[_Rays, ...]" = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branch_map", dict(self.branch_map))
@@ -387,14 +392,52 @@ def word_homeo(
 # Overlap rays and induced germs
 
 
-def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
-    """Coordinates where the embedded-ray picture of ``h`` can change.
+_UNSCANNED = object()  # _Rays.overlap before a scan has filled it
+
+
+class _Rays:
+    """The ray data a homeo keeps for the embedding through ``branch`` in
+    ``space``; each other field is filled once computed without an error."""
+
+    __slots__ = ("space", "branch", "events", "overlap", "germ")
+
+    def __init__(self, space: LeafSpace, branch: str) -> None:
+        self.space, self.branch = space, branch
+        self.events: tuple[Fraction, ...] | None = None
+        self.overlap: Fraction | None | object = _UNSCANNED
+        self.germ: Germ | None = None
+
+
+def _kept(space: LeafSpace, h: Homeo, e: Embedding) -> _Rays:
+    """The ray data ``h`` keeps for ``(space, e)``, made on first use.  A
+    homeo meets few ``(space, e)`` pairs, so its records are a tuple,
+    scanned for the space's identity and ``e``'s branch."""
+    for rays in h._rays:
+        if rays.space is space and rays.branch == e.branch:
+            return rays
+    rays = _Rays(space, e.branch)
+    object.__setattr__(h, "_rays", (*h._rays, rays))
+    return rays
+
+
+def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fraction, ...]:
+    """Coordinates where the embedded-ray picture of ``h`` can change, sorted.
 
     Between consecutive events the owning branch of ``e(x)``, the owning
     branch of the image, and the chart piece acting are all constant, and
-    the coordinate map is affine.  Chart breakpoints are read off each
-    map's integer record, so no chart map builds its ``Fraction`` fields.
+    the coordinate map is affine.  Built on the first call and kept on ``h``.
     """
+    rays = _kept(space, h, e)
+    if rays.events is None:
+        rays.events = _build_ray_events(space, h, e)
+    return rays.events
+
+
+def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fraction, ...]:
+    """The events of :func:`_ray_events`: every departure of the space, and
+    each chart breakpoint and preimage of a departure along ``e``'s chain.
+    Chart breakpoints are read off each map's integer record, so no chart
+    map builds its ``Fraction`` fields."""
     departures = {
         dep
         for name in space.branches
@@ -407,7 +450,35 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> list[Fraction]:
         pl = h.branch_pl[branch]
         events.update(Fraction(xn, xd) for xn, xd in pl._breaks())
         events.update(map(pl.preimage, departures))
-    return sorted(events)
+    return tuple(sorted(events))
+
+
+def _top_event(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[int, int] | None:
+    """``max(_ray_events(space, h, e))`` as a pair ``(n, d)`` with ``d > 0``,
+    not necessarily reduced, or ``None`` when there are no events.
+
+    Read on ints, with no ``Fraction`` and no event list built: preimages
+    are increasing, so the top event is the largest of the largest
+    departure ``D``, each chain map's last breakpoint and its preimage of
+    ``D``.  An uncovered chain branch raises as in :func:`_build_ray_events`.
+    """
+    top_dep = max(
+        (dep for name in space.branches if (dep := space.departure(name)) is not None),
+        default=None,
+    )
+    tops = [] if top_dep is None else [(top_dep.numerator, top_dep.denominator)]
+    for branch in space.chain_to_root(e.branch):
+        if branch not in h.branch_pl:
+            raise ActionError(f"homeomorphism undefined on branch {branch!r}")
+        pl = h.branch_pl[branch]
+        tops += pl._breaks()[-1:]
+        if top_dep is not None:
+            tops.append(pl._preimage(top_dep.numerator, top_dep.denominator))
+    top = None
+    for n, d in tops:
+        if top is None or n * top[1] > top[0] * d:
+            top = n, d
+    return top
 
 
 def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
@@ -417,12 +488,16 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
     The image predicate is constant between events, so scanning events and
     interval midpoints decides the threshold exactly: ``2 * len(events) + 1``
     applications of ``h``.  The threshold is ``FULL_LINE`` or an event.
+    The result is kept on ``h``, so the scan runs once per ``(space, e)``.
     """
-    return _overlap_scan(space, h, e, _ray_events(space, h, e))
+    rays = _kept(space, h, e)
+    if rays.overlap is _UNSCANNED:
+        rays.overlap = _overlap_scan(space, h, e, _ray_events(space, h, e))
+    return rays.overlap
 
 
 def _overlap_scan(
-    space: LeafSpace, h: Homeo, e: Embedding, events: list[Fraction]
+    space: LeafSpace, h: Homeo, e: Embedding, events: Sequence[Fraction]
 ) -> Fraction | None:
     """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave."""
     if line_image(space, h, e, events[-1] + 1 if events else Fraction(0)) is None:
@@ -450,26 +525,34 @@ def induced_germ(
 
     Above the last ray event the map is a single affine piece, and the
     overlap ray (an event, or ``FULL_LINE``) lies at or below that event,
-    so the two sample points one and two above ``max(events)`` (above 0
-    when there are no events) determine the germ exactly; no overlap scan
-    runs.  An explicit ``threshold`` is checked against the overlap ray,
-    scanned as in :func:`overlap_ray` on the events already computed (one
-    below it raises :class:`ActionError`), and then lifts the samples above
-    it when it lies above every event.  The result does not depend on the
-    threshold, which is what makes the assignment well defined.  Both
-    samples are :func:`line_image` probes, whose integer pairs give the germ
-    with no ``Fraction``.
+    so the two sample points one and two above the top event (above 0
+    when there are no events) determine the germ exactly.  By default no
+    overlap scan runs and no event list is built: :func:`_top_event` reads
+    the top event on ints, and the germ is kept on ``h``, so a later
+    default call returns it with no probe.  An explicit ``threshold`` is
+    checked against the overlap ray, scanned and kept as in
+    :func:`overlap_ray` (one below it raises :class:`ActionError`), and
+    then lifts the samples above it when it lies above every event.  The
+    result does not depend on the threshold, which is what makes the
+    assignment well defined.  Both samples are :func:`line_image` probes,
+    whose integer pairs give the germ: the sample points are the only
+    ``Fraction``s a default call builds.
     """
-    events = _ray_events(space, h, e)
+    rays = _kept(space, h, e)
     if threshold is None:
-        start = events[-1] if events else Fraction(0)
+        if rays.germ is not None:
+            return rays.germ
+        top = _top_event(space, h, e)
+        x = Fraction(1) if top is None else Fraction(top[0] + top[1], top[1])
     else:
+        events = _ray_events(space, h, e)
         start = _frac(threshold)
-        t0 = _overlap_scan(space, h, e, events)
+        if rays.overlap is _UNSCANNED:
+            rays.overlap = _overlap_scan(space, h, e, events)
+        t0 = rays.overlap
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
-        start = max([start, *events])
-    x = start + 1
+        x = max([start, *events]) + 1
     y1, y2 = line_image(space, h, e, x), line_image(space, h, e, x + 1)
     if y1 is None or y2 is None:
         raise ActionError("sample point above the overlap ray left the line")
@@ -478,7 +561,10 @@ def induced_germ(
     sn, sd = n2 * d1 - n1 * d2, d1 * d2
     if sn <= 0:
         raise ValueError("germ slope must be positive")
-    return Germ._of(sn, sd, n1 * sd * xd - sn * xn * d1, d1 * sd * xd)
+    germ = Germ._of(sn, sd, n1 * sd * xd - sn * xn * d1, d1 * sd * xd)
+    if threshold is None:
+        rays.germ = germ
+    return germ
 
 
 def word_germ(
@@ -486,7 +572,6 @@ def word_germ(
     generators: Mapping[str, Homeo],
     word: Word,
     e: Embedding,
-    letter_germs: dict[tuple[str, int], Germ],
 ) -> Germ:
     """Induced germ of a word, cross-checked letter by letter.
 
@@ -495,24 +580,16 @@ def word_germ(
     and the common value is returned.  A disagreement raises
     :class:`GermMismatchError`.
 
-    ``letter_germs`` is a table of letter germs shared by the calls on one
-    ``space``, ``generators`` and ``e``.  Each letter's germ is read from
-    it, or else computed by :func:`induced_germ`, in letter order, and
-    stored.  The composite germ is always computed from the composed homeo,
-    so the two routes stay independent.  A letter germ is a deterministic
-    function of the space, the letter's homeo and ``e``, so a hit is the
-    value a recomputation would give; a germ that raises ends the call
-    before it is stored, so the first error and its message are those of
-    recomputing every letter.
+    A letter is its generator's homeo or that homeo's cached inverse, so
+    its germ is computed once per ``(space, e)`` and then read from what
+    the homeo keeps.  The composite germ is always computed afresh, since
+    :func:`word_homeo` builds every word's homeo, a one-letter word's
+    included, as a new object: the two routes stay independent.
     """
-    composed = word_homeo(space, generators, word)
-    direct = induced_germ(space, composed, e)
+    direct = induced_germ(space, word_homeo(space, generators, word), e)
     product = Germ.identity()
     for letter in word.letters:
-        germ = letter_germs.get(letter)
-        if germ is None:
-            germ = letter_germs[letter] = induced_germ(space, letter_homeo(generators, *letter), e)
-        product = product * germ
+        product = product * induced_germ(space, letter_homeo(generators, *letter), e)
     if product != direct:
         raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"
@@ -531,6 +608,7 @@ def moved_point_witness(
     The moved set above ``n`` is a finite union of event points and open
     intervals on which the coordinate map is affine, so testing every event
     and two interior points per interval decides the question exactly.
+    The events are those :func:`_ray_events` keeps on ``h``.
     """
     n = _frac(n)
     events = [ev for ev in _ray_events(space, h, e) if ev > n]

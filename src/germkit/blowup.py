@@ -55,7 +55,7 @@ from .action import (
     line_image,
     reduced_words,
     word_homeo,
-    _ray_events,
+    _top_event,
 )
 from .germ import Germ, eventual_comparison_bound
 from .leafspace import Classification, Embedding, LeafSpace, LeafSpaceError, Point
@@ -701,8 +701,8 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
             return w
         # The probes live in the base chart, so bound the diagonal crossing
         # with the base germ, above every base event.
-        events = _ray_events(space.base, h, e)
-        start = max(events) if events else Fraction(0)
+        top = _top_event(space.base, h, e)
+        start = Fraction(0) if top is None else Fraction(*top)
         start = max(start, eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):

@@ -177,9 +177,9 @@ def compute_d(targets: dict, words: tuple[str, ...], seed: int) -> None:
     """Evaluate the induced germ of words (default: each generator)."""
     wordlist = [serialize.word_from_text(w, "--word") for w in words]
     for target in _targets(SuiteConfig(seed=seed, **targets)):
-        e, letter_germs = root_embedding(target.space), {}
+        e = root_embedding(target.space)
         for w in wordlist or [Word(((n, 1),)) for n in sorted(target.generators)]:
-            germ = word_germ(target.space, target.generators, w, e, letter_germs)
+            germ = word_germ(target.space, target.generators, w, e)
             click.echo(f"{target.name}\t{w}\t{json.dumps(serialize.germ_to_data(germ))}")
 
 
@@ -345,9 +345,9 @@ def emit_plot(targets: dict, what: str, ball: int, seed: int) -> None:
     if what == "germ-tails":
         click.echo("target\tword\tlength\tslope\toffset")
         for target in resolved:
-            e, letter_germs = root_embedding(target.space), {}
+            e = root_embedding(target.space)
             for w in reduced_words(sorted(target.generators), ball):
-                germ = word_germ(target.space, target.generators, w, e, letter_germs)
+                germ = word_germ(target.space, target.generators, w, e)
                 click.echo(
                     f"{target.name}\t{w}\t{len(w)}\t"
                     f"{format_rational(germ.slope)}\t{format_rational(germ.offset)}"

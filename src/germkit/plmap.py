@@ -268,13 +268,13 @@ class PLMap:
         n, d = self._eval(x.numerator, x.denominator)
         return Fraction(n, d)
 
-    def preimage(self, y: RationalLike) -> Fraction:
-        """``(~self)(y)``, read off the kernel without building the inverse."""
-        y = _frac(y)
+    def _preimage(self, n: int, d: int) -> tuple[int, int]:
+        """The integer entry of :meth:`preimage`: ``(~self)(n/d)`` as a pair
+        ``(n', d')`` with ``d' > 0``, not necessarily reduced, for any
+        ``n/d`` with ``d > 0``; the inverse is not built."""
         kernel = self._kernel
         if kernel is None:
             kernel = self._build_kernel()
-        n, d = y.numerator, y.denominator
         # Breakpoint p/q ends the piece A, B, D, whose value there is
         # (A*p + B*q)/(D*q); step past it while y is at least that value.
         end = 2 * len(self._pairs)
@@ -284,7 +284,14 @@ class PLMap:
             if n * D * q < (A * p + B * q) * d:
                 break
             i, j = i + 2, j + 3
-        return Fraction(kernel[j + 2] * n - kernel[j + 1] * d, kernel[j] * d)
+        pn, pd = kernel[j + 2] * n - kernel[j + 1] * d, kernel[j] * d
+        return (pn, pd) if pd > 0 else (-pn, -pd)
+
+    def preimage(self, y: RationalLike) -> Fraction:
+        """``(~self)(y)``, read off the kernel without building the inverse;
+        :meth:`_preimage` is its integer entry."""
+        y = _frac(y)
+        return Fraction(*self._preimage(y.numerator, y.denominator))
 
     # -- group structure ---------------------------------------------------
 

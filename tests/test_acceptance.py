@@ -118,9 +118,9 @@ def test_criterion_5_homomorphism():
         names = sorted(b.generators)
         for _ in range(500):
             w1, w2 = gen.word(names, 8), gen.word(names, 8)
-            combined = word_germ(b.space, b.generators, w1 * w2, e, {})
-            split = word_germ(b.space, b.generators, w1, e, {}) * word_germ(
-                b.space, b.generators, w2, e, {}
+            combined = word_germ(b.space, b.generators, w1 * w2, e)
+            split = word_germ(b.space, b.generators, w1, e) * word_germ(
+                b.space, b.generators, w2, e
             )
             assert combined == split
     _done(5, "d(w1 w2) = d(w1) d(w2) on 500 word pairs per bundled action", started, budget=10.0)

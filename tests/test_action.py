@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,9 @@ from germkit.action import (
     Homeo,
     UnknownGeneratorError,
     Word,
+    _build_ray_events,
     _ray_events,
+    _top_event,
     apply_homeo,
     compose_homeo,
     identity_homeo,
@@ -281,7 +284,7 @@ class TestApply:
         word_homeo(b.space, b.generators, Word.parse("f^-1 k f^-1"))
         finv = f._inverse
         assert finv is not None
-        word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space), {})
+        word_germ(b.space, b.generators, Word.parse("f^-1 k^-1"), root_embedding(b.space))
         assert f._inverse is finv and invert_homeo(f) is finv
 
 
@@ -390,32 +393,32 @@ class TestWordGerm:
         }
         e = root_embedding(L)
         # t after d: x -> 2x + 1; letterwise (1,1)*(2,0) agrees
-        assert word_germ(L, gens, Word.parse("t d"), e, {}) == Germ(2, 1)
+        assert word_germ(L, gens, Word.parse("t d"), e) == Germ(2, 1)
         assert Germ(1, 1) * Germ(2, 0) == Germ(2, 1)
 
     def test_empty_word(self):
         b = bundle("e3")
         e = root_embedding(b.space)
-        assert word_germ(b.space, b.generators, Word(), e, {}) == Germ.identity()
+        assert word_germ(b.space, b.generators, Word(), e) == Germ.identity()
 
     def test_cancelling_word(self):
         b = bundle("e3")
         e = root_embedding(b.space)
-        assert word_germ(b.space, b.generators, Word.parse("k k^-1"), e, {}) == Germ.identity()
+        assert word_germ(b.space, b.generators, Word.parse("k k^-1"), e) == Germ.identity()
 
     def test_undeclared_generator(self):
         b = bundle("e1")
         e = root_embedding(b.space)
         with pytest.raises(UnknownGeneratorError):
-            word_germ(b.space, b.generators, Word.parse("zz"), e, {})
+            word_germ(b.space, b.generators, Word.parse("zz"), e)
 
     def test_inverse_word_inverts_germ(self):
         b = bundle("e3")
         e = root_embedding(b.space)
         for text in ("f", "k", "f k", "k f^-1 k"):
             w = Word.parse(text)
-            assert word_germ(b.space, b.generators, ~w, e, {}) == ~word_germ(
-                b.space, b.generators, w, e, {}
+            assert word_germ(b.space, b.generators, ~w, e) == ~word_germ(
+                b.space, b.generators, w, e
             )
 
 
@@ -576,7 +579,7 @@ def oracle_induced_germ(space, h, e, threshold=None):
     def on_line(x):
         return e.contains(space, apply_homeo(space, h, e.point_at(space, x)))
 
-    events = _ray_events(space, h, e)
+    events = _build_ray_events(space, h, e)
     if not on_line(events[-1] + 1 if events else F(0)):
         raise ActionError("image ray never returns to the embedded line")
     t0 = FULL_LINE
@@ -655,7 +658,7 @@ class TestInducedGermOracle:
     def test_events_all_negative(self):
         L, h = negative_events_line()
         e = root_embedding(L)
-        assert _ray_events(L, h, e) == [F(-3)]
+        assert _ray_events(L, h, e) == (F(-3),)
         assert overlap_ray(L, h, e) is FULL_LINE
         assert induced_germ(L, h, e) == Germ(1, 1)
         assert_matches_oracle(L, h, e)
@@ -669,11 +672,114 @@ class TestInducedGermOracle:
                 assert_matches_oracle(b.space, h, Embedding(branch))
 
 
+def assert_top_is_max_event(space, h, e):
+    events = _build_ray_events(space, h, e)
+    top = _top_event(space, h, e)
+    if not events:
+        assert top is None
+        return
+    n, d = top
+    assert d > 0 and F(n, d) == max(events)
+
+
+class TestTopEvent:
+    def test_random_homeos_and_shifts_on_both_sides(self):
+        # CaseGen homeos fix every departure; a shift moves the largest
+        # one, so the top is sometimes a chart map's preimage of it
+        gen = CaseGen(33)
+        sides = set()
+        for _ in range(20):
+            space = gen.leafspace(4)
+            sides.add(space.side)
+            h = gen.homeo(space)
+            for g in (h, invert_homeo(h), translation(space, -1), translation(space, 1)):
+                for branch in sorted(space.branches):
+                    assert_top_is_max_event(space, g, Embedding(branch))
+        assert sides == {Side.NEGATIVE, Side.POSITIVE}
+
+    def test_swaps_shifts_and_all_negative_or_no_events(self):
+        b, L, R = bundle("e2"), two_siblings(), line()
+        cases = [(b.space, b.generators["s"]), negative_events_line(), (R, translation(R))]
+        cases += [(L, sibling_swap(L)), (L, translation(L, -1)), (L, translation(L, 2))]
+        for space, h in cases:
+            for branch in sorted(space.branches):
+                assert_top_is_max_event(space, h, Embedding(branch))
+        # the shift by -1 tops its events with the preimage 1 of the departure 0
+        assert _top_event(L, translation(L, -1), root_embedding(L)) == (1, 1)
+
+    def test_uncovered_chain_branch_raises_as_the_events_do(self):
+        L = two_siblings()
+        probe = Homeo({"b1": "b1"}, {"b1": PLMap.identity()})
+        for ray_data in (_build_ray_events, _top_event):
+            with pytest.raises(ActionError, match="undefined on branch 'r'"):
+                ray_data(L, probe, Embedding("b1"))
+
+
+def fresh(h):
+    """A new homeo with ``h``'s maps, keeping nothing yet."""
+    return Homeo(h.branch_map, h.branch_pl)
+
+
+class TestKeptRayData:
+    """A homeo keeps its events, overlap ray and default germ per space and
+    embedding; what raises is never kept, and a composite never reads a
+    letter's kept germ."""
+
+    @staticmethod
+    def reflecting():
+        # a raw chart map x -> -x: the upper ray of the child's line lands
+        # on the root below 0, off that line, and never comes back
+        L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "b": ("r", F(0))})
+        flip = PLMap((), (), F(-1), F(-1), F(0))
+        return L, Homeo({"r": "r", "b": "b"}, {"r": flip, "b": flip}), Embedding("b")
+
+    def test_a_ray_that_never_returns_raises_on_every_call(self):
+        L, h, e = self.reflecting()
+        for _ in range(2):
+            with pytest.raises(ActionError, match="image ray never returns"):
+                overlap_ray(L, h, e)
+        (rays,) = h._rays
+        assert rays.events == (F(0),) and rays.overlap is action._UNSCANNED
+
+    def test_samples_off_the_line_raise_on_every_call(self):
+        L, h, e = self.reflecting()
+        for _ in range(2):
+            with pytest.raises(ActionError, match="sample point above the overlap ray left"):
+                induced_germ(L, h, e)
+        (rays,) = h._rays
+        assert rays.events is rays.germ is None and rays.overlap is action._UNSCANNED
+
+    def test_a_wrong_kept_letter_germ_breaks_the_one_letter_word(self):
+        b = bundle("e3")
+        e, f = root_embedding(b.space), b.generators["f"]
+        word = Word.parse("f")
+        germ = word_germ(b.space, b.generators, word, e)
+        assert action._kept(b.space, f, e).germ == germ
+        action._kept(b.space, f, e).germ = germ * Germ(2, 0)
+        with pytest.raises(GermMismatchError):
+            word_germ(b.space, b.generators, word, e)
+
+    def test_one_homeo_on_two_spaces_keeps_two_records(self):
+        from germkit.action import extend_space_for_action
+
+        L, gens = TestLazyExtension.windowed()
+        bigger = extend_space_for_action(L, gens, 4)
+        v, e = gens["v"], root_embedding(L)
+        assert overlap_ray(L, v, e) is overlap_ray(bigger, v, e) is FULL_LINE
+        assert induced_germ(L, v, e) == induced_germ(bigger, v, e) == Germ.identity()
+        assert [(rays.space, rays.branch) for rays in v._rays] == [(L, "r"), (bigger, "r")]
+        assert action._kept(L, v, e).germ == action._kept(bigger, v, e).germ == Germ.identity()
+
+
 class TestInducedGermCalls:
     @staticmethod
     def counted(monkeypatch):
         calls = dict.fromkeys(
-            ("line_image", "_overlap_scan", "_ray_events", "induced_germ", "compose_homeo"), 0
+            (
+                "line_image", "_overlap_scan", "_build_ray_events", "_top_event",
+                "induced_germ", "compose_homeo",
+            ),
+            0,
         )
         for attr in calls:
             original = getattr(action, attr)
@@ -688,31 +794,82 @@ class TestInducedGermCalls:
     @pytest.mark.parametrize("name, gen", [("e2", "s"), ("e3", "f"), ("e3", "k")])
     def test_default_samples_twice_and_never_scans(self, monkeypatch, name, gen):
         b = bundle(name)
+        h, e = fresh(b.generators[gen]), root_embedding(b.space)
         calls = self.counted(monkeypatch)
-        action.induced_germ(b.space, b.generators[gen], root_embedding(b.space))
+        germ = action.induced_germ(b.space, h, e)
         assert calls == {
-            "line_image": 2, "_overlap_scan": 0, "_ray_events": 1,
+            "line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
             "induced_germ": 1, "compose_homeo": 0,
+        }
+        assert action.induced_germ(b.space, h, e) is germ
+        assert calls == {
+            "line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
+            "induced_germ": 2, "compose_homeo": 0,
         }
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
+        h, e = fresh(b.generators["s"]), root_embedding(b.space)
         calls = self.counted(monkeypatch)
-        induced_germ(b.space, b.generators["s"], root_embedding(b.space), threshold=F(5))
-        assert calls["_overlap_scan"] == 1
-        assert calls["_ray_events"] == 1
+        germ = induced_germ(b.space, h, e, threshold=F(5))
+        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        probes = calls["line_image"]
+        # a second threshold call samples again, on the kept events and scan
+        assert induced_germ(b.space, h, e, threshold=F(6)) == germ
+        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["line_image"] == probes + 2
+        assert overlap_ray(b.space, h, e) == F(0)
+        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["line_image"] == probes + 2
 
     def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
-        # four word germs, one per word plus one per distinct letter, and
-        # each word composed from its first letter
+        # four composite germs plus one per distinct letter, each word
+        # composed from its first letter; a second run of the case finds
+        # every letter's germ kept and computes the composites only
         b = bundle("e3")
         w1, w2 = Word.parse("f k f k^-1"), Word.parse("k f^-1 f^-1")
         words = [w1 * w2, w1, w2, ~w1]
         letters = {letter for w in words for letter in w.letters}
+        case = (b, root_embedding(b.space), 0, w1, w2)
         calls = self.counted(monkeypatch)
-        assert suites._homomorphism_check((b, root_embedding(b.space), 0, w1, w2)) is None
-        assert calls["induced_germ"] == 4 + len(letters) == 8
+        assert suites._homomorphism_check(case) is None
+        assert calls["_top_event"] == 4 + len(letters) == 8
+        assert calls["_build_ray_events"] == calls["_overlap_scan"] == 0
         assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
+        assert suites._homomorphism_check(case) is None
+        assert calls["_top_event"] == 8 + 4
+        assert calls["compose_homeo"] == 20
+
+    def test_threshold_check_scans_and_builds_events_once(self, monkeypatch):
+        # the overlap ray, two threshold germs and the default germ of one
+        # e1 homeo: one scan and one event build, against three scans and
+        # four builds when nothing was kept
+        b = bundle("e1")
+        h = fresh(b.generators["u"])
+        calls = self.counted(monkeypatch)
+        assert suites._threshold_check((b, root_embedding(b.space), "u", h)) is None
+        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["_top_event"] == 1
+
+    def test_d_homomorphism_germs_each_generator_letter_once_per_target(self, monkeypatch):
+        config = suites.SuiteConfig(examples=("e3",))
+        targets = suites.resolve_targets(config)
+        letters = {}
+        for t in targets:
+            for g in t.generators.values():
+                letters[id(g)] = g
+                letters[id(invert_homeo(g))] = g._inverse
+        germs = Counter()
+        real = action._top_event
+
+        def counted_top(space, h, e):
+            germs[id(h)] += 1
+            return real(space, h, e)
+
+        monkeypatch.setattr(action, "_top_event", counted_top)
+        report = suites.run_suite("d-homomorphism", config, targets)
+        assert report.passed
+        assert {i: germs[i] for i in letters} == dict.fromkeys(letters, 1)
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")
@@ -746,11 +903,12 @@ def oracle_word_homeo(space, generators, word):
 
 
 def oracle_word_germ(space, generators, word, e):
-    """``word_germ`` with every letter's germ computed afresh."""
+    """``word_germ`` with every letter's germ computed afresh, on a new
+    homeo that keeps nothing."""
     direct = action.induced_germ(space, oracle_word_homeo(space, generators, word), e)
     product = Germ.identity()
     for name, exp in word.letters:
-        product = product * action.induced_germ(space, letter_homeo(generators, name, exp), e)
+        product = product * action.induced_germ(space, fresh(letter_homeo(generators, name, exp)), e)
     if product != direct:
         raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"
@@ -778,18 +936,17 @@ class TestWordRouteOracle:
     @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
     def test_words_match_the_oracle(self, name):
         b = bundle(name)
-        e, table, words = root_embedding(b.space), {}, oracle_words(b)
+        e, words = root_embedding(b.space), oracle_words(b)
         for w in words:
             assert word_homeo(b.space, b.generators, w) == oracle_word_homeo(
                 b.space, b.generators, w
             )
-            assert word_germ(b.space, b.generators, w, e, table) == oracle_word_germ(
+            assert word_germ(b.space, b.generators, w, e) == oracle_word_germ(
                 b.space, b.generators, w, e
             )
-        assert set(table) == {letter for w in words for letter in w.letters}
-        for (letter_name, exp), germ in table.items():
-            h = letter_homeo(b.generators, letter_name, exp)
-            assert germ == induced_germ(b.space, h, e)
+        for letter in {letter for w in words for letter in w.letters}:
+            h = letter_homeo(b.generators, *letter)
+            assert action._kept(b.space, h, e).germ == induced_germ(b.space, fresh(h), e)
 
     @pytest.mark.parametrize("text", ["zz", "f zz", "zz f", "f k zz^-1"])
     def test_undeclared_letter_raises_as_the_oracle(self, text):
@@ -798,23 +955,26 @@ class TestWordRouteOracle:
         with pytest.raises(UnknownGeneratorError) as oracle:
             oracle_word_germ(b.space, b.generators, w, e)
         with pytest.raises(UnknownGeneratorError, match=f"^{oracle.value}$"):
-            word_germ(b.space, b.generators, w, e, {})
+            word_germ(b.space, b.generators, w, e)
         with pytest.raises(UnknownGeneratorError, match=f"^{oracle.value}$"):
             word_homeo(b.space, b.generators, w)
 
     @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
     def test_skewed_letter_germ_fails_on_the_oracle_word(self, monkeypatch, name):
+        # the oracle germs each letter on a new homeo, so the fault finds
+        # the letter by its maps; a one-letter word's composite is skewed
+        # too, and the first failure is a longer word
         b = bundle(name)
         skewed = letter_homeo(b.generators, sorted(b.generators)[-1], -1)
         real = action.induced_germ
 
         def fault(space, h, e, threshold=None):
             g = real(space, h, e, threshold)
-            return g * Germ(2, 0) if h is skewed else g
+            return g * Germ(2, 0) if h == skewed else g
 
         monkeypatch.setattr(action, "induced_germ", fault)
-        e, table, words = root_embedding(b.space), {}, oracle_words(b)
-        got = first_failure(lambda w: word_germ(b.space, b.generators, w, e, table), words)
+        e, words = root_embedding(b.space), oracle_words(b)
+        got = first_failure(lambda w: word_germ(b.space, b.generators, w, e), words)
         want = first_failure(lambda w: oracle_word_germ(b.space, b.generators, w, e), words)
         assert got == want and got[1] is GermMismatchError
 
@@ -945,8 +1105,8 @@ class TestChartMapsStayOnInts:
         monkeypatch.setattr(PLMap, "_build_fields", lambda f: built.append(f) or original(f))
         for b in bundles:
             e = root_embedding(b.space)
-            letter_germs = {}
             for w in reduced_words(sorted(b.generators), 3):
-                word_germ(b.space, b.generators, w, e, letter_germs)
+                word_germ(b.space, b.generators, w, e)
                 overlap_ray(b.space, word_homeo(b.space, b.generators, w), e)
-        assert letter_germs and built == []
+            assert all(action._kept(b.space, h, e).germ for h in b.generators.values())
+        assert built == []

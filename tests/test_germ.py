@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from germkit.action import Word, _ray_events, induced_germ, invert_homeo, line_image, word_homeo
+from germkit.action import Word, _ray_events, induced_germ, invert_homeo, word_homeo
 from germkit.examples import bundle
 from germkit.germ import Germ, OrderSign, compare, eventual_comparison_bound
 from germkit.leafspace import root_embedding
@@ -380,13 +380,11 @@ class TestNoFraction:
         for h in b.generators.values():
             homeos += [h, invert_homeo(h)]
         for h in homeos:
-            # the probes alone, as induced_germ makes them
-            before = fraction_count[0]
-            events = _ray_events(space, h, e)
-            x = (events[-1] if events else F(0)) + 1
-            assert line_image(space, h, e, x) is not None and line_image(space, h, e, x + 1) is not None
-            probes = fraction_count[0] - before
+            # a first call builds its two sample points and no other
+            # Fraction: no event list, and a germ from the probes' ints
             before = fraction_count[0]
             u = induced_germ(space, h, e)
-            assert fraction_count[0] - before == probes
-            assert u == induced_germ(space, h, e, threshold=x + 5)
+            assert fraction_count[0] - before == 2
+            assert induced_germ(space, h, e) is u  # kept: a second call builds none
+            assert fraction_count[0] - before == 2
+            assert u == induced_germ(space, h, e, threshold=_ray_events(space, h, e)[-1] + 5)

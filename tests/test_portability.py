@@ -8,8 +8,10 @@ example.  The integer fast paths must go through ``numerator``,
 
 Only ``plmap.py`` names a map's integer kernel, the slots of its integer
 record and ``_record``, which returns the record's layout; other modules
-read ints through ``PLMap`` methods (``_eval``, ``preimage``, ``_tail``,
-``_breaks``) and splice maps with ``plmap._splice``.  Only ``leafspace.py`` names
+read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
+``_breaks``) and splice maps with ``plmap._splice``.  Only ``action.py`` names
+``Homeo._rays``, the ray data a homeo keeps: other modules read it through
+``_ray_events``, ``overlap_ray`` and ``induced_germ``.  Only ``leafspace.py`` names
 ``Embedding.point_at``: every probe of a homeo along an embedded line goes
 through ``action.line_image``.  Only ``blowup.py`` names
 ``StabilizerData.twist``: a word's move of an orbit point is computed in
@@ -75,6 +77,10 @@ def test_only_leafspace_names_point_at():
 
 def test_only_blowup_names_twist():
     assert uses_outside("blowup.py", {"twist"}) == []
+
+
+def test_only_action_names_the_kept_ray_data():
+    assert uses_outside("action.py", {"_rays"}) == []
 
 
 PLMAP_INTERNALS = {

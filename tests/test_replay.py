@@ -170,9 +170,7 @@ def test_threshold_independence_default_threshold_differs(replays):
 
 def test_homomorphism_word_germ_drops_a_letter(replays):
     def drop(word_germ):
-        return lambda space, gens, w, e, letter_germs: word_germ(
-            space, gens, Word(w.letters[1:]), e, letter_germs
-        )
+        return lambda space, gens, w, e: word_germ(space, gens, Word(w.letters[1:]), e)
 
     payload = replays("d-homomorphism", E1, patched(suites, "word_germ", drop))
     assert payload["target"] == "e1" and len(payload["words"]) == 2
