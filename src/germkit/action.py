@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .germ import Germ
@@ -237,13 +238,39 @@ def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
     image pair, and the image point is reduced by one ``gcd``.  No
     ``Fraction`` is built; the image's ``.coord`` is built when read.  An
     image branch the space does not declare raises
-    :class:`~germkit.leafspace.LeafSpaceError`.
+    :class:`~germkit.leafspace.LeafSpaceError`.  :func:`_apply_pairs` is the
+    same body looped over a list of integer triples, for the twisted
+    action's batches; this one-point form is the reference it is tested
+    against, and it stays a direct body, since wrapping the batch for one
+    point would slow its callers.
     """
     branch = p.branch
     if branch not in h.branch_map or branch not in h.branch_pl:
         raise ActionError(f"homeomorphism undefined on branch {branch!r}")
     n, d = h.branch_pl[branch]._eval(p._n, p._d)
     return Point._of(space._ascend(h.branch_map[branch], n, d), n, d)
+
+
+def _apply_pairs(
+    space: LeafSpace, h: Homeo, pairs: Iterable[tuple[str, int, int]]
+) -> list[tuple[str, int, int]]:
+    """:func:`apply_homeo` on many points, each given and returned as a
+    branch with its reduced coordinate pair, ``(branch, n, d)``.
+
+    It is the loop of :func:`apply_homeo`'s body, for callers that move a
+    whole list by one homeo and compare images as tuples; the first point
+    it cannot move raises as :func:`apply_homeo` would.  No ``Point`` and no
+    ``Fraction`` is built.
+    """
+    branch_map, branch_pl, ascend = h.branch_map, h.branch_pl, space._ascend
+    out = []
+    for branch, n, d in pairs:
+        if branch not in branch_map or branch not in branch_pl:
+            raise ActionError(f"homeomorphism undefined on branch {branch!r}")
+        n, d = branch_pl[branch]._eval(n, d)
+        g = gcd(n, d)
+        out.append((ascend(branch_map[branch], n, d), n // g, d // g))
+    return out
 
 
 def line_image(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> tuple[int, int] | None:
@@ -553,6 +580,16 @@ def induced_germ(
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
         x = max([start, *events]) + 1
+    germ = _germ_at(space, h, e, x)
+    if threshold is None:
+        rays.germ = germ
+    return germ
+
+
+def _germ_at(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> Germ:
+    """The germ of :func:`induced_germ` from its two probes, at ``x`` and
+    ``x + 1``, for an ``x`` above every ray event and above the overlap
+    ray, where the return map is one affine piece.  Nothing is kept."""
     y1, y2 = line_image(space, h, e, x), line_image(space, h, e, x + 1)
     if y1 is None or y2 is None:
         raise ActionError("sample point above the overlap ray left the line")
@@ -561,10 +598,7 @@ def induced_germ(
     sn, sd = n2 * d1 - n1 * d2, d1 * d2
     if sn <= 0:
         raise ValueError("germ slope must be positive")
-    germ = Germ._of(sn, sd, n1 * sd * xd - sn * xn * d1, d1 * sd * xd)
-    if threshold is None:
-        rays.germ = germ
-    return germ
+    return Germ._of(sn, sd, n1 * sd * xd - sn * xn * d1, d1 * sd * xd)
 
 
 def word_germ(

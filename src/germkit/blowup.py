@@ -16,12 +16,14 @@ and its checks read all of it from the space.
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
 
-The action is implemented once, by :func:`alpha_apply_all`, which applies
-one word to a sequence of points: it fetches the word's homeo once per
-call, and the space keeps, beside that homeo, the word's move of each orbit
-point it has met (the image point and the height map), so a later interval
-point over that orbit point only evaluates the height map.
-:func:`alpha_apply` is its one-point case.
+The action is implemented once, by the kernel :func:`_move_keys`, which
+moves a list of blown points, given as integer keys, by one word: it
+fetches the word's homeo once per call and moves all the plain points in
+one batch call of the underlying action, and the space keeps, beside that
+homeo, the word's move of each orbit point it has met (the image point and
+the height map), so a later interval point over that orbit point only
+evaluates the height map.  The public :func:`alpha_apply_all` and
+:func:`alpha_apply` pass it one point at a time.
 
 :func:`validate_alpha_action` checks the action law by walking the word
 ball as a suffix trie: each word's images of the samples are computed once
@@ -32,10 +34,14 @@ violation or first error it then reports; every image is a deterministic
 function of the word and the points, and a kept move is what computing it
 again would give, so this gives the ordered loop's answer.
 
-Base points and heights travel as reduced integer pairs: the homeo moves a
-point through :func:`~germkit.action.apply_homeo`, the height map through
-the ``PLMap`` integer entry, and the images are compared on ints, so once
-the homeos and moves are kept an application builds no ``Fraction``.
+Inside the kernel a blown point is a tuple of ints, ``(branch, n, d)`` for
+a plain point and ``(branch, n, d, hn, hd)`` for an interval point, all
+reduced, and the space keeps its orbit under the same keys.  The homeo
+moves plain points through :func:`~germkit.action._apply_pairs`, the batch
+form of :func:`~germkit.action.apply_homeo`, the height map through the
+``PLMap`` integer entry, and the law check compares whole image lists of
+tuples, so once the homeos and moves are kept a check builds no ``Point``
+and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ from .action import (
     line_image,
     reduced_words,
     word_homeo,
+    _apply_pairs,
+    _germ_at,
     _top_event,
 )
 from .germ import Germ, eventual_comparison_bound
@@ -270,8 +278,8 @@ class BlownPoint:
     orbit point has its height in ``[0, 1]``.  Like :class:`Point`, the
     height is stored as its reduced numerator and denominator: ``.height``
     is the ``Fraction`` given, or one built on the first read and kept, and
-    ``==`` compares the points and the integer heights.
-    :func:`alpha_apply_all` builds its images through :meth:`_of`, so it
+    ``==`` and ``hash`` read the points and the integer heights.  The
+    action builds its images from integer keys (:meth:`_from_key`), so it
     builds no ``Fraction``.  ``point`` and ``height`` are read-only.
     """
 
@@ -294,6 +302,22 @@ class BlownPoint:
         q._point, q._h, q._height = point, (n // g, d // g), None
         return q
 
+    def _key(self) -> tuple:
+        """The point as :func:`_move_keys` takes it: ``(branch, n, d)`` for a
+        plain point, ``(branch, n, d, hn, hd)`` for an interval point, all
+        reduced."""
+        p = self._point
+        if self._h is None:
+            return p._branch, p._n, p._d
+        return (p._branch, p._n, p._d, *self._h)
+
+    @classmethod
+    def _from_key(cls, key: tuple) -> "BlownPoint":
+        """The blown point of a reduced key; see :meth:`_key`."""
+        q = object.__new__(cls)
+        q._point, q._h, q._height = Point._of(*key[:3]), key[3:] or None, None
+        return q
+
     @property
     def point(self) -> Point:
         return self._point
@@ -314,7 +338,7 @@ class BlownPoint:
         return self._h == other._h and self._point == other._point
 
     def __hash__(self) -> int:
-        return hash((self._point, self.height))
+        return hash((self._point, self._h))
 
     def __repr__(self) -> str:
         return f"BlownPoint(point={self._point!r}, height={self.height!r})"
@@ -326,7 +350,10 @@ class BlowupSpace:
 
     The space keeps one entry per word it has acted by: the word's homeo
     (:meth:`word_homeo`) and the moves of the orbit points it has met
-    (:func:`alpha_apply_all`).  Both live as long as the space.
+    (:func:`_move_keys`).  Both live as long as the space.  Beside
+    ``orbit`` it keeps the same points keyed by their integer triples,
+    ``(branch, n, d)``, which is what :func:`_move_keys` looks up; each
+    kept move holds the index's own key objects, not copies.
     """
 
     def __init__(
@@ -346,9 +373,12 @@ class BlowupSpace:
         self.depth = depth
         self.stabilizer = stabilizer
         self.orbit: dict[Point, Word] = {}
-        # word letters -> (the word's homeo, its moves: orbit point ->
-        # (image point, height map)), opened together and kept together
-        self._word_cache: dict[tuple[tuple[str, int], ...], tuple[Homeo, dict[Point, tuple[Point, PLMap]]]] = {}
+        # word letters -> (the word's homeo, its moves: orbit key ->
+        # (image key, height map)), opened together and kept together
+        self._word_cache: dict[
+            tuple[tuple[str, int], ...],
+            tuple[Homeo, dict[tuple[str, int, int], tuple[tuple[str, int, int], PLMap]]],
+        ] = {}
         self._expand_orbit()
 
     def _expand_orbit(self) -> None:
@@ -375,6 +405,11 @@ class BlowupSpace:
                         self.orbit[image] = reached
                         next_frontier.append((image, reached))
             frontier = next_frontier
+        # each orbit key -> (that key, its word); kept moves share these keys
+        self._orbit_keys: dict[tuple[str, int, int], tuple[tuple[str, int, int], Word]] = {}
+        for p, w in self.orbit.items():
+            key = p._branch, p._n, p._d
+            self._orbit_keys[key] = key, w
 
     # -- helpers -------------------------------------------------------------
 
@@ -411,6 +446,70 @@ class BlowupSpace:
 # The twisted action
 
 
+def _move_keys(space: BlowupSpace, word: Word, keys: Sequence[tuple]) -> list[tuple]:
+    """The images of blown points under ``word``, as reduced integer keys.
+
+    Each key is a plain point ``(branch, n, d)`` or an interval point
+    ``(branch, n, d, hn, hd)`` (:meth:`BlownPoint._key`), and each image is
+    one of the same kind.  This is the one place the twisted action's
+    arithmetic is done.  Plain points move by the underlying action, all of
+    them in one :func:`~germkit.action._apply_pairs` call, and must not land
+    on the orbit (the orbit was expanded too shallowly).  An interval point
+    over the orbit point ``g(marked)`` moves to the interval over its image
+    at the height ``phi(twist(word, g))`` gives, which must stay in
+    ``[0, 1]``; orbit membership is read off the space's integer-key index.
+
+    The word's homeo is fetched once per call.  Its move of an orbit point,
+    the image key and the height map, is computed the first time an
+    interval point over that point is met, after the point and its image
+    pass the orbit checks, and the space keeps it beside the homeo for its
+    own lifetime, so a later interval point over it only evaluates the
+    height map.  A move that raised is never kept.
+
+    Any error raises and no image is returned.  With more than one key,
+    which point's error is raised is not specified: callers that need the
+    first error in the order of the points pass one key at a time.
+    """
+    homeo = space.word_homeo(word)
+    moves = space._word_cache[word.letters][1]
+    orbit = space._orbit_keys
+    plain = [key for key in keys if len(key) == 3]
+    moved = _apply_pairs(space.base, homeo, plain) if plain else []
+    if not orbit.keys().isdisjoint(moved):
+        key = next(key for key, image in zip(plain, moved) if image in orbit)
+        raise OrbitEscapeError(
+            f"plain point {Point._of(*key)!r} maps into a blown interval; "
+            f"expand the orbit depth"
+        )
+    moved = iter(moved)
+    out = []
+    for key in keys:
+        if len(key) == 3:
+            out.append(next(moved))
+            continue
+        point = key[:3]
+        move = moves.get(point)
+        if move is None:
+            (image,) = _apply_pairs(space.base, homeo, (point,))
+            if point not in orbit:
+                raise BlowupError(f"{Point._of(*point)!r} is not a blown orbit point")
+            if image not in orbit:
+                raise OrbitEscapeError(
+                    f"image of orbit point {Point._of(*point)!r} under {str(word)!r} "
+                    f"needs depth beyond {space.depth}"
+                )
+            (point, reached), image = orbit[point], orbit[image][0]
+            stab = space.stabilizer
+            move = moves[point] = image, stab.phi_word(stab.twist(word, reached))
+        (branch, pn, pd), height_map = move
+        n, d = height_map._eval(key[3], key[4])
+        if not 0 <= n <= d:
+            raise BlowupError("twist map left the unit interval")
+        g = gcd(n, d)
+        out.append((branch, pn, pd, n // g, d // g))
+    return out
+
+
 def alpha_apply_all(
     space: BlowupSpace,
     h: Word,
@@ -422,46 +521,14 @@ def alpha_apply_all(
     means the orbit was expanded too shallowly and raises).  Interval points
     move interval-to-interval with the coset-twisted height map.
 
-    The homeo of ``h`` is fetched once, when the first image is asked for.
-    The move of ``h`` on an orbit point ``g(marked)``, its image point and
-    the height map ``phi(twist(h, g))``, is computed the first time an
-    interval point over it is met, after the point and its image pass the
-    orbit checks, and the space keeps it beside ``h``'s homeo for its own
-    lifetime.  An interval point whose move is kept is carried by
-    evaluating the height map alone.  A move that raised is never kept, so
-    it raises again on every call.  Each image is computed only when it is
-    asked for, so a caller that stops early sees exactly the errors that
-    applying ``h`` to the points one at a time, up to there, would raise.
+    Each point goes through :func:`_move_keys` on its own, when its image
+    is asked for, so the space keeps each move as that function says, and a
+    caller that stops early sees exactly the errors that applying ``h`` to
+    the points one at a time, up to there, would raise.
     """
-    homeo = space.word_homeo(h)
-    moves = space._word_cache[h.letters][1]
-    base, orbit, stab = space.base, space.orbit, space.stabilizer
     for q in qs:
-        if q._h is None:
-            image = apply_homeo(base, homeo, q.point)
-            if image in orbit:
-                raise OrbitEscapeError(
-                    f"plain point {q.point!r} maps into a blown interval; "
-                    f"expand the orbit depth"
-                )
-            yield BlownPoint(image)
-            continue
-        move = moves.get(q.point)
-        if move is None:
-            image = apply_homeo(base, homeo, q.point)
-            if q.point not in orbit:
-                raise BlowupError(f"{q.point!r} is not a blown orbit point")
-            if image not in orbit:
-                raise OrbitEscapeError(
-                    f"image of orbit point {q.point!r} under {str(h)!r} needs depth "
-                    f"beyond {space.depth}"
-                )
-            move = moves[q.point] = image, stab.phi_word(stab.twist(h, orbit[q.point]))
-        image, height_map = move
-        n, d = height_map._eval(*q._h)
-        if not 0 <= n <= d:
-            raise BlowupError("twist map left the unit interval")
-        yield BlownPoint._of(image, n, d)
+        (image,) = _move_keys(space, h, (q._key(),))
+        yield BlownPoint._from_key(image)
 
 
 def alpha_apply(
@@ -493,11 +560,11 @@ def validate_alpha_action(
     (which includes the empty word, so identity is covered).  Returns the
     first violation or ``None``.
 
-    Each word acts on the whole sample list through one
-    :func:`alpha_apply_all` call.  The stepwise route applies ``outer`` to
-    ``inner``'s images and the combined route applies the product word's own
-    moves, built from its own homeo and twists, never from its factors'
-    moves, so the two stay independent.
+    Each word acts on the whole sample list through one :func:`_move_keys`
+    call.  The stepwise route applies ``outer`` to ``inner``'s images and
+    the combined route applies the product word's own moves, built from its
+    own homeo and twists, never from its factors' moves, so the two stay
+    independent.
 
     The check first runs :func:`_law_holds`, which computes each word's
     images once, checks every pair against them, and holds at most
@@ -521,10 +588,6 @@ def validate_alpha_action(
     return _first_violation(space, samples, ball)
 
 
-def _agree(stepwise: Iterable[BlownPoint], combined: Iterable[BlownPoint]) -> bool:
-    return all(s == c for s, c in zip(stepwise, combined))
-
-
 def _law_holds(
     space: BlowupSpace,
     samples: Sequence[BlownPoint],
@@ -533,16 +596,18 @@ def _law_holds(
     """Whether every pair of :func:`validate_alpha_action` agrees, in one
     walk of the word ball as a suffix trie.
 
-    Each step of the walk prepends one letter to a word, and each word
-    ``w``'s images ``alpha_apply_all(w, samples)`` are computed once.  The
-    walk is depth-first on an explicit stack of letter tuples; beside it
-    only the images of the current word's suffixes are kept, so at most
-    ``ball + 1`` image lists are alive at a time.  At ``w`` the walk
-    checks each split ``w = o·i`` (``o`` applied to ``i``'s images against
-    ``w``'s) and each ``o`` of length ``<= ball - len(w)`` whose last letter
-    cancels ``w``'s first (``o`` applied to ``w``'s images against fresh
-    images of the product ``o * w``).  Every pair of the ordered loop is one
-    of these, exactly once.  An error propagates to the caller.
+    The samples become integer keys once (:meth:`BlownPoint._key`).  Each
+    step of the walk prepends one letter to a word, and each word ``w``'s
+    image list, ``_move_keys(w, samples)``, is computed once, in one call.
+    The walk is depth-first on an explicit stack of letter tuples; beside
+    it only the images of the current word's suffixes are kept, so at most
+    ``ball + 1`` image lists are alive at a time.  At ``w`` the walk checks
+    each split ``w = o·i`` (``o`` applied to ``i``'s images against ``w``'s)
+    and each ``o`` of length ``<= ball - len(w)`` whose last letter cancels
+    ``w``'s first (``o`` applied to ``w``'s images against fresh images of
+    the product ``o * w``).  Every pair of the ordered loop is one of these,
+    exactly once.  Image lists are compared whole, as lists of tuples.  An
+    error propagates to the caller.
     """
     names = sorted(space.generators)
     words = {w.letters: w for w in reduced_words(names, ball)}
@@ -550,27 +615,27 @@ def _law_holds(
     for w in words.values():
         if w.letters:
             ending.setdefault(w.letters[-1], []).append(w)
-    root = list(alpha_apply_all(space, Word(), samples))
-    if root != list(samples):
+    keys = [q._key() for q in samples]
+    root = _move_keys(space, Word(), keys)
+    if root != keys:
         return False
     backwards = [(n, -1) for n in reversed(names)] + [(n, 1) for n in reversed(names)]
-    chain: list[list[BlownPoint]] = []  # chain[k]: images of the current word's suffix of length k
+    chain: list[list[tuple]] = []  # chain[k]: images of the current word's suffix of length k
     stack = [()] if ball >= 0 else []  # words still to walk, as letter tuples
     while stack:
         letters = stack.pop()
         n = len(letters)
         del chain[n:]
-        chain.append(list(alpha_apply_all(space, words[letters], samples)) if n else root)
+        chain.append(_move_keys(space, words[letters], keys) if n else root)
         images = chain[n]
         for k, mids in enumerate(chain):
-            if not _agree(alpha_apply_all(space, words[letters[:n - k]], mids), images):
+            if _move_keys(space, words[letters[:n - k]], mids) != images:
                 return False
         cancel = (letters[0][0], -letters[0][1]) if n else None
         for outer in ending.get(cancel, ()):
             if len(outer) > ball - n:
                 break
-            stepwise = alpha_apply_all(space, outer, images)
-            if not _agree(stepwise, alpha_apply_all(space, outer * words[letters], samples)):
+            if _move_keys(space, outer, images) != _move_keys(space, outer * words[letters], keys):
                 return False
         if n < ball:
             stack.extend((a,) + letters for a in backwards if a != cancel)
@@ -584,23 +649,41 @@ def _first_violation(
 ) -> ActionLawViolation | None:
     """The ordered loop of :func:`validate_alpha_action`: inner words in
     list order, then outer words, each pair advancing one sample at a time,
-    stepwise before combined."""
+    stepwise before combined.
+
+    Each word moves a whole list in one :func:`_move_keys` call.  Only a
+    pair whose lists raise or disagree is done again one point at a time,
+    through :func:`alpha_apply_all`, which raises the first error or finds
+    the first violation in that order.  Lists that are computed without an
+    error and agree mean that the pair has neither, since every image is a
+    deterministic function of the word and the point.  An inner word's
+    list needs no such care: the samples are their own identity images, so
+    the pair of outer ``inner`` and inner ``1``, checked first, moved the
+    same list by the same word without an error.
+    """
     names = sorted(space.generators)
     words = reduced_words(names, ball)
     empty = Word()
     for q, image in zip(samples, alpha_apply_all(space, empty, samples)):
         if image != q:
             return ActionLawViolation(empty, empty, q, image, q)
+    keys = [q._key() for q in samples]
     for inner in words:
         budget = ball - len(inner)
         if budget < 0:
             continue
-        mids = list(alpha_apply_all(space, inner, samples))
+        mids = _move_keys(space, inner, keys)
         for outer in words:
             if len(outer) > budget:
                 continue
-            stepwise_all = alpha_apply_all(space, outer, mids)
-            combined_all = alpha_apply_all(space, outer * inner, samples)
+            product = outer * inner
+            try:
+                if _move_keys(space, outer, mids) == _move_keys(space, product, keys):
+                    continue
+            except Exception:  # found again below, in order
+                pass
+            stepwise_all = alpha_apply_all(space, outer, map(BlownPoint._from_key, mids))
+            combined_all = alpha_apply_all(space, product, samples)
             for q, stepwise, combined in zip(samples, stepwise_all, combined_all):
                 if combined != stepwise:
                     return ActionLawViolation(outer, inner, q, combined, stepwise)
@@ -688,7 +771,10 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
     cross-check, the word must move plain line points at arbitrarily large
     sampled coordinates.  Returns the first failing word or ``None``.  The
     orbit is scanned for line insertions once, and each word's blown germ
-    is its base germ conjugated as in :func:`blown_induced_germ`.
+    is its base germ conjugated as in :func:`blown_induced_germ`.  Each
+    word's top ray event is read once: the base germ is probed one above
+    it, as the default :func:`~germkit.action.induced_germ` probes, and no
+    germ is kept on the word's homeo.
     """
     names = sorted(space.generators)
     shift = _insertion_shift(space, e)
@@ -696,13 +782,13 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
         if w.is_identity():
             continue
         h = space.word_homeo(w)
-        base_germ = induced_germ(space.base, h, e)
+        top = _top_event(space.base, h, e)
+        start = Fraction(0) if top is None else Fraction(*top)
+        base_germ = _germ_at(space.base, h, e, start + 1)
         if _blown(shift, base_germ).is_identity():
             return w
         # The probes live in the base chart, so bound the diagonal crossing
         # with the base germ, above every base event.
-        top = _top_event(space.base, h, e)
-        start = Fraction(0) if top is None else Fraction(*top)
         start = max(start, eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):

@@ -280,13 +280,13 @@ class TestActionLawOrder:
         calls: Counter = Counter()
         twists: Counter = Counter()
         fetches = 0
-        real_all = blowup.alpha_apply_all
+        real_move = blowup._move_keys
         real_homeo = BlowupSpace.word_homeo
         real_twist = StabilizerData.twist
 
-        def counted_all(space, h, qs):
+        def counted_move(space, h, keys):
             calls[h.letters] += 1
-            return real_all(space, h, qs)
+            return real_move(space, h, keys)
 
         def counted_homeo(self, word):
             nonlocal fetches
@@ -297,7 +297,7 @@ class TestActionLawOrder:
             twists[h.letters, g.letters] += 1
             return real_twist(self, h, g)
 
-        monkeypatch.setattr(blowup, "alpha_apply_all", counted_all)
+        monkeypatch.setattr(blowup, "_move_keys", counted_move)
         monkeypatch.setattr(BlowupSpace, "word_homeo", counted_homeo)
         monkeypatch.setattr(StabilizerData, "twist", counted_twist)
         cached = len(space._word_cache)
@@ -322,18 +322,19 @@ def twist_raising_at(h_text, g_text):
 
 
 def counted_alpha(monkeypatch):
-    """Count ``alpha_apply_all`` calls, and the images they yield, by word."""
+    """Count calls of the kernel ``_move_keys``, and the images they return,
+    by word."""
     calls: Counter = Counter()
     images: Counter = Counter()
-    real_all = blowup.alpha_apply_all
+    real_move = blowup._move_keys
 
-    def counted_all(space, h, qs):
+    def counted_move(space, h, keys):
         calls[h.letters] += 1
-        for image in real_all(space, h, qs):
-            images[h.letters] += 1
-            yield image
+        moved = real_move(space, h, keys)
+        images[h.letters] += len(moved)
+        return moved
 
-    monkeypatch.setattr(blowup, "alpha_apply_all", counted_all)
+    monkeypatch.setattr(blowup, "_move_keys", counted_move)
     return calls, images
 
 
@@ -419,13 +420,15 @@ class TestActionLawTriePass:
         "name, loop_calls, pass_calls", [("e1", 92, 62), ("e3", 1892, 1162)]
     )
     def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
-        # the default suite samples: 100 plain points and 20 interval points
+        # the default suite samples: 100 plain points and 20 interval points;
+        # the loop moves the samples by the identity one at a time, then
+        # each list in one call
         b, samples, ball = _action_law_case(bundle(name), SuiteConfig())
         space = b.blowup
         assert (len(samples), ball) == (120, 4)
         calls, images = counted_alpha(monkeypatch)
         assert blowup._first_violation(space, samples, ball) is None
-        assert sum(calls.values()) == loop_calls
+        assert sum(calls.values()) == 120 + loop_calls - 1
         assert sum(images.values()) == 120 * loop_calls
         calls.clear()
         images.clear()
@@ -449,7 +452,7 @@ class TestStoredMoves:
         for _ in range(2):
             with pytest.raises(BlowupError, match="is not a blown orbit point"):
                 alpha_apply(space, w, off)
-        assert off.point not in space._word_cache[w.letters][1]
+        assert BlownPoint(off.point)._key() not in space._word_cache[w.letters][1]
 
     def test_escaping_move_raises_on_every_call_and_is_never_kept(self):
         b, space = built("e1")
@@ -459,11 +462,27 @@ class TestStoredMoves:
         )
         assert alpha_apply(space, w, space.midpoint()).point in space.orbit
         moves = space._word_cache[w.letters][1]
-        assert list(moves) == [b.marked]
+        marked = BlownPoint(b.marked)._key()
+        assert list(moves) == [marked]
         for height in (F(1, 2), F(1, 2), F(1, 3)):
             with pytest.raises(OrbitEscapeError, match="needs depth"):
                 alpha_apply(space, w, BlownPoint(far, height))
-        assert list(moves) == [b.marked]
+        assert list(moves) == [marked]
+
+    def test_kept_moves_share_the_orbit_index_keys(self):
+        # a move holds the index's own key objects, so keeping it costs no
+        # key tuple of its own
+        b, space = built("e3")
+        assert validate_alpha_action(space, law_samples(b, deep=False), ball=3) is None
+        index = space._orbit_keys
+        kept = [
+            (key, image)
+            for _, moves in space._word_cache.values()
+            for key, (image, _) in moves.items()
+        ]
+        assert kept
+        for key, image in kept:
+            assert key is index[key][0] and image is index[image][0]
 
     def test_a_kept_height_map_is_checked_at_every_height(self):
         b = bundle("e3")
@@ -483,8 +502,9 @@ class TestStoredMoves:
         assert validate_alpha_action(space, samples, ball=4) is None
         f = Word.parse("f")
         moves = space._word_cache[f.letters][1]
-        image, height_map = moves[b.marked]
-        moves[b.marked] = image, b.stabilizer.phi["k"] * height_map
+        marked = BlownPoint(b.marked)._key()
+        image, height_map = moves[marked]
+        moves[marked] = image, b.stabilizer.phi["k"] * height_map
         violation = validate_alpha_action(space, samples, ball=4)
         assert violation is not None
         assert f in (violation.outer, violation.inner)

@@ -17,18 +17,24 @@ import pytest
 from germkit.action import (
     ActionError,
     Homeo,
+    Word,
     apply_homeo,
     invert_homeo,
     reduced_words,
     validate_homeo,
     word_homeo,
+    _apply_pairs,
 )
 from germkit.blowup import (
     BlowupError,
+    BlowupSpace,
     BlownPoint,
+    CosetError,
     OrbitEscapeError,
+    StabilizerData,
     alpha_apply_all,
     validate_alpha_action,
+    _move_keys,
 )
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
@@ -272,6 +278,148 @@ class TestAgainstTheFractionBodies:
         assert errors
 
 
+# -- the batch entries against the one-point references ---------------------
+
+
+def first_outcome(fn, items):
+    """The list of ``fn`` on each item, or the type and message of the first
+    error it raises; ``fn`` returns no tuple."""
+    out = []
+    for item in items:
+        got = outcome(fn, item)
+        if isinstance(got, tuple):
+            return got
+        out.append(got)
+    return out
+
+
+def without_branch(h, branch):
+    return Homeo(
+        {b: t for b, t in h.branch_map.items() if b != branch},
+        {b: pl for b, pl in h.branch_pl.items() if b != branch},
+    )
+
+
+def into_undeclared(h, branch):
+    return Homeo({**h.branch_map, branch: "zz"}, h.branch_pl)
+
+
+class TestApplyPairs:
+    """``action._apply_pairs`` is ``apply_homeo`` on a list of integer
+    triples: the same images, and the first point's error."""
+
+    @pytest.mark.parametrize("case", range(len(ALL_CASES)))
+    def test_matches_apply_homeo(self, case):
+        space, homeos, points = ALL_CASES[case]
+        canon = [space.canonical(new_point(p)) for p in points]
+        pairs = [(p.branch, p._n, p._d) for p in canon]
+        assert {p.branch for p in points} == set(space.branches)
+        broken = [without_branch(h, b) for h in homeos[:1] for b in sorted(space.branches)]
+        broken += [into_undeclared(h, b) for h in homeos[:1] for b in sorted(space.branches)]
+        errors = 0
+        for h in homeos + broken:
+            want = first_outcome(lambda p: apply_homeo(space, h, p), canon)
+            if isinstance(want, list):
+                want = [(p.branch, p._n, p._d) for p in want]
+            else:
+                errors += 1
+            assert outcome(_apply_pairs, space, h, pairs) == want
+        assert errors
+
+
+class LeakyTwist(StabilizerData):
+    """A stabilizer whose twist of every two-letter word is the word itself,
+    so a word outside ``K`` makes ``phi_word`` raise ``CosetError``."""
+
+    def twist(self, h, g):
+        return h if len(h) == 2 else StabilizerData.twist(self, h, g)
+
+
+def key_of_oracle(q):
+    key = (q.point.branch, q.point.coord.numerator, q.point.coord.denominator)
+    return key if q.height is None else key + (q.height.numerator, q.height.denominator)
+
+
+def kernel_samples(space, depth):
+    """The law samples, the fixed ends, and one point for each error the
+    kernel raises."""
+    samples = _action_law_samples(space, SuiteConfig(plain_samples=6, interval_samples=8))
+    samples += [BlownPoint(space.marked, 0), BlownPoint(space.marked, 1)]
+    off = Point(space.base.root, F(1, 7919))
+    far = next(p for p, w in space.orbit.items() if len(w) == depth)
+    assert off not in space.orbit
+    return samples + [
+        BlownPoint(Point("zz", 0)),  # undefined branch
+        BlownPoint(space.marked),  # a plain point on the orbit
+        BlownPoint(off, F(1, 2)),  # an interval point off the orbit
+        BlownPoint(far, F(1, 3)),  # escapes the depth under most words
+        BlownPoint(space.marked, F(3, 2)),  # a height the twist keeps off [0, 1]
+    ]
+
+
+class TestMoveKeys:
+    """The kernel ``_move_keys`` against ``oracle_alpha_apply``: each key on
+    its own, and whole lists, on fresh and warm spaces."""
+
+    ERRORS = {
+        ActionError: "homeomorphism undefined on branch",
+        OrbitEscapeError: "maps into a blown interval",
+        BlowupError: "is not a blown orbit point",
+        CosetError: "is not a product of stabilizer generators",
+    }
+
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault", "e3-phi-fault"])
+    def test_matches_the_oracle(self, name):
+        b = bundle(name)
+        seen = set()
+        for stab in (b.stabilizer, LeakyTwist(b.stabilizer.k_generators, b.stabilizer.phi)):
+            space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
+            samples = kernel_samples(space, b.depth)
+            keys = [q._key() for q in samples]
+            for w in reduced_words(sorted(space.generators), 2):
+                whole = outcome(_move_keys, space, w, keys)  # first, on a fresh word
+                want = [outcome(oracle_alpha_apply, space, w, as_oracle_blown(q)) for q in samples]
+                errors = {o for o in want if isinstance(o, tuple)}
+                seen |= errors
+                if errors:
+                    assert whole in errors
+                else:
+                    assert whole == [key_of_oracle(o) for o in want]
+                clean = [k for k, o in zip(keys, want) if not isinstance(o, tuple)]
+                assert _move_keys(space, w, clean) == [
+                    key_of_oracle(o) for o in want if not isinstance(o, tuple)
+                ]
+                for key, o in zip(keys, want):
+                    got = outcome(_move_keys, space, w, [key])
+                    assert got == (o if isinstance(o, tuple) else [key_of_oracle(o)])
+        for kind, text in self.ERRORS.items():
+            assert any(k is kind and text in m for k, m in seen), kind
+        assert any("needs depth beyond" in m for _, m in seen)
+        assert any("twist map left the unit interval" in m for _, m in seen)
+
+    def test_images_are_reduced_keys_of_blown_points(self):
+        b = bundle("e3")
+        space = b.blowup
+        samples = kernel_samples(space, b.depth)[:-5]
+        for w in reduced_words(sorted(space.generators), 2):
+            images = _move_keys(space, w, [q._key() for q in samples])
+            assert images == [BlownPoint._from_key(k)._key() for k in images]
+            blown = [BlownPoint._from_key(k) for k in images]
+            assert blown == list(alpha_apply_all(space, w, samples))
+
+    def test_alpha_apply_all_is_lazy(self):
+        b = bundle("e3")
+        space = b.blowup
+        good, bad = space.midpoint(), BlownPoint(Point("zz", 0))
+        f = Word.parse("f")
+        images = alpha_apply_all(space, f, [good, bad])
+        assert next(images) == BlownPoint._from_key(_move_keys(space, f, [good._key()])[0])
+        with pytest.raises(ActionError, match="zz"):
+            next(images)
+        with pytest.raises(ActionError, match="zz"):
+            _move_keys(space, f, [good._key(), bad._key()])
+
+
 # -- the Point and BlownPoint contracts ----------------------------------------
 
 
@@ -362,9 +510,17 @@ class TestBlownPoint:
         p = Point("r", 0)
         q = BlownPoint(p, F(1, 2))
         assert q == BlownPoint._of(p, 2, 4) == BlownPoint(p, F(2, 4))
-        assert hash(q) == hash(BlownPoint._of(p, 2, 4)) == hash((p, F(1, 2)))
+        assert hash(q) == hash(BlownPoint._of(p, 2, 4)) == hash((p, (1, 2)))
         assert BlownPoint(p) != BlownPoint(p, 0) and BlownPoint(p, 0) == BlownPoint._of(p, 0, 3)
         assert BlownPoint(p, 1) == BlownPoint(p, F(1)) and BlownPoint(p, 1).height == 1
+
+    def test_hash_reads_the_integer_height(self, fraction_count):
+        p = Point("r", 1)
+        given = BlownPoint(p, F(2, 4))
+        before = fraction_count[0]
+        built = BlownPoint._of(p, 1, 2)
+        assert built == given and hash(built) == hash(given)
+        assert fraction_count[0] == before and built._height is None
 
     def test_repr_unchanged(self):
         p = Point("b1", F(-1))

@@ -15,7 +15,9 @@ read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
 ``Embedding.point_at``: every probe of a homeo along an embedded line goes
 through ``action.line_image``.  Only ``blowup.py`` names
 ``StabilizerData.twist``: a word's move of an orbit point is computed in
-one place, ``alpha_apply_all``, which keeps it.
+one place, the kernel ``_move_keys``, which keeps it.  Only ``blowup.py``
+names the kernel, the space's orbit key index and the methods that turn a
+blown point into a key and back, so only it knows the key layout.
 """
 
 import io
@@ -77,6 +79,10 @@ def test_only_leafspace_names_point_at():
 
 def test_only_blowup_names_twist():
     assert uses_outside("blowup.py", {"twist"}) == []
+
+
+def test_only_blowup_names_the_kernel_and_its_keys():
+    assert uses_outside("blowup.py", {"_move_keys", "_orbit_keys", "_key", "_from_key"}) == []
 
 
 def test_only_action_names_the_kept_ray_data():
