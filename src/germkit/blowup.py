@@ -567,16 +567,17 @@ def validate_alpha_action(
     independent.
 
     The check first runs :func:`_law_holds`, which computes each word's
-    images once, checks every pair against them, and holds at most
-    ``ball + 1`` image lists at a time.  When that pass finds
+    images once, checks every pair that can fail against them, and holds
+    at most ``ball + 1`` image lists at a time.  When that pass finds
     no mismatch and nothing raises, the answer is ``None``.  Otherwise the
     ordered loop :func:`_first_violation` runs from the start, so the first
     violation and the first error raised are those of checking the samples
     one by one, in the order of the word list.  This is exact because every
     image is a deterministic function of the word and the points' values,
     and the ordered loop computes only images that the pass has computed
-    and compares only pairs that the pass has compared: if none of them
-    raised or differed in the pass, none does in the loop.
+    and compares only pairs that the pass has compared or that repeat one
+    of its calls: if none of them raised or differed in the pass, none does
+    in the loop.
     """
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
@@ -602,12 +603,16 @@ def _law_holds(
     The walk is depth-first on an explicit stack of letter tuples; beside
     it only the images of the current word's suffixes are kept, so at most
     ``ball + 1`` image lists are alive at a time.  At ``w`` the walk checks
-    each split ``w = o·i`` (``o`` applied to ``i``'s images against ``w``'s)
-    and each ``o`` of length ``<= ball - len(w)`` whose last letter cancels
-    ``w``'s first (``o`` applied to ``w``'s images against fresh images of
-    the product ``o * w``).  Every pair of the ordered loop is one of these,
-    exactly once.  Image lists are compared whole, as lists of tuples.  An
-    error propagates to the caller.
+    each split ``w = o·i`` with ``i`` not empty (``o`` applied to ``i``'s
+    images against ``w``'s) and each ``o`` of length ``<= ball - len(w)``
+    whose last letter cancels ``w``'s first (``o`` applied to ``w``'s images
+    against fresh images of the product ``o * w``).  Every pair of the
+    ordered loop is one of these, exactly once, except the pairs ``(w, 1)``:
+    their inner images are the root list, which was just checked equal to
+    the samples' keys, so moving it by ``w`` is the very call that gave
+    ``w``'s images, and it can neither differ nor raise first.  Image lists
+    are compared whole, as lists of tuples.  An error propagates to the
+    caller.
     """
     names = sorted(space.generators)
     words = {w.letters: w for w in reduced_words(names, ball)}
@@ -628,8 +633,8 @@ def _law_holds(
         del chain[n:]
         chain.append(_move_keys(space, words[letters], keys) if n else root)
         images = chain[n]
-        for k, mids in enumerate(chain):
-            if _move_keys(space, words[letters[:n - k]], mids) != images:
+        for k in range(1, n + 1):
+            if _move_keys(space, words[letters[:n - k]], chain[k]) != images:
                 return False
         cancel = (letters[0][0], -letters[0][1]) if n else None
         for outer in ending.get(cancel, ()):

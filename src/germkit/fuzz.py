@@ -37,25 +37,42 @@ class CaseGen:
         self.bounds = bounds or FuzzBounds()
         self.rng = random.Random(seed)
 
+    def _randint(self, a: int, b: int) -> int:
+        """``self.rng.randint(a, b)``: the same value from the same draws.
+
+        Draws ``getrandbits(k)``, ``k`` the bit length of ``b - a + 1``,
+        until the draw is below ``b - a + 1``, as ``randint`` does through
+        ``randrange`` and ``Random._randbelow_with_getrandbits`` (CPython
+        3.10 to 3.13), without the two calls' argument checks.
+        """
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        return a + r
+
     # -- scalars -------------------------------------------------------------
 
     def fraction(self, lo: int | None = None, hi: int | None = None) -> Fraction:
         lo = -MAX_MAGNITUDE if lo is None else lo
         hi = MAX_MAGNITUDE if hi is None else hi
-        den = self.rng.randint(1, self.bounds.max_denominator)
-        num = self.rng.randint(lo * den, hi * den)
+        den = self._randint(1, self.bounds.max_denominator)
+        num = self._randint(lo * den, hi * den)
         return Fraction(num, den)
 
     def positive_slope(self) -> Fraction:
-        num = self.rng.randint(1, 12)
-        den = self.rng.randint(1, 12)
+        num = self._randint(1, 12)
+        den = self._randint(1, 12)
         return Fraction(num, den)
 
     def fraction_between(self, lo: Fraction, hi: Fraction) -> Fraction:
         """A rational strictly between lo and hi: ``lo + (hi - lo) * step/den``,
         for an even ``den`` and ``0 < step < den``."""
-        den = 2 * self.rng.randint(2, self.bounds.max_denominator)
-        step = self.rng.randint(1, den - 1)
+        den = 2 * self._randint(2, self.bounds.max_denominator)
+        step = self._randint(1, den - 1)
         a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         return Fraction(a * d * den + (c * b - a * d) * step, b * d * den)
 
@@ -63,7 +80,7 @@ class CaseGen:
 
     def plmap(self, max_breakpoints: int | None = None) -> PLMap:
         b = self.bounds
-        count = self.rng.randint(0, b.max_breakpoints if max_breakpoints is None else max_breakpoints)
+        count = self._randint(0, b.max_breakpoints if max_breakpoints is None else max_breakpoints)
         left = self.positive_slope()
         right = self.positive_slope()
         if count == 0:
@@ -73,13 +90,13 @@ class CaseGen:
         # denominator times D.
         den = b.max_denominator
         xs = sorted(self.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
-        xs = [x * den + self.rng.randint(0, den - 1) for x in xs]
+        xs = [x * den + self._randint(0, den - 1) for x in xs]
         y = self.fraction()
         yn, yd = y.numerator * den, y.denominator * den
         pts = []
         for i, xn in enumerate(xs):
             if i:
-                yn += self.rng.randint(1, 4 * den) * y.denominator
+                yn += self._randint(1, 4 * den) * y.denominator
             c = gcd(xn, den)
             pts.append((xn // c, den // c, yn, yd))
         return _canonical(
@@ -95,7 +112,7 @@ class CaseGen:
         Precomposes with an increasing bump supported in an interval below
         the cutoff, which cannot change anything at or above it.
         """
-        width = Fraction(self.rng.randint(1, 8))
+        width = Fraction(self._randint(1, 8))
         lo = cutoff - 2 * width
         mid_x = self.fraction_between(lo, cutoff)
         mid_y = self.fraction_between(lo, cutoff)
@@ -105,7 +122,7 @@ class CaseGen:
     # -- words ---------------------------------------------------------------
 
     def word(self, names: list[str], max_length: int = 8) -> Word:
-        length = self.rng.randint(0, max_length)
+        length = self._randint(0, max_length)
         letters = []
         for _ in range(length):
             name = self.rng.choice(names)
@@ -116,7 +133,7 @@ class CaseGen:
     # -- spaces and homeomorphisms --------------------------------------------
 
     def leafspace(self, max_branches: int = 6) -> LeafSpace:
-        count = self.rng.randint(1, max_branches)
+        count = self._randint(1, max_branches)
         names = [f"b{i}" for i in range(count)]
         branches: dict[str, tuple[str | None, Fraction | None]] = {names[0]: (None, None)}
         for i in range(1, count):
@@ -161,7 +178,7 @@ class CaseGen:
             "b": ("r", d),
         }
         branch_map = {"r": "b", "b": "r"}
-        for i in range(self.rng.randint(0, 3)):
+        for i in range(self._randint(0, 3)):
             dep = d - 1 - abs(self.fraction(lo=0, hi=5))
             branches[f"m{i}"] = ("r", dep)
             branches[f"w{i}"] = ("b", dep)

@@ -20,8 +20,8 @@ for each breakpoint ``xn/xd -> yn/yd``, and the pairs of the left slope,
 the right slope and the tail offset, every pair reduced with a positive
 denominator.  Every map that :meth:`PLMap.make`, ``*``, ``~``,
 :func:`reflect`, :func:`normalize`, :meth:`PLMap.affine` or
-:meth:`PLMap.identity` returns is built from such a record by
-:func:`_canonical` (or, for an affine map, directly), and its
+:meth:`PLMap.identity` returns is built from such a record, by
+:func:`_canonical`, by ``*`` itself or, for an affine map, directly, and its
 ``Fraction`` fields ``breakpoints``, ``values``, ``left_slope``,
 ``right_slope`` and ``tail_offset`` are built on the first read of any of
 them and then kept.  The bare constructor ``PLMap(...)`` keeps raw fields
@@ -30,8 +30,9 @@ the first time an integer reader needs one.  ``==`` compares two records,
 or the five fields when either map is raw, and ``hash`` and ``repr`` read
 the fields, so both agree with the ``Fraction`` values.
 
-Evaluation runs on Python ints.  On its first evaluation a map builds an
-integer kernel from its record, one flat tuple kept in a slot: first
+Evaluation runs on Python ints.  A map holds an integer kernel, one flat
+tuple kept in a slot, which a composite gets from ``*`` and every other map
+builds from its record on its first evaluation: first
 ``p, q`` for each breakpoint ``p/q``, then ``A, B, D`` for each piece (left
 tail, interior pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at
 ``x = n/d``.
@@ -44,21 +45,32 @@ and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`).
 :meth:`PLMap.preimage` inverts the same piece, ``x = (D*n - B*d)/(A*d)`` at
 ``y = n/d``, without building ``~f``.
 
-Composition and canonicalization run on ints too.  ``f * g`` multiplies the
-tail slopes as int pairs, takes ``g``'s breakpoints and the preimages of
-``f``'s breakpoints under ``g`` as reduced ``(n, d)`` pairs, merges the two
-increasing lists by cross-multiplication, and evaluates ``f(g(x))`` at each
-point by walking both kernels' pieces forward once.  One canonicalizer,
-:func:`_canonical`, takes such integer points: it checks that tail slopes
+Composition and canonicalization run on ints too.  ``f * g`` composes piece
+by piece.  It takes ``g``'s breakpoints and the preimages of ``f``'s
+breakpoints under ``g`` as reduced ``(n, d)`` pairs and merges the two
+increasing lists by cross-multiplication.  Below the first point, and from
+each point to the next, the composite is one of ``f``'s pieces after one of
+``g``'s, and its triple is the product ``(A*A', A*B' + B*D', D*D')`` of
+their triples, reduced by one ``gcd``.  A point is kept exactly where that
+triple changes, and its value is the new triple read there.  This is
+canonical form: the composite is continuous, so two pieces that meet at a
+point with the same slope lie on one line, and a line has one reduced
+triple with ``D > 0``; so the triple changes exactly where the slope does.
+The record and the kernel come out of this one loop, so a composite is
+never canonicalized and never builds its kernel.  One canonicalizer,
+:func:`_canonical`, takes integer points: it checks that tail slopes
 are positive and that breakpoints and values strictly increase, drops each
 point whose two slopes ``a/d`` and ``a'/d'`` agree (``a*d' == a'*d``), and
 reduces the value of each point it keeps with one ``gcd``.  :meth:`make`
-converts its input once and calls it, also for :func:`normalize`; ``*``,
-``~``, :func:`reflect` and :func:`_splice` call it on records.
-:func:`check` and :func:`agree_on_ray` read the record or the kernel, and
-other modules read ints through ``_eval``, ``preimage``, ``_tail`` and
-``_breaks``, so no map built on this route builds a ``Fraction`` field
-unless one is read.  Only this module knows the record's layout.
+converts its input once and calls it, also for :func:`normalize`; ``~``,
+:func:`reflect` and :func:`_splice` call it on records.  :func:`check`,
+which ``action.validate_homeo`` runs on every chart map of a word's homeo,
+applies the rules of :func:`_scan` to a composite's record on its own, so
+the triple rule's output is still checked independently.  It and
+:func:`agree_on_ray` read the record or the kernel, and other modules read
+ints through ``_eval``, ``preimage``, ``_tail`` and ``_breaks``, so no map
+built on this route builds a ``Fraction`` field unless one is read.  Only
+this module knows the record's layout.
 """
 
 from __future__ import annotations
@@ -296,16 +308,30 @@ class PLMap:
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "PLMap") -> "PLMap":
-        """Composition ``self after other``, read off the two kernels."""
+        """Composition ``self after other``, piece by piece.
+
+        Between two consecutive points of the merged list (``other``'s
+        breakpoints and the preimages of ``self``'s), the composite is
+        one piece of ``self`` after one piece of ``other``, so its kernel
+        triple is the product ``(A*A', A*B' + B*D', D*D')`` of the two
+        triples ``(A, B, D)`` and ``(A', B', D')``, reduced by one ``gcd``.
+        A merged point is kept exactly where that reduced triple changes,
+        which is where the slope changes, so the record is canonical and the
+        kernel is the one :meth:`_build_kernel` would build from it;
+        :func:`check` still applies :func:`_scan`'s rules to that record on
+        its own.  The rule needs continuous operands with positive slopes,
+        which canonical maps are; a raw operand is first put through
+        :func:`normalize`, so one that is no map, for instance one with a
+        slope ``<= 0``, raises :class:`InvalidMapError` as :meth:`make`
+        would.
+        """
         if not isinstance(other, PLMap):
             return NotImplemented
+        if self._raw or other._raw:
+            return normalize(self) * normalize(other)
         f = self._kernel or self._build_kernel()
         g = other._kernel or other._build_kernel()
-        lsn, lsd = self._lsn * other._lsn, self._lsd * other._lsd
-        rsn, rsd = self._rsn * other._rsn, self._rsd * other._rsd
         nf, ng = 2 * len(self._pairs), 2 * len(other._pairs)
-        if not nf + ng:  # two affine maps: self(other(0))
-            return _canonical([], lsn, lsd, rsn, rsd, (f[0] * g[1] + f[1] * g[2], f[2] * g[2]))
         # Preimages of self's breakpoints under other, as in preimage() but
         # walking other's pieces once, since the breakpoints increase.
         pre = []
@@ -320,34 +346,43 @@ class PLMap:
             xn, xd = g[j + 2] * n - g[j + 1] * d, g[j] * d
             c = gcd(xn, xd)
             pre.append((xn // c, xd // c))
-        # Merge them with other's breakpoints; both lists increase and are
-        # reduced, so equal points are equal pairs.
-        xs = []
-        i = k = 0
-        while i < ng and k < len(pre):
-            p, q = g[i], g[i + 1]
-            n, d = pre[k]
-            if p * d < n * q:
-                xs.append((p, q))
-                i += 2
-            else:
-                xs.append((n, d))
-                k += 1
-                if p == n and q == d:
-                    i += 2
-        xs += zip(g[i:ng:2], g[i + 1 : ng : 2])
-        xs += pre[k:]
-        # self(other(x)) at each point, walking both kernels' pieces forward.
-        pts = []
-        i, j, k, m = 0, ng, 0, nf
-        for n, d in xs:
-            while i < ng and n * g[i + 1] >= g[i] * d:
+        # The left tails' product, then one product per point of the merge
+        # of other's breakpoints with the preimages.  Both lists increase and
+        # are reduced, so equal points are equal pairs; a point of other's
+        # list steps to other's next piece (j), a preimage to self's (m).
+        a, b, e = f[nf], f[nf + 1], f[nf + 2]
+        A, B, D = a * g[ng], a * g[ng + 1] + b * g[ng + 2], e * g[ng + 2]
+        c = gcd(A, B, D)
+        A, B, D = A // c, B // c, D // c
+        c = gcd(A, D)
+        lsn, lsd = A // c, D // c
+        pairs, breaks, pieces = [], [], [A, B, D]
+        i, j, k, m, npre = 0, ng, 0, nf, len(pre)
+        while i < ng or k < npre:
+            if k == npre or i < ng and g[i] * pre[k][1] < pre[k][0] * g[i + 1]:
+                n, d = g[i], g[i + 1]
                 i, j = i + 2, j + 3
-            un, ud = g[j] * n + g[j + 1] * d, g[j + 2] * d
-            while k < nf and un * f[k + 1] >= f[k] * ud:
-                k, m = k + 2, m + 3
-            pts.append((n, d, f[m] * un + f[m + 1] * ud, f[m + 2] * ud))
-        return _canonical(pts, lsn, lsd, rsn, rsd, None)
+            else:
+                n, d = pre[k]
+                k, m = k + 1, m + 3
+                if i < ng and g[i] == n and g[i + 1] == d:
+                    i, j = i + 2, j + 3
+            a, b, e = f[m], f[m + 1], f[m + 2]
+            A1, B1, D1 = a * g[j], a * g[j + 1] + b * g[j + 2], e * g[j + 2]
+            c = gcd(A1, B1, D1)
+            A1, B1, D1 = A1 // c, B1 // c, D1 // c
+            if A1 == A and B1 == B and D1 == D:
+                continue
+            A, B, D = A1, B1, D1
+            yn, yd = A * n + B * d, D * d
+            c = gcd(yn, yd)
+            pairs.append((n, d, yn // c, yd // c))
+            breaks += (n, d)
+            pieces += (A, B, D)
+        s, t = gcd(A, D), gcd(B, D)
+        h = PLMap._of(tuple(pairs), lsn, lsd, A // s, D // s, B // t, D // t)
+        h._kernel = (*breaks, *pieces)
+        return h
 
     def __invert__(self) -> "PLMap":
         pairs, lsn, lsd, rsn, rsd, ton, tod = self._record()
@@ -447,8 +482,8 @@ def _canonical(
     lsn: int, lsd: int, rsn: int, rsd: int,
     offset: tuple[int, int] | None,
 ) -> PLMap:
-    """The canonicalizer behind :meth:`PLMap.make`, ``*``, ``~``,
-    :func:`reflect` and :func:`_splice`.
+    """The canonicalizer behind :meth:`PLMap.make`, ``~``, :func:`reflect`,
+    :func:`_splice` and ``CaseGen.plmap``.
 
     Runs :func:`_scan` on the points (see there for their form and the
     rules); each point's breakpoint pair must be reduced.  Checks a given

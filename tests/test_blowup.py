@@ -417,7 +417,7 @@ class TestActionLawTriePass:
         assert fetched == []
 
     @pytest.mark.parametrize(
-        "name, loop_calls, pass_calls", [("e1", 92, 62), ("e3", 1892, 1162)]
+        "name, loop_calls, pass_calls", [("e1", 92, 53), ("e3", 1892, 1001)]
     )
     def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
         # the default suite samples: 100 plain points and 20 interval points;

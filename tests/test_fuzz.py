@@ -5,6 +5,7 @@ Each oracle drives its own ``CaseGen`` on the same seed, so a draw added,
 dropped or moved shows as a different object or a different ``rng`` state.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -81,3 +82,24 @@ def test_fraction_between_is_strictly_between():
     for lo, hi in [(F(-3, 7), F(-1, 7)), (F(0), F(1, 10**20)), (F(-5), F(5, 3))]:
         for _ in range(20):
             assert lo < gen.fraction_between(lo, hi) < hi
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_randint_draws_as_random_randint(seed):
+    """``CaseGen._randint`` gives ``Random.randint``'s value from the same
+    draws: ``a == b`` (which still draws), the ranges ``CaseGen`` asks
+    for, and a range wider than ``2**20``."""
+    d = 100
+    ranges = [(0, 0), (5, 5), (-3, -3), (1, d), (-50 * d, 50 * d), (1, 12), (2, d),
+              (1, 2 * d - 1), (0, 5), (0, d - 1), (1, 4 * d), (1, 8), (0, 8), (1, 6),
+              (0, 3), (-(2**20) - 3, 2**21), (0, 2**64)]
+    gen, reference = CaseGen(seed), random.Random(seed)
+    for _ in range(40):
+        for a, b in ranges:
+            assert gen._randint(a, b) == reference.randint(a, b), (a, b)
+    assert gen.rng.getstate() == reference.getstate()
+
+
+def test_randint_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        CaseGen(0)._randint(1, 0)

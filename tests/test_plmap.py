@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.germ import Germ
-from germkit.plmap import InvalidMapError, PLMap, _frac, agree_on_ray, check, normalize, reflect
+from germkit.plmap import (
+    InvalidMapError, PLMap, _canonical, _frac, agree_on_ray, check, normalize, reflect,
+)
 from germkit.rationals import format_rational
 
 # Identity left of 0, slope 2 right of 0.
@@ -362,6 +364,123 @@ def test_compose_matches_fraction_oracle_large_denominators(f, g):
     h = f * g
     assert h == oracle_compose(f, g)
     assert all(type(v) is F for v in fields(h))
+
+
+# -- composition by pieces against composition by points ----------------------
+
+
+def point_compose(f, g):
+    """``f * g`` by the point route ``*`` took before it multiplied pieces:
+    ``f(g(x))`` at ``g``'s breakpoints and at the preimages of ``f``'s,
+    canonicalized by ``_canonical``; kept here only as an oracle."""
+    xs = sorted({*g.breakpoints, *map(g.preimage, f.breakpoints)})
+    pts = [(x.numerator, x.denominator, y.numerator, y.denominator) for x in xs
+           for y in [f(g(x))]]
+    ls, rs = f.left_slope * g.left_slope, f.right_slope * g.right_slope
+    b = f(g(F(0)))
+    return _canonical(pts, ls.numerator, ls.denominator, rs.numerator, rs.denominator,
+                      None if pts else (b.numerator, b.denominator))
+
+
+def assert_composes_by_pieces(f, g):
+    """``f * g`` keeps the record of :func:`point_compose` and holds the
+    kernel that ``_build_kernel`` builds from it, and agrees with
+    :func:`oracle_compose`."""
+    h, want = f * g, point_compose(f, g)
+    assert h._record() == want._record()
+    assert h._kernel is not None and h._kernel == want._build_kernel()
+    assert h == oracle_compose(f, g)
+
+
+KINK = PLMap.make([(F(-1), F(1, 2)), (F(2), F(3)), (F(7, 2), F(5))], F(1, 3), 2)
+
+
+@given(plmaps(), plmaps())
+@example(PLMap.affine(2, 1), PLMap.affine(F(1, 3), -2))  # affine after affine
+@example(KINK, DOUBLE)  # PL after affine
+@example(SHIFT, KINK)  # affine after PL
+@example(KINK, ~KINK)  # collapses to the identity
+@example(PLMap.make([(2, 5)], 2, 1), PLMap.make([(1, 2)], 1, 3))  # 1 -> 2, both break, kept
+@example(PLMap.make([(2, 5)], 3, 1), PLMap.make([(1, 2)], 1, 3))  # slope 3 on both sides, dropped
+def test_compose_by_pieces_matches_the_point_route(f, g):
+    assert_composes_by_pieces(f, g)
+
+
+@given(large_plmaps, large_plmaps)
+def test_compose_by_pieces_with_large_denominators(f, g):
+    assert_composes_by_pieces(f, g)
+
+
+def test_compose_by_pieces_pinned_cases():
+    assert KINK * ~KINK == PLMap.identity() == ~KINK * KINK
+    kept = PLMap.make([(2, 5)], 2, 1) * PLMap.make([(1, 2)], 1, 3)
+    assert kept._record() == (((1, 1, 5, 1),), 2, 1, 3, 1, 2, 1)
+    dropped = PLMap.make([(2, 5)], 3, 1) * PLMap.make([(1, 2)], 1, 3)
+    assert dropped == PLMap.affine(3, 2) and dropped._kernel == (3, 2, 1)
+
+
+def test_compose_by_pieces_on_casegen_pairs():
+    gen = CaseGen(3)
+    maps = [gen.plmap() for _ in range(301)]
+    for f, g in zip(maps, maps[1:]):
+        assert_composes_by_pieces(f, g)
+
+
+def test_a_composite_never_canonicalizes_nor_rebuilds_its_kernel(monkeypatch):
+    f, g = KINK, PLMap.make([(F(-3), F(-1)), (F(1, 2), F(2))], 3, F(1, 5))
+    inv = ~f
+    for m in (f, g, inv):
+        m(0)  # the operands' kernels, built before the patch
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr("germkit.plmap._canonical", forbidden)
+    monkeypatch.setattr("germkit.plmap._scan", forbidden)
+    monkeypatch.setattr(PLMap, "_build_kernel", forbidden)
+    for h in (f * g, g * f, (f * g) * f, f * inv):
+        for x in grid():
+            assert h(x) == oracle_eval(h, x)
+            assert h.preimage(h(x)) == x
+
+
+def test_a_composite_piece_of_slope_at_most_zero_raises():
+    """Only a raw operand can give one; it is rejected as ``make`` rejects
+    its data, and the point route rejects the composite too."""
+    f = PLMap.make([(0, 0), (1, 2)], 1, 1)
+    falling = raw(f, values=(F(0), F(-1)), tail_offset=F(-2))
+    flat_tail = raw(f, left_slope=F(0))
+    for a, b in [(falling, SHIFT), (SHIFT, falling), (flat_tail, SHIFT), (SHIFT, flat_tail)]:
+        with pytest.raises(InvalidMapError):
+            point_compose(a, b)
+        with pytest.raises(InvalidMapError):
+            a * b
+    with pytest.raises(InvalidMapError, match="values not strictly increasing at 1"):
+        falling * SHIFT
+    with pytest.raises(InvalidMapError, match="tail slopes must be positive"):
+        KINK * flat_tail
+
+
+def test_a_raw_operand_that_breaks_continuity_raises():
+    """Pieces multiply only on continuous operands: a raw map whose stored
+    tail offset does not meet its last point, or an affine one with two
+    slopes, is rejected as ``check`` reports it."""
+    jumps = raw(STEP, tail_offset=F(5))
+    bent = raw(PLMap.affine(2, 1), left_slope=F(1))
+    for bad, message in [(jumps, "stored tail offset inconsistent"),
+                         (bent, "must have equal tail slopes")]:
+        assert message in check(bad)
+        for a, b in [(bad, KINK), (KINK, bad), (bad, bad)]:
+            with pytest.raises(InvalidMapError, match=message):
+                a * b
+
+
+def test_a_raw_operand_that_is_not_canonical_composes_to_the_canonical_map():
+    collinear = raw(KINK, breakpoints=(F(-2), *KINK.breakpoints),
+                    values=(F(1, 6), *KINK.values))
+    assert check(collinear) == "map is not in canonical form"
+    assert_composes_by_pieces(collinear, PLMap.identity())
+    assert collinear * PLMap.identity() == KINK
 
 
 # -- the integer canonicalizer against the Fraction one -----------------------
