@@ -10,9 +10,15 @@ both, plus orientation).
 Fixing an embedded line ``e`` that reaches the upper end, every homeomorphism
 eventually carries the upper ray of ``e`` back onto ``e`` (all lines merge
 going up).  The coordinate map of that return, probed only by
-:func:`line_image`, is an increasing PL map of a ray; its germ at +infinity
-is the induced germ of the homeomorphism, and word-by-word this assignment
-is a homomorphism into the germ group.
+:func:`line_image` and its integer entry :func:`_line_image`, is an
+increasing PL map of a ray; its germ at +infinity is the induced germ of
+the homeomorphism, and word-by-word this assignment is a homomorphism into
+the germ group.
+
+The ray layer probes on integer pairs ``(n, d)``, ``d > 0``: the overlap
+scan, the germ samples and the witness candidates are read off the kept ray
+events, and no ``Point`` or ``Fraction`` is built but a returned threshold
+or witness.
 
 Homeos and words are immutable.  A homeo keeps its inverse and, per space
 and embedding, its ray data (ray events, overlap ray, default induced germ);
@@ -240,9 +246,9 @@ def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
     image branch the space does not declare raises
     :class:`~germkit.leafspace.LeafSpaceError`.  :func:`_apply_pairs` is the
     same body looped over a list of integer triples, for the twisted
-    action's batches; this one-point form is the reference it is tested
-    against, and it stays a direct body, since wrapping the batch for one
-    point would slow its callers.
+    action's batches, and :func:`_line_image` runs it on a line's pair;
+    this one-point form is the reference both are tested against, and it
+    stays a direct body, since wrapping the batch would slow its callers.
     """
     branch = p.branch
     if branch not in h.branch_map or branch not in h.branch_pl:
@@ -275,11 +281,28 @@ def _apply_pairs(
 
 def line_image(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> tuple[int, int] | None:
     """The return map ``e^-1(h(e(x)))`` at ``x``: the reduced pair of
-    ``h(e(x))`` when it lies on ``e``, else ``None``.  It runs on ints
-    through :func:`apply_homeo`, with its errors, and builds no ``Fraction``."""
-    n, d = x.numerator, x.denominator
-    image = apply_homeo(space, h, Point._of(space._ascend(e.branch, n, d), n, d))
-    return (image._n, image._d) if e.contains(space, image) else None
+    ``h(e(x))`` when it lies on ``e``, else ``None``.  It is
+    :func:`_line_image` on ``x``'s pair, and builds no ``Fraction``."""
+    return _line_image(space, h, e, x.numerator, x.denominator)
+
+
+def _line_image(
+    space: LeafSpace, h: Homeo, e: Embedding, n: int, d: int
+) -> tuple[int, int] | None:
+    """The integer entry of :func:`line_image`, at ``x = n/d`` for any pair
+    with ``d > 0``: :func:`apply_homeo` on ``e``'s point at ``x``, then
+    membership by one more ascent from ``e``'s branch, with that route's
+    errors.  Cross-multiplication ignores scaling, so the pair need not be
+    reduced; an image on ``e`` is reduced by one ``gcd``."""
+    ascend = space._ascend
+    branch = ascend(e.branch, n, d)
+    if branch not in h.branch_map or branch not in h.branch_pl:
+        raise ActionError(f"homeomorphism undefined on branch {branch!r}")
+    n, d = h.branch_pl[branch]._eval(n, d)
+    if ascend(h.branch_map[branch], n, d) != ascend(e.branch, n, d):
+        return None
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def compose_homeo(outer: Homeo, inner: Homeo) -> Homeo:
@@ -526,19 +549,25 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
 def _overlap_scan(
     space: LeafSpace, h: Homeo, e: Embedding, events: Sequence[Fraction]
 ) -> Fraction | None:
-    """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave."""
-    if line_image(space, h, e, events[-1] + 1 if events else Fraction(0)) is None:
+    """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave,
+    probed as integer pairs; the threshold is the kept event itself."""
+    pairs = [(ev.numerator, ev.denominator) for ev in events]
+    top = (pairs[-1][0] + pairs[-1][1], pairs[-1][1]) if pairs else (0, 1)
+    if _line_image(space, h, e, *top) is None:
         raise ActionError("image ray never returns to the embedded line")
     # Each failure found scanning upward bounds the threshold by at least
     # as much as the one before, so the last failure is the threshold.
     worst = FULL_LINE
-    if events and line_image(space, h, e, events[0] - 1) is None:
+    if pairs and _line_image(space, h, e, pairs[0][0] - pairs[0][1], pairs[0][1]) is None:
         worst = events[0]
-    for i, ev in enumerate(events):
-        if line_image(space, h, e, ev) is None:
-            worst = ev
-        if i + 1 < len(events) and line_image(space, h, e, (ev + events[i + 1]) / 2) is None:
-            worst = events[i + 1]
+    last = len(pairs) - 1
+    for i, (a, b) in enumerate(pairs):
+        if _line_image(space, h, e, a, b) is None:
+            worst = events[i]
+        if i < last:
+            c, d = pairs[i + 1]
+            if _line_image(space, h, e, a * d + c * b, 2 * b * d) is None:
+                worst = events[i + 1]
     return worst
 
 
@@ -561,16 +590,16 @@ def induced_germ(
     :func:`overlap_ray` (one below it raises :class:`ActionError`), and
     then lifts the samples above it when it lies above every event.  The
     result does not depend on the threshold, which is what makes the
-    assignment well defined.  Both samples are :func:`line_image` probes,
-    whose integer pairs give the germ: the sample points are the only
-    ``Fraction``s a default call builds.
+    assignment well defined.  Both samples are :func:`_line_image` probes
+    on integer pairs, and their image pairs give the germ, so a default
+    call builds no ``Fraction``.
     """
     rays = _kept(space, h, e)
     if threshold is None:
         if rays.germ is not None:
             return rays.germ
         top = _top_event(space, h, e)
-        x = Fraction(1) if top is None else Fraction(top[0] + top[1], top[1])
+        xn, xd = (1, 1) if top is None else (top[0] + top[1], top[1])
     else:
         events = _ray_events(space, h, e)
         start = _frac(threshold)
@@ -579,22 +608,25 @@ def induced_germ(
         t0 = rays.overlap
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
-        x = max([start, *events]) + 1
-    germ = _germ_at(space, h, e, x)
+        top = max(start, events[-1]) if events else start
+        xn, xd = top.numerator + top.denominator, top.denominator
+    germ = _germ_at(space, h, e, xn, xd)
     if threshold is None:
         rays.germ = germ
     return germ
 
 
-def _germ_at(space: LeafSpace, h: Homeo, e: Embedding, x: Fraction) -> Germ:
-    """The germ of :func:`induced_germ` from its two probes, at ``x`` and
-    ``x + 1``, for an ``x`` above every ray event and above the overlap
-    ray, where the return map is one affine piece.  Nothing is kept."""
-    y1, y2 = line_image(space, h, e, x), line_image(space, h, e, x + 1)
+def _germ_at(space: LeafSpace, h: Homeo, e: Embedding, xn: int, xd: int) -> Germ:
+    """The germ of :func:`induced_germ` from its two probes, at ``x = xn/xd``
+    and ``x + 1``, for an ``x`` above every ray event and above the overlap
+    ray, where the return map is one affine piece.  ``(xn, xd)`` is any pair
+    with ``xd > 0``; no ``Fraction`` is built and nothing is kept."""
+    y1 = _line_image(space, h, e, xn, xd)
+    y2 = _line_image(space, h, e, xn + xd, xd)
     if y1 is None or y2 is None:
         raise ActionError("sample point above the overlap ray left the line")
     # the samples lie one apart: the slope is y2 - y1, the offset y1 - slope * x
-    (n1, d1), (n2, d2), xn, xd = y1, y2, x.numerator, x.denominator
+    (n1, d1), (n2, d2) = y1, y2
     sn, sd = n2 * d1 - n1 * d2, d1 * d2
     if sn <= 0:
         raise ValueError("germ slope must be positive")
@@ -642,18 +674,20 @@ def moved_point_witness(
     The moved set above ``n`` is a finite union of event points and open
     intervals on which the coordinate map is affine, so testing every event
     and two interior points per interval decides the question exactly.
-    The events are those :func:`_ray_events` keeps on ``h``.
+    The events are those :func:`_ray_events` keeps on ``h``.  Candidates
+    are integer pairs; only the witness returned is built as a ``Fraction``.
     """
     n = _frac(n)
-    events = [ev for ev in _ray_events(space, h, e) if ev > n]
-    candidates: list[Fraction] = []
-    cursor = n
-    for ev in events:
-        gap = ev - cursor
-        candidates.extend((cursor + gap / 3, cursor + 2 * gap / 3, ev))
-        cursor = ev
-    candidates.extend((cursor + 1, cursor + 2))
-    for x in candidates:
-        if line_image(space, h, e, x) != (x.numerator, x.denominator):
-            return x
+    a, b = n.numerator, n.denominator
+    candidates: list[tuple[int, int]] = []
+    for ev in _ray_events(space, h, e):
+        if ev > n:
+            c, d = ev.numerator, ev.denominator
+            candidates += ((2 * a * d + c * b, 3 * b * d), (a * d + 2 * c * b, 3 * b * d), (c, d))
+            a, b = c, d
+    candidates += ((a + b, b), (a + 2 * b, b))
+    for xn, xd in candidates:
+        y = _line_image(space, h, e, xn, xd)
+        if y is None or y[0] * xd != xn * y[1]:
+            return Fraction(xn, xd)
     return None

@@ -788,13 +788,13 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
             continue
         h = space.word_homeo(w)
         top = _top_event(space.base, h, e)
-        start = Fraction(0) if top is None else Fraction(*top)
-        base_germ = _germ_at(space.base, h, e, start + 1)
+        tn, td = (0, 1) if top is None else top
+        base_germ = _germ_at(space.base, h, e, tn + td, td)
         if _blown(shift, base_germ).is_identity():
             return w
         # The probes live in the base chart, so bound the diagonal crossing
         # with the base germ, above every base event.
-        start = max(start, eventual_comparison_bound(base_germ))
+        start = max(Fraction(tn, td), eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):
                 return w

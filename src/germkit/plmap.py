@@ -40,8 +40,9 @@ tail, interior pieces, right tail), so that ``y = (A*n + B*d)/(D*d)`` at
 The integer entry :meth:`PLMap._eval` takes ``(n, d)`` with ``d > 0``,
 finds the piece by integer cross-multiplication and returns the pair
 ``(A*n + B*d, D*d)``, unreduced.  A call is that entry plus one
-``Fraction``.  The action layer calls the entry directly on reduced pairs
-and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`).
+``Fraction``.  The action layer calls the entry directly on integer pairs
+and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`
+and :func:`germkit.action._line_image`).
 :meth:`PLMap.preimage` inverts the same piece, ``x = (D*n - B*d)/(A*d)`` at
 ``y = n/d``, without building ``~f``.
 
@@ -247,8 +248,14 @@ class PLMap:
     # -- evaluation --------------------------------------------------------
 
     def _build_kernel(self) -> tuple[int, ...]:
-        """Build, store and return the integer kernel (see the module docstring)."""
+        """Build, store and return the integer kernel (see the module
+        docstring).  A raw instance whose breakpoints do not strictly
+        increase raises :class:`InvalidMapError` with :func:`check`'s message."""
         marks, lsn, lsd, rsn, rsd, ton, tod = self._record()
+        if self._raw and any(
+            p1 * q0 <= p0 * q1 for (p0, q0, _, _), (p1, q1, _, _) in zip(marks, marks[1:])
+        ):
+            raise InvalidMapError(check(self))
         # Each piece as its slope an/ad and one point p/q -> r/s of its line.
         pieces = [(lsn, lsd, *marks[0])] if marks else []
         for (p0, q0, r0, s0), (p1, q1, r1, s1) in zip(marks, marks[1:]):

@@ -31,7 +31,6 @@ from .action import (
     GermMismatchError,
     Homeo,
     Word,
-    apply_homeo,
     extend_space_for_action,
     induced_germ,
     letter_homeo,
@@ -42,6 +41,7 @@ from .action import (
     validate_homeo,
     word_germ,
     word_homeo,  # unused here; perfbench/check_gate.py reads suites.word_homeo
+    _apply_pairs,
     _ray_events,
 )
 from .blowup import (
@@ -504,6 +504,10 @@ def _plain_samples(space: BlowupSpace, ball: int, want: int) -> list[BlownPoint]
     Candidates are spread along every branch below its departure and along
     the root ray; any candidate whose ball-image meets the blown orbit is
     discarded, so the action-law check never escapes the expanded orbit.
+    Candidates go in chunks of the number still wanted, each moved by one
+    homeo at a time in one :func:`~germkit.action._apply_pairs` call,
+    dropping orbit hits; so a candidate is moved by exactly the homeos a
+    one-at-a-time loop would apply.
     """
     base = space.base
     words = reduced_words(sorted(space.generators), ball)
@@ -520,18 +524,23 @@ def _plain_samples(space: BlowupSpace, ball: int, want: int) -> list[BlownPoint]
             dep = base.departure(name)
             anchor = dep if dep is not None else Fraction(0)
             candidates.append(Point(name, anchor - off))
+    orbit = {(p.branch, p._n, p._d) for p in space.orbit}
     out: list[BlownPoint] = []
     seen: set[Point] = set()
-    for cand in candidates:
-        point = base.canonical(cand)
-        if point in seen or point in space.orbit:
-            continue
-        seen.add(point)
-        if any(apply_homeo(base, h, point) in space.orbit for h in homeos):
-            continue
-        out.append(BlownPoint(point))
-        if len(out) >= want:
-            break
+    start = 0
+    while len(out) < want and start < len(candidates):
+        chunk = candidates[start : start + want - len(out)]
+        start += len(chunk)
+        points = []
+        for cand in chunk:
+            point = base.canonical(cand)
+            if point not in seen and point not in space.orbit:
+                seen.add(point)
+                points.append(point)
+        for h in homeos:
+            moved = _apply_pairs(base, h, [(p.branch, p._n, p._d) for p in points])
+            points = [p for p, image in zip(points, moved) if image not in orbit]
+        out += map(BlownPoint, points)
     return out
 
 

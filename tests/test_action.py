@@ -776,7 +776,7 @@ class TestInducedGermCalls:
     def counted(monkeypatch):
         calls = dict.fromkeys(
             (
-                "line_image", "_overlap_scan", "_build_ray_events", "_top_event",
+                "_line_image", "_overlap_scan", "_build_ray_events", "_top_event",
                 "induced_germ", "compose_homeo",
             ),
             0,
@@ -798,12 +798,12 @@ class TestInducedGermCalls:
         calls = self.counted(monkeypatch)
         germ = action.induced_germ(b.space, h, e)
         assert calls == {
-            "line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
+            "_line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
             "induced_germ": 1, "compose_homeo": 0,
         }
         assert action.induced_germ(b.space, h, e) is germ
         assert calls == {
-            "line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
+            "_line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
             "induced_germ": 2, "compose_homeo": 0,
         }
 
@@ -813,14 +813,14 @@ class TestInducedGermCalls:
         calls = self.counted(monkeypatch)
         germ = induced_germ(b.space, h, e, threshold=F(5))
         assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
-        probes = calls["line_image"]
+        probes = calls["_line_image"]
         # a second threshold call samples again, on the kept events and scan
         assert induced_germ(b.space, h, e, threshold=F(6)) == germ
         assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
-        assert calls["line_image"] == probes + 2
+        assert calls["_line_image"] == probes + 2
         assert overlap_ray(b.space, h, e) == F(0)
         assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
-        assert calls["line_image"] == probes + 2
+        assert calls["_line_image"] == probes + 2
 
     def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
         # four composite germs plus one per distinct letter, each word
@@ -1008,10 +1008,26 @@ def probe_outcome(probe, space, h, e, x):
         return ("raised", type(exc).__name__, str(exc))
 
 
+def int_probe(scale):
+    """``action._line_image`` on ``x``'s reduced pair scaled by ``scale``."""
+
+    def probe(space, h, e, x):
+        return action._line_image(space, h, e, scale * x.numerator, scale * x.denominator)
+
+    return probe
+
+
+INT_PROBES = [int_probe(scale) for scale in (1, 2, 3)]
+
+
 def assert_probes_match(space, h, e):
+    """``line_image`` and the integer entry, on reduced pairs and on pairs
+    scaled by 2 and 3, give the oracle's value or raise its error."""
     for x in probe_points(space, h, e):
-        got = probe_outcome(line_image, space, h, e, x)
-        assert got == probe_outcome(oracle_line_image, space, h, e, x), (e.branch, x, got)
+        want = probe_outcome(oracle_line_image, space, h, e, x)
+        for probe in (line_image, *INT_PROBES):
+            got = probe_outcome(probe, space, h, e, x)
+            assert got == want, (e.branch, x, got)
 
 
 class TestLineImageOracle:
@@ -1058,6 +1074,8 @@ class TestLineImageOracle:
         for h, branch, x in cases:
             got = probe_outcome(line_image, L, h, Embedding(branch), x)
             assert got == probe_outcome(oracle_line_image, L, h, Embedding(branch), x)
+            for probe in INT_PROBES:
+                assert probe_outcome(probe, L, h, Embedding(branch), x) == got
             outcomes.append(got)
         assert outcomes[0] == (-1, 1)
         assert outcomes[1] == ("raised", "ActionError", "homeomorphism undefined on branch 'r'")
@@ -1092,6 +1110,70 @@ class TestLineImageBuildsNoFraction:
         assert any(y is None for y in images) and any(y is not None for y in images)
         F(1, 3)  # one construction shows the counter counts
         assert fraction_count[0] == before + 1
+
+    @staticmethod
+    def warm(b, h, e):
+        """Build the chart kernels and the kept ray events of ``h``, as an
+        earlier call would have; nothing else is kept."""
+        for pl in h.branch_pl.values():
+            pl(0), pl.preimage(0)
+        _ray_events(b.space, h, e)
+
+    def test_default_germ_miss(self, fraction_count):
+        b = bundle("e3")
+        e = root_embedding(b.space)
+        words = reduced_words(sorted(b.generators), 2)
+        homeos = [fresh(word_homeo(b.space, b.generators, w)) for w in words]
+        for h in homeos:
+            self.warm(b, h, e)
+        before = fraction_count[0]
+        germs = [induced_germ(b.space, h, e) for h in homeos]
+        assert fraction_count[0] == before
+        assert all(action._kept(b.space, h, e).germ is g for h, g in zip(homeos, germs))
+
+    def test_overlap_scan(self, fraction_count):
+        b = bundle("e2")
+        e = root_embedding(b.space)
+        words = reduced_words(sorted(b.generators), 2)
+        homeos = [fresh(word_homeo(b.space, b.generators, w)) for w in words]
+        for h in homeos:
+            self.warm(b, h, e)
+        before = fraction_count[0]
+        rays = [overlap_ray(b.space, h, e) for h in homeos]
+        assert fraction_count[0] == before
+        assert any(t is FULL_LINE for t in rays) and any(t is not FULL_LINE for t in rays)
+        # a threshold is the kept event object itself
+        for h, t in zip(homeos, rays):
+            assert t is FULL_LINE or any(t is ev for ev in _ray_events(b.space, h, e))
+
+    def test_explicit_threshold_germ(self, fraction_count):
+        b = bundle("e2")
+        h, e = fresh(b.generators["s"]), root_embedding(b.space)
+        self.warm(b, h, e)
+        overlap_ray(b.space, h, e)
+        thresholds = [F(5), F(10**6, 7)]
+        before = fraction_count[0]
+        germs = [induced_germ(b.space, h, e, threshold=t) for t in thresholds]
+        assert fraction_count[0] == before
+        assert germs[0] == germs[1] == induced_germ(b.space, fresh(h), e)
+
+    def test_witness_none(self, fraction_count):
+        # moves points below 0 only; the departures 1, 2, 3 are events above
+        # the cut 0, so every third of a gap and every event is probed
+        L = LeafSpace.build(
+            Side.NEGATIVE,
+            {"r": (None, None), "a": ("r", 1), "b": ("r", 2), "c": ("r", 3)},
+        )
+        bend = PLMap.make([(-2, -2), (-1, F(-3, 2)), (0, 0)], 1, 1)
+        h, e = Homeo({b: b for b in L.branches}, {b: bend for b in L.branches}), Embedding("a")
+        assert validate_homeo(L, h) is None
+        cuts = [F(0), F(1, 2), F(3)]
+        for cut in cuts:
+            moved_point_witness(L, h, e, cut)  # builds the kept events and kernels
+        before = fraction_count[0]
+        assert [moved_point_witness(L, h, e, cut) for cut in cuts] == [None] * 3
+        assert fraction_count[0] == before
+        assert moved_point_witness(L, h, e, F(-3)) == F(-5, 3)  # the map fixes x <= -2
 
 
 class TestChartMapsStayOnInts:

@@ -66,6 +66,22 @@ class TestEval:
         f = PLMap.make([(0, 0), (2, 1)], 1, 1)
         assert f(1) == F(1, 2)
 
+    @pytest.mark.parametrize(
+        "bps, vals",
+        [((F(0), F(0)), (F(0), F(0))), ((F(0), F(0)), (F(0), F(1))), ((F(1), F(0)), (F(0), F(1)))],
+    )
+    def test_raw_map_with_unordered_breakpoints_raises_check_message(self, bps, vals):
+        """A repeated or decreasing breakpoint leaves a piece of zero or
+        negative width, which has no kernel triple: every evaluation raises
+        ``check``'s message, and no kernel is kept."""
+        bad = PLMap(bps, vals, F(1), F(1), F(0))
+        message = check(bad)
+        assert message.startswith("breakpoints not strictly increasing at")
+        for evaluate in (bad, bad.preimage, bad, lambda x: bad._eval(x, 1)):
+            with pytest.raises(InvalidMapError, match=f"^{message}$"):
+                evaluate(1)
+        assert bad._kernel is None
+
 
 class TestCompose:
     def test_translations(self):

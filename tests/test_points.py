@@ -9,6 +9,7 @@ the bundled examples.  A counter on ``Fraction.__new__`` pins that the
 integer route builds no ``Fraction``.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -41,7 +42,7 @@ from germkit.fuzz import CaseGen
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
 from germkit.plmap import PLMap, _frac, agree_on_ray, check
 from germkit.rationals import format_rational
-from germkit.suites import SuiteConfig, _action_law_samples
+from germkit.suites import SuiteConfig, _action_law_samples, _plain_samples
 
 
 # -- the Fraction-era bodies --------------------------------------------------
@@ -325,6 +326,70 @@ class TestApplyPairs:
                 errors += 1
             assert outcome(_apply_pairs, space, h, pairs) == want
         assert errors
+
+
+def oracle_plain_samples(space, ball, want):
+    """``suites._plain_samples`` as it selected before it moved candidates in
+    chunks: one candidate at a time, through every ball homeo by
+    ``apply_homeo`` until one lands on the orbit.  Returns the samples and
+    the ``(homeo index, point)`` of every move made."""
+    base = space.base
+    homeos = [space.word_homeo(w) for w in reduced_words(sorted(space.generators), ball)]
+    top = max((dep for b in base.branches if (dep := base.departure(b)) is not None), default=F(0))
+    candidates = []
+    for off in (F(n, 7) for n in range(1, 4 * want, 2)):
+        candidates.append(Point(base.root, top + off))
+        for name in sorted(base.branches):
+            dep = base.departure(name)
+            candidates.append(Point(name, (dep if dep is not None else F(0)) - off))
+    out, seen, moves = [], set(), []
+    for cand in candidates:
+        point = base.canonical(cand)
+        if point in seen or point in space.orbit:
+            continue
+        seen.add(point)
+        hit = False
+        for i, h in enumerate(homeos):
+            moves.append((i, point))
+            if apply_homeo(base, h, point) in space.orbit:
+                hit = True
+                break
+        if hit:
+            continue
+        out.append(BlownPoint(point))
+        if len(out) >= want:
+            break
+    return out, moves
+
+
+class TestPlainSamples:
+    """``_plain_samples`` moves each chunk of candidates by one homeo at a
+    time and selects what the one-at-a-time loop selected, moving the same
+    candidates by the same homeos."""
+
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault", "e3-phi-fault"])
+    @pytest.mark.parametrize("want", [SuiteConfig.plain_samples, 5])
+    def test_matches_the_one_at_a_time_loop(self, monkeypatch, name, want):
+        import germkit.suites as suites
+
+        space, ball = bundle(name).blowup, SuiteConfig.word_ball
+        want_samples, want_moves = oracle_plain_samples(space, ball, want)
+        homeos = [space.word_homeo(w) for w in reduced_words(sorted(space.generators), ball)]
+        index = {id(h): i for i, h in enumerate(homeos)}
+        moves = []
+
+        def counted(base, h, pairs):
+            pairs = list(pairs)
+            moves.extend((index[id(h)], Point._of(*p)) for p in pairs)
+            return _apply_pairs(base, h, pairs)
+
+        monkeypatch.setattr(suites, "_apply_pairs", counted)
+        samples = _plain_samples(space, ball, want)
+        assert samples == want_samples and len(samples) == want
+        assert sorted(moves, key=repr) == sorted(want_moves, key=repr)
+        if want == SuiteConfig.plain_samples:  # at 5, no candidate hits the orbit
+            per_point = Counter(p for _, p in want_moves)
+            assert min(per_point.values()) < len(homeos)
 
 
 class LeakyTwist(StabilizerData):

@@ -12,8 +12,10 @@ read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
 ``_breaks``) and splice maps with ``plmap._splice``.  Only ``action.py`` names
 ``Homeo._rays``, the ray data a homeo keeps: other modules read it through
 ``_ray_events``, ``overlap_ray`` and ``induced_germ``.  Only ``leafspace.py`` names
-``Embedding.point_at``: every probe of a homeo along an embedded line goes
-through ``action.line_image``.  Only ``blowup.py`` names
+``Embedding.point_at``, and only ``action.py`` names ``_line_image``: every
+probe of a homeo along an embedded line goes through ``action.line_image``,
+or through ``action._germ_at`` for an induced germ's two samples, and both
+run on the integer entry ``_line_image``.  Only ``blowup.py`` names
 ``StabilizerData.twist``: a word's move of an orbit point is computed in
 one place, the kernel ``_move_keys``, which keeps it.  Only ``blowup.py``
 names the kernel, the space's orbit key index and the methods that turn a
@@ -75,6 +77,10 @@ def uses_outside(owner: str, names: set[str]) -> list[str]:
 
 def test_only_leafspace_names_point_at():
     assert uses_outside("leafspace.py", {"point_at"}) == []
+
+
+def test_only_action_names_the_integer_probe():
+    assert uses_outside("action.py", {"_line_image"}) == []
 
 
 def test_only_blowup_names_twist():
