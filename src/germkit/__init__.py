@@ -45,7 +45,7 @@ from .leafspace import (
     Side,
     root_embedding,
 )
-from .plmap import InvalidMapError, PLMap, agree_on_ray, normalize
+from .plmap import InvalidMapError, PLMap, agree_on_ray
 
 __all__ = [
     "BlownPoint",
@@ -74,7 +74,6 @@ __all__ = [
     "injectivity_certificate",
     "invert_homeo",
     "moved_point_witness",
-    "normalize",
     "overlap_ray",
     "positive_ray_orbit_search",
     "reduced_words",

@@ -59,14 +59,9 @@ class Germ:
 
     @classmethod
     def of(cls, f: PLMap) -> "Germ":
-        """Germ of a canonical map: its affine tail, read off the map's
-        integer record, so no ``Fraction`` is built.  A raw map with a
-        nonpositive right slope raises ``ValueError``, as ``Germ(...)``
-        does."""
-        sn, sd, on, od = f._tail()
-        if sn <= 0:
-            raise ValueError("germ slope must be positive")
-        return cls._of(sn, sd, on, od)
+        """Germ of a map: its affine tail, read off the map's integer record,
+        so no ``Fraction`` is built."""
+        return cls._of(*f._tail())
 
     @classmethod
     def identity(cls) -> "Germ":

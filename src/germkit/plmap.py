@@ -18,17 +18,16 @@ is the inverse, following the usual convention for transformation groups.
 A map holds its data as one integer record: a ``(xn, xd, yn, yd)`` tuple
 for each breakpoint ``xn/xd -> yn/yd``, and the pairs of the left slope,
 the right slope and the tail offset, every pair reduced with a positive
-denominator.  Every map that :meth:`PLMap.make`, ``*``, ``~``,
-:func:`reflect`, :func:`normalize`, :meth:`PLMap.affine` or
-:meth:`PLMap.identity` returns is built from such a record, by
-:func:`_canonical`, by ``*`` itself or, for an affine map, directly, and its
-``Fraction`` fields ``breakpoints``, ``values``, ``left_slope``,
-``right_slope`` and ``tail_offset`` are built on the first read of any of
-them and then kept.  The bare constructor ``PLMap(...)`` keeps raw fields
-as given, unchecked; such a raw instance converts its fields to a record
-the first time an integer reader needs one.  ``==`` compares two records,
-or the five fields when either map is raw, and ``hash`` and ``repr`` read
-the fields, so both agree with the ``Fraction`` values.
+denominator.  Every map is validated and canonical.  The constructor
+``PLMap(...)`` takes a canonical map's five fields and raises
+:class:`InvalidMapError` with :func:`check`'s message on any other data;
+:meth:`PLMap.make` canonicalizes.  Every map that ``make``, ``*``, ``~``,
+:func:`reflect`, :meth:`PLMap.affine` or :meth:`PLMap.identity` returns is
+built from such a record, by :func:`_canonical`, by ``*`` itself or, for an
+affine map, directly, and its ``Fraction`` fields ``breakpoints``,
+``values``, ``left_slope``, ``right_slope`` and ``tail_offset`` are built on
+the first read of any of them and then kept.  ``==`` and ``hash`` read the
+record, and ``repr`` the fields.
 
 Evaluation runs on Python ints.  A map holds an integer kernel, one flat
 tuple kept in a slot, which a composite gets from ``*`` and every other map
@@ -63,9 +62,9 @@ never canonicalized and never builds its kernel.  One canonicalizer,
 are positive and that breakpoints and values strictly increase, drops each
 point whose two slopes ``a/d`` and ``a'/d'`` agree (``a*d' == a'*d``), and
 reduces the value of each point it keeps with one ``gcd``.  :meth:`make`
-converts its input once and calls it, also for :func:`normalize`; ``~``,
-:func:`reflect` and :func:`_splice` call it on records.  :func:`check`,
-which ``action.validate_homeo`` runs on every chart map of a word's homeo,
+converts its input once and calls it; ``~``, :func:`reflect` and
+:func:`_splice` call it on records.  :func:`check`, which
+``action.validate_homeo`` runs on every chart map of a word's homeo,
 applies the rules of :func:`_scan` to a composite's record on its own, so
 the triple rule's output is still checked independently.  It and
 :func:`agree_on_ray` read the record or the kernel, and other modules read
@@ -133,31 +132,45 @@ def _field(name: str) -> property:
 class PLMap:
     """Increasing piecewise-linear bijection of the line.
 
-    Instances built through :meth:`make`, :meth:`affine` or :meth:`identity`
-    are validated and canonical, and hold the integer record of the module
-    docstring.  The bare constructor performs no checks and keeps its
-    fields as given; :func:`check` reports what is wrong with a raw
-    instance.
+    Every instance is validated and canonical, and holds the integer record
+    of the module docstring.
     """
 
     __slots__ = (
         "_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset",
-        "_raw", "_pairs", "_lsn", "_lsd", "_rsn", "_rsd", "_ton", "_tod", "_kernel",
+        "_pairs", "_lsn", "_lsd", "_rsn", "_rsd", "_ton", "_tod", "_kernel",
     )
 
     def __init__(
         self,
-        breakpoints: tuple[Fraction, ...],
-        values: tuple[Fraction, ...],
-        left_slope: Fraction,
-        right_slope: Fraction,
-        tail_offset: Fraction,
+        breakpoints: Iterable[RationalLike],
+        values: Iterable[RationalLike],
+        left_slope: RationalLike,
+        right_slope: RationalLike,
+        tail_offset: RationalLike | None,
     ):
-        self._breakpoints, self._values = breakpoints, values
-        self._left_slope, self._right_slope = left_slope, right_slope
-        self._tail_offset = tail_offset
-        self._raw = True
-        self._pairs = self._kernel = None
+        """The map with these fields, which must be canonical.
+
+        Each field is read with :func:`_frac`, as :meth:`make` reads its
+        arguments.  Data that break a rule of :func:`check`, or are not
+        canonical, raise :class:`InvalidMapError` with its message; nothing
+        is canonicalized.  Breakpoints and values are paired in order, and
+        breakpoints with no values give no offset to an affine map.
+        """
+        bps, vals = tuple(map(_frac, breakpoints)), tuple(map(_frac, values))
+        ls, rs = _frac(left_slope), _frac(right_slope)
+        b = None if tail_offset is None else _frac(tail_offset)
+        offset = None if b is None else (b.numerator, b.denominator)
+        pairs = tuple(_int_points(zip(bps, vals)))
+        lsn, lsd, rsn, rsd = ls.numerator, ls.denominator, rs.numerator, rs.denominator
+        problem = _problem(pairs, lsn, lsd, rsn, rsd, None if bps and not vals else offset)
+        if problem is None and len(bps) != len(vals):
+            problem = "map is not in canonical form"
+        if problem is not None:
+            raise InvalidMapError(problem)
+        self._pairs, self._kernel = pairs, None
+        self._lsn, self._lsd, self._rsn, self._rsd = lsn, lsd, rsn, rsd
+        self._ton, self._tod = offset
 
     breakpoints = _field("breakpoints")
     values = _field("values")
@@ -174,7 +187,7 @@ class PLMap:
         """The map with this integer record, which must be reduced and
         canonical; no check is made and no ``Fraction`` is built."""
         f = object.__new__(cls)
-        f._raw, f._pairs, f._kernel = False, pairs, None
+        f._pairs, f._kernel = pairs, None
         f._lsn, f._lsd, f._rsn, f._rsd, f._ton, f._tod = lsn, lsd, rsn, rsd, ton, tod
         return f
 
@@ -187,17 +200,7 @@ class PLMap:
         self._tail_offset = Fraction(self._ton, self._tod)
 
     def _record(self) -> Record:
-        """The integer record ``(pairs, lsn, lsd, rsn, rsd, ton, tod)``.  A
-        raw instance converts its fields with :func:`_frac` on the first
-        call, unchecked, and keeps the result."""
-        if self._pairs is None:
-            ls, rs = _frac(self._left_slope), _frac(self._right_slope)
-            b = _frac(self._tail_offset)
-            self._lsn, self._lsd, self._rsn, self._rsd = (
-                ls.numerator, ls.denominator, rs.numerator, rs.denominator
-            )
-            self._ton, self._tod = b.numerator, b.denominator
-            self._pairs = tuple(_int_points(zip(self._breakpoints, self._values)))
+        """The integer record ``(pairs, lsn, lsd, rsn, rsd, ton, tod)``."""
         return self._pairs, self._lsn, self._lsd, self._rsn, self._rsd, self._ton, self._tod
 
     def _tail(self) -> tuple[int, int, int, int]:
@@ -249,13 +252,8 @@ class PLMap:
 
     def _build_kernel(self) -> tuple[int, ...]:
         """Build, store and return the integer kernel (see the module
-        docstring).  A raw instance whose breakpoints do not strictly
-        increase raises :class:`InvalidMapError` with :func:`check`'s message."""
+        docstring)."""
         marks, lsn, lsd, rsn, rsd, ton, tod = self._record()
-        if self._raw and any(
-            p1 * q0 <= p0 * q1 for (p0, q0, _, _), (p1, q1, _, _) in zip(marks, marks[1:])
-        ):
-            raise InvalidMapError(check(self))
         # Each piece as its slope an/ad and one point p/q -> r/s of its line.
         pieces = [(lsn, lsd, *marks[0])] if marks else []
         for (p0, q0, r0, s0), (p1, q1, r1, s1) in zip(marks, marks[1:]):
@@ -327,15 +325,10 @@ class PLMap:
         kernel is the one :meth:`_build_kernel` would build from it;
         :func:`check` still applies :func:`_scan`'s rules to that record on
         its own.  The rule needs continuous operands with positive slopes,
-        which canonical maps are; a raw operand is first put through
-        :func:`normalize`, so one that is no map, for instance one with a
-        slope ``<= 0``, raises :class:`InvalidMapError` as :meth:`make`
-        would.
+        which every map is.
         """
         if not isinstance(other, PLMap):
             return NotImplemented
-        if self._raw or other._raw:
-            return normalize(self) * normalize(other)
         f = self._kernel or self._build_kernel()
         g = other._kernel or other._build_kernel()
         nf, ng = 2 * len(self._pairs), 2 * len(other._pairs)
@@ -401,19 +394,13 @@ class PLMap:
 
     # -- structure ---------------------------------------------------------
 
-    def _fields(self) -> tuple:
-        return self.breakpoints, self.values, self.left_slope, self.right_slope, self.tail_offset
-
     def __eq__(self, other: object) -> bool:
-        """Equal records, or equal fields when either map is raw."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._raw or other._raw:
-            return self._fields() == other._fields()
         return self._record() == other._record()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._record())
 
     def __repr__(self) -> str:
         pts = ", ".join(
@@ -433,7 +420,7 @@ def _scan(
     offset: object,
 ) -> tuple[list[tuple[int, int, int, int]], tuple[int, int] | None]:
     """The rules of canonical form, on integer points; shared by
-    :func:`_canonical` and :func:`check`.
+    :func:`_canonical` and :func:`_problem`.
 
     Each point ``(xn, xd, yn, yd)`` is ``xn/xd -> yn/yd`` and the tail
     slopes are ``lsn/lsd`` and ``rsn/rsd``, all with positive, not
@@ -517,21 +504,6 @@ def _canonical(
     return PLMap._of(tuple(pairs), lsn // c, lsd // c, rsn // e, rsd // e, ton // t, tod // t)
 
 
-def normalize(f: PLMap) -> PLMap:
-    """Return the canonical form of a structurally well-formed map.
-
-    Rejects non-monotone data and non-positive slopes; on canonical input
-    this is the identity, so it is idempotent.  Reads ``f``'s fields, and
-    leaves those of the result unbuilt.
-    """
-    if not f.breakpoints:
-        return PLMap.make((), f.left_slope, f.right_slope, offset=f.tail_offset)
-    g = PLMap.make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope)
-    if f.tail_offset != Fraction(g._ton, g._tod):
-        raise InvalidMapError("stored tail offset inconsistent with breakpoint data")
-    return g
-
-
 def reflect(f: PLMap) -> PLMap:
     """``x -> -f(-x)``: ``f`` read in the reversed coordinate ``-x``."""
     pairs, lsn, lsd, rsn, rsd, ton, tod = f._record()
@@ -559,56 +531,35 @@ def _splice(lower: PLMap, upper: PLMap, at: Fraction) -> PLMap:
     return _canonical(pts, lsn, lsd, rsn, rsd, None)
 
 
-def check(f: PLMap) -> str | None:
-    """Validate a raw instance; return a description of the first problem.
+def _problem(
+    pts: tuple[tuple[int, int, int, int], ...],
+    lsn: int, lsd: int, rsn: int, rsd: int,
+    offset: tuple[int, int] | None,
+) -> str | None:
+    """The first rule of canonical form that this record breaks, or ``None``.
 
-    Runs the rules of :func:`_scan` on ``f``'s integer record, or on a raw
-    instance's own numerators and denominators, and builds no map.  A map
-    with breakpoints must then store the tail offset its last point gives;
-    every map must store exactly the points the scan keeps, and a raw
-    instance must hold them in tuples and no field as a string, as
-    :meth:`PLMap.make` would store them.  Otherwise it is reported as not
-    canonical.  A field that is not a ``Fraction``, ``int`` or ``str``
-    raises ``TypeError`` when it is read, as in :meth:`PLMap.make`.  No
-    ``Fraction`` is built for a map with a record, nor for a canonical raw
-    instance whose fields are ``Fraction``s.
+    Runs :func:`_scan` on the points; the stored ``offset`` must then be the
+    tail offset the last point gives, and every point must be kept.
     """
-    inconsistent = "stored tail offset inconsistent with breakpoint data"
-    if not f._raw:
-        pts, lsn, lsd, rsn, rsd, ton, tod = f._record()
-        try:
-            kept, tail = _scan(pts, lsn, lsd, rsn, rsd, None if pts else (ton, tod))
-        except InvalidMapError as exc:
-            return str(exc)
-        if tail is not None and ton * tail[1] != tail[0] * tod:
-            return inconsistent
-        return None if len(kept) == len(pts) else "map is not in canonical form"
-    bps, vals = f.breakpoints, f.values
-    pts = _int_points(zip(bps, vals))
-    offset = None if bps else f.tail_offset
-    ls, rs = _frac(f.left_slope), _frac(f.right_slope)
     try:
-        kept, tail = _scan(pts, ls.numerator, ls.denominator, rs.numerator, rs.denominator, offset)
+        kept, tail = _scan(pts, lsn, lsd, rsn, rsd, offset)
     except InvalidMapError as exc:
         return str(exc)
-    # Compare as ``stored == Fraction(*tail)`` would, building no Fraction
-    # for a stored int or Fraction.
-    stored = f.tail_offset
-    if tail is None:
-        _frac(stored)  # a float raises TypeError here, as in make
-    elif isinstance(stored, (Fraction, int)):
-        if stored.numerator * tail[1] != tail[0] * stored.denominator:
-            return inconsistent
-    elif stored != Fraction(*tail):
-        return inconsistent
-    if (
-        not isinstance(bps, tuple)
-        or not isinstance(vals, tuple)
-        or not len(kept) == len(bps) == len(vals)
-        or any(isinstance(v, str) for v in (*bps, *vals, f.left_slope, f.right_slope, stored))
-    ):
-        return "map is not in canonical form"
-    return None
+    if tail is not None and (offset is None or offset[0] * tail[1] != tail[0] * offset[1]):
+        return "stored tail offset inconsistent with breakpoint data"
+    return None if len(kept) == len(pts) else "map is not in canonical form"
+
+
+def check(f: PLMap) -> str | None:
+    """A description of the first problem with ``f``'s record, or ``None``.
+
+    Applies the constructor's rules to the record on their own, so they
+    re-check what ``*`` and :func:`_canonical` built; only a record given to
+    the unchecked :meth:`PLMap._of` can fail them.  Builds no map and no
+    ``Fraction`` unless a rule is broken.
+    """
+    pts, lsn, lsd, rsn, rsd, ton, tod = f._record()
+    return _problem(pts, lsn, lsd, rsn, rsd, (ton, tod))
 
 
 def _above(f: PLMap, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -626,8 +577,9 @@ def _above(f: PLMap, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def agree_on_ray(f: PLMap, g: PLMap, start: RationalLike) -> bool:
     """Exact test for ``f == g`` on the open ray ``(start, +oo)``.
 
-    Precondition: ``f`` and ``g`` are canonical (:func:`check` returns
-    ``None`` on each); on other maps the answer can be wrong.  In canonical
+    Precondition: ``f`` and ``g`` are canonical, as every map is unless it
+    was built with the private, unchecked :meth:`PLMap._of`; on other
+    records the answer can be wrong.  In canonical
     form every breakpoint is a change of slope, so two maps agree on the
     ray exactly when they have the same breakpoints above ``start`` and the
     same pieces from the one just above ``start`` on.  Both are read off

@@ -336,10 +336,10 @@ def blowup_spec_from_data(data: Any, path: str = "$") -> tuple[Point, Stabilizer
         word_from_text(_string(w, f"{path}.K_generators[{i}]"), f"{path}.K_generators[{i}]")
         for i, w in enumerate(k_gen_rows)
     )
-    phi_raw = _mapping(_get(obj, "phi", path), f"{path}.phi")
+    phi_data = _mapping(_get(obj, "phi", path), f"{path}.phi")
     phi = {
         _string(k, f"{path}.phi"): plmap_from_data(v, f"{path}.phi[{k!r}]")
-        for k, v in phi_raw.items()
+        for k, v in phi_data.items()
     }
     coset_table: dict[str, Word] = {}
     if "coset_table" in obj:

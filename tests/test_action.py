@@ -33,7 +33,7 @@ from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
-from test_plmap import oracle_agree_on_ray, oracle_check, raw
+from test_plmap import field_dict, oracle_agree_on_ray, oracle_check, record_of
 
 
 def line():
@@ -72,8 +72,8 @@ class TestValidate:
 
     def test_negative_slope_reports_orientation(self):
         L = line()
-        bad_pl = PLMap(breakpoints=(), values=(), left_slope=F(-1),
-                       right_slope=F(-1), tail_offset=F(0))
+        bad_pl = record_of(breakpoints=(), values=(), left_slope=F(-1),
+                           right_slope=F(-1), tail_offset=F(0))
         h = Homeo({"r": "r"}, {"r": bad_pl})
         report = validate_homeo(L, h)
         assert report is not None and "orientation" in report
@@ -129,7 +129,7 @@ def oracle_validate_homeo(space, h):
     if set(targets) != names or len(set(targets)) != len(targets):
         return "branch_map is not a bijection of the branches"
     for b in sorted(names):
-        problem = oracle_check(h.branch_pl[b])
+        problem = oracle_check(**field_dict(h.branch_pl[b]))
         if problem is not None:
             return f"orientation: branch {b!r} chart map invalid ({problem})"
     sign, shared = (-1, "below") if space.side is Side.POSITIVE else (1, "above")
@@ -156,10 +156,10 @@ def oracle_validate_homeo(space, h):
 
 def perturbed(space, h):
     """``h`` and copies of it with one flaw each: one chart map changed above
-    or below a point at, above or below its departure, shifted, stored as
-    lists, with an extra collinear breakpoint or with a wrong tail; every
-    chart map shifted; two branch images swapped or made equal; or one
-    branch left out."""
+    or below a point at, above or below its departure, shifted, or given an
+    unchecked record with an extra collinear breakpoint or with a wrong
+    tail; every chart map shifted; two branch images swapped or made equal;
+    or one branch left out."""
     yield h
     shift = PLMap.affine(1, 1)
     yield Homeo(h.branch_map, {b: shift * pl for b, pl in h.branch_pl.items()})
@@ -170,10 +170,10 @@ def perturbed(space, h):
         charts = [shift * pl]
         for t in (dep - 1, dep, dep + F(1, 2)):
             charts += [pl * PLMap.make([(t, t)], 1, 2), pl * PLMap.make([(t, t)], 2, 1)]
-        charts.append(raw(pl, breakpoints=list(pl.breakpoints), values=list(pl.values)))
         x = (pl.breakpoints[-1] if pl.breakpoints else F(0)) + 1
-        charts.append(raw(pl, breakpoints=(*pl.breakpoints, x), values=(*pl.values, pl(x))))
-        charts.append(raw(pl, tail_offset=pl.tail_offset + 1))
+        charts.append(record_of(**field_dict(pl, breakpoints=(*pl.breakpoints, x),
+                                             values=(*pl.values, pl(x)))))
+        charts.append(record_of(**field_dict(pl, tail_offset=pl.tail_offset + 1)))
         for chart in charts:
             yield Homeo(h.branch_map, {**h.branch_pl, b: chart})
         yield Homeo({k: v for k, v in h.branch_map.items() if k != b}, h.branch_pl)
@@ -221,7 +221,8 @@ class TestValidateAgainstFractionBody:
         b = bundle("e3")
         f = b.generators["f"]
         assert validate_homeo(b.space, f) is None and len(calls) == 2
-        bad = raw(f.branch_pl["b2"], tail_offset=f.branch_pl["b2"].tail_offset + 1)
+        b2 = f.branch_pl["b2"]
+        bad = record_of(**field_dict(b2, tail_offset=b2.tail_offset + 1))
         report = validate_homeo(b.space, Homeo(f.branch_map, {**f.branch_pl, "b2": bad}))
         assert report.startswith("orientation: branch 'b2'")
         assert len(calls) == 2
@@ -727,10 +728,10 @@ class TestKeptRayData:
 
     @staticmethod
     def reflecting():
-        # a raw chart map x -> -x: the upper ray of the child's line lands
+        # an unchecked chart map x -> -x: the upper ray of the child's line lands
         # on the root below 0, off that line, and never comes back
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "b": ("r", F(0))})
-        flip = PLMap((), (), F(-1), F(-1), F(0))
+        flip = record_of((), (), F(-1), F(-1), F(0))
         return L, Homeo({"r": "r", "b": "b"}, {"r": flip, "b": flip}), Embedding("b")
 
     def test_a_ray_that_never_returns_raises_on_every_call(self):

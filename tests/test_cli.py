@@ -19,6 +19,7 @@ from germkit.fuzz import CaseGen
 from germkit.leafspace import LeafSpace, Point, Side
 from germkit.plmap import PLMap, reflect
 from germkit.suites import SuiteConfig, SuiteError, resolve_targets
+from test_plmap import record_of
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -384,8 +385,8 @@ class TestPlumbing:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.FUZZ_SHA256[kind]
 
-    # The tail of this map from its one point gives offset 0.
-    WRONG_TAIL = PLMap((F(0),), (F(0),), F(1), F(2), F(1))
+    # The tail of this unchecked record from its one point gives offset 0.
+    WRONG_TAIL = record_of((F(0),), (F(0),), F(1), F(2), F(1))
     WRONG_TAIL_MESSAGE = "stored tail offset inconsistent with breakpoint data"
 
     def test_fuzz_rejects_a_map_draw_that_fails_check(self, runner, monkeypatch):

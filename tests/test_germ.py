@@ -8,7 +8,7 @@ from germkit.action import Word, _ray_events, induced_germ, invert_homeo, word_h
 from germkit.examples import bundle
 from germkit.germ import Germ, OrderSign, compare, eventual_comparison_bound
 from germkit.leafspace import root_embedding
-from germkit.plmap import PLMap
+from germkit.plmap import InvalidMapError, PLMap
 from germkit.rationals import format_rational
 
 STEP = PLMap.make([(0, 0)], 1, 2)
@@ -48,10 +48,10 @@ class TestDirectConstruction:
         assert u.slope == f.right_slope and u.offset == f.tail_offset
 
     @pytest.mark.parametrize("slope", [F(0), F(-2, 3)])
-    def test_of_rejects_a_raw_map_with_nonpositive_slope(self, slope):
-        raw = PLMap((), (), slope, slope, F(1))
-        with pytest.raises(ValueError, match="germ slope must be positive"):
-            Germ.of(raw)
+    def test_a_map_with_nonpositive_slope_is_rejected_at_construction(self, slope):
+        """So ``Germ.of`` never meets a nonpositive slope."""
+        with pytest.raises(InvalidMapError, match="^tail slopes must be positive$"):
+            PLMap((), (), slope, slope, 1)
 
     def test_identity(self):
         u = Germ.identity()

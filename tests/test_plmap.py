@@ -1,6 +1,6 @@
 from bisect import bisect_right
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -9,7 +9,7 @@ from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.plmap import (
-    InvalidMapError, PLMap, _canonical, _frac, agree_on_ray, check, normalize, reflect,
+    InvalidMapError, PLMap, _canonical, _frac, agree_on_ray, check, reflect,
 )
 from germkit.rationals import format_rational
 
@@ -22,11 +22,27 @@ DOUBLE = PLMap.affine(2, 0)
 FIELDS = ("breakpoints", "values", "left_slope", "right_slope", "tail_offset")
 
 
-def raw(f, **changes):
-    """The raw instance ``PLMap(...)`` with ``f``'s fields, those named in
-    ``changes`` replaced; the bare constructor keeps them as given."""
+def field_dict(f, **changes):
+    """``f``'s five fields as the constructor's keyword arguments, those
+    named in ``changes`` replaced."""
     assert set(changes) <= set(FIELDS), changes
-    return PLMap(**{name: changes.get(name, getattr(f, name)) for name in FIELDS})
+    return {name: changes.get(name, getattr(f, name)) for name in FIELDS}
+
+
+def record_of(breakpoints, values, left_slope, right_slope, tail_offset):
+    """The map whose record holds these fields, each read with ``_frac``,
+    unchecked, as ``_canonical`` would store them were they canonical: the
+    one way a test builds a map that breaks a rule."""
+    ls, rs, b = _frac(left_slope), _frac(right_slope), _frac(tail_offset)
+    pairs = tuple((x.numerator, x.denominator, y.numerator, y.denominator)
+                  for x, y in zip(map(_frac, breakpoints), map(_frac, values)))
+    return PLMap._of(pairs, ls.numerator, ls.denominator, rs.numerator, rs.denominator,
+                     b.numerator, b.denominator)
+
+
+# Values that fall at 1: no map.
+GARBAGE = dict(breakpoints=(F(0), F(1)), values=(F(0), F(-1)),
+               left_slope=F(1), right_slope=F(1), tail_offset=F(-2))
 
 
 def grid(lo=-6, hi=6):
@@ -72,15 +88,12 @@ class TestEval:
     )
     def test_raw_map_with_unordered_breakpoints_raises_check_message(self, bps, vals):
         """A repeated or decreasing breakpoint leaves a piece of zero or
-        negative width, which has no kernel triple: every evaluation raises
-        ``check``'s message, and no kernel is kept."""
-        bad = PLMap(bps, vals, F(1), F(1), F(0))
-        message = check(bad)
+        negative width, which has no kernel triple: such data raise
+        ``check``'s message at construction, so no map holds them."""
+        message = check(record_of(bps, vals, F(1), F(1), F(0)))
         assert message.startswith("breakpoints not strictly increasing at")
-        for evaluate in (bad, bad.preimage, bad, lambda x: bad._eval(x, 1)):
-            with pytest.raises(InvalidMapError, match=f"^{message}$"):
-                evaluate(1)
-        assert bad._kernel is None
+        with pytest.raises(InvalidMapError, match=f"^{message}$"):
+            PLMap(bps, vals, F(1), F(1), F(0))
 
 
 class TestCompose:
@@ -128,13 +141,16 @@ class TestInvert:
 
 class TestNormalize:
     def test_spurious_breakpoint_removed(self):
-        raw = PLMap(breakpoints=(F(1),), values=(F(1),), left_slope=F(1),
-                    right_slope=F(1), tail_offset=F(0))
-        assert normalize(raw) == PLMap.identity()
+        """``make`` drops it; the constructor, which canonicalizes nothing,
+        rejects it."""
+        assert PLMap.make([(1, 1)], 1, 1) == PLMap.identity()
+        with pytest.raises(InvalidMapError, match="^map is not in canonical form$"):
+            PLMap(breakpoints=(F(1),), values=(F(1),), left_slope=F(1),
+                  right_slope=F(1), tail_offset=F(0))
 
     def test_canonical_unchanged(self):
-        assert normalize(STEP) == STEP
-        assert normalize(normalize(STEP)) == STEP
+        assert PLMap(**field_dict(STEP)) == STEP
+        assert PLMap.make(zip(STEP.breakpoints, STEP.values), 1, 2) == STEP
 
     def test_collinear_pieces_merged(self):
         f = PLMap.make([(0, 0), (1, 2), (2, 4)], 1, 3)
@@ -154,16 +170,17 @@ class TestNormalize:
             PLMap.affine(0, 3)
 
     def test_inverse_of_a_raw_map_runs_the_rules(self):
-        """``~`` canonicalizes a raw map's record, so a malformed tail raises."""
+        """``~`` canonicalizes an unchecked record, so a malformed tail raises."""
         with pytest.raises(InvalidMapError, match="tail slopes must be positive"):
-            ~raw(STEP, left_slope=F(0))
+            ~record_of(**field_dict(STEP, left_slope=F(0)))
         with pytest.raises(InvalidMapError, match="must have equal tail slopes"):
-            ~raw(PLMap.affine(2, 1), left_slope=F(1))
+            ~record_of(**field_dict(PLMap.affine(2, 1), left_slope=F(1)))
 
     def test_check_flags_raw_garbage(self):
-        bad = PLMap(breakpoints=(F(0), F(1)), values=(F(0), F(-1)),
-                    left_slope=F(1), right_slope=F(1), tail_offset=F(-2))
-        assert check(bad) is not None
+        message = "values not strictly increasing at 1"
+        with pytest.raises(InvalidMapError, match=f"^{message}$"):
+            PLMap(**GARBAGE)
+        assert check(record_of(**GARBAGE)) == message
         assert check(STEP) is None
 
 
@@ -206,12 +223,22 @@ class TestAgreeOnRay:
 
 # -- randomized properties ---------------------------------------------------
 
-small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-slopes = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+@st.composite
+def rationals(draw, lo, hi, max_den):
+    """The values of ``st.fractions(min_value=lo, max_value=hi,
+    max_denominator=max_den)``, every rational in ``[lo, hi]`` with
+    denominator at most ``max_den``, drawn at integer cost: a denominator
+    ``d``, then a numerator in ``[ceil(lo*d), floor(hi*d)]``."""
+    d = draw(st.integers(min_value=1, max_value=max_den))
+    return F(draw(st.integers(min_value=ceil(lo * d), max_value=floor(hi * d))), d)
+
+
+small_fractions = rationals(-20, 20, 12)
+slopes = rationals(F(1, 8), 8, 8)
 # Denominators up to 2**64, so that products in the integer routes exceed
 # machine words.
-large_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=2**64)
-large_slopes = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=2**64)
+large_fractions = rationals(-20, 20, 2**64)
+large_slopes = rationals(F(1, 8), 8, 2**64)
 
 
 @st.composite
@@ -259,12 +286,6 @@ def test_reflect_pointwise(f, x):
 def test_reflect_swaps_the_tails():
     assert reflect(STEP) == PLMap.make([(0, 0)], 2, 1)
     assert reflect(SHIFT) == PLMap.affine(1, -1)
-
-
-@given(plmaps())
-def test_normalize_idempotent(f):
-    assert normalize(f) == f
-    assert check(f) is None
 
 
 @given(plmaps(), st.integers(min_value=0, max_value=50))
@@ -461,42 +482,32 @@ def test_a_composite_never_canonicalizes_nor_rebuilds_its_kernel(monkeypatch):
 
 
 def test_a_composite_piece_of_slope_at_most_zero_raises():
-    """Only a raw operand can give one; it is rejected as ``make`` rejects
-    its data, and the point route rejects the composite too."""
+    """Only an operand that is no map could give one: its data raise at
+    construction, as ``make`` rejects them, and the point route rejects the
+    composite of its unchecked record too."""
     f = PLMap.make([(0, 0), (1, 2)], 1, 1)
-    falling = raw(f, values=(F(0), F(-1)), tail_offset=F(-2))
-    flat_tail = raw(f, left_slope=F(0))
-    for a, b in [(falling, SHIFT), (SHIFT, falling), (flat_tail, SHIFT), (SHIFT, flat_tail)]:
-        with pytest.raises(InvalidMapError):
-            point_compose(a, b)
-        with pytest.raises(InvalidMapError):
-            a * b
-    with pytest.raises(InvalidMapError, match="values not strictly increasing at 1"):
-        falling * SHIFT
-    with pytest.raises(InvalidMapError, match="tail slopes must be positive"):
-        KINK * flat_tail
+    falling = field_dict(f, values=(F(0), F(-1)), tail_offset=F(-2))
+    flat_tail = field_dict(f, left_slope=F(0))
+    for bad, message in [(falling, "values not strictly increasing at 1"),
+                         (flat_tail, "tail slopes must be positive")]:
+        with pytest.raises(InvalidMapError, match=f"^{message}$"):
+            PLMap(**bad)
+        for a, b in [(record_of(**bad), SHIFT), (SHIFT, record_of(**bad))]:
+            with pytest.raises(InvalidMapError):
+                point_compose(a, b)
 
 
 def test_a_raw_operand_that_breaks_continuity_raises():
-    """Pieces multiply only on continuous operands: a raw map whose stored
-    tail offset does not meet its last point, or an affine one with two
-    slopes, is rejected as ``check`` reports it."""
-    jumps = raw(STEP, tail_offset=F(5))
-    bent = raw(PLMap.affine(2, 1), left_slope=F(1))
-    for bad, message in [(jumps, "stored tail offset inconsistent"),
-                         (bent, "must have equal tail slopes")]:
-        assert message in check(bad)
-        for a, b in [(bad, KINK), (KINK, bad), (bad, bad)]:
-            with pytest.raises(InvalidMapError, match=message):
-                a * b
-
-
-def test_a_raw_operand_that_is_not_canonical_composes_to_the_canonical_map():
-    collinear = raw(KINK, breakpoints=(F(-2), *KINK.breakpoints),
-                    values=(F(1, 6), *KINK.values))
-    assert check(collinear) == "map is not in canonical form"
-    assert_composes_by_pieces(collinear, PLMap.identity())
-    assert collinear * PLMap.identity() == KINK
+    """Pieces multiply only on continuous operands: data whose stored tail
+    offset does not meet the last point, or an affine map with two slopes,
+    raise at construction with the message ``check`` gives on their record."""
+    jumps = field_dict(STEP, tail_offset=F(5))
+    bent = field_dict(PLMap.affine(2, 1), left_slope=F(1))
+    for bad, message in [(jumps, "stored tail offset inconsistent with breakpoint data"),
+                         (bent, "map without breakpoints must have equal tail slopes")]:
+        assert check(record_of(**bad)) == message
+        with pytest.raises(InvalidMapError, match=f"^{message}$"):
+            PLMap(**bad)
 
 
 # -- the integer canonicalizer against the Fraction one -----------------------
@@ -543,7 +554,7 @@ def test_make_drops_a_collinear_run():
     assert f == PLMap.make([(2, 4)], 2, 1)
 
 
-loose_slopes = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+loose_slopes = rationals(-2, 2, 6)
 
 
 @given(
@@ -588,8 +599,11 @@ def test_int_and_string_arguments():
 
 
 def test_rejected_raw_instance_builds_no_kernel():
-    bad = PLMap(breakpoints=(F(0), F(1)), values=(F(0), F(-1)),
-                left_slope=F(1), right_slope=F(1), tail_offset=F(-2))
+    """The constructor rejects the data; ``check`` rejects their unchecked
+    record and leaves it without a kernel."""
+    with pytest.raises(InvalidMapError):
+        PLMap(**GARBAGE)
+    bad = record_of(**GARBAGE)
     assert check(bad) is not None
     assert bad._kernel is None
 
@@ -597,33 +611,37 @@ def test_rejected_raw_instance_builds_no_kernel():
 # -- check and agree_on_ray on the integer kernel against the make route ------
 
 
-def oracle_normalize(f):
-    """``normalize`` as it was before the integer scan, with :func:`oracle_make`
-    behind ``make``'s conversions in place of ``make``, so that the rules it
-    applies are the ``Fraction`` ones; kept here only as an oracle."""
-
-    def make(points, left_slope, right_slope, offset=None):
-        pts = [(_frac(x), _frac(y)) for x, y in points]
-        return oracle_make(pts, _frac(left_slope), _frac(right_slope), offset)
-
-    if not f.breakpoints:
-        return make((), f.left_slope, f.right_slope, offset=f.tail_offset)
-    g = make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope)
-    if f.tail_offset != g.tail_offset:
-        raise InvalidMapError("stored tail offset inconsistent with breakpoint data")
-    return g
-
-
-def oracle_check(f):
-    """``check`` as it was before the integer scan: rebuild the map through
-    ``normalize`` (here :func:`oracle_normalize`) and compare the
-    dataclasses; kept here only as an oracle."""
+def oracle_check(breakpoints, values, left_slope, right_slope, tail_offset):
+    """What the constructor makes of these fields, by the ``Fraction``
+    rules: read each field as it does (``_frac``, ``tuple``), rebuild the
+    map with :func:`oracle_make` and compare the fields.  The message of the
+    first rule broken, or ``None`` when the fields are a canonical map; kept
+    here only as an oracle."""
+    bps, vals = tuple(map(_frac, breakpoints)), tuple(map(_frac, values))
+    ls, rs = _frac(left_slope), _frac(right_slope)
+    b = None if tail_offset is None else _frac(tail_offset)
     try:
-        g = oracle_normalize(f)
+        if not bps:
+            g = oracle_make((), ls, rs, offset=b)
+        else:
+            g = oracle_make(zip(bps, vals), ls, rs)
+            if b != g.tail_offset:
+                return "stored tail offset inconsistent with breakpoint data"
     except (InvalidMapError, ZeroDivisionError) as exc:
         return str(exc)
-    if g != f:
+    if (bps, vals, ls, rs, b) != (g.breakpoints, g.values, g.left_slope, g.right_slope,
+                                  g.tail_offset):
         return "map is not in canonical form"
+    return None
+
+
+def built(fields):
+    """``None`` when ``PLMap(**fields)`` builds a map, else the message of
+    the ``InvalidMapError`` it raises."""
+    try:
+        PLMap(**fields)
+    except InvalidMapError as exc:
+        return str(exc)
     return None
 
 
@@ -707,19 +725,20 @@ FLAWS = ("none", "order", "slope", "tail", "affine", "length", "list", "int", "f
 
 @st.composite
 def raw_plmaps(draw):
-    """Raw instances, most of them malformed: from point data with collinear
-    runs (stored unmerged) or from a canonical map, with up to two flaws:
-    non-increasing data, a loose tail slope, a wrong or missing tail offset,
-    no breakpoints, a length mismatch, list containers, int fields, a float
-    field or a string field."""
+    """Constructor fields, most of them malformed: from point data with
+    collinear runs (stored unmerged) or from a canonical map, with up to two
+    flaws: non-increasing data, a loose tail slope, a wrong or missing tail
+    offset, no breakpoints, a length mismatch, list containers, int fields,
+    a float field or a string field."""
     pts, ls, rs = draw(point_data())
     if draw(st.booleans()):
-        f = PLMap.make(pts, ls, rs)
+        f = field_dict(PLMap.make(pts, ls, rs))
     else:
         xs, ys = (tuple(c) for c in zip(*pts))
-        f = PLMap(xs, ys, ls, rs, ys[-1] - rs * xs[-1])
+        f = dict(breakpoints=xs, values=ys, left_slope=ls, right_slope=rs,
+                 tail_offset=ys[-1] - rs * xs[-1])
     for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=2)):
-        bps, vals = list(f.breakpoints), list(f.values)
+        bps, vals = list(f["breakpoints"]), list(f["values"])
         if flaw == "order" and min(len(bps), len(vals)) > 1:
             # after a "length" flaw the two lists differ in length
             at = draw(st.integers(min_value=1, max_value=min(len(bps), len(vals)) - 1))
@@ -727,30 +746,30 @@ def raw_plmaps(draw):
                 bps[at] = bps[at - 1]
             elif not isinstance(vals[at - 1], str):  # after a "str" flaw
                 vals[at] = vals[at - 1] - draw(st.sampled_from([0, 1]))
-            f = raw(f, breakpoints=tuple(bps), values=tuple(vals))
+            f = dict(f, breakpoints=tuple(bps), values=tuple(vals))
         elif flaw == "slope":
             side = draw(st.sampled_from(["left_slope", "right_slope"]))
-            f = raw(f, **{side: draw(loose_slopes)})
+            f = dict(f, **{side: draw(loose_slopes)})
         elif flaw == "tail":
-            f = raw(f, tail_offset=draw(st.none() | small_fractions))
+            f = dict(f, tail_offset=draw(st.none() | small_fractions))
         elif flaw == "affine":
-            f = raw(f, breakpoints=(), values=draw(st.sampled_from([(), tuple(vals)])))
+            f = dict(f, breakpoints=(), values=draw(st.sampled_from([(), tuple(vals)])))
         elif flaw == "length" and bps:
             if draw(st.booleans()):
-                f = raw(f, values=tuple(vals[:-1]))
+                f = dict(f, values=tuple(vals[:-1]))
             elif not isinstance(bps[-1], str):  # after a "str" flaw
-                f = raw(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
+                f = dict(f, breakpoints=tuple(bps) + (bps[-1] + 1,))
         elif flaw == "list":
-            f = raw(f, breakpoints=bps, values=vals)
+            f = dict(f, breakpoints=bps, values=vals)
         elif flaw == "int":
-            f = raw(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
-                    **{k: as_int(getattr(f, k)) for k in FIELDS[2:]})
+            f = dict(f, breakpoints=tuple(map(as_int, bps)), values=tuple(map(as_int, vals)),
+                     **{k: as_int(f[k]) for k in FIELDS[2:]})
         elif flaw in ("float", "str"):
             # a value that an earlier flaw made a string stays one:
-            # ``float("1/8")`` would fail in the strategy, not in ``check``
+            # ``float("1/8")`` would fail in the strategy, not in the constructor
             convert = float if flaw == "float" else format_rational
             name = draw(st.sampled_from(FIELDS))
-            value = getattr(f, name)
+            value = f[name]
             if name in FIELDS[:2]:
                 if not value:
                     continue
@@ -760,7 +779,7 @@ def raw_plmaps(draw):
                 value = (*value[:at], convert(value[at]), *value[at + 1:])
             elif value is not None and not isinstance(value, str):
                 value = convert(value)
-            f = raw(f, **{name: value})
+            f = dict(f, **{name: value})
     return f
 
 
@@ -769,68 +788,91 @@ _KINKED = PLMap.make([(F(0), F(0)), (F(1), F(2)), (F(2), F(3))], 1, 2)
 
 @given(raw_plmaps())
 # a "length" flaw, then an "order" flaw on the shorter values or the longer breakpoints
-@example(raw(_KINKED, values=(F(0), F(-1))))
-@example(raw(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
+@example(field_dict(_KINKED, values=(F(0), F(-1))))
+@example(field_dict(_KINKED, breakpoints=(F(0), F(1), F(2), F(2))))
 # a "str" flaw, then a "float" flaw that skips the string, on a scalar field
 # and on a breakpoint
-@example(raw(_KINKED, tail_offset="-1"))
-@example(raw(_KINKED, breakpoints=(F(0), "1", F(2))))
+@example(field_dict(_KINKED, tail_offset="-1"))
+@example(field_dict(_KINKED, breakpoints=(F(0), "1", F(2))))
 def test_check_matches_fraction_oracle(f):
-    """The same message, ``None``, or the same exception type and message."""
-    assert outcome(check, f) == outcome(oracle_check, f)
+    """The constructor raises the oracle's message, builds a map where the
+    oracle finds none, or raises the same exception type and message."""
+    assert outcome(built, f) == outcome(oracle_check, **f)
+
+
+# One row per outcome of the constructor: its fields and the message of the
+# InvalidMapError it raises, or None when it builds a map.  String, list
+# and int fields are read as make reads its arguments, so they build a map
+# where the data are otherwise canonical.
+_F = PLMap.make([(F(0), F(0)), (F(1), F(2))], 1, F(1, 2))  # tail offset 3/2
+_LINE = PLMap.affine(2, 1)
+_NO_OFFSET = "an affine map needs an explicit offset"
+_UNEQUAL = "map without breakpoints must have equal tail slopes"
+_STORED = "stored tail offset inconsistent with breakpoint data"
+_NONCANONICAL = "map is not in canonical form"
+OUTCOMES = [
+    (field_dict(_F), None),
+    (field_dict(_F, breakpoints=(F(0), F(0))), "breakpoints not strictly increasing at 0"),
+    (field_dict(_F, breakpoints=(F(1), F(0))), "breakpoints not strictly increasing at 0"),
+    (field_dict(_F, values=(F(0), F(0))), "values not strictly increasing at 1"),
+    (field_dict(_F, left_slope=F(0)), "tail slopes must be positive"),
+    (field_dict(_F, left_slope=F(-1)), "tail slopes must be positive"),
+    (field_dict(_F, values=()), _NO_OFFSET),
+    (field_dict(_F, breakpoints=(), values=(), tail_offset=None), _NO_OFFSET),
+    (field_dict(_F, breakpoints=(), values=()), _UNEQUAL),
+    (field_dict(_F, tail_offset=F(2)), _STORED),
+    (field_dict(_F, tail_offset=None), _STORED),
+    (field_dict(_F, values=(F(0),)), _STORED),
+    (field_dict(_F, right_slope=F(2), tail_offset=F(0)), _NONCANONICAL),  # collinear
+    (field_dict(KINK, breakpoints=(F(-2), *KINK.breakpoints),
+                values=(F(1, 6), *KINK.values)), _NONCANONICAL),  # collinear
+    (field_dict(_F, values=(F(0),), tail_offset=F(0)), _NONCANONICAL),
+    (field_dict(_F, tail_offset="3/2"), None),
+    (field_dict(_F, breakpoints=[F(0), F(1)]), None),
+    (field_dict(_F, left_slope="1"), None),
+    (field_dict(_F, breakpoints=(0, 1), values=(0, 2), left_slope=1), None),
+    (field_dict(_LINE, left_slope=1), _UNEQUAL),
+    (field_dict(_LINE, values=(F(0),)), _NONCANONICAL),
+    (field_dict(_LINE, tail_offset=1), None),
+]
+# A float in any field raises TypeError, as in make.
+FLOAT_FIELDS = [
+    field_dict(_F, values=(F(0), 2.0)),
+    field_dict(_F, right_slope=0.5),
+    field_dict(_F, tail_offset=1.5),
+    field_dict(_LINE, tail_offset=1.0),
+]
 
 
 def test_check_covers_every_outcome_of_the_oracle():
-    """One hand-made instance per message of the oracle, and its TypeError."""
-    f = PLMap.make([(F(0), F(0)), (F(1), F(2))], 1, F(1, 2))  # tail offset 3/2
-    line = PLMap.affine(2, 1)
-    no_offset = "an affine map needs an explicit offset"
-    unequal = "map without breakpoints must have equal tail slopes"
-    stored = "stored tail offset inconsistent with breakpoint data"
-    noncanonical = "map is not in canonical form"
-    cases = [
-        (f, None),
-        (raw(f, breakpoints=(F(0), F(0))), "breakpoints not strictly increasing at 0"),
-        (raw(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
-        (raw(f, left_slope=F(0)), "tail slopes must be positive"),
-        (raw(f, values=()), no_offset),
-        (raw(f, breakpoints=(), values=(), tail_offset=None), no_offset),
-        (raw(f, breakpoints=(), values=()), unequal),
-        (raw(f, tail_offset=F(2)), stored),
-        (raw(f, tail_offset="3/2"), stored),
-        (raw(f, values=(F(0),)), stored),
-        (raw(f, right_slope=F(2), tail_offset=F(0)), noncanonical),  # collinear
-        (raw(f, values=(F(0),), tail_offset=F(0)), noncanonical),
-        (raw(f, breakpoints=[F(0), F(1)]), noncanonical),
-        (raw(f, left_slope="1"), noncanonical),
-        (raw(f, breakpoints=(0, 1), values=(0, 2), left_slope=1), None),
-        (raw(f, tail_offset=1.5), None),
-        (raw(line, left_slope=1), unequal),
-        (raw(line, values=(F(0),)), noncanonical),
-        (raw(line, tail_offset=1), None),
-    ]
-    for g, expected in cases:
-        assert check(g) == oracle_check(g) == expected, g
-    floats = [
-        raw(f, values=(F(0), 2.0)),
-        raw(f, right_slope=0.5),
-        raw(line, tail_offset=1.0),
-    ]
-    for g in floats:
-        assert outcome(check, g) == outcome(oracle_check, g)
-        assert outcome(check, g)[0] is TypeError
+    """Each row of ``OUTCOMES``: the constructor raises its message or
+    builds the map ``make`` builds from the same data, and the oracle
+    agrees; each of ``FLOAT_FIELDS`` raises the oracle's ``TypeError``."""
+    for row, expected in OUTCOMES:
+        assert oracle_check(**row) == expected, row
+        if expected is None:
+            points = zip(row["breakpoints"], row["values"])
+            made = PLMap.make(points, row["left_slope"], row["right_slope"], row["tail_offset"])
+            assert PLMap(**row) == made, row
+        else:
+            with pytest.raises(InvalidMapError) as info:
+                PLMap(**row)
+            assert str(info.value) == expected, row
+    for row in FLOAT_FIELDS:
+        assert outcome(built, row) == outcome(oracle_check, **row)
+        assert outcome(built, row)[0] is TypeError
 
 
-# -- the integer record: every built map against its raw fields ---------------
+# -- the integer record: every built map against its fields -------------------
 
 
 def record_built(maps):
-    """The maps that ``make``, ``*``, ``~``, :func:`reflect`,
-    :func:`normalize`, ``affine`` and ``identity`` build from ``maps``
-    (each one freshly built, so no field of it has been read)."""
+    """The maps that ``make``, ``*``, ``~``, :func:`reflect`, the
+    constructor, ``affine`` and ``identity`` build from ``maps`` (each one
+    freshly built, so no field of it has been read)."""
     built = [PLMap.identity(), PLMap.affine(F(3, 2), F(-1, 3))]
     for f, g in zip(maps, maps[1:] + maps[:1]):
-        built += [f * g, ~f, reflect(f), normalize(f)]
+        built += [f * g, ~f, reflect(f), PLMap(**field_dict(f))]
         built.append(PLMap.make(zip(f.breakpoints, f.values), f.left_slope, f.right_slope,
                                 offset=f.tail_offset))
         built.append(PLMap.affine(f.right_slope, f.tail_offset))
@@ -845,17 +887,19 @@ def assert_reduced(f):
 
 
 def assert_record_contract(maps, fraction_count):
-    """Each map built from ``maps`` is ``==`` to the raw instance of its
-    ``Fraction`` fields, with its hash and repr; passes :func:`check`; keeps
-    a reduced record; composes as :func:`oracle_compose`; and ``*``,
-    ``Germ.of``, ``check`` and :func:`agree_on_ray` build no ``Fraction``
-    for it.  Its first field read builds the fields, once."""
+    """Each map built from ``maps`` is ``==`` to the map the constructor
+    builds from its ``Fraction`` fields, with its hash and repr; passes
+    :func:`check`; keeps a reduced record; composes as
+    :func:`oracle_compose`; and ``*``, ``hash``, ``Germ.of``, ``check`` and
+    :func:`agree_on_ray` build no ``Fraction`` for it.  Its first field read
+    builds the fields, once."""
     built = record_built(list(maps))
     pairs = list(zip(built, built[1:] + built[:1]))
     start = F(-3, 2)
     for f, g in pairs:
         before = fraction_count[0]
         h = f * g
+        assert hash(h) == hash(f * g) and hash(f) == hash(f._record())
         assert Germ.of(h) == Germ.of(f) * Germ.of(g)
         assert check(h) is None and check(f) is None
         assert agree_on_ray(h, f * g, start) and agree_on_ray(f, f, start)
@@ -869,7 +913,7 @@ def assert_record_contract(maps, fraction_count):
         assert all(a is b for a, b in zip(fields(f), values, strict=True))
         assert fraction_count[0] == before + len(values)
     for f, g in pairs:
-        copy = raw(f)
+        copy = PLMap(**field_dict(f))
         assert f == copy and copy == f and not f != copy
         assert hash(f) == hash(copy) and repr(f) == repr(copy)
         assert f * g == oracle_compose(f, g)
@@ -895,41 +939,35 @@ def test_drawn_maps_keep_the_record_contract(f, g, fraction_count):
     assert_record_contract([f, g], fraction_count)
 
 
-def record_of(f):
-    """The map whose record holds ``f``'s fields, unchecked, as
-    ``_canonical`` would store them were they canonical."""
-    ls, rs, b = map(F, (f.left_slope, f.right_slope, f.tail_offset))
-    pairs = tuple((F(x).numerator, F(x).denominator, F(y).numerator, F(y).denominator)
-                  for x, y in zip(f.breakpoints, f.values))
-    return PLMap._of(pairs, ls.numerator, ls.denominator, rs.numerator, rs.denominator,
-                     b.numerator, b.denominator)
+def has_record(row):
+    """Whether a record can hold these fields: it has one offset, as many
+    values as breakpoints, and no float."""
+    scalars = (row["left_slope"], row["right_slope"], row["tail_offset"])
+    return (row["tail_offset"] is not None
+            and len(row["breakpoints"]) == len(row["values"])
+            and not any(isinstance(v, float)
+                        for v in (*row["breakpoints"], *row["values"], *scalars)))
 
 
 def test_check_reads_every_rule_off_a_record():
-    """A record that breaks one rule: ``check`` names it, as on the raw
-    instance with the same fields."""
-    f = PLMap.make([(F(0), F(0)), (F(1), F(2))], 1, F(1, 2))  # tail offset 3/2
-    cases = [
-        (raw(f, tail_offset=F(2)), "stored tail offset inconsistent with breakpoint data"),
-        (raw(f, values=(F(0), F(0))), "values not strictly increasing at 1"),
-        (raw(f, breakpoints=(F(1), F(0))), "breakpoints not strictly increasing at 0"),
-        (raw(f, right_slope=F(2), tail_offset=F(0)), "map is not in canonical form"),
-        (raw(f, left_slope=F(-1)), "tail slopes must be positive"),
-        (raw(PLMap.affine(2, 1), left_slope=F(1)),
-         "map without breakpoints must have equal tail slopes"),
-    ]
-    for g, expected in cases:
-        assert check(record_of(g)) == check(g) == expected, g
+    """``check`` on the unchecked record of each row of ``OUTCOMES`` that
+    has one gives the row's message; a float in a record's fields raises
+    ``TypeError`` as in the constructor."""
+    rows = [(row, expected) for row, expected in OUTCOMES if has_record(row)]
+    # a record always holds an offset
+    messages = {expected for _, expected in OUTCOMES} - {_NO_OFFSET}
+    assert {expected for _, expected in rows} == messages
+    for row, expected in rows:
+        assert check(record_of(**row)) == expected, row
+    for row in FLOAT_FIELDS:
+        with pytest.raises(TypeError):
+            record_of(**row)
 
 
 @given(raw_plmaps())
-@example(raw(_KINKED, tail_offset=F(-2)))
+@example(field_dict(_KINKED, tail_offset=F(-2)))
 def test_check_on_a_record_matches_the_raw_instance(f):
-    """``check`` on a map built from an unchecked record of ``f``'s fields
-    reports what it reports on ``f``, for every ``f`` whose fields are
-    rationals in tuples of equal length."""
-    scalars = (f.left_slope, f.right_slope, f.tail_offset)
-    assume(type(f.breakpoints) is type(f.values) is tuple)
-    assume(len(f.breakpoints) == len(f.values))
-    assume(all(isinstance(v, (F, int)) for v in (*f.breakpoints, *f.values, *scalars)))
-    assert check(record_of(f)) == check(f)
+    """``check`` on the unchecked record of ``f``'s fields reports what the
+    constructor raises on them, for every ``f`` a record can hold."""
+    assume(has_record(f))
+    assert check(record_of(**f)) == built(f)

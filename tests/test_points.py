@@ -43,6 +43,7 @@ from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
 from germkit.plmap import PLMap, _frac, agree_on_ray, check
 from germkit.rationals import format_rational
 from germkit.suites import SuiteConfig, _action_law_samples, _plain_samples
+from test_plmap import record_of
 
 
 # -- the Fraction-era bodies --------------------------------------------------
@@ -703,7 +704,7 @@ class TestNoFractionOnTheIntegerRoute:
         f = PLMap.make([(0, 0), (1, 2), (3, 3)], F(1, 2), 3)
         g = f * PLMap.make([(0, 0)], 2, 1)
         at, below = F(0), F(-1, 3)
-        wrong = PLMap(f.breakpoints, f.values, f.left_slope, f.right_slope, F(1))
+        wrong = record_of(f.breakpoints, f.values, f.left_slope, f.right_slope, F(1))
         before = fraction_count[0], map_count[0]
         assert check(f) is None and check(g) is None and check(wrong) is not None
         assert agree_on_ray(f, g, at) and not agree_on_ray(f, g, below)

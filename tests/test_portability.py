@@ -108,5 +108,5 @@ def test_only_plmap_names_the_kernel_and_the_record():
 def test_plmap_internals_are_its_record_and_kernel():
     """The guarded names are exactly the kernel's and the record's slots
     and the two methods that return them whole."""
-    fields = {"_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset", "_raw"}
+    fields = {"_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset"}
     assert PLMAP_INTERNALS == set(PLMap.__slots__) - fields | {"_build_kernel", "_record"}
