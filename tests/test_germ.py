@@ -48,10 +48,11 @@ class TestDirectConstruction:
         assert u.slope == f.right_slope and u.offset == f.tail_offset
 
     @pytest.mark.parametrize("slope", [F(0), F(-2, 3)])
-    def test_a_map_with_nonpositive_slope_is_rejected_at_construction(self, slope):
-        """So ``Germ.of`` never meets a nonpositive slope."""
+    def test_of_rejects_a_raw_map_with_nonpositive_slope(self, slope):
+        """The map is refused at construction, so ``Germ.of`` never meets a
+        nonpositive slope."""
         with pytest.raises(InvalidMapError, match="^tail slopes must be positive$"):
-            PLMap((), (), slope, slope, 1)
+            Germ.of(PLMap((), (), slope, slope, 1))
 
     def test_identity(self):
         u = Germ.identity()
