@@ -239,34 +239,24 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
 def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
     """Image of a canonical point, canonicalized.
 
-    Runs on ints: the chart map's integer entry takes ``p``'s reduced
-    coordinate pair, the space ascends past departures on the unreduced
-    image pair, and the image point is reduced by one ``gcd``.  No
-    ``Fraction`` is built; the image's ``.coord`` is built when read.  An
-    image branch the space does not declare raises
-    :class:`~germkit.leafspace.LeafSpaceError`.  :func:`_apply_pairs` is the
-    same body looped over a list of integer triples, for the twisted
-    action's batches, and :func:`_line_image` runs it on a line's pair;
-    this one-point form is the reference both are tested against, and it
-    stays a direct body, since wrapping the batch would slow its callers.
+    It is :func:`_apply_pairs` on ``p``'s reduced coordinate pair, so it
+    runs on ints and builds no ``Fraction``; the image's ``.coord`` is built
+    when read.  An image branch the space does not declare raises
+    :class:`~germkit.leafspace.LeafSpaceError`.
     """
-    branch = p.branch
-    if branch not in h.branch_map or branch not in h.branch_pl:
-        raise ActionError(f"homeomorphism undefined on branch {branch!r}")
-    n, d = h.branch_pl[branch]._eval(p._n, p._d)
-    return Point._of(space._ascend(h.branch_map[branch], n, d), n, d)
+    return Point._of(*_apply_pairs(space, h, ((p.branch, p._n, p._d),))[0])
 
 
 def _apply_pairs(
     space: LeafSpace, h: Homeo, pairs: Iterable[tuple[str, int, int]]
 ) -> list[tuple[str, int, int]]:
-    """:func:`apply_homeo` on many points, each given and returned as a
-    branch with its reduced coordinate pair, ``(branch, n, d)``.
+    """Move many points by ``h``, each given and returned as a branch with
+    its reduced coordinate pair, ``(branch, n, d)``.
 
-    It is the loop of :func:`apply_homeo`'s body, for callers that move a
-    whole list by one homeo and compare images as tuples; the first point
-    it cannot move raises as :func:`apply_homeo` would.  No ``Point`` and no
-    ``Fraction`` is built.
+    The chart map's integer entry takes each pair, the space ascends past
+    departures on the unreduced image pair, and the image is reduced by one
+    ``gcd``.  The first point it cannot move raises.  No ``Point`` and no
+    ``Fraction`` is built; :func:`apply_homeo` is this on one point.
     """
     branch_map, branch_pl, ascend = h.branch_map, h.branch_pl, space._ascend
     out = []
@@ -603,9 +593,7 @@ def induced_germ(
     else:
         events = _ray_events(space, h, e)
         start = _frac(threshold)
-        if rays.overlap is _UNSCANNED:
-            rays.overlap = _overlap_scan(space, h, e, events)
-        t0 = rays.overlap
+        t0 = overlap_ray(space, h, e)
         if t0 is not None and start < t0:
             raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
         top = max(start, events[-1]) if events else start

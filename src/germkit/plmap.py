@@ -40,7 +40,7 @@ The integer entry :meth:`PLMap._eval` takes ``(n, d)`` with ``d > 0``,
 finds the piece by integer cross-multiplication and returns the pair
 ``(A*n + B*d, D*d)``, unreduced.  A call is that entry plus one
 ``Fraction``.  The action layer calls the entry directly on integer pairs
-and builds no ``Fraction`` at all (see :func:`germkit.action.apply_homeo`
+and builds no ``Fraction`` at all (see :func:`germkit.action._apply_pairs`
 and :func:`germkit.action._line_image`).
 :meth:`PLMap.preimage` inverts the same piece, ``x = (D*n - B*d)/(A*d)`` at
 ``y = n/d``, without building ``~f``.
@@ -386,8 +386,6 @@ class PLMap:
 
     def __invert__(self) -> "PLMap":
         pairs, lsn, lsd, rsn, rsd, ton, tod = self._record()
-        if lsn <= 0 or rsn <= 0:
-            raise InvalidMapError("tail slopes must be positive")
         pts = [(yn, yd, xn, xd) for xn, xd, yn, yd in pairs]
         offset = None if pts else (-ton * rsd, tod * rsn)
         return _canonical(pts, lsd, lsn, rsd, rsn, offset)

@@ -33,7 +33,11 @@ from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
-from test_plmap import field_dict, oracle_agree_on_ray, oracle_check, record_of
+from reference import (
+    oracle_induced_germ, oracle_line_image, oracle_validate_homeo, oracle_word_germ,
+    oracle_word_homeo, oracle_words,
+)
+from support import field_dict, record_of
 
 
 def line():
@@ -109,49 +113,6 @@ class TestValidate:
         extra_chart = Homeo({"r": "r"}, {"r": ident, "x": ident})
         report = validate_homeo(line(), extra_chart)
         assert report is not None and "'x' is not declared" in report
-
-
-def oracle_validate_homeo(space, h):
-    """``validate_homeo`` as it was before it ran on ints: ``check`` and
-    ``agree_on_ray`` are the ``Fraction``-era oracles, and the departure
-    image is a ``Fraction``; kept here only as an oracle."""
-    names = set(space.branches)
-    undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
-    if undeclared:
-        return f"branch {sorted(undeclared)[0]!r} is not declared in the space"
-    missing = names - set(h.branch_map)
-    if missing:
-        return f"branch_map does not cover branch {sorted(missing)[0]!r}"
-    missing = names - set(h.branch_pl)
-    if missing:
-        return f"branch_pl does not cover branch {sorted(missing)[0]!r}"
-    targets = [h.branch_map[b] for b in sorted(names)]
-    if set(targets) != names or len(set(targets)) != len(targets):
-        return "branch_map is not a bijection of the branches"
-    for b in sorted(names):
-        problem = oracle_check(**field_dict(h.branch_pl[b]))
-        if problem is not None:
-            return f"orientation: branch {b!r} chart map invalid ({problem})"
-    sign, shared = (-1, "below") if space.side is Side.POSITIVE else (1, "above")
-    for child in sorted(names):
-        par = space.parent(child)
-        if par is None:
-            continue
-        dep = space.departure(child)
-        if not oracle_agree_on_ray(h.branch_pl[child], h.branch_pl[par], dep):
-            return (
-                f"compatibility: chart maps of {child!r} and parent {par!r} "
-                f"disagree {shared} the departure"
-            )
-        image_dep = h.branch_pl[par](dep)
-        threshold = space.share_threshold(h.branch_map[child], h.branch_map[par])
-        if threshold != image_dep:
-            return (
-                f"departure: image branches {h.branch_map[child]!r}, "
-                f"{h.branch_map[par]!r} share from {sign * threshold}, "
-                f"expected {sign * image_dep}"
-            )
-    return None
 
 
 def perturbed(space, h):
@@ -572,43 +533,6 @@ def test_word_homeo_matches_letter_application():
 # The default induced germ against the scanning one
 
 
-def oracle_induced_germ(space, h, e, threshold=None):
-    """The induced germ computed the long way, with the overlap scan always
-    run: samples above the larger of the scanned (or given) threshold and
-    every ray event."""
-
-    def on_line(x):
-        return e.contains(space, apply_homeo(space, h, e.point_at(space, x)))
-
-    events = _build_ray_events(space, h, e)
-    if not on_line(events[-1] + 1 if events else F(0)):
-        raise ActionError("image ray never returns to the embedded line")
-    t0 = FULL_LINE
-    if events and not on_line(events[0] - 1):
-        t0 = events[0]
-    for i, ev in enumerate(events):
-        if not on_line(ev):
-            t0 = ev
-        if i + 1 < len(events) and not on_line((ev + events[i + 1]) / 2):
-            t0 = events[i + 1]
-    if threshold is None:
-        base = t0 if t0 is not None else F(0)
-    else:
-        base = F(threshold)
-        if t0 is not None and base < t0:
-            raise ActionError(f"threshold {base} lies below the overlap ray {t0}")
-    start = max([base, *events]) if events else base
-    samples = []
-    for x in (start + 1, start + 2):
-        image = apply_homeo(space, h, e.point_at(space, x))
-        if not e.contains(space, image):
-            raise ActionError("sample point above the overlap ray left the line")
-        samples.append((x, image.coord))
-    (x1, y1), (x2, y2) = samples
-    slope = (y2 - y1) / (x2 - x1)
-    return Germ(slope, y1 - slope * x1)
-
-
 def outcome(germ_of, space, h, e, threshold):
     try:
         return germ_of(space, h, e, threshold)
@@ -892,37 +816,6 @@ class TestInducedGermCalls:
 # Word homeos and germs against the letter-by-letter route
 
 
-def oracle_word_homeo(space, generators, word):
-    """``word_homeo`` composed from the identity, one letter at a time."""
-    result = identity_homeo(space)
-    for name, exp in word.letters:
-        result = compose_homeo(result, letter_homeo(generators, name, exp))
-    problem = validate_homeo(space, result)
-    if problem is not None:
-        raise ActionError(f"invalid homeomorphism {word}: {problem}")
-    return result
-
-
-def oracle_word_germ(space, generators, word, e):
-    """``word_germ`` with every letter's germ computed afresh, on a new
-    homeo that keeps nothing."""
-    direct = action.induced_germ(space, oracle_word_homeo(space, generators, word), e)
-    product = Germ.identity()
-    for name, exp in word.letters:
-        product = product * action.induced_germ(space, fresh(letter_homeo(generators, name, exp)), e)
-    if product != direct:
-        raise GermMismatchError(
-            f"germ of composition {direct!r} disagrees with letter product {product!r}"
-        )
-    return direct
-
-
-def oracle_words(b):
-    """Every reduced word of length at most 4, then 200 random ones."""
-    names, gen = sorted(b.generators), CaseGen(11)
-    return reduced_words(names, 4) + [gen.word(names, 8) for _ in range(200)]
-
-
 def first_failure(germ_of, words):
     """Index, type and message of the first word whose germ raises."""
     for i, w in enumerate(words):
@@ -982,15 +875,6 @@ class TestWordRouteOracle:
 
 # ---------------------------------------------------------------------------
 # The return-map probe against the point route
-
-
-def oracle_line_image(space, h, e, x):
-    """``line_image`` the way every probe used to run: canonicalize the line
-    point, apply ``h``, test membership and read ``.coord`` back."""
-    image = apply_homeo(space, h, e.point_at(space, x))
-    if not e.contains(space, image):
-        return None
-    return image.coord.numerator, image.coord.denominator
 
 
 def probe_points(space, h, e):

@@ -28,6 +28,10 @@ from germkit.germ import Germ
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
 from germkit.suites import SuiteConfig, _action_law_case, _action_law_check
+from reference import (
+    oracle_coset_rep, oracle_stabilizer_factorization, oracle_twist, oracle_validate_alpha_action,
+)
+from support import outcome
 
 
 def built(name):
@@ -175,43 +179,12 @@ class TestActionLaw:
         assert lhs != rhs
 
 
-def oracle_validate_alpha_action(space, samples, ball):
-    """The action-law check as it ran before it applied each word to the
-    whole sample list: one ``alpha_apply`` per point, stepwise then combined.
-    Kept here only as the reference for the evaluation order."""
-    words = reduced_words(sorted(space.generators), ball)
-    empty = Word()
-    for q in samples:
-        image = alpha_apply(space, empty, q)
-        if image != q:
-            return ActionLawViolation(empty, empty, q, image, q)
-    for inner in words:
-        budget = ball - len(inner)
-        if budget < 0:
-            continue
-        mids = [alpha_apply(space, inner, q) for q in samples]
-        for outer in words:
-            if len(outer) > budget:
-                continue
-            product = outer * inner
-            for q, mid in zip(samples, mids):
-                stepwise = alpha_apply(space, outer, mid)
-                combined = alpha_apply(space, product, q)
-                if combined != stepwise:
-                    return ActionLawViolation(outer, inner, q, combined, stepwise)
-    return None
-
-
-def outcome(check, b, samples, ball, stab=None):
-    """What ``check`` gives on a fresh blow-up of ``b``: its result, or the
-    type and message of what it raised."""
+def fresh_outcome(check, b, samples, ball, stab=None):
+    """The :func:`outcome` of ``check`` on a fresh blow-up of ``b``."""
     if stab is None:
         stab = StabilizerData(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
-    space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
-    try:
-        return check(space, samples, ball)
-    except Exception as exc:
-        return type(exc), str(exc)
+    return outcome(lambda: check(BlowupSpace(b.space, b.generators, b.marked, b.depth, stab),
+                                 samples, ball))
 
 
 def law_samples(b, deep):
@@ -238,12 +211,13 @@ class TestActionLawOrder:
     def test_matches_the_per_point_loop(self, name, ball, deep):
         b = bundle(name)
         samples = law_samples(b, deep)
-        want = outcome(oracle_validate_alpha_action, b, samples, ball)
-        assert outcome(validate_alpha_action, b, samples, ball) == want
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, ball)
+        assert fresh_outcome(validate_alpha_action, b, samples, ball) == want
 
     def test_outcomes_cover_none_violations_and_errors(self):
         kinds = {
-            type(outcome(oracle_validate_alpha_action, bundle(name), law_samples(bundle(name), deep), 4))
+            type(fresh_outcome(oracle_validate_alpha_action, bundle(name),
+                               law_samples(bundle(name), deep), 4))
             for name in ("e1", "e3-coset-fault")
             for deep in (False, True)
         }
@@ -267,10 +241,10 @@ class TestActionLawOrder:
         space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint(), BlownPoint(Point("b1", F(-1, 2)), F(1, 2))]
         assert space.orbit[samples[1].point] == Word.parse("f")
-        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner, want.sample) == (Word.parse("f"), Word.parse("k"), samples[0])
-        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+        assert fresh_outcome(validate_alpha_action, b, samples, 2, stab) == want
         with pytest.raises(CosetError):
             validate_alpha_action(space, samples[1:], 2)
 
@@ -357,10 +331,10 @@ class TestActionLawTriePass:
         samples = [space.midpoint()]
         with pytest.raises(CosetError):
             blowup._law_holds(space, samples, 2)
-        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner) == (Word.parse("f"), Word.parse("k"))
-        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+        assert fresh_outcome(validate_alpha_action, b, samples, 2, stab) == want
 
     def test_pass_violation_before_the_loops_error(self):
         # The ordered loop applies f^-1 to the midpoint at inner 1, before
@@ -373,18 +347,18 @@ class TestActionLawTriePass:
         space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint()]
         assert blowup._law_holds(space, samples, 2) is False
-        want = outcome(oracle_validate_alpha_action, b, samples, 2, stab)
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert want == (CosetError, "no twist for 'f^-1' at '1'")
-        assert outcome(validate_alpha_action, b, samples, 2, stab) == want
+        assert fresh_outcome(validate_alpha_action, b, samples, 2, stab) == want
 
     @pytest.mark.parametrize("ball", [0, -1])
     @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault"])
     def test_balls_of_the_identity(self, name, ball):
         b = bundle(name)
         samples = law_samples(b, deep=True)
-        want = outcome(oracle_validate_alpha_action, b, samples, ball)
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, ball)
         assert want is None
-        assert outcome(validate_alpha_action, b, samples, ball) == want
+        assert fresh_outcome(validate_alpha_action, b, samples, ball) == want
 
     @pytest.mark.parametrize("ball", [0, -1])
     def test_identity_violation(self, ball):
@@ -397,10 +371,10 @@ class TestActionLawTriePass:
 
         stab = Moving(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
         samples = law_samples(b, deep=False)
-        want = outcome(oracle_validate_alpha_action, b, samples, ball, stab)
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, ball, stab)
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner, want.sample) == (Word(), Word(), samples[0])
-        assert outcome(validate_alpha_action, b, samples, ball, stab) == want
+        assert fresh_outcome(validate_alpha_action, b, samples, ball, stab) == want
 
     def test_ball_minus_one_applies_only_the_identity(self, monkeypatch):
         b, space = built("e3")
@@ -592,55 +566,6 @@ class TestCosets:
         lhs = alpha_apply(space, w, space.midpoint())
         rhs = alpha_apply(alt_space, w, alt_space.midpoint())
         assert (lhs == rhs) == same_phi
-
-
-def oracle_stabilizer_factorization(stab, word):
-    """Greedy factorization, trying each generator as a prefix at each step:
-    how ``StabilizerData`` factored words before it read them off its letter
-    table.  Kept here only as a reference."""
-    factors = []
-    remaining = tuple(word.letters)
-    while remaining:
-        for gen in stab.k_generators:
-            glen = len(gen.letters)
-            if remaining[:glen] == gen.letters:
-                factors.append((str(gen), 1))
-                remaining = remaining[glen:]
-                break
-            if remaining[:glen] == (~gen).letters:
-                factors.append((str(gen), -1))
-                remaining = remaining[glen:]
-                break
-        else:
-            return None
-    return tuple(factors)
-
-
-def oracle_coset_rep(stab, word):
-    """The table override, else generator tails stripped one at a time:
-    the old ``coset_rep`` without its cache.  Kept here only as a reference."""
-    override = stab.coset_table.get(str(word))
-    if override is not None:
-        return override
-    rep = word
-    stripped = True
-    while stripped and rep.letters:
-        stripped = False
-        for gen in stab.k_generators:
-            glen = len(gen.letters)
-            if glen == 0 or glen > len(rep.letters):
-                continue
-            tail = rep.letters[-glen:]
-            if tail == gen.letters or tail == (~gen).letters:
-                rep = Word(rep.letters[:-glen])
-                stripped = True
-                break
-    return rep
-
-
-def oracle_twist(stab, h, g):
-    """``x_{hgK}^-1 h x_{gK}`` through the ``Word`` operators."""
-    return ~oracle_coset_rep(stab, h * g) * h * oracle_coset_rep(stab, g)
 
 
 PHI = bundle("e3").stabilizer.phi["k"]

@@ -19,7 +19,7 @@ from germkit.fuzz import CaseGen
 from germkit.leafspace import LeafSpace, Point, Side
 from germkit.plmap import PLMap, reflect
 from germkit.suites import SuiteConfig, SuiteError, resolve_targets
-from test_plmap import record_of
+from support import record_of
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -1,5 +1,6 @@
 """``CaseGen``'s integer map and rational generation against the ``Fraction``
-bodies it replaced: the same objects from the same draws, in the same order.
+bodies it replaced, ``reference.oracle_*``: the same objects from the same
+draws, in the same order.
 
 Each oracle drives its own ``CaseGen`` on the same seed, so a draw added,
 dropped or moved shows as a different object or a different ``rng`` state.
@@ -10,46 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit.fuzz import MAX_MAGNITUDE, CaseGen, FuzzBounds
-from germkit.plmap import PLMap
-
-
-def oracle_fraction_between(gen, lo, hi):
-    """``CaseGen.fraction_between`` by its ``Fraction`` formula; kept here
-    only as an independent oracle."""
-    den = gen.rng.randint(2, gen.bounds.max_denominator)
-    span = hi - lo
-    step = gen.rng.randint(1, 2 * den - 1)
-    return lo + span * F(step, 2 * den)
-
-
-def oracle_plmap(gen, max_breakpoints=None):
-    """``CaseGen.plmap`` as it was before it built integer points."""
-    b = gen.bounds
-    count = gen.rng.randint(0, b.max_breakpoints if max_breakpoints is None else max_breakpoints)
-    left = gen.positive_slope()
-    right = gen.positive_slope()
-    if count == 0:
-        return PLMap.make((), left, left, offset=gen.fraction())
-    xs = sorted(gen.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
-    xs = [F(x) + F(gen.rng.randint(0, b.max_denominator - 1), b.max_denominator) for x in xs]
-    xs = sorted(set(xs))
-    y = gen.fraction()
-    ys = [y]
-    for _ in range(len(xs) - 1):
-        y = y + F(gen.rng.randint(1, 4 * b.max_denominator), b.max_denominator)
-        ys.append(y)
-    return PLMap.make(zip(xs, ys), left, right)
-
-
-def oracle_mutate_below(gen, f, cutoff):
-    """``CaseGen.mutate_below`` through :func:`oracle_fraction_between`."""
-    width = F(gen.rng.randint(1, 8))
-    lo = cutoff - 2 * width
-    mid_x = oracle_fraction_between(gen, lo, cutoff)
-    mid_y = oracle_fraction_between(gen, lo, cutoff)
-    bump = PLMap.make([(lo, lo), (mid_x, mid_y), (cutoff, cutoff)], 1, 1)
-    return f * bump
+from germkit.fuzz import CaseGen, FuzzBounds
+from reference import oracle_fraction_between, oracle_mutate_below, oracle_plmap
 
 
 def same(got, want):

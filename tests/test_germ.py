@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +8,10 @@ from germkit.examples import bundle
 from germkit.germ import Germ, OrderSign, compare, eventual_comparison_bound
 from germkit.leafspace import root_embedding
 from germkit.plmap import InvalidMapError, PLMap
-from germkit.rationals import format_rational
+from reference import (
+    OracleGerm, lift, oracle_compare, oracle_invert, oracle_is_positive, oracle_mul, oracle_order,
+)
+from support import rationals
 
 STEP = PLMap.make([(0, 0)], 1, 2)
 SHIFT = PLMap.affine(1, 1)
@@ -116,11 +118,7 @@ class TestCompare:
 
 # -- randomized properties ----------------------------------------------------
 
-germs = st.builds(
-    Germ,
-    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
-    st.fractions(min_value=-9, max_value=9, max_denominator=9),
-)
+germs = st.builds(Germ, rationals(F(1, 9), 9, 9), rationals(-9, 9, 9))
 
 
 @given(germs, germs, germs)
@@ -183,64 +181,6 @@ class TestFields:
 
 
 # -- integer arithmetic against the Fraction formulas ---------------------------
-
-
-@dataclass(frozen=True)
-class OracleGerm:
-    """``Germ`` as it was before it held ints: a frozen dataclass of two
-    ``Fraction`` fields with the ``Fraction`` formulas.  Kept here only as an
-    independent oracle."""
-
-    slope: F
-    offset: F
-
-    def __post_init__(self):
-        if self.slope <= 0:
-            raise ValueError("germ slope must be positive")
-
-    def __mul__(self, other):
-        return OracleGerm(self.slope * other.slope, self.slope * other.offset + self.offset)
-
-    def __invert__(self):
-        return OracleGerm(1 / self.slope, -self.offset / self.slope)
-
-    def is_identity(self):
-        return self.slope == 1 and self.offset == 0
-
-    def is_positive(self):
-        return self.slope > 1 or (self.slope == 1 and self.offset > 0)
-
-    def __repr__(self):
-        return f"Germ({format_rational(self.slope)}, {format_rational(self.offset)})"
-
-
-def lift(u):
-    return OracleGerm(u.slope, u.offset)
-
-
-def oracle_order(u, v):
-    """:func:`compare` on oracle germs."""
-    if u == v:
-        return OrderSign.EQ
-    return OrderSign.LT if (~u * v).is_positive() else OrderSign.GT
-
-
-def oracle_mul(u, v):
-    o = lift(u) * lift(v)
-    return Germ(o.slope, o.offset)
-
-
-def oracle_invert(u):
-    o = ~lift(u)
-    return Germ(o.slope, o.offset)
-
-
-def oracle_is_positive(u):
-    return lift(u).is_positive()
-
-
-def oracle_compare(u, v):
-    return oracle_order(lift(u), lift(v))
 
 
 BIG = 2**64

@@ -11,7 +11,8 @@ from germkit.leafspace import (
     Side,
     root_embedding,
 )
-from germkit.plmap import _frac
+from reference import as_oracle, oracle_canonical
+from support import rationals
 
 
 def one_child():
@@ -182,19 +183,6 @@ class TestEmbedding:
 # -- integer canonicalization against the Fraction body -------------------------
 
 
-def oracle_canonical(space, p):
-    """``canonical`` as it compared ``Fraction``s before it cross-multiplied
-    ints; kept here only as an independent oracle."""
-    if p.branch not in space.branches:
-        raise LeafSpaceError(f"unknown branch {p.branch!r}")
-    branch, coord = p.branch, _frac(p.coord)
-    while True:
-        br = space.branches[branch]
-        if br.parent is None or coord <= br.departure:
-            return Point(branch, coord)
-        branch = br.parent
-
-
 def wide_chain(side):
     # departures with large, unequal denominators, including a shared one
     return LeafSpace.build(
@@ -215,6 +203,7 @@ nudges = st.one_of(
     st.builds(F, st.integers(1, 3), st.integers(1, 2**80)),  # just above
     st.builds(F, st.integers(-3, -1), st.integers(1, 2**80)),  # just below
 )
+anywhere = rationals(-50, 50, 2**70)
 
 
 @st.composite
@@ -224,7 +213,6 @@ def chart_points(draw):
     space = draw(st.sampled_from(SPACES))
     branch = draw(st.sampled_from(sorted(space.branches)))
     marks = [space.departure(b) for b in space.chain_to_root(branch)[:-1]]
-    anywhere = st.fractions(min_value=-50, max_value=50, max_denominator=2**70)
     if marks:
         base = draw(st.one_of(st.sampled_from(marks), anywhere))
     else:
@@ -246,7 +234,8 @@ class TestIntegerCanonical:
     def test_matches_the_fraction_body(self, case):
         space, p = case
         got = space.canonical(p)
-        want = oracle_canonical(space, p)
+        oracle = oracle_canonical(space, as_oracle(p))
+        want = Point(oracle.branch, oracle.coord)
         assert got == want and type(got.coord) is F
         assert hash(got) == hash(want)
 

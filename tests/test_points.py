@@ -3,14 +3,13 @@
 ``Point`` and ``BlownPoint`` store their coordinate and height as a reduced
 numerator and denominator, and ``apply_homeo``, ``LeafSpace.canonical``,
 ``Embedding.contains`` and the twisted action's heights run on those ints.
-The ``Fraction`` bodies they replaced are kept here as ``oracle_*`` and the
-new code is compared against them on seeded random spaces and homeos and on
+The new code is compared against the ``Fraction`` bodies it replaced,
+``reference.oracle_*``, on seeded random spaces and homeos and on
 the bundled examples.  A counter on ``Fraction.__new__`` pins that the
 integer route builds no ``Fraction``.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -40,109 +39,16 @@ from germkit.blowup import (
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
-from germkit.plmap import PLMap, _frac, agree_on_ray, check
-from germkit.rationals import format_rational
+from germkit.plmap import PLMap, agree_on_ray, check
 from germkit.suites import SuiteConfig, _action_law_samples, _plain_samples
-from test_plmap import record_of
+from reference import (
+    OraclePoint, as_oracle, as_oracle_blown, key_of_oracle, oracle_alpha_apply, oracle_apply_homeo,
+    oracle_canonical, oracle_contains, oracle_plain_samples,
+)
+from support import outcome, record_of
 
 
-# -- the Fraction-era bodies --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OraclePoint:
-    """``Point`` as it was before it stored ints: a frozen dataclass whose
-    hash reads the coordinate's numerator and denominator."""
-
-    branch: str
-    coord: F
-
-    def __hash__(self):
-        coord = self.coord
-        return hash((self.branch, coord.numerator, coord.denominator))
-
-    def __repr__(self):
-        return f"Point({self.branch!r}, {format_rational(self.coord)})"
-
-
-@dataclass(frozen=True)
-class OracleBlownPoint:
-    """``BlownPoint`` as it was before it stored ints."""
-
-    point: OraclePoint
-    height: F | None = None
-
-
-def oracle_canonical(space, p):
-    """``LeafSpace.canonical`` as it cross-multiplied a ``Fraction``
-    coordinate with each ``Fraction`` departure."""
-    if p.branch not in space.branches:
-        raise LeafSpaceError(f"unknown branch {p.branch!r}")
-    coord = _frac(p.coord)
-    n, d = coord.numerator, coord.denominator
-    branch = p.branch
-    br = space.branches[branch]
-    while br.parent is not None:
-        dep = br.departure
-        if n * dep.denominator <= dep.numerator * d:
-            break
-        branch = br.parent
-        br = space.branches[branch]
-    if branch == p.branch and coord is p.coord:
-        return p
-    return OraclePoint(branch, coord)
-
-
-def oracle_apply_homeo(space, h, p):
-    """``apply_homeo`` as it evaluated the chart map to a ``Fraction`` and
-    canonicalized the image point."""
-    if p.branch not in h.branch_map or p.branch not in h.branch_pl:
-        raise ActionError(f"homeomorphism undefined on branch {p.branch!r}")
-    image = OraclePoint(h.branch_map[p.branch], h.branch_pl[p.branch](p.coord))
-    return oracle_canonical(space, image)
-
-
-def oracle_contains(space, line, p):
-    """``Embedding(line).contains`` as it rebuilt the line's point at
-    ``p.coord`` and compared."""
-    if p.branch not in space.chain_to_root(line):
-        return False
-    return oracle_canonical(space, OraclePoint(line, _frac(p.coord))) == p
-
-
-def oracle_alpha_apply(space, h, q):
-    """One image of the twisted action with ``Fraction`` heights, as
-    ``alpha_apply_all`` computed it before heights were ints."""
-    image = oracle_apply_homeo(space.base, space.word_homeo(h), q.point)
-    orbit = {as_oracle(p): w for p, w in space.orbit.items()}
-    if q.height is None:
-        if image in orbit:
-            raise OrbitEscapeError(
-                f"plain point {q.point!r} maps into a blown interval; expand the orbit depth"
-            )
-        return OracleBlownPoint(image)
-    if q.point not in orbit:
-        raise BlowupError(f"{q.point!r} is not a blown orbit point")
-    if image not in orbit:
-        raise OrbitEscapeError(
-            f"image of orbit point {q.point!r} under {str(h)!r} needs depth beyond {space.depth}"
-        )
-    stab = space.stabilizer
-    new_height = stab.phi_word(stab.twist(h, orbit[q.point]))(q.height)
-    if not (0 <= new_height <= 1):
-        raise BlowupError("twist map left the unit interval")
-    return OracleBlownPoint(image, new_height)
-
-
-# -- conversions and comparisons ----------------------------------------------
-
-
-def as_oracle(p):
-    return OraclePoint(p.branch, p.coord)
-
-
-def as_oracle_blown(q):
-    return OracleBlownPoint(as_oracle(q.point), q.height)
+# -- comparisons --------------------------------------------------------------
 
 
 def new_point(p):
@@ -156,13 +62,6 @@ def assert_same(new, old):
     assert type(new.coord) is F
     assert hash(new) == hash(old)
     assert repr(new) == repr(old)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def chart_points(space, gen):
@@ -307,8 +206,9 @@ def into_undeclared(h, branch):
 
 
 class TestApplyPairs:
-    """``action._apply_pairs`` is ``apply_homeo`` on a list of integer
-    triples: the same images, and the first point's error."""
+    """``action._apply_pairs`` on a list of integer triples, and
+    ``apply_homeo`` on each point, move it as ``oracle_apply_homeo`` does:
+    the same images, and the first point's error."""
 
     @pytest.mark.parametrize("case", range(len(ALL_CASES)))
     def test_matches_apply_homeo(self, case):
@@ -320,47 +220,17 @@ class TestApplyPairs:
         broken += [into_undeclared(h, b) for h in homeos[:1] for b in sorted(space.branches)]
         errors = 0
         for h in homeos + broken:
-            want = first_outcome(lambda p: apply_homeo(space, h, p), canon)
+            want = first_outcome(lambda p: oracle_apply_homeo(space, h, as_oracle(p)), canon)
+            got = first_outcome(lambda p: apply_homeo(space, h, p), canon)
             if isinstance(want, list):
-                want = [(p.branch, p._n, p._d) for p in want]
+                want = [(p.branch, p.coord.numerator, p.coord.denominator) for p in want]
             else:
                 errors += 1
+            if isinstance(got, list):
+                got = [(p.branch, p._n, p._d) for p in got]
+            assert got == want
             assert outcome(_apply_pairs, space, h, pairs) == want
         assert errors
-
-
-def oracle_plain_samples(space, ball, want):
-    """``suites._plain_samples`` as it selected before it moved candidates in
-    chunks: one candidate at a time, through every ball homeo by
-    ``apply_homeo`` until one lands on the orbit.  Returns the samples and
-    the ``(homeo index, point)`` of every move made."""
-    base = space.base
-    homeos = [space.word_homeo(w) for w in reduced_words(sorted(space.generators), ball)]
-    top = max((dep for b in base.branches if (dep := base.departure(b)) is not None), default=F(0))
-    candidates = []
-    for off in (F(n, 7) for n in range(1, 4 * want, 2)):
-        candidates.append(Point(base.root, top + off))
-        for name in sorted(base.branches):
-            dep = base.departure(name)
-            candidates.append(Point(name, (dep if dep is not None else F(0)) - off))
-    out, seen, moves = [], set(), []
-    for cand in candidates:
-        point = base.canonical(cand)
-        if point in seen or point in space.orbit:
-            continue
-        seen.add(point)
-        hit = False
-        for i, h in enumerate(homeos):
-            moves.append((i, point))
-            if apply_homeo(base, h, point) in space.orbit:
-                hit = True
-                break
-        if hit:
-            continue
-        out.append(BlownPoint(point))
-        if len(out) >= want:
-            break
-    return out, moves
 
 
 class TestPlainSamples:
@@ -399,11 +269,6 @@ class LeakyTwist(StabilizerData):
 
     def twist(self, h, g):
         return h if len(h) == 2 else StabilizerData.twist(self, h, g)
-
-
-def key_of_oracle(q):
-    key = (q.point.branch, q.point.coord.numerator, q.point.coord.denominator)
-    return key if q.height is None else key + (q.height.numerator, q.height.denominator)
 
 
 def kernel_samples(space, depth):

@@ -20,8 +20,13 @@ run on the integer entry ``_line_image``.  Only ``blowup.py`` names
 one place, the kernel ``_move_keys``, which keeps it.  Only ``blowup.py``
 names the kernel, the space's orbit key index and the methods that turn a
 blown point into a key and back, so only it knows the key layout.
+
+The tests' references live in one module, ``tests/reference.py``, which
+names none of the package's integer internals, so a cross-check never
+runs the code it checks.  No test module imports another.
 """
 
+import ast
 import io
 import tokenize
 from pathlib import Path
@@ -110,3 +115,37 @@ def test_plmap_internals_are_its_record_and_kernel():
     and the two methods that return them whole."""
     fields = {"_breakpoints", "_values", "_left_slope", "_right_slope", "_tail_offset"}
     assert PLMAP_INTERNALS == set(PLMap.__slots__) - fields | {"_build_kernel", "_record"}
+
+
+TESTS = Path(__file__).parent
+INTEGER_INTERNALS = {
+    "_eval", "_preimage", "_record", "_kernel", "_build_kernel", "_pairs", "_tail", "_breaks",
+    "_of", "_n", "_d", "_sn", "_sd", "_on", "_od", "_h", "_key", "_from_key", "_ascend",
+    "_apply_pairs", "_line_image", "_germ_at", "_top_event", "_move_keys", "_orbit_keys",
+}
+
+
+def test_the_reference_model_reads_no_integer_internal():
+    assert name_uses((TESTS / "reference.py").read_text(), INTEGER_INTERNALS) == []
+
+
+def test_references_stay_in_one_module():
+    """No test module imports a ``test_*`` module, and only
+    ``reference.py`` defines ``oracle_*`` or ``Oracle*`` names."""
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}: imports {a.name}"
+                          for a in node.names if a.name.startswith("test_")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+                found.append(f"{path.name}:{node.lineno}: imports {node.module}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name.startswith(("oracle_", "Oracle")) and path.name != "reference.py":
+                found.append(f"{path.name}:{node.lineno}: defines {name}")
+    assert found == []
