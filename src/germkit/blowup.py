@@ -25,14 +25,12 @@ the height map), so a later interval point over that orbit point only
 evaluates the height map.  The public :func:`alpha_apply_all` and
 :func:`alpha_apply` pass it one point at a time.
 
-:func:`validate_alpha_action` checks the action law by walking the word
-ball as a suffix trie: each word's images of the samples are computed once
-and shared by every split of every word that ends in it, and only the
-current word's suffixes keep their images, at most ``ball + 1`` lists.  On
-any mismatch or error it reruns the ordered pair-by-pair loop, whose first
-violation or first error it then reports; every image is a deterministic
-function of the word and the points, and a kept move is what computing it
-again would give, so this gives the ordered loop's answer.
+:func:`validate_alpha_action` checks the action law in one pass over the
+pairs of words, in the order of the per-point loop, so its first violation
+or first error is that loop's.  Each word of the ball moves the samples
+once, in one kernel call, and the check holds that image list, one per
+ball word, until it returns; every other pair moves one of those lists by
+one word.
 
 Inside the kernel a blown point is a tuple of ints, ``(branch, n, d)`` for
 a plain point and ``(branch, n, d, hn, hd)`` for an interval point, all
@@ -293,15 +291,6 @@ class BlownPoint:
             self._h = None
         self._point, self._height = point, height
 
-    @classmethod
-    def _of(cls, point: Point, n: int, d: int) -> "BlownPoint":
-        """The interval point over ``point`` at height ``n/d``, for any pair
-        with ``d > 0``, reduced by one ``gcd``."""
-        g = gcd(n, d)
-        q = object.__new__(cls)
-        q._point, q._h, q._height = point, (n // g, d // g), None
-        return q
-
     def _key(self) -> tuple:
         """The point as :func:`_move_keys` takes it: ``(branch, n, d)`` for a
         plain point, ``(branch, n, d, hn, hd)`` for an interval point, all
@@ -557,133 +546,54 @@ def validate_alpha_action(
     """Exhaustively check ``alpha_{hr} == alpha_h alpha_r`` on the samples.
 
     Runs over every pair of reduced words with combined length ``<= ball``
-    (which includes the empty word, so identity is covered).  Returns the
-    first violation or ``None``.
+    (which includes the empty word, so identity is covered), inner words
+    in list order, then outer words, each pair advancing one sample at a
+    time, stepwise before combined.  Returns the first violation or
+    ``None``; what raises is the first error in that order.
 
-    Each word acts on the whole sample list through one :func:`_move_keys`
-    call.  The stepwise route applies ``outer`` to ``inner``'s images and
-    the combined route applies the product word's own moves, built from its
-    own homeo and twists, never from its factors' moves, so the two stay
-    independent.
-
-    The check first runs :func:`_law_holds`, which computes each word's
-    images once, checks every pair that can fail against them, and holds
-    at most ``ball + 1`` image lists at a time.  When that pass finds
-    no mismatch and nothing raises, the answer is ``None``.  Otherwise the
-    ordered loop :func:`_first_violation` runs from the start, so the first
-    violation and the first error raised are those of checking the samples
-    one by one, in the order of the word list.  This is exact because every
-    image is a deterministic function of the word and the points' values,
-    and the ordered loop computes only images that the pass has computed
-    and compares only pairs that the pass has compared or that repeat one
-    of its calls: if none of them raised or differed in the pass, none does
-    in the loop.
+    The samples become integer keys once (:meth:`BlownPoint._key`), and
+    each word of the ball moves them once, in one :func:`_move_keys` call:
+    these are the pairs of inner ``1``, which come first in the order.
+    The check holds these lists, one per ball word, until it returns;
+    that is its memory beside the homeos and moves the space keeps for
+    every word.  Each other pair moves the inner word's list by the outer
+    word in one call and compares it whole with the product word's list.
+    The stepwise route applies ``outer`` to ``inner``'s images and the
+    combined route reads the product word's own moves, built from its own
+    homeo and twists, never from its factors' moves, so the two stay
+    independent.  Only a list that raises, or a pair whose lists differ,
+    is done again one point at a time through :func:`alpha_apply_all`,
+    which raises the first error or finds the first violation; every image
+    is a deterministic function of the word and the point, so lists that
+    agree without an error mean that the pair has neither.
     """
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
-    try:
-        if _law_holds(space, samples, ball):
-            return None
-    except Exception:  # the ordered loop raises it again, or fails earlier
-        pass
-    return _first_violation(space, samples, ball)
-
-
-def _law_holds(
-    space: BlowupSpace,
-    samples: Sequence[BlownPoint],
-    ball: int,
-) -> bool:
-    """Whether every pair of :func:`validate_alpha_action` agrees, in one
-    walk of the word ball as a suffix trie.
-
-    The samples become integer keys once (:meth:`BlownPoint._key`).  Each
-    step of the walk prepends one letter to a word, and each word ``w``'s
-    image list, ``_move_keys(w, samples)``, is computed once, in one call.
-    The walk is depth-first on an explicit stack of letter tuples; beside
-    it only the images of the current word's suffixes are kept, so at most
-    ``ball + 1`` image lists are alive at a time.  At ``w`` the walk checks
-    each split ``w = o·i`` with ``i`` not empty (``o`` applied to ``i``'s
-    images against ``w``'s) and each ``o`` of length ``<= ball - len(w)``
-    whose last letter cancels ``w``'s first (``o`` applied to ``w``'s images
-    against fresh images of the product ``o * w``).  Every pair of the
-    ordered loop is one of these, exactly once, except the pairs ``(w, 1)``:
-    their inner images are the root list, which was just checked equal to
-    the samples' keys, so moving it by ``w`` is the very call that gave
-    ``w``'s images, and it can neither differ nor raise first.  Image lists
-    are compared whole, as lists of tuples.  An error propagates to the
-    caller.
-    """
-    names = sorted(space.generators)
-    words = {w.letters: w for w in reduced_words(names, ball)}
-    ending: dict[tuple[str, int], list[Word]] = {}  # outer words by last letter, shortest first
-    for w in words.values():
-        if w.letters:
-            ending.setdefault(w.letters[-1], []).append(w)
-    keys = [q._key() for q in samples]
-    root = _move_keys(space, Word(), keys)
-    if root != keys:
-        return False
-    backwards = [(n, -1) for n in reversed(names)] + [(n, 1) for n in reversed(names)]
-    chain: list[list[tuple]] = []  # chain[k]: images of the current word's suffix of length k
-    stack = [()] if ball >= 0 else []  # words still to walk, as letter tuples
-    while stack:
-        letters = stack.pop()
-        n = len(letters)
-        del chain[n:]
-        chain.append(_move_keys(space, words[letters], keys) if n else root)
-        images = chain[n]
-        for k in range(1, n + 1):
-            if _move_keys(space, words[letters[:n - k]], chain[k]) != images:
-                return False
-        cancel = (letters[0][0], -letters[0][1]) if n else None
-        for outer in ending.get(cancel, ()):
-            if len(outer) > ball - n:
-                break
-            if _move_keys(space, outer, images) != _move_keys(space, outer * words[letters], keys):
-                return False
-        if n < ball:
-            stack.extend((a,) + letters for a in backwards if a != cancel)
-    return True
-
-
-def _first_violation(
-    space: BlowupSpace,
-    samples: Sequence[BlownPoint],
-    ball: int,
-) -> ActionLawViolation | None:
-    """The ordered loop of :func:`validate_alpha_action`: inner words in
-    list order, then outer words, each pair advancing one sample at a time,
-    stepwise before combined.
-
-    Each word moves a whole list in one :func:`_move_keys` call.  Only a
-    pair whose lists raise or disagree is done again one point at a time,
-    through :func:`alpha_apply_all`, which raises the first error or finds
-    the first violation in that order.  Lists that are computed without an
-    error and agree mean that the pair has neither, since every image is a
-    deterministic function of the word and the point.  An inner word's
-    list needs no such care: the samples are their own identity images, so
-    the pair of outer ``inner`` and inner ``1``, checked first, moved the
-    same list by the same word without an error.
-    """
-    names = sorted(space.generators)
-    words = reduced_words(names, ball)
     empty = Word()
-    for q, image in zip(samples, alpha_apply_all(space, empty, samples)):
-        if image != q:
-            return ActionLawViolation(empty, empty, q, image, q)
     keys = [q._key() for q in samples]
-    for inner in words:
-        budget = ball - len(inner)
-        if budget < 0:
-            continue
-        mids = _move_keys(space, inner, keys)
+    try:
+        identity = _move_keys(space, empty, keys)
+    except Exception:  # raised again below, in order
+        identity = None
+    if identity != keys:
+        for q, image in zip(samples, alpha_apply_all(space, empty, samples)):
+            if image != q:
+                return ActionLawViolation(empty, empty, q, image, q)
+    words = reduced_words(sorted(space.generators), ball)
+    images = {(): keys}
+    for w in words[1:]:
+        try:
+            images[w.letters] = _move_keys(space, w, keys)
+        except Exception:  # raised again below, at the first point that raises
+            images[w.letters] = [q._key() for q in alpha_apply_all(space, w, samples)]
+    for inner in words[1:]:
+        mids = images[inner.letters]
         for outer in words:
-            if len(outer) > budget:
-                continue
+            if len(outer) > ball - len(inner):
+                break
             product = outer * inner
             try:
-                if _move_keys(space, outer, mids) == _move_keys(space, product, keys):
+                if _move_keys(space, outer, mids) == images[product.letters]:
                     continue
             except Exception:  # found again below, in order
                 pass

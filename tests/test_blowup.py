@@ -313,15 +313,16 @@ def counted_alpha(monkeypatch):
 
 
 class TestActionLawTriePass:
-    """``validate_alpha_action`` first walks the ball as a suffix trie and
-    falls back to the ordered loop on any mismatch or error; its result, or
-    what it raises, is always the per-point loop's."""
+    """``validate_alpha_action`` is one pass over the pairs in the order of
+    the per-point loop, so its result, or what it raises, is always the
+    per-point loop's, also where a pass in another order, such as a walk of
+    the ball as a suffix trie, would meet an error or a violation first."""
 
     def test_pass_error_before_the_loops_violation(self):
         # e3-coset-fault breaks the law first at (outer f, inner k) on the
-        # midpoint.  The pass applies the identity to the images of "f f"
-        # (the split 1 * "f f") before it reaches that pair, while the
-        # ordered loop does so only at inner "f f", after inner k.
+        # midpoint.  With this stabilizer the identity raises on the images
+        # of "f f".  The ordered loop applies it there only at inner "f f",
+        # after inner k; a suffix-trie walk meets the split 1 * "f f" first.
         b, plain = built("e3-coset-fault")
         far = apply_homeo(b.space, plain.word_homeo(Word.parse("f f")), b.marked)
         stab = twist_raising_at("1", str(plain.orbit[far]))(
@@ -329,8 +330,6 @@ class TestActionLawTriePass:
         )
         space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint()]
-        with pytest.raises(CosetError):
-            blowup._law_holds(space, samples, 2)
         want = fresh_outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner) == (Word.parse("f"), Word.parse("k"))
@@ -338,15 +337,14 @@ class TestActionLawTriePass:
 
     def test_pass_violation_before_the_loops_error(self):
         # The ordered loop applies f^-1 to the midpoint at inner 1, before
-        # its violation at (f, k); the pass applies f^-1 over the marked
-        # point only in the subtree of f^-1, after the subtree of k.
+        # its violation at (f, k); a suffix-trie walk would apply f^-1 over
+        # the marked point only in the subtree of f^-1, after that of k.
         b = bundle("e3-coset-fault")
         stab = twist_raising_at("f^-1", "1")(
             b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table
         )
         space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
         samples = [space.midpoint()]
-        assert blowup._law_holds(space, samples, 2) is False
         want = fresh_outcome(oracle_validate_alpha_action, b, samples, 2, stab)
         assert want == (CosetError, "no twist for 'f^-1' at '1'")
         assert fresh_outcome(validate_alpha_action, b, samples, 2, stab) == want
@@ -376,6 +374,18 @@ class TestActionLawTriePass:
         assert (want.outer, want.inner, want.sample) == (Word(), Word(), samples[0])
         assert fresh_outcome(validate_alpha_action, b, samples, ball, stab) == want
 
+    def test_a_words_first_sample_error_wins_over_a_later_ones(self):
+        # Under u the interval over the last orbit point escapes the depth,
+        # and the plain point after it lands on the blown interval at -8;
+        # the kernel moves a list's plain points first, so the list raises
+        # the second sample's error, and the per-point loop the first's.
+        b = bundle("e1")
+        samples = [BlownPoint(Point("r", b.depth), F(1, 2)), BlownPoint(Point("r", -b.depth - 1))]
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, 1)
+        assert want == (OrbitEscapeError,
+                        "image of orbit point Point('r', 8) under 'u' needs depth beyond 8")
+        assert fresh_outcome(validate_alpha_action, b, samples, 1) == want
+
     def test_ball_minus_one_applies_only_the_identity(self, monkeypatch):
         b, space = built("e3")
         calls, _ = counted_alpha(monkeypatch)
@@ -390,25 +400,37 @@ class TestActionLawTriePass:
         assert validate_alpha_action(space, [], 4) is None
         assert fetched == []
 
-    @pytest.mark.parametrize(
-        "name, loop_calls, pass_calls", [("e1", 92, 53), ("e3", 1892, 1001)]
-    )
-    def test_work_of_the_loop_and_the_pass(self, monkeypatch, name, loop_calls, pass_calls):
+    @pytest.mark.parametrize("name, calls_made", [("e1", 41), ("e3", 865)])
+    def test_work_of_the_one_pass(self, monkeypatch, name, calls_made):
         # the default suite samples: 100 plain points and 20 interval points;
-        # the loop moves the samples by the identity one at a time, then
-        # each list in one call
+        # one call per ball word on the samples, then one per other pair
         b, samples, ball = _action_law_case(bundle(name), SuiteConfig())
         space = b.blowup
         assert (len(samples), ball) == (120, 4)
         calls, images = counted_alpha(monkeypatch)
-        assert blowup._first_violation(space, samples, ball) is None
-        assert sum(calls.values()) == 120 + loop_calls - 1
-        assert sum(images.values()) == 120 * loop_calls
-        calls.clear()
-        images.clear()
         assert validate_alpha_action(space, samples, ball) is None
-        assert sum(calls.values()) == pass_calls <= 1200
-        assert sum(images.values()) == 120 * pass_calls
+        assert sum(calls.values()) == calls_made <= 1200
+        assert sum(images.values()) == 120 * calls_made
+
+    @pytest.mark.parametrize("name, plain", [("e1", True), ("e3", True), ("e3-coset-fault", False)])
+    def test_each_ball_word_moves_the_samples_once(self, monkeypatch, name, plain):
+        # the default suite samples, or the bundled fault case's interval
+        # samples, whose check stops at a violation
+        b, samples, ball = _action_law_case(bundle(name), SuiteConfig(), plain)
+        space = b.blowup
+        keys = [q._key() for q in samples]
+        moved: Counter = Counter()
+        real_move = blowup._move_keys
+
+        def counted_move(space, h, given):
+            if list(given) == keys:
+                moved[h.letters] += 1
+            return real_move(space, h, given)
+
+        monkeypatch.setattr(blowup, "_move_keys", counted_move)
+        found = validate_alpha_action(space, samples, ball)
+        assert (found is None) is plain
+        assert moved == {w.letters: 1 for w in reduced_words(sorted(b.generators), ball)}
 
 
 class TestStoredMoves:

@@ -8,7 +8,7 @@ from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.germ import Germ
 from germkit.plmap import (
-    InvalidMapError, PLMap, _canonical, _frac, agree_on_ray, check, reflect,
+    InvalidMapError, PLMap, _frac, agree_on_ray, check, reflect,
 )
 from germkit.rationals import format_rational
 from reference import oracle_agree_on_ray, oracle_check, oracle_compose, oracle_eval, oracle_make
@@ -302,30 +302,16 @@ def test_compose_matches_fraction_oracle_large_denominators(f, g):
     assert all(type(v) is F for v in fields(h))
 
 
-# -- composition by pieces against composition by points ----------------------
-
-
-def point_compose(f, g):
-    """``f * g`` by the point route ``*`` took before it multiplied pieces:
-    ``f(g(x))`` at ``g``'s breakpoints and at the preimages of ``f``'s,
-    canonicalized by ``_canonical``; kept here only as an oracle."""
-    xs = sorted({*g.breakpoints, *map(g.preimage, f.breakpoints)})
-    pts = [(x.numerator, x.denominator, y.numerator, y.denominator) for x in xs
-           for y in [f(g(x))]]
-    ls, rs = f.left_slope * g.left_slope, f.right_slope * g.right_slope
-    b = f(g(F(0)))
-    return _canonical(pts, ls.numerator, ls.denominator, rs.numerator, rs.denominator,
-                      None if pts else (b.numerator, b.denominator))
+# -- composition by pieces against composition by points (oracle_compose) ----
 
 
 def assert_composes_by_pieces(f, g):
-    """``f * g`` keeps the record of :func:`point_compose` and holds the
-    kernel that ``_build_kernel`` builds from it, and agrees with
-    :func:`oracle_compose`."""
-    h, want = f * g, point_compose(f, g)
+    """``f * g`` keeps the record of :func:`oracle_compose` and holds the
+    kernel that ``_build_kernel`` builds from it."""
+    h, want = f * g, oracle_compose(f, g)
     assert h._record() == want._record()
     assert h._kernel is not None and h._kernel == want._build_kernel()
-    assert h == oracle_compose(f, g)
+    assert h == want
 
 
 KINK = PLMap.make([(F(-1), F(1, 2)), (F(2), F(3)), (F(7, 2), F(5))], F(1, 3), 2)
@@ -382,8 +368,7 @@ def test_a_composite_never_canonicalizes_nor_rebuilds_its_kernel(monkeypatch):
 
 def test_a_composite_piece_of_slope_at_most_zero_raises():
     """Only an operand that is no map could give one: its data raise at
-    construction, as ``make`` rejects them, and the point route rejects the
-    composite of its unchecked record too."""
+    construction, as ``make`` rejects them."""
     f = PLMap.make([(0, 0), (1, 2)], 1, 1)
     falling = field_dict(f, values=(F(0), F(-1)), tail_offset=F(-2))
     flat_tail = field_dict(f, left_slope=F(0))
@@ -391,9 +376,6 @@ def test_a_composite_piece_of_slope_at_most_zero_raises():
                          (flat_tail, "tail slopes must be positive")]:
         with pytest.raises(InvalidMapError, match=f"^{message}$"):
             PLMap(**bad)
-        for a, b in [(record_of(**bad), SHIFT), (SHIFT, record_of(**bad))]:
-            with pytest.raises(InvalidMapError):
-                point_compose(a, b)
 
 
 def test_a_raw_operand_that_breaks_continuity_raises():

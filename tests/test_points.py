@@ -440,23 +440,23 @@ class TestBlownPoint:
     def test_unreduced_height_is_one_point(self):
         p = Point("r", 0)
         q = BlownPoint(p, F(1, 2))
-        assert q == BlownPoint._of(p, 2, 4) == BlownPoint(p, F(2, 4))
-        assert hash(q) == hash(BlownPoint._of(p, 2, 4)) == hash((p, (1, 2)))
-        assert BlownPoint(p) != BlownPoint(p, 0) and BlownPoint(p, 0) == BlownPoint._of(p, 0, 3)
+        assert q == BlownPoint(p, "2/4") == BlownPoint(p, F(2, 4))
+        assert hash(q) == hash(BlownPoint(p, F(2, 4))) == hash((p, (1, 2)))
+        assert BlownPoint(p) != BlownPoint(p, 0) and BlownPoint(p, 0) == BlownPoint(p, F(0, 3))
         assert BlownPoint(p, 1) == BlownPoint(p, F(1)) and BlownPoint(p, 1).height == 1
 
     def test_hash_reads_the_integer_height(self, fraction_count):
         p = Point("r", 1)
         given = BlownPoint(p, F(2, 4))
         before = fraction_count[0]
-        built = BlownPoint._of(p, 1, 2)
+        built = BlownPoint._from_key(("r", 1, 1, 1, 2))
         assert built == given and hash(built) == hash(given)
         assert fraction_count[0] == before and built._height is None
 
     def test_repr_unchanged(self):
         p = Point("b1", F(-1))
         assert repr(BlownPoint(p, F(1, 2))) == "BlownPoint(point=Point('b1', -1), height=Fraction(1, 2))"
-        assert repr(BlownPoint._of(p, 3, 6)) == repr(BlownPoint(p, F(1, 2)))
+        assert repr(BlownPoint._from_key(("b1", -1, 1, 1, 2))) == repr(BlownPoint(p, F(3, 6)))
         assert repr(BlownPoint(p)) == "BlownPoint(point=Point('b1', -1), height=None)"
 
     def test_fields_are_read_only(self):
