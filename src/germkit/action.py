@@ -64,11 +64,13 @@ _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 class Word:
     """Freely reduced word over named generators.
 
-    Letters are ``(name, +1|-1)`` pairs; construction cancels adjacent
-    inverse pairs.  ``w1 * w2`` concatenates and reduces, ``~w`` inverts.
-    The text form is whitespace-separated names with an optional ``^-1``
-    (powers like ``f^3`` are accepted as input sugar); the empty word prints
-    as ``"1"``.
+    Letters are ``(name, +1|-1)`` pairs; construction checks each exponent
+    and cancels adjacent inverse pairs.  A word is reduced once: ``w1 * w2``
+    cancels only at the seam, since both factors are already reduced, and
+    ``~w`` inverts; both build their result through the trusted
+    :meth:`_reduced`.  The text form is whitespace-separated names with an
+    optional ``^-1`` (powers like ``f^3`` are accepted as input sugar); the
+    empty word prints as ``"1"``.
     """
 
     letters: tuple[tuple[str, int], ...] = ()
@@ -89,6 +91,14 @@ class Word:
         object.__setattr__(self, "letters", Word._reduce(self.letters))
 
     @classmethod
+    def _reduced(cls, letters: tuple[tuple[str, int], ...]) -> "Word":
+        """The word of a letter tuple that is already freely reduced, with
+        every exponent ``+-1``: nothing is checked and nothing cancels."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def parse(cls, text: str) -> "Word":
         letters: list[tuple[str, int]] = []
         for token in text.split():
@@ -105,10 +115,14 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        left, right = self.letters, other.letters
+        n, end = 0, min(len(left), len(right))
+        while n < end and left[-1 - n][0] == right[n][0] and left[-1 - n][1] == -right[n][1]:
+            n += 1
+        return Word._reduced(left[: len(left) - n] + right[n:])
 
     def __invert__(self) -> "Word":
-        return Word(tuple((name, -exp) for name, exp in reversed(self.letters)))
+        return Word._reduced(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -132,7 +146,7 @@ def reduced_words(names: Sequence[str], max_length: int) -> list[Word]:
     first, and the empty word comes first.
     """
     alphabet = [(n, 1) for n in names] + [(n, -1) for n in names]
-    out = [Word()]
+    out = [Word._reduced(())]
     layer: list[tuple[tuple[str, int], ...]] = [()]
     for _ in range(max_length):
         next_layer = []
@@ -142,7 +156,7 @@ def reduced_words(names: Sequence[str], max_length: int) -> list[Word]:
                     continue
                 ext = prefix + (letter,)
                 next_layer.append(ext)
-                out.append(Word(ext))
+                out.append(Word._reduced(ext))
         layer = next_layer
     return out
 
@@ -195,31 +209,28 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     compared, since :func:`~germkit.plmap.agree_on_ray` reads canonical
     kernels.  The checks run on ints: for a valid ``h`` whose chart maps
     store ``Fraction`` fields, no ``Fraction`` and no ``PLMap`` is built.
+    The branch names, their order, the child-parent edges and the share
+    thresholds are read from tables the space builds or keeps once.
     """
-    names = set(space.branches)
+    names = space._names
     undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
     if undeclared:
         return f"branch {sorted(undeclared)[0]!r} is not declared in the space"
-    missing = names - set(h.branch_map)
+    missing = names.difference(h.branch_map)
     if missing:
         return f"branch_map does not cover branch {sorted(missing)[0]!r}"
-    missing = names - set(h.branch_pl)
+    missing = names.difference(h.branch_pl)
     if missing:
         return f"branch_pl does not cover branch {sorted(missing)[0]!r}"
-    targets = [h.branch_map[b] for b in sorted(names)]
-    if set(targets) != names or len(set(targets)) != len(targets):
+    # both maps cover exactly the names, so a surjective branch_map is a bijection
+    if names != set(h.branch_map.values()):
         return "branch_map is not a bijection of the branches"
-    for b in sorted(names):
+    for b in space._sorted_names:
         problem = check_plmap(h.branch_pl[b])
         if problem is not None:
             return f"orientation: branch {b!r} chart map invalid ({problem})"
     sign, shared = (-1, "below") if space.side is Side.POSITIVE else (1, "above")
-    for child in sorted(names):
-        par = space.parent(child)
-        if par is None:
-            continue
-        dep = space.departure(child)
-        assert dep is not None
+    for child, par, dep in space._edges:
         if not agree_on_ray(h.branch_pl[child], h.branch_pl[par], dep):
             return (
                 f"compatibility: chart maps of {child!r} and parent {par!r} "

@@ -233,12 +233,11 @@ class StabilizerData:
         n = len(letters)
         while n and letters[n - 1] in self._letters:
             n -= 1
-        return word if n == len(letters) else Word(letters[:n])
+        return word if n == len(letters) else Word._reduced(letters[:n])
 
     def twist(self, h: Word, g: Word) -> Word:
-        """The stabilizer element ``x_{hgK}^-1 h x_{gK}``, built as one word."""
-        inverse = tuple((name, -exp) for name, exp in reversed(self.coset_rep(h * g).letters))
-        return Word(inverse + h.letters + self.coset_rep(g).letters)
+        """The stabilizer element ``x_{hgK}^-1 h x_{gK}``."""
+        return ~self.coset_rep(h * g) * h * self.coset_rep(g)
 
 
 def check_stabilizer_fits(
@@ -411,7 +410,7 @@ class BlowupSpace:
         """
         entry = self._word_cache.get(word.letters)
         if entry is None:
-            prefix = self.word_homeo(Word(word.letters[:-1])) if word.letters else None
+            prefix = self.word_homeo(Word._reduced(word.letters[:-1])) if word.letters else None
             homeo = word_homeo(self.base, self.generators, word, prefix=prefix)
             entry = self._word_cache[word.letters] = (homeo, {})
         return entry[0]

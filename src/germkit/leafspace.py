@@ -130,6 +130,16 @@ class LeafSpace:
         for name, lst in kids.items():
             self._children[name] = tuple(sorted(lst))
         self._chains: dict[str, tuple[str, ...]] = {}
+        self._shares: dict[tuple[str, str], Fraction] = {}
+        # the tables validate_homeo reads: the names as a set and sorted, and
+        # each non-root branch with its parent and departure, in name order
+        self._names = frozenset(self.branches)
+        self._sorted_names = tuple(sorted(self.branches))
+        self._edges: tuple[tuple[str, str, Fraction], ...] = tuple(
+            (name, self.branches[name].parent, self.branches[name].departure)
+            for name in self._sorted_names
+            if self.branches[name].parent is not None
+        )
         # each branch -> (parent, departure numerator, denominator), or None at the root
         self._up: dict[str, tuple[str, int, int] | None] = {
             name: None
@@ -217,10 +227,13 @@ class LeafSpace:
         ``None`` means the branches share every coordinate (i.e. they are the
         same branch).  In a tree all charts merge going up, so this is the
         maximum departure along the two chains below their first common
-        branch.
+        branch.  Computed once per ordered pair and kept.
         """
         if first == second:
             return None
+        cached = self._shares.get((first, second))
+        if cached is not None:
+            return cached
         chain_a = self.chain_to_root(first)
         chain_b = self.chain_to_root(second)
         common = set(chain_a) & set(chain_b)
@@ -233,6 +246,7 @@ class LeafSpace:
                 assert dep is not None
                 best = dep if best is None else max(best, dep)
         assert best is not None
+        self._shares[first, second] = best
         return best
 
     # -- points ------------------------------------------------------------

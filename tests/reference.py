@@ -305,6 +305,18 @@ def oracle_contains(space, line, p):
 
 
 # -- homeos, induced germs and words ---------------------------------------
+def oracle_share_threshold(space, first, second):
+    """The largest departure on either chain below the branches' first
+    common one, read from ``chain_to_root`` with nothing kept; ``None`` for
+    one branch."""
+    chain_a, chain_b = space.chain_to_root(first), space.chain_to_root(second)
+    common = set(chain_a) & set(chain_b)
+    return max(
+        (space.departure(name) for chain in (chain_a, chain_b) for name in chain if name not in common),
+        default=None,
+    )
+
+
 def oracle_validate_homeo(space, h):
     """``validate_homeo`` as it was before it ran on ints: ``check`` and
     ``agree_on_ray`` are the ``Fraction``-era oracles, and the departure
@@ -338,7 +350,7 @@ def oracle_validate_homeo(space, h):
                 f"disagree {shared} the departure"
             )
         image_dep = h.branch_pl[par](dep)
-        threshold = space.share_threshold(h.branch_map[child], h.branch_map[par])
+        threshold = oracle_share_threshold(space, h.branch_map[child], h.branch_map[par])
         if threshold != image_dep:
             return (
                 f"departure: image branches {h.branch_map[child]!r}, "
@@ -559,5 +571,9 @@ def oracle_coset_rep(stab, word):
 
 
 def oracle_twist(stab, h, g):
-    """``x_{hgK}^-1 h x_{gK}`` through the ``Word`` operators."""
-    return ~oracle_coset_rep(stab, h * g) * h * oracle_coset_rep(stab, g)
+    """``x_{hgK}^-1 h x_{gK}`` as one reduction of its concatenated letters,
+    with no ``Word`` operator, as ``twist`` was built before words were
+    reduced once."""
+    rep = oracle_coset_rep(stab, Word(h.letters + g.letters))
+    inverse = tuple((name, -exp) for name, exp in reversed(rep.letters))
+    return Word(inverse + h.letters + oracle_coset_rep(stab, g).letters)

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from germkit import action, suites
 from germkit.action import (
@@ -344,6 +345,49 @@ class TestWords:
         words = reduced_words(["f", "k"], 3)
         assert len(words) == 1 + 4 + 12 + 36
         assert len(set(w.letters for w in words)) == len(words)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two reduced words over two or three names, drawn through the reducing
+    constructor; the second starts with the inverse of a random tail of the
+    first, so their product cancels fully, partly or not at all."""
+    names = draw(st.sampled_from((("f", "g"), ("f", "g", "h"))))
+    letter = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    a = Word(tuple(draw(st.lists(letter, max_size=8))))
+    tail = a.letters[len(a) - draw(st.integers(0, len(a))):]
+    undo = tuple((name, -exp) for name, exp in reversed(tail))
+    return a, Word(undo + tuple(draw(st.lists(letter, max_size=8))))
+
+
+class TestWordAlgebra:
+    """Products, inverses and prefix slices are built by the trusted
+    ``Word._reduced``; each must be what the reducing constructor gives."""
+
+    @given(word_pairs())
+    @example((Word.parse("f g^-1 h"), Word.parse("h^-1 g f^-1")))  # full cancellation
+    @example((Word.parse("f g h"), Word.parse("h^-1 g^-1 f")))  # partial cancellation
+    @example((Word.parse("f g"), Word.parse("g f^-1")))  # no cancellation
+    @example((Word(), Word()))
+    def test_operators_match_the_reducing_constructor(self, pair):
+        a, b = pair
+        assert (a * b).letters == Word(a.letters + b.letters).letters
+        assert (b * a).letters == Word(b.letters + a.letters).letters
+        assert (~a).letters == Word(tuple((name, -exp) for name, exp in reversed(a.letters))).letters
+        assert (a * ~a).letters == (~a * a).letters == ()
+        for w in (a, b):
+            assert (w * Word()).letters == (Word() * w).letters == w.letters
+        for i in range(len(a) + 1):
+            prefix, reduced = Word._reduced(a.letters[:i]), Word(a.letters[:i])
+            assert prefix == reduced and hash(prefix) == hash(reduced)
+
+    def test_ball_words_and_coset_reps_are_reduced(self):
+        for name in ("e1", "e3", "e3-coset-fault"):
+            b = bundle(name)
+            for w in reduced_words(sorted(b.generators), 4):
+                assert Word(w.letters).letters == w.letters
+                rep = b.stabilizer.coset_rep(w)
+                assert Word(rep.letters).letters == rep.letters
 
 
 class TestWordGerm:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from germkit.fuzz import CaseGen
 from germkit.leafspace import (
     Classification,
     LeafSpace,
@@ -11,7 +12,7 @@ from germkit.leafspace import (
     Side,
     root_embedding,
 )
-from reference import as_oracle, oracle_canonical
+from reference import as_oracle, oracle_canonical, oracle_share_threshold
 from support import rationals
 
 
@@ -178,6 +179,16 @@ class TestEmbedding:
         assert L.share_threshold("b1", "r") == F(-1)
         assert L.share_threshold("b2", "b1") == F(0)
         assert L.share_threshold("r", "r") is None
+
+    def test_kept_share_thresholds_match_the_chains(self):
+        gen = CaseGen(5)
+        for _ in range(8):
+            space = gen.leafspace(max_branches=5)
+            for a in sorted(space.branches):
+                for b in sorted(space.branches):
+                    expected = oracle_share_threshold(space, a, b)
+                    assert space.share_threshold(a, b) == expected  # computed
+                    assert space.share_threshold(a, b) == expected  # kept
 
 
 # -- integer canonicalization against the Fraction body -------------------------

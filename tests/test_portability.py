@@ -19,7 +19,10 @@ run on the integer entry ``_line_image``.  Only ``blowup.py`` names
 ``StabilizerData.twist``: a word's move of an orbit point is computed in
 one place, the kernel ``_move_keys``, which keeps it.  Only ``blowup.py``
 names the kernel, the space's orbit key index and the methods that turn a
-blown point into a key and back, so only it knows the key layout.
+blown point into a key and back, so only it knows the key layout.  Only
+``action.py`` and ``blowup.py`` name ``Word._reduced``, which builds a word
+from letters it trusts to be reduced: every other module builds words
+through the reducing constructor.
 
 The tests' references live in one module, ``tests/reference.py``, which
 names none of the package's integer internals, so a cross-check never
@@ -94,6 +97,16 @@ def test_only_blowup_names_twist():
 
 def test_only_blowup_names_the_kernel_and_its_keys():
     assert uses_outside("blowup.py", {"_move_keys", "_orbit_keys", "_key", "_from_key"}) == []
+
+
+def test_only_action_and_blowup_build_trusted_words():
+    """``Word._reduced`` trusts its letters to be reduced, so modules that
+    read words from outside (``serialize``, ``cli``, ``fuzz``, ``suites``)
+    build them only through the reducing constructor."""
+    found = uses_outside("action.py", {"_reduced"})
+    blowup = f"{Path('germkit', 'blowup.py')}:"
+    assert [use for use in found if not use.startswith(blowup)] == []
+    assert any(use.startswith(blowup) for use in found)
 
 
 def test_only_action_names_the_kept_ray_data():
