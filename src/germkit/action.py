@@ -489,11 +489,7 @@ def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fractio
     each chart breakpoint and preimage of a departure along ``e``'s chain.
     Chart breakpoints are read off each map's integer record, so no chart
     map builds its ``Fraction`` fields."""
-    departures = {
-        dep
-        for name in space.branches
-        if (dep := space.departure(name)) is not None
-    }
+    departures = space._departures
     events: set[Fraction] = set(departures)
     for branch in space.chain_to_root(e.branch):
         if branch not in h.branch_pl:
@@ -513,10 +509,7 @@ def _top_event(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[int, int] | No
     departure ``D``, each chain map's last breakpoint and its preimage of
     ``D``.  An uncovered chain branch raises as in :func:`_build_ray_events`.
     """
-    top_dep = max(
-        (dep for name in space.branches if (dep := space.departure(name)) is not None),
-        default=None,
-    )
+    top_dep = space._departures[-1] if space._departures else None
     tops = [] if top_dep is None else [(top_dep.numerator, top_dep.denominator)]
     for branch in space.chain_to_root(e.branch):
         if branch not in h.branch_pl:

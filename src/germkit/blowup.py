@@ -112,13 +112,15 @@ class StabilizerData:
     :class:`StabilizerGeneratorError`.  So ``K`` is the free factor on those
     letters: a reduced word lies in ``K`` exactly when each of its letters
     does, and its factorization is its letters.  ``phi`` maps each generator
-    (keyed by its text form) to a PL map fixing ``[0, 1]`` pointwise outside
-    and ``0``/``1`` inside.  The default representative of a coset ``gK``
-    is ``g`` with its trailing ``K`` letters stripped; ``coset_table`` maps
-    the text of a reduced word, as ``str`` prints it, to the representative
-    used for that word alone, which must lie in the word's coset.  A key
-    written any other way, or a representative outside its key's coset,
-    raises :class:`CosetTableError` naming the key.
+    (keyed by its text form) to a PL map that fixes ``0`` and ``1``, has
+    slope 1 outside ``[0, 1]`` and no breakpoint outside it, so it is the
+    identity there; a map breaking one of these rules raises
+    :class:`BlowupError` naming its key.  The default representative of a
+    coset ``gK`` is ``g`` with its trailing ``K`` letters stripped;
+    ``coset_table`` maps the text of a reduced word, as ``str`` prints it,
+    to the representative used for that word alone, which must lie in the
+    word's coset.  A key written any other way, or a representative outside
+    its key's coset, raises :class:`CosetTableError` naming the key.
     """
 
     k_generators: tuple[Word, ...]
@@ -143,6 +145,13 @@ class StabilizerData:
             (name, exp), = gen.letters
             self._letters[name, exp] = (key, 1)
             self._letters[name, -exp] = (key, -1)
+        for key, pl in self.phi.items():
+            if pl(0) != 0 or pl(1) != 1:
+                raise BlowupError(f"phi[{key!r}] does not fix 0 and 1")
+            if pl.left_slope != 1 or pl.right_slope != 1:
+                raise BlowupError(f"phi[{key!r}] is not the identity outside [0, 1]")
+            if pl.breakpoints and (pl.breakpoints[0] < 0 or pl.breakpoints[-1] > 1):
+                raise BlowupError(f"phi[{key!r}] moves points outside [0, 1]")
         # the table keyed by letters, so a lookup prints no word
         self._coset_letters: dict[tuple[tuple[str, int], ...], Word] = {}
         for key, rep in self.coset_table.items():
@@ -161,35 +170,6 @@ class StabilizerData:
                     f"coset table representative {str(rep)!r} is not in the coset of {key!r}",
                 )
             self._coset_letters[word.letters] = rep
-
-    # -- the unit-interval realization --------------------------------------
-
-    def validate_phi(self, ball: int) -> str | None:
-        """Check each phi image fixes 0 and 1 (identity outside the interval)
-        and that no nontrivial stabilizer word of length <= ball fixes 1/2."""
-        for name, pl in self.phi.items():
-            if pl(Fraction(0)) != 0 or pl(Fraction(1)) != 1:
-                return f"phi[{name!r}] does not fix 0 and 1"
-            if pl.left_slope != 1 or pl.right_slope != 1:
-                return f"phi[{name!r}] is not the identity outside [0, 1]"
-            if pl.breakpoints and (pl.breakpoints[0] < 0 or pl.breakpoints[-1] > 1):
-                return f"phi[{name!r}] moves points outside [0, 1]"
-        half = Fraction(1, 2)
-        names = [str(g) for g in self.k_generators]
-        for w in reduced_words(names, ball):
-            if w.is_identity():
-                continue
-            pl = self._phi_of_factors(w.letters)
-            if pl(half) == half:
-                return f"phi is not faithful at 1/2: word {str(w)!r} fixes it"
-        return None
-
-    def _phi_of_factors(self, factors: Iterable[tuple[str, int]]) -> PLMap:
-        result = PLMap.identity()
-        for name, exp in factors:
-            pl = self.phi[name]
-            result = result * (pl if exp == 1 else ~pl)
-        return result
 
     # -- membership and cosets ----------------------------------------------
 
@@ -213,7 +193,10 @@ class StabilizerData:
             raise CosetError(
                 f"twist word {str(word)!r} is not a product of stabilizer generators"
             )
-        result = self._phi_of_factors(factors)
+        result = PLMap.identity()
+        for name, exp in factors:
+            pl = self.phi[name]
+            result = result * (pl if exp == 1 else ~pl)
         self._phi_cache[word.letters] = result
         return result
 

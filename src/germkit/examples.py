@@ -14,12 +14,19 @@ Three small actions exercise every branch of the machinery:
     the blow-up construction exists to repair.
 
 ``e3``
-    A free pair acting on a three-branch space.  ``k`` fixes the marked
+    Two generators acting on a three-branch space.  ``k`` fixes the marked
     point ``(b1, -1)`` and realizes the stabilizer; ``f`` contracts the
-    branch ray toward the branch point.  The slopes are chosen so that no
-    word of length at most five fixes the marked point except powers of
-    ``k``, and the germ images (slope 2 resp. slope 3 with offset 1)
-    satisfy no relation of length at most five either.
+    branch ray toward the branch point.  The action is not faithful: groups
+    of PL maps with finitely many breakpoints contain no free group of rank
+    2 (Brin and Squier, 1985), and the 66-letter word ``W = [c, f^4 c f^-4]``,
+    with ``c = [f k f^-1 k^-1, f^-1 k f k^-1]`` and ``[a, b] = a b a^-1 b^-1``,
+    acts as the identity.  It looks free only up to two horizons.  No word
+    of length at most five fixes the marked point except powers of ``k``;
+    at length six ``f k f f k f^-1`` does, and it is not in the stabilizer.
+    The generators' germs are slope 2 and slope 3 with offset 1; every
+    nontrivial word of length at most nine keeps a nontrivial blown germ,
+    and at length ten ``f f k f^-1 f^-1 k f k^-1 f^-1 k^-1`` has the
+    trivial one.
 
 ``e3-phi-fault`` and ``e3-coset-fault`` are deliberately broken copies of
 ``e3`` that differ from it only in their name and stabilizer data: the

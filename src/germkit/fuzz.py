@@ -196,9 +196,7 @@ class CaseGen:
         branch structure pointwise intact; below its own departure each
         branch wanders independently, and above it it copies its parent.
         """
-        departures = sorted(
-            {dep for b in space.branches if (dep := space.departure(b)) is not None}
-        ) or [Fraction(0)]
+        departures = space._departures or [Fraction(0)]
         order = sorted(space.branches, key=lambda b: len(space.chain_to_root(b)))
         branch_pl: dict[str, PLMap] = {}
         for name in order:

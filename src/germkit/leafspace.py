@@ -132,7 +132,8 @@ class LeafSpace:
         self._chains: dict[str, tuple[str, ...]] = {}
         self._shares: dict[tuple[str, str], Fraction] = {}
         # the tables validate_homeo reads: the names as a set and sorted, and
-        # each non-root branch with its parent and departure, in name order
+        # each non-root branch with its parent and departure, in name order;
+        # beside them the distinct departures, sorted
         self._names = frozenset(self.branches)
         self._sorted_names = tuple(sorted(self.branches))
         self._edges: tuple[tuple[str, str, Fraction], ...] = tuple(
@@ -140,6 +141,7 @@ class LeafSpace:
             for name in self._sorted_names
             if self.branches[name].parent is not None
         )
+        self._departures: tuple[Fraction, ...] = tuple(sorted({dep for _, _, dep in self._edges}))
         # each branch -> (parent, departure numerator, denominator), or None at the root
         self._up: dict[str, tuple[str, int, int] | None] = {
             name: None

@@ -1,10 +1,13 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from germkit import blowup
-from germkit.action import Word, apply_homeo, reduced_words, validate_homeo, word_homeo
+from germkit.action import (
+    Word, apply_homeo, identity_homeo, reduced_words, validate_homeo, word_homeo,
+)
 from germkit.blowup import (
     ActionLawViolation,
     BlownPoint,
@@ -27,7 +30,7 @@ from germkit.examples import bundle
 from germkit.germ import Germ
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
-from germkit.suites import SuiteConfig, _action_law_case, _action_law_check
+from germkit.suites import SuiteConfig, _action_law_case, _action_law_check, _injectivity_cases
 from reference import (
     oracle_coset_rep, oracle_stabilizer_factorization, oracle_twist, oracle_validate_alpha_action,
 )
@@ -481,14 +484,14 @@ class TestStoredMoves:
             assert key is index[key][0] and image is index[image][0]
 
     def test_a_kept_height_map_is_checked_at_every_height(self):
-        b = bundle("e3")
-        stab = StabilizerData(b.stabilizer.k_generators, {"k": PLMap.affine(1, F(1, 10))})
-        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
+        # phi is the identity outside [0, 1], so a height of 3/2 stays out
+        b, space = built("e3")
         k = Word.parse("k")
-        assert alpha_apply(space, k, space.midpoint()) == BlownPoint(b.marked, F(3, 5))
+        assert alpha_apply(space, k, space.midpoint()) == BlownPoint(b.marked, F(3, 4))
+        assert BlownPoint(b.marked)._key() in space._word_cache[k.letters][1]
         for _ in range(2):
             with pytest.raises(BlowupError, match="twist map left the unit interval"):
-                alpha_apply(space, k, BlownPoint(b.marked, 1))
+                alpha_apply(space, k, BlownPoint(b.marked, F(3, 2)))
 
     def test_a_wrong_kept_move_breaks_the_law(self):
         # The combined route reads the product word's own move, never its
@@ -698,14 +701,40 @@ class TestStabilizerCheck:
             BlowupSpace(b.space, b.generators, b.marked, b.depth, wrong)
 
     def test_phi_validation(self):
+        # construction checks each phi map, one rule at a time
+        k = (Word.parse("k"),)
+        for name in ("e3", "e3-phi-fault"):
+            StabilizerData(k, bundle(name).stabilizer.phi)
+        for phi, message in [
+            (PLMap.affine(1, F(1, 10)), "phi['k'] does not fix 0 and 1"),
+            (PLMap.make([(0, 0), (1, 1)], 2, 2), "phi['k'] is not the identity outside [0, 1]"),
+            (
+                PLMap.make([(-2, -2), (-1, F(-1, 2)), (0, 0), (1, 1)], 1, 1),
+                "phi['k'] moves points outside [0, 1]",
+            ),
+        ]:
+            with pytest.raises(BlowupError) as raised:
+                StabilizerData(k, {"k": phi})
+            assert str(raised.value) == message
+
+    def test_e3_stabilizer_horizon(self):
+        # the first ball word fixing the marked midpoint has length 6: it
+        # fixes the marked point although it is not in K
+        b, space = built("e3")
+        w = Word.parse("f k f f k f^-1")
+        assert apply_homeo(b.space, word_homeo(b.space, b.generators, w), b.marked) == b.marked
+        assert not b.stabilizer.in_stabilizer(w)
+        assert stabilizer_check(space, ball=5) is None
+        assert stabilizer_check(space, ball=6) == w
+
+    def test_e3_action_is_not_faithful(self):
         b = bundle("e3")
-        assert b.stabilizer.validate_phi(5) is None
-        bad = bundle("e3-phi-fault")
-        assert bad.stabilizer.validate_phi(5) is not None
-        tilted = StabilizerData(
-            (Word.parse("k"),), {"k": PLMap.affine(1, 1)}
-        )
-        assert tilted.validate_phi(2) is not None
+        comm = lambda x, y: x * y * ~x * ~y
+        c = comm(Word.parse("f k f^-1 k^-1"), Word.parse("f^-1 k f k^-1"))
+        f4 = Word.parse("f^4")
+        w = comm(c, f4 * c * ~f4)
+        assert len(w) == 66
+        assert word_homeo(b.space, b.generators, w) == identity_homeo(b.space)
 
 
 class TestOrbitSearch:
@@ -804,3 +833,13 @@ class TestBlownGerm:
         monkeypatch.setattr(Embedding, "contains", counted)
         assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
         assert on_orbit == len(space.orbit) == 407
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_certificate_case_count_is_the_nontrivial_ball_size(self, r):
+        # the suite counts the ball by its closed form, without listing it
+        f = bundle("e3").generators["f"]
+        target = replace(bundle("e3"), generators={name: f for name in "abc"[:r]})
+        for ball in range(7):
+            (count, case), = _injectivity_cases(SuiteConfig(stabilizer_ball=ball), [target])
+            assert case == (target, ball)
+            assert count == len(reduced_words(sorted(target.generators), ball)) - 1

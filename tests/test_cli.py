@@ -121,6 +121,17 @@ class TestCheckCommands:
         assert "PASS trivial-stabilizer" in result.output
         assert "PASS injectivity-certificate" in result.output
 
+    @pytest.mark.parametrize(
+        "example, ball, code", [("e3", 6, 1), ("e3", 5, 0), ("e1", 6, 0)]
+    )
+    def test_stabilizer_runs_at_the_command_ball(self, runner, example, ball, code):
+        # e3's first fixing word has length 6; the spec's own ball is 5
+        result = runner.invoke(main, ["check-stabilizer", "--example", example, "--ball", str(ball)])
+        assert result.exit_code == code, result.output
+        fixing = '{"target": "e3", "fixing_word": "f k f f k f^-1"}'
+        assert (fixing in result.output) == (code == 1)
+        assert "PASS injectivity-certificate" in result.output
+
     @pytest.mark.parametrize("ball, code", [(2, 1), (3, 0)])
     def test_bundled_fault_runs_at_the_command_ball(self, runner, ball, code):
         result = runner.invoke(main, ["check-action", "--example", "e1", "--ball", str(ball)])

@@ -7,15 +7,19 @@ undone.  Between them the cases emit every payload shape a suite can emit.
 """
 
 import itertools
+import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from germkit import action, examples, serialize, suites
 from germkit.action import Homeo, UnknownGeneratorError, Word
 from germkit.blowup import BlowupSpace
+from germkit.cli import main
 from germkit.germ import Germ, OrderSign
 from germkit.leafspace import Classification
 from germkit.plmap import PLMap
@@ -220,6 +224,10 @@ MALFORMED = {
         {"target": "e3", "word": 5}, "AttributeError(\"'int' object has no attribute 'split'\")"
     ),
     "order-laws": ({"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
+    # a payload with no fixing word
+    "trivial-stabilizer": (
+        {"target": "e3", "problem": "phi['k'] does not fix 0 and 1"}, "KeyError('fixing_word')"
+    ),
 }
 
 
@@ -322,14 +330,19 @@ def test_stabilizer_fault_not_caught(replays):
     assert payload["target"] == "e3-phi-fault" and payload["got"] is None
 
 
-def test_stabilizer_phi_moves_endpoints(replays):
-    def shifted_phi(b):
-        stab = replace(b.stabilizer, phi={"k": PLMap.affine(1, F(1, 10))})
-        return replace(b, stabilizer=stab)
-
-    config = replace(SMALL, examples=("e3",))
-    payload = replays("trivial-stabilizer", config, set_bundle("e3", shifted_phi))
-    assert "does not fix 0 and 1" in payload["problem"]
+def test_stabilizer_phi_moves_endpoints(tmp_path):
+    # a phi that moves 0 is bad input: the spec is rejected when it loads,
+    # so no suite sees it (the claim's own fault is e3-phi-fault, above)
+    paths = exported("e3", tmp_path)
+    spec_path = paths["blowup_path"]
+    spec = json.loads(Path(spec_path).read_text())
+    spec["phi"]["k"] = serialize.plmap_to_data(PLMap.affine(1, F(1, 10)))
+    Path(spec_path).write_text(json.dumps(spec))
+    files = ["--leafspace", paths["leafspace_path"], "--action", paths["action_path"], "--blowup", spec_path]
+    for command in ("blowup", "check-action", "check-stabilizer", "orbit-search"):
+        result = CliRunner().invoke(main, [command, *files])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(f"{spec_path}: $.phi: phi['k'] does not fix 0 and 1\n")
 
 
 # the search claims a word that carries the midpoint down, not over the ray
