@@ -21,9 +21,9 @@ events, and no ``Point`` or ``Fraction`` is built but a returned threshold
 or witness.
 
 Homeos and words are immutable.  A homeo keeps its inverse and, per space
-and embedding, its ray data (ray events, overlap ray, default induced germ);
-a kept value is what recomputing gives and nothing that raises is kept, so
-everything here acts as pure.
+and embedding, its ray events and overlap ray; a kept value is what
+recomputing gives and nothing that raises is kept, so everything here acts
+as pure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .germ import Germ
-from .leafspace import Embedding, LeafSpace, Point, Side
+from .leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side
 from .plmap import PLMap, _frac, agree_on_ray, check as check_plmap
 
 FULL_LINE = None  # overlap_ray result when the whole embedded line maps into itself
@@ -450,13 +450,12 @@ class _Rays:
     """The ray data a homeo keeps for the embedding through ``branch`` in
     ``space``; each other field is filled once computed without an error."""
 
-    __slots__ = ("space", "branch", "events", "overlap", "germ")
+    __slots__ = ("space", "branch", "events", "overlap")
 
     def __init__(self, space: LeafSpace, branch: str) -> None:
         self.space, self.branch = space, branch
         self.events: tuple[Fraction, ...] | None = None
         self.overlap: Fraction | None | object = _UNSCANNED
-        self.germ: Germ | None = None
 
 
 def _kept(space: LeafSpace, h: Homeo, e: Embedding) -> _Rays:
@@ -573,46 +572,42 @@ def induced_germ(
 ) -> Germ:
     """Germ at +infinity of the coordinate map ``x -> e^-1(h(e(x)))``.
 
-    Above the last ray event the map is a single affine piece, and the
-    overlap ray (an event, or ``FULL_LINE``) lies at or below that event,
-    so the two sample points one and two above the top event (above 0
-    when there are no events) determine the germ exactly.  By default no
-    overlap scan runs and no event list is built: :func:`_top_event` reads
-    the top event on ints, and the germ is kept on ``h``, so a later
-    default call returns it with no probe.  An explicit ``threshold`` is
-    checked against the overlap ray, scanned and kept as in
-    :func:`overlap_ray` (one below it raises :class:`ActionError`), and
-    then lifts the samples above it when it lies above every event.  The
-    result does not depend on the threshold, which is what makes the
-    assignment well defined.  Both samples are :func:`_line_image` probes
-    on integer pairs, and their image pairs give the germ, so a default
-    call builds no ``Fraction``.
+    By default it is ``Germ.of`` of ``h``'s root chart map, whatever ``e``;
+    nothing is probed or kept.  Proof: let ``D`` be the largest departure.
+    For ``x`` above ``D``, ``h_root^-1(D)`` and ``h_root``'s last
+    breakpoint, ``e(x)`` is ``(root, x)``; its image ``h_root(x)`` lies
+    above ``D``, so it ascends to the root, which is on every embedded
+    line, and the return map there is ``h_root``'s affine tail.  Corollary:
+    compatibility gives every chart map of a valid homeo the root chart's
+    tail, so ``d(g h) = tail(g_{h(root)}) tail(h_root) = d(g) d(h)``.  An
+    undeclared ``e`` or root image raises
+    :class:`~germkit.leafspace.LeafSpaceError`; no root chart or image, or
+    a root tail that does not increase, raises :class:`ActionError`.
+
+    An explicit ``threshold`` is checked against the overlap ray, scanned
+    and kept as in :func:`overlap_ray` (one below it raises
+    :class:`ActionError`), and the germ is read off two :func:`_line_image`
+    probes one and two above it and above every ray event: an independent
+    route to the same germ.  Neither route builds a ``Fraction``.
     """
-    rays = _kept(space, h, e)
     if threshold is None:
-        if rays.germ is not None:
-            return rays.germ
-        top = _top_event(space, h, e)
-        xn, xd = (1, 1) if top is None else (top[0] + top[1], top[1])
-    else:
-        events = _ray_events(space, h, e)
-        start = _frac(threshold)
-        t0 = overlap_ray(space, h, e)
-        if t0 is not None and start < t0:
-            raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
-        top = max(start, events[-1]) if events else start
-        xn, xd = top.numerator + top.denominator, top.denominator
-    germ = _germ_at(space, h, e, xn, xd)
-    if threshold is None:
-        rays.germ = germ
-    return germ
-
-
-def _germ_at(space: LeafSpace, h: Homeo, e: Embedding, xn: int, xd: int) -> Germ:
-    """The germ of :func:`induced_germ` from its two probes, at ``x = xn/xd``
-    and ``x + 1``, for an ``x`` above every ray event and above the overlap
-    ray, where the return map is one affine piece.  ``(xn, xd)`` is any pair
-    with ``xd > 0``; no ``Fraction`` is built and nothing is kept."""
+        space.chain_to_root(e.branch)  # checks that e's branch is declared
+        root = space.root
+        if root not in h.branch_map or root not in h.branch_pl:
+            raise ActionError(f"homeomorphism undefined on branch {root!r}")
+        if h.branch_map[root] not in space._names:
+            raise LeafSpaceError(f"unknown branch {h.branch_map[root]!r}")
+        pl = h.branch_pl[root]
+        if pl._tail()[0] <= 0:
+            raise ActionError(f"chart map of the root {root!r} is not increasing at +infinity")
+        return Germ.of(pl)
+    events = _ray_events(space, h, e)
+    start = _frac(threshold)
+    t0 = overlap_ray(space, h, e)
+    if t0 is not None and start < t0:
+        raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
+    top = max(start, events[-1]) if events else start
+    xn, xd = top.numerator + top.denominator, top.denominator
     y1 = _line_image(space, h, e, xn, xd)
     y2 = _line_image(space, h, e, xn + xd, xd)
     if y1 is None or y2 is None:
@@ -638,11 +633,9 @@ def word_germ(
     and the common value is returned.  A disagreement raises
     :class:`GermMismatchError`.
 
-    A letter is its generator's homeo or that homeo's cached inverse, so
-    its germ is computed once per ``(space, e)`` and then read from what
-    the homeo keeps.  The composite germ is always computed afresh, since
-    :func:`word_homeo` builds every word's homeo, a one-letter word's
-    included, as a new object: the two routes stay independent.
+    The composite germ is the tail of a composed root chart, and the
+    product multiplies the letters' root tails, so the two agree only when
+    each letter's chart maps share its root tail.
     """
     direct = induced_germ(space, word_homeo(space, generators, word), e)
     product = Germ.identity()

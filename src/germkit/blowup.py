@@ -60,7 +60,6 @@ from .action import (
     reduced_words,
     word_homeo,
     _apply_pairs,
-    _germ_at,
     _top_event,
 )
 from .germ import Germ, eventual_comparison_bound
@@ -668,10 +667,10 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
     cross-check, the word must move plain line points at arbitrarily large
     sampled coordinates.  Returns the first failing word or ``None``.  The
     orbit is scanned for line insertions once, and each word's blown germ
-    is its base germ conjugated as in :func:`blown_induced_germ`.  Each
-    word's top ray event is read once: the base germ is probed one above
-    it, as the default :func:`~germkit.action.induced_germ` probes, and no
-    germ is kept on the word's homeo.
+    is its base germ conjugated as in :func:`blown_induced_germ`.  The base
+    germ is the default :func:`~germkit.action.induced_germ`, the root
+    chart's tail, so the two probes, above the word's top ray event, stay
+    an independent route.
     """
     names = sorted(space.generators)
     shift = _insertion_shift(space, e)
@@ -679,11 +678,11 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
         if w.is_identity():
             continue
         h = space.word_homeo(w)
-        top = _top_event(space.base, h, e)
-        tn, td = (0, 1) if top is None else top
-        base_germ = _germ_at(space.base, h, e, tn + td, td)
+        base_germ = induced_germ(space.base, h, e)
         if _blown(shift, base_germ).is_identity():
             return w
+        top = _top_event(space.base, h, e)
+        tn, td = (0, 1) if top is None else top
         # The probes live in the base chart, so bound the diagonal crossing
         # with the base germ, above every base event.
         start = max(Fraction(tn, td), eventual_comparison_bound(base_germ))

@@ -641,6 +641,76 @@ class TestInducedGermOracle:
                 assert_matches_oracle(b.space, h, Embedding(branch))
 
 
+def theorem_homeos():
+    """``(space, homeo)`` pairs: every ball-4 word of e1-e3, ``CaseGen``
+    homeos on e3 and their inverses, swaps with their composites, and
+    homeos on random ``CaseGen`` spaces of both sides."""
+    for name in ("e1", "e2", "e3"):
+        b = bundle(name)
+        for w in reduced_words(sorted(b.generators), 4):
+            yield b.space, word_homeo(b.space, b.generators, w)
+    gen, e3 = CaseGen(34), bundle("e3").space
+    for _ in range(20):
+        h = gen.homeo(e3)
+        yield e3, h
+        yield e3, invert_homeo(h)
+    for _ in range(20):
+        space, swap, _ = gen.swap_pair()
+        yield space, swap
+        yield space, compose_homeo(gen.homeo(space), swap)
+    for _ in range(300):
+        space = gen.leafspace()
+        h = gen.homeo(space)
+        yield space, h
+        yield space, invert_homeo(h)
+
+
+class TestRootChartGerm:
+    """The default germ is ``Germ.of`` of the root chart: on every
+    embedding it equals the germ two probes read above the overlap ray, and
+    the reference's."""
+
+    def test_default_germ_is_the_probe_germ_on_every_embedding(self):
+        count, sides = 0, set()
+        for space, h in theorem_homeos():
+            assert validate_homeo(space, h) is None
+            sides.add(space.side)
+            root_germ = Germ.of(h.branch_pl[space.root])
+            for branch in sorted(space.branches):
+                e = Embedding(branch)
+                t = overlap_ray(space, h, e)
+                probed = induced_germ(space, h, e, threshold=F(0) if t is FULL_LINE else t)
+                assert induced_germ(space, h, e) == root_germ == probed, (branch, h)
+                assert root_germ == oracle_induced_germ(space, h, e)
+                count += 1
+        assert count > 2500 and sides == {Side.NEGATIVE, Side.POSITIVE}
+
+    def test_every_chart_map_has_the_root_tail(self):
+        # the lemma behind the homomorphism: compatibility carries the
+        # root chart's tail to every chart map of a valid homeo
+        for space, h in theorem_homeos():
+            root_germ = Germ.of(h.branch_pl[space.root])
+            assert all(Germ.of(pl) == root_germ for pl in h.branch_pl.values())
+
+    def test_malformed_input_raises_on_every_call(self):
+        L = two_siblings()
+        ident = PLMap.identity()
+        no_chart = Homeo({b: b for b in L.branches}, {"b1": ident, "b2": ident})
+        no_image = Homeo({"b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
+        for h in (no_chart, no_image):
+            for branch in sorted(L.branches):
+                for _ in range(2):
+                    with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
+                        induced_germ(L, h, Embedding(branch))
+        undeclared = Homeo({"r": "zz", "b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
+        cases = [(identity_homeo(L), "zz")] + [(undeclared, branch) for branch in L.branches]
+        for h, branch in cases:
+            for _ in range(2):
+                with pytest.raises(LeafSpaceError, match="unknown branch 'zz'"):
+                    induced_germ(L, h, Embedding(branch))
+        assert no_chart._rays == no_image._rays == undeclared._rays == ()
+
+
 def assert_top_is_max_event(space, h, e):
     events = _build_ray_events(space, h, e)
     top = _top_event(space, h, e)
@@ -690,9 +760,9 @@ def fresh(h):
 
 
 class TestKeptRayData:
-    """A homeo keeps its events, overlap ray and default germ per space and
-    embedding; what raises is never kept, and a composite never reads a
-    letter's kept germ."""
+    """A homeo keeps its events and overlap ray per space and embedding,
+    and no germ; what raises is never kept, and a fault on the letterwise
+    route breaks even a one-letter word."""
 
     @staticmethod
     def reflecting():
@@ -711,22 +781,36 @@ class TestKeptRayData:
         assert rays.events == (F(0),) and rays.overlap is action._UNSCANNED
 
     def test_samples_off_the_line_raise_on_every_call(self):
+        # the samples above the top event leave the line, and the root
+        # chart's tail, which the default germ reads, is not increasing
         L, h, e = self.reflecting()
+        assert line_image(L, h, e, F(1)) is line_image(L, h, e, F(2)) is None
+        assert Germ.of(h.branch_pl["r"]).slope == -1
         for _ in range(2):
-            with pytest.raises(ActionError, match="sample point above the overlap ray left"):
+            with pytest.raises(ActionError, match="chart map of the root 'r' is not increasing"):
                 induced_germ(L, h, e)
-        (rays,) = h._rays
-        assert rays.events is rays.germ is None and rays.overlap is action._UNSCANNED
+        assert h._rays == ()
 
-    def test_a_wrong_kept_letter_germ_breaks_the_one_letter_word(self):
+    def test_a_wrong_kept_letter_germ_breaks_the_one_letter_word(self, monkeypatch):
+        # no germ is kept; a fault on the letter's own germ, which only the
+        # letterwise route reads (the word's homeo is a new object), breaks
+        # the one-letter word
         b = bundle("e3")
         e, f = root_embedding(b.space), b.generators["f"]
         word = Word.parse("f")
         germ = word_germ(b.space, b.generators, word, e)
-        assert action._kept(b.space, f, e).germ == germ
-        action._kept(b.space, f, e).germ = germ * Germ(2, 0)
+        assert "germ" not in action._Rays.__slots__
+        real = action.induced_germ
+
+        def fault(space, h, e, threshold=None):
+            g = real(space, h, e, threshold)
+            return g * Germ(2, 0) if h is f else g
+
+        monkeypatch.setattr(action, "induced_germ", fault)
         with pytest.raises(GermMismatchError):
             word_germ(b.space, b.generators, word, e)
+        monkeypatch.undo()
+        assert word_germ(b.space, b.generators, word, e) == germ
 
     def test_one_homeo_on_two_spaces_keeps_two_records(self):
         from germkit.action import extend_space_for_action
@@ -737,7 +821,6 @@ class TestKeptRayData:
         assert overlap_ray(L, v, e) is overlap_ray(bigger, v, e) is FULL_LINE
         assert induced_germ(L, v, e) == induced_germ(bigger, v, e) == Germ.identity()
         assert [(rays.space, rays.branch) for rays in v._rays] == [(L, "r"), (bigger, "r")]
-        assert action._kept(L, v, e).germ == action._kept(bigger, v, e).germ == Germ.identity()
 
 
 class TestInducedGermCalls:
@@ -761,20 +844,22 @@ class TestInducedGermCalls:
         return calls
 
     @pytest.mark.parametrize("name, gen", [("e2", "s"), ("e3", "f"), ("e3", "k")])
-    def test_default_samples_twice_and_never_scans(self, monkeypatch, name, gen):
+    def test_default_reads_the_root_chart_and_never_probes(self, monkeypatch, name, gen):
         b = bundle(name)
         h, e = fresh(b.generators[gen]), root_embedding(b.space)
         calls = self.counted(monkeypatch)
         germ = action.induced_germ(b.space, h, e)
+        assert germ == Germ.of(h.branch_pl[b.space.root])
         assert calls == {
-            "_line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
+            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 0,
             "induced_germ": 1, "compose_homeo": 0,
         }
-        assert action.induced_germ(b.space, h, e) is germ
+        assert action.induced_germ(b.space, h, e) == germ
         assert calls == {
-            "_line_image": 2, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 1,
+            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 0,
             "induced_germ": 2, "compose_homeo": 0,
         }
+        assert h._rays == ()  # nothing is kept
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
@@ -792,33 +877,33 @@ class TestInducedGermCalls:
         assert calls["_line_image"] == probes + 2
 
     def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
-        # four composite germs plus one per distinct letter, each word
-        # composed from its first letter; a second run of the case finds
-        # every letter's germ kept and computes the composites only
+        # four composite germs plus one per letter of each word, each word
+        # composed from its first letter; every germ reads a root chart, so
+        # no probe runs and a second run of the case costs the same
         b = bundle("e3")
         w1, w2 = Word.parse("f k f k^-1"), Word.parse("k f^-1 f^-1")
         words = [w1 * w2, w1, w2, ~w1]
-        letters = {letter for w in words for letter in w.letters}
         case = (b, root_embedding(b.space), 0, w1, w2)
         calls = self.counted(monkeypatch)
         assert suites._homomorphism_check(case) is None
-        assert calls["_top_event"] == 4 + len(letters) == 8
+        assert calls["induced_germ"] == 4 + sum(len(w) for w in words) == 18
+        assert calls["_line_image"] == calls["_top_event"] == 0
         assert calls["_build_ray_events"] == calls["_overlap_scan"] == 0
         assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
         assert suites._homomorphism_check(case) is None
-        assert calls["_top_event"] == 8 + 4
+        assert calls["induced_germ"] == 36 and calls["_line_image"] == 0
         assert calls["compose_homeo"] == 20
 
     def test_threshold_check_scans_and_builds_events_once(self, monkeypatch):
-        # the overlap ray, two threshold germs and the default germ of one
-        # e1 homeo: one scan and one event build, against three scans and
-        # four builds when nothing was kept
+        # the overlap ray and two threshold germs of one e1 homeo: one scan
+        # and one event build, against three scans and three builds when
+        # nothing was kept; the default germ reads the root chart
         b = bundle("e1")
         h = fresh(b.generators["u"])
         calls = self.counted(monkeypatch)
         assert suites._threshold_check((b, root_embedding(b.space), "u", h)) is None
         assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
-        assert calls["_top_event"] == 1
+        assert calls["_top_event"] == 0
 
     def test_d_homomorphism_germs_each_generator_letter_once_per_target(self, monkeypatch):
         config = suites.SuiteConfig(examples=("e3",))
@@ -828,17 +913,21 @@ class TestInducedGermCalls:
             for g in t.generators.values():
                 letters[id(g)] = g
                 letters[id(invert_homeo(g))] = g._inverse
+        # every letter is germed on the letterwise route, and no default
+        # germ probes the line or reads a ray event
         germs = Counter()
-        real = action._top_event
+        real = action.induced_germ
 
-        def counted_top(space, h, e):
+        def counted_germ(space, h, e, threshold=None):
             germs[id(h)] += 1
-            return real(space, h, e)
+            return real(space, h, e, threshold)
 
-        monkeypatch.setattr(action, "_top_event", counted_top)
+        calls = self.counted(monkeypatch)
+        monkeypatch.setattr(action, "induced_germ", counted_germ)
         report = suites.run_suite("d-homomorphism", config, targets)
         assert report.passed
-        assert {i: germs[i] for i in letters} == dict.fromkeys(letters, 1)
+        assert all(germs[i] > 0 for i in letters)
+        assert calls["_line_image"] == calls["_top_event"] == calls["_build_ray_events"] == 0
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")
@@ -884,7 +973,7 @@ class TestWordRouteOracle:
             )
         for letter in {letter for w in words for letter in w.letters}:
             h = letter_homeo(b.generators, *letter)
-            assert action._kept(b.space, h, e).germ == induced_germ(b.space, fresh(h), e)
+            assert induced_germ(b.space, h, e) == oracle_induced_germ(b.space, h, e)
 
     @pytest.mark.parametrize("text", ["zz", "f zz", "zz f", "f k zz^-1"])
     def test_undeclared_letter_raises_as_the_oracle(self, text):
@@ -1056,9 +1145,9 @@ class TestLineImageBuildsNoFraction:
         for h in homeos:
             self.warm(b, h, e)
         before = fraction_count[0]
-        germs = [induced_germ(b.space, h, e) for h in homeos]
+        for h in homeos:
+            induced_germ(b.space, h, e)
         assert fraction_count[0] == before
-        assert all(action._kept(b.space, h, e).germ is g for h, g in zip(homeos, germs))
 
     def test_overlap_scan(self, fraction_count):
         b = bundle("e2")
@@ -1119,5 +1208,4 @@ class TestChartMapsStayOnInts:
             for w in reduced_words(sorted(b.generators), 3):
                 word_germ(b.space, b.generators, w, e)
                 overlap_ray(b.space, word_homeo(b.space, b.generators, w), e)
-            assert all(action._kept(b.space, h, e).germ for h in b.generators.values())
         assert built == []
