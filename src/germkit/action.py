@@ -57,7 +57,7 @@ class GermMismatchError(ActionError):
 # Words over named generators
 
 
-_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
 
 
 @dataclass(frozen=True)

@@ -639,16 +639,6 @@ def positive_ray_orbit_search(
 # Germs through the blown-up chart
 
 
-def _insertion_shift(space: BlowupSpace, e: Embedding) -> Germ:
-    """The translation by the number of blown orbit points on the embedded line."""
-    return Germ(1, sum(1 for p in space.orbit if e.contains(space.base, p)))
-
-
-def _blown(shift: Germ, base_germ: Germ) -> Germ:
-    """``base_germ`` in the blown chart, whose insertions translate by ``shift``."""
-    return shift * base_germ * ~shift
-
-
 def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
     """Induced germ of ``alpha_w`` in the chart of the blown-up line.
 
@@ -656,35 +646,38 @@ def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
     line, so above the last insertion it is the base chart translated by
     the number ``s`` of insertions, and the blown germ is the base induced
     germ conjugated by that translation: ``Germ(1, s) * d(w) * Germ(1, s)^-1``.
+    A conjugate of ``d(w)`` is the identity exactly when ``d(w)`` is, which
+    is why :func:`injectivity_certificate` tests ``d(w)`` itself; this
+    chart is the independent route to the same verdict.
     """
-    return _blown(_insertion_shift(space, e), induced_germ(space.base, space.word_homeo(w), e))
+    shift = Germ(1, sum(1 for p in space.orbit if e.contains(space.base, p)))
+    return shift * induced_germ(space.base, space.word_homeo(w), e) * ~shift
 
 
 def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word | None:
     """Certify that no nontrivial ball word has trivial blown germ.
 
-    For each word the blown germ must differ from the identity and, as a
-    cross-check, the word must move plain line points at arbitrarily large
-    sampled coordinates.  Returns the first failing word or ``None``.  The
-    orbit is scanned for line insertions once, and each word's blown germ
-    is its base germ conjugated as in :func:`blown_induced_germ`.  The base
-    germ is the default :func:`~germkit.action.induced_germ`, the root
-    chart's tail, so the two probes, above the word's top ray event, stay
-    an independent route.
+    The blown germ of a word is its base germ ``d(w)``, the default
+    :func:`~germkit.action.induced_germ`, conjugated by the translation
+    ``x -> x + s`` (:func:`blown_induced_germ`), so it is trivial exactly
+    when ``d(w)`` is, and the certificate tests ``d(w)``: no orbit scan and
+    no conjugation.  As a cross-check the word must also move plain line
+    points at two large coordinates, above its top ray event; ``d(w)`` is
+    the root chart's tail, so those probes stay an independent route.
+    Returns the first failing word or ``None``.  An undeclared ``e``
+    raises :class:`~germkit.leafspace.LeafSpaceError` at every ball.
     """
-    names = sorted(space.generators)
-    shift = _insertion_shift(space, e)
-    for w in reduced_words(names, ball):
+    space.base.chain_to_root(e.branch)  # checks that e's branch is declared
+    for w in reduced_words(sorted(space.generators), ball):
         if w.is_identity():
             continue
         h = space.word_homeo(w)
         base_germ = induced_germ(space.base, h, e)
-        if _blown(shift, base_germ).is_identity():
+        if base_germ.is_identity():
             return w
         top = _top_event(space.base, h, e)
         tn, td = (0, 1) if top is None else top
-        # The probes live in the base chart, so bound the diagonal crossing
-        # with the base germ, above every base event.
+        # Bound the diagonal crossing with the base germ, above every event.
         start = max(Fraction(tn, td), eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):

@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
-from .action import ActionError, Homeo, Word
+from .action import ActionError, Homeo, Word, _LETTER_RE
 from .blowup import BlowupError, CosetTableError, StabilizerData, StabilizerGeneratorError
 from .germ import Germ
 from .leafspace import LeafSpace, LeafSpaceError, Point, Side
@@ -278,6 +278,9 @@ def action_from_data(data: Any, path: str = "$") -> dict[str, Homeo]:
         row_path = f"{path}.generators[{i}]"
         row = _mapping(raw, row_path)
         name = _string(_get(row, "name", row_path), f"{row_path}.name")
+        letter = _LETTER_RE.fullmatch(name)
+        if letter is None or letter.group(2) is not None:
+            raise SpecFormatError(f"generator name {name!r} is not a word letter", f"{row_path}.name")
         if name in generators:
             raise SpecFormatError(f"duplicate generator {name!r}", f"{row_path}.name")
         raw_map = _mapping(_get(row, "branch_map", row_path), f"{row_path}.branch_map")

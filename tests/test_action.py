@@ -332,6 +332,12 @@ class TestWords:
         assert Word.parse("f^3") == Word.parse("f f f")
         assert Word.parse("f^-2") == Word.parse("f^-1 f^-1")
 
+    @pytest.mark.parametrize("token", ["f^\u0663", "f^-\u0663", "f^\uff13"])
+    def test_power_takes_ascii_digits_only(self, token):
+        # Arabic-Indic and fullwidth threes are digits to int() but not here
+        with pytest.raises(ActionError, match="bad word letter"):
+            Word.parse(token)
+
     def test_free_reduction(self):
         assert Word.parse("g g^-1").is_identity()
         assert Word.parse("f g g^-1 f").letters == (("f", 1), ("f", 1))

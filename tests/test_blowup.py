@@ -6,7 +6,8 @@ import pytest
 
 from germkit import blowup
 from germkit.action import (
-    Word, apply_homeo, identity_homeo, reduced_words, validate_homeo, word_homeo,
+    Homeo, Word, apply_homeo, identity_homeo, induced_germ, line_image, reduced_words,
+    validate_homeo, word_homeo, _top_event,
 )
 from germkit.blowup import (
     ActionLawViolation,
@@ -27,7 +28,7 @@ from germkit.blowup import (
     validate_alpha_action,
 )
 from germkit.examples import bundle
-from germkit.germ import Germ
+from germkit.germ import Germ, eventual_comparison_bound
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
 from germkit.suites import SuiteConfig, _action_law_case, _action_law_check, _injectivity_cases
@@ -35,6 +36,23 @@ from reference import (
     oracle_coset_rep, oracle_stabilizer_factorization, oracle_twist, oracle_validate_alpha_action,
 )
 from support import outcome
+
+
+def blown_chart_certificate(space, e, ball):
+    """The certificate's sweep with each word's germ read in the blown
+    chart, through :func:`blown_induced_germ`, and the same two probes."""
+    for w in reduced_words(sorted(space.generators), ball):
+        if w.is_identity():
+            continue
+        if blown_induced_germ(space, w, e).is_identity():
+            return w
+        h = space.word_homeo(w)
+        top = _top_event(space.base, h, e)
+        start = max(F(*(top or (0, 1))), eventual_comparison_bound(induced_germ(space.base, h, e)))
+        for x in (start + 1, start + 1000):
+            if line_image(space.base, h, e, x) == (x.numerator, x.denominator):
+                return w
+    return None
 
 
 def built(name):
@@ -816,23 +834,63 @@ class TestBlownGerm:
         failing = injectivity_certificate(space, e, ball=2)
         assert failing is not None and len(failing) >= 1
 
-    def test_certificate_scans_the_orbit_once(self, monkeypatch):
-        # The line insertions are counted once per certificate; the other
-        # containment tests are the probes at plain points far up the line.
+    def test_certificate_never_scans_the_orbit(self, monkeypatch):
+        # The certificate tests d(w) itself, so it counts no line
+        # insertions; its probes at plain points far up the line make no
+        # containment test either.
         from germkit.leafspace import Embedding
 
         b, space = built("e3")
-        on_orbit = 0
+        calls = 0
         real_contains = Embedding.contains
 
         def counted(self, base, p):
-            nonlocal on_orbit
-            on_orbit += p in space.orbit
+            nonlocal calls
+            calls += 1
             return real_contains(self, base, p)
 
         monkeypatch.setattr(Embedding, "contains", counted)
         assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
-        assert on_orbit == len(space.orbit) == 407
+        assert calls == 0 and len(space.orbit) == 407
+
+    @pytest.mark.parametrize("ball", [0, 1])
+    def test_certificate_rejects_an_undeclared_line(self, ball):
+        from germkit.leafspace import Embedding, LeafSpaceError
+
+        b, space = built("e3")
+        with pytest.raises(LeafSpaceError, match="unknown branch 'zz'"):
+            injectivity_certificate(space, Embedding("zz"), ball=ball)
+
+    @pytest.mark.parametrize("name", ["e1", "e3"])
+    def test_blown_germ_is_trivial_exactly_when_d_is(self, name):
+        # the lemma: the blown germ is d(w) conjugated by a translation
+        b, space = built(name)
+        e = root_embedding(b.space)
+        words = [w for w in reduced_words(sorted(b.generators), 5) if not w.is_identity()]
+        if name == "e3":
+            words.append(Word.parse("f f k f^-1 f^-1 k f k^-1 f^-1 k^-1"))
+        trivial = 0
+        for w in words:
+            d = induced_germ(b.space, space.word_homeo(w), e)
+            assert blown_induced_germ(space, w, e).is_identity() == d.is_identity(), str(w)
+            trivial += d.is_identity()
+        assert trivial == (name == "e3")  # only the horizon word
+
+    @pytest.mark.parametrize("case", ["e1", "e3", "e2-swap", "frozen-e1"])
+    def test_certificate_matches_the_blown_chart_sweep(self, case):
+        if case == "e2-swap":
+            bb = bundle("e2")
+            space = BlowupSpace(bb.space, bb.generators, Point("b", F(-1)), 2, StabilizerData((), {}))
+        elif case == "frozen-e1":
+            frozen = {"u": Homeo({"r": "r"}, {"r": PLMap.identity()})}
+            bb = replace(bundle("e1"), generators=frozen)
+            space = BlowupSpace(bb.space, bb.generators, bb.marked, bb.depth, bb.stabilizer)
+        else:
+            bb, space = built(case)
+        e = root_embedding(bb.space)
+        found = [injectivity_certificate(space, e, ball) for ball in range(6)]
+        assert found == [blown_chart_certificate(space, e, ball) for ball in range(6)]
+        assert (found[5] is None) == (case in ("e1", "e3"))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_certificate_case_count_is_the_nontrivial_ball_size(self, r):

@@ -36,19 +36,24 @@ TARGET_COMMANDS = [
 ]
 
 
-# (leaf space, blow-up spec, JSON path the load check must name); every
-# case pairs its files with e3's action
+# (leaf space, action, blow-up spec, JSON path the load check must name)
 BAD_TARGETS = {
-    "e1-space-e3-action": ("e1", "e3", "$.generators[0]"),
-    "undeclared-marked-branch": ("e3", "nope", "$.marked.branch"),
-    "undeclared-stabilizer-letter": ("e3", "zz", "$.K_generators[0]"),
-    "stabilizer-letter-moves-marked": ("e3", "moves", "$.K_generators[0]"),
-    "coset-word-power-sugar": ("e3", "sugar", "$.coset_table[0].word"),
-    "coset-word-unreduced": ("e3", "unreduced", "$.coset_table[0].word"),
-    "coset-word-twice": ("e3", "twice", "$.coset_table[1].word"),
-    "coset-word-undeclared-letter": ("e3", "foreign", "$.coset_table[1].word"),
-    "coset-rep-outside-coset": ("e3", "outside", "$.coset_table[0].rep"),
+    "e1-space-e3-action": ("e1", "e3", "e3", "$.generators[0]"),
+    "undeclared-marked-branch": ("e3", "e3", "nope", "$.marked.branch"),
+    "undeclared-stabilizer-letter": ("e3", "e3", "zz", "$.K_generators[0]"),
+    "stabilizer-letter-moves-marked": ("e3", "e3", "moves", "$.K_generators[0]"),
+    "coset-word-power-sugar": ("e3", "e3", "sugar", "$.coset_table[0].word"),
+    "coset-word-unreduced": ("e3", "e3", "unreduced", "$.coset_table[0].word"),
+    "coset-word-twice": ("e3", "e3", "twice", "$.coset_table[1].word"),
+    "coset-word-undeclared-letter": ("e3", "e3", "foreign", "$.coset_table[1].word"),
+    "coset-rep-outside-coset": ("e3", "e3", "outside", "$.coset_table[0].rep"),
+    "generator-named-like-the-empty-word": ("e3", "named-1", "e3", "$.generators[1].name"),
+    "generator-name-with-a-space": ("e3", "named-a-b", "e3", "$.generators[1].name"),
+    "non-ascii-digit-coordinate": ("e3", "e3", "arabic", "$.marked.coord"),
 }
+
+# generator names that are not word letters, each given to e3's second generator
+BAD_GENERATOR_NAMES = {"named-1": "1", "named-a-b": "a b"}
 
 # coset_table rows for e3's spec, each set with one row the load must reject
 BAD_COSET_TABLES = {
@@ -74,6 +79,13 @@ def bad_files(tmp_path_factory):
     (d / "moves.blowup.json").write_text(json.dumps(moves))
     for name, rows in BAD_COSET_TABLES.items():
         (d / f"{name}.blowup.json").write_text(json.dumps(dict(spec, coset_table=rows)))
+    # "-\u0661" is "-1" in Arabic-Indic digits, which no rational may use
+    arabic = dict(spec, marked=dict(spec["marked"], coord="-\u0661"))
+    (d / "arabic.blowup.json").write_text(json.dumps(arabic))
+    action = json.loads((d / "e3.action.json").read_text())
+    for file, name in BAD_GENERATOR_NAMES.items():
+        rows = [action["generators"][0], dict(action["generators"][1], name=name)]
+        (d / f"{file}.action.json").write_text(json.dumps(dict(action, generators=rows)))
     return d
 
 
@@ -222,18 +234,18 @@ class TestInputErrors:
     @pytest.mark.parametrize("case", sorted(BAD_TARGETS))
     @pytest.mark.parametrize("command", TARGET_COMMANDS, ids=" ".join)
     def test_bad_file_target(self, runner, bad_files, case, command):
-        space, spec, json_path = BAD_TARGETS[case]
+        space, action_name, spec, json_path = BAD_TARGETS[case]
         result = runner.invoke(
             main,
             [
                 *command,
                 "--leafspace", str(bad_files / f"{space}.leafspace.json"),
-                "--action", str(bad_files / "e3.action.json"),
+                "--action", str(bad_files / f"{action_name}.action.json"),
                 "--blowup", str(bad_files / f"{spec}.blowup.json"),
             ],
         )
         assert result.exit_code == 2, result.output
-        assert json_path in result.output
+        assert re.search(rf"\.json: {re.escape(json_path)}: ", result.output), result.output
         assert result.stdout == ""  # no TSV header or PASS line before the error
 
     @pytest.mark.parametrize(
@@ -246,7 +258,7 @@ class TestInputErrors:
     )
     def test_blowup_space_runs_the_load_check(self, runner, bad_files, case, error):
         # the space rejects the parsed files with the message the load prints
-        space_name, spec, json_path = BAD_TARGETS[case]
+        space_name, _, spec, json_path = BAD_TARGETS[case]
         space = serialize.parse_leafspace((bad_files / f"{space_name}.leafspace.json").read_text())
         generators = serialize.parse_action((bad_files / "e3.action.json").read_text())
         marked, stab, depth, _ = serialize.parse_blowup_spec(

@@ -12,17 +12,19 @@ read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
 ``_breaks``) and splice maps with ``plmap._splice``.  Only ``action.py`` names
 ``Homeo._rays``, the ray data a homeo keeps: other modules read it through
 ``_ray_events``, ``overlap_ray`` and ``induced_germ``.  Only ``leafspace.py`` names
-``Embedding.point_at``, and only ``action.py`` names ``_line_image``: every
-probe of a homeo along an embedded line goes through ``action.line_image``,
-or through ``action._germ_at`` for an induced germ's two samples, and both
-run on the integer entry ``_line_image``.  Only ``blowup.py`` names
+``Embedding.point_at``, and only ``action.py`` names ``_line_image``: other
+modules probe a homeo along an embedded line through ``action.line_image``,
+its wrapper, and inside ``action.py`` the overlap scan, the witness search
+and an explicit-threshold induced germ's two samples call ``_line_image``
+itself.  Only ``blowup.py`` names
 ``StabilizerData.twist``: a word's move of an orbit point is computed in
 one place, the kernel ``_move_keys``, which keeps it.  Only ``blowup.py``
 names the kernel, the space's orbit key index and the methods that turn a
 blown point into a key and back, so only it knows the key layout.  Only
 ``action.py`` and ``blowup.py`` name ``Word._reduced``, which builds a word
 from letters it trusts to be reduced: every other module builds words
-through the reducing constructor.
+through the reducing constructor.  Every guarded name is a code token of
+some package module, so no guard watches a name that is gone.
 
 The tests' references live in one module, ``tests/reference.py``, which
 names none of the package's integer internals, so a cross-check never
@@ -134,7 +136,7 @@ TESTS = Path(__file__).parent
 INTEGER_INTERNALS = {
     "_eval", "_preimage", "_record", "_kernel", "_build_kernel", "_pairs", "_tail", "_breaks",
     "_of", "_n", "_d", "_sn", "_sd", "_on", "_od", "_h", "_key", "_from_key", "_ascend",
-    "_apply_pairs", "_line_image", "_germ_at", "_top_event", "_move_keys", "_orbit_keys",
+    "_apply_pairs", "_line_image", "_top_event", "_move_keys", "_orbit_keys",
 }
 
 
@@ -162,3 +164,22 @@ def test_references_stay_in_one_module():
             if name.startswith(("oracle_", "Oracle")) and path.name != "reference.py":
                 found.append(f"{path.name}:{node.lineno}: defines {name}")
     assert found == []
+
+
+def guarded_names() -> set[str]:
+    """Every name the guards above watch: the two internals sets and the
+    set each ``uses_outside`` call in this module passes."""
+    found = INTEGER_INTERNALS | PLMAP_INTERNALS
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "uses_outside":
+            names = node.args[1]
+            found |= globals()[names.id] if isinstance(names, ast.Name) else ast.literal_eval(names)
+    return found
+
+
+def test_guarded_names_exist_in_the_package():
+    guarded = guarded_names()
+    assert {"point_at", "twist", "_reduced", "_rays", "_orbit_keys"} <= guarded  # call sites seen
+    modules = sorted(PACKAGE.rglob("*.py"))
+    tokens = {name for path in modules for _, name in name_uses(path.read_text(), guarded)}
+    assert sorted(guarded - tokens) == []

@@ -26,6 +26,12 @@ class TestRationals:
         with pytest.raises(SpecFormatError, match="left_slope"):
             serialize.plmap_from_data(data)
 
+    @pytest.mark.parametrize("text", ["-\u0661", "\u0661/2", "1/\u0662", "\uff11"])
+    def test_non_ascii_digits_rejected(self, text):
+        data = {"points": [], "left_slope": "1", "right_slope": "1", "offset": text}
+        with pytest.raises(SpecFormatError, match=r"\$\.offset: not a rational"):
+            serialize.plmap_from_data(data)
+
 
 class TestPLMapSchema:
     def test_roundtrip_bytes(self):
@@ -40,6 +46,12 @@ class TestPLMapSchema:
         data = serialize.plmap_to_data(f)
         data["offset"] = "5"
         with pytest.raises(SpecFormatError, match="offset"):
+            serialize.plmap_from_data(data)
+
+    @pytest.mark.parametrize("text", ["-\u0661", "\u0661/2", "1/\u0662", "\uff11"])
+    def test_non_ascii_digits_rejected(self, text):
+        data = {"points": [], "left_slope": "1", "right_slope": "1", "offset": text}
+        with pytest.raises(SpecFormatError, match=r"\$\.offset: not a rational"):
             serialize.plmap_from_data(data)
 
     def test_affine_needs_offset(self):
@@ -121,6 +133,19 @@ class TestActionSchema:
     def test_missing_field_path(self):
         with pytest.raises(SpecFormatError, match=r"generators\[0\]"):
             serialize.parse_action(json.dumps({"generators": [{"name": "f"}]}))
+
+    @pytest.mark.parametrize("name", ["1", "a b", "f^2", "f^-1", "2f", "", "f\n", "\u00e9"])
+    def test_generator_name_must_be_a_word_letter(self, name):
+        # a word naming such a generator could not be parsed back
+        data = json.loads(serialize.emit_action(bundle("e3").generators))
+        data["generators"][1]["name"] = name
+        with pytest.raises(SpecFormatError, match=r"\$\.generators\[1\]\.name: generator name"):
+            serialize.action_from_data(data)
+
+    def test_letter_names_load(self):
+        data = json.loads(serialize.emit_action(bundle("e3").generators))
+        data["generators"][1]["name"] = "_K2"
+        assert list(serialize.action_from_data(data)) == ["f", "_K2"]
 
 
 class TestBlowupSchema:
