@@ -15,10 +15,10 @@ increasing PL map of a ray; its germ at +infinity is the induced germ of
 the homeomorphism, and word-by-word this assignment is a homomorphism into
 the germ group.
 
-The ray layer probes on integer pairs ``(n, d)``, ``d > 0``: the overlap
-scan, the germ samples and the witness candidates are read off the kept ray
-events, and no ``Point`` or ``Fraction`` is built but a returned threshold
-or witness.
+The ray layer works on integer pairs ``(n, d)``, ``d > 0``: the ray events
+are one sorted table of reduced pairs, the overlap scan, the germ samples
+and the witness candidates are read off it and probed as pairs, and no
+``Point`` or ``Fraction`` is built but a returned threshold or witness.
 
 Homeos and words are immutable.  A homeo keeps its inverse and, per space
 and embedding, its ray events and overlap ray; a kept value is what
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .germ import Germ
@@ -454,7 +454,7 @@ class _Rays:
 
     def __init__(self, space: LeafSpace, branch: str) -> None:
         self.space, self.branch = space, branch
-        self.events: tuple[Fraction, ...] | None = None
+        self.events: tuple[tuple[int, int], ...] | None = None
         self.overlap: Fraction | None | object = _UNSCANNED
 
 
@@ -470,8 +470,9 @@ def _kept(space: LeafSpace, h: Homeo, e: Embedding) -> _Rays:
     return rays
 
 
-def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fraction, ...]:
-    """Coordinates where the embedded-ray picture of ``h`` can change, sorted.
+def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, int], ...]:
+    """Coordinates where the embedded-ray picture of ``h`` can change, as
+    sorted, distinct, reduced pairs ``(n, d)`` with ``d > 0``.
 
     Between consecutive events the owning branch of ``e(x)``, the owning
     branch of the image, and the chart piece acting are all constant, and
@@ -483,45 +484,28 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fraction, ...
     return rays.events
 
 
-def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[Fraction, ...]:
+def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, int], ...]:
     """The events of :func:`_ray_events`: every departure of the space, and
     each chart breakpoint and preimage of a departure along ``e``'s chain.
-    Chart breakpoints are read off each map's integer record, so no chart
-    map builds its ``Fraction`` fields."""
-    departures = space._departures
-    events: set[Fraction] = set(departures)
-    for branch in space.chain_to_root(e.branch):
-        if branch not in h.branch_pl:
-            raise ActionError(f"homeomorphism undefined on branch {branch!r}")
-        pl = h.branch_pl[branch]
-        events.update(Fraction(xn, xd) for xn, xd in pl._breaks())
-        events.update(map(pl.preimage, departures))
-    return tuple(sorted(events))
 
-
-def _top_event(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[int, int] | None:
-    """``max(_ray_events(space, h, e))`` as a pair ``(n, d)`` with ``d > 0``,
-    not necessarily reduced, or ``None`` when there are no events.
-
-    Read on ints, with no ``Fraction`` and no event list built: preimages
-    are increasing, so the top event is the largest of the largest
-    departure ``D``, each chain map's last breakpoint and its preimage of
-    ``D``.  An uncovered chain branch raises as in :func:`_build_ray_events`.
+    Read on ints off the departures, each chart map's integer record and
+    its integer preimage, each preimage reduced by one ``gcd``, and sorted
+    exactly on the key ``n * (L // d)``, ``L`` the least common multiple of
+    the denominators; no ``Fraction`` is built.
     """
-    top_dep = space._departures[-1] if space._departures else None
-    tops = [] if top_dep is None else [(top_dep.numerator, top_dep.denominator)]
+    departures = [(dep.numerator, dep.denominator) for dep in space._departures]
+    events = set(departures)
     for branch in space.chain_to_root(e.branch):
         if branch not in h.branch_pl:
             raise ActionError(f"homeomorphism undefined on branch {branch!r}")
         pl = h.branch_pl[branch]
-        tops += pl._breaks()[-1:]
-        if top_dep is not None:
-            tops.append(pl._preimage(top_dep.numerator, top_dep.denominator))
-    top = None
-    for n, d in tops:
-        if top is None or n * top[1] > top[0] * d:
-            top = n, d
-    return top
+        events.update(pl._breaks())
+        for n, d in departures:
+            n, d = pl._preimage(n, d)
+            g = gcd(n, d)
+            events.add((n // g, d // g))
+    scale = lcm(*(d for _, d in events))
+    return tuple(sorted(events, key=lambda ev: ev[0] * (scale // ev[1])))
 
 
 def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
@@ -540,28 +524,27 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
 
 
 def _overlap_scan(
-    space: LeafSpace, h: Homeo, e: Embedding, events: Sequence[Fraction]
+    space: LeafSpace, h: Homeo, e: Embedding, events: Sequence[tuple[int, int]]
 ) -> Fraction | None:
-    """:func:`overlap_ray` on the ``events`` that :func:`_ray_events` gave,
-    probed as integer pairs; the threshold is the kept event itself."""
-    pairs = [(ev.numerator, ev.denominator) for ev in events]
-    top = (pairs[-1][0] + pairs[-1][1], pairs[-1][1]) if pairs else (0, 1)
+    """:func:`overlap_ray` on the event pairs that :func:`_ray_events` gave;
+    only the threshold returned is built as a ``Fraction``."""
+    top = (events[-1][0] + events[-1][1], events[-1][1]) if events else (0, 1)
     if _line_image(space, h, e, *top) is None:
         raise ActionError("image ray never returns to the embedded line")
     # Each failure found scanning upward bounds the threshold by at least
     # as much as the one before, so the last failure is the threshold.
-    worst = FULL_LINE
-    if pairs and _line_image(space, h, e, pairs[0][0] - pairs[0][1], pairs[0][1]) is None:
+    worst = None
+    if events and _line_image(space, h, e, events[0][0] - events[0][1], events[0][1]) is None:
         worst = events[0]
-    last = len(pairs) - 1
-    for i, (a, b) in enumerate(pairs):
+    last = len(events) - 1
+    for i, (a, b) in enumerate(events):
         if _line_image(space, h, e, a, b) is None:
-            worst = events[i]
+            worst = a, b
         if i < last:
-            c, d = pairs[i + 1]
+            c, d = events[i + 1]
             if _line_image(space, h, e, a * d + c * b, 2 * b * d) is None:
                 worst = events[i + 1]
-    return worst
+    return FULL_LINE if worst is None else Fraction(*worst)
 
 
 def induced_germ(
@@ -588,7 +571,8 @@ def induced_germ(
     and kept as in :func:`overlap_ray` (one below it raises
     :class:`ActionError`), and the germ is read off two :func:`_line_image`
     probes one and two above it and above every ray event: an independent
-    route to the same germ.  Neither route builds a ``Fraction``.
+    route to the same germ.  Neither route builds a ``Fraction`` but the
+    scanned threshold.
     """
     if threshold is None:
         space.chain_to_root(e.branch)  # checks that e's branch is declared
@@ -603,11 +587,13 @@ def induced_germ(
         return Germ.of(pl)
     events = _ray_events(space, h, e)
     start = _frac(threshold)
+    xn, xd = start.numerator, start.denominator
     t0 = overlap_ray(space, h, e)
-    if t0 is not None and start < t0:
+    if t0 is not None and xn * t0.denominator < t0.numerator * xd:
         raise ActionError(f"threshold {start} lies below the overlap ray {t0}")
-    top = max(start, events[-1]) if events else start
-    xn, xd = top.numerator + top.denominator, top.denominator
+    if events and events[-1][0] * xd > xn * events[-1][1]:
+        xn, xd = events[-1]
+    xn += xd
     y1 = _line_image(space, h, e, xn, xd)
     y2 = _line_image(space, h, e, xn + xd, xd)
     if y1 is None or y2 is None:
@@ -665,9 +651,8 @@ def moved_point_witness(
     n = _frac(n)
     a, b = n.numerator, n.denominator
     candidates: list[tuple[int, int]] = []
-    for ev in _ray_events(space, h, e):
-        if ev > n:
-            c, d = ev.numerator, ev.denominator
+    for c, d in _ray_events(space, h, e):
+        if c * b > a * d:
             candidates += ((2 * a * d + c * b, 3 * b * d), (a * d + 2 * c * b, 3 * b * d), (c, d))
             a, b = c, d
     candidates += ((a + b, b), (a + 2 * b, b))

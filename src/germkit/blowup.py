@@ -60,7 +60,7 @@ from .action import (
     reduced_words,
     word_homeo,
     _apply_pairs,
-    _top_event,
+    _build_ray_events,
 )
 from .germ import Germ, eventual_comparison_bound
 from .leafspace import Classification, Embedding, LeafSpace, LeafSpaceError, Point
@@ -662,8 +662,10 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
     ``x -> x + s`` (:func:`blown_induced_germ`), so it is trivial exactly
     when ``d(w)`` is, and the certificate tests ``d(w)``: no orbit scan and
     no conjugation.  As a cross-check the word must also move plain line
-    points at two large coordinates, above its top ray event; ``d(w)`` is
-    the root chart's tail, so those probes stay an independent route.
+    points at two large coordinates, above the top of its ray event table,
+    which is built and not kept, so the sweep leaves no ray record on its
+    word homeos; ``d(w)`` is the root chart's tail, so those probes stay an
+    independent route.
     Returns the first failing word or ``None``.  An undeclared ``e``
     raises :class:`~germkit.leafspace.LeafSpaceError` at every ball.
     """
@@ -675,8 +677,8 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
         base_germ = induced_germ(space.base, h, e)
         if base_germ.is_identity():
             return w
-        top = _top_event(space.base, h, e)
-        tn, td = (0, 1) if top is None else top
+        events = _build_ray_events(space.base, h, e)
+        tn, td = events[-1] if events else (0, 1)
         # Bound the diagonal crossing with the base germ, above every event.
         start = max(Fraction(tn, td), eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):

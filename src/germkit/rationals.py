@@ -4,7 +4,9 @@ All coordinates in this package are :class:`fractions.Fraction` values.
 The text form is ``"p/q"`` in lowest terms with a positive denominator,
 shortened to ``"p"`` for integers.  :func:`format_rational` always emits
 the canonical form; :func:`parse_rational` accepts any ``p/q`` or ``p``
-string (so ``"2/4"`` parses fine but re-serializes as ``"1/2"``).
+string of ASCII digits with no surrounding whitespace (so ``"2/4"``
+parses fine but re-serializes as ``"1/2"``, and ``" 1"`` or ``"1\n"`` is
+rejected).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
 class RationalFormatError(ValueError):
@@ -22,7 +24,7 @@ class RationalFormatError(ValueError):
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise RationalFormatError(f"expected a rational string, got {text!r}")
-    m = _RATIONAL_RE.match(text.strip())
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise RationalFormatError(f"not a rational: {text!r} (expected 'p' or 'p/q')")
     num = int(m.group(1))

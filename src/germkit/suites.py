@@ -31,6 +31,7 @@ from .action import (
     GermMismatchError,
     Homeo,
     Word,
+    apply_homeo,
     extend_space_for_action,
     induced_germ,
     letter_homeo,
@@ -40,7 +41,7 @@ from .action import (
     reduced_words,
     validate_homeo,
     word_germ,
-    word_homeo,  # unused here; perfbench/check_gate.py reads suites.word_homeo
+    word_homeo,  # perfbench/check_gate.py reads suites.word_homeo too
     _apply_pairs,
     _ray_events,
 )
@@ -50,7 +51,6 @@ from .blowup import (
     CosetTableError,
     StabilizerData,
     StabilizerGeneratorError,
-    alpha_apply,
     check_stabilizer_fits,
     injectivity_certificate,
     positive_ray_orbit_search,
@@ -387,8 +387,9 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
         # The image predicate is constant on the gap between t and the ray
         # event below it, so t and that gap's midpoint decide minimality
         # exactly.
-        below = [ev for ev in _ray_events(space, h, e) if ev < t]
-        gap_mid = (max(below) + t) / 2 if below else t - 1
+        tn, td = t.numerator, t.denominator
+        below = [ev for ev in _ray_events(space, h, e) if ev[0] * td < tn * ev[1]]
+        gap_mid = (Fraction(*below[-1]) + t) / 2 if below else t - 1
         if line_image(space, h, e, t) is not None and line_image(space, h, e, gap_mid) is not None:
             return False  # the threshold was not minimal
     return True
@@ -646,13 +647,16 @@ def _orbit_limit_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _orbit_limit_check(case: Case) -> Payload | None:
+    """The search reads the twisted action, so the check reads the base
+    action: the found word's homeo must carry the marked point over the cut."""
     target, ball, n = case
     space, e = target.blowup, root_embedding(target.space)
     found = positive_ray_orbit_search(space, e, n, min(ball, space.depth))
     if found is None:
         return None  # exhaustion is a permitted outcome, not a refutation
-    image = alpha_apply(space, found, space.midpoint())
-    if e.contains(target.space, image.point) and image.point.coord > n:
+    h = word_homeo(target.space, target.generators, found)
+    image = apply_homeo(target.space, h, space.marked)
+    if e.contains(target.space, image) and image.coord > n:
         return None
     return {"target": target.name, "cut": format_rational(n), "word": str(found)}
 

@@ -16,8 +16,8 @@ from fractions import Fraction as F
 
 from germkit import action
 from germkit.action import (
-    FULL_LINE, ActionError, GermMismatchError, Homeo, Word, _build_ray_events, apply_homeo,
-    compose_homeo, identity_homeo, letter_homeo, reduced_words, validate_homeo,
+    FULL_LINE, ActionError, GermMismatchError, Homeo, Word, apply_homeo, compose_homeo,
+    identity_homeo, letter_homeo, reduced_words, validate_homeo,
 )
 from germkit.blowup import (
     ActionLawViolation, BlownPoint, BlowupError, OrbitEscapeError, alpha_apply,
@@ -369,6 +369,21 @@ def oracle_line_image(space, h, e, x):
     return image.coord.numerator, image.coord.denominator
 
 
+def oracle_ray_events(space, h, e):
+    """The ray events as a sorted list of ``Fraction``s, read off public
+    data: every departure of the space, and each chart breakpoint and
+    preimage of a departure along ``e``'s chain to the root."""
+    departures = {space.departure(b) for b in space.branches} - {None}
+    events = set(departures)
+    for branch in space.chain_to_root(e.branch):
+        if branch not in h.branch_pl:
+            raise ActionError(f"homeomorphism undefined on branch {branch!r}")
+        pl = h.branch_pl[branch]
+        events.update(pl.breakpoints)
+        events.update(pl.preimage(dep) for dep in departures)
+    return sorted(events)
+
+
 def oracle_induced_germ(space, h, e, threshold=None):
     """The induced germ computed the long way, with the overlap scan always
     run: samples above the larger of the scanned (or given) threshold and
@@ -377,7 +392,7 @@ def oracle_induced_germ(space, h, e, threshold=None):
     def on_line(x):
         return oracle_line_image(space, h, e, x) is not None
 
-    events = _build_ray_events(space, h, e)
+    events = oracle_ray_events(space, h, e)
     if not on_line(events[-1] + 1 if events else F(0)):
         raise ActionError("image ray never returns to the embedded line")
     t0 = FULL_LINE

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,7 +15,6 @@ from germkit.action import (
     Word,
     _build_ray_events,
     _ray_events,
-    _top_event,
     apply_homeo,
     compose_homeo,
     identity_homeo,
@@ -35,8 +35,8 @@ from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
 from reference import (
-    oracle_induced_germ, oracle_line_image, oracle_validate_homeo, oracle_word_germ,
-    oracle_word_homeo, oracle_words,
+    oracle_induced_germ, oracle_line_image, oracle_ray_events, oracle_validate_homeo,
+    oracle_word_germ, oracle_word_homeo, oracle_words,
 )
 from support import field_dict, record_of
 
@@ -633,7 +633,7 @@ class TestInducedGermOracle:
     def test_events_all_negative(self):
         L, h = negative_events_line()
         e = root_embedding(L)
-        assert _ray_events(L, h, e) == (F(-3),)
+        assert _ray_events(L, h, e) == ((-3, 1),)
         assert overlap_ray(L, h, e) is FULL_LINE
         assert induced_germ(L, h, e) == Germ(1, 1)
         assert_matches_oracle(L, h, e)
@@ -717,46 +717,94 @@ class TestRootChartGerm:
         assert no_chart._rays == no_image._rays == undeclared._rays == ()
 
 
-def assert_top_is_max_event(space, h, e):
+def assert_table_matches_oracle(space, h, e):
+    """The event table is the reference's sorted list, as distinct reduced
+    pairs with positive denominators; returns the table."""
     events = _build_ray_events(space, h, e)
-    top = _top_event(space, h, e)
-    if not events:
-        assert top is None
-        return
-    n, d = top
-    assert d > 0 and F(n, d) == max(events)
+    assert [F(n, d) for n, d in events] == oracle_ray_events(space, h, e)
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in events)
+    return events
 
 
-class TestTopEvent:
+class TestRayEventTable:
     def test_random_homeos_and_shifts_on_both_sides(self):
-        # CaseGen homeos fix every departure; a shift moves the largest
-        # one, so the top is sometimes a chart map's preimage of it
+        # CaseGen homeos fix every departure; a shift moves them, so the
+        # table also holds preimages that are no departure
         gen = CaseGen(33)
         sides = set()
         for _ in range(20):
             space = gen.leafspace(4)
             sides.add(space.side)
             h = gen.homeo(space)
-            for g in (h, invert_homeo(h), translation(space, -1), translation(space, 1)):
+            for g in (h, invert_homeo(h), translation(space, -1), translation(space, F(1, 3))):
                 for branch in sorted(space.branches):
-                    assert_top_is_max_event(space, g, Embedding(branch))
+                    assert_table_matches_oracle(space, g, Embedding(branch))
         assert sides == {Side.NEGATIVE, Side.POSITIVE}
 
-    def test_swaps_shifts_and_all_negative_or_no_events(self):
-        b, L, R = bundle("e2"), two_siblings(), line()
-        cases = [(b.space, b.generators["s"]), negative_events_line(), (R, translation(R))]
-        cases += [(L, sibling_swap(L)), (L, translation(L, -1)), (L, translation(L, 2))]
+    def test_swaps_composites_and_bundle_words(self):
+        gen = CaseGen(35)
+        cases = []
+        for _ in range(10):
+            space, swap, _ = gen.swap_pair()
+            composite = compose_homeo(gen.homeo(space), swap)
+            cases += [(space, swap), (space, composite), (space, invert_homeo(composite))]
+        for name in ("e1", "e2", "e3"):
+            b = bundle(name)
+            cases += [(b.space, word_homeo(b.space, b.generators, w))
+                      for w in reduced_words(sorted(b.generators), 2)]
         for space, h in cases:
             for branch in sorted(space.branches):
-                assert_top_is_max_event(space, h, Embedding(branch))
-        # the shift by -1 tops its events with the preimage 1 of the departure 0
-        assert _top_event(L, translation(L, -1), root_embedding(L)) == (1, 1)
+                assert_table_matches_oracle(space, h, Embedding(branch))
 
-    def test_uncovered_chain_branch_raises_as_the_events_do(self):
+    def test_shifts_all_negative_and_no_events(self):
+        b, L, R = bundle("e2"), two_siblings(), line()
+        cases = [(b.space, b.generators["s"]), negative_events_line(), (L, sibling_swap(L))]
+        cases += [(L, translation(L, -1)), (L, translation(L, 2))]
+        for space, h in cases:
+            for branch in sorted(space.branches):
+                assert_table_matches_oracle(space, h, Embedding(branch))
+        assert _build_ray_events(R, translation(R), root_embedding(R)) == ()
+        # the shift by -1 tops its events with the preimage 1 of the departure 0
+        assert _build_ray_events(L, translation(L, -1), root_embedding(L)) == ((0, 1), (1, 1))
+
+    def test_large_denominators_sort_exactly(self):
+        # departures and breakpoints about 10**-30 apart, on both sides of
+        # 0: an order read off numerators would misplace them, and floats
+        # cannot tell 1/10**30 from 1/(10**30 + 1)
+        big = 10**30
+        L = LeafSpace.build(
+            Side.NEGATIVE,
+            {
+                "r": (None, None), "a": ("r", F(1, big)), "b": ("r", F(1, big + 1)),
+                "c": ("r", F(-7, big + 1)),
+            },
+        )
+        pl = PLMap.make([(F(-3, big - 1), F(-3, big - 1)), (F(2, big), F(5, big))], 1, F(1, 7))
+        h = Homeo({b: b for b in L.branches}, {b: pl for b in L.branches})
+        for g in (h, invert_homeo(h), translation(L, F(1, 3**60))):
+            for branch in sorted(L.branches):
+                events = assert_table_matches_oracle(L, g, Embedding(branch))
+                assert len(events) >= 4
+
+    def test_coinciding_events_appear_once(self):
+        # the departures 1 and 2 under x -> 2x: the preimage of 2 is the
+        # pair (2, 2) before reduction, the departure 1 after it
+        L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "a": ("r", 1), "b": ("r", 2)})
+        double = PLMap.affine(2, 0)
+        h = Homeo({b: b for b in L.branches}, {b: double for b in L.branches})
+        assert _build_ray_events(L, h, Embedding("a")) == ((1, 2), (1, 1), (2, 1))
+        # a breakpoint at the departure 0, and a preimage of it at a breakpoint
+        S = two_siblings()
+        for points, want in (([(0, 0)], ((0, 1),)), ([(-1, 0), (0, 1)], ((-1, 1), (0, 1)))):
+            pl = PLMap.make(points, 2, 3)
+            h = Homeo({b: b for b in S.branches}, {b: pl for b in S.branches})
+            assert assert_table_matches_oracle(S, h, Embedding("b1")) == want
+
+    def test_uncovered_chain_branch_raises(self):
         L = two_siblings()
         probe = Homeo({"b1": "b1"}, {"b1": PLMap.identity()})
-        for ray_data in (_build_ray_events, _top_event):
-            with pytest.raises(ActionError, match="undefined on branch 'r'"):
+        for ray_data in (_build_ray_events, oracle_ray_events):
+            with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
                 ray_data(L, probe, Embedding("b1"))
 
 
@@ -784,7 +832,7 @@ class TestKeptRayData:
             with pytest.raises(ActionError, match="image ray never returns"):
                 overlap_ray(L, h, e)
         (rays,) = h._rays
-        assert rays.events == (F(0),) and rays.overlap is action._UNSCANNED
+        assert rays.events == ((0, 1),) and rays.overlap is action._UNSCANNED
 
     def test_samples_off_the_line_raise_on_every_call(self):
         # the samples above the top event leave the line, and the root
@@ -834,8 +882,8 @@ class TestInducedGermCalls:
     def counted(monkeypatch):
         calls = dict.fromkeys(
             (
-                "_line_image", "_overlap_scan", "_build_ray_events", "_top_event",
-                "induced_germ", "compose_homeo",
+                "_line_image", "_overlap_scan", "_build_ray_events", "induced_germ",
+                "compose_homeo",
             ),
             0,
         )
@@ -857,13 +905,13 @@ class TestInducedGermCalls:
         germ = action.induced_germ(b.space, h, e)
         assert germ == Germ.of(h.branch_pl[b.space.root])
         assert calls == {
-            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 0,
-            "induced_germ": 1, "compose_homeo": 0,
+            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "induced_germ": 1,
+            "compose_homeo": 0,
         }
         assert action.induced_germ(b.space, h, e) == germ
         assert calls == {
-            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "_top_event": 0,
-            "induced_germ": 2, "compose_homeo": 0,
+            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "induced_germ": 2,
+            "compose_homeo": 0,
         }
         assert h._rays == ()  # nothing is kept
 
@@ -893,8 +941,7 @@ class TestInducedGermCalls:
         calls = self.counted(monkeypatch)
         assert suites._homomorphism_check(case) is None
         assert calls["induced_germ"] == 4 + sum(len(w) for w in words) == 18
-        assert calls["_line_image"] == calls["_top_event"] == 0
-        assert calls["_build_ray_events"] == calls["_overlap_scan"] == 0
+        assert calls["_line_image"] == calls["_build_ray_events"] == calls["_overlap_scan"] == 0
         assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
         assert suites._homomorphism_check(case) is None
         assert calls["induced_germ"] == 36 and calls["_line_image"] == 0
@@ -909,7 +956,6 @@ class TestInducedGermCalls:
         calls = self.counted(monkeypatch)
         assert suites._threshold_check((b, root_embedding(b.space), "u", h)) is None
         assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
-        assert calls["_top_event"] == 0
 
     def test_d_homomorphism_germs_each_generator_letter_once_per_target(self, monkeypatch):
         config = suites.SuiteConfig(examples=("e3",))
@@ -933,7 +979,7 @@ class TestInducedGermCalls:
         report = suites.run_suite("d-homomorphism", config, targets)
         assert report.passed
         assert all(germs[i] > 0 for i in letters)
-        assert calls["_line_image"] == calls["_top_event"] == calls["_build_ray_events"] == 0
+        assert calls["_line_image"] == calls["_build_ray_events"] == 0
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")
@@ -1019,7 +1065,7 @@ class TestWordRouteOracle:
 def probe_points(space, h, e):
     """Every ray event, every gap midpoint, one either side of each event,
     and 10**6 (0 and +-1 when there are no events)."""
-    events = _ray_events(space, h, e) or [F(0)]
+    events = oracle_ray_events(space, h, e) or [F(0)]
     mids = [(a + b) / 2 for a, b in zip(events, events[1:])]
     around = [ev + step for ev in events for step in (-1, 1)]
     return sorted({*events, *mids, *around, F(10**6)})
@@ -1136,12 +1182,11 @@ class TestLineImageBuildsNoFraction:
         assert fraction_count[0] == before + 1
 
     @staticmethod
-    def warm(b, h, e):
-        """Build the chart kernels and the kept ray events of ``h``, as an
-        earlier call would have; nothing else is kept."""
+    def warm(h):
+        """Build the chart kernels of ``h``, as an earlier call would have;
+        ``h`` keeps nothing."""
         for pl in h.branch_pl.values():
             pl(0), pl.preimage(0)
-        _ray_events(b.space, h, e)
 
     def test_default_germ_miss(self, fraction_count):
         b = bundle("e3")
@@ -1149,36 +1194,47 @@ class TestLineImageBuildsNoFraction:
         words = reduced_words(sorted(b.generators), 2)
         homeos = [fresh(word_homeo(b.space, b.generators, w)) for w in words]
         for h in homeos:
-            self.warm(b, h, e)
+            self.warm(h)
         before = fraction_count[0]
         for h in homeos:
             induced_germ(b.space, h, e)
         assert fraction_count[0] == before
 
     def test_overlap_scan(self, fraction_count):
+        # a scan on a cold homeo builds its event table on ints and only
+        # the threshold it returns as a Fraction; the kept ray builds none
         b = bundle("e2")
         e = root_embedding(b.space)
         words = reduced_words(sorted(b.generators), 2)
         homeos = [fresh(word_homeo(b.space, b.generators, w)) for w in words]
         for h in homeos:
-            self.warm(b, h, e)
-        before = fraction_count[0]
-        rays = [overlap_ray(b.space, h, e) for h in homeos]
-        assert fraction_count[0] == before
+            self.warm(h)
+        rays = []
+        for h in homeos:
+            before = fraction_count[0]
+            t = overlap_ray(b.space, h, e)
+            assert fraction_count[0] == before + (t is not FULL_LINE)
+            assert overlap_ray(b.space, h, e) is t
+            assert fraction_count[0] == before + (t is not FULL_LINE)
+            rays.append(t)
         assert any(t is FULL_LINE for t in rays) and any(t is not FULL_LINE for t in rays)
-        # a threshold is the kept event object itself
+        # a threshold is a kept event
         for h, t in zip(homeos, rays):
-            assert t is FULL_LINE or any(t is ev for ev in _ray_events(b.space, h, e))
+            assert t is FULL_LINE or (t.numerator, t.denominator) in _ray_events(b.space, h, e)
 
     def test_explicit_threshold_germ(self, fraction_count):
+        # on a cold homeo the first germ scans, and builds the scanned
+        # threshold 0 and nothing else; the second reads the kept ray
         b = bundle("e2")
         h, e = fresh(b.generators["s"]), root_embedding(b.space)
-        self.warm(b, h, e)
-        overlap_ray(b.space, h, e)
+        self.warm(h)
         thresholds = [F(5), F(10**6, 7)]
         before = fraction_count[0]
-        germs = [induced_germ(b.space, h, e, threshold=t) for t in thresholds]
-        assert fraction_count[0] == before
+        germs = [induced_germ(b.space, h, e, threshold=thresholds[0])]
+        assert fraction_count[0] == before + 1
+        germs.append(induced_germ(b.space, h, e, threshold=thresholds[1]))
+        assert fraction_count[0] == before + 1
+        assert overlap_ray(b.space, h, e) == 0
         assert germs[0] == germs[1] == induced_germ(b.space, fresh(h), e)
 
     def test_witness_none(self, fraction_count):
@@ -1192,11 +1248,11 @@ class TestLineImageBuildsNoFraction:
         h, e = Homeo({b: b for b in L.branches}, {b: bend for b in L.branches}), Embedding("a")
         assert validate_homeo(L, h) is None
         cuts = [F(0), F(1, 2), F(3)]
-        for cut in cuts:
-            moved_point_witness(L, h, e, cut)  # builds the kept events and kernels
+        self.warm(h)
         before = fraction_count[0]
         assert [moved_point_witness(L, h, e, cut) for cut in cuts] == [None] * 3
         assert fraction_count[0] == before
+        assert [rays.events for rays in h._rays] == [tuple((n, 1) for n in range(-2, 4))]
         assert moved_point_witness(L, h, e, F(-3)) == F(-5, 3)  # the map fixes x <= -2
 
 

@@ -7,7 +7,7 @@ import pytest
 from germkit import blowup
 from germkit.action import (
     Homeo, Word, apply_homeo, identity_homeo, induced_germ, line_image, reduced_words,
-    validate_homeo, word_homeo, _top_event,
+    validate_homeo, word_homeo, _build_ray_events,
 )
 from germkit.blowup import (
     ActionLawViolation,
@@ -47,8 +47,9 @@ def blown_chart_certificate(space, e, ball):
         if blown_induced_germ(space, w, e).is_identity():
             return w
         h = space.word_homeo(w)
-        top = _top_event(space.base, h, e)
-        start = max(F(*(top or (0, 1))), eventual_comparison_bound(induced_germ(space.base, h, e)))
+        events = _build_ray_events(space.base, h, e)
+        top = events[-1] if events else (0, 1)
+        start = max(F(*top), eventual_comparison_bound(induced_germ(space.base, h, e)))
         for x in (start + 1, start + 1000):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):
                 return w
@@ -852,6 +853,13 @@ class TestBlownGerm:
         monkeypatch.setattr(Embedding, "contains", counted)
         assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
         assert calls == 0 and len(space.orbit) == 407
+
+    def test_certificate_keeps_no_ray_record(self):
+        # each word's event table is built for its top and not kept
+        b, space = built("e3")
+        assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
+        homeos = [h for h, _ in space._word_cache.values()]
+        assert len(homeos) == 161 and all(h._rays == () for h in homeos)
 
     @pytest.mark.parametrize("ball", [0, 1])
     def test_certificate_rejects_an_undeclared_line(self, ball):

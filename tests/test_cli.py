@@ -50,6 +50,7 @@ BAD_TARGETS = {
     "generator-named-like-the-empty-word": ("e3", "named-1", "e3", "$.generators[1].name"),
     "generator-name-with-a-space": ("e3", "named-a-b", "e3", "$.generators[1].name"),
     "non-ascii-digit-coordinate": ("e3", "e3", "arabic", "$.marked.coord"),
+    "whitespace-padded-coordinate": ("e3", "e3", "padded", "$.marked.coord"),
 }
 
 # generator names that are not word letters, each given to e3's second generator
@@ -82,6 +83,9 @@ def bad_files(tmp_path_factory):
     # "-\u0661" is "-1" in Arabic-Indic digits, which no rational may use
     arabic = dict(spec, marked=dict(spec["marked"], coord="-\u0661"))
     (d / "arabic.blowup.json").write_text(json.dumps(arabic))
+    # "-1" with a no-break space before it and a newline after it
+    padded = dict(spec, marked=dict(spec["marked"], coord="\xa0-1\n"))
+    (d / "padded.blowup.json").write_text(json.dumps(padded))
     action = json.loads((d / "e3.action.json").read_text())
     for file, name in BAD_GENERATOR_NAMES.items():
         rows = [action["generators"][0], dict(action["generators"][1], name=name)]

@@ -328,4 +328,4 @@ class TestNoFraction:
             assert fraction_count[0] == before
             assert induced_germ(space, h, e) == u
             assert fraction_count[0] == before
-            assert u == induced_germ(space, h, e, threshold=_ray_events(space, h, e)[-1] + 5)
+            assert u == induced_germ(space, h, e, threshold=F(*_ray_events(space, h, e)[-1]) + 5)

@@ -11,7 +11,8 @@ record and ``_record``, which returns the record's layout; other modules
 read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
 ``_breaks``) and splice maps with ``plmap._splice``.  Only ``action.py`` names
 ``Homeo._rays``, the ray data a homeo keeps: other modules read it through
-``_ray_events``, ``overlap_ray`` and ``induced_germ``.  Only ``leafspace.py`` names
+``_ray_events``, ``overlap_ray`` and ``induced_germ``, and the events are a
+table of integer pairs that ``_build_ray_events`` builds.  Only ``leafspace.py`` names
 ``Embedding.point_at``, and only ``action.py`` names ``_line_image``: other
 modules probe a homeo along an embedded line through ``action.line_image``,
 its wrapper, and inside ``action.py`` the overlap scan, the witness search
@@ -27,8 +28,8 @@ through the reducing constructor.  Every guarded name is a code token of
 some package module, so no guard watches a name that is gone.
 
 The tests' references live in one module, ``tests/reference.py``, which
-names none of the package's integer internals, so a cross-check never
-runs the code it checks.  No test module imports another.
+names none of the package's integer internals, the ray event table among
+them, so a cross-check never runs the code it checks.  No test module imports another.
 """
 
 import ast
@@ -136,7 +137,7 @@ TESTS = Path(__file__).parent
 INTEGER_INTERNALS = {
     "_eval", "_preimage", "_record", "_kernel", "_build_kernel", "_pairs", "_tail", "_breaks",
     "_of", "_n", "_d", "_sn", "_sd", "_on", "_od", "_h", "_key", "_from_key", "_ascend",
-    "_apply_pairs", "_line_image", "_top_event", "_move_keys", "_orbit_keys",
+    "_apply_pairs", "_line_image", "_build_ray_events", "_ray_events", "_move_keys", "_orbit_keys",
 }
 
 

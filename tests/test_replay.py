@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from germkit import action, examples, serialize, suites
+from germkit import action, blowup, examples, serialize, suites
 from germkit.action import Homeo, UnknownGeneratorError, Word
 from germkit.blowup import BlowupSpace
 from germkit.cli import main
@@ -354,6 +354,23 @@ wrong_search = patched(
 def test_orbit_limit_search_returns_wrong_word(replays):
     payload = replays("orbit-limit", E1, wrong_search)
     assert payload == {"target": "e1", "cut": "0", "word": "u^-1"}
+
+
+def lifted_interval_images(move_keys):
+    """A kernel that lifts every interval image by 10**7 along its branch."""
+
+    def move(space, word, keys):
+        images = move_keys(space, word, keys)
+        return [key if len(key) == 3 else (key[0], key[1] + 10**7 * key[2], *key[2:]) for key in images]
+
+    return move
+
+
+def test_orbit_limit_lifted_twisted_action(replays):
+    # the search reads the twisted action, so the fault lets it find a word
+    # that the base action does not carry over the cut
+    payload = replays("orbit-limit", E1, patched(blowup, "_move_keys", lifted_interval_images))
+    assert payload == {"target": "e1", "cut": "0", "word": "1"}
 
 
 def test_file_target_replays(replays, tmp_path):

@@ -10,6 +10,7 @@ from germkit.examples import BUNDLED, bundle
 from germkit.germ import Germ
 from germkit.leafspace import Point, Side
 from germkit.plmap import PLMap
+from germkit.rationals import RationalFormatError, parse_rational
 from germkit.serialize import SpecFormatError
 
 
@@ -31,6 +32,12 @@ class TestRationals:
         data = {"points": [], "left_slope": "1", "right_slope": "1", "offset": text}
         with pytest.raises(SpecFormatError, match=r"\$\.offset: not a rational"):
             serialize.plmap_from_data(data)
+
+
+    @pytest.mark.parametrize("text", [" 1", "1\n", "\xa0-1/2 ", "1 /2", "\u20031"])
+    def test_whitespace_rejected(self, text):
+        with pytest.raises(RationalFormatError, match="not a rational"):
+            parse_rational(text)
 
 
 class TestPLMapSchema:
