@@ -404,29 +404,18 @@ def extend_space_for_action(
     return LeafSpace.build(space.side, branches)
 
 
-def word_homeo(
-    space: LeafSpace,
-    generators: Mapping[str, Homeo],
-    word: Word,
-    prefix: Homeo | None = None,
-) -> Homeo:
+def word_homeo(space: LeafSpace, generators: Mapping[str, Homeo], word: Word) -> Homeo:
     """Compose a word of generators, outermost letter first, and validate it.
 
-    Without ``prefix`` the word is built letter by letter from its first
-    letter's homeo, so a word of ``n`` letters costs ``n - 1``
-    compositions; only the empty word starts from the identity.  Even a
-    one-letter word's homeo is a new object, equal to its letter's homeo
-    but not that homeo.  Canonical forms are unique and composition is
-    associative, so the maps are those of the word built from the
-    identity.  With ``prefix``, the homeo of ``word`` minus its last
-    letter, only that letter is composed onto it.  An invalid composite
-    raises :class:`ActionError` naming the word.
+    The word is built letter by letter from its first letter's homeo, so a
+    word of ``n`` letters costs ``n - 1`` compositions; only the empty word
+    starts from the identity.  Even a one-letter word's homeo is a new
+    object, equal to its letter's homeo but not that homeo.  Canonical
+    forms are unique and composition is associative, so the maps are those
+    of the word built from the identity.  The generators are not trusted,
+    so an invalid composite raises :class:`ActionError` naming the word.
     """
-    if prefix is not None:
-        if not word.letters:
-            raise ActionError("the empty word has no prefix")
-        result, letters = prefix, word.letters[-1:]
-    elif word.letters:
+    if word.letters:
         first = letter_homeo(generators, *word.letters[0])
         result, letters = Homeo(first.branch_map, first.branch_pl), word.letters[1:]
     else:
@@ -485,14 +474,20 @@ def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, in
 
 
 def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, int], ...]:
-    """The events of :func:`_ray_events`: every departure of the space, and
-    each chart breakpoint and preimage of a departure along ``e``'s chain.
-
-    Read on ints off the departures, each chart map's integer record and
-    its integer preimage, each preimage reduced by one ``gcd``, and sorted
+    """The events of :func:`_ray_events`: :func:`_ray_event_set` sorted
     exactly on the key ``n * (L // d)``, ``L`` the least common multiple of
-    the denominators; no ``Fraction`` is built.
-    """
+    the denominators; no ``Fraction`` is built."""
+    events = _ray_event_set(space, h, e)
+    scale = lcm(*(d for _, d in events))
+    return tuple(sorted(events, key=lambda ev: ev[0] * (scale // ev[1])))
+
+
+def _ray_event_set(space: LeafSpace, h: Homeo, e: Embedding) -> set[tuple[int, int]]:
+    """The ray events as an unsorted set of reduced pairs: every departure
+    of the space, and each chart breakpoint and preimage of a departure
+    along ``e``'s chain, read on ints off the departures, each chart map's
+    integer record and its integer preimage, each preimage reduced by one
+    ``gcd``."""
     departures = [(dep.numerator, dep.denominator) for dep in space._departures]
     events = set(departures)
     for branch in space.chain_to_root(e.branch):
@@ -504,8 +499,7 @@ def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[i
             n, d = pl._preimage(n, d)
             g = gcd(n, d)
             events.add((n // g, d // g))
-    scale = lcm(*(d for _, d in events))
-    return tuple(sorted(events, key=lambda ev: ev[0] * (scale // ev[1])))
+    return events
 
 
 def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:

@@ -10,8 +10,8 @@ coset ``gK``.  The twist word always lies in ``K``, which is what makes the
 assignment independent of how the interval was reached.  ``K`` is free on
 letters of the action, so membership, factorization and the default coset
 representatives all read one table of ``K`` letters.  A :class:`BlowupSpace`
-carries this data, checked by :func:`check_stabilizer_fits`, so the action
-and its checks read all of it from the space.
+carries this data, checked by :func:`check_stabilizer_fits`, and its generators,
+validated once, so the action and its checks read all of it from the space.
 
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
@@ -54,16 +54,18 @@ from .action import (
     Homeo,
     Word,
     apply_homeo,
+    compose_homeo,
+    identity_homeo,
     induced_germ,
     letter_homeo,
     line_image,
     reduced_words,
-    word_homeo,
+    validate_homeo,
     _apply_pairs,
-    _build_ray_events,
+    _ray_event_set,
 )
 from .germ import Germ, eventual_comparison_bound
-from .leafspace import Classification, Embedding, LeafSpace, LeafSpaceError, Point
+from .leafspace import Classification, Embedding, LeafSpace, Point
 from .plmap import PLMap, RationalLike, _frac
 
 
@@ -318,12 +320,14 @@ class BlowupSpace:
     """A leaf space with the depth-bounded orbit of a marked point blown up,
     carrying the :class:`StabilizerData` that twists the action on it.
 
-    The space keeps one entry per word it has acted by: the word's homeo
-    (:meth:`word_homeo`) and the moves of the orbit points it has met
-    (:func:`_move_keys`).  Both live as long as the space.  Beside
-    ``orbit`` it keeps the same points keyed by their integer triples,
-    ``(branch, n, d)``, which is what :func:`_move_keys` looks up; each
-    kept move holds the index's own key objects, not copies.
+    Each generator is checked once, here, by
+    :func:`~germkit.action.validate_homeo` on ``base``; a failure raises
+    :class:`BlowupError` naming it.  The space keeps one entry per word it
+    has acted by: the word's homeo (:meth:`word_homeo`) and the moves of
+    the orbit points it has met (:func:`_move_keys`).  Both live as long as
+    the space.  Beside ``orbit`` it keeps the same points keyed by their
+    integer triples, ``(branch, n, d)``, which is what :func:`_move_keys`
+    looks up; each kept move holds the index's own key objects, not copies.
     """
 
     def __init__(
@@ -339,6 +343,12 @@ class BlowupSpace:
         self.base = base
         self.generators = dict(generators)
         self.marked = base.canonical(marked)
+        for name, h in self.generators.items():
+            problem = validate_homeo(base, h)
+            if problem is not None:
+                raise BlowupError(
+                    f"generator {name!r} is not a homeomorphism of the leaf space: {problem}"
+                )
         check_stabilizer_fits(base, generators, self.marked, stabilizer)
         self.depth = depth
         self.stabilizer = stabilizer
@@ -348,28 +358,21 @@ class BlowupSpace:
         self._word_cache: dict[
             tuple[tuple[str, int], ...],
             tuple[Homeo, dict[tuple[str, int, int], tuple[tuple[str, int, int], PLMap]]],
-        ] = {}
+        ] = {(): (identity_homeo(base), {})}
         self._expand_orbit()
 
     def _expand_orbit(self) -> None:
-        steps: list[tuple[Homeo, Word]] = []
-        for name in sorted(self.generators):
-            h = self.generators[name]
-            steps.append((h, Word(((name, 1),))))
-            steps.append((letter_homeo(self.generators, name, -1), Word(((name, -1),))))
+        steps = [
+            (letter_homeo(self.generators, name, exp), Word._reduced(((name, exp),)))
+            for name in sorted(self.generators) for exp in (1, -1)
+        ]
         frontier = [(self.marked, Word())]
         self.orbit[self.marked] = Word()
         for _ in range(self.depth):
             next_frontier = []
             for point, word in frontier:
                 for h, letter in steps:
-                    try:
-                        image = apply_homeo(self.base, h, point)
-                    except (ActionError, LeafSpaceError) as exc:
-                        raise OrbitEscapeError(
-                            f"orbit of {self.marked!r} leaves the declared "
-                            f"branches at word {str(letter * word)!r}: {exc}"
-                        ) from None
+                    image = apply_homeo(self.base, h, point)
                     if image not in self.orbit:
                         reached = letter * word
                         self.orbit[image] = reached
@@ -387,13 +390,19 @@ class BlowupSpace:
         """The cached homeo of ``word``.
 
         A miss composes the last letter onto the cached homeo of the rest
-        of the word, fetched the same way; only the empty word is built
-        from the identity.  It also opens the word's empty table of moves.
+        of the word, fetched the same way; the empty word's entry, the
+        identity, is made with the space.  A miss also opens the word's
+        empty table of moves.  The composite is not validated, since the
+        generators were and composition and inversion preserve each
+        condition :func:`~germkit.action.validate_homeo` checks: a
+        bijection of the declared branches, increasing canonical chart
+        maps, child and parent charts agreeing above each departure, and
+        image branches sharing from exactly the mapped departure.
         """
         entry = self._word_cache.get(word.letters)
         if entry is None:
-            prefix = self.word_homeo(Word._reduced(word.letters[:-1])) if word.letters else None
-            homeo = word_homeo(self.base, self.generators, word, prefix=prefix)
+            prefix = self.word_homeo(Word._reduced(word.letters[:-1]))
+            homeo = compose_homeo(prefix, letter_homeo(self.generators, *word.letters[-1]))
             entry = self._word_cache[word.letters] = (homeo, {})
         return entry[0]
 
@@ -662,10 +671,10 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
     ``x -> x + s`` (:func:`blown_induced_germ`), so it is trivial exactly
     when ``d(w)`` is, and the certificate tests ``d(w)``: no orbit scan and
     no conjugation.  As a cross-check the word must also move plain line
-    points at two large coordinates, above the top of its ray event table,
-    which is built and not kept, so the sweep leaves no ray record on its
-    word homeos; ``d(w)`` is the root chart's tail, so those probes stay an
-    independent route.
+    points at two large coordinates, above its largest ray event, the
+    maximum of the unsorted event set by cross-multiplication, which is not
+    kept, so the sweep leaves no ray record on its word homeos; ``d(w)`` is
+    the root chart's tail, so those probes stay an independent route.
     Returns the first failing word or ``None``.  An undeclared ``e``
     raises :class:`~germkit.leafspace.LeafSpaceError` at every ball.
     """
@@ -677,8 +686,11 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
         base_germ = induced_germ(space.base, h, e)
         if base_germ.is_identity():
             return w
-        events = _build_ray_events(space.base, h, e)
-        tn, td = events[-1] if events else (0, 1)
+        events = iter(_ray_event_set(space.base, h, e))
+        tn, td = next(events, (0, 1))
+        for n, d in events:
+            if n * td > tn * d:
+                tn, td = n, d
         # Bound the diagonal crossing with the base germ, above every event.
         start = max(Fraction(tn, td), eventual_comparison_bound(base_germ))
         for x in (start + 1, start + 1000):

@@ -64,7 +64,7 @@ point whose two slopes ``a/d`` and ``a'/d'`` agree (``a*d' == a'*d``), and
 reduces the value of each point it keeps with one ``gcd``.  :meth:`make`
 converts its input once and calls it; ``~``, :func:`reflect` and
 :func:`_splice` call it on records.  :func:`check`, which
-``action.validate_homeo`` runs on every chart map of a word's homeo,
+``action.validate_homeo`` runs on every chart map of a homeo it checks,
 applies the rules of :func:`_scan` to a composite's record on its own, so
 the triple rule's output is still checked independently.  It and
 :func:`agree_on_ray` read the record or the kernel, and other modules read

@@ -82,6 +82,8 @@ def _loads(text: str) -> Any:
         raise SpecFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise SpecFormatError("JSON nested too deeply") from None
 
 
 def _dumps(data: Any) -> str:

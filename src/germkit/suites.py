@@ -158,13 +158,16 @@ class Suite:
 
 
 def _load(file: str, kind: str, noted: list[str]) -> Any:
-    """Read and parse ``file`` as a ``kind`` of :data:`serialize.FILE_KINDS`
-    once; note it in ``noted`` if it is not canonical."""
+    """Read ``file`` as UTF-8 and parse it as a ``kind`` of
+    :data:`serialize.FILE_KINDS` once; note it in ``noted`` if it is not
+    canonical.  Text that is not UTF-8 is a format error at ``$``."""
     parse, emit = serialize.FILE_KINDS[kind]
-    with open(file) as fh:
-        text = fh.read()
     try:
+        with open(file, encoding="utf-8") as fh:
+            text = fh.read()
         parsed = parse(text)
+    except UnicodeDecodeError as exc:
+        raise serialize.SpecFormatError(f"not UTF-8 text: {exc}", "$", file) from None
     except serialize.SpecFormatError as exc:
         raise serialize.SpecFormatError(exc.message, exc.path, file) from None
     if emit(parsed) != text:

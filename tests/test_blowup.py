@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from germkit import blowup
+from germkit import action, blowup
 from germkit.action import (
     Homeo, Word, apply_homeo, identity_homeo, induced_germ, line_image, reduced_words,
-    validate_homeo, word_homeo, _build_ray_events,
+    validate_homeo, word_homeo, _build_ray_events, _ray_event_set,
 )
 from germkit.blowup import (
     ActionLawViolation,
@@ -87,9 +87,7 @@ class TestBuild:
             assert space.classify() is b.space.classify()
 
     def test_windowed_action_escapes_without_extension(self):
-        from germkit.action import Homeo
         from germkit.leafspace import LeafSpace, Side
-        from germkit.plmap import PLMap
 
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "c0": ("r", F(0))})
         ident = PLMap.identity()
@@ -97,18 +95,48 @@ class TestBuild:
             {"r": "r", "c0": "c1", "c1": "c0"},
             {"r": ident, "c0": ident, "c1": ident},
         )
-        with pytest.raises(OrbitEscapeError):
+        # rejected when the space is built, before the orbit is expanded
+        message = "generator 'v' is not a homeomorphism of the leaf space: branch 'c1' is not declared"
+        with pytest.raises(BlowupError, match=message) as caught:
             BlowupSpace(L, {"v": swap}, Point("c0", F(-1)), 2, StabilizerData((), {}))
+        assert type(caught.value) is BlowupError
+
+    def test_broken_chart_map_is_rejected_at_construction(self):
+        # e3's f with b1's chart tripling above the departure, where r's doubles
+        b = bundle("e3")
+        f = b.generators["f"]
+        broken = Homeo(f.branch_map, {**f.branch_pl, "b1": PLMap.make([(0, 0)], F(1, 2), 3)})
+        with pytest.raises(BlowupError, match="generator 'f' is not a homeomorphism") as caught:
+            BlowupSpace(b.space, {**b.generators, "f": broken}, b.marked, b.depth, b.stabilizer)
+        assert "chart maps of 'b1' and parent 'r' disagree above the departure" in str(caught.value)
 
 
 class TestWordHomeoCache:
-    @pytest.mark.parametrize("name", ["e1", "e3"])
+    @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault", "e3-phi-fault"])
     def test_prefix_shared_cache_matches_from_scratch(self, name):
+        # the space composes unchecked; the public route validates each word
         b, space = built(name)
-        for w in reduced_words(sorted(b.generators), 4):
+        for w in reduced_words(sorted(b.generators), 5):
             cached = space.word_homeo(w)
             assert cached == word_homeo(b.space, b.generators, w)
             assert validate_homeo(b.space, cached) is None
+
+    def test_validated_once_at_construction(self, monkeypatch):
+        # counted wherever the package binds the check
+        calls = Counter()
+        real = action.validate_homeo
+
+        def counted(space, h):
+            calls[id(h)] += 1
+            return real(space, h)
+
+        for module in (action, blowup):
+            monkeypatch.setattr(module, "validate_homeo", counted)
+        b, space = built("e3")
+        assert sorted(calls.values()) == [1] * len(b.generators)
+        for w in reduced_words(sorted(b.generators), 5):
+            space.word_homeo(w)
+        assert sum(calls.values()) == len(b.generators)
 
     def test_miss_with_uncached_prefixes(self):
         b, space = built("e3")
@@ -117,11 +145,6 @@ class TestWordHomeoCache:
         for n in range(len(w) + 1):
             assert Word(w.letters[:n]).letters in space._word_cache
         assert space.word_homeo(Word.parse("f k^-1")) is space.word_homeo(Word.parse("f k^-1"))
-
-    def test_prefix_of_the_empty_word_is_rejected(self):
-        b, space = built("e1")
-        with pytest.raises(ValueError, match="prefix"):
-            word_homeo(b.space, b.generators, Word(), prefix=space.word_homeo(Word()))
 
 
 class TestAlphaApply:
@@ -855,11 +878,35 @@ class TestBlownGerm:
         assert calls == 0 and len(space.orbit) == 407
 
     def test_certificate_keeps_no_ray_record(self):
-        # each word's event table is built for its top and not kept
+        # each word's event set is built for its top and not kept
         b, space = built("e3")
         assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
         homeos = [h for h, _ in space._word_cache.values()]
         assert len(homeos) == 161 and all(h._rays == () for h in homeos)
+
+    @pytest.mark.parametrize("name", ["e1", "e3"])
+    def test_certificate_top_is_the_sorted_tables_top(self, name, monkeypatch):
+        # the certificate's maximum of the event set is the sorted table's
+        # top, so each word's probes start one above it or the germ's bound
+        b, space = built(name)
+        e = root_embedding(b.space)
+        probes = []
+
+        def recording(base, h, line, x):
+            probes.append(x)
+            return line_image(base, h, line, x)
+
+        monkeypatch.setattr(blowup, "line_image", recording)
+        assert injectivity_certificate(space, e, ball=5) is None
+        expected = []
+        for w in reduced_words(sorted(b.generators), 5)[1:]:
+            h = space.word_homeo(w)
+            events = _build_ray_events(b.space, h, e)
+            top = events[-1] if events else (0, 1)
+            assert max(_ray_event_set(b.space, h, e), key=lambda p: F(*p), default=(0, 1)) == top
+            start = max(F(*top), eventual_comparison_bound(induced_germ(b.space, h, e)))
+            expected += [start + 1, start + 1000]
+        assert probes == expected
 
     @pytest.mark.parametrize("ball", [0, 1])
     def test_certificate_rejects_an_undeclared_line(self, ball):

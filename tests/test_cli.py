@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from germkit.action import Homeo, identity_homeo
 from germkit.blowup import BlowupSpace, CosetTableError, StabilizerGeneratorError
 from germkit.cli import main
-from germkit import action, serialize, suites
+from germkit import blowup, serialize, suites
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.leafspace import LeafSpace, Point, Side
@@ -163,7 +163,7 @@ class TestCheckCommands:
     def test_one_blowup_space_per_target(self, runner, monkeypatch, args, spaces, compositions):
         # each target's space is shared by its suites; a bundled fault builds its own
         calls = collections.Counter()
-        for owner, name in ((BlowupSpace, "_expand_orbit"), (action, "compose_homeo")):
+        for owner, name in ((BlowupSpace, "_expand_orbit"), (blowup, "compose_homeo")):
             original = getattr(owner, name)
 
             def counted(*a, _name=name, _original=original):
@@ -209,6 +209,28 @@ class TestInputErrors:
         )
         assert result.exit_code == 2
         assert "error" in result.output
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "not UTF-8 text"), (b"[" * 50_000, "JSON nested too deeply")],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("kind", ["leafspace", "action"])
+    def test_unreadable_file_is_input_error(self, runner, exported, tmp_path, content, message, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        files = {k: str(exported / f"e1.{k}.json") for k in ("leafspace", "action")}
+        files[kind] = str(bad)
+        result = runner.invoke(
+            main, ["compute-d", "--leafspace", files["leafspace"], "--action", files["action"]]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{bad}: $: {message}" in result.output
+
+    def test_deeply_nested_germ_argument_is_input_error(self, runner):
+        result = runner.invoke(main, ["order-compare", "[" * 50_000, '{"a":"1","b":"0"}'])
+        assert result.exit_code == 2, result.output
+        assert "$: JSON nested too deeply" in result.output
 
     def test_half_specified_target(self, runner, tmp_path):
         space = tmp_path / "space.json"

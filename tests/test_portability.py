@@ -137,7 +137,8 @@ TESTS = Path(__file__).parent
 INTEGER_INTERNALS = {
     "_eval", "_preimage", "_record", "_kernel", "_build_kernel", "_pairs", "_tail", "_breaks",
     "_of", "_n", "_d", "_sn", "_sd", "_on", "_od", "_h", "_key", "_from_key", "_ascend",
-    "_apply_pairs", "_line_image", "_build_ray_events", "_ray_events", "_move_keys", "_orbit_keys",
+    "_apply_pairs", "_line_image", "_build_ray_events", "_ray_event_set", "_ray_events", "_move_keys",
+    "_orbit_keys",
 }
 
 

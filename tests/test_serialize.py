@@ -33,7 +33,6 @@ class TestRationals:
         with pytest.raises(SpecFormatError, match=r"\$\.offset: not a rational"):
             serialize.plmap_from_data(data)
 
-
     @pytest.mark.parametrize("text", [" 1", "1\n", "\xa0-1/2 ", "1 /2", "\u20031"])
     def test_whitespace_rejected(self, text):
         with pytest.raises(RationalFormatError, match="not a rational"):
