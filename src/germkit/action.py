@@ -169,10 +169,11 @@ def reduced_words(names: Sequence[str], max_length: int) -> list[Word]:
 class Homeo:
     """Branch permutation plus per-branch chart maps.
 
-    ``branch_map`` and ``branch_pl`` may cover only part of a space (useful
-    for probing rays of larger spaces); :func:`validate_homeo` insists on a
-    total bijection.  Two homeos are equal when both maps are.  A homeo
-    carries no name: a generator's name is its key in the generators
+    ``branch_map`` and ``branch_pl`` cover one set of branches; keys that
+    differ raise :class:`ActionError` here.  That set may be only part of a
+    space (useful for probing rays of larger spaces); :func:`validate_homeo`
+    insists on a total bijection.  Two homeos are equal when both maps are.
+    A homeo carries no name: a generator's name is its key in the generators
     mapping.  :func:`invert_homeo` caches the inverse on the instance, and
     the inverse points back, so a homeo is inverted once.  ``_rays`` keeps
     the ray data of each ``(space, embedding)`` (see :func:`_kept`).
@@ -184,8 +185,13 @@ class Homeo:
     _rays: "tuple[_Rays, ...]" = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_map", dict(self.branch_map))
-        object.__setattr__(self, "branch_pl", dict(self.branch_pl))
+        branch_map, branch_pl = dict(self.branch_map), dict(self.branch_pl)
+        if branch_map.keys() != branch_pl.keys():
+            branch = min(branch_map.keys() ^ branch_pl.keys())
+            lacking = "branch_pl" if branch in branch_map else "branch_map"
+            raise ActionError(f"{lacking} does not cover branch {branch!r}")
+        object.__setattr__(self, "branch_map", branch_map)
+        object.__setattr__(self, "branch_pl", branch_pl)
 
 
 def identity_homeo(space: LeafSpace) -> Homeo:
@@ -213,15 +219,12 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
     thresholds are read from tables the space builds or keeps once.
     """
     names = space._names
-    undeclared = (h.branch_map.keys() | h.branch_pl.keys()) - names
+    undeclared = h.branch_map.keys() - names  # branch_pl has the same keys
     if undeclared:
         return f"branch {sorted(undeclared)[0]!r} is not declared in the space"
     missing = names.difference(h.branch_map)
     if missing:
         return f"branch_map does not cover branch {sorted(missing)[0]!r}"
-    missing = names.difference(h.branch_pl)
-    if missing:
-        return f"branch_pl does not cover branch {sorted(missing)[0]!r}"
     # both maps cover exactly the names, so a surjective branch_map is a bijection
     if names != set(h.branch_map.values()):
         return "branch_map is not a bijection of the branches"
@@ -272,7 +275,7 @@ def _apply_pairs(
     branch_map, branch_pl, ascend = h.branch_map, h.branch_pl, space._ascend
     out = []
     for branch, n, d in pairs:
-        if branch not in branch_map or branch not in branch_pl:
+        if branch not in branch_map:
             raise ActionError(f"homeomorphism undefined on branch {branch!r}")
         n, d = branch_pl[branch]._eval(n, d)
         g = gcd(n, d)
@@ -297,7 +300,7 @@ def _line_image(
     reduced; an image on ``e`` is reduced by one ``gcd``."""
     ascend = space._ascend
     branch = ascend(e.branch, n, d)
-    if branch not in h.branch_map or branch not in h.branch_pl:
+    if branch not in h.branch_map:
         raise ActionError(f"homeomorphism undefined on branch {branch!r}")
     n, d = h.branch_pl[branch]._eval(n, d)
     if ascend(h.branch_map[branch], n, d) != ascend(e.branch, n, d):
@@ -323,14 +326,10 @@ def invert_homeo(h: Homeo) -> Homeo:
     """The inverse of ``h``, built on the first call and cached on ``h``."""
     if h._inverse is not None:
         return h._inverse
-    inverse_map = {target: source for source, target in h.branch_map.items()}
-    branch_pl = {}
-    for source, target in h.branch_map.items():
-        pl = h.branch_pl.get(source)
-        if pl is None:
-            raise ActionError(f"homeomorphism has no chart map on branch {source!r}")
-        branch_pl[target] = ~pl
-    inverse = Homeo(inverse_map, branch_pl)
+    inverse = Homeo(
+        {target: source for source, target in h.branch_map.items()},
+        {target: ~h.branch_pl[source] for source, target in h.branch_map.items()},
+    )
     object.__setattr__(inverse, "_inverse", h)
     object.__setattr__(h, "_inverse", inverse)
     return inverse
@@ -386,11 +385,6 @@ def extend_space_for_action(
                 image_parent = gen.branch_map.get(parent)
                 if image_parent is None or image_parent not in branches:
                     continue  # created on a later pass once the parent image exists
-                if parent not in gen.branch_pl:
-                    raise ActionError(
-                        f"cannot extend: generator {gen_name!r} has no chart map "
-                        f"on branch {parent!r}"
-                    )
                 created += 1
                 if created > max_new_branches:
                     raise ActionError(
@@ -571,7 +565,7 @@ def induced_germ(
     if threshold is None:
         space.chain_to_root(e.branch)  # checks that e's branch is declared
         root = space.root
-        if root not in h.branch_map or root not in h.branch_pl:
+        if root not in h.branch_map:
             raise ActionError(f"homeomorphism undefined on branch {root!r}")
         if h.branch_map[root] not in space._names:
             raise LeafSpaceError(f"unknown branch {h.branch_map[root]!r}")

@@ -28,9 +28,10 @@ evaluates the height map.  The public :func:`alpha_apply_all` and
 :func:`validate_alpha_action` checks the action law in one pass over the
 pairs of words, in the order of the per-point loop, so its first violation
 or first error is that loop's.  Each word of the ball moves the samples
-once, in one kernel call, and the check holds that image list, one per
-ball word, until it returns; every other pair moves one of those lists by
-one word.
+once, in one kernel call, the empty word first, and the check holds that
+image list, one per ball word, until it returns; every other pair moves
+one of those lists by one word and compares it with the product word's
+held list.
 
 Inside the kernel a blown point is a tuple of ints, ``(branch, n, d)`` for
 a plain point and ``(branch, n, d, hn, hd)`` for an interval point, all
@@ -543,54 +544,53 @@ def validate_alpha_action(
 
     The samples become integer keys once (:meth:`BlownPoint._key`), and
     each word of the ball moves them once, in one :func:`_move_keys` call:
-    these are the pairs of inner ``1``, which come first in the order.
-    The check holds these lists, one per ball word, until it returns;
-    that is its memory beside the homeos and moves the space keeps for
-    every word.  Each other pair moves the inner word's list by the outer
-    word in one call and compares it whole with the product word's list.
-    The stepwise route applies ``outer`` to ``inner``'s images and the
-    combined route reads the product word's own moves, built from its own
-    homeo and twists, never from its factors' moves, so the two stay
-    independent.  Only a list that raises, or a pair whose lists differ,
-    is done again one point at a time through :func:`alpha_apply_all`,
+    these are the pairs of inner ``1``, which come first in the order, and
+    the empty word's images, the identity pass, are checked as soon as
+    they are moved.  The check holds these lists, one per ball word, until
+    it returns; that is its memory beside the homeos and moves the space
+    keeps for every word.  Each other pair moves the inner word's list by
+    the outer word in one call and compares it whole with the product
+    word's held list.  The stepwise route applies ``outer`` to ``inner``'s
+    images and the combined route is the product word's own moves, built
+    from its own homeo and twists, never from its factors' moves, so the
+    two stay independent.  A list that raises, or a pair whose lists
+    differ, is moved again one key at a time through :func:`_move_keys`,
     which raises the first error or finds the first violation; every image
     is a deterministic function of the word and the point, so lists that
     agree without an error mean that the pair has neither.
     """
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
-    empty = Word()
-    keys = [q._key() for q in samples]
-    try:
-        identity = _move_keys(space, empty, keys)
-    except Exception:  # raised again below, in order
-        identity = None
-    if identity != keys:
-        for q, image in zip(samples, alpha_apply_all(space, empty, samples)):
-            if image != q:
-                return ActionLawViolation(empty, empty, q, image, q)
     words = reduced_words(sorted(space.generators), ball)
-    images = {(): keys}
-    for w in words[1:]:
+    keys = [q._key() for q in samples]
+    images = {}
+    for w in words:  # the empty word first
         try:
-            images[w.letters] = _move_keys(space, w, keys)
+            moved = _move_keys(space, w, keys)
         except Exception:  # raised again below, at the first point that raises
-            images[w.letters] = [q._key() for q in alpha_apply_all(space, w, samples)]
+            moved = (_move_keys(space, w, (key,))[0] for key in keys)
+        if w.letters:
+            images[w.letters] = list(moved)
+            continue
+        for q, key, image in zip(samples, keys, moved):
+            if image != key:
+                return ActionLawViolation(w, w, q, BlownPoint._from_key(image), q)
+        images[()] = keys
     for inner in words[1:]:
         mids = images[inner.letters]
         for outer in words:
             if len(outer) > ball - len(inner):
                 break
-            product = outer * inner
+            held = images[(outer * inner).letters]
             try:
-                if _move_keys(space, outer, mids) == images[product.letters]:
+                if _move_keys(space, outer, mids) == held:
                     continue
             except Exception:  # found again below, in order
                 pass
-            stepwise_all = alpha_apply_all(space, outer, map(BlownPoint._from_key, mids))
-            combined_all = alpha_apply_all(space, product, samples)
-            for q, stepwise, combined in zip(samples, stepwise_all, combined_all):
+            for q, mid, combined in zip(samples, mids, held):
+                (stepwise,) = _move_keys(space, outer, (mid,))
                 if combined != stepwise:
+                    combined, stepwise = map(BlownPoint._from_key, (combined, stepwise))
                     return ActionLawViolation(outer, inner, q, combined, stepwise)
     return None
 

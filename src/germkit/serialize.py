@@ -297,7 +297,10 @@ def action_from_data(data: Any, path: str = "$") -> dict[str, Homeo]:
             )
             for k, v in raw_pl.items()
         }
-        generators[name] = Homeo(branch_map, branch_pl)
+        try:
+            generators[name] = Homeo(branch_map, branch_pl)
+        except ActionError as exc:
+            raise SpecFormatError(str(exc), row_path) from None
     return generators
 
 

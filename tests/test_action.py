@@ -111,9 +111,49 @@ class TestValidate:
         report = validate_homeo(bundle("e1").space, bundle("e3").generators["f"])
         assert report is not None and "'b1' is not declared" in report
         ident = PLMap.identity()
-        extra_chart = Homeo({"r": "r"}, {"r": ident, "x": ident})
-        report = validate_homeo(line(), extra_chart)
+        with pytest.raises(ActionError, match="branch_map does not cover branch 'x'"):
+            Homeo({"r": "r"}, {"r": ident, "x": ident})
+        extra_branch = Homeo({"r": "r", "x": "x"}, {"r": ident, "x": ident})
+        report = validate_homeo(line(), extra_branch)
         assert report is not None and "'x' is not declared" in report
+
+    @pytest.mark.parametrize(
+        "branch_map, charts, message",
+        [
+            ({"r": "r"}, "rx", "branch_map does not cover branch 'x'"),
+            ({"r": "r", "x": "x"}, "r", "branch_pl does not cover branch 'x'"),
+            ({"a": "a", "c": "c"}, "bc", "branch_pl does not cover branch 'a'"),
+            ({"b": "b", "c": "c"}, "ac", "branch_map does not cover branch 'a'"),
+            ({"b": "b", "d": "d"}, "bc", "branch_map does not cover branch 'c'"),
+            ({}, "r", "branch_map does not cover branch 'r'"),
+            ({"r": "r"}, "", "branch_pl does not cover branch 'r'"),
+        ],
+    )
+    def test_constructor_rejects_key_sets_that_differ(self, branch_map, charts, message):
+        # the first branch one map lacks, in sorted order, is named
+        ident = PLMap.identity()
+        with pytest.raises(ActionError, match=f"^{message}$"):
+            Homeo(branch_map, {b: ident for b in charts})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Word((("f", 2),)), "letter exponent must be +-1, got 2"),
+        (
+            lambda: compose_homeo(
+                Homeo({"a": "a"}, {"a": PLMap.identity()}),
+                Homeo({"b": "c"}, {"b": PLMap.identity()}),
+            ),
+            "composition undefined on branch 'b'",
+        ),
+    ],
+    ids=["word-exponent", "partial-composition"],
+)
+def test_input_errors(call, message):
+    with pytest.raises(ActionError) as raised:
+        call()
+    assert type(raised.value) is ActionError and str(raised.value) == message
 
 
 def perturbed(space, h):
@@ -121,7 +161,7 @@ def perturbed(space, h):
     or below a point at, above or below its departure, shifted, or given an
     unchecked record with an extra collinear breakpoint or with a wrong
     tail; every chart map shifted; two branch images swapped or made equal;
-    or one branch left out."""
+    or one branch left out of both maps."""
     yield h
     shift = PLMap.affine(1, 1)
     yield Homeo(h.branch_map, {b: shift * pl for b, pl in h.branch_pl.items()})
@@ -138,7 +178,10 @@ def perturbed(space, h):
         charts.append(record_of(**field_dict(pl, tail_offset=pl.tail_offset + 1)))
         for chart in charts:
             yield Homeo(h.branch_map, {**h.branch_pl, b: chart})
-        yield Homeo({k: v for k, v in h.branch_map.items() if k != b}, h.branch_pl)
+        yield Homeo(
+            {k: v for k, v in h.branch_map.items() if k != b},
+            {k: pl for k, pl in h.branch_pl.items() if k != b},
+        )
     names = sorted(space.branches)
     for a, c in zip(names, names[1:]):
         swapped = dict(h.branch_map)
@@ -701,20 +744,23 @@ class TestRootChartGerm:
     def test_malformed_input_raises_on_every_call(self):
         L = two_siblings()
         ident = PLMap.identity()
-        no_chart = Homeo({b: b for b in L.branches}, {"b1": ident, "b2": ident})
-        no_image = Homeo({"b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
-        for h in (no_chart, no_image):
-            for branch in sorted(L.branches):
-                for _ in range(2):
-                    with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
-                        induced_germ(L, h, Embedding(branch))
+        # a root missing from one map is rejected when the homeo is built
+        with pytest.raises(ActionError, match="branch_pl does not cover branch 'r'"):
+            Homeo({b: b for b in L.branches}, {"b1": ident, "b2": ident})
+        with pytest.raises(ActionError, match="branch_map does not cover branch 'r'"):
+            Homeo({"b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
+        no_root = Homeo({"b1": "b1", "b2": "b2"}, {"b1": ident, "b2": ident})
+        for branch in sorted(L.branches):
+            for _ in range(2):
+                with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
+                    induced_germ(L, no_root, Embedding(branch))
         undeclared = Homeo({"r": "zz", "b1": "b1", "b2": "b2"}, {b: ident for b in L.branches})
         cases = [(identity_homeo(L), "zz")] + [(undeclared, branch) for branch in L.branches]
         for h, branch in cases:
             for _ in range(2):
                 with pytest.raises(LeafSpaceError, match="unknown branch 'zz'"):
                     induced_germ(L, h, Embedding(branch))
-        assert no_chart._rays == no_image._rays == undeclared._rays == ()
+        assert no_root._rays == undeclared._rays == ()
 
 
 def assert_table_matches_oracle(space, h, e):

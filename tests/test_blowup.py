@@ -79,6 +79,21 @@ class TestBuild:
         assert space.contains(q)
         assert not space.contains(BlownPoint(Point("r", F(0))))
 
+    def test_depth_zero_orbit_is_the_marked_point(self):
+        b = bundle("e3")
+        space = BlowupSpace(b.space, b.generators, b.marked, 0, b.stabilizer)
+        assert space.orbit == {space.marked: Word()}
+        with pytest.raises(BlowupError, match="orbit depth must be nonnegative"):
+            BlowupSpace(b.space, b.generators, b.marked, -1, b.stabilizer)
+
+    @pytest.mark.parametrize(
+        "height, inside",
+        [(F(0), True), (F(1, 2), True), (F(1), True), (F(3, 2), False), (F(-1, 2), False)],
+    )
+    def test_an_interval_is_closed(self, height, inside):
+        b, space = built("e3")
+        assert space.contains(BlownPoint(space.marked, height)) is inside
+
     def test_classification_preserved(self):
         for name in ("e1", "e2", "e3"):
             b = bundle(name)
@@ -418,6 +433,23 @@ class TestActionLawTriePass:
         assert isinstance(want, ActionLawViolation)
         assert (want.outer, want.inner, want.sample) == (Word(), Word(), samples[0])
         assert fresh_outcome(validate_alpha_action, b, samples, ball, stab) == want
+
+    def test_identity_violation_wins_over_a_later_samples_error(self):
+        # the empty word's images are checked as they are moved: the
+        # midpoint's violation comes before the off-orbit interval's error,
+        # though the batch move of both raises that error
+        b = bundle("e3")
+
+        class Moving(StabilizerData):
+            def twist(self, h, g):
+                return Word.parse("k") if h.is_identity() else StabilizerData.twist(self, h, g)
+
+        stab = Moving(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+        samples = [BlownPoint(b.marked, F(1, 2)), BlownPoint(Point(b.space.root, F(1, 2)), F(1, 2))]
+        want = fresh_outcome(oracle_validate_alpha_action, b, samples, 1, stab)
+        assert isinstance(want, ActionLawViolation) and want.sample == samples[0]
+        assert fresh_outcome(validate_alpha_action, b, samples, 1, stab) == want
+        assert fresh_outcome(validate_alpha_action, b, samples[1:], 1, stab)[0] is BlowupError
 
     def test_a_words_first_sample_error_wins_over_a_later_ones(self):
         # Under u the interval over the last orbit point escapes the depth,

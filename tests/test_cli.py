@@ -51,6 +51,7 @@ BAD_TARGETS = {
     "generator-name-with-a-space": ("e3", "named-a-b", "e3", "$.generators[1].name"),
     "non-ascii-digit-coordinate": ("e3", "e3", "arabic", "$.marked.coord"),
     "whitespace-padded-coordinate": ("e3", "e3", "padded", "$.marked.coord"),
+    "chart-maps-miss-a-branch": ("e3", "no-b2-chart", "e3", "$.generators[0]"),
 }
 
 # generator names that are not word letters, each given to e3's second generator
@@ -90,7 +91,15 @@ def bad_files(tmp_path_factory):
     for file, name in BAD_GENERATOR_NAMES.items():
         rows = [action["generators"][0], dict(action["generators"][1], name=name)]
         (d / f"{file}.action.json").write_text(json.dumps(dict(action, generators=rows)))
+    (d / "no-b2-chart.action.json").write_text(json.dumps(without_b2_chart(action)))
     return d
+
+
+def without_b2_chart(action):
+    """e3's action data with b2 dropped from its first generator's charts."""
+    first = action["generators"][0]
+    charts = {b: pl for b, pl in first["branch_pl"].items() if b != "b2"}
+    return dict(action, generators=[dict(first, branch_pl=charts), *action["generators"][1:]])
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +283,21 @@ class TestInputErrors:
         assert re.search(rf"\.json: {re.escape(json_path)}: ", result.output), result.output
         assert result.stdout == ""  # no TSV header or PASS line before the error
 
+    def test_chart_maps_that_miss_a_branch_name_it(self, runner, exported, tmp_path):
+        # the two maps of a generator cover different branches: rejected
+        # when its homeo is built, at the generator's JSON path
+        action = json.loads((exported / "e3.action.json").read_text())
+        (tmp_path / "e3.action.json").write_text(json.dumps(without_b2_chart(action)))
+        result = runner.invoke(
+            main,
+            ["compute-d", "--leafspace", str(exported / "e3.leafspace.json"),
+             "--action", str(tmp_path / "e3.action.json")],
+        )
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            "e3.action.json: $.generators[0]: branch_pl does not cover branch 'b2'\n"
+        )
+
     @pytest.mark.parametrize(
         "case, error",
         [
@@ -396,6 +420,27 @@ class TestPlumbing:
         )
         assert result.exit_code == 0
         assert result.output.strip() == "GT"
+
+    def test_order_compare_needs_two_germs_or_none(self, runner):
+        result = runner.invoke(main, ["order-compare", '{"a":"2","b":"-5"}'])
+        assert result.exit_code == 2
+        assert result.output == "error: give two germs or none\n"
+
+    def test_order_compare_without_germs_runs_the_order_laws(self, runner):
+        result = runner.invoke(main, ["order-compare", "--cases", "20"])
+        assert result.exit_code == 0
+        assert result.output.startswith("PASS order-laws")
+
+    def test_examples_list(self, runner):
+        result = runner.invoke(main, ["examples", "list"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "e1\tbranches=1\twith blow-up data",
+            "e2\tbranches=2\taction only",
+            "e3\tbranches=3\twith blow-up data",
+            "e3-coset-fault\tbranches=3\twith blow-up data",
+            "e3-phi-fault\tbranches=3\twith blow-up data",
+        ]
 
     def test_compute_d_words(self, runner):
         result = runner.invoke(

@@ -154,6 +154,21 @@ class TestBuildErrors:
         with pytest.raises(LeafSpaceError, match="departure"):
             LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "a": ("r", None)})
 
+    @pytest.mark.parametrize(
+        "side, branches, message",
+        [
+            ("sideways", {"r": (None, None)}, "unknown side 'sideways'"),
+            (Side.NEGATIVE, {}, "a leaf space needs at least one branch"),
+            ("negative", {"": (None, None)}, "branch id must be a nonempty string, got ''"),
+            (Side.POSITIVE, {"r": (None, F(0))}, "branch 'r': root cannot have a departure"),
+        ],
+        ids=["unknown-side", "no-branches", "empty-id", "root-departure"],
+    )
+    def test_input_errors(self, side, branches, message):
+        with pytest.raises(LeafSpaceError) as raised:
+            LeafSpace.build(side, branches)
+        assert type(raised.value) is LeafSpaceError and str(raised.value) == message
+
 
 class TestEmbedding:
     def test_root_chart(self):

@@ -39,6 +39,16 @@ class TestRationals:
             parse_rational(text)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1/0", "zero denominator in '1/0'"), (1, "expected a rational string, got 1")],
+    )
+    def test_input_errors(self, text, message):
+        with pytest.raises(RationalFormatError) as raised:
+            parse_rational(text)
+        assert str(raised.value) == message
+
+
 class TestPLMapSchema:
     def test_roundtrip_bytes(self):
         f = PLMap.make([(-1, 0), (2, F(9, 2))], F(1, 3), 2)
@@ -217,6 +227,64 @@ class TestSmallSchemas:
     def test_point(self):
         p = Point("b1", F(-5, 4))
         assert serialize.point_from_data(serialize.point_to_data(p)) == p
+
+
+def _plmap_data(**changes):
+    return dict({"points": [], "left_slope": "1", "right_slope": "1", "offset": "0"}, **changes)
+
+
+def _e3_action_data(second_name):
+    data = json.loads(serialize.emit_action(bundle("e3").generators))
+    data["generators"][1]["name"] = second_name
+    return data
+
+
+def _e3_spec_data(**changes):
+    b = bundle("e3")
+    data = json.loads(serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball))
+    return dict(data, **changes)
+
+
+# input the schemas must reject: (call, error type, JSON path or None)
+INPUT_ERRORS = {
+    "non-string-rational": (
+        lambda: serialize.plmap_from_data(_plmap_data(left_slope=1)), SpecFormatError, "$.left_slope"
+    ),
+    "array-for-object": (lambda: serialize.plmap_from_data([]), SpecFormatError, "$"),
+    "object-for-array": (
+        lambda: serialize.plmap_from_data(_plmap_data(points={})), SpecFormatError, "$.points"
+    ),
+    "number-for-string": (
+        lambda: serialize.point_from_data({"branch": 3, "coord": "0"}), SpecFormatError, "$.branch"
+    ),
+    "three-element-point": (
+        lambda: serialize.plmap_from_data(_plmap_data(points=[["0", "0", "1"]])),
+        SpecFormatError, "$.points[0]",
+    ),
+    "duplicate-generator": (
+        lambda: serialize.action_from_data(_e3_action_data("f")),
+        SpecFormatError, "$.generators[1].name",
+    ),
+    "ball-minus-one": (
+        lambda: serialize.blowup_spec_from_data(_e3_spec_data(ball=-1)), SpecFormatError, "$.ball"
+    ),
+    "ball-true": (
+        lambda: serialize.blowup_spec_from_data(_e3_spec_data(ball=True)), SpecFormatError, "$.ball"
+    ),
+    "germ-slope-zero": (
+        lambda: serialize.germ_from_data({"a": "0", "b": "0"}), SpecFormatError, "$.a"
+    ),
+    "unknown-schema-kind": (lambda: serialize.is_canonical("{}", "nope"), ValueError, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors(case):
+    call, error, path = INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert getattr(raised.value, "path", None) == path
 
 
 def test_golden_leafspace_bytes():
