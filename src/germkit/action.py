@@ -107,7 +107,13 @@ class Word:
             m = _LETTER_RE.match(token)
             if m is None:
                 raise ActionError(f"bad word letter {token!r}")
-            name, power = m.group(1), int(m.group(2) or 1)
+            name = m.group(1)
+            try:
+                power = int(m.group(2) or 1)
+            except ValueError:  # past the interpreter's integer string limit
+                raise ActionError(
+                    f"bad word letter: too many digits ({len(token)} characters)"
+                ) from None
             sign = 1 if power > 0 else -1
             letters.extend((name, sign) for _ in range(abs(power)))
         return cls(tuple(letters))

@@ -16,14 +16,19 @@ validated once, so the action and its checks read all of it from the space.
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
 
+Blowing up keeps the base space's classification (line, one-sided
+negative or one-sided positive): intervals replace points, and the ends
+and the branching are untouched.  That is a fact of the construction, so
+the space has no classification of its own and nothing checks it.
+
 The action is implemented once, by the kernel :func:`_move_keys`, which
 moves a list of blown points, given as integer keys, by one word: it
 fetches the word's homeo once per call and moves all the plain points in
 one batch call of the underlying action, and the space keeps, beside that
 homeo, the word's move of each orbit point it has met (the image point and
 the height map), so a later interval point over that orbit point only
-evaluates the height map.  The public :func:`alpha_apply_all` and
-:func:`alpha_apply` pass it one point at a time.
+evaluates the height map.  The public :func:`alpha_apply` passes it one
+point.
 
 :func:`validate_alpha_action` checks the action law in one pass over the
 pairs of words, in the order of the per-point loop, so its first violation
@@ -48,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .action import (
     ActionError,
@@ -66,7 +71,7 @@ from .action import (
     _ray_event_set,
 )
 from .germ import Germ, eventual_comparison_bound
-from .leafspace import Classification, Embedding, LeafSpace, Point
+from .leafspace import Embedding, LeafSpace, Point
 from .plmap import PLMap, RationalLike, _frac
 
 
@@ -407,11 +412,6 @@ class BlowupSpace:
             entry = self._word_cache[word.letters] = (homeo, {})
         return entry[0]
 
-    def classify(self) -> Classification:
-        """Blowing up replaces points by intervals: ends and branching are
-        untouched, so the classification is the base space's."""
-        return self.base.classify()
-
     def midpoint(self) -> BlownPoint:
         """The marked interval at height 1/2."""
         return BlownPoint(self.marked, Fraction(1, 2))
@@ -490,34 +490,21 @@ def _move_keys(space: BlowupSpace, word: Word, keys: Sequence[tuple]) -> list[tu
     return out
 
 
-def alpha_apply_all(
-    space: BlowupSpace,
-    h: Word,
-    qs: Iterable[BlownPoint],
-) -> Iterator[BlownPoint]:
-    """Act by ``h`` on each blown point of ``qs``, yielding the images lazily.
-
-    Plain points move by the underlying action (landing on a blown interval
-    means the orbit was expanded too shallowly and raises).  Interval points
-    move interval-to-interval with the coset-twisted height map.
-
-    Each point goes through :func:`_move_keys` on its own, when its image
-    is asked for, so the space keeps each move as that function says, and a
-    caller that stops early sees exactly the errors that applying ``h`` to
-    the points one at a time, up to there, would raise.
-    """
-    for q in qs:
-        (image,) = _move_keys(space, h, (q._key(),))
-        yield BlownPoint._from_key(image)
-
-
 def alpha_apply(
     space: BlowupSpace,
     h: Word,
     q: BlownPoint,
 ) -> BlownPoint:
-    """Act by ``h`` on one blown point; see :func:`alpha_apply_all`."""
-    return next(alpha_apply_all(space, h, (q,)))
+    """Act by ``h`` on one blown point.
+
+    A plain point moves by the underlying action (landing on a blown
+    interval means the orbit was expanded too shallowly and raises).  An
+    interval point moves interval-to-interval with the coset-twisted height
+    map.  The point goes through :func:`_move_keys`, so the space keeps its
+    move as that function says.
+    """
+    (image,) = _move_keys(space, h, (q._key(),))
+    return BlownPoint._from_key(image)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,8 @@ def _loads(text: str) -> Any:
         ) from None
     except RecursionError:
         raise SpecFormatError("JSON nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's string limit
+        raise SpecFormatError("JSON integer has too many digits") from None
 
 
 def _dumps(data: Any) -> str:

@@ -492,7 +492,7 @@ def oracle_plain_samples(space, ball, want):
 
 def oracle_alpha_apply(space, h, q):
     """One image of the twisted action with ``Fraction`` heights, as
-    ``alpha_apply_all`` computed it before heights were ints."""
+    ``alpha_apply`` computed it before heights were ints."""
     image = oracle_apply_homeo(space.base, space.word_homeo(h), q.point)
     orbit = {as_oracle(p): w for p, w in space.orbit.items()}
     if q.height is None:

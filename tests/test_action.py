@@ -147,8 +147,10 @@ class TestValidate:
             ),
             "composition undefined on branch 'b'",
         ),
+        # past the interpreter's 4,300-digit integer string limit
+        (lambda: Word.parse("f^" + "9" * 5000), "bad word letter: too many digits (5002 characters)"),
     ],
-    ids=["word-exponent", "partial-composition"],
+    ids=["word-exponent", "partial-composition", "exponent-past-the-digit-limit"],
 )
 def test_input_errors(call, message):
     with pytest.raises(ActionError) as raised:

@@ -20,7 +20,6 @@ from germkit.blowup import (
     StabilizerData,
     StabilizerGeneratorError,
     alpha_apply,
-    alpha_apply_all,
     blown_induced_germ,
     injectivity_certificate,
     positive_ray_orbit_search,
@@ -93,13 +92,6 @@ class TestBuild:
     def test_an_interval_is_closed(self, height, inside):
         b, space = built("e3")
         assert space.contains(BlownPoint(space.marked, height)) is inside
-
-    def test_classification_preserved(self):
-        for name in ("e1", "e2", "e3"):
-            b = bundle(name)
-            marked = b.marked or Point(b.space.root, F(-5))
-            space = BlowupSpace(b.space, b.generators, marked, 2, StabilizerData((), {}))
-            assert space.classify() is b.space.classify()
 
     def test_windowed_action_escapes_without_extension(self):
         from germkit.leafspace import LeafSpace, Side
@@ -519,7 +511,9 @@ class TestStoredMoves:
         b, space = built("e3")
         w = Word.parse("f")
         samples = law_samples(b, deep=False)
-        list(alpha_apply_all(space, w, [q for q in samples if q.is_interval()]))
+        for q in samples:
+            if q.is_interval():
+                alpha_apply(space, w, q)
         off = BlownPoint(Point(b.space.root, F(1, 2)), F(1, 2))
         assert off.point not in space.orbit
         for _ in range(2):

@@ -52,6 +52,8 @@ BAD_TARGETS = {
     "non-ascii-digit-coordinate": ("e3", "e3", "arabic", "$.marked.coord"),
     "whitespace-padded-coordinate": ("e3", "e3", "padded", "$.marked.coord"),
     "chart-maps-miss-a-branch": ("e3", "no-b2-chart", "e3", "$.generators[0]"),
+    "coordinate-past-the-digit-limit": ("e3", "e3", "long-coord", "$.marked.coord"),
+    "depth-past-the-digit-limit": ("e3", "e3", "long-depth", "$"),
 }
 
 # generator names that are not word letters, each given to e3's second generator
@@ -87,6 +89,11 @@ def bad_files(tmp_path_factory):
     # "-1" with a no-break space before it and a newline after it
     padded = dict(spec, marked=dict(spec["marked"], coord="\xa0-1\n"))
     (d / "padded.blowup.json").write_text(json.dumps(padded))
+    # 5,000 digits: past the interpreter's integer string limit
+    long_coord = dict(spec, marked=dict(spec["marked"], coord="1" * 5000))
+    (d / "long-coord.blowup.json").write_text(json.dumps(long_coord))
+    long_depth = json.dumps(spec).replace(f'"depth": {spec["depth"]}', '"depth": ' + "1" * 5000)
+    (d / "long-depth.blowup.json").write_text(long_depth)
     action = json.loads((d / "e3.action.json").read_text())
     for file, name in BAD_GENERATOR_NAMES.items():
         rows = [action["generators"][0], dict(action["generators"][1], name=name)]
@@ -240,6 +247,22 @@ class TestInputErrors:
         result = runner.invoke(main, ["order-compare", "[" * 50_000, '{"a":"1","b":"0"}'])
         assert result.exit_code == 2, result.output
         assert "$: JSON nested too deeply" in result.output
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["order-compare", '{"a":"' + "1" * 5000 + '","b":"0"}', '{"a":"1","b":"0"}'],
+             "error: $.a: not a rational: too many digits (5000 characters)\n"),
+            (["compute-d", "--example", "e3", "--word", "f^" + "9" * 5000],
+             "error: --word: bad word letter: too many digits (5002 characters)\n"),
+        ],
+        ids=["germ-slope", "word-exponent"],
+    )
+    def test_argument_past_the_digit_limit_is_input_error(self, runner, command, message):
+        # 5,000 digits: past the interpreter's integer string limit
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert result.output == message
 
     def test_half_specified_target(self, runner, tmp_path):
         space = tmp_path / "space.json"
@@ -560,10 +583,13 @@ class TestPlumbing:
         assert "PASS trivial-stabilizer" in result.output
 
     def test_blowup_command(self, runner):
-        result = runner.invoke(main, ["blowup", "--example", "e3"])
+        # the classification is the base space's: blowing up keeps it
+        result = runner.invoke(main, ["blowup", "--example", "e1", "--example", "e3"])
         assert result.exit_code == 0
-        assert "orbit=407" in result.output
-        assert "preserved=True" in result.output
+        assert result.output == (
+            "e1\torbit=17\tdepth=8\tclassification=line\n"
+            "e3\torbit=407\tdepth=6\tclassification=one_sided_negative\n"
+        )
 
     def test_noncanonical_input_flagged(self, runner, tmp_path):
         assert runner.invoke(main, ["examples", "export", str(tmp_path), "--name", "e1"]).exit_code == 0

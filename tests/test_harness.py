@@ -99,7 +99,7 @@ class TestCounterexamples:
         "orbit-limit": "3d41900a0609b38517c0e2265a0ea68843d1a21dcdba689e37a0f035843d3b2f",
         "order-laws": "d9d6db4ffb31921b5cd034689e12b86cea6a165c2938a145f1e1857689c91580",
         "overlap-rays": "ec2a665e29024557bc0d594fbf187f71975c9a68fc4a0ccfc844d8bc18680865",
-        "structural": "dc38e29a90b70a56bd4f4030bc119b2a1184c41ddaa339d820e4bd2c44db88ca",
+        "structural": "85f3ab9c490a5cae4e55bb075d2a4fdf36e4ac09e20214ca1112378ef9e65a9b",
         "trivial-stabilizer": "7753cc707a3365e58c538d10337049653f194268bf56693954604e7d1ddf8c58",
     }
 

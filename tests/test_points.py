@@ -32,7 +32,7 @@ from germkit.blowup import (
     CosetError,
     OrbitEscapeError,
     StabilizerData,
-    alpha_apply_all,
+    alpha_apply,
     validate_alpha_action,
     _move_keys,
 )
@@ -132,7 +132,7 @@ class TestAgainstTheFractionBodies:
             for w in reduced_words(sorted(space.generators), 3):
                 for q in samples:
                     want = outcome(oracle_alpha_apply, space, w, as_oracle_blown(q))
-                    got = outcome(lambda: next(alpha_apply_all(space, w, [q])))
+                    got = outcome(alpha_apply, space, w, q)
                     if isinstance(want, tuple):
                         assert got == want
                     else:
@@ -143,9 +143,9 @@ class TestAgainstTheFractionBodies:
     @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-law-check"])
     @pytest.mark.parametrize("name", ["e1", "e3", "e3-coset-fault"])
     def test_kept_moves_act_as_the_oracle(self, name, warm):
-        """Whole sample lists through one call, on a fresh space and on one
-        whose moves a law check has kept: each image, and the first error
-        with everything yielded before it, is the oracle's."""
+        """Each sample through ``alpha_apply`` in turn, on a fresh space and
+        on one whose moves a law check has kept: each image, and the first
+        error with every image before it, is the oracle's."""
         b = bundle(name)
         space = b.blowup
         config = SuiteConfig(plain_samples=8, interval_samples=12)
@@ -166,7 +166,8 @@ class TestAgainstTheFractionBodies:
                     break
             got = []
             try:
-                got.extend(alpha_apply_all(space, w, samples))
+                for q in samples:
+                    got.append(alpha_apply(space, w, q))
             except Exception as exc:
                 got.append((type(exc), str(exc)))
             assert len(got) == len(want)
@@ -336,19 +337,8 @@ class TestMoveKeys:
             images = _move_keys(space, w, [q._key() for q in samples])
             assert images == [BlownPoint._from_key(k)._key() for k in images]
             blown = [BlownPoint._from_key(k) for k in images]
-            assert blown == list(alpha_apply_all(space, w, samples))
+            assert blown == [alpha_apply(space, w, q) for q in samples]
 
-    def test_alpha_apply_all_is_lazy(self):
-        b = bundle("e3")
-        space = b.blowup
-        good, bad = space.midpoint(), BlownPoint(Point("zz", 0))
-        f = Word.parse("f")
-        images = alpha_apply_all(space, f, [good, bad])
-        assert next(images) == BlownPoint._from_key(_move_keys(space, f, [good._key()])[0])
-        with pytest.raises(ActionError, match="zz"):
-            next(images)
-        with pytest.raises(ActionError, match="zz"):
-            _move_keys(space, f, [good._key(), bad._key()])
 
 
 # -- the Point and BlownPoint contracts ----------------------------------------
@@ -520,14 +510,16 @@ class TestNoFractionOnTheIntegerRoute:
         assert plain and len(plain) < len(samples)
         words = reduced_words(sorted(space.generators), config.word_ball)
         for w in words:  # fill the word and phi caches
-            list(alpha_apply_all(space, w, samples))
+            for q in samples:
+                alpha_apply(space, w, q)
         before = fraction_count[0]
         for w in words:
-            images = list(alpha_apply_all(space, w, plain))
+            images = [alpha_apply(space, w, q) for q in plain]
             assert len(images) == len(plain)
         assert fraction_count[0] == before
         for w in words:
-            list(alpha_apply_all(space, w, samples))
+            for q in samples:
+                alpha_apply(space, w, q)
         assert fraction_count[0] == before
 
     def test_alpha_apply_all_on_mids_builds_no_fraction(self, fraction_count):
@@ -539,16 +531,17 @@ class TestNoFractionOnTheIntegerRoute:
         config = SuiteConfig()
         samples = _action_law_samples(space, config)
         words = reduced_words(sorted(space.generators), 2)
-        mids = {w: list(alpha_apply_all(space, w, samples)) for w in words}
+        mids = {w: [alpha_apply(space, w, q) for q in samples] for w in words}
         for inner in words:  # fill the word and phi caches
             for outer in words:
-                list(alpha_apply_all(space, outer, mids[inner]))
+                for q in mids[inner]:
+                    alpha_apply(space, outer, q)
         assert any(q.is_interval() for q in mids[words[1]])
         assert validate_alpha_action(space, samples, 4) is None
         before = fraction_count[0]
         for inner in words:
             for outer in words:
-                images = list(alpha_apply_all(space, outer, mids[inner]))
+                images = [alpha_apply(space, outer, q) for q in mids[inner]]
                 assert len(images) == len(samples)
         assert validate_alpha_action(space, samples, 4) is None
         assert fraction_count[0] == before
