@@ -58,6 +58,8 @@ class GermMismatchError(ActionError):
 
 
 _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?$")
+# the most letters a parsed word may have, counted before a power is expanded
+_MAX_WORD_LETTERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ class Word:
     ``~w`` inverts; both build their result through the trusted
     :meth:`_reduced`.  The text form is whitespace-separated names with an
     optional ``^-1`` (powers like ``f^3`` are accepted as input sugar); the
-    empty word prints as ``"1"``.
+    empty word prints as ``"1"``.  :meth:`parse` refuses text of more than
+    100,000 letters, powers expanded.
     """
 
     letters: tuple[tuple[str, int], ...] = ()
@@ -114,6 +117,10 @@ class Word:
                 raise ActionError(
                     f"bad word letter: too many digits ({len(token)} characters)"
                 ) from None
+            if len(letters) + abs(power) > _MAX_WORD_LETTERS:
+                raise ActionError(
+                    f"bad word letter {token!r}: word longer than {_MAX_WORD_LETTERS} letters"
+                )
             sign = 1 if power > 0 else -1
             letters.extend((name, sign) for _ in range(abs(power)))
         return cls(tuple(letters))

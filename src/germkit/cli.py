@@ -316,16 +316,7 @@ def fuzz_cmd(kind: str, count: int, max_breakpoints: int, max_denominator: int, 
             problem = validate_homeo(space, h)
             if problem is not None:
                 reject(draw, problem)
-            click.echo(
-                json.dumps(
-                    {
-                        "branch_map": dict(h.branch_map),
-                        "branch_pl": {
-                            b: serialize.plmap_to_data(pl) for b, pl in sorted(h.branch_pl.items())
-                        },
-                    }
-                )
-            )
+            click.echo(json.dumps(serialize.homeo_to_data(h)))
 
 
 @main.command("emit-plot")

@@ -7,12 +7,14 @@ the canonical form; :func:`parse_rational` accepts any ``p/q`` or ``p``
 string of ASCII digits with no surrounding whitespace (so ``"2/4"``
 parses fine but re-serializes as ``"1/2"``, and ``" 1"`` or ``"1\n"`` is
 rejected).  An integer past the interpreter's string conversion limit
-(4,300 digits by default) is a format error too.
+(4,300 digits by default) is a format error too, but
+:func:`format_rational` writes any rational, however many digits it has.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
@@ -40,8 +42,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's integer string limit, which Decimal skips
+        return str(Decimal(n))
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"

@@ -258,20 +258,38 @@ def word_from_text(text: str, path: str = "$") -> Word:
 # Actions
 
 
+def homeo_to_data(h: Homeo) -> dict:
+    """A homeo's record: both maps in sorted branch order."""
+    return {
+        "branch_map": {b: h.branch_map[b] for b in sorted(h.branch_map)},
+        "branch_pl": {b: plmap_to_data(h.branch_pl[b]) for b in sorted(h.branch_pl)},
+    }
+
+
+def homeo_from_data(data: Any, path: str = "$") -> Homeo:
+    obj = _mapping(data, path)
+    raw_map = _mapping(_get(obj, "branch_map", path), f"{path}.branch_map")
+    branch_map = {
+        _string(k, f"{path}.branch_map"): _string(v, f"{path}.branch_map[{k!r}]")
+        for k, v in raw_map.items()
+    }
+    raw_pl = _mapping(_get(obj, "branch_pl", path), f"{path}.branch_pl")
+    branch_pl = {
+        _string(k, f"{path}.branch_pl"): plmap_from_data(v, f"{path}.branch_pl[{k!r}]")
+        for k, v in raw_pl.items()
+    }
+    try:
+        return Homeo(branch_map, branch_pl)
+    except ActionError as exc:
+        raise SpecFormatError(str(exc), path) from None
+
+
 def action_to_data(generators: Mapping[str, Homeo]) -> dict:
-    rows = []
-    for name in sorted(generators):
-        h = generators[name]
-        rows.append(
-            {
-                "name": name,
-                "branch_map": {b: h.branch_map[b] for b in sorted(h.branch_map)},
-                "branch_pl": {
-                    b: plmap_to_data(h.branch_pl[b]) for b in sorted(h.branch_pl)
-                },
-            }
-        )
-    return {"generators": rows}
+    return {
+        "generators": [
+            {"name": name, **homeo_to_data(generators[name])} for name in sorted(generators)
+        ]
+    }
 
 
 def action_from_data(data: Any, path: str = "$") -> dict[str, Homeo]:
@@ -287,22 +305,7 @@ def action_from_data(data: Any, path: str = "$") -> dict[str, Homeo]:
             raise SpecFormatError(f"generator name {name!r} is not a word letter", f"{row_path}.name")
         if name in generators:
             raise SpecFormatError(f"duplicate generator {name!r}", f"{row_path}.name")
-        raw_map = _mapping(_get(row, "branch_map", row_path), f"{row_path}.branch_map")
-        branch_map = {
-            _string(k, f"{row_path}.branch_map"): _string(v, f"{row_path}.branch_map[{k!r}]")
-            for k, v in raw_map.items()
-        }
-        raw_pl = _mapping(_get(row, "branch_pl", row_path), f"{row_path}.branch_pl")
-        branch_pl = {
-            _string(k, f"{row_path}.branch_pl"): plmap_from_data(
-                v, f"{row_path}.branch_pl[{k!r}]"
-            )
-            for k, v in raw_pl.items()
-        }
-        try:
-            generators[name] = Homeo(branch_map, branch_pl)
-        except ActionError as exc:
-            raise SpecFormatError(str(exc), row_path) from None
+        generators[name] = homeo_from_data(row, row_path)
     return generators
 
 

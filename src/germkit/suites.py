@@ -59,9 +59,9 @@ from .blowup import (
 from .examples import STANDARD, Bundle, bundle
 from .fuzz import CaseGen
 from .germ import Germ, OrderSign, compare, eventual_comparison_bound
-from .leafspace import LeafSpace, Point, Side, root_embedding
+from .leafspace import Embedding, LeafSpace, Point, Side, root_embedding
 from .plmap import reflect
-from .rationals import format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_rational
 
 
 class SuiteError(ValueError):
@@ -352,18 +352,7 @@ def _sample_homeos(target: Bundle, gen: CaseGen, count: int) -> list[tuple[str, 
 
 
 def _homeo_payload(target: Bundle, label: str, h: Homeo) -> Payload:
-    return {
-        "target": target.name,
-        "homeo": label,
-        "branch_map": dict(h.branch_map),
-        "branch_pl": {b: serialize.plmap_to_data(pl) for b, pl in h.branch_pl.items()},
-    }
-
-
-def _homeo_decode(targets: list[Bundle], payload: Payload) -> tuple[Bundle, str, Homeo]:
-    label = payload["homeo"]
-    pls = {b: serialize.plmap_from_data(d) for b, d in payload["branch_pl"].items()}
-    return _payload_target(targets, payload), label, Homeo(payload["branch_map"], pls)
+    return {"target": target.name, "homeo": label, **serialize.homeo_to_data(h)}
 
 
 def _embedded_homeo_cases(config: SuiteConfig, targets: list[Bundle], count: int) -> Cases:
@@ -375,12 +364,12 @@ def _embedded_homeo_cases(config: SuiteConfig, targets: list[Bundle], count: int
 
 
 def _embedded_homeo_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target, label, h = _homeo_decode(targets, payload)
+    label, h = payload["homeo"], serialize.homeo_from_data(payload)
+    target = _payload_target(targets, payload)
     return target, root_embedding(target.space), label, h
 
 
-def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
-    e = root_embedding(space)
+def _overlap_sound(space: LeafSpace, h: Homeo, e: Embedding) -> bool:
     t = overlap_ray(space, h, e)
     base = Fraction(0) if t is None else t
     if any(line_image(space, h, e, base + d) is None for d in (Fraction(1, 3), 1, 17)):
@@ -398,9 +387,7 @@ def _overlap_sound(space: LeafSpace, h: Homeo) -> bool:
 
 
 def _overlap_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    for target in targets:
-        for label, h in _sample_homeos(target, CaseGen(config.seed), max(8, config.cases // 10)):
-            yield 1, ("homeo", target, label, h)
+    yield from _embedded_homeo_cases(config, targets, max(8, config.cases // 10))
     if not config.leafspace_path:
         # line swaps: the finite-threshold case on fresh random spaces
         gen = CaseGen(config.seed)
@@ -409,13 +396,13 @@ def _overlap_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _overlap_check(case: Case) -> Payload | None:
-    if case[0] == "homeo":
-        _, target, label, h = case
-        return None if _overlap_sound(target.space, h) else _homeo_payload(target, label, h)
+    if case[0] != "swap":
+        target, e, label, h = case
+        return None if _overlap_sound(target.space, h, e) else _homeo_payload(target, label, h)
     _, i, space, swap, departure = case
     e = root_embedding(space)
     if (
-        _overlap_sound(space, swap)
+        _overlap_sound(space, swap, e)
         and overlap_ray(space, swap, e) == departure
         and induced_germ(space, swap, e).is_identity()
     ):
@@ -425,7 +412,7 @@ def _overlap_check(case: Case) -> Payload | None:
 
 def _overlap_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     if payload["target"] != "swap":
-        return ("homeo", *_homeo_decode(targets, payload))
+        return _embedded_homeo_decode(config, targets, payload)
     gen = CaseGen(config.seed)
     for _ in range(payload["index"]):
         gen.swap_pair()
@@ -841,6 +828,8 @@ def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
     targets = resolve_targets(config)
     try:
         case = suite.decode(config, targets, counterexample)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (
+        KeyError, TypeError, AttributeError, IndexError, serialize.SpecFormatError, RationalFormatError
+    ) as exc:
         raise SuiteError(f"suite {name!r} cannot decode its counterexample: {exc!r}") from None
     return suite.check(case) is not None

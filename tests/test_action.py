@@ -149,8 +149,20 @@ class TestValidate:
         ),
         # past the interpreter's 4,300-digit integer string limit
         (lambda: Word.parse("f^" + "9" * 5000), "bad word letter: too many digits (5002 characters)"),
+        # refused before the power is expanded
+        (
+            lambda: Word.parse("f^1000000000"),
+            "bad word letter 'f^1000000000': word longer than 100000 letters",
+        ),
+        (
+            lambda: Word.parse("k " + "f^50000 " * 2),
+            "bad word letter 'f^50000': word longer than 100000 letters",
+        ),
     ],
-    ids=["word-exponent", "partial-composition", "exponent-past-the-digit-limit"],
+    ids=[
+        "word-exponent", "partial-composition", "exponent-past-the-digit-limit",
+        "power-past-the-letter-limit", "letters-past-the-letter-limit",
+    ],
 )
 def test_input_errors(call, message):
     with pytest.raises(ActionError) as raised:
@@ -382,6 +394,11 @@ class TestWords:
         # Arabic-Indic and fullwidth threes are digits to int() but not here
         with pytest.raises(ActionError, match="bad word letter"):
             Word.parse(token)
+
+    def test_letter_limit_counts_letters_before_reduction(self):
+        assert len(Word.parse("f^99999 k")) == 100_000
+        with pytest.raises(ActionError, match="word longer than 100000 letters"):
+            Word.parse("f^99999 f^-1 f")  # reduces to 99,999 letters, but reads 100,001
 
     def test_free_reduction(self):
         assert Word.parse("g g^-1").is_identity()

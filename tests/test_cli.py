@@ -202,6 +202,23 @@ class TestCheckCommands:
         assert "elapsed_seconds" not in json.dumps(data)
 
 
+def test_compute_d_prints_a_slope_past_the_digit_limit(runner, tmp_path):
+    # g^5 has slope 10^5000: 5,001 digits, past the interpreter's 4,300-digit
+    # string limit, which only reading a number applies
+    space = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
+    g = Homeo({"r": "r"}, {"r": PLMap.make((), 10**1000, 10**1000, offset=0)})
+    (tmp_path / "s.json").write_text(serialize.emit_leafspace(space))
+    (tmp_path / "a.json").write_text(serialize.emit_action({"g": g}))
+    result = runner.invoke(
+        main,
+        ["compute-d", "--leafspace", str(tmp_path / "s.json"), "--action", str(tmp_path / "a.json"),
+         "--word", "g^5"],
+    )
+    assert result.exit_code == 0, result.output
+    slope = "1" + "0" * 5000
+    assert result.output == f'file\tg g g g g\t{{"a": "{slope}", "b": "0"}}\n'
+
+
 class TestInputErrors:
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -263,6 +280,14 @@ class TestInputErrors:
         result = runner.invoke(main, command)
         assert result.exit_code == 2, result.output
         assert result.output == message
+
+    def test_word_past_the_letter_limit_is_input_error(self, runner):
+        # refused before the power is expanded
+        result = runner.invoke(main, ["compute-d", "--example", "e3", "--word", "f^1000000000"])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "error: --word: bad word letter 'f^1000000000': word longer than 100000 letters\n"
+        )
 
     def test_half_specified_target(self, runner, tmp_path):
         space = tmp_path / "space.json"
@@ -486,12 +511,21 @@ class TestPlumbing:
         for line in first.output.strip().splitlines():
             serialize.plmap_from_data(json.loads(line))
 
+    def test_fuzz_homeo_lines_are_homeo_records(self, runner):
+        result = runner.invoke(main, ["fuzz", "--kind", "homeo", "--count", "5", "--seed", "7"])
+        assert result.exit_code == 0
+        for line in result.output.splitlines():
+            h = serialize.homeo_from_data(json.loads(line))
+            assert json.dumps(serialize.homeo_to_data(h)) == line
+
     # sha256 of the stdout of ``germkit fuzz --kind K --count 20 --seed 7``,
     # recorded while every map still stored its Fraction fields eagerly;
-    # serialization now reads fields that a map builds on first read.
+    # serialization now reads fields that a map builds on first read.  The
+    # homeo pin was taken again when its lines took the homeo record's
+    # sorted key order: each line parses to the same JSON value as before.
     FUZZ_SHA256 = {
         "plmap": "f5d54c39dd9b2f6308fb93ff711905c9e4dd83f66b820bc06fbb72b0a3987afa",
-        "homeo": "bf08b05f62975147203011a98e3748eceab74e5c523f850a41c521b618635b1e",
+        "homeo": "3ad0f8434cdc480e6bf17d2add167805a93543a2fa78ed603965dde087e94b76",
         "word": "c6b9a28272518f9c9fe4b14fa2bc1945b55c2c0975bf2b5e63d3a5b2099fe58c",
         "leafspace": "71fba417fdab62887ce5a96b2582c1c0f0df30d9b5211a225cb72ac790d3f2c9",
     }

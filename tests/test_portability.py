@@ -25,7 +25,9 @@ blown point into a key and back, so only it knows the key layout.  Only
 ``action.py`` and ``blowup.py`` name ``Word._reduced``, which builds a word
 from letters it trusts to be reduced: every other module builds words
 through the reducing constructor.  Every guarded name is a code token of
-some package module, so no guard watches a name that is gone.
+some package module, so no guard watches a name that is gone.  Only
+``serialize.py`` uses ``"branch_map"`` and ``"branch_pl"`` as keys: it
+writes and reads a homeo's JSON record for every other module.
 
 The tests' references live in one module, ``tests/reference.py``, which
 names none of the package's integer internals, the ray event table among
@@ -166,6 +168,46 @@ def test_references_stay_in_one_module():
             if name.startswith(("oracle_", "Oracle")) and path.name != "reference.py":
                 found.append(f"{path.name}:{node.lineno}: defines {name}")
     assert found == []
+
+
+HOMEO_RECORD_KEYS = {"branch_map", "branch_pl"}
+
+
+def record_keys(source: str, keys: set[str]) -> list[int]:
+    """The line of each dict-display key or subscript key in ``source`` that
+    is a string constant in ``keys``; other strings, such as messages, are
+    not keys."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            named = node.keys
+        elif isinstance(node, ast.Subscript):
+            named = [node.slice]
+        else:
+            continue
+        lines += [k.lineno for k in named if isinstance(k, ast.Constant) and k.value in keys]
+    return lines
+
+
+def test_key_scanner_sees_dict_and_subscript_keys_only():
+    source = (
+        'a = {"branch_map": {}, **rest}\n'
+        'b = row["branch_pl"]\n'
+        'c = f"branch_pl does not cover {b!r}", "branch_map"\n'
+        'd = h.branch_map[b]\n'
+    )
+    assert record_keys(source, HOMEO_RECORD_KEYS) == [1, 2]
+
+
+def test_only_serialize_names_the_homeo_record_keys():
+    """A homeo's JSON record is written and read in ``serialize.py`` alone;
+    ``action.py``'s error messages name the two maps, but not as keys."""
+    found = {
+        path.name: record_keys(path.read_text(), HOMEO_RECORD_KEYS)
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert found.pop("serialize.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def guarded_names() -> set[str]:

@@ -215,24 +215,64 @@ def test_replay_names_a_payload_target_the_config_does_not_resolve():
         replay("d-homomorphism", SuiteConfig(examples=("e1",)), payload)
 
 
-# suite -> (a payload its decode cannot read, the error it raised)
+def e3_f_payload(**charts):
+    """An ``overlap-rays`` payload of e3's ``f``, with chart records replaced."""
+    record = serialize.homeo_to_data(examples.bundle("e3").generators["f"])
+    record["branch_pl"].update(charts)
+    return {"target": "e3", "homeo": "f", **record}
+
+
+def action_law_sample(coord, height):
+    """An ``alpha-action-law`` payload of ``f`` at a sample on e3's root."""
+    sample = {"point": {"branch": "r", "coord": coord}, "height": height}
+    return {"target": "e3", "outer": "f", "inner": "", "sample": sample}
+
+
+def not_a_rational(path, text):
+    return f"SpecFormatError(\"{path}: not a rational: '{text}' (expected 'p' or 'p/q')\")"
+
+
+# case -> (suite, a payload its decode cannot read, the error it raised); a
+# suite's first case is named after the suite
 MALFORMED = {
-    "alpha-action-law": ({"target": "e3"}, "KeyError('sample')"),
-    "orbit-limit": ({}, "KeyError('target')"),
-    "injectivity-certificate": (
-        {"target": "e3", "word": 5}, "AttributeError(\"'int' object has no attribute 'split'\")"
+    "alpha-action-law": ("alpha-action-law", {"target": "e3"}, "KeyError('sample')"),
+    "alpha-action-law-bad-coord": (
+        "alpha-action-law",
+        action_law_sample("x", None),
+        not_a_rational("$.coord", "x"),
     ),
-    "order-laws": ({"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
+    "alpha-action-law-bad-height": (
+        "alpha-action-law",
+        action_law_sample("0", "x"),
+        "RationalFormatError(\"not a rational: 'x' (expected 'p' or 'p/q')\")",
+    ),
+    "orbit-limit": ("orbit-limit", {}, "KeyError('target')"),
+    "injectivity-certificate": (
+        "injectivity-certificate",
+        {"target": "e3", "word": 5},
+        "AttributeError(\"'int' object has no attribute 'split'\")",
+    ),
+    "order-laws": ("order-laws", {"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
+    "order-laws-bad-rational": (
+        "order-laws", {"case": 0, "germs": [{"a": "x", "b": "0"}] * 3}, not_a_rational("$.a", "x")
+    ),
+    "overlap-rays-chart-not-a-map": (
+        "overlap-rays",
+        e3_f_payload(r=5),
+        "SpecFormatError(\"$.branch_pl['r']: expected an object, got int\")",
+    ),
     # a payload with no fixing word
     "trivial-stabilizer": (
-        {"target": "e3", "problem": "phi['k'] does not fix 0 and 1"}, "KeyError('fixing_word')"
+        "trivial-stabilizer",
+        {"target": "e3", "problem": "phi['k'] does not fix 0 and 1"},
+        "KeyError('fixing_word')",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_replay_rejects_a_malformed_payload(name):
-    payload, error = MALFORMED[name]
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_replay_rejects_a_malformed_payload(case):
+    name, payload, error = MALFORMED[case]
     message = f"suite '{name}' cannot decode its counterexample: {error}"
     with pytest.raises(SuiteError, match=re.escape(message)):
         replay(name, SuiteConfig(examples=("e3",)), payload)

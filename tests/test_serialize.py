@@ -241,6 +241,10 @@ def _e3_action_data(second_name):
     return data
 
 
+def _e3_f_data(**changes):
+    return dict(serialize.homeo_to_data(bundle("e3").generators["f"]), **changes)
+
+
 def _e3_spec_data(**changes):
     b = bundle("e3")
     data = json.loads(serialize.emit_blowup_spec(b.marked, b.stabilizer, b.depth, b.ball))
@@ -275,6 +279,24 @@ INPUT_ERRORS = {
     ),
     "germ-slope-zero": (
         lambda: serialize.germ_from_data({"a": "0", "b": "0"}), SpecFormatError, "$.a"
+    ),
+    "homeo-without-branch-map": (
+        lambda: serialize.homeo_from_data({"branch_pl": {}}), SpecFormatError, "$"
+    ),
+    "homeo-charts-in-an-array": (
+        lambda: serialize.homeo_from_data(_e3_f_data(branch_pl=[])), SpecFormatError, "$.branch_pl"
+    ),
+    # the chart is read before the two maps' key sets are compared
+    "homeo-bad-chart": (
+        lambda: serialize.homeo_from_data(_e3_f_data(branch_pl={"b1": _plmap_data(left_slope="-1")})),
+        SpecFormatError, "$.branch_pl['b1']",
+    ),
+    # the constructor's message, at the record's own path
+    "homeo-key-sets-differ": (
+        lambda: serialize.homeo_from_data(_e3_f_data(branch_map={"r": "r"})), SpecFormatError, "$"
+    ),
+    "word-past-the-letter-limit": (
+        lambda: serialize.word_from_text("f^1000000000", "--word"), SpecFormatError, "--word"
     ),
     "unknown-schema-kind": (lambda: serialize.is_canonical("{}", "nope"), ValueError, None),
     # an integer past the interpreter's 4,300-digit string limit
