@@ -20,10 +20,10 @@ are one sorted table of reduced pairs, the overlap scan, the germ samples
 and the witness candidates are read off it and probed as pairs, and no
 ``Point`` or ``Fraction`` is built but a returned threshold or witness.
 
-Homeos and words are immutable.  A homeo keeps its inverse and, per space
-and embedding, its ray events and overlap ray; a kept value is what
-recomputing gives and nothing that raises is kept, so everything here acts
-as pure.
+Homeos and words are immutable.  A homeo keeps its inverse and, in two
+dicts keyed by space and embedded branch, its ray events and overlap ray;
+a kept value is what recomputing gives and nothing that raises is kept, so
+everything here acts as pure.
 """
 
 from __future__ import annotations
@@ -188,14 +188,18 @@ class Homeo:
     insists on a total bijection.  Two homeos are equal when both maps are.
     A homeo carries no name: a generator's name is its key in the generators
     mapping.  :func:`invert_homeo` caches the inverse on the instance, and
-    the inverse points back, so a homeo is inverted once.  ``_rays`` keeps
-    the ray data of each ``(space, embedding)`` (see :func:`_kept`).
+    the inverse points back, so a homeo is inverted once.  Two dicts keyed
+    by ``(space, e.branch)`` keep the ray data of each embedding ``e``:
+    ``_events`` its sorted event table (see :func:`_ray_events`) and
+    ``_overlaps`` its overlap ray, ``FULL_LINE`` included; a missing key
+    means not yet computed.
     """
 
     branch_map: Mapping[str, str]
     branch_pl: Mapping[str, PLMap]
     _inverse: "Homeo | None" = field(default=None, init=False, repr=False, compare=False)
-    _rays: "tuple[_Rays, ...]" = field(default=(), init=False, repr=False, compare=False)
+    _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         branch_map, branch_pl = dict(self.branch_map), dict(self.branch_pl)
@@ -439,54 +443,24 @@ def word_homeo(space: LeafSpace, generators: Mapping[str, Homeo], word: Word) ->
 # Overlap rays and induced germs
 
 
-_UNSCANNED = object()  # _Rays.overlap before a scan has filled it
-
-
-class _Rays:
-    """The ray data a homeo keeps for the embedding through ``branch`` in
-    ``space``; each other field is filled once computed without an error."""
-
-    __slots__ = ("space", "branch", "events", "overlap")
-
-    def __init__(self, space: LeafSpace, branch: str) -> None:
-        self.space, self.branch = space, branch
-        self.events: tuple[tuple[int, int], ...] | None = None
-        self.overlap: Fraction | None | object = _UNSCANNED
-
-
-def _kept(space: LeafSpace, h: Homeo, e: Embedding) -> _Rays:
-    """The ray data ``h`` keeps for ``(space, e)``, made on first use.  A
-    homeo meets few ``(space, e)`` pairs, so its records are a tuple,
-    scanned for the space's identity and ``e``'s branch."""
-    for rays in h._rays:
-        if rays.space is space and rays.branch == e.branch:
-            return rays
-    rays = _Rays(space, e.branch)
-    object.__setattr__(h, "_rays", (*h._rays, rays))
-    return rays
-
-
 def _ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, int], ...]:
     """Coordinates where the embedded-ray picture of ``h`` can change, as
     sorted, distinct, reduced pairs ``(n, d)`` with ``d > 0``.
 
     Between consecutive events the owning branch of ``e(x)``, the owning
     branch of the image, and the chart piece acting are all constant, and
-    the coordinate map is affine.  Built on the first call and kept on ``h``.
+    the coordinate map is affine.  :func:`_ray_event_set` is sorted exactly
+    on the key ``n * (L // d)``, ``L`` the least common multiple of the
+    denominators, so no ``Fraction`` is built; the table is built on the
+    first call and kept in ``h._events``.
     """
-    rays = _kept(space, h, e)
-    if rays.events is None:
-        rays.events = _build_ray_events(space, h, e)
-    return rays.events
-
-
-def _build_ray_events(space: LeafSpace, h: Homeo, e: Embedding) -> tuple[tuple[int, int], ...]:
-    """The events of :func:`_ray_events`: :func:`_ray_event_set` sorted
-    exactly on the key ``n * (L // d)``, ``L`` the least common multiple of
-    the denominators; no ``Fraction`` is built."""
-    events = _ray_event_set(space, h, e)
-    scale = lcm(*(d for _, d in events))
-    return tuple(sorted(events, key=lambda ev: ev[0] * (scale // ev[1])))
+    key = (space, e.branch)
+    events = h._events.get(key)
+    if events is None:
+        found = _ray_event_set(space, h, e)
+        scale = lcm(*(d for _, d in found))
+        events = h._events[key] = tuple(sorted(found, key=lambda ev: ev[0] * (scale // ev[1])))
+    return events
 
 
 def _ray_event_set(space: LeafSpace, h: Homeo, e: Embedding) -> set[tuple[int, int]]:
@@ -518,10 +492,10 @@ def overlap_ray(space: LeafSpace, h: Homeo, e: Embedding) -> Fraction | None:
     applications of ``h``.  The threshold is ``FULL_LINE`` or an event.
     The result is kept on ``h``, so the scan runs once per ``(space, e)``.
     """
-    rays = _kept(space, h, e)
-    if rays.overlap is _UNSCANNED:
-        rays.overlap = _overlap_scan(space, h, e, _ray_events(space, h, e))
-    return rays.overlap
+    key = (space, e.branch)
+    if key not in h._overlaps:
+        h._overlaps[key] = _overlap_scan(space, h, e, _ray_events(space, h, e))
+    return h._overlaps[key]
 
 
 def _overlap_scan(

@@ -61,7 +61,7 @@ from .fuzz import CaseGen
 from .germ import Germ, OrderSign, compare, eventual_comparison_bound
 from .leafspace import Embedding, LeafSpace, Point, Side, root_embedding
 from .plmap import reflect
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import format_rational
 
 
 class SuiteError(ValueError):
@@ -298,7 +298,8 @@ def _quotient_check(case: Case) -> Payload | None:
 
 
 def _maps_case(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    return (payload["case"], *(serialize.plmap_from_data(d) for d in payload["maps"]))
+    maps = (serialize.plmap_from_data(d, f"$.maps[{i}]") for i, d in enumerate(payload["maps"]))
+    return (payload["case"], *maps)
 
 
 def _cone_oracle(u: Germ) -> bool:
@@ -333,7 +334,8 @@ def _order_check(case: Case) -> Payload | None:
 
 
 def _order_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    return (payload["case"], *(serialize.germ_from_data(d) for d in payload["germs"]))
+    germs = (serialize.germ_from_data(d, f"$.germs[{i}]") for i, d in enumerate(payload["germs"]))
+    return (payload["case"], *germs)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +602,10 @@ def _action_law_check(case: Case) -> Payload | None:
 def _action_law_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     target = _payload_target(_blowup_targets(targets), payload)
     sample = payload["sample"]
-    point, height = serialize.point_from_data(sample["point"]), sample["height"]
-    q = BlownPoint(point, None if height is None else parse_rational(height))
+    point, height = serialize.point_from_data(sample["point"], "$.sample.point"), sample["height"]
+    if height is not None:
+        height = serialize._rational(height, "$.sample.height")
+    q = BlownPoint(point, height)
     ball = len(Word.parse(payload["outer"])) + len(Word.parse(payload["inner"]))
     return target, [q], ball
 
@@ -652,7 +656,7 @@ def _orbit_limit_check(case: Case) -> Payload | None:
 
 def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     target = _payload_target(_blowup_targets(targets), payload)
-    return target, target.ball or config.word_ball, parse_rational(payload["cut"])
+    return target, target.ball or config.word_ball, serialize._rational(payload["cut"], "$.cut")
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
@@ -714,7 +718,8 @@ def _structural_check(case: Case) -> Payload | None:
 
 def _structural_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     if "leafspace" in payload:
-        return "random", payload["case"], serialize.leafspace_from_data(payload["leafspace"])
+        leafspace = serialize.leafspace_from_data(payload["leafspace"], "$.leafspace")
+        return "random", payload["case"], leafspace
     if payload["kind"] == "determinism":
         return "determinism", replace(config, cases=25)
     return "bundle", _payload_target(targets, payload)
@@ -828,8 +833,6 @@ def replay(name: str, config: SuiteConfig, counterexample: dict) -> bool:
     targets = resolve_targets(config)
     try:
         case = suite.decode(config, targets, counterexample)
-    except (
-        KeyError, TypeError, AttributeError, IndexError, serialize.SpecFormatError, RationalFormatError
-    ) as exc:
+    except (KeyError, TypeError, AttributeError, IndexError, serialize.SpecFormatError) as exc:
         raise SuiteError(f"suite {name!r} cannot decode its counterexample: {exc!r}") from None
     return suite.check(case) is not None

@@ -1,7 +1,8 @@
 """The reference model: plain, slow ``Fraction`` bodies of each layer, from
 ``PLMap`` make, eval, compose, check and agree-on-ray, through germs, points,
-``apply_homeo``, the scanning induced germ and words built from the
-identity, to the per-point twisted action and the ordered law loop.
+``apply_homeo``, the overlap scan, the witness search, the scanning induced
+germ and words built from the identity, to the per-point twisted action and
+the ordered law loop.
 
 Each body is the code a faster route replaced, and the tests compare that
 route against it (differential testing).  A body here reads the package
@@ -384,10 +385,9 @@ def oracle_ray_events(space, h, e):
     return sorted(events)
 
 
-def oracle_induced_germ(space, h, e, threshold=None):
-    """The induced germ computed the long way, with the overlap scan always
-    run: samples above the larger of the scanned (or given) threshold and
-    every ray event."""
+def oracle_overlap_ray(space, h, e):
+    """``overlap_ray`` scanned afresh on ``Fraction``s: the last event, or
+    the event above the last midpoint, whose image leaves the line."""
 
     def on_line(x):
         return oracle_line_image(space, h, e, x) is not None
@@ -403,6 +403,29 @@ def oracle_induced_germ(space, h, e, threshold=None):
             t0 = ev
         if i + 1 < len(events) and not on_line((ev + events[i + 1]) / 2):
             t0 = events[i + 1]
+    return t0
+
+
+def oracle_moved_point_witness(space, h, e, n):
+    """``moved_point_witness`` on ``Fraction``s: the events above ``n``, two
+    points inside each gap below them, then two points above the last."""
+    candidates, low = [], F(n)
+    for ev in oracle_ray_events(space, h, e):
+        if ev > low:
+            candidates += [low + (ev - low) / 3, low + 2 * (ev - low) / 3, ev]
+            low = ev
+    for x in candidates + [low + 1, low + 2]:
+        if oracle_line_image(space, h, e, x) != (x.numerator, x.denominator):
+            return x
+    return None
+
+
+def oracle_induced_germ(space, h, e, threshold=None):
+    """The induced germ computed the long way, with the overlap scan always
+    run: samples above the larger of the scanned (or given) threshold and
+    every ray event."""
+    events = oracle_ray_events(space, h, e)
+    t0 = oracle_overlap_ray(space, h, e)
     if threshold is None:
         base = t0 if t0 is not None else F(0)
     else:

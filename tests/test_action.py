@@ -13,7 +13,6 @@ from germkit.action import (
     Homeo,
     UnknownGeneratorError,
     Word,
-    _build_ray_events,
     _ray_events,
     apply_homeo,
     compose_homeo,
@@ -35,8 +34,8 @@ from germkit.germ import Germ
 from germkit.leafspace import Embedding, LeafSpace, LeafSpaceError, Point, Side, root_embedding
 from germkit.plmap import PLMap
 from reference import (
-    oracle_induced_germ, oracle_line_image, oracle_ray_events, oracle_validate_homeo,
-    oracle_word_germ, oracle_word_homeo, oracle_words,
+    oracle_induced_germ, oracle_line_image, oracle_moved_point_witness, oracle_overlap_ray,
+    oracle_ray_events, oracle_validate_homeo, oracle_word_germ, oracle_word_homeo, oracle_words,
 )
 from support import field_dict, record_of
 
@@ -779,13 +778,14 @@ class TestRootChartGerm:
             for _ in range(2):
                 with pytest.raises(LeafSpaceError, match="unknown branch 'zz'"):
                     induced_germ(L, h, Embedding(branch))
-        assert no_root._rays == undeclared._rays == ()
+        assert kept(no_root) == kept(undeclared) == ({}, {})
 
 
 def assert_table_matches_oracle(space, h, e):
     """The event table is the reference's sorted list, as distinct reduced
-    pairs with positive denominators; returns the table."""
-    events = _build_ray_events(space, h, e)
+    pairs with positive denominators; returns the table.  It is built on a
+    fresh copy of ``h``, so ``h`` keeps nothing."""
+    events = _ray_events(space, fresh(h), e)
     assert [F(n, d) for n, d in events] == oracle_ray_events(space, h, e)
     assert all(d > 0 and gcd(n, d) == 1 for n, d in events)
     return events
@@ -828,9 +828,9 @@ class TestRayEventTable:
         for space, h in cases:
             for branch in sorted(space.branches):
                 assert_table_matches_oracle(space, h, Embedding(branch))
-        assert _build_ray_events(R, translation(R), root_embedding(R)) == ()
+        assert _ray_events(R, translation(R), root_embedding(R)) == ()
         # the shift by -1 tops its events with the preimage 1 of the departure 0
-        assert _build_ray_events(L, translation(L, -1), root_embedding(L)) == ((0, 1), (1, 1))
+        assert _ray_events(L, translation(L, -1), root_embedding(L)) == ((0, 1), (1, 1))
 
     def test_large_denominators_sort_exactly(self):
         # departures and breakpoints about 10**-30 apart, on both sides of
@@ -857,7 +857,7 @@ class TestRayEventTable:
         L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None), "a": ("r", 1), "b": ("r", 2)})
         double = PLMap.affine(2, 0)
         h = Homeo({b: b for b in L.branches}, {b: double for b in L.branches})
-        assert _build_ray_events(L, h, Embedding("a")) == ((1, 2), (1, 1), (2, 1))
+        assert _ray_events(L, h, Embedding("a")) == ((1, 2), (1, 1), (2, 1))
         # a breakpoint at the departure 0, and a preimage of it at a breakpoint
         S = two_siblings()
         for points, want in (([(0, 0)], ((0, 1),)), ([(-1, 0), (0, 1)], ((-1, 1), (0, 1)))):
@@ -868,7 +868,7 @@ class TestRayEventTable:
     def test_uncovered_chain_branch_raises(self):
         L = two_siblings()
         probe = Homeo({"b1": "b1"}, {"b1": PLMap.identity()})
-        for ray_data in (_build_ray_events, oracle_ray_events):
+        for ray_data in (_ray_events, oracle_ray_events):
             with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
                 ray_data(L, probe, Embedding("b1"))
 
@@ -876,6 +876,11 @@ class TestRayEventTable:
 def fresh(h):
     """A new homeo with ``h``'s maps, keeping nothing yet."""
     return Homeo(h.branch_map, h.branch_pl)
+
+
+def kept(h):
+    """The ray data ``h`` keeps: its event tables and its overlap rays."""
+    return h._events, h._overlaps
 
 
 class TestKeptRayData:
@@ -896,8 +901,7 @@ class TestKeptRayData:
         for _ in range(2):
             with pytest.raises(ActionError, match="image ray never returns"):
                 overlap_ray(L, h, e)
-        (rays,) = h._rays
-        assert rays.events == ((0, 1),) and rays.overlap is action._UNSCANNED
+        assert kept(h) == ({(L, "b"): ((0, 1),)}, {})
 
     def test_samples_off_the_line_raise_on_every_call(self):
         # the samples above the top event leave the line, and the root
@@ -908,7 +912,7 @@ class TestKeptRayData:
         for _ in range(2):
             with pytest.raises(ActionError, match="chart map of the root 'r' is not increasing"):
                 induced_germ(L, h, e)
-        assert h._rays == ()
+        assert kept(h) == ({}, {})
 
     def test_a_wrong_kept_letter_germ_breaks_the_one_letter_word(self, monkeypatch):
         # no germ is kept; a fault on the letter's own germ, which only the
@@ -918,7 +922,7 @@ class TestKeptRayData:
         e, f = root_embedding(b.space), b.generators["f"]
         word = Word.parse("f")
         germ = word_germ(b.space, b.generators, word, e)
-        assert "germ" not in action._Rays.__slots__
+        assert kept(f) == ({}, {})
         real = action.induced_germ
 
         def fault(space, h, e, threshold=None):
@@ -939,7 +943,23 @@ class TestKeptRayData:
         v, e = gens["v"], root_embedding(L)
         assert overlap_ray(L, v, e) is overlap_ray(bigger, v, e) is FULL_LINE
         assert induced_germ(L, v, e) == induced_germ(bigger, v, e) == Germ.identity()
-        assert [(rays.space, rays.branch) for rays in v._rays] == [(L, "r"), (bigger, "r")]
+        assert list(v._events) == list(v._overlaps) == [(L, "r"), (bigger, "r")]
+
+    def test_one_homeo_along_two_lines_keeps_one_entry_per_line(self):
+        # the key holds the line's branch: the lines through r and b1 of one
+        # space have different tables, and neither reads the other's
+        b = bundle("e3")
+        k, cuts = fresh(b.generators["k"]), [F(n) for n in (-3, -1, 0, 1, 5)]
+        tables = {"r": ((0, 1), (1, 1)), "b1": ((-1, 1), (-1, 2), (0, 1), (1, 1))}
+        for branch, table in tables.items():
+            e = Embedding(branch)
+            assert _ray_events(b.space, k, e) == table
+            assert overlap_ray(b.space, k, e) == oracle_overlap_ray(b.space, k, e)
+            assert [moved_point_witness(b.space, k, e, n) for n in cuts] == [
+                oracle_moved_point_witness(b.space, k, e, n) for n in cuts
+            ]
+        keys = [(b.space, branch) for branch in tables]
+        assert kept(k) == (dict(zip(keys, tables.values())), dict.fromkeys(keys, FULL_LINE))
 
 
 class TestInducedGermCalls:
@@ -947,7 +967,7 @@ class TestInducedGermCalls:
     def counted(monkeypatch):
         calls = dict.fromkeys(
             (
-                "_line_image", "_overlap_scan", "_build_ray_events", "induced_germ",
+                "_line_image", "_overlap_scan", "_ray_event_set", "induced_germ",
                 "compose_homeo",
             ),
             0,
@@ -970,30 +990,62 @@ class TestInducedGermCalls:
         germ = action.induced_germ(b.space, h, e)
         assert germ == Germ.of(h.branch_pl[b.space.root])
         assert calls == {
-            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "induced_germ": 1,
+            "_line_image": 0, "_overlap_scan": 0, "_ray_event_set": 0, "induced_germ": 1,
             "compose_homeo": 0,
         }
         assert action.induced_germ(b.space, h, e) == germ
         assert calls == {
-            "_line_image": 0, "_overlap_scan": 0, "_build_ray_events": 0, "induced_germ": 2,
+            "_line_image": 0, "_overlap_scan": 0, "_ray_event_set": 0, "induced_germ": 2,
             "compose_homeo": 0,
         }
-        assert h._rays == ()  # nothing is kept
+        assert kept(h) == ({}, {})  # nothing is kept
 
     def test_explicit_threshold_scans_once(self, monkeypatch):
         b = bundle("e2")
         h, e = fresh(b.generators["s"]), root_embedding(b.space)
         calls = self.counted(monkeypatch)
         germ = induced_germ(b.space, h, e, threshold=F(5))
-        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["_overlap_scan"] == calls["_ray_event_set"] == 1
         probes = calls["_line_image"]
         # a second threshold call samples again, on the kept events and scan
         assert induced_germ(b.space, h, e, threshold=F(6)) == germ
-        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["_overlap_scan"] == calls["_ray_event_set"] == 1
         assert calls["_line_image"] == probes + 2
         assert overlap_ray(b.space, h, e) == F(0)
-        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["_overlap_scan"] == calls["_ray_event_set"] == 1
         assert calls["_line_image"] == probes + 2
+
+    def test_ray_data_is_built_and_scanned_once_per_line(self, monkeypatch):
+        # repeated scans, threshold germs and witnesses along e3's lines
+        # through r and b1, both FULL_LINE: one event build and one scan each
+        b = bundle("e3")
+        k = fresh(b.generators["k"])
+        calls = self.counted(monkeypatch)
+        for _ in range(3):
+            for branch in ("r", "b1"):
+                e = Embedding(branch)
+                assert overlap_ray(b.space, k, e) is FULL_LINE
+                induced_germ(b.space, k, e, threshold=F(2))
+                moved_point_witness(b.space, k, e, F(0))
+        assert calls["_ray_event_set"] == calls["_overlap_scan"] == 2
+        assert len(k._events) == len(k._overlaps) == 2
+
+    def test_what_raises_runs_again_on_every_call(self, monkeypatch):
+        # a scan that raises keeps its events but no threshold, so each call
+        # scans again; an event build that raises keeps nothing
+        L, h, e = TestKeptRayData.reflecting()
+        S = two_siblings()
+        probe = Homeo({"b1": "b1"}, {"b1": PLMap.identity()})
+        calls = self.counted(monkeypatch)
+        for n in range(1, 4):
+            with pytest.raises(ActionError, match="image ray never returns"):
+                overlap_ray(L, h, e)
+            assert calls["_overlap_scan"] == n and calls["_ray_event_set"] == 1
+        for n in range(2, 5):
+            with pytest.raises(ActionError, match="homeomorphism undefined on branch 'r'"):
+                moved_point_witness(S, probe, Embedding("b1"), F(0))
+            assert calls["_ray_event_set"] == n
+        assert kept(h) == ({(L, "b"): ((0, 1),)}, {}) and kept(probe) == ({}, {})
 
     def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
         # four composite germs plus one per letter of each word, each word
@@ -1006,7 +1058,7 @@ class TestInducedGermCalls:
         calls = self.counted(monkeypatch)
         assert suites._homomorphism_check(case) is None
         assert calls["induced_germ"] == 4 + sum(len(w) for w in words) == 18
-        assert calls["_line_image"] == calls["_build_ray_events"] == calls["_overlap_scan"] == 0
+        assert calls["_line_image"] == calls["_ray_event_set"] == calls["_overlap_scan"] == 0
         assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
         assert suites._homomorphism_check(case) is None
         assert calls["induced_germ"] == 36 and calls["_line_image"] == 0
@@ -1020,7 +1072,7 @@ class TestInducedGermCalls:
         h = fresh(b.generators["u"])
         calls = self.counted(monkeypatch)
         assert suites._threshold_check((b, root_embedding(b.space), "u", h)) is None
-        assert calls["_overlap_scan"] == calls["_build_ray_events"] == 1
+        assert calls["_overlap_scan"] == calls["_ray_event_set"] == 1
 
     def test_d_homomorphism_germs_each_generator_letter_once_per_target(self, monkeypatch):
         config = suites.SuiteConfig(examples=("e3",))
@@ -1044,7 +1096,7 @@ class TestInducedGermCalls:
         report = suites.run_suite("d-homomorphism", config, targets)
         assert report.passed
         assert all(germs[i] > 0 for i in letters)
-        assert calls["_line_image"] == calls["_build_ray_events"] == 0
+        assert calls["_line_image"] == calls["_ray_event_set"] == 0
 
     def test_one_letter_word_is_a_new_homeo(self):
         b = bundle("e3")
@@ -1317,7 +1369,7 @@ class TestLineImageBuildsNoFraction:
         before = fraction_count[0]
         assert [moved_point_witness(L, h, e, cut) for cut in cuts] == [None] * 3
         assert fraction_count[0] == before
-        assert [rays.events for rays in h._rays] == [tuple((n, 1) for n in range(-2, 4))]
+        assert kept(h) == ({(L, "a"): tuple((n, 1) for n in range(-2, 4))}, {})
         assert moved_point_witness(L, h, e, F(-3)) == F(-5, 3)  # the map fixes x <= -2
 
 

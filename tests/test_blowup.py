@@ -7,7 +7,7 @@ import pytest
 from germkit import action, blowup
 from germkit.action import (
     Homeo, Word, apply_homeo, identity_homeo, induced_germ, line_image, reduced_words,
-    validate_homeo, word_homeo, _build_ray_events, _ray_event_set,
+    validate_homeo, word_homeo, _ray_event_set, _ray_events,
 )
 from germkit.blowup import (
     ActionLawViolation,
@@ -46,7 +46,7 @@ def blown_chart_certificate(space, e, ball):
         if blown_induced_germ(space, w, e).is_identity():
             return w
         h = space.word_homeo(w)
-        events = _build_ray_events(space.base, h, e)
+        events = _ray_events(space.base, h, e)
         top = events[-1] if events else (0, 1)
         start = max(F(*top), eventual_comparison_bound(induced_germ(space.base, h, e)))
         for x in (start + 1, start + 1000):
@@ -805,6 +805,49 @@ class TestStabilizerCheck:
         assert word_homeo(b.space, b.generators, w) == identity_homeo(b.space)
 
 
+def orbit_graph(b, depth):
+    """Vertices and edges of the depth-``depth`` orbit of ``b``'s marked
+    point: one edge per orbit point and generator whose image lies in the
+    orbit."""
+    space = BlowupSpace(b.space, b.generators, b.marked, depth, b.stabilizer)
+    edges = sum(
+        apply_homeo(b.space, h, p) in space.orbit
+        for p in space.orbit for h in b.generators.values()
+    )
+    return len(space.orbit), edges
+
+
+class TestOrbitGraph:
+    """The orbit's Schreier graph, whose cycle rank ``E - V + 1`` counts the
+    independent closed walks at the marked point."""
+
+    def test_e3_sizes_edges_and_cycle_rank(self):
+        b = bundle("e3")
+        graphs = [orbit_graph(b, depth) for depth in range(7)]
+        assert [v for v, _ in graphs] == [1, 3, 9, 25, 66, 164, 407]
+        assert [e for _, e in graphs] == [1, 3, 9, 28, 77, 196, 488]
+        assert [e - v + 1 for v, e in graphs] == [1, 1, 1, 4, 12, 33, 82]
+
+    def test_e1_orbit_is_a_path(self):
+        b = bundle("e1")
+        assert [orbit_graph(b, depth) for depth in range(9)] == [
+            (2 * depth + 1, 2 * depth) for depth in range(9)
+        ]
+
+    def test_a_fixing_word_walks_inside_the_depth_three_orbit(self):
+        # f k f f k f^-1 fixes the marked point; each of its suffixes moves
+        # it to a point of the depth-3 orbit, so the walk is a closed one there
+        b = bundle("e3")
+        space = BlowupSpace(b.space, b.generators, b.marked, 3, b.stabilizer)
+        letters = Word.parse("f k f f k f^-1").letters
+        images = [
+            apply_homeo(b.space, word_homeo(b.space, b.generators, Word(letters[i:])), space.marked)
+            for i in range(len(letters) + 1)
+        ]
+        assert all(p in space.orbit for p in images)
+        assert images[0] == images[-1] == space.marked
+
+
 class TestOrbitSearch:
     def test_translation_reaches_ray(self):
         b, space = built("e1")
@@ -908,7 +951,7 @@ class TestBlownGerm:
         b, space = built("e3")
         assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
         homeos = [h for h, _ in space._word_cache.values()]
-        assert len(homeos) == 161 and all(h._rays == () for h in homeos)
+        assert len(homeos) == 161 and all(h._events == h._overlaps == {} for h in homeos)
 
     @pytest.mark.parametrize("name", ["e1", "e3"])
     def test_certificate_top_is_the_sorted_tables_top(self, name, monkeypatch):
@@ -927,7 +970,7 @@ class TestBlownGerm:
         expected = []
         for w in reduced_words(sorted(b.generators), 5)[1:]:
             h = space.word_homeo(w)
-            events = _build_ray_events(b.space, h, e)
+            events = _ray_events(b.space, h, e)
             top = events[-1] if events else (0, 1)
             assert max(_ray_event_set(b.space, h, e), key=lambda p: F(*p), default=(0, 1)) == top
             start = max(F(*top), eventual_comparison_bound(induced_germ(b.space, h, e)))

@@ -10,9 +10,10 @@ Only ``plmap.py`` names a map's integer kernel, the slots of its integer
 record and ``_record``, which returns the record's layout; other modules
 read ints through ``PLMap`` methods (``_eval``, ``_preimage``, ``_tail``,
 ``_breaks``) and splice maps with ``plmap._splice``.  Only ``action.py`` names
-``Homeo._rays``, the ray data a homeo keeps: other modules read it through
-``_ray_events``, ``overlap_ray`` and ``induced_germ``, and the events are a
-table of integer pairs that ``_build_ray_events`` builds.  Only ``leafspace.py`` names
+``Homeo._events`` and ``Homeo._overlaps``, the ray data a homeo keeps: other
+modules read it through ``_ray_events``, ``overlap_ray`` and
+``induced_germ``, and the events are a table of integer pairs that
+``_ray_events`` sorts from ``_ray_event_set``.  Only ``leafspace.py`` names
 ``Embedding.point_at``, and only ``action.py`` names ``_line_image``: other
 modules probe a homeo along an embedded line through ``action.line_image``,
 its wrapper, and inside ``action.py`` the overlap scan, the witness search
@@ -115,7 +116,7 @@ def test_only_action_and_blowup_build_trusted_words():
 
 
 def test_only_action_names_the_kept_ray_data():
-    assert uses_outside("action.py", {"_rays"}) == []
+    assert uses_outside("action.py", {"_events", "_overlaps"}) == []
 
 
 PLMAP_INTERNALS = {
@@ -139,7 +140,7 @@ TESTS = Path(__file__).parent
 INTEGER_INTERNALS = {
     "_eval", "_preimage", "_record", "_kernel", "_build_kernel", "_pairs", "_tail", "_breaks",
     "_of", "_n", "_d", "_sn", "_sd", "_on", "_od", "_h", "_key", "_from_key", "_ascend",
-    "_apply_pairs", "_line_image", "_build_ray_events", "_ray_event_set", "_ray_events", "_move_keys",
+    "_apply_pairs", "_line_image", "_ray_event_set", "_ray_events", "_move_keys",
     "_orbit_keys",
 }
 
@@ -223,7 +224,8 @@ def guarded_names() -> set[str]:
 
 def test_guarded_names_exist_in_the_package():
     guarded = guarded_names()
-    assert {"point_at", "twist", "_reduced", "_rays", "_orbit_keys"} <= guarded  # call sites seen
+    call_sites = {"point_at", "twist", "_reduced", "_events", "_overlaps", "_orbit_keys"}
+    assert call_sites <= guarded
     modules = sorted(PACKAGE.rglob("*.py"))
     tokens = {name for path in modules for _, name in name_uses(path.read_text(), guarded)}
     assert sorted(guarded - tokens) == []

@@ -239,14 +239,27 @@ MALFORMED = {
     "alpha-action-law-bad-coord": (
         "alpha-action-law",
         action_law_sample("x", None),
-        not_a_rational("$.coord", "x"),
+        not_a_rational("$.sample.point.coord", "x"),
     ),
     "alpha-action-law-bad-height": (
         "alpha-action-law",
         action_law_sample("0", "x"),
-        "RationalFormatError(\"not a rational: 'x' (expected 'p' or 'p/q')\")",
+        not_a_rational("$.sample.height", "x"),
+    ),
+    "germ-group-axioms-bad-map": (
+        "germ-group-axioms",
+        {"case": 0, "maps": [{"points": []}, 5]},
+        "SpecFormatError(\"$.maps[0]: missing field 'left_slope'\")",
+    ),
+    "structural-bad-leafspace": (
+        "structural",
+        {"case": 0, "leafspace": 5},
+        "SpecFormatError('$.leafspace: expected an object, got int')",
     ),
     "orbit-limit": ("orbit-limit", {}, "KeyError('target')"),
+    "orbit-limit-bad-cut": (
+        "orbit-limit", {"target": "e3", "cut": "x", "word": "f"}, not_a_rational("$.cut", "x")
+    ),
     "injectivity-certificate": (
         "injectivity-certificate",
         {"target": "e3", "word": 5},
@@ -254,7 +267,9 @@ MALFORMED = {
     ),
     "order-laws": ("order-laws", {"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
     "order-laws-bad-rational": (
-        "order-laws", {"case": 0, "germs": [{"a": "x", "b": "0"}] * 3}, not_a_rational("$.a", "x")
+        "order-laws",
+        {"case": 0, "germs": [{"a": "x", "b": "0"}] * 3},
+        not_a_rational("$.germs[0].a", "x"),
     ),
     "overlap-rays-chart-not-a-map": (
         "overlap-rays",
