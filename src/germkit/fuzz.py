@@ -5,6 +5,14 @@ Everything is driven by a private ``random.Random`` instance, so a given
 object satisfies its validator by construction.  Magnitudes are kept small
 (breakpoints within +-50, denominators bounded) so that downstream ray scans
 stay far below the probe coordinates used by the witness suites.
+
+Map draws are integer pairs end to end.  The private pair draws
+``_fraction_pair``, ``_slope_pair`` and ``_between_pair`` return reduced
+``(n, d)`` pairs, and ``plmap``, ``mutate_below``, ``_pl_fixing`` and
+``homeo`` hand their points, slopes and offsets to ``plmap._canonical`` as
+ints, so no ``Fraction`` is built between the generator and a map.  The
+public ``fraction``, ``positive_slope`` and ``fraction_between`` are
+``Fraction(*pair)`` of the same draws.
 """
 
 from __future__ import annotations
@@ -56,52 +64,70 @@ class CaseGen:
 
     # -- scalars -------------------------------------------------------------
 
-    def fraction(self, lo: int | None = None, hi: int | None = None) -> Fraction:
+    def _fraction_pair(self, lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
+        """A reduced pair ``(n, d)`` in ``[lo, hi]``, ``d`` at most the
+        bounds' denominator."""
         lo = -MAX_MAGNITUDE if lo is None else lo
         hi = MAX_MAGNITUDE if hi is None else hi
         den = self._randint(1, self.bounds.max_denominator)
         num = self._randint(lo * den, hi * den)
-        return Fraction(num, den)
+        c = gcd(num, den)
+        return num // c, den // c
 
-    def positive_slope(self) -> Fraction:
+    def _slope_pair(self) -> tuple[int, int]:
+        """A reduced positive pair ``(n, d)``, each of ``n`` and ``d`` drawn in
+        ``[1, 12]`` before reduction."""
         num = self._randint(1, 12)
         den = self._randint(1, 12)
-        return Fraction(num, den)
+        c = gcd(num, den)
+        return num // c, den // c
 
-    def fraction_between(self, lo: Fraction, hi: Fraction) -> Fraction:
-        """A rational strictly between lo and hi: ``lo + (hi - lo) * step/den``,
-        for an even ``den`` and ``0 < step < den``."""
+    def _between_pair(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """A reduced pair strictly between ``a/b`` and ``c/b``, for ``b > 0``
+        and ``a < c``: ``a/b + (c - a)/b * step/den``, for an even ``den``
+        and ``0 < step < den``."""
         den = 2 * self._randint(2, self.bounds.max_denominator)
         step = self._randint(1, den - 1)
+        n, d = a * den + (c - a) * step, b * den
+        g = gcd(n, d)
+        return n // g, d // g
+
+    def fraction(self, lo: int | None = None, hi: int | None = None) -> Fraction:
+        return Fraction(*self._fraction_pair(lo, hi))
+
+    def positive_slope(self) -> Fraction:
+        return Fraction(*self._slope_pair())
+
+    def fraction_between(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """A rational strictly between lo and hi, by :meth:`_between_pair`
+        over the common denominator of the two."""
         a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        return Fraction(a * d * den + (c * b - a * d) * step, b * d * den)
+        return Fraction(*self._between_pair(a * d, b * d, c * b))
 
     # -- maps ----------------------------------------------------------------
 
     def plmap(self, max_breakpoints: int | None = None) -> PLMap:
         b = self.bounds
         count = self._randint(0, b.max_breakpoints if max_breakpoints is None else max_breakpoints)
-        left = self.positive_slope()
-        right = self.positive_slope()
+        left = self._slope_pair()
+        right = self._slope_pair()
         if count == 0:
-            return PLMap.affine(left, self.fraction())
+            return _canonical([], *left, *left, self._fraction_pair())
         # Breakpoints x + k/D at distinct integers x, as reduced int pairs,
         # and values y0 + m1/D + ..., as unreduced pairs over y0's
         # denominator times D.
         den = b.max_denominator
         xs = sorted(self.rng.sample(range(-MAX_MAGNITUDE, MAX_MAGNITUDE), count))
         xs = [x * den + self._randint(0, den - 1) for x in xs]
-        y = self.fraction()
-        yn, yd = y.numerator * den, y.denominator * den
+        y0n, y0d = self._fraction_pair()
+        yn, yd = y0n * den, y0d * den
         pts = []
         for i, xn in enumerate(xs):
             if i:
-                yn += self._randint(1, 4 * den) * y.denominator
+                yn += self._randint(1, 4 * den) * y0d
             c = gcd(xn, den)
             pts.append((xn // c, den // c, yn, yd))
-        return _canonical(
-            pts, left.numerator, left.denominator, right.numerator, right.denominator, None
-        )
+        return _canonical(pts, *left, *right, None)
 
     def germ(self) -> Germ:
         return Germ(self.positive_slope(), self.fraction())
@@ -110,13 +136,15 @@ class CaseGen:
         """A map equal to ``f`` on ``[cutoff, +oo)`` but disturbed below.
 
         Precomposes with an increasing bump supported in an interval below
-        the cutoff, which cannot change anything at or above it.
+        the cutoff, which cannot change anything at or above it.  The bump
+        fixes ``lo = cutoff - 2w`` and the cutoff, for an integer ``w``, so
+        ``lo``'s pair over the cutoff's denominator is already reduced.
         """
-        width = Fraction(self._randint(1, 8))
-        lo = cutoff - 2 * width
-        mid_x = self.fraction_between(lo, cutoff)
-        mid_y = self.fraction_between(lo, cutoff)
-        bump = PLMap.make([(lo, lo), (mid_x, mid_y), (cutoff, cutoff)], 1, 1)
+        cn, cd = cutoff.numerator, cutoff.denominator
+        ln = cn - 2 * self._randint(1, 8) * cd
+        xn, xd = self._between_pair(ln, cd, cn)
+        yn, yd = self._between_pair(ln, cd, cn)
+        bump = _canonical([(ln, cd, ln, cd), (xn, xd, yn, yd), (cn, cd, cn, cd)], 1, 1, 1, 1, None)
         return f * bump
 
     # -- words ---------------------------------------------------------------
@@ -149,18 +177,23 @@ class CaseGen:
         base = Fraction(0) if dep is None else dep
         return Point(name, base - 1 - abs(self.fraction(lo=0, hi=5)))
 
-    def _pl_fixing(self, fixed: list[Fraction], left: Fraction, right: Fraction) -> PLMap:
-        """Random increasing PL map fixing each coordinate in ``fixed``."""
-        pts: list[tuple[Fraction, Fraction]] = []
-        fixed = sorted(set(fixed))
-        for a, b in zip(fixed, fixed[1:]):
-            pts.append((a, a))
+    def _pl_fixing(
+        self, fixed: list[tuple[int, int]], left: tuple[int, int], right: tuple[int, int]
+    ) -> PLMap:
+        """Random increasing PL map fixing each coordinate in ``fixed``, a
+        strictly increasing list of reduced pairs, with the tail slopes
+        ``left`` and ``right`` as pairs."""
+        pts: list[tuple[int, int, int, int]] = []
+        for (an, ad), (bn, bd) in zip(fixed, fixed[1:]):
+            pts.append((an, ad, an, ad))
             if self.rng.random() < 0.7:
-                x = self.fraction_between(a, b)
-                y = self.fraction_between(a, b)
-                pts.append((x, y))
-        pts.append((fixed[-1], fixed[-1]))
-        return PLMap.make(pts, left, right)
+                a, b, c = an * bd, ad * bd, bn * ad
+                x = self._between_pair(a, b, c)
+                y = self._between_pair(a, b, c)
+                pts.append((*x, *y))
+        n, d = fixed[-1]
+        pts.append((n, d, n, d))
+        return _canonical(pts, *left, *right, None)
 
     def swap_pair(self) -> tuple[LeafSpace, Homeo, Fraction]:
         """A space with a line swap of finite overlap threshold.
@@ -196,18 +229,18 @@ class CaseGen:
         branch structure pointwise intact; below its own departure each
         branch wanders independently, and above it it copies its parent.
         """
-        departures = space._departures or [Fraction(0)]
+        departures = [(d.numerator, d.denominator) for d in space._departures] or [(0, 1)]
         order = sorted(space.branches, key=lambda b: len(space.chain_to_root(b)))
         branch_pl: dict[str, PLMap] = {}
         for name in order:
             parent = space.parent(name)
             if parent is None:
-                branch_pl[name] = self._pl_fixing(
-                    departures, self.positive_slope(), self.positive_slope()
-                )
+                left, right = self._slope_pair(), self._slope_pair()
+                branch_pl[name] = self._pl_fixing(departures, left, right)
             else:
+                # the departures are sorted and distinct, and include dep
                 dep = space.departure(name)
-                anchors = sorted({dep, *(d for d in departures if d < dep)})
-                lower = self._pl_fixing(anchors, self.positive_slope(), Fraction(1))
+                anchors = departures[: departures.index((dep.numerator, dep.denominator)) + 1]
+                lower = self._pl_fixing(anchors, self._slope_pair(), (1, 1))
                 branch_pl[name] = _splice(lower, branch_pl[parent], dep)
         return Homeo({b: b for b in space.branches}, branch_pl)

@@ -63,7 +63,8 @@ are positive and that breakpoints and values strictly increase, drops each
 point whose two slopes ``a/d`` and ``a'/d'`` agree (``a*d' == a'*d``), and
 reduces the value of each point it keeps with one ``gcd``.  :meth:`make`
 converts its input once and calls it; ``~``, :func:`reflect` and
-:func:`_splice` call it on records.  :func:`check`, which
+:func:`_splice` call it on records, and ``germkit.fuzz``'s map draws on
+the integer pairs they draw.  :func:`check`, which
 ``action.validate_homeo`` runs on every chart map of a homeo it checks,
 applies the rules of :func:`_scan` to a composite's record on its own, so
 the triple rule's output is still checked independently.  It and
@@ -475,7 +476,9 @@ def _canonical(
     offset: tuple[int, int] | None,
 ) -> PLMap:
     """The canonicalizer behind :meth:`PLMap.make`, ``~``, :func:`reflect`,
-    :func:`_splice` and ``CaseGen.plmap``.
+    :func:`_splice` and the case generator's map draws: ``CaseGen.plmap``
+    (an affine draw too), ``CaseGen.mutate_below``'s bump and
+    ``CaseGen._pl_fixing``, under ``CaseGen.homeo``.
 
     Runs :func:`_scan` on the points (see there for their form and the
     rules); each point's breakpoint pair must be reduced.  Checks a given

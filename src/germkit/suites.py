@@ -298,7 +298,8 @@ def _quotient_check(case: Case) -> Payload | None:
 
 
 def _maps_case(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    maps = (serialize.plmap_from_data(d, f"$.maps[{i}]") for i, d in enumerate(payload["maps"]))
+    data = serialize._array(payload["maps"], "$.maps")
+    maps = (serialize.plmap_from_data(d, f"$.maps[{i}]") for i, d in enumerate(data))
     return (payload["case"], *maps)
 
 
@@ -334,7 +335,8 @@ def _order_check(case: Case) -> Payload | None:
 
 
 def _order_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    germs = (serialize.germ_from_data(d, f"$.germs[{i}]") for i, d in enumerate(payload["germs"]))
+    data = serialize._array(payload["germs"], "$.germs")
+    germs = (serialize.germ_from_data(d, f"$.germs[{i}]") for i, d in enumerate(data))
     return (payload["case"], *germs)
 
 

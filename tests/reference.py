@@ -26,7 +26,7 @@ from germkit.blowup import (
 from germkit.fuzz import MAX_MAGNITUDE, CaseGen
 from germkit.germ import Germ, OrderSign
 from germkit.leafspace import LeafSpaceError, Point, Side
-from germkit.plmap import InvalidMapError, PLMap, _frac
+from germkit.plmap import InvalidMapError, PLMap, _frac, _splice
 from germkit.rationals import format_rational
 from support import field_dict
 
@@ -232,6 +232,41 @@ def oracle_mutate_below(gen, f, cutoff):
     mid_y = oracle_fraction_between(gen, lo, cutoff)
     bump = PLMap.make([(lo, lo), (mid_x, mid_y), (cutoff, cutoff)], 1, 1)
     return f * bump
+
+
+def oracle_pl_fixing(gen, fixed, left, right):
+    """``CaseGen._pl_fixing`` as it was before it drew integer pairs, through
+    :func:`oracle_fraction_between`."""
+    pts = []
+    fixed = sorted(set(fixed))
+    for a, b in zip(fixed, fixed[1:]):
+        pts.append((a, a))
+        if gen.rng.random() < 0.7:
+            x = oracle_fraction_between(gen, a, b)
+            y = oracle_fraction_between(gen, a, b)
+            pts.append((x, y))
+    pts.append((fixed[-1], fixed[-1]))
+    return PLMap.make(pts, left, right)
+
+
+def oracle_homeo(gen, space):
+    """``CaseGen.homeo`` as it was before it drew integer pairs, through
+    :func:`oracle_pl_fixing`, with the departures read off public data."""
+    departures = sorted({space.departure(b) for b in space.branches} - {None}) or [F(0)]
+    order = sorted(space.branches, key=lambda b: len(space.chain_to_root(b)))
+    branch_pl = {}
+    for name in order:
+        parent = space.parent(name)
+        if parent is None:
+            branch_pl[name] = oracle_pl_fixing(
+                gen, departures, gen.positive_slope(), gen.positive_slope()
+            )
+        else:
+            dep = space.departure(name)
+            anchors = sorted({dep, *(d for d in departures if d < dep)})
+            lower = oracle_pl_fixing(gen, anchors, gen.positive_slope(), F(1))
+            branch_pl[name] = _splice(lower, branch_pl[parent], dep)
+    return Homeo({b: b for b in space.branches}, branch_pl)
 
 
 # -- points ----------------------------------------------------------------

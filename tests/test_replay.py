@@ -246,6 +246,16 @@ MALFORMED = {
         action_law_sample("0", "x"),
         not_a_rational("$.sample.height", "x"),
     ),
+    "germ-quotient-maps-not-a-list": (
+        "germ-quotient",
+        {"case": 0, "maps": 5},
+        "SpecFormatError('$.maps: expected an array, got int')",
+    ),
+    "germ-group-axioms-maps-a-string": (
+        "germ-group-axioms",
+        {"case": 0, "maps": "fgh"},
+        "SpecFormatError('$.maps: expected an array, got str')",
+    ),
     "germ-group-axioms-bad-map": (
         "germ-group-axioms",
         {"case": 0, "maps": [{"points": []}, 5]},
@@ -265,7 +275,16 @@ MALFORMED = {
         {"target": "e3", "word": 5},
         "AttributeError(\"'int' object has no attribute 'split'\")",
     ),
-    "order-laws": ("order-laws", {"case": 0, "germs": 5}, "TypeError(\"'int' object is not iterable\")"),
+    "order-laws": (
+        "order-laws",
+        {"case": 0, "germs": 5},
+        "SpecFormatError('$.germs: expected an array, got int')",
+    ),
+    "order-laws-germs-a-mapping": (
+        "order-laws",
+        {"case": 0, "germs": {"a": "1", "b": "0"}},
+        "SpecFormatError('$.germs: expected an array, got dict')",
+    ),
     "order-laws-bad-rational": (
         "order-laws",
         {"case": 0, "germs": [{"a": "x", "b": "0"}] * 3},
