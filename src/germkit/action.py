@@ -20,10 +20,11 @@ are one sorted table of reduced pairs, the overlap scan, the germ samples
 and the witness candidates are read off it and probed as pairs, and no
 ``Point`` or ``Fraction`` is built but a returned threshold or witness.
 
-Homeos and words are immutable.  A homeo keeps its inverse and, in two
-dicts keyed by space and embedded branch, its ray events and overlap ray;
-a kept value is what recomputing gives and nothing that raises is kept, so
-everything here acts as pure.
+Homeos and words are immutable.  A homeo keeps its inverse, its
+:func:`validate_homeo` result per space, and, in two dicts keyed by space
+and embedded branch, its ray events and overlap ray; a kept value is what
+recomputing gives and nothing that raises is kept, so everything here acts
+as pure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -188,11 +190,13 @@ class Homeo:
     insists on a total bijection.  Two homeos are equal when both maps are.
     A homeo carries no name: a generator's name is its key in the generators
     mapping.  :func:`invert_homeo` caches the inverse on the instance, and
-    the inverse points back, so a homeo is inverted once.  Two dicts keyed
-    by ``(space, e.branch)`` keep the ray data of each embedding ``e``:
-    ``_events`` its sorted event table (see :func:`_ray_events`) and
-    ``_overlaps`` its overlap ray, ``FULL_LINE`` included; a missing key
-    means not yet computed.
+    the inverse points back, so a homeo is inverted once.  ``_problems``,
+    keyed by space and made on the first check, keeps what
+    :func:`validate_homeo` returned there (see :func:`_problem`).  Two dicts keyed by ``(space, e.branch)`` keep the
+    ray data of each embedding ``e``: ``_events`` its sorted event table
+    (see :func:`_ray_events`) and ``_overlaps`` its overlap ray,
+    ``FULL_LINE`` included.  In all three a missing key means not yet
+    computed.
     """
 
     branch_map: Mapping[str, str]
@@ -200,6 +204,7 @@ class Homeo:
     _inverse: "Homeo | None" = field(default=None, init=False, repr=False, compare=False)
     _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _problems: "dict | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         branch_map, branch_pl = dict(self.branch_map), dict(self.branch_pl)
@@ -265,6 +270,16 @@ def validate_homeo(space: LeafSpace, h: Homeo) -> str | None:
                 f"expected {sign * Fraction(n, d)}"
             )
     return None
+
+
+def _problem(space: LeafSpace, h: Homeo) -> str | None:
+    """:func:`validate_homeo` of ``h`` on ``space``, run once per space and
+    kept in ``h._problems``."""
+    if h._problems is None:
+        object.__setattr__(h, "_problems", {})
+    if space not in h._problems:
+        h._problems[space] = validate_homeo(space, h)
+    return h._problems[space]
 
 
 def apply_homeo(space: LeafSpace, h: Homeo, p: Point) -> Point:
@@ -415,23 +430,58 @@ def extend_space_for_action(
     return LeafSpace.build(space.side, branches)
 
 
+def _product(letters: Sequence[tuple[str, int]], value, mul, one):
+    """The product of ``value(letter)`` over ``letters`` in order, under the
+    associative ``mul``, as a balanced tree: each run of one repeated letter
+    by repeated squaring, then adjacent pairs until one is left (``one`` if
+    none).  ``n`` letters cost at most ``n - 1`` products; nothing recurses."""
+    powers = []
+    for letter, run in groupby(letters):
+        x, n = value(letter), len(list(run))
+        power = x if n & 1 else None
+        while n > 1:
+            x, n = mul(x, x), n >> 1
+            if n & 1:
+                power = x if power is None else mul(power, x)
+        powers.append(power)
+    while len(powers) > 1:
+        odd = powers[-1:] if len(powers) & 1 else []
+        powers = [*map(mul, powers[::2], powers[1::2]), *odd]
+    return powers[0] if powers else one
+
+
+def _word_product(
+    space: LeafSpace, generators: Mapping[str, Homeo], letters: Sequence[tuple[str, int]]
+) -> Homeo:
+    """The homeo of ``letters``, outermost first, by :func:`_product`, with
+    nothing validated; a new homeo, the identity for no letters."""
+    if not letters:
+        return identity_homeo(space)
+    h = _product(letters, lambda letter: letter_homeo(generators, *letter), compose_homeo, None)
+    return Homeo(h.branch_map, h.branch_pl) if len(letters) == 1 else h
+
+
 def word_homeo(space: LeafSpace, generators: Mapping[str, Homeo], word: Word) -> Homeo:
     """Compose a word of generators, outermost letter first, and validate it.
 
-    The word is built letter by letter from its first letter's homeo, so a
-    word of ``n`` letters costs ``n - 1`` compositions; only the empty word
-    starts from the identity.  Even a one-letter word's homeo is a new
-    object, equal to its letter's homeo but not that homeo.  Canonical
-    forms are unique and composition is associative, so the maps are those
-    of the word built from the identity.  The generators are not trusted,
-    so an invalid composite raises :class:`ActionError` naming the word.
+    The generators are not trusted: each distinct one the word reads is
+    validated once per space (:func:`_problem`), and an invalid composite
+    raises :class:`ActionError` naming the word.  With every letter valid
+    the composite is :func:`_word_product`'s, unvalidated, since inversion
+    and composition keep each condition :func:`validate_homeo` checks (a
+    bijection of the declared branches, increasing canonical chart maps,
+    child and parent charts agreeing above each departure, image branches
+    sharing from exactly the mapped departure).  Otherwise it is composed
+    letter by letter, as partial maps may compose in one bracketing only,
+    and validated.  Either way it raises exactly what validating each
+    letterwise composite would.  Canonical forms are unique and composition
+    associative, so both give the maps of the word built from the identity.
     """
-    if word.letters:
-        first = letter_homeo(generators, *word.letters[0])
-        result, letters = Homeo(first.branch_map, first.branch_pl), word.letters[1:]
-    else:
-        result, letters = identity_homeo(space), ()
-    for name, exp in letters:
+    names = {name for name, _ in word.letters}
+    if names <= generators.keys() and not any([_problem(space, generators[n]) for n in names]):
+        return _word_product(space, generators, word.letters)
+    result = _word_product(space, generators, word.letters[:1])
+    for name, exp in word.letters[1:]:
         result = compose_homeo(result, letter_homeo(generators, name, exp))
     problem = validate_homeo(space, result)
     if problem is not None:
@@ -596,12 +646,12 @@ def word_germ(
 
     The composite germ is the tail of a composed root chart, and the
     product multiplies the letters' root tails, so the two agree only when
-    each letter's chart maps share its root tail.
+    each letter's chart maps share its root tail.  The product is the
+    balanced tree of :func:`_product`, which germs each run's letter once.
     """
     direct = induced_germ(space, word_homeo(space, generators, word), e)
-    product = Germ.identity()
-    for letter in word.letters:
-        product = product * induced_germ(space, letter_homeo(generators, *letter), e)
+    germ = lambda letter: induced_germ(space, letter_homeo(generators, *letter), e)  # noqa: E731
+    product = _product(word.letters, germ, Germ.__mul__, Germ.identity())
     if product != direct:
         raise GermMismatchError(
             f"germ of composition {direct!r} disagrees with letter product {product!r}"

@@ -66,9 +66,10 @@ from .action import (
     letter_homeo,
     line_image,
     reduced_words,
-    validate_homeo,
     _apply_pairs,
+    _problem,
     _ray_event_set,
+    _word_product,
 )
 from .germ import Germ, eventual_comparison_bound
 from .leafspace import Embedding, LeafSpace, Point
@@ -326,8 +327,9 @@ class BlowupSpace:
     """A leaf space with the depth-bounded orbit of a marked point blown up,
     carrying the :class:`StabilizerData` that twists the action on it.
 
-    Each generator is checked once, here, by
-    :func:`~germkit.action.validate_homeo` on ``base``; a failure raises
+    Each generator is checked once per base, here, by
+    :func:`~germkit.action.validate_homeo`, whose result the generator
+    keeps (:func:`~germkit.action._problem`); a failure raises
     :class:`BlowupError` naming it.  The space keeps one entry per word it
     has acted by: the word's homeo (:meth:`word_homeo`) and the moves of
     the orbit points it has met (:func:`_move_keys`).  Both live as long as
@@ -350,7 +352,7 @@ class BlowupSpace:
         self.generators = dict(generators)
         self.marked = base.canonical(marked)
         for name, h in self.generators.items():
-            problem = validate_homeo(base, h)
+            problem = _problem(base, h)
             if problem is not None:
                 raise BlowupError(
                     f"generator {name!r} is not a homeomorphism of the leaf space: {problem}"
@@ -395,21 +397,33 @@ class BlowupSpace:
     def word_homeo(self, word: Word) -> Homeo:
         """The cached homeo of ``word``.
 
-        A miss composes the last letter onto the cached homeo of the rest
-        of the word, fetched the same way; the empty word's entry, the
-        identity, is made with the space.  A miss also opens the word's
-        empty table of moves.  The composite is not validated, since the
-        generators were and composition and inversion preserve each
-        condition :func:`~germkit.action.validate_homeo` checks: a
-        bijection of the declared branches, increasing canonical chart
-        maps, child and parent charts agreeing above each departure, and
-        image branches sharing from exactly the mapped departure.
+        A miss on a word of at most ``depth`` letters, or on one whose
+        prefix (the word less its last letter) is cached, composes letter
+        by letter from its longest cached prefix and caches each prefix on
+        the way, as a ball sweep would; a cold miss on a longer word builds
+        it by :func:`~germkit.action._word_product` and caches that word
+        alone.  Nothing recurses.  The empty word's entry, the identity, is
+        made with the space.  A miss opens each new entry's empty table of
+        moves.  The composite is not validated, since the generators were
+        and composition and inversion preserve each condition
+        :func:`~germkit.action.validate_homeo` checks: a bijection of the
+        declared branches, increasing canonical chart maps, child and
+        parent charts agreeing above each departure, and image branches
+        sharing from exactly the mapped departure.
         """
-        entry = self._word_cache.get(word.letters)
+        letters, cache = word.letters, self._word_cache
+        entry = cache.get(letters)
         if entry is None:
-            prefix = self.word_homeo(Word._reduced(word.letters[:-1]))
-            homeo = compose_homeo(prefix, letter_homeo(self.generators, *word.letters[-1]))
-            entry = self._word_cache[word.letters] = (homeo, {})
+            n = len(letters) - 1
+            if n >= self.depth and letters[:n] not in cache:
+                entry = cache[letters] = (_word_product(self.base, self.generators, letters), {})
+            else:
+                while letters[:n] not in cache:
+                    n -= 1
+                homeo = cache[letters[:n]][0]
+                for i in range(n, len(letters)):
+                    homeo = compose_homeo(homeo, letter_homeo(self.generators, *letters[i]))
+                    entry = cache[letters[: i + 1]] = (homeo, {})
         return entry[0]
 
     def midpoint(self) -> BlownPoint:

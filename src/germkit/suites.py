@@ -39,10 +39,10 @@ from .action import (
     moved_point_witness,
     overlap_ray,
     reduced_words,
-    validate_homeo,
     word_germ,
     word_homeo,  # perfbench/check_gate.py reads suites.word_homeo too
     _apply_pairs,
+    _problem,
     _ray_events,
 )
 from .blowup import (
@@ -175,7 +175,10 @@ def _load(file: str, kind: str, noted: list[str]) -> Any:
 
 
 def _file_target(config: SuiteConfig) -> Bundle:
-    """Load the user files once; reject files that parse alone but do not fit."""
+    """Load the user files once; reject files that parse alone but do not fit.
+
+    Each generator is validated here and keeps the result, which the
+    blow-up space and ``word_homeo`` read, so none is validated twice."""
     noted: list[str] = []
     space = _load(config.leafspace_path, "leafspace", noted)
     generators = _load(config.action_path, "action", noted)
@@ -190,7 +193,7 @@ def _file_target(config: SuiteConfig) -> Bundle:
     except ActionError as exc:
         raise serialize.SpecFormatError(str(exc), "$.generators", config.action_path) from None
     for i, (name, h) in enumerate(generators.items()):
-        problem = validate_homeo(space, h)
+        problem = _problem(space, h)
         if problem is not None:
             raise serialize.SpecFormatError(
                 f"generator {name!r} is not a homeomorphism of the leaf space: {problem}",

@@ -1,13 +1,17 @@
 """Helpers that several test modules share and that are not references:
-map fields and unchecked records, the outcome of a call, and the rational
-strategies drawn at integer cost.  The ``Fraction``-era references live in
-``reference.py``."""
+map fields and unchecked records, the outcome of a call, a call counter
+installed in every ``germkit`` namespace, seeded reduced words of a given
+length, and the rational strategies drawn at integer cost.  The
+``Fraction``-era references live in ``reference.py``."""
 
+import random
+import sys
 from fractions import Fraction as F
 from math import ceil, floor
 
 from hypothesis import strategies as st
 
+from germkit.action import Word
 from germkit.plmap import PLMap, _frac
 
 FIELDS = ("breakpoints", "values", "left_slope", "right_slope", "tail_offset")
@@ -37,6 +41,35 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def calls_everywhere(monkeypatch, module, name):
+    """Wrap ``module.<name>`` in every loaded ``germkit`` namespace that
+    binds it, as perfbench's tracer does; returns the list that each call
+    appends its positional arguments to."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, namespace in list(sys.modules.items()):
+        in_package = key == "germkit" or key.startswith("germkit.")
+        if in_package and getattr(namespace, name, None) is real:
+            monkeypatch.setattr(namespace, name, wrapper)
+    return calls
+
+
+def random_reduced_word(names, length, seed):
+    """A seeded freely reduced word of exactly ``length`` letters: each
+    letter drawn uniformly among those that do not cancel the one before."""
+    rng, letters = random.Random(seed), []
+    alphabet = [(name, exp) for name in names for exp in (1, -1)]
+    while len(letters) < length:
+        letter = rng.choice(alphabet)
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(tuple(letters))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from itertools import groupby
 from math import gcd
 
 import pytest
@@ -37,7 +38,7 @@ from reference import (
     oracle_induced_germ, oracle_line_image, oracle_moved_point_witness, oracle_overlap_ray,
     oracle_ray_events, oracle_validate_homeo, oracle_word_germ, oracle_word_homeo, oracle_words,
 )
-from support import field_dict, record_of
+from support import calls_everywhere, field_dict, random_reduced_word, record_of
 
 
 def line():
@@ -1048,20 +1049,22 @@ class TestInducedGermCalls:
         assert kept(h) == ({(L, "b"): ((0, 1),)}, {}) and kept(probe) == ({}, {})
 
     def test_homomorphism_case_germs_each_letter_once(self, monkeypatch):
-        # four composite germs plus one per letter of each word, each word
-        # composed from its first letter; every germ reads a root chart, so
-        # no probe runs and a second run of the case costs the same
+        # four composite germs plus one per run of one repeated letter in
+        # each word (f^-1 f^-1 is one run), and len - 1 compositions per
+        # word; every germ reads a root chart, so no probe runs and a
+        # second run of the case costs the same
         b = bundle("e3")
         w1, w2 = Word.parse("f k f k^-1"), Word.parse("k f^-1 f^-1")
         words = [w1 * w2, w1, w2, ~w1]
         case = (b, root_embedding(b.space), 0, w1, w2)
         calls = self.counted(monkeypatch)
         assert suites._homomorphism_check(case) is None
-        assert calls["induced_germ"] == 4 + sum(len(w) for w in words) == 18
+        runs = sum(len(list(groupby(w.letters))) for w in words)
+        assert calls["induced_germ"] == 4 + runs == 17
         assert calls["_line_image"] == calls["_ray_event_set"] == calls["_overlap_scan"] == 0
         assert calls["compose_homeo"] == sum(max(len(w) - 1, 0) for w in words) == 10
         assert suites._homomorphism_check(case) is None
-        assert calls["induced_germ"] == 36 and calls["_line_image"] == 0
+        assert calls["induced_germ"] == 34 and calls["_line_image"] == 0
         assert calls["compose_homeo"] == 20
 
     def test_threshold_check_scans_and_builds_events_once(self, monkeypatch):
@@ -1173,6 +1176,105 @@ class TestWordRouteOracle:
         got = first_failure(lambda w: word_germ(b.space, b.generators, w, e), words)
         want = first_failure(lambda w: oracle_word_germ(b.space, b.generators, w, e), words)
         assert got == want and got[1] is GermMismatchError
+
+
+# ---------------------------------------------------------------------------
+# Balanced word products and the check they skip
+
+
+def long_words():
+    """``f^500`` and a seeded random reduced 500-letter word, on e3."""
+    return [Word.parse("f^500"), random_reduced_word(["f", "k"], 500, 500)]
+
+
+class TestWordProduct:
+    @pytest.mark.parametrize("w", long_words(), ids=["f^500", "random-500"])
+    def test_long_words_match_the_letterwise_oracle(self, w):
+        b = bundle("e3")
+        e = root_embedding(b.space)
+        gens = b.generators
+        assert word_homeo(b.space, gens, w) == oracle_word_homeo(b.space, gens, w)
+        assert word_germ(b.space, gens, w, e) == oracle_word_germ(b.space, gens, w, e)
+
+    def test_runs_square_and_letters_pair(self, monkeypatch):
+        # f^5000 by 12 squarings and 4 products, as 5000 has 13 bits, 5 set;
+        # a 1,000-letter word by at most n - 1 pairwise products
+        b = bundle("e3")
+        composed = calls_everywhere(monkeypatch, action, "compose_homeo")
+        power = word_homeo(b.space, b.generators, Word.parse("f^5000"))
+        assert len(composed) == 12 + 4
+        assert power.branch_pl["r"] == PLMap.affine(2**5000, 0)
+        del composed[:]
+        w = random_reduced_word(["f", "k"], 1000, 1000)
+        word_homeo(b.space, b.generators, w)
+        assert len(composed) <= len(w) - 1
+
+    def test_valid_letters_compose_to_valid_homeos(self):
+        # the closure word_homeo's skipped check rests on: composites of
+        # valid homeos, and their inverses, pass validate_homeo
+        gen = CaseGen(43)
+        actions = [(b.space, b.generators) for b in map(bundle, ("e1", "e2", "e3"))]
+        for _ in range(100):
+            space = gen.leafspace(4)
+            actions.append((space, {"a": gen.homeo(space), "b": gen.homeo(space)}))
+        drawn = sum(len(gens) for _, gens in actions[3:])
+        assert drawn == 200
+        for space, gens in actions:
+            assert all(validate_homeo(space, h) is None for h in gens.values())
+            for _ in range(10):
+                h = action._word_product(space, gens, gen.word(sorted(gens), 8).letters)
+                assert validate_homeo(space, h) is None
+                assert validate_homeo(space, invert_homeo(h)) is None
+
+    def test_an_invalid_letter_leaves_the_composite_to_decide(self):
+        # x is e3's f with a collinear breakpoint in its root chart: invalid,
+        # while its inverse and every longer word of it compose to valid maps
+        b = bundle("e3")
+        f = b.generators["f"]
+        pl = f.branch_pl["r"]
+        flawed = record_of(**field_dict(pl, breakpoints=(F(1),), values=(pl(F(1)),)))
+        x = Homeo(f.branch_map, {**f.branch_pl, "r": flawed})
+        gens = {"x": x, "k": b.generators["k"]}
+        assert validate_homeo(b.space, x) is not None
+        with pytest.raises(ActionError) as raised:
+            word_homeo(b.space, gens, Word.parse("x"))
+        assert str(raised.value) == (
+            "invalid homeomorphism x: orientation: branch 'r' chart map invalid "
+            "(map is not in canonical form)"
+        )
+        for text in ("x x", "x^-1", "x^-1 x^-1", "x x x", "x k", "k x x"):
+            same = Word.parse(text.replace("x", "f"))
+            assert word_homeo(b.space, gens, Word.parse(text)) == word_homeo(
+                b.space, b.generators, same
+            ), text
+
+    def test_partial_letters_compose_letter_by_letter(self):
+        # c sends the undeclared y off every domain; (a b) (c d) never reads
+        # c at y and composes to the identity, which is valid on the line,
+        # while the letterwise ((a b) c) d meets y and raises, as before
+        ident = PLMap.identity()
+        a = Homeo({"r": "r"}, {"r": ident})
+        c = Homeo({"r": "r", "y": "q"}, {"r": ident, "y": ident})
+        gens = {"a": a, "b": a, "c": c, "d": a}
+        w = Word.parse("a b c d")
+        assert action._word_product(line(), gens, w.letters) == identity_homeo(line())
+        with pytest.raises(ActionError) as raised:
+            word_homeo(line(), gens, w)
+        assert type(raised.value) is ActionError
+        assert str(raised.value) == "composition undefined on branch 'y'"
+
+    def test_induced_hom_validates_each_generator_once(self, monkeypatch):
+        # one check per generator per target over the four suites of a
+        # seed-0 pass; no composite is validated
+        calls = calls_everywhere(monkeypatch, action, "validate_homeo")
+        names = ("overlap-rays", "d-threshold-independence", "d-homomorphism", "d-nontriviality")
+        config = suites.SuiteConfig(seed=0, examples=("e1", "e2", "e3"))
+        for name in names:
+            assert suites.run_suite(name, config).passed
+        generators = [h for t in ("e1", "e2", "e3") for h in bundle(t).generators.values()]
+        assert 0 < len(calls) <= len(names) * len(generators)
+        assert len({(id(space), id(h)) for space, h in calls}) == len(calls)
+        assert all(h in generators for _, h in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,14 @@ from germkit.examples import bundle
 from germkit.germ import Germ, eventual_comparison_bound
 from germkit.leafspace import Point, root_embedding
 from germkit.plmap import PLMap
-from germkit.suites import SuiteConfig, _action_law_case, _action_law_check, _injectivity_cases
+from germkit.serialize import homeo_to_data
+from germkit.suites import (
+    SuiteConfig, run_suite, _action_law_case, _action_law_check, _injectivity_cases,
+)
 from reference import (
     oracle_coset_rep, oracle_stabilizer_factorization, oracle_twist, oracle_validate_alpha_action,
 )
-from support import outcome
+from support import calls_everywhere, outcome, random_reduced_word
 
 
 def blown_chart_certificate(space, e, ball):
@@ -130,20 +133,12 @@ class TestWordHomeoCache:
 
     def test_validated_once_at_construction(self, monkeypatch):
         # counted wherever the package binds the check
-        calls = Counter()
-        real = action.validate_homeo
-
-        def counted(space, h):
-            calls[id(h)] += 1
-            return real(space, h)
-
-        for module in (action, blowup):
-            monkeypatch.setattr(module, "validate_homeo", counted)
+        calls = calls_everywhere(monkeypatch, action, "validate_homeo")
         b, space = built("e3")
-        assert sorted(calls.values()) == [1] * len(b.generators)
+        assert sorted(Counter(id(h) for _, h in calls).values()) == [1] * len(b.generators)
         for w in reduced_words(sorted(b.generators), 5):
             space.word_homeo(w)
-        assert sum(calls.values()) == len(b.generators)
+        assert len(calls) == len(b.generators)
 
     def test_miss_with_uncached_prefixes(self):
         b, space = built("e3")
@@ -152,6 +147,32 @@ class TestWordHomeoCache:
         for n in range(len(w) + 1):
             assert Word(w.letters[:n]).letters in space._word_cache
         assert space.word_homeo(Word.parse("f k^-1")) is space.word_homeo(Word.parse("f k^-1"))
+
+    @pytest.mark.parametrize(
+        "w", [random_reduced_word(["f", "k"], 1000, 1000), Word.parse("f^5000")],
+        ids=["random-1000", "f^5000"],
+    )
+    def test_cold_long_word_is_built_alone(self, w):
+        # no prefix is cached, so the word is built without recursion and
+        # kept alone, with the record the public route gives
+        b, space = built("e3")
+        size = len(space._word_cache)
+        got = space.word_homeo(w)
+        assert homeo_to_data(got) == homeo_to_data(word_homeo(b.space, b.generators, w))
+        assert len(space._word_cache) == size + 1
+        longer = w * Word.parse("k")
+        assert space.word_homeo(longer) == word_homeo(b.space, b.generators, longer)
+        assert len(space._word_cache) == size + 2
+
+    def test_ball_sweeps_compose_as_before(self, monkeypatch):
+        # a seed-0 pass of the blowup-ball suites: every cold miss there is
+        # short, so the prefix-by-prefix composition count stays put
+        composed = calls_everywhere(monkeypatch, action, "compose_homeo")
+        config = SuiteConfig(seed=0, examples=("e1", "e3"))
+        names = ("alpha-action-law", "trivial-stabilizer", "orbit-limit", "injectivity-certificate")
+        for name in names:
+            assert run_suite(name, config).passed
+        assert len(composed) == 1807
 
 
 class TestAlphaApply:

@@ -13,13 +13,13 @@ from click.testing import CliRunner
 from germkit.action import Homeo, identity_homeo
 from germkit.blowup import BlowupSpace, CosetTableError, StabilizerGeneratorError
 from germkit.cli import main
-from germkit import blowup, serialize, suites
+from germkit import action, blowup, serialize, suites
 from germkit.examples import bundle
 from germkit.fuzz import CaseGen
 from germkit.leafspace import LeafSpace, Point, Side
 from germkit.plmap import PLMap, reflect
 from germkit.suites import SuiteConfig, SuiteError, resolve_targets
-from support import record_of
+from support import calls_everywhere, record_of
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -696,6 +696,18 @@ class TestFileTargets:
         assert result.output.count("note:") == 1
         assert "note:" not in result.stdout
 
+    def test_file_target_with_blowup_validates_each_generator_once(self, exported, monkeypatch):
+        # the load checks each generator and keeps the result, which the
+        # blow-up space built on the same space reads instead of checking again
+        calls = calls_everywhere(monkeypatch, action, "validate_homeo")
+        config = SuiteConfig(
+            leafspace_path=str(exported / "e1.leafspace.json"),
+            action_path=str(exported / "e1.action.json"),
+            blowup_path=str(exported / "e1.blowup.json"),
+        )
+        assert suites.run_suite("alpha-action-law", config).passed
+        assert len(calls) == len(bundle("e1").generators)
+
     @pytest.mark.parametrize("command", TARGET_COMMANDS, ids=" ".join)
     def test_one_parse_per_file(self, runner, exported, monkeypatch, command):
         calls = collections.Counter()
@@ -711,14 +723,13 @@ class TestFileTargets:
 
         for name in ("parse_leafspace", "parse_action", "parse_blowup_spec"):
             counted(serialize, name)
-        counted(suites, "validate_homeo")
+        # one check per generator, counted wherever the package binds it:
+        # the blow-up space and word_homeo read the result the load keeps
+        validated = calls_everywhere(monkeypatch, action, "validate_homeo")
         result = runner.invoke(main, [*command, *file_args(exported, "e3")])
         assert result.exit_code == 0, result.output
-        generators = len(bundle("e3").generators)
-        assert calls == {
-            "parse_leafspace": 1, "parse_action": 1, "parse_blowup_spec": 1,
-            "validate_homeo": generators,
-        }
+        assert calls == {"parse_leafspace": 1, "parse_action": 1, "parse_blowup_spec": 1}
+        assert len(validated) == len(bundle("e3").generators)
 
     def test_positive_side_in_file_coordinates(self, runner, tmp_path):
         # r with b departing at 0 and c at 1 on the positive side, g = x -> 2x
