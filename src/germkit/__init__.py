@@ -32,13 +32,13 @@ from .blowup import (
     alpha_apply,
     blown_induced_germ,
     injectivity_certificate,
+    law_violation,
     positive_ray_orbit_search,
     stabilizer_check,
     validate_alpha_action,
 )
 from .germ import Germ, OrderSign, compare
 from .leafspace import (
-    Classification,
     Embedding,
     LeafSpace,
     Point,
@@ -50,7 +50,6 @@ from .plmap import InvalidMapError, PLMap, agree_on_ray
 __all__ = [
     "BlownPoint",
     "BlowupSpace",
-    "Classification",
     "Embedding",
     "Germ",
     "Homeo",
@@ -73,6 +72,7 @@ __all__ = [
     "induced_germ",
     "injectivity_certificate",
     "invert_homeo",
+    "law_violation",
     "moved_point_witness",
     "overlap_ray",
     "positive_ray_orbit_search",

@@ -16,11 +16,6 @@ validated once, so the action and its checks read all of it from the space.
 The orbit is expanded lazily to a fixed word depth; applications that would
 need deeper orbit points raise :class:`OrbitEscapeError` rather than guess.
 
-Blowing up keeps the base space's classification (line, one-sided
-negative or one-sided positive): intervals replace points, and the ends
-and the branching are untouched.  That is a fact of the construction, so
-the space has no classification of its own and nothing checks it.
-
 The action is implemented once, by the kernel :func:`_move_keys`, which
 moves a list of blown points, given as integer keys, by one word: it
 fetches the word's homeo once per call and moves all the plain points in
@@ -36,7 +31,7 @@ or first error is that loop's.  Each word of the ball moves the samples
 once, in one kernel call, the empty word first, and the check holds that
 image list, one per ball word, until it returns; every other pair moves
 one of those lists by one word and compares it with the product word's
-held list.
+held list; a pair that fails goes to :func:`law_violation`.
 
 Inside the kernel a blown point is a tuple of ints, ``(branch, n, d)`` for
 a plain point and ``(branch, n, d, hn, hd)`` for an interval point, all
@@ -551,14 +546,11 @@ def validate_alpha_action(
     it returns; that is its memory beside the homeos and moves the space
     keeps for every word.  Each other pair moves the inner word's list by
     the outer word in one call and compares it whole with the product
-    word's held list.  The stepwise route applies ``outer`` to ``inner``'s
-    images and the combined route is the product word's own moves, built
-    from its own homeo and twists, never from its factors' moves, so the
-    two stay independent.  A list that raises, or a pair whose lists
-    differ, is moved again one key at a time through :func:`_move_keys`,
-    which raises the first error or finds the first violation; every image
-    is a deterministic function of the word and the point, so lists that
-    agree without an error mean that the pair has neither.
+    word's held list.  A pair whose lists differ, or whose move raises, is
+    handed to :func:`law_violation`, which moves one key at a time and so
+    raises the first error or finds the first violation; every image is a
+    deterministic function of the word and the point, so lists that agree
+    without an error mean that the pair has neither.
     """
     if not samples:  # then no word is applied, nor its homeo fetched
         return None
@@ -588,28 +580,42 @@ def validate_alpha_action(
                     continue
             except Exception:  # found again below, in order
                 pass
-            for q, mid, combined in zip(samples, mids, held):
-                (stepwise,) = _move_keys(space, outer, (mid,))
-                if combined != stepwise:
-                    combined, stepwise = map(BlownPoint._from_key, (combined, stepwise))
-                    return ActionLawViolation(outer, inner, q, combined, stepwise)
+            if (violation := law_violation(space, outer, inner, samples)) is not None:
+                return violation
     return None
 
 
-def stabilizer_check(
-    space: BlowupSpace,
-    ball: int,
-) -> Word | None:
-    """Search the word ball for a nontrivial word fixing the marked midpoint.
+def law_violation(
+    space: BlowupSpace, outer: Word, inner: Word, samples: Sequence[BlownPoint]
+) -> ActionLawViolation | None:
+    """The first sample where ``alpha_outer alpha_inner`` and the product
+    word's own move, from its own homeo and twists and never its factors'
+    moves, differ, or ``None``.  Each sample moves alone, so what raises is
+    its first error.  An empty ``inner`` or product stands for the sample,
+    as the sweep holds it, so ``(1, 1)`` checks that the empty word fixes it."""
+    product = outer * inner
+    for q in samples:
+        key = q._key()
+        mid = _move_keys(space, inner, (key,))[0] if inner.letters else key
+        (stepwise,) = _move_keys(space, outer, (mid,))
+        combined = _move_keys(space, product, (key,))[0] if product.letters else key
+        if combined != stepwise:
+            combined, stepwise = map(BlownPoint._from_key, (combined, stepwise))
+            return ActionLawViolation(outer, inner, q, combined, stepwise)
+    return None
+
+
+def stabilizer_check(space: BlowupSpace, words: Sequence[Word]) -> Word | None:
+    """The first of ``words`` that is nontrivial and fixes the marked midpoint.
 
     Mirrors the two cases of the construction: a word inside ``K``, whose
     generators the space checked to fix the marked point, must move height
-    1/2 through phi, and one outside must move the marked point.  Returns
-    the first fixing word, or ``None`` when it finds none at this scale.
+    1/2 through phi, and one outside must move the marked point.  A suite
+    passes its word ball, and a replay the reported word.
     """
     stab = space.stabilizer
     half = Fraction(1, 2)
-    for w in reduced_words(sorted(space.generators), ball):
+    for w in words:
         if w.is_identity():
             continue
         if stab.in_stabilizer(w):
@@ -664,8 +670,8 @@ def blown_induced_germ(space: BlowupSpace, w: Word, e: Embedding) -> Germ:
     return shift * induced_germ(space.base, space.word_homeo(w), e) * ~shift
 
 
-def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word | None:
-    """Certify that no nontrivial ball word has trivial blown germ.
+def injectivity_certificate(space: BlowupSpace, e: Embedding, words: Sequence[Word]) -> Word | None:
+    """The first of ``words`` that is nontrivial and has trivial blown germ.
 
     The blown germ of a word is its base germ ``d(w)``, the default
     :func:`~germkit.action.induced_germ`, conjugated by the translation
@@ -675,12 +681,12 @@ def injectivity_certificate(space: BlowupSpace, e: Embedding, ball: int) -> Word
     points at two large coordinates, above its largest ray event, the
     maximum of the unsorted event set by cross-multiplication, which is not
     kept, so the sweep leaves no ray record on its word homeos; ``d(w)`` is
-    the root chart's tail, so those probes stay an independent route.
-    Returns the first failing word or ``None``.  An undeclared ``e``
-    raises :class:`~germkit.leafspace.LeafSpaceError` at every ball.
+    the root chart's tail, so those probes stay an independent route.  A
+    suite passes its word ball, and a replay the reported word.  An
+    undeclared ``e`` raises :class:`~germkit.leafspace.LeafSpaceError`.
     """
     space.base.chain_to_root(e.branch)  # checks that e's branch is declared
-    for w in reduced_words(sorted(space.generators), ball):
+    for w in words:
         if w.is_identity():
             continue
         h = space.word_homeo(w)

@@ -207,10 +207,11 @@ def check_hom(
 def blowup_cmd(targets: dict, seed: int) -> None:
     """Build the blow-up and describe the orbit and classification."""
     for target in _targets(SuiteConfig(seed=seed, **targets), need_blowup=True):
-        space = target.blowup
+        space, base = target.blowup, target.space
+        kind = "line" if len(base.branches) == 1 else f"one_sided_{base.side.value}"
         click.echo(
             f"{target.name}\torbit={len(space.orbit)}\tdepth={space.depth}\t"
-            f"classification={target.space.classify().value}"
+            f"classification={kind}"
         )
 
 

@@ -44,12 +44,6 @@ class Side(enum.Enum):
     POSITIVE = "positive"
 
 
-class Classification(enum.Enum):
-    LINE = "line"
-    ONE_SIDED_NEGATIVE = "one_sided_negative"
-    ONE_SIDED_POSITIVE = "one_sided_positive"
-
-
 @dataclass(frozen=True)
 class Branch:
     parent: str | None
@@ -313,19 +307,6 @@ class LeafSpace:
             if br.parent is None or t <= br.departure:
                 partners.add(Point(name, t))
         return frozenset(partners)
-
-    def classify(self) -> Classification:
-        if len(self.branches) == 1:
-            return Classification.LINE
-        if self.side is Side.NEGATIVE:
-            return Classification.ONE_SIDED_NEGATIVE
-        return Classification.ONE_SIDED_POSITIVE
-
-    def negative_ends(self) -> tuple[str, ...]:
-        """One downward end per branch; only defined for downward branching."""
-        if self.side is not Side.NEGATIVE:
-            raise LeafSpaceError("space does not branch on the negative side")
-        return tuple(sorted(self.branches))
 
 
 @dataclass(frozen=True)

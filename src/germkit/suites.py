@@ -5,10 +5,10 @@ Each suite checks one claim and is one :class:`Suite` record.
 sampled homeomorphisms of each target, or exhaustive word balls; ``count``
 is what the case adds to the report's case total.  ``check(case)`` is the
 suite's one predicate: ``None``, or a JSON counterexample payload.
-``decode(config, targets, payload)`` rebuilds the smallest case that still
-contains the counterexample.  :func:`run_suite` stops at the first payload,
-and :func:`replay` is ``check(decode(...)) is not None``: a counterexample
-replays through the predicate that flagged it.  A suite may also carry a
+``decode(config, targets, payload)`` returns the reported object.
+:func:`run_suite` stops at the first payload, and :func:`replay` is
+``check(decode(...)) is not None``: a counterexample replays through the
+predicate that flagged it.  A suite may also carry a
 :class:`Fault`, a broken bundled example its check must catch; one that
 slips through fails the report with a payload that replays by running the
 fault case again.
@@ -52,6 +52,7 @@ from .blowup import (
     StabilizerGeneratorError,
     check_stabilizer_fits,
     injectivity_certificate,
+    law_violation,
     positive_ray_orbit_search,
     stabilizer_check,
     validate_alpha_action,
@@ -136,7 +137,8 @@ class Fault:
 
 @dataclass(frozen=True)
 class Suite:
-    """One claim, its case stream, its check and its payload decoder."""
+    """One claim, its case stream, its check and its payload decoder; a sweep's
+    run case holds its word ball, and a decoded case the reported word or pair."""
 
     claim: str
     cases: Callable[[SuiteConfig, list[Bundle]], Cases]
@@ -393,13 +395,17 @@ def _overlap_sound(space: LeafSpace, h: Homeo, e: Embedding) -> bool:
     return True
 
 
+def _swap_count(config: SuiteConfig) -> int:
+    """Line swaps a run draws: the finite-threshold case on fresh random
+    spaces, drawn for bundled targets only."""
+    return 0 if config.leafspace_path else max(4, config.cases // 25)
+
+
 def _overlap_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     yield from _embedded_homeo_cases(config, targets, max(8, config.cases // 10))
-    if not config.leafspace_path:
-        # line swaps: the finite-threshold case on fresh random spaces
-        gen = CaseGen(config.seed)
-        for i in range(max(4, config.cases // 25)):
-            yield 1, ("swap", i, *gen.swap_pair())
+    gen = CaseGen(config.seed)
+    for i in range(_swap_count(config)):
+        yield 1, ("swap", i, *gen.swap_pair())
 
 
 def _overlap_check(case: Case) -> Payload | None:
@@ -420,10 +426,13 @@ def _overlap_check(case: Case) -> Payload | None:
 def _overlap_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     if payload["target"] != "swap":
         return _embedded_homeo_decode(config, targets, payload)
+    index, count = payload["index"], _swap_count(config)
+    if type(index) is not int or not 0 <= index < count:
+        raise serialize.SpecFormatError(f"expected a swap index in [0, {count}), got {index!r}", "$.index")
     gen = CaseGen(config.seed)
-    for _ in range(payload["index"]):
+    for _ in range(index):
         gen.swap_pair()
-    return ("swap", payload["index"], *gen.swap_pair())
+    return ("swap", index, *gen.swap_pair())
 
 
 def _threshold_check(case: Case) -> Payload | None:
@@ -467,9 +476,9 @@ def _homomorphism_check(case: Case) -> Payload | None:
 
 
 def _homomorphism_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    target, words = _payload_target(targets, payload), payload["words"]
-    if not isinstance(words, list) or len(words) != 2:
-        raise TypeError(f"words must be a list of two words, got {words!r}")
+    target, words = _payload_target(targets, payload), serialize._array(payload["words"], "$.words")
+    if len(words) != 2:
+        raise serialize.SpecFormatError(f"expected two words, got {len(words)}", "$.words")
     w1, w2 = map(Word.parse, words)
     return target, root_embedding(target.space), payload["case"], w1, w2
 
@@ -588,8 +597,11 @@ def _action_law_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
 
 
 def _action_law_check(case: Case) -> Payload | None:
-    target, samples, ball = case
-    violation = validate_alpha_action(target.blowup, samples, ball)
+    target, samples, scope = case  # a word ball, or a decoded (outer, inner) pair
+    if isinstance(scope, int):
+        violation = validate_alpha_action(target.blowup, samples, scope)
+    else:
+        violation = law_violation(target.blowup, *scope, samples)
     if violation is None:
         return None
     q = violation.sample
@@ -610,29 +622,29 @@ def _action_law_decode(config: SuiteConfig, targets: list[Bundle], payload: Payl
     point, height = serialize.point_from_data(sample["point"], "$.sample.point"), sample["height"]
     if height is not None:
         height = serialize._rational(height, "$.sample.height")
-    q = BlownPoint(point, height)
-    ball = len(Word.parse(payload["outer"])) + len(Word.parse(payload["inner"]))
-    return target, [q], ball
+    pair = Word.parse(payload["outer"]), Word.parse(payload["inner"])
+    return target, [BlownPoint(point, height)], pair
 
 
-def _stabilizer_case(target: Bundle, config: SuiteConfig) -> Case:
-    return target, config.stabilizer_ball
+def _ball_case(target: Bundle, config: SuiteConfig) -> Case:
+    """The target and its word ball at ``stabilizer_ball``, shortest first."""
+    return target, reduced_words(sorted(target.generators), config.stabilizer_ball)
 
 
 def _stabilizer_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
     for target in _blowup_targets(targets):
-        yield 1, _stabilizer_case(target, config)
+        yield 1, _ball_case(target, config)
 
 
 def _stabilizer_check(case: Case) -> Payload | None:
-    target, ball = case
-    fixing = stabilizer_check(target.blowup, ball)
+    target, words = case
+    fixing = stabilizer_check(target.blowup, words)
     return None if fixing is None else {"target": target.name, "fixing_word": str(fixing)}
 
 
 def _stabilizer_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
     target = _payload_target(_blowup_targets(targets), payload)
-    return target, len(Word.parse(payload["fixing_word"]))
+    return target, (Word.parse(payload["fixing_word"]),)
 
 
 _ORBIT_CUTS = (Fraction(-10**6), Fraction(0), Fraction(5))
@@ -660,27 +672,26 @@ def _orbit_limit_check(case: Case) -> Payload | None:
 
 
 def _orbit_limit_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
+    """The search's output is the suite's object, so a replay re-runs it."""
     target = _payload_target(_blowup_targets(targets), payload)
     return target, target.ball or config.word_ball, serialize._rational(payload["cut"], "$.cut")
 
 
 def _injectivity_cases(config: SuiteConfig, targets: list[Bundle]) -> Cases:
-    """One case per target; it counts the nontrivial reduced words of the
-    ball, ``2r (2r - 1)^(l - 1)`` of each length ``l`` on ``r`` generators."""
-    ball = config.stabilizer_ball
+    """One case per target; it counts the ball's nontrivial words."""
     for target in _blowup_targets(targets):
-        r = len(target.generators)
-        yield sum(2 * r * (2 * r - 1) ** (l - 1) for l in range(1, ball + 1)), (target, ball)
+        case = _ball_case(target, config)
+        yield len(case[1]) - 1, case
 
 
 def _injectivity_check(case: Case) -> Payload | None:
-    target, ball = case
-    failing = injectivity_certificate(target.blowup, root_embedding(target.space), ball)
+    target, words = case
+    failing = injectivity_certificate(target.blowup, root_embedding(target.space), words)
     return None if failing is None else {"target": target.name, "word": str(failing)}
 
 
 def _injectivity_decode(config: SuiteConfig, targets: list[Bundle], payload: Payload) -> Case:
-    return _payload_target(_blowup_targets(targets), payload), len(Word.parse(payload["word"]))
+    return _payload_target(_blowup_targets(targets), payload), (Word.parse(payload["word"]),)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +789,7 @@ SUITES: dict[str, Suite] = {
         _stabilizer_cases, _stabilizer_check, _stabilizer_decode,
         Fault(
             "e3-phi-fault", "fixing word 'k' from the height-fixing realization",
-            _stabilizer_case, lambda payload: payload["fixing_word"] == "k",
+            _ball_case, lambda payload: payload["fixing_word"] == "k",
         ),
     ),
     "orbit-limit": Suite(

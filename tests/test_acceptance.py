@@ -170,10 +170,10 @@ def test_criterion_8_trivial_stabilizer():
     b = bundle("e3")
     assert b.stabilizer.phi["k"](F(1, 2)) == F(3, 4)
     space = BlowupSpace(b.space, b.generators, b.marked, b.depth, b.stabilizer)
-    assert stabilizer_check(space, ball=5) is None
+    assert stabilizer_check(space, reduced_words(("f", "k"), 5)) is None
     faulty = bundle("e3-phi-fault")
     fspace = BlowupSpace(faulty.space, faulty.generators, faulty.marked, faulty.depth, faulty.stabilizer)
-    assert stabilizer_check(fspace, ball=5) == Word.parse("k")
+    assert stabilizer_check(fspace, reduced_words(("f", "k"), 5)) == Word.parse("k")
     _done(8, "no word of length <= 5 fixes the midpoint; the faulty phi reports 'k'", started)
 
 

@@ -22,6 +22,7 @@ from germkit.blowup import (
     alpha_apply,
     blown_induced_germ,
     injectivity_certificate,
+    law_violation,
     positive_ray_orbit_search,
     stabilizer_check,
     validate_alpha_action,
@@ -56,6 +57,11 @@ def blown_chart_certificate(space, e, ball):
             if line_image(space.base, h, e, x) == (x.numerator, x.denominator):
                 return w
     return None
+
+
+def ball_words(b, radius):
+    """The word ball of ``b``'s generators, as a suite's case lists it."""
+    return reduced_words(sorted(b.generators), radius)
 
 
 def built(name):
@@ -523,6 +529,36 @@ class TestActionLawTriePass:
         assert moved == {w.letters: 1 for w in reduced_words(sorted(b.generators), ball)}
 
 
+class TestLawViolation:
+    """``law_violation`` is the per-pair check a replay runs; the sweep
+    hands it each pair that fails, so the two cannot drift apart."""
+
+    def test_the_sweeps_hit_fails_alone(self):
+        b, samples, ball = _action_law_case(bundle("e3-coset-fault"), SuiteConfig(), plain=False)
+        found = validate_alpha_action(b.blowup, samples, ball)
+        assert (str(found.outer), str(found.inner)) == ("f^-1 k^-1", "f")
+        fresh = built("e3-coset-fault")[1]
+        assert law_violation(fresh, found.outer, found.inner, [found.sample]) == found
+        assert law_violation(fresh, found.inner, found.outer, [found.sample]) is None
+
+    def test_the_identity_pair_checks_the_empty_word(self):
+        b = bundle("e3")
+
+        class Moving(StabilizerData):
+            def twist(self, h, g):
+                return Word.parse("k") if h.is_identity() else StabilizerData.twist(self, h, g)
+
+        stab = Moving(b.stabilizer.k_generators, b.stabilizer.phi, b.stabilizer.coset_table)
+        space = BlowupSpace(b.space, b.generators, b.marked, b.depth, stab)
+        samples = law_samples(b, deep=False)
+        found = validate_alpha_action(space, samples, 2)
+        assert (found.outer, found.inner, found.sample) == (Word(), Word(), samples[0])
+        again = law_violation(space, Word(), Word(), samples)
+        assert again.sample == found.sample
+        assert (again.combined, again.stepwise) == (found.stepwise, found.combined)
+        assert law_violation(built("e3")[1], Word(), Word(), samples) is None
+
+
 class TestStoredMoves:
     """A space keeps each word's move of an orbit point (image point and
     height map) beside the word's homeo; a warm call evaluates the kept
@@ -777,11 +813,11 @@ class TestCosetTableRules:
 class TestStabilizerCheck:
     def test_free_example_has_trivial_ball_stabilizer(self):
         b, space = built("e3")
-        assert stabilizer_check(space, ball=5) is None
+        assert stabilizer_check(space, ball_words(b, 5)) is None
 
     def test_phi_fault_reports_the_generator(self):
         b, space = built("e3-phi-fault")
-        assert stabilizer_check(space, ball=5) == Word.parse("k")
+        assert stabilizer_check(space, ball_words(b, 5)) == Word.parse("k")
 
     def test_misdeclared_stabilizer_rejected(self):
         b = bundle("e3")
@@ -813,8 +849,8 @@ class TestStabilizerCheck:
         w = Word.parse("f k f f k f^-1")
         assert apply_homeo(b.space, word_homeo(b.space, b.generators, w), b.marked) == b.marked
         assert not b.stabilizer.in_stabilizer(w)
-        assert stabilizer_check(space, ball=5) is None
-        assert stabilizer_check(space, ball=6) == w
+        assert stabilizer_check(space, ball_words(b, 5)) is None
+        assert stabilizer_check(space, ball_words(b, 6)) == w
 
     def test_e3_action_is_not_faithful(self):
         b = bundle("e3")
@@ -938,14 +974,14 @@ class TestBlownGerm:
         for name in ("e1", "e3"):
             b, space = built(name)
             e = root_embedding(b.space)
-            assert injectivity_certificate(space, e, ball=4) is None
+            assert injectivity_certificate(space, e, ball_words(b, 4)) is None
 
     def test_certificate_catches_trivial_germ(self):
         # the branch swap has trivial germs, so the certificate must name a word
         bb = bundle("e2")
         space = BlowupSpace(bb.space, bb.generators, Point("b", F(-1)), 2, StabilizerData((), {}))
         e = root_embedding(bb.space)
-        failing = injectivity_certificate(space, e, ball=2)
+        failing = injectivity_certificate(space, e, ball_words(bb, 2))
         assert failing is not None and len(failing) >= 1
 
     def test_certificate_never_scans_the_orbit(self, monkeypatch):
@@ -964,13 +1000,13 @@ class TestBlownGerm:
             return real_contains(self, base, p)
 
         monkeypatch.setattr(Embedding, "contains", counted)
-        assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
+        assert injectivity_certificate(space, root_embedding(b.space), ball_words(b, 4)) is None
         assert calls == 0 and len(space.orbit) == 407
 
     def test_certificate_keeps_no_ray_record(self):
         # each word's event set is built for its top and not kept
         b, space = built("e3")
-        assert injectivity_certificate(space, root_embedding(b.space), ball=4) is None
+        assert injectivity_certificate(space, root_embedding(b.space), ball_words(b, 4)) is None
         homeos = [h for h, _ in space._word_cache.values()]
         assert len(homeos) == 161 and all(h._events == h._overlaps == {} for h in homeos)
 
@@ -987,7 +1023,7 @@ class TestBlownGerm:
             return line_image(base, h, line, x)
 
         monkeypatch.setattr(blowup, "line_image", recording)
-        assert injectivity_certificate(space, e, ball=5) is None
+        assert injectivity_certificate(space, e, ball_words(b, 5)) is None
         expected = []
         for w in reduced_words(sorted(b.generators), 5)[1:]:
             h = space.word_homeo(w)
@@ -1004,7 +1040,7 @@ class TestBlownGerm:
 
         b, space = built("e3")
         with pytest.raises(LeafSpaceError, match="unknown branch 'zz'"):
-            injectivity_certificate(space, Embedding("zz"), ball=ball)
+            injectivity_certificate(space, Embedding("zz"), ball_words(b, ball))
 
     @pytest.mark.parametrize("name", ["e1", "e3"])
     def test_blown_germ_is_trivial_exactly_when_d_is(self, name):
@@ -1033,16 +1069,16 @@ class TestBlownGerm:
         else:
             bb, space = built(case)
         e = root_embedding(bb.space)
-        found = [injectivity_certificate(space, e, ball) for ball in range(6)]
+        found = [injectivity_certificate(space, e, ball_words(bb, ball)) for ball in range(6)]
         assert found == [blown_chart_certificate(space, e, ball) for ball in range(6)]
         assert (found[5] is None) == (case in ("e1", "e3"))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_certificate_case_count_is_the_nontrivial_ball_size(self, r):
-        # the suite counts the ball by its closed form, without listing it
+        # the suite counts the nontrivial words of the ball it lists
         f = bundle("e3").generators["f"]
         target = replace(bundle("e3"), generators={name: f for name in "abc"[:r]})
         for ball in range(7):
             (count, case), = _injectivity_cases(SuiteConfig(stabilizer_ball=ball), [target])
-            assert case == (target, ball)
+            assert case == (target, reduced_words(sorted(target.generators), ball))
             assert count == len(reduced_words(sorted(target.generators), ball)) - 1

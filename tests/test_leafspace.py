@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from germkit.fuzz import CaseGen
 from germkit.leafspace import (
-    Classification,
     LeafSpace,
     LeafSpaceError,
     Point,
@@ -93,45 +92,6 @@ class TestNonSeparated:
         # root, so b2's partner at 0 is the root, not b1
         L = grandchild_chain()
         assert L.non_separated(Point("r", F(0))) == frozenset({Point("b2", F(0))})
-
-
-class TestClassify:
-    def test_line(self):
-        L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
-        assert L.classify() is Classification.LINE
-
-    def test_one_sided_negative(self):
-        assert one_child().classify() is Classification.ONE_SIDED_NEGATIVE
-
-    def test_one_sided_positive(self):
-        L = LeafSpace.build(Side.POSITIVE, {"r": (None, None), "b1": ("r", F(0))})
-        assert L.classify() is Classification.ONE_SIDED_POSITIVE
-
-
-class TestNegativeEnds:
-    def test_single_branch(self):
-        L = LeafSpace.build(Side.NEGATIVE, {"r": (None, None)})
-        assert L.negative_ends() == ("r",)
-
-    def test_three_branches(self):
-        assert len(two_children().negative_ends()) == 3
-
-    def test_four_branch_chain(self):
-        L = LeafSpace.build(
-            Side.NEGATIVE,
-            {
-                "r": (None, None),
-                "a": ("r", F(0)),
-                "b": ("a", F(-1)),
-                "c": ("b", F(-2)),
-            },
-        )
-        assert len(L.negative_ends()) == 4
-
-    def test_side_mismatch(self):
-        L = LeafSpace.build(Side.POSITIVE, {"r": (None, None), "b1": ("r", F(0))})
-        with pytest.raises(LeafSpaceError):
-            L.negative_ends()
 
 
 class TestBuildErrors:

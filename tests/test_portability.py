@@ -30,6 +30,11 @@ some package module, so no guard watches a name that is gone.  Only
 ``serialize.py`` uses ``"branch_map"`` and ``"branch_pl"`` as keys: it
 writes and reads a homeo's JSON record for every other module.
 
+Every name of ``germkit.__all__`` has a reader in some other package
+module, so public API that backs no suite, command or public route shows
+here; ``blown_induced_germ`` waits for the benchmark tracer to drop its
+wrapper before it moves to ``tests/reference.py``.
+
 The tests' references live in one module, ``tests/reference.py``, which
 names none of the package's integer internals, the ray event table among
 them, so a cross-check never runs the code it checks.  No test module imports another.
@@ -229,3 +234,33 @@ def test_guarded_names_exist_in_the_package():
     modules = sorted(PACKAGE.rglob("*.py"))
     tokens = {name for path in modules for _, name in name_uses(path.read_text(), guarded)}
     assert sorted(guarded - tokens) == []
+
+
+def unread(names: set[str], sources: list[str]) -> set[str]:
+    """The ``names`` that no source reads: loads a name, or an attribute of
+    that name; a ``def`` or ``class`` line, an assignment and an import
+    are not reads."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return names - read
+
+
+def test_reader_scanner_sees_loads_and_attributes_only():
+    source = (
+        "from .m import a, b, c, d, e, f\n"
+        "def a(): pass\n"
+        "class b: pass\n"
+        "c = 1\n"
+        "print(d, m.e)  # f\n"
+    )
+    assert unread(set("abcdef"), [source]) == set("abcf")
+
+
+def test_every_public_name_has_a_package_reader():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    assert unread(set(germkit.__all__), sources) == {"blown_induced_germ"}

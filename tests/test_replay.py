@@ -10,6 +10,7 @@ import ast
 import itertools
 import json
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,6 +24,7 @@ from germkit.cli import main
 from germkit.germ import Germ, OrderSign
 from germkit.plmap import PLMap
 from germkit.suites import SuiteConfig, SuiteError, replay, run_suite
+from support import random_reduced_word
 
 SMALL = SuiteConfig(seed=0, cases=20, plain_samples=4, interval_samples=4, stabilizer_ball=3)
 E1 = replace(SMALL, examples=("e1",))
@@ -155,6 +157,13 @@ def test_overlap_swap_nontrivial_germ(replays):
     doubling = lambda induced_germ: lambda *args, **kwargs: Germ(2, 0)
     payload = replays("overlap-rays", E1, patched(suites, "induced_germ", doubling))
     assert payload == {"target": "swap", "index": 0}
+
+
+def test_overlap_file_target_draws_no_swap(tmp_path):
+    config = replace(SMALL, **exported("e2", tmp_path))
+    message = "SpecFormatError('$.index: expected a swap index in [0, 0), got 0')"
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        replay("overlap-rays", config, {"target": "swap", "index": 0})
 
 
 def test_threshold_independence_default_threshold_differs(replays):
@@ -295,6 +304,19 @@ MALFORMED = {
         e3_f_payload(r=5),
         "SpecFormatError(\"$.branch_pl['r']: expected an object, got int\")",
     ),
+    # swap indices a run of SuiteConfig(examples=("e3",)) never draws: it
+    # draws 20, and the decoder reads no further
+    **{
+        f"overlap-rays-swap-index-{name}": (
+            "overlap-rays",
+            {"target": "swap", "index": index},
+            f"SpecFormatError({f'$.index: expected a swap index in [0, 20), got {index!r}'!r})",
+        )
+        for name, index in [
+            ("a-string", "0"), ("a-bool", True), ("a-float", 0.0), ("negative", -1),
+            ("past-the-stream", 20), ("huge", 10**9),
+        ]
+    },
     # a payload with no fixing word
     "trivial-stabilizer": (
         "trivial-stabilizer",
@@ -312,17 +334,20 @@ def test_replay_rejects_a_malformed_payload(case):
         replay(name, SuiteConfig(examples=("e3",)), payload)
 
 
-def not_two_words(words):
-    return f'TypeError("words must be a list of two words, got {words!r}")'
+def not_two_words(count):
+    return f"SpecFormatError('$.words: expected two words, got {count}')"
 
 
 # d-homomorphism payloads that are not a mapping, or whose words are not two
 @pytest.mark.parametrize(
     "payload, error",
     [
-        ({"target": "e3", "case": 0, "words": ["f"]}, not_two_words(["f"])),
-        ({"target": "e3", "case": 0, "words": ["f", "k", "f"]}, not_two_words(["f", "k", "f"])),
-        ({"target": "e3", "case": 0, "words": "f k"}, not_two_words("f k")),
+        ({"target": "e3", "case": 0, "words": ["f"]}, not_two_words(1)),
+        ({"target": "e3", "case": 0, "words": ["f", "k", "f"]}, not_two_words(3)),
+        (
+            {"target": "e3", "case": 0, "words": "f k"},
+            "SpecFormatError('$.words: expected an array, got str')",
+        ),
         (5, "5 is not a mapping"),
         (["f", "k"], "['f', 'k'] is not a mapping"),
     ],
@@ -457,6 +482,76 @@ def test_injectivity_trivial_generator(replays):
 
     payload = replays("injectivity-certificate", E1, set_bundle("e1", frozen_e1))
     assert payload == {"target": "e1", "word": "u"}
+
+
+# A sweep suite's replay checks the reported word or pair, not every word of
+# its length: on e3, f k f f k f^-1 fixes the marked point outside K, and
+# the blown germ of H is trivial (the two horizons), while f^6 and f^10 do
+# not fail, and neither do the other words below of the same lengths.
+H = "f f k f^-1 f^-1 k f k^-1 f^-1 k^-1"
+E3 = replace(SMALL, examples=("e3",))
+
+
+@pytest.mark.parametrize(
+    "word, fails",
+    [("f k f f k f^-1", True), ("f f f f f f", False), ("f^-1 k f f k f", False), ("k^6", False)],
+)
+def test_stabilizer_replays_the_reported_word(word, fails):
+    assert replay("trivial-stabilizer", E3, {"target": "e3", "fixing_word": word}) is fails
+
+
+@pytest.mark.parametrize(
+    "word, fails",
+    [(H, True), ("f^10", False), (" ".join(reversed(H.split())), False), ("1", False)],
+)
+def test_injectivity_replays_the_reported_word(word, fails):
+    assert replay("injectivity-certificate", E3, {"target": "e3", "word": word}) is fails
+
+
+def test_injectivity_replay_of_a_long_word_is_one_word():
+    word = random_reduced_word(("f", "k"), 20, seed=0)
+    assert len(word) == 20
+    started = time.process_time()
+    assert not replay("injectivity-certificate", E3, {"target": "e3", "word": str(word)})
+    assert time.process_time() - started < 0.1
+
+
+# e3-coset-fault's first violation on the default samples, and other pairs
+# at its sample: the lengths match, the verdicts do not
+@pytest.mark.parametrize(
+    "outer, inner, fails",
+    [
+        ("f^-1 k^-1", "f", True),
+        ("k k", "k k", False),
+        ("f^-1 k", "f", False),
+        ("f f", "f", False),
+        ("f^-1 k^-1", "k", False),
+        ("1", "1", False),
+    ],
+)
+def test_action_law_replays_the_reported_pair(outer, inner, fails):
+    config = replace(SMALL, examples=("e3-coset-fault",))
+    sample = {"point": {"branch": "b1", "coord": "-2/5"}, "height": "1/2"}
+    payload = {"target": "e3-coset-fault", "outer": outer, "inner": inner, "sample": sample}
+    assert replay("alpha-action-law", config, payload) is fails
+
+
+def test_action_law_reports_the_pair_it_replays():
+    report = run_suite("alpha-action-law", SuiteConfig(examples=("e3-coset-fault",)))
+    sample = {"point": {"branch": "b1", "coord": "-2/5"}, "height": "1/2"}
+    assert report.counterexample == {
+        "target": "e3-coset-fault", "outer": "f^-1 k^-1", "inner": "f", "sample": sample,
+    }
+
+
+def test_action_law_identity_pass(replays):
+    # an empty word's twist off the identity: the sweep's identity pass
+    # reports the pair (1, 1), and law_violation checks it
+    def moving(twist):
+        return lambda self, h, g: Word.parse("k") if h.is_identity() else twist(self, h, g)
+
+    payload = replays("alpha-action-law", E3, patched(blowup.StabilizerData, "twist", moving))
+    assert payload["outer"] == payload["inner"] == "1"
 
 
 # ---------------------------------------------------------------------------
